@@ -141,4 +141,11 @@ grep -q '"ckpt_rows"' BENCH_msm.json
 grep -q '"interval": 1' BENCH_msm.json
 grep -q '"partition_rows"' BENCH_msm.json
 
+echo "== repo benchmark: harness tests + 2-second traced smoke (output checks on) =="
+# the benchmark package is its own workspace (BENCHMARK.json drives it);
+# this only proves it still builds against the crates and checks clean
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload msm_bls381_sliced --seed 1 --seconds 2 --trace 1 | tail -n 1 | grep -q '"correct": true'
+
 echo "CI OK"

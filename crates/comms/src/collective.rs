@@ -509,6 +509,30 @@ mod tests {
     }
 
     #[test]
+    fn schedules_do_not_depend_on_memoised_routes() {
+        // an empty route memo, a filling one and a full one: total_s,
+        // step_s and link_loads (labels included) must be ==
+        use crate::topology::tests::{cold, presets};
+        let cfg = CommConfig::default();
+        for topo in presets() {
+            let n = topo.n_gpus();
+            for strat in CollectiveStrategy::ALL {
+                let plan = |t: &crate::Topology| {
+                    plan_collective(strat, n, 17, 192.0, &Fabric::Topology(t), &cfg)
+                };
+                let first = plan(&cold(&topo));
+                assert_eq!(first, plan(&topo), "{} {}", topo.name, strat.name());
+                assert_eq!(first, plan(&topo), "{} {}", topo.name, strat.name());
+                assert!(first.link_loads.iter().all(|l| l.label.contains("<->")));
+            }
+            let per_rank: Vec<f64> = (0..n).map(|r| 4096.0 * (r % 3) as f64).collect();
+            let gather =
+                |t: &crate::Topology| gather_to_host(&per_rank, &Fabric::Topology(t), &cfg);
+            assert_eq!(gather(&cold(&topo)), gather(&topo), "{}", topo.name);
+        }
+    }
+
+    #[test]
     fn strategy_names_round_trip() {
         for s in CollectiveStrategy::ALL {
             assert_eq!(CollectiveStrategy::parse(s.name()), Some(s));

@@ -191,7 +191,7 @@ impl PartitionSchedule {
     pub fn severed_links(topo: &Topology, pod: usize) -> Vec<usize> {
         let label = format!("pod{pod}/nic");
         let nic = topo
-            .nodes
+            .nodes()
             .iter()
             .position(|n| n.kind == NodeKind::Nic && n.label == label)
             .unwrap_or_else(|| panic!("no node {label}: not a fleet fabric"));

@@ -38,12 +38,12 @@ pub enum LinkId {
 }
 
 /// One physical link on a resolved path, with its standalone bandwidth.
-#[derive(Clone, Debug, PartialEq)]
+/// Its human-readable label is [`Fabric::link_label`] of `id`: paths are
+/// resolved once per flow per step, labels only read in reports.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PathLink {
     /// Link identity for contention accounting.
     pub id: LinkId,
-    /// Human-readable label (`"gpu0 <-> nvswitch0"`).
-    pub label: String,
     /// Uncontended bandwidth of this link in GB/s.
     pub gbps: f64,
 }
@@ -122,20 +122,15 @@ impl Fabric<'_> {
                 host_gbps,
                 peer_gbps,
             } => {
-                let (id, label, gbps) = match (src, dst) {
+                let (id, gbps) = match (src, dst) {
                     (Endpoint::Rank(a), Endpoint::Rank(b)) => {
-                        let (lo, hi) = (a.min(b), a.max(b));
-                        (
-                            LinkId::FlatPeer(lo, hi),
-                            format!("flat-peer gpu{lo}<->gpu{hi}"),
-                            peer_gbps,
-                        )
+                        (LinkId::FlatPeer(a.min(b), a.max(b)), peer_gbps)
                     }
-                    _ => (LinkId::FlatHost, "flat-host".to_string(), host_gbps),
+                    _ => (LinkId::FlatHost, host_gbps),
                 };
                 Ok(PathCost {
                     alpha_s: 0.0,
-                    links: vec![PathLink { id, label, gbps }],
+                    links: vec![PathLink { id, gbps }],
                 })
             }
             Fabric::Topology(topo) => {
@@ -155,8 +150,7 @@ impl Fabric<'_> {
                     .iter()
                     .map(|&li| PathLink {
                         id: LinkId::Topo(li),
-                        label: topo.link_label(li),
-                        gbps: topo.links[li].bandwidth_gbps,
+                        gbps: topo.links()[li].bandwidth_gbps,
                     })
                     .collect();
                 Ok(PathCost {
@@ -164,6 +158,24 @@ impl Fabric<'_> {
                     links,
                 })
             }
+        }
+    }
+
+    /// Human-readable label of a link this fabric's paths cross
+    /// (`"box0/gpu0<->box0/nvswitch"`, `"flat-host"`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` names a topology link and the fabric is flat, or
+    /// the index is out of range: ids come from this fabric's own paths.
+    pub fn link_label(&self, id: LinkId) -> String {
+        match (id, self) {
+            (LinkId::Topo(li), Fabric::Topology(topo)) => topo.link_label(li),
+            (LinkId::Topo(_), Fabric::Flat { .. }) => {
+                panic!("a flat fabric has no topology links")
+            }
+            (LinkId::FlatPeer(lo, hi), _) => format!("flat-peer gpu{lo}<->gpu{hi}"),
+            (LinkId::FlatHost, _) => "flat-host".to_string(),
         }
     }
 }
@@ -352,7 +364,7 @@ impl CommSchedule {
                         }
                         None => loads.push(LinkLoad {
                             link: link.id,
-                            label: link.label.clone(),
+                            label: fabric.link_label(link.id),
                             gbps: link.gbps,
                             bytes: flow.bytes,
                             peak_flows: shared,

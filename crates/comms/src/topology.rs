@@ -20,6 +20,9 @@
 //! NVSwitch-backed DGX-A100 box, a PCIe-only RTX4090-class box, and a
 //! multi-node DGX pod whose boxes are joined over InfiniBand.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 /// What a topology node is. The variant determines whether the node may
 /// relay traffic: only switch-class nodes ([`NodeKind::Switch`],
 /// [`NodeKind::PcieHub`], [`NodeKind::Nic`]) appear in the interior of a
@@ -119,20 +122,67 @@ impl Route {
 /// the NVSwitch plane over a detour through the host.
 const ROUTE_REF_BYTES: f64 = 1_048_576.0;
 
+/// Host-side memo of [`Topology::route`] answers, keyed by
+/// `(from, to)`. A route is a pure function of the graph, so the memo is
+/// invisible to everything but the host clock: it takes no part in
+/// equality, prints nothing of its contents (a `Debug` dump must not
+/// depend on which routes were asked for), and every graph mutator
+/// empties it. Ordered map, so even iteration would be deterministic.
+#[derive(Default)]
+struct RouteMemo(Mutex<BTreeMap<(usize, usize), Option<Route>>>);
+
+impl RouteMemo {
+    /// Every update is one `insert` or `clear` of a complete value, so
+    /// the map is valid even behind a poisoned lock.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<(usize, usize), Option<Route>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn clear(&mut self) {
+        self.0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+}
+
+impl Clone for RouteMemo {
+    /// A clone is the same graph, so its routes carry over; a mutator
+    /// called on the clone afterwards clears only the clone's memo.
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl PartialEq for RouteMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for RouteMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("RouteMemo")
+    }
+}
+
 /// An interconnect topology graph.
+///
+/// Nodes and links are read through [`Self::nodes`] / [`Self::links`]
+/// and changed only through the mutators below, each of which drops the
+/// memoised routes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Topology {
     /// Preset (or user-chosen) name, e.g. `"dgx-a100-pod-4x8"`.
     pub name: String,
-    /// All nodes.
-    pub nodes: Vec<Node>,
-    /// All links.
-    pub links: Vec<Link>,
+    nodes: Vec<Node>,
+    links: Vec<Link>,
     /// GPU node index by global GPU rank.
     gpu_nodes: Vec<usize>,
     /// Node index of the master host (rank 0's host): the CPU that runs
     /// bucket-reduce and window-reduce.
     master_host: usize,
+    routes: RouteMemo,
 }
 
 impl Topology {
@@ -144,7 +194,18 @@ impl Topology {
             links: Vec::new(),
             gpu_nodes: Vec::new(),
             master_host: usize::MAX,
+            routes: RouteMemo::default(),
         }
+    }
+
+    /// All nodes, indexed by node id.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// All links, indexed by link id.
+    pub fn links(&self) -> &[Link] {
+        &self.links
     }
 
     /// Adds a node and returns its index. The first [`NodeKind::Host`]
@@ -160,6 +221,7 @@ impl Topology {
             NodeKind::Host if self.master_host == usize::MAX => self.master_host = id,
             _ => {}
         }
+        self.routes.clear();
         self.nodes.push(Node {
             kind,
             label: label.into(),
@@ -171,6 +233,7 @@ impl Topology {
     pub fn connect(&mut self, a: usize, b: usize, bandwidth_gbps: f64, latency_s: f64) -> usize {
         assert!(a < self.nodes.len() && b < self.nodes.len(), "link endpoints must exist");
         assert!(bandwidth_gbps > 0.0, "links need positive bandwidth");
+        self.routes.clear();
         self.links.push(Link {
             a,
             b,
@@ -199,6 +262,7 @@ impl Topology {
     /// Marks link `id` down: it stays in the graph (indices are stable)
     /// but the router never crosses it.
     pub fn set_link_down(&mut self, id: usize) {
+        self.routes.clear();
         self.links[id].up = false;
     }
 
@@ -207,6 +271,7 @@ impl Topology {
     /// crossing it re-prices.
     pub fn degrade_link(&mut self, id: usize, factor: f64) {
         assert!(factor > 0.0 && factor <= 1.0, "degrade factor must be in (0, 1]");
+        self.routes.clear();
         self.links[id].bandwidth_gbps *= factor;
     }
 
@@ -243,6 +308,10 @@ impl Topology {
     /// Deterministic shortest path from `from` to `to` under the α–β
     /// weight `latency + ref_bytes / bandwidth`, relaying only through
     /// switch-class nodes. Returns `None` when disconnected.
+    ///
+    /// Answers are memoised per `(from, to)` until the graph next
+    /// changes: a collective plan asks for the same few routes once per
+    /// flow per step.
     pub fn route(&self, from: usize, to: usize) -> Option<Route> {
         if from == to {
             return Some(Route {
@@ -252,6 +321,17 @@ impl Topology {
                 min_gbps: f64::INFINITY,
             });
         }
+        if let Some(hit) = self.routes.lock().get(&(from, to)) {
+            return hit.clone();
+        }
+        // searched outside the lock; a racing thread inserts the same value
+        let found = self.search_route(from, to);
+        self.routes.lock().insert((from, to), found.clone());
+        found
+    }
+
+    /// The Dijkstra search behind [`Self::route`] (`from != to`).
+    fn search_route(&self, from: usize, to: usize) -> Option<Route> {
         // Dijkstra with deterministic tie-breaking on (cost, node id).
         let n = self.nodes.len();
         let mut dist = vec![f64::INFINITY; n];
@@ -515,7 +595,7 @@ impl LinkRates {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -632,6 +712,104 @@ mod tests {
         assert_eq!(t.gpu_route(1, 2).min_gbps, 600.0);
         // gpu0 still reaches the host (its PCIe port is fine)
         assert_eq!(t.gpu_to_host_route(0).min_gbps, 64.0);
+        // the route asked for before the fault was memoised; after it the
+        // answer is the one a topology built faulted from scratch gives
+        let mut fresh = Topology::dgx_a100_box();
+        fresh.set_link_down(nvlink);
+        assert_eq!(r, fresh.gpu_route(0, 1));
+        assert_eq!(t, fresh, "the memo takes no part in equality");
+    }
+
+    /// The seven presets `distmsm-analyze verify --all-presets` sweeps,
+    /// plus the benchmark's 32-GPU pod and a fleet fabric.
+    pub(crate) fn presets() -> Vec<Topology> {
+        vec![
+            Topology::single_box(2),
+            Topology::single_box(4),
+            Topology::single_box(8),
+            Topology::pcie_box(4),
+            Topology::pcie_box(8),
+            Topology::dgx_pod(12),
+            Topology::dgx_pod(16),
+            Topology::dgx_pod(32),
+            Topology::fleet(4),
+        ]
+    }
+
+    /// `t` with an empty route memo.
+    pub(crate) fn cold(t: &Topology) -> Topology {
+        let mut t = t.clone();
+        t.routes.clear();
+        t
+    }
+
+    fn assert_memo_matches_search(t: &Topology) {
+        let n = t.nodes().len();
+        for _pass in 0..2 {
+            // first pass fills the memo, second pass reads it
+            for from in 0..n {
+                for to in (0..n).filter(|&to| to != from) {
+                    assert_eq!(
+                        t.route(from, to),
+                        t.search_route(from, to),
+                        "{}: {from}->{to}",
+                        t.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_routes_equal_fresh_searches_on_every_preset() {
+        for t in presets() {
+            assert_memo_matches_search(&t);
+        }
+    }
+
+    #[test]
+    fn every_mutator_drops_memoised_routes() {
+        let mut t = Topology::dgx_pod(16);
+        assert_memo_matches_search(&t);
+        let port = t.links_of_node(t.gpu_node(9))[0];
+        t.degrade_link(port, 0.01);
+        assert_memo_matches_search(&t);
+        t.set_link_down(port);
+        assert_memo_matches_search(&t);
+        // a clone starts from its source's routes and diverges alone
+        let before = t.gpu_route(0, 8);
+        let mut damaged = t.clone();
+        let nic = damaged.links_of_node(damaged.gpu_route(0, 8).nodes[2])[0];
+        damaged.set_link_down(nic);
+        assert_memo_matches_search(&damaged);
+        assert_eq!(t.gpu_route(0, 8), before);
+        // growing the graph can open a shorter path
+        let (a, b) = (t.gpu_node(0), t.gpu_node(8));
+        assert!(t.route(a, b).expect("connected").hops() > 2);
+        let shortcut = t.add_node(NodeKind::Switch, "shortcut");
+        assert_memo_matches_search(&t);
+        t.connect(a, shortcut, 900.0, 1e-6);
+        t.connect(shortcut, b, 900.0, 1e-6);
+        assert_eq!(t.route(a, b).expect("connected").hops(), 2);
+        assert_memo_matches_search(&t);
+    }
+
+    #[test]
+    fn one_topology_routes_from_two_threads() {
+        let t = Topology::dgx_pod(16);
+        let want: Vec<Route> = (1..16)
+            .map(|r| Topology::dgx_pod(16).gpu_route(0, r))
+            .collect();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    barrier.wait();
+                    let got: Vec<Route> = (1..16).map(|r| t.gpu_route(0, r)).collect();
+                    assert_eq!(got, want);
+                });
+            }
+        });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::baseline::best_named_time;
 use crate::bucket_sum::{bucket_sum_stats, threads_per_bucket};
-use crate::engine::{DistMsmConfig, PhaseBreakdown};
+use crate::engine::{gpu_threads, window_shape, DistMsmConfig, PhaseBreakdown};
 use crate::plan::plan_slices;
 use crate::reduce::{bucket_reduce_gpu_stats, cpu_seconds_for_padds};
 use crate::scatter::{
@@ -107,10 +107,11 @@ pub fn estimate_distmsm(
     system: &MultiGpuSystem,
     config: &DistMsmConfig,
 ) -> MsmEstimate {
+    let shape = Shape::new(n, curve, system, config);
     match config.window_size {
-        Some(s) => estimate_distmsm_with_s(n, curve, system, config, s),
+        Some(s) => shape.estimate(s),
         None => (4..=22u32)
-            .map(|s| estimate_distmsm_with_s(n, curve, system, config, s))
+            .map(|s| shape.estimate(s))
             .min_by(|a, b| a.total_s.total_cmp(&b.total_s))
             // infallible: the literal range 4..=22 is non-empty
             .expect("non-empty window range"),
@@ -125,160 +126,189 @@ pub fn estimate_distmsm_with_s(
     config: &DistMsmConfig,
     s: u32,
 ) -> MsmEstimate {
-    let cost_cfg = CostModelConfig::default();
-    let model = EcKernelModel::new(curve.limbs32, config.kernel_opts);
-    let dev = &system.devices[0];
-    let resident = dev.resident_threads_per_sm(
-        model.regs_per_thread(),
-        model.shared_mem_per_block(config.block_size),
-        config.block_size,
-    );
-    let gpu_threads = (u64::from(resident) * u64::from(dev.sm_count)).max(1);
+    Shape::new(n, curve, system, config).estimate(s)
+}
 
-    let (n_windows, n_buckets) = if config.signed_digits {
-        (curve.scalar_bits.div_ceil(s) + 1, (1u64 << (s - 1)) + 1)
-    } else {
-        (curve.scalar_bits.div_ceil(s), 1u64 << s)
-    };
-    let slices = plan_slices(n_windows, n_buckets as u32, system.n_gpus());
+/// Everything an estimate needs that does not depend on the window size,
+/// derived once and shared by the 19 candidates of the argmin.
+struct Shape<'a> {
+    n: u64,
+    curve: &'a CurveDesc,
+    system: &'a MultiGpuSystem,
+    config: &'a DistMsmConfig,
+    cost_cfg: CostModelConfig,
+    model: EcKernelModel,
+    gpu_threads: u64,
+    /// Packed-coefficient repacking pre-pass, charged to every GPU.
+    prepass: f64,
+    coeff_bytes: f64,
+}
 
-    let n_gpus = system.n_gpus();
-    let prepass = if config.packed_coefficients {
-        crate::scatter::scalar_prepass_seconds(
-            n,
-            u64::from(curve.scalar_bits.div_ceil(8)),
-            system.devices[0].mem_bandwidth_gbps,
-            n_gpus,
-        )
-    } else {
-        0.0
-    };
-    let coeff_bytes = if config.packed_coefficients {
-        4.0
-    } else {
-        f64::from(curve.scalar_bits.div_ceil(8))
-    };
-    let mut scatter_per_gpu = vec![prepass; n_gpus];
-    let mut sum_per_gpu = vec![0.0f64; n_gpus];
-    let mut gpu_reduce_per_gpu = vec![0.0f64; n_gpus];
-    let mut cpu_padds = 0u64;
-    let mut feasible = true;
-
-    for slice in &slices {
-        let dev = &system.devices[slice.gpu];
-        let slice_buckets = u64::from(slice.len());
-        let expected_inserts = n * slice_buckets / n_buckets;
-
-        // --- scatter ------------------------------------------------------
-        let kind = match config.scatter {
-            Some(k) => k,
-            None => {
-                if hierarchical_shared_bytes(slice.len(), &config.scatter_cfg)
-                    > config.scatter_cfg.shared_mem_per_block
-                {
-                    ScatterKind::Naive
-                } else {
-                    ScatterKind::Hierarchical
-                }
-            }
-        };
-        let scatter_stats = match kind {
-            ScatterKind::Naive => {
-                naive_scatter_stats(n, expected_inserts, slice.len(), gpu_threads, coeff_bytes)
-            }
-            ScatterKind::Hierarchical => {
-                if hierarchical_shared_bytes(slice.len(), &config.scatter_cfg)
-                    > config.scatter_cfg.shared_mem_per_block
-                {
-                    feasible = false;
-                    continue;
-                }
-                let points_per_block = u64::from(config.scatter_cfg.block_size)
-                    * u64::from(config.scatter_cfg.points_per_thread);
-                let n_blocks = n.div_ceil(points_per_block).max(1);
-                // expected non-empty local buckets per block
-                let lam = points_per_block as f64 / n_buckets as f64;
-                let nonempty_frac = 1.0 - (-lam).exp();
-                let committed = (slice_buckets as f64 * nonempty_frac * n_blocks as f64) as u64;
-                hierarchical_scatter_stats(
-                    n_blocks,
-                    committed.max(1),
-                    slice.len(),
-                    &config.scatter_cfg,
-                    coeff_bytes,
-                )
-            }
-        };
-        scatter_per_gpu[slice.gpu] += estimate_kernel_time(dev, &scatter_stats, &cost_cfg).total();
-
-        // --- bucket-sum -----------------------------------------------------
-        let tpb = threads_per_bucket(gpu_threads, slice_buckets);
-        let sum_stats =
-            bucket_sum_stats(expected_inserts, slice_buckets, tpb, &model, config.block_size);
-        sum_per_gpu[slice.gpu] += estimate_kernel_time(dev, &sum_stats, &cost_cfg).total();
-
-        // --- bucket-reduce --------------------------------------------------
-        if config.bucket_reduce_on_cpu {
-            cpu_padds += 2 * slice_buckets + 1;
-        } else {
-            let stats = bucket_reduce_gpu_stats(
-                slice_buckets,
-                s,
-                gpu_threads,
-                &model,
-                curve.a_is_zero,
-                config.block_size,
+impl<'a> Shape<'a> {
+    fn new(
+        n: u64,
+        curve: &'a CurveDesc,
+        system: &'a MultiGpuSystem,
+        config: &'a DistMsmConfig,
+    ) -> Self {
+        let model = EcKernelModel::new(curve.limbs32, config.kernel_opts);
+        let scalar_bytes = curve.scalar_bits.div_ceil(8);
+        let (prepass, coeff_bytes) = if config.packed_coefficients {
+            let prepass = crate::scatter::scalar_prepass_seconds(
+                n,
+                u64::from(scalar_bytes),
+                system.devices[0].mem_bandwidth_gbps,
+                system.n_gpus(),
             );
-            gpu_reduce_per_gpu[slice.gpu] +=
-                estimate_kernel_time(dev, &stats, &cost_cfg).total();
+            (prepass, 4.0)
+        } else {
+            (0.0, f64::from(scalar_bytes))
+        };
+        Self {
+            n,
+            curve,
+            system,
+            config,
+            cost_cfg: CostModelConfig::default(),
+            gpu_threads: gpu_threads(system, config, &model),
+            model,
+            prepass,
+            coeff_bytes,
         }
     }
 
-    let point_bytes = 4.0 * curve.limbs32 as f64 * 4.0;
-    // identical schedules to the engine's gather/collective (see
-    // `crate::comm`): the transfer term stays in lockstep by construction
-    let comm = if config.bucket_reduce_on_cpu {
-        crate::comm::bucket_gather_schedule(&slices, point_bytes, system)
-    } else {
-        crate::comm::window_partial_plan(config.collective, n_windows, point_bytes, system)
-    };
-    let transfer_s = comm.total_s;
-    let comm_host_s =
-        cpu_seconds_for_padds(comm.host_reduce_ops, &model, system.cpu.int_ops_per_sec);
-    let cpu_reduce_s = cpu_seconds_for_padds(cpu_padds, &model, system.cpu.int_ops_per_sec);
-    let wr_ops = u64::from(curve.scalar_bits) + u64::from(n_windows);
-    let window_reduce_s = cpu_seconds_for_padds(wr_ops, &model, system.cpu.int_ops_per_sec);
+    /// The estimate at window size `s`.
+    fn estimate(&self, s: u32) -> MsmEstimate {
+        let Self {
+            n,
+            curve,
+            system,
+            config,
+            ref cost_cfg,
+            ref model,
+            gpu_threads,
+            prepass,
+            coeff_bytes,
+        } = *self;
+        let (n_windows, window_buckets) = window_shape(curve.scalar_bits, s, config.signed_digits);
+        let n_gpus = system.n_gpus();
+        let slices = plan_slices(n_windows, window_buckets, n_gpus);
+        let n_buckets = u64::from(window_buckets);
 
-    let per_gpu: Vec<f64> = (0..n_gpus)
-        .map(|g| scatter_per_gpu[g] + sum_per_gpu[g] + gpu_reduce_per_gpu[g])
-        .collect();
-    let gpu_makespan = per_gpu.iter().copied().fold(0.0, f64::max);
-    let bucket_reduce_s = if config.bucket_reduce_on_cpu {
-        cpu_reduce_s
-    } else {
-        gpu_reduce_per_gpu.iter().copied().fold(0.0, f64::max) + comm_host_s
-    };
-    let total_s = if !feasible {
-        f64::INFINITY
-    } else if config.bucket_reduce_on_cpu && config.pipelined {
-        let tail = cpu_reduce_s / f64::from(n_windows.max(1));
-        gpu_makespan.max(cpu_reduce_s) + transfer_s + tail + window_reduce_s
-    } else {
-        gpu_makespan + transfer_s + bucket_reduce_s + window_reduce_s
-    };
+        let mut scatter_per_gpu = vec![prepass; n_gpus];
+        let mut sum_per_gpu = vec![0.0f64; n_gpus];
+        let mut gpu_reduce_per_gpu = vec![0.0f64; n_gpus];
+        let mut cpu_padds = 0u64;
+        let mut feasible = true;
 
-    MsmEstimate {
-        window_size: s,
-        n_windows,
-        phases: PhaseBreakdown {
-            scatter_s: scatter_per_gpu.iter().copied().fold(0.0, f64::max),
-            bucket_sum_s: sum_per_gpu.iter().copied().fold(0.0, f64::max),
-            bucket_reduce_s,
-            window_reduce_s,
-            transfer_s,
-        },
-        total_s,
-        feasible,
+        for slice in &slices {
+            let dev = &system.devices[slice.gpu];
+            let slice_buckets = u64::from(slice.len());
+            let expected_inserts = n * slice_buckets / n_buckets;
+
+            // --- scatter --------------------------------------------------
+            let fits = hierarchical_shared_bytes(slice.len(), &config.scatter_cfg)
+                <= config.scatter_cfg.shared_mem_per_block;
+            let kind = config.scatter.unwrap_or(if fits {
+                ScatterKind::Hierarchical
+            } else {
+                ScatterKind::Naive
+            });
+            let scatter_stats = match kind {
+                ScatterKind::Naive => {
+                    naive_scatter_stats(n, expected_inserts, slice.len(), gpu_threads, coeff_bytes)
+                }
+                ScatterKind::Hierarchical if !fits => {
+                    feasible = false;
+                    continue;
+                }
+                ScatterKind::Hierarchical => {
+                    let points_per_block = u64::from(config.scatter_cfg.block_size)
+                        * u64::from(config.scatter_cfg.points_per_thread);
+                    let n_blocks = n.div_ceil(points_per_block).max(1);
+                    // expected non-empty local buckets per block
+                    let lam = points_per_block as f64 / n_buckets as f64;
+                    let nonempty_frac = 1.0 - (-lam).exp();
+                    let committed = (slice_buckets as f64 * nonempty_frac * n_blocks as f64) as u64;
+                    hierarchical_scatter_stats(
+                        n_blocks,
+                        committed.max(1),
+                        slice.len(),
+                        &config.scatter_cfg,
+                        coeff_bytes,
+                    )
+                }
+            };
+            scatter_per_gpu[slice.gpu] +=
+                estimate_kernel_time(dev, &scatter_stats, cost_cfg).total();
+
+            // --- bucket-sum -------------------------------------------------
+            let tpb = threads_per_bucket(gpu_threads, slice_buckets);
+            let sum_stats =
+                bucket_sum_stats(expected_inserts, slice_buckets, tpb, model, config.block_size);
+            sum_per_gpu[slice.gpu] += estimate_kernel_time(dev, &sum_stats, cost_cfg).total();
+
+            // --- bucket-reduce ----------------------------------------------
+            if config.bucket_reduce_on_cpu {
+                cpu_padds += 2 * slice_buckets + 1;
+            } else {
+                let stats = bucket_reduce_gpu_stats(
+                    slice_buckets,
+                    s,
+                    gpu_threads,
+                    model,
+                    curve.a_is_zero,
+                    config.block_size,
+                );
+                gpu_reduce_per_gpu[slice.gpu] +=
+                    estimate_kernel_time(dev, &stats, cost_cfg).total();
+            }
+        }
+
+        let point_bytes = 4.0 * curve.limbs32 as f64 * 4.0;
+        // identical schedules to the engine's gather/collective (see
+        // `crate::comm`): the transfer term stays in lockstep by construction
+        let comm = if config.bucket_reduce_on_cpu {
+            crate::comm::bucket_gather_schedule(&slices, point_bytes, system)
+        } else {
+            crate::comm::window_partial_plan(config.collective, n_windows, point_bytes, system)
+        };
+        let transfer_s = comm.total_s;
+        let cpu_s = |padds: u64| cpu_seconds_for_padds(padds, model, system.cpu.int_ops_per_sec);
+        let comm_host_s = cpu_s(comm.host_reduce_ops);
+        let cpu_reduce_s = cpu_s(cpu_padds);
+        let window_reduce_s = cpu_s(u64::from(curve.scalar_bits) + u64::from(n_windows));
+
+        let gpu_makespan = (0..n_gpus)
+            .map(|g| scatter_per_gpu[g] + sum_per_gpu[g] + gpu_reduce_per_gpu[g])
+            .fold(0.0, f64::max);
+        let bucket_reduce_s = if config.bucket_reduce_on_cpu {
+            cpu_reduce_s
+        } else {
+            gpu_reduce_per_gpu.iter().copied().fold(0.0, f64::max) + comm_host_s
+        };
+        let total_s = if !feasible {
+            f64::INFINITY
+        } else if config.bucket_reduce_on_cpu && config.pipelined {
+            let tail = cpu_reduce_s / f64::from(n_windows.max(1));
+            gpu_makespan.max(cpu_reduce_s) + transfer_s + tail + window_reduce_s
+        } else {
+            gpu_makespan + transfer_s + bucket_reduce_s + window_reduce_s
+        };
+
+        MsmEstimate {
+            window_size: s,
+            n_windows,
+            phases: PhaseBreakdown {
+                scatter_s: scatter_per_gpu.iter().copied().fold(0.0, f64::max),
+                bucket_sum_s: sum_per_gpu.iter().copied().fold(0.0, f64::max),
+                bucket_reduce_s,
+                window_reduce_s,
+                transfer_s,
+            },
+            total_s,
+            feasible,
+        }
     }
 }
 

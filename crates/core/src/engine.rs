@@ -6,6 +6,7 @@
 //! threads), CPU (or GPU) bucket-reduce, and window-reduce — composing
 //! the metered kernel statistics into a wall-time estimate.
 
+use crate::analytic::{CurveDesc, MsmEstimate};
 use crate::bucket_sum::{bucket_sum, threads_per_bucket};
 use crate::plan::{plan_slices, replan_slices, Slice};
 use crate::reduce::{
@@ -27,6 +28,8 @@ use distmsm_gpu_sim::{
     estimate_kernel_time, CostModelConfig, FaultPlan, LaunchStats, MultiGpuSystem,
 };
 use distmsm_kernel::{EcKernelModel, PaddOptimizations};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Window/bucket shape of a plan: `(n_windows, n_buckets)` for scalar
 /// width `scalar_bits`, window size `s`, and digit encoding. Signed
@@ -60,6 +63,23 @@ pub fn partition_plan(
 ) {
     let (n_windows, n_buckets) = window_shape(scalar_bits, s, signed_digits);
     crate::plan::plan_slices_with_ir(n_windows, n_buckets, n_gpus)
+}
+
+/// Effective concurrent threads per GPU for a kernel model: resident
+/// threads per SM at the model's register and shared-memory footprint,
+/// times the SM count of the system's first device.
+pub(crate) fn gpu_threads(
+    system: &MultiGpuSystem,
+    config: &DistMsmConfig,
+    model: &EcKernelModel,
+) -> u64 {
+    let d = &system.devices[0];
+    let resident = d.resident_threads_per_sm(
+        model.regs_per_thread(),
+        model.shared_mem_per_block(config.block_size),
+        config.block_size,
+    );
+    (u64::from(resident) * u64::from(d.sm_count)).max(1)
 }
 
 /// Seed of the RLC self-check coefficient stream (device and host derive
@@ -288,12 +308,47 @@ impl MsmError {
     }
 }
 
+/// How many `(n, curve)` shapes an engine remembers estimates for. A
+/// prover sees a handful (Groth16: five MSM shapes over two curves; the
+/// fleet's checker: one curve, job sizes within a factor of two).
+const PLAN_MEMO_CAPACITY: usize = 64;
+
+/// Host-side memo of [`estimate_distmsm`](crate::analytic::estimate_distmsm)
+/// answers for one engine, oldest first. The estimate is a pure function
+/// of `(n, curve)` and the engine's immutable system and configuration,
+/// so a hit returns the bits a fresh estimate would: the simulated clock
+/// cannot observe the memo. Bounded, first-in first-out, scanned linearly.
+#[derive(Default)]
+struct PlanMemo(Mutex<VecDeque<((u64, CurveDesc), MsmEstimate)>>);
+
+impl PlanMemo {
+    /// Every update is one complete `push_back`/`pop_front`, so the queue
+    /// is valid even behind a lock poisoned by a panicking estimate.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<((u64, CurveDesc), MsmEstimate)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for PlanMemo {
+    /// A cloned engine starts with an empty memo.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl core::fmt::Debug for PlanMemo {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("PlanMemo")
+    }
+}
+
 /// The DistMSM engine bound to a system description.
 #[derive(Clone, Debug)]
 pub struct DistMsm {
     system: MultiGpuSystem,
     config: DistMsmConfig,
     cost_cfg: CostModelConfig,
+    plans: PlanMemo,
 }
 
 impl DistMsm {
@@ -308,6 +363,7 @@ impl DistMsm {
             system,
             config,
             cost_cfg: CostModelConfig::default(),
+            plans: PlanMemo::default(),
         }
     }
 
@@ -321,26 +377,31 @@ impl DistMsm {
         &self.config
     }
 
-    /// Effective concurrent threads per GPU for a kernel model.
-    fn gpu_threads(&self, model: &EcKernelModel) -> u64 {
-        let d = &self.system.devices[0];
-        let resident = d.resident_threads_per_sm(
-            model.regs_per_thread(),
-            model.shared_mem_per_block(self.config.block_size),
-            self.config.block_size,
-        );
-        (u64::from(resident) * u64::from(d.sm_count)).max(1)
+    /// The analytic estimate for an `n`-point MSM on this engine, derived
+    /// once per `(n, curve)` and then remembered. The lock is held across
+    /// a miss, so two threads never derive the same shape twice.
+    fn estimate(&self, n: usize, curve: &CurveDesc) -> MsmEstimate {
+        let key = (n as u64, *curve);
+        let mut plans = self.plans.lock();
+        if let Some((_, hit)) = plans.iter().find(|(k, _)| *k == key) {
+            return hit.clone();
+        }
+        let fresh = crate::analytic::estimate_distmsm(key.0, curve, &self.system, &self.config);
+        if plans.len() == PLAN_MEMO_CAPACITY {
+            plans.pop_front();
+        }
+        plans.push_back((key, fresh.clone()));
+        fresh
     }
 
     /// Chooses the window size: explicit config, or the minimiser of the
     /// engine's own cost estimate (which — unlike the raw §3.1 op count —
     /// accounts for the CPU bucket-reduce, pushing multi-GPU runs to the
     /// small windows of §3.2).
-    pub fn window_size_for(&self, n: usize, curve: &crate::analytic::CurveDesc) -> u32 {
-        self.config.window_size.unwrap_or_else(|| {
-            crate::analytic::estimate_distmsm(n as u64, curve, &self.system, &self.config)
-                .window_size
-        })
+    pub fn window_size_for(&self, n: usize, curve: &CurveDesc) -> u32 {
+        self.config
+            .window_size
+            .unwrap_or_else(|| self.estimate(n, curve).window_size)
     }
 
     /// Job-level admission estimate: the analytic cost-model projection
@@ -349,8 +410,8 @@ impl DistMsm {
     /// front-ends use this to price deadline feasibility before
     /// admitting a job (`distmsm-service`'s
     /// `AdmissionError::DeadlineInfeasible`).
-    pub fn estimate_seconds(&self, n: usize, curve: &crate::analytic::CurveDesc) -> f64 {
-        crate::analytic::estimate_distmsm(n as u64, curve, &self.system, &self.config).total_s
+    pub fn estimate_seconds(&self, n: usize, curve: &CurveDesc) -> f64 {
+        self.estimate(n, curve).total_s
     }
 
     /// Executes an MSM, returning the verified-exact result and the
@@ -406,14 +467,8 @@ impl DistMsm {
             (0..n_gpus).filter(|g| !reachable.contains(g)).collect();
 
         let model = EcKernelModel::new(C::Base::LIMBS32, self.config.kernel_opts);
-        let gpu_threads = self.gpu_threads(&model);
-        let desc = crate::analytic::CurveDesc {
-            name: C::NAME,
-            limbs32: C::Base::LIMBS32,
-            scalar_bits: C::SCALAR_BITS,
-            a_is_zero: C::A_IS_ZERO,
-        };
-        let s = self.window_size_for(instance.len(), &desc);
+        let gpu_threads = gpu_threads(&self.system, &self.config, &model);
+        let s = self.window_size_for(instance.len(), &CurveDesc::of::<C>());
         let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, self.config.signed_digits);
         let slices = plan_slices(n_windows, n_buckets, n_gpus);
         // signed-digit recoding happens once, up front (like the packed
@@ -1227,27 +1282,32 @@ impl DistMsm {
     ) -> Result<Vec<SliceOutcome<C>>, MsmError> {
         let mut outcomes: Vec<Option<Result<SliceOutcome<C>, MsmError>>> =
             (0..jobs.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let chunk = jobs
-                .len()
-                .div_ceil(std::thread::available_parallelism().map_or(4, |p| p.get()))
-                .max(1);
-            for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for ((slice, event), out) in job_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *out = Some(self.run_one_slice(
-                            instance,
-                            digits,
-                            s,
-                            gpu_threads,
-                            model,
-                            *slice,
-                            *event,
-                        ));
-                    }
-                });
-            }
-        });
+        let chunk = jobs.len().div_ceil(host_parallelism()).max(1);
+        let run_chunk =
+            |job_chunk: &[(Slice, u64)],
+             out_chunk: &mut [Option<Result<SliceOutcome<C>, MsmError>>]| {
+                for ((slice, event), out) in job_chunk.iter().zip(out_chunk) {
+                    *out = Some(self.run_one_slice(
+                        instance,
+                        digits,
+                        s,
+                        gpu_threads,
+                        model,
+                        *slice,
+                        *event,
+                    ));
+                }
+            };
+        if jobs.len() <= chunk {
+            // one chunk: no worker to hand it to
+            run_chunk(jobs, &mut outcomes);
+        } else {
+            std::thread::scope(|scope| {
+                for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
+                    scope.spawn(move || run_chunk(job_chunk, out_chunk));
+                }
+            });
+        }
         let mut done = Vec::with_capacity(jobs.len());
         for (o, (slice, _)) in outcomes.into_iter().zip(jobs) {
             match o {
@@ -1262,6 +1322,13 @@ impl DistMsm {
         }
         Ok(done)
     }
+}
+
+/// `std::thread::available_parallelism()`, read once per process: std
+/// re-reads the affinity mask and the cgroup quota files on every call.
+fn host_parallelism() -> usize {
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
 }
 
 /// Slices paired with their per-device work-event ids, as scheduled by

@@ -12,7 +12,16 @@ use distmsm_kernel::EcKernelModel;
 
 /// Serial bucket-reduce over a bucket slice `[lo, lo + sums.len())`:
 /// returns `Σ_i (lo + i)·B_i` and the number of PADD-equivalent
-/// operations spent (for the CPU cost model).
+/// operations the *modelled* CPU spends (for the CPU cost model).
+///
+/// The two counts differ on purpose. The modelled count is the classic
+/// suffix-sum trick's two PADDs per bucket plus the offset correction,
+/// whatever the buckets hold: it feeds [`cpu_seconds_for_padds`] and so
+/// the simulated clock. The host walks only the occupied buckets: a run
+/// of `k` empty buckets adds `k·running` to the accumulator, one short
+/// double-and-add instead of `k` PADDs, and nothing at all while
+/// `running` is still the identity. The returned point equals the dense
+/// walk's as a group element (its XYZZ representative may differ).
 pub fn bucket_reduce_serial<C: Curve>(sums: &[XyzzPoint<C>], lo: u32) -> (XyzzPoint<C>, u64) {
     if sums.is_empty() {
         return (XyzzPoint::identity(), 0);
@@ -20,12 +29,25 @@ pub fn bucket_reduce_serial<C: Curve>(sums: &[XyzzPoint<C>], lo: u32) -> (XyzzPo
     // suffix sums give Σ (i+1)·B_i …
     let mut running = XyzzPoint::<C>::identity();
     let mut acc = XyzzPoint::<C>::identity();
-    let mut ops: u64 = 0;
+    // empty buckets passed since `running` last went into `acc`
+    let mut empties: u64 = 0;
+    let settle = |acc: &mut XyzzPoint<C>, running: &XyzzPoint<C>, empties: u64| {
+        if empties > 0 && !running.is_identity() {
+            *acc = acc.padd(&running.scalar_mul(&C::Scalar::from_u64(empties)));
+        }
+    };
     for b in sums.iter().rev() {
+        if b.is_identity() {
+            empties += 1;
+            continue;
+        }
+        settle(&mut acc, &running, empties);
+        empties = 0;
         running = running.padd(b);
         acc = acc.padd(&running);
-        ops += 2;
     }
+    settle(&mut acc, &running, empties);
+    let mut ops = 2 * sums.len() as u64;
     // … so correct by (lo - 1)·ΣB_i (negative correction for lo = 0).
     let correction: i64 = i64::from(lo) - 1;
     if correction != 0 {
@@ -128,6 +150,84 @@ mod tests {
         let (lo, _) = bucket_reduce_serial(&all[..4], 0);
         let (hi, _) = bucket_reduce_serial(&all[4..], 4);
         assert_eq!(whole, lo.padd(&hi));
+    }
+
+    /// The dense walk the model counts: two PADDs per bucket, empty or
+    /// not. Kept as the reference [`bucket_reduce_serial`] must equal.
+    fn bucket_reduce_dense<C: Curve>(sums: &[XyzzPoint<C>], lo: u32) -> (XyzzPoint<C>, u64) {
+        if sums.is_empty() {
+            return (XyzzPoint::identity(), 0);
+        }
+        let mut running = XyzzPoint::<C>::identity();
+        let mut acc = XyzzPoint::<C>::identity();
+        let mut ops: u64 = 0;
+        for b in sums.iter().rev() {
+            running = running.padd(b);
+            acc = acc.padd(&running);
+            ops += 2;
+        }
+        let correction: i64 = i64::from(lo) - 1;
+        if correction != 0 {
+            let scaled = running.scalar_mul(&C::Scalar::from_u64(correction.unsigned_abs()));
+            let adj = if correction < 0 { scaled.neg() } else { scaled };
+            acc = acc.padd(&adj);
+            ops += 2 * (64 - correction.unsigned_abs().leading_zeros() as u64) + 1;
+        }
+        (acc, ops)
+    }
+
+    fn sparse_matches_dense<C: Curve>(seed: u64) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const LEN: usize = 24;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let point = |rng: &mut StdRng| C::generator().scalar_mul(&C::random_scalar(rng));
+        let mut cases: Vec<Vec<XyzzPoint<C>>> = vec![vec![XyzzPoint::identity(); LEN]];
+        for at in [0, LEN - 1] {
+            let mut one = vec![XyzzPoint::identity(); LEN];
+            one[at] = point(&mut rng);
+            cases.push(one);
+        }
+        cases.push((0..LEN).map(|_| point(&mut rng)).collect());
+        for occupied_in_8 in [1u32, 4, 7] {
+            cases.push(
+                (0..LEN)
+                    .map(|_| {
+                        if rng.random_range(0..8u32) < occupied_in_8 {
+                            point(&mut rng)
+                        } else {
+                            XyzzPoint::identity()
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        // a bucket and its negation: `running` returns to the identity
+        let mut cancel = vec![XyzzPoint::identity(); LEN];
+        cancel[5] = point(&mut rng);
+        cancel[9] = cancel[5].neg();
+        cancel[2] = point(&mut rng);
+        cases.push(cancel);
+        for sums in &cases {
+            for lo in [0u32, 1, 2, LEN as u32, 1 << 15] {
+                let (want, want_ops) = bucket_reduce_dense(sums, lo);
+                let (got, ops) = bucket_reduce_serial(sums, lo);
+                assert_eq!(got, want, "{} seed {seed} lo {lo}", C::NAME);
+                assert_eq!(got.to_affine(), want.to_affine());
+                assert_eq!(ops, want_ops, "{} lo {lo}: modelled op count", C::NAME);
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_aware_reduce_matches_dense_reference() {
+        use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G2, Mnt4753G1};
+        for seed in 0..3 {
+            sparse_matches_dense::<Bn254G1>(seed);
+            sparse_matches_dense::<Bls12377G1>(seed);
+            sparse_matches_dense::<Bls12381G1>(seed);
+            sparse_matches_dense::<Bn254G2>(seed);
+        }
+        sparse_matches_dense::<Mnt4753G1>(0);
     }
 
     #[test]

@@ -281,8 +281,10 @@ impl<C: Curve> XyzzPoint<C> {
         if self.is_identity() {
             return Affine::identity();
         }
-        let zz_inv = self.zz.inverse().expect("nonzero ZZ");
-        let zzz_inv = self.zzz.inverse().expect("nonzero ZZZ");
+        // (ZZ·ZZZ)⁻¹·ZZZ = ZZ⁻¹ and (ZZ·ZZZ)⁻¹·ZZ = ZZZ⁻¹
+        let inv_pair = (self.zz * self.zzz).inverse().expect("nonzero ZZ and ZZZ");
+        let zz_inv = inv_pair * self.zzz;
+        let zzz_inv = inv_pair * self.zz;
         Affine {
             x: self.x * zz_inv,
             y: self.y * zzz_inv,

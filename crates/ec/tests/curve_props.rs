@@ -121,6 +121,31 @@ fn batch_to_affine_matches_individual() {
     }
 }
 
+/// `to_affine` shares one inversion between `ZZ⁻¹` and `ZZZ⁻¹`; the
+/// coordinates must be the bits the two separate inversions give.
+fn to_affine_matches_two_inversions<C: Curve>() {
+    use distmsm_ec::FieldElement;
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut p = C::generator().scalar_mul(&C::random_scalar(&mut rng));
+    for _ in 0..4 {
+        let a = p.to_affine();
+        assert!(a.x == p.x * p.zz.inverse().expect("nonzero ZZ"));
+        assert!(a.y == p.y * p.zzz.inverse().expect("nonzero ZZZ"));
+        assert!(a.is_on_curve());
+        p = p.pdbl().padd(&C::generator().to_xyzz());
+    }
+    assert!(XyzzPoint::<C>::identity().to_affine().is_identity());
+}
+
+#[test]
+fn to_affine_matches_two_inversions_on_every_curve() {
+    to_affine_matches_two_inversions::<Bn254G1>();
+    to_affine_matches_two_inversions::<Bn254G2>();
+    to_affine_matches_two_inversions::<Bls12377G1>();
+    to_affine_matches_two_inversions::<Bls12381G1>();
+    to_affine_matches_two_inversions::<Mnt4753G1>();
+}
+
 #[test]
 fn batch_to_affine_all_identity() {
     let pts = vec![XyzzPoint::<Bn254G1>::identity(); 5];

@@ -111,7 +111,8 @@ impl<C: Curve> Challenge<C> {
         let expected = r1
             .scalar_mul(&C::field_to_scalar(&self.alpha))
             .padd(&self.decoy_offset(points));
-        expected.to_affine() == r2.to_affine()
+        // projective equality: no inversion on either side
+        expected == *r2
     }
 }
 

@@ -238,9 +238,9 @@ fn peer_port(topo: &Topology, rank: usize) -> Option<usize> {
     topo.links_of_node(node)
         .into_iter()
         .max_by(|&x, &y| {
-            topo.links[x]
+            topo.links()[x]
                 .bandwidth_gbps
-                .total_cmp(&topo.links[y].bandwidth_gbps)
+                .total_cmp(&topo.links()[y].bandwidth_gbps)
         })
 }
 
@@ -254,9 +254,9 @@ fn host_port(topo: &Topology, rank: usize) -> Option<usize> {
     topo.links_of_node(node)
         .into_iter()
         .min_by(|&x, &y| {
-            topo.links[x]
+            topo.links()[x]
                 .bandwidth_gbps
-                .total_cmp(&topo.links[y].bandwidth_gbps)
+                .total_cmp(&topo.links()[y].bandwidth_gbps)
         })
 }
 

@@ -11,6 +11,7 @@ use crate::graph::{AllocPolicy, OpGraph};
 use crate::spill::{spill_schedule, SpillSchedule};
 use crate::tensor::tc_int8_ops;
 use distmsm_gpu_sim::{KernelProfile, ThreadCost};
+use std::sync::OnceLock;
 
 /// Registers reserved per thread for addresses, indices and loop state
 /// (the non-big-integer register demand).
@@ -103,6 +104,22 @@ pub struct KernelSchedule {
     pub spill: Option<SpillSchedule>,
 }
 
+/// `(multiplications, additions/subtractions)` of the PACC, PADD,
+/// PDBL (`a ≠ 0`) and PDBL (`a = 0`) formula graphs: properties of the
+/// formulas alone, so the graphs are built and counted once per process.
+fn formula_op_counts() -> [(usize, usize); 4] {
+    static COUNTS: OnceLock<[(usize, usize); 4]> = OnceLock::new();
+    *COUNTS.get_or_init(|| {
+        [
+            pacc_graph(),
+            padd_graph(),
+            pdbl_graph(false),
+            pdbl_graph(true),
+        ]
+        .map(|g| (g.mul_count(), g.addsub_count()))
+    })
+}
+
 /// Cost and configuration model of the EC arithmetic kernel for one curve.
 #[derive(Clone, Debug)]
 pub struct EcKernelModel {
@@ -111,6 +128,13 @@ pub struct EcKernelModel {
     live_bigints: usize,
     shared_bigints: usize,
     spill_transfers: usize,
+    /// Per-operation costs, fixed by `limbs32`, `opts` and
+    /// `spill_transfers`: every metered launch and every analytic
+    /// candidate reads them, so they are derived once here.
+    acc_cost: ThreadCost,
+    padd_cost: ThreadCost,
+    /// Indexed by `a_is_zero`.
+    pdbl_cost: [ThreadCost; 2],
 }
 
 impl EcKernelModel {
@@ -144,13 +168,21 @@ impl EcKernelModel {
         } else {
             (peak, 0, 0)
         };
-        Self {
+        let mut model = Self {
             limbs32,
             opts,
             live_bigints: live,
             shared_bigints: shared,
             spill_transfers: transfers,
-        }
+            acc_cost: ThreadCost::default(),
+            padd_cost: ThreadCost::default(),
+            pdbl_cost: [ThreadCost::default(); 2],
+        };
+        let [pacc, padd, pdbl_a, pdbl_a0] = formula_op_counts().map(|c| model.op_cost(c));
+        model.acc_cost = if opts.dedicated_pacc { pacc } else { padd };
+        model.padd_cost = padd;
+        model.pdbl_cost = [pdbl_a, pdbl_a0];
+        model
     }
 
     /// 32-bit limbs per field element.
@@ -292,7 +324,9 @@ impl EcKernelModel {
         }
     }
 
-    fn op_cost(&self, muls: usize, addsubs: usize) -> ThreadCost {
+    /// Cost of `muls` modular multiplications and `addsubs` modular
+    /// additions/subtractions.
+    fn op_cost(&self, (muls, addsubs): (usize, usize)) -> ThreadCost {
         let mut total = ThreadCost::default();
         let mc = self.modmul_cost();
         let ac = self.addsub_cost();
@@ -308,24 +342,17 @@ impl EcKernelModel {
     /// Cost of the bucket-sum accumulation operation: PACC when the
     /// dedicated kernel is enabled, full PADD otherwise.
     pub fn acc_cost(&self) -> ThreadCost {
-        let g = if self.opts.dedicated_pacc {
-            pacc_graph()
-        } else {
-            padd_graph()
-        };
-        self.op_cost(g.mul_count(), g.addsub_count())
+        self.acc_cost
     }
 
     /// Cost of one full PADD (partial-result merging).
     pub fn padd_cost(&self) -> ThreadCost {
-        let g = padd_graph();
-        self.op_cost(g.mul_count(), g.addsub_count())
+        self.padd_cost
     }
 
     /// Cost of one PDBL.
     pub fn pdbl_cost(&self, a_is_zero: bool) -> ThreadCost {
-        let g = pdbl_graph(a_is_zero);
-        self.op_cost(g.mul_count(), g.addsub_count())
+        self.pdbl_cost[usize::from(a_is_zero)]
     }
 }
 

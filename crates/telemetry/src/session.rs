@@ -10,19 +10,27 @@
 //! starting at zero.
 //!
 //! Every mutator is a no-op while no session is active, so hooks can be
-//! called unconditionally from instrumented code. A panicking workload
+//! called unconditionally from instrumented code. A session belongs to
+//! the thread that began it: hooks reached from any other thread (a
+//! second test of the same process running its own engine, say) see no
+//! session, so they cannot write into someone else's timeline or move
+//! its clock. Every emitter in the workspace runs on its caller's
+//! thread. A panicking workload
 //! thread must not wedge the collector: the mutex recovers its
 //! (plain-data) state from a poisoned lock.
 
 use crate::span::{CounterSample, Histogram, Instant, Span, Timeline};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::thread::ThreadId;
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 struct SessionState {
     timeline: Timeline,
     clock_s: f64,
+    /// The thread that called [`begin`].
+    owner: Option<ThreadId>,
 }
 
 static STATE: Mutex<SessionState> = Mutex::new(SessionState {
@@ -33,6 +41,7 @@ static STATE: Mutex<SessionState> = Mutex::new(SessionState {
         histograms: Vec::new(),
     },
     clock_s: 0.0,
+    owner: None,
 });
 
 fn state() -> MutexGuard<'static, SessionState> {
@@ -45,6 +54,7 @@ pub fn begin() {
     let mut st = state();
     st.timeline = Timeline::default();
     st.clock_s = 0.0;
+    st.owner = Some(std::thread::current().id());
     ACTIVE.store(true, Ordering::SeqCst);
 }
 
@@ -55,10 +65,10 @@ pub fn end() -> Timeline {
     std::mem::take(&mut state().timeline)
 }
 
-/// True while a capture session is active. Hooks use this to skip
-/// argument marshalling when nobody is listening.
+/// True while a capture session begun by the calling thread is active.
+/// Hooks use this to skip argument marshalling when nobody is listening.
 pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    ACTIVE.load(Ordering::Relaxed) && state().owner == Some(std::thread::current().id())
 }
 
 /// Current simulated-clock cursor in seconds (`0.0` when inactive).
@@ -190,5 +200,21 @@ mod tests {
         begin();
         assert_eq!(clock_s(), 0.0);
         assert!(end().spans.is_empty());
+    }
+
+    #[test]
+    fn other_threads_see_no_session() {
+        let _g = guard();
+        begin();
+        push_span(span_at(0.0, 1.0));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!active());
+                push_span(span_at(1.0, 2.0));
+                advance_s(9.0);
+            });
+        });
+        assert_eq!(clock_s(), 0.0);
+        assert_eq!(end().spans.len(), 1);
     }
 }

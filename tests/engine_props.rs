@@ -42,3 +42,95 @@ proptest! {
         prop_assert!(report.total_s.is_finite() && report.total_s > 0.0);
     }
 }
+
+// ---- the per-engine plan memo is invisible to the simulated clock --------
+
+use distmsm::analytic::{estimate_distmsm, CurveDesc};
+use distmsm::CollectiveStrategy;
+use distmsm_ec::curves::Bn254G2;
+
+/// Asserts that what `engine` answers for `(n, curve)` — memo miss or
+/// hit — is bit for bit what a fresh analytic estimate gives.
+fn assert_engine_matches_fresh(engine: &DistMsm, n: usize, curve: &CurveDesc) {
+    let fresh = estimate_distmsm(n as u64, curve, engine.system(), engine.config());
+    let want_s = engine.config().window_size.unwrap_or(fresh.window_size);
+    assert_eq!(
+        engine.window_size_for(n, curve),
+        want_s,
+        "n={n} {}",
+        curve.name
+    );
+    assert_eq!(
+        engine.estimate_seconds(n, curve).to_bits(),
+        fresh.total_s.to_bits(),
+        "n={n} {}",
+        curve.name
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn memoised_plan_equals_fresh_estimate(
+        log_n in 0u32..27,
+        jitter in 0usize..1000,
+        curve in 0usize..4,
+        gpus in 0usize..6,
+        signed in any::<bool>(),
+        cpu_reduce in any::<bool>(),
+        collective in 0usize..4,
+        fixed_window in any::<bool>(),
+    ) {
+        let n = (1usize << log_n) + jitter;
+        let curve = CurveDesc::ALL[curve];
+        let builder = DistMsmConfig::builder()
+            .signed_digits(signed)
+            .bucket_reduce_on_cpu(cpu_reduce)
+            .collective(CollectiveStrategy::ALL[collective]);
+        let builder = if fixed_window { builder.window_size(9) } else { builder };
+        let system = MultiGpuSystem::dgx_a100([1, 2, 4, 8, 12, 16][gpus]);
+        let engine = DistMsm::with_config(system, builder.build().expect("valid config"));
+        for _ in 0..3 {
+            assert_engine_matches_fresh(&engine, n, &curve);
+            assert_engine_matches_fresh(&engine, n + 1, &curve);
+        }
+        // a clone starts over and must agree all the same
+        assert_engine_matches_fresh(&engine.clone(), n, &curve);
+    }
+}
+
+#[test]
+fn plan_memo_survives_eviction_and_alternating_curves() {
+    // more shapes than any fixed capacity the memo may have, G1 and G2
+    // interleaved on one engine, walked twice and then backwards
+    let engine = DistMsm::new(MultiGpuSystem::dgx_a100(8));
+    let curves = [CurveDesc::of::<Bn254G1>(), CurveDesc::of::<Bn254G2>()];
+    let shapes: Vec<(usize, &CurveDesc)> =
+        (0..200).map(|i| (1000 + 37 * i, &curves[i % 2])).collect();
+    for (n, curve) in shapes.iter().chain(&shapes).chain(shapes.iter().rev()) {
+        assert_engine_matches_fresh(&engine, *n, curve);
+    }
+    let msm = MsmInstance::<Bn254G1>::random(64, &mut StdRng::seed_from_u64(3));
+    let window = engine.execute(&msm).expect("defaults execute").window_size;
+    assert_eq!(window, engine.window_size_for(64, &curves[0]));
+}
+
+#[test]
+fn plan_memo_shared_by_two_threads() {
+    let engine = DistMsm::new(MultiGpuSystem::dgx_a100(4));
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for t in 0..2usize {
+            let (engine, barrier) = (&engine, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                // the same shapes from both ends, so hits and misses interleave
+                for i in 0..100usize {
+                    let i = if t == 0 { i } else { 99 - i };
+                    assert_engine_matches_fresh(engine, 5000 + i, &CurveDesc::BLS12_381);
+                }
+            });
+        }
+    });
+}
