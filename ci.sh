@@ -132,20 +132,34 @@ for lib in crates/*/src/lib.rs; do
     fi
 done
 
-echo "== fig9 scaling smoke + BENCH_msm.json trajectory artefact =="
+echo "== fig9 scaling smoke vs the committed BENCH_msm.json trajectory artefact =="
+# written beside the tree, not over it: only the `git` stamp may differ
+# from the committed rows (BLESS=1 re-baselines after a model change)
+BENCH_JSON="$(mktemp /tmp/distmsm_ci_bench_msm.XXXXXX.json)"
 cargo run --release -q -p distmsm-bench --bin fig9_scaling -- \
-    --smoke --bench-json BENCH_msm.json
-grep -q '"bench": "fig9_scaling"' BENCH_msm.json
-grep -q '"pods": 4' BENCH_msm.json
-grep -q '"ckpt_rows"' BENCH_msm.json
-grep -q '"interval": 1' BENCH_msm.json
-grep -q '"partition_rows"' BENCH_msm.json
+    --smoke --bench-json "$BENCH_JSON"
+grep -q '"bench": "fig9_scaling"' "$BENCH_JSON"
+grep -q '"pods": 4' "$BENCH_JSON"
+grep -q '"ckpt_rows"' "$BENCH_JSON"
+grep -q '"interval": 1' "$BENCH_JSON"
+grep -q '"partition_rows"' "$BENCH_JSON"
+if [[ "${BLESS:-0}" == "1" ]]; then
+    cp "$BENCH_JSON" BENCH_msm.json
+    echo "blessed BENCH_msm.json"
+fi
+diff -u <(grep -v '^  "git": ' BENCH_msm.json) <(grep -v '^  "git": ' "$BENCH_JSON")
+rm -f "$BENCH_JSON"
 
-echo "== repo benchmark: harness tests + 2-second traced smoke (output checks on) =="
+echo "== repo benchmark: harness tests + 2-second traced smokes (output checks on) =="
 # the benchmark package is its own workspace (BENCHMARK.json drives it);
-# this only proves it still builds against the crates and checks clean
+# this only proves it still builds against the crates and checks clean:
+# the independent-Pippenger oracle and the layer walk's bit-equality with
+# `execute`, on the signed/sliced path and on the large-bucket path where
+# every slice runs batched-affine rounds
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload msm_bls381_sliced --seed 1 --seconds 2 --trace 1 | tail -n 1 | grep -q '"correct": true'
+for workload in msm_bls381_sliced msm_bn254_64k; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1 | grep -q '"correct": true'
+done
 
 echo "CI OK"

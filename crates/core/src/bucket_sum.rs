@@ -2,6 +2,7 @@
 //! bucket's points, with multiple threads per bucket and an intra-bucket
 //! reduction.
 
+use distmsm_ec::batch::BatchAccumulator;
 use distmsm_ec::{Affine, Curve, XyzzPoint};
 use distmsm_gpu_sim::trace::LaunchRecorder;
 use distmsm_gpu_sim::LaunchStats;
@@ -147,8 +148,13 @@ pub fn threads_per_bucket(gpu_threads: u64, n_buckets: u64) -> u32 {
     ((raw / 32) * 32).min(1024) as u32
 }
 
-/// Sums each bucket's points (PACC per point), modelling `tpb` threads
-/// per bucket with a `log2(tpb)`-step intra-bucket reduction.
+/// Sums each bucket's points, modelling `tpb` threads per bucket running
+/// PACC per point with a `log2(tpb)`-step intra-bucket reduction.
+///
+/// The metered [`LaunchStats`] are those of the GPU's PACC kernel; the
+/// host computes the same sums by batched-affine rounds with a PACC tail
+/// (DESIGN.md §18), so a sum's XYZZ representation is not the PACC
+/// chain's.
 pub fn bucket_sum<C: Curve>(
     points: &[Affine<C>],
     buckets: &[Vec<u32>],
@@ -156,39 +162,64 @@ pub fn bucket_sum<C: Curve>(
     model: &EcKernelModel,
     block_size: u32,
 ) -> BucketSumOutcome<C> {
-    let mut sums = Vec::with_capacity(buckets.len());
-    let mut total_points: u64 = 0;
-    let mut max_bucket: u64 = 0;
-    for bucket in buckets {
-        let mut acc = XyzzPoint::<C>::identity();
-        for &idx in bucket {
-            acc.pacc(&points[idx as usize]);
+    let mut scratch = BatchAccumulator::new();
+    bucket_sum_with(&mut scratch, false, points, buckets, tpb, model, block_size)
+}
+
+/// Signed variant of [`bucket_sum`]: entries carry
+/// [`crate::scatter::SIGN_BIT`]; negative entries accumulate the point's
+/// (free) negation.
+pub fn bucket_sum_signed<C: Curve>(
+    points: &[Affine<C>],
+    buckets: &[Vec<u32>],
+    tpb: u32,
+    model: &EcKernelModel,
+    block_size: u32,
+) -> BucketSumOutcome<C> {
+    let mut scratch = BatchAccumulator::new();
+    bucket_sum_with(&mut scratch, true, points, buckets, tpb, model, block_size)
+}
+
+/// [`bucket_sum`] (`signed = false`) or [`bucket_sum_signed`] on caller
+/// scratch, which the engine keeps per worker so a run of slices allocates
+/// it once. The outcome does not depend on what the scratch summed before.
+pub(crate) fn bucket_sum_with<C: Curve>(
+    scratch: &mut BatchAccumulator<C>,
+    signed: bool,
+    points: &[Affine<C>],
+    buckets: &[Vec<u32>],
+    tpb: u32,
+    model: &EcKernelModel,
+    block_size: u32,
+) -> BucketSumOutcome<C> {
+    use crate::scatter::SIGN_BIT;
+    let total_points: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+    let max_bucket = buckets.iter().map(|b| b.len() as u64).max().unwrap_or(0);
+
+    let mut sums = vec![XyzzPoint::<C>::identity(); buckets.len()];
+    scratch.reserve(total_points as usize);
+    for (b, bucket) in buckets.iter().enumerate() {
+        for &entry in bucket {
+            let point = if signed && entry & SIGN_BIT != 0 {
+                points[(entry & !SIGN_BIT) as usize].neg()
+            } else {
+                points[entry as usize]
+            };
+            scratch.add(&mut sums, b, point);
         }
-        sums.push(acc);
-        total_points += bucket.len() as u64;
-        max_bucket = max_bucket.max(bucket.len() as u64);
     }
+    scratch.flush(&mut sums);
 
-    let n_buckets = buckets.len() as u64;
-    let threads = (n_buckets * u64::from(tpb)).max(1);
-    let acc = model.acc_cost();
-    let padd = model.padd_cost();
+    // imbalance: the critical path is the real largest bucket
     let per_thread_paccs = max_bucket.div_ceil(u64::from(tpb)) as f64;
-    let reduce_steps = f64::from(tpb).log2().ceil();
-
-    let mut max_thread = acc.scale(per_thread_paccs);
-    max_thread = max_thread.add(&padd.scale(reduce_steps));
-    // point loads: affine coordinates per PACC
-    max_thread.global_bytes += per_thread_paccs * (2.0 * model.limbs32() as f64 * 4.0);
-    max_thread.barriers += reduce_steps;
-
-    let mut total = acc.scale(total_points as f64);
-    total = total.add(&padd.scale((n_buckets * u64::from(tpb.saturating_sub(1))) as f64));
-    total.global_bytes += total_points as f64 * (2.0 * model.limbs32() as f64 * 4.0);
-
-    let mut stats = LaunchStats::new(model.profile("bucket-sum", block_size), threads);
-    stats.max_thread = max_thread;
-    stats.total = total;
+    let stats = launch_stats(
+        per_thread_paccs,
+        total_points,
+        buckets.len() as u64,
+        tpb,
+        model,
+        block_size,
+    );
 
     let rec = LaunchRecorder::start("bucket-sum", 0);
     #[cfg(feature = "trace")]
@@ -202,59 +233,6 @@ pub fn bucket_sum<C: Curve>(
     BucketSumOutcome { sums, stats }
 }
 
-/// Signed variant of [`bucket_sum`]: entries carry
-/// [`crate::scatter::SIGN_BIT`]; negative entries accumulate the point's
-/// (free) negation.
-pub fn bucket_sum_signed<C: Curve>(
-    points: &[Affine<C>],
-    buckets: &[Vec<u32>],
-    tpb: u32,
-    model: &EcKernelModel,
-    block_size: u32,
-) -> BucketSumOutcome<C> {
-    use crate::scatter::SIGN_BIT;
-    let mut sums = Vec::with_capacity(buckets.len());
-    let mut total_points: u64 = 0;
-    let mut max_bucket: u64 = 0;
-    for bucket in buckets {
-        let mut acc = XyzzPoint::<C>::identity();
-        for &entry in bucket {
-            let p = &points[(entry & !SIGN_BIT) as usize];
-            if entry & SIGN_BIT != 0 {
-                acc.pacc(&p.neg());
-            } else {
-                acc.pacc(p);
-            }
-        }
-        sums.push(acc);
-        total_points += bucket.len() as u64;
-        max_bucket = max_bucket.max(bucket.len() as u64);
-    }
-    let mut out = bucket_sum_stats(total_points, buckets.len() as u64, tpb, model, block_size);
-    // imbalance: replace the expected-bucket critical path with the real one
-    let acc = model.acc_cost();
-    let padd = model.padd_cost();
-    let per_thread_paccs = max_bucket.div_ceil(u64::from(tpb)) as f64;
-    let reduce_steps = f64::from(tpb).log2().ceil();
-    out.max_thread = acc.scale(per_thread_paccs).add(&padd.scale(reduce_steps));
-    out.max_thread.global_bytes += per_thread_paccs * (2.0 * model.limbs32() as f64 * 4.0);
-    out.max_thread.barriers += reduce_steps;
-
-    let rec = LaunchRecorder::start("bucket-sum", 0);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
-    if rec.active() {
-        emit_bucket_sum_trace(&mut rec, buckets, tpb, block_size);
-    }
-    rec.commit();
-
-    BucketSumOutcome {
-        sums,
-        stats: out,
-    }
-}
-
 /// Pure-cost variant of [`bucket_sum`] for analytic (paper-scale) runs:
 /// produces the same [`LaunchStats`] from expected bucket sizes without
 /// touching any points.
@@ -265,25 +243,47 @@ pub fn bucket_sum_stats(
     model: &EcKernelModel,
     block_size: u32,
 ) -> LaunchStats {
-    let threads = (n_buckets * u64::from(tpb)).max(1);
-    let acc = model.acc_cost();
-    let padd = model.padd_cost();
     let expected_bucket = if n_buckets == 0 {
         0.0
     } else {
         n_points_in_slice as f64 / n_buckets as f64
     };
     let per_thread_paccs = (expected_bucket / f64::from(tpb)).ceil().max(1.0);
+    launch_stats(
+        per_thread_paccs,
+        n_points_in_slice,
+        n_buckets,
+        tpb,
+        model,
+        block_size,
+    )
+}
+
+/// The modelled PACC kernel launch: `per_thread_paccs` PACCs on the
+/// critical path, `n_points` in total, and the `log2(tpb)` PADD tree.
+fn launch_stats(
+    per_thread_paccs: f64,
+    n_points: u64,
+    n_buckets: u64,
+    tpb: u32,
+    model: &EcKernelModel,
+    block_size: u32,
+) -> LaunchStats {
+    let threads = (n_buckets * u64::from(tpb)).max(1);
+    let acc = model.acc_cost();
+    let padd = model.padd_cost();
     let reduce_steps = f64::from(tpb).log2().ceil();
+    // point loads: affine coordinates per PACC
+    let point_bytes = 2.0 * model.limbs32() as f64 * 4.0;
 
     let mut max_thread = acc.scale(per_thread_paccs);
     max_thread = max_thread.add(&padd.scale(reduce_steps));
-    max_thread.global_bytes += per_thread_paccs * (2.0 * model.limbs32() as f64 * 4.0);
+    max_thread.global_bytes += per_thread_paccs * point_bytes;
     max_thread.barriers += reduce_steps;
 
-    let mut total = acc.scale(n_points_in_slice as f64);
+    let mut total = acc.scale(n_points as f64);
     total = total.add(&padd.scale((n_buckets * u64::from(tpb.saturating_sub(1))) as f64));
-    total.global_bytes += n_points_in_slice as f64 * (2.0 * model.limbs32() as f64 * 4.0);
+    total.global_bytes += n_points as f64 * point_bytes;
 
     let mut stats = LaunchStats::new(model.profile("bucket-sum", block_size), threads);
     stats.max_thread = max_thread;
@@ -311,6 +311,42 @@ mod tests {
         assert!(out.sums[1].is_identity());
         assert_eq!(out.sums[2], g.scalar_mul(&Scalar::from_u64(9)));
         assert_eq!(out.sums[3], g.scalar_mul(&Scalar::from_u64(16)));
+    }
+
+    /// A slice's sums must not depend on what its worker's scratch summed
+    /// before: same XYZZ coordinates — not merely the same points — alone,
+    /// after a larger slice, and after a smaller one, signed or not.
+    #[test]
+    fn sums_ignore_scratch_history() {
+        use crate::scatter::SIGN_BIT;
+        let points = generator_multiples::<Bn254G1>(64);
+        let model = EcKernelModel::new(8, PaddOptimizations::all());
+        let coords = |out: &BucketSumOutcome<Bn254G1>| -> Vec<_> {
+            out.sums.iter().map(|p| (p.x, p.y, p.zz, p.zzz)).collect()
+        };
+        for signed in [false, true] {
+            let buckets = |lens: &[usize], stride: usize| -> Vec<Vec<u32>> {
+                let entry = |b: usize, k: usize| {
+                    let sign = if signed && k.is_multiple_of(3) { SIGN_BIT } else { 0 };
+                    ((k * stride + b) % 64) as u32 | sign
+                };
+                lens.iter()
+                    .enumerate()
+                    .map(|(b, &len)| (0..len).map(|k| entry(b, k)).collect())
+                    .collect()
+            };
+            // 1500 points over 6 uneven buckets: a full scratch and a tail
+            let slice = buckets(&[700, 0, 290, 1, 380, 129], 7);
+            let run = |scratch: &mut BatchAccumulator<Bn254G1>, buckets: &[Vec<u32>]| {
+                bucket_sum_with(scratch, signed, &points, buckets, 32, &model, 256)
+            };
+            let alone = coords(&run(&mut BatchAccumulator::new(), &slice));
+            for earlier in [buckets(&[300; 9], 5), buckets(&[3, 1], 1)] {
+                let mut scratch = BatchAccumulator::new();
+                run(&mut scratch, &earlier);
+                assert_eq!(coords(&run(&mut scratch, &slice)), alone, "signed={signed}");
+            }
+        }
     }
 
     #[test]

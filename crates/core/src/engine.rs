@@ -7,7 +7,7 @@
 //! the metered kernel statistics into a wall-time estimate.
 
 use crate::analytic::{CurveDesc, MsmEstimate};
-use crate::bucket_sum::{bucket_sum, threads_per_bucket};
+use crate::bucket_sum::{bucket_sum_with, threads_per_bucket};
 use crate::plan::{plan_slices, replan_slices, Slice};
 use crate::reduce::{
     bucket_reduce_gpu_stats, bucket_reduce_serial, cpu_seconds_for_padds, window_reduce,
@@ -23,6 +23,7 @@ use crate::supervisor::{
 use distmsm_comms::{
     gather_to_host, run_collective, CollectiveStrategy, CommConfig, CommSchedule,
 };
+use distmsm_ec::batch::BatchAccumulator;
 use distmsm_ec::{Curve, FieldElement, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::{
     estimate_kernel_time, CostModelConfig, FaultPlan, LaunchStats, MultiGpuSystem,
@@ -1207,6 +1208,7 @@ impl DistMsm {
         s: u32,
         gpu_threads: u64,
         model: &EcKernelModel,
+        scratch: &mut BatchAccumulator<C>,
         slice: Slice,
         event: u64,
     ) -> Result<SliceOutcome<C>, MsmError> {
@@ -1243,23 +1245,15 @@ impl DistMsm {
             .map_err(MsmError::ScatterOverflow)?,
         };
         let tpb = threads_per_bucket(gpu_threads, u64::from(slice.len()));
-        let sum = if digits.is_some() {
-            crate::bucket_sum::bucket_sum_signed(
-                &instance.points,
-                &scattered.buckets,
-                tpb,
-                model,
-                self.config.block_size,
-            )
-        } else {
-            bucket_sum(
-                &instance.points,
-                &scattered.buckets,
-                tpb,
-                model,
-                self.config.block_size,
-            )
-        };
+        let sum = bucket_sum_with(
+            scratch,
+            digits.is_some(),
+            &instance.points,
+            &scattered.buckets,
+            tpb,
+            model,
+            self.config.block_size,
+        );
         Ok(SliceOutcome {
             slice,
             event,
@@ -1286,6 +1280,8 @@ impl DistMsm {
         let run_chunk =
             |job_chunk: &[(Slice, u64)],
              out_chunk: &mut [Option<Result<SliceOutcome<C>, MsmError>>]| {
+                // one bucket-sum scratch per worker, not per slice
+                let mut scratch = BatchAccumulator::new();
                 for ((slice, event), out) in job_chunk.iter().zip(out_chunk) {
                     *out = Some(self.run_one_slice(
                         instance,
@@ -1293,6 +1289,7 @@ impl DistMsm {
                         s,
                         gpu_threads,
                         model,
+                        &mut scratch,
                         *slice,
                         *event,
                     ));

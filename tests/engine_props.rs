@@ -134,3 +134,96 @@ fn plan_memo_shared_by_two_threads() {
         }
     });
 }
+
+// ---- bucket sums do not depend on which worker summed what ---------------
+
+use distmsm::bucket_sum::{bucket_sum, bucket_sum_signed};
+use distmsm::engine::window_shape;
+use distmsm::plan::plan_slices;
+use distmsm::reduce::{bucket_reduce_serial, window_reduce};
+use distmsm::scatter::{scatter_hierarchical, scatter_signed_digits};
+use distmsm::signed::recode_signed;
+use distmsm_ec::{Curve, XyzzPoint};
+use distmsm_kernel::EcKernelModel;
+
+/// `execute` hands runs of slices to host workers, each with one
+/// bucket-sum scratch reused from slice to slice; how many workers there
+/// are is the host's business. This walk gives every slice a scratch of
+/// its own (as many chunks as slices) through `core`'s public functions
+/// and must land on the same XYZZ coordinates, not merely the same point.
+fn walk_with_a_scratch_per_slice<C: Curve>(
+    inst: &MsmInstance<C>,
+    gpus: usize,
+    s: u32,
+    signed: bool,
+) -> XyzzPoint<C> {
+    let cfg = DistMsmConfig::default();
+    let model = EcKernelModel::new(8, cfg.kernel_opts);
+    let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, signed);
+    let digits: Option<Vec<Vec<i32>>> = signed.then(|| {
+        inst.scalars
+            .iter()
+            .map(|k| recode_signed(k, s, C::SCALAR_BITS))
+            .collect()
+    });
+    let mut windows = vec![XyzzPoint::<C>::identity(); n_windows as usize];
+    for sl in plan_slices(n_windows, n_buckets, gpus) {
+        // tpb and the coefficient width only shape the metered statistics
+        let sums = match &digits {
+            Some(d) => {
+                let scattered = scatter_signed_digits(
+                    d,
+                    &sl,
+                    ScatterKind::Hierarchical,
+                    1 << 16,
+                    &cfg.scatter_cfg,
+                    4.0,
+                )
+                .expect("small slices fit shared memory");
+                bucket_sum_signed(&inst.points, &scattered.buckets, 32, &model, cfg.block_size)
+            }
+            None => {
+                let scattered = scatter_hierarchical(&inst.scalars, s, &sl, &cfg.scatter_cfg, 4.0)
+                    .expect("small slices fit shared memory");
+                bucket_sum(&inst.points, &scattered.buckets, 32, &model, cfg.block_size)
+            }
+        };
+        let (w, _) = bucket_reduce_serial(&sums.sums, sl.bucket_lo);
+        windows[sl.window as usize] = windows[sl.window as usize].padd(&w);
+    }
+    window_reduce(&windows, s).0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Slices of 1–3 thousand points in a few dozen buckets: every slice
+    /// fills the scratch and runs batched rounds.
+    #[test]
+    fn execute_coordinates_do_not_depend_on_chunking(
+        seed in 0u64..10_000,
+        n in 1100usize..3000,
+        gpus in 1usize..9,
+        s in 3u32..7,
+        signed in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inst = MsmInstance::<Bn254G1>::random(n, &mut rng);
+        let cfg = DistMsmConfig::builder()
+            .window_size(s)
+            .signed_digits(signed)
+            .build()
+            .expect("valid config");
+        let engine = DistMsm::with_config(MultiGpuSystem::dgx_a100(gpus), cfg);
+        let got = engine.execute(&inst).expect("small windows always fit").result;
+        let want = walk_with_a_scratch_per_slice(&inst, gpus, s, signed);
+        prop_assert_eq!(
+            (got.x, got.y, got.zz, got.zzz),
+            (want.x, want.y, want.zz, want.zzz),
+            "n={} gpus={} s={} signed={}", n, gpus, s, signed
+        );
+        // and twice in a row: nothing carries over between calls
+        let again = engine.execute(&inst).expect("second run").result;
+        prop_assert_eq!((again.x, again.y, again.zz, again.zzz), (got.x, got.y, got.zz, got.zzz));
+    }
+}
