@@ -49,53 +49,23 @@ cargo test -p distmsm -q --test fault_props
 cargo test -p distmsm -q --lib supervisor::
 cargo test -p distmsm-gpu-sim -q --lib fault::
 
-echo "== service soak smoke (seeded chaos, zero violations) + golden =="
-SOAK_JSON="$(mktemp /tmp/distmsm_ci_soak.XXXXXX.json)"
-target/release/soak --smoke --json "$SOAK_JSON"
-GOLDEN="crates/bench/golden/soak_smoke.json"
-if [[ "${BLESS:-0}" == "1" ]]; then
-    cp "$SOAK_JSON" "$GOLDEN"
-    echo "blessed $GOLDEN"
-fi
-# the ServiceReport JSON is byte-stable: any drift is a behaviour change
-diff -u "$GOLDEN" "$SOAK_JSON"
-rm -f "$SOAK_JSON"
-
-echo "== fleet soak smoke (4 pods, 1024 tenants, byzantine + pod loss) + golden =="
-FLEET_JSON="$(mktemp /tmp/distmsm_ci_fleet_soak.XXXXXX.json)"
-target/release/fleet_soak --smoke --json "$FLEET_JSON"
-FLEET_GOLDEN="crates/bench/golden/fleet_soak_smoke.json"
-if [[ "${BLESS:-0}" == "1" ]]; then
-    cp "$FLEET_JSON" "$FLEET_GOLDEN"
-    echo "blessed $FLEET_GOLDEN"
-fi
-# the FleetReport JSON is byte-stable: any drift is a behaviour change
-diff -u "$FLEET_GOLDEN" "$FLEET_JSON"
-rm -f "$FLEET_JSON"
-
-echo "== crash soak smoke (journal kill points, torn writes, ckpt resume) + golden =="
-CRASH_JSON="$(mktemp /tmp/distmsm_ci_crash_soak.XXXXXX.json)"
-target/release/crash_soak --smoke --json "$CRASH_JSON"
-CRASH_GOLDEN="crates/bench/golden/crash_soak_smoke.json"
-if [[ "${BLESS:-0}" == "1" ]]; then
-    cp "$CRASH_JSON" "$CRASH_GOLDEN"
-    echo "blessed $CRASH_GOLDEN"
-fi
-# the CrashReport JSON is byte-stable: any drift is a behaviour change
-diff -u "$CRASH_GOLDEN" "$CRASH_JSON"
-rm -f "$CRASH_JSON"
-
-echo "== partition soak smoke (leases, fencing, anti-entropy rejoin) + golden =="
-PART_JSON="$(mktemp /tmp/distmsm_ci_partition_soak.XXXXXX.json)"
-target/release/partition_soak --smoke --json "$PART_JSON"
-PART_GOLDEN="crates/bench/golden/partition_soak_smoke.json"
-if [[ "${BLESS:-0}" == "1" ]]; then
-    cp "$PART_JSON" "$PART_GOLDEN"
-    echo "blessed $PART_GOLDEN"
-fi
-# the PartitionReport JSON is byte-stable: any drift is a behaviour change
-diff -u "$PART_GOLDEN" "$PART_JSON"
-rm -f "$PART_JSON"
+# soak (seeded chaos, zero violations), fleet_soak (4 pods, 1024
+# tenants, byzantine + pod loss), crash_soak (journal kill points, torn
+# writes, ckpt resume), partition_soak (leases, fencing, anti-entropy
+# rejoin): each report JSON is byte-stable, so any drift from its golden
+# is a behaviour change
+for bin in soak fleet_soak crash_soak partition_soak; do
+    echo "== $bin smoke + golden =="
+    SMOKE_JSON="$(mktemp "/tmp/distmsm_ci_${bin}.XXXXXX.json")"
+    "target/release/$bin" --smoke --json "$SMOKE_JSON"
+    GOLDEN="crates/bench/golden/${bin}_smoke.json"
+    if [[ "${BLESS:-0}" == "1" ]]; then
+        cp "$SMOKE_JSON" "$GOLDEN"
+        echo "blessed $GOLDEN"
+    fi
+    diff -u "$GOLDEN" "$SMOKE_JSON"
+    rm -f "$SMOKE_JSON"
+done
 
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings

@@ -42,7 +42,7 @@
 
 use crate::report::{Finding, Report, Severity};
 use crate::svc::check_conservation;
-use distmsm_journal::{DurableState, JournalError, FRAME_HEADER_LEN};
+use distmsm_journal::{DurableState, JournalError, Wire, FRAME_HEADER_LEN};
 use distmsm_service::service::{ServiceEvent, ServiceEventKind};
 use distmsm_service::soak::{build_chaos, build_jobs, service_config, SoakSpec};
 use distmsm_service::wal::{decode_events, recover_state};
@@ -101,12 +101,10 @@ pub fn check_replay_idempotence(
 ) -> Report {
     let mut report = Report::new();
     let n = durable.journal.n_records();
-    let n_tenants = config.tenants.len();
     let mut probed = 0usize;
     for k in kill_points(n) {
         let cut = durable.truncate_records(k);
-        let via_snapshot = match recover_state(&cut, n_tenants, config.n_devices, &config.breaker)
-        {
+        let via_snapshot = match recover_state(&cut, &config.shape()) {
             Ok(r) => r,
             Err(e) => {
                 report.push(Finding::new(
@@ -120,22 +118,19 @@ pub fn check_replay_idempotence(
         };
         let mut stripped = cut.clone();
         stripped.set_snapshot_bytes(Vec::new());
-        let via_replay =
-            match recover_state(&stripped, n_tenants, config.n_devices, &config.breaker) {
-                Ok(r) => r,
-                Err(e) => {
-                    report.push(Finding::new(
-                        "CKPT-001",
-                        Severity::Error,
-                        scenario.to_owned(),
-                        format!(
-                            "prefix of {k} record(s) failed snapshot-stripped full replay: {e}"
-                        ),
-                    ));
-                    continue;
-                }
-            };
-        if via_snapshot.state.encode() != via_replay.state.encode() {
+        let via_replay = match recover_state(&stripped, &config.shape()) {
+            Ok(r) => r,
+            Err(e) => {
+                report.push(Finding::new(
+                    "CKPT-001",
+                    Severity::Error,
+                    scenario.to_owned(),
+                    format!("prefix of {k} record(s) failed snapshot-stripped full replay: {e}"),
+                ));
+                continue;
+            }
+        };
+        if via_snapshot.state.to_bytes() != via_replay.state.to_bytes() {
             report.push(Finding::new(
                 "CKPT-001",
                 Severity::Error,
@@ -147,9 +142,9 @@ pub fn check_replay_idempotence(
                 ),
             ));
         }
-        let again = recover_state(&cut, n_tenants, config.n_devices, &config.breaker)
+        let again = recover_state(&cut, &config.shape())
             .expect("second recovery of an already-recovered prefix");
-        if via_snapshot.state.encode() != again.state.encode() {
+        if via_snapshot.state.to_bytes() != again.state.to_bytes() {
             report.push(Finding::new(
                 "CKPT-001",
                 Severity::Error,
@@ -582,14 +577,13 @@ mod tests {
         let (durable, config) = scenario_durable();
         // Sabotage: graft a snapshot that claims a different history —
         // the snapshot-path recovery must now diverge from full replay.
-        let n_tenants = config.tenants.len();
-        let honest = recover_state(&durable, n_tenants, config.n_devices, &config.breaker)
-            .expect("scenario journal is intact");
+        let honest =
+            recover_state(&durable, &config.shape()).expect("scenario journal is intact");
         let mut lying = honest.state.clone();
         lying.clock_s += 1.0e3;
         let mut sabotaged = durable.clone();
         let last_epoch = sabotaged.journal.n_records() as u64;
-        sabotaged.install_snapshot(last_epoch, lying.clock_s, &lying.encode());
+        sabotaged.install_snapshot(last_epoch, lying.clock_s, &lying.to_bytes());
         let report = check_replay_idempotence("test", &sabotaged, &config);
         assert!(
             report.actionable() > 0,

@@ -40,6 +40,7 @@ use crate::report::{Finding, Report, Severity};
 use distmsm_comms::PartitionSchedule;
 use distmsm_ec::curves::Bn254G1;
 use distmsm_fleet::soak::{build_fleet_chaos, build_fleet_jobs, fleet_config};
+use distmsm_journal::{decode_records, Fold, Wire};
 use distmsm_fleet::{
     FleetCoordinator, FleetRecord, FleetSoakSpec, FleetState, MembershipConfig,
 };
@@ -87,16 +88,12 @@ pub fn journal_scenario() -> (Vec<(u64, FleetRecord)>, usize) {
     config.membership = Some(membership);
     let mut coordinator: FleetCoordinator<Bn254G1> = FleetCoordinator::new(config);
     let _ = coordinator.run(jobs, &chaos);
-    let records = coordinator
-        .durable()
-        .journal
-        .replay()
-        .expect("the live coordinator journal is intact");
-    let decoded = records
-        .iter()
-        .map(|r| {
-            (r.epoch, FleetRecord::decode(&r.payload).expect("live journal records decode"))
-        })
+    // the coordinator journal never compacts: epochs are 1, 2, …
+    let decoded = (1u64..)
+        .zip(
+            decode_records::<FleetRecord>(coordinator.durable())
+                .expect("the live coordinator journal is intact and decodes"),
+        )
         .collect();
     (decoded, spec.n_pods)
 }
@@ -193,7 +190,7 @@ pub fn check_fencing_monotonicity(
 ) -> Report {
     let mut report = Report::new();
     let mut automaton = EpochAutomaton::new(n_pods);
-    let mut fold = FleetState::new(n_pods);
+    let mut fold = FleetState::new(&n_pods);
     let mut fences = 0u64;
     for (epoch, rec) in records {
         if matches!(rec, FleetRecord::Fenced { .. }) {
@@ -207,7 +204,7 @@ pub fn check_fencing_monotonicity(
                 detail,
             ));
         }
-        if let Err(e) = fold.apply(*epoch, rec) {
+        if let Err(e) = fold.apply(*epoch, rec, &n_pods) {
             report.push(Finding::new(
                 "PART-001",
                 Severity::Error,
@@ -252,9 +249,9 @@ pub fn check_fencing_monotonicity(
 }
 
 fn fold_prefix(records: &[(u64, FleetRecord)], n_pods: usize) -> Result<FleetState, String> {
-    let mut st = FleetState::new(n_pods);
+    let mut st = FleetState::new(&n_pods);
     for (epoch, rec) in records {
-        st.apply(*epoch, rec).map_err(|e| format!("record {epoch}: {e}"))?;
+        st.apply(*epoch, rec, &n_pods).map_err(|e| format!("record {epoch}: {e}"))?;
     }
     Ok(st)
 }
@@ -285,7 +282,7 @@ pub fn check_rejoin_idempotence(
                 continue;
             }
         };
-        if first.encode() != second.encode() {
+        if first.to_bytes() != second.to_bytes() {
             report.push(Finding::new(
                 "PART-002",
                 Severity::Error,
@@ -318,7 +315,7 @@ pub fn check_rejoin_idempotence(
             }
         }
         let mut replayed = first.clone();
-        if replayed.apply(*epoch, rec).is_ok() {
+        if replayed.apply(*epoch, rec, &n_pods).is_ok() {
             report.push(Finding::new(
                 "PART-002",
                 Severity::Error,
@@ -434,7 +431,7 @@ fn expect_refusal(
     rec: &FleetRecord,
     want: &str,
 ) -> Result<(), String> {
-    match st.apply(epoch, rec) {
+    match st.apply(epoch, rec, &3) {
         Err(e) => {
             let msg = e.to_string();
             if msg.contains(want) {
@@ -454,10 +451,10 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
 
     // Stale-epoch acceptance: pod 0 fences (epoch 2) and rejoins, then
     // a completion stamped with the pre-fence epoch 1 surfaces.
-    let mut st = FleetState::new(3);
-    st.apply(1, &FleetRecord::Placed { t_s: 0.0, id: 7, pod: 0, epoch: 1 }).expect("placement");
-    st.apply(2, &FleetRecord::Fenced { t_s: 10.0, pod: 0, epoch: 2 }).expect("fence");
-    st.apply(3, &FleetRecord::Rejoined { t_s: 20.0, pod: 0, epoch: 2 }).expect("rejoin");
+    let mut st = FleetState::new(&3);
+    st.apply(1, &FleetRecord::Placed { t_s: 0.0, id: 7, pod: 0, epoch: 1 }, &3).expect("placement");
+    st.apply(2, &FleetRecord::Fenced { t_s: 10.0, pod: 0, epoch: 2 }, &3).expect("fence");
+    st.apply(3, &FleetRecord::Rejoined { t_s: 20.0, pod: 0, epoch: 2 }, &3).expect("rejoin");
     report.push(mutant_finding(
         scenario,
         "stale-epoch-acceptance",
@@ -480,7 +477,7 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
     // Lease renewed after expiry: a rejoin arrives for a pod that was
     // never fenced — the lease table claims an expiry the journal
     // never recorded.
-    let mut st = FleetState::new(3);
+    let mut st = FleetState::new(&3);
     report.push(mutant_finding(
         scenario,
         "lease-renew-after-expiry",
@@ -495,9 +492,9 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
     // Double absorb on heal: the same job is handed off from its old
     // owner twice — the second steal names a source that no longer
     // owns it.
-    let mut st = FleetState::new(3);
-    st.apply(1, &FleetRecord::Placed { t_s: 0.0, id: 9, pod: 0, epoch: 1 }).expect("placement");
-    st.apply(2, &FleetRecord::Stolen { t_s: 1.0, id: 9, from: 0, to: 1, epoch: 1 })
+    let mut st = FleetState::new(&3);
+    st.apply(1, &FleetRecord::Placed { t_s: 0.0, id: 9, pod: 0, epoch: 1 }, &3).expect("placement");
+    st.apply(2, &FleetRecord::Stolen { t_s: 1.0, id: 9, from: 0, to: 1, epoch: 1 }, &3)
         .expect("first steal");
     report.push(mutant_finding(
         scenario,
@@ -512,7 +509,7 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
 
     // Fence-epoch skip: a fence that advances by two forges history —
     // an unjournaled fence would hide a whole fenced window.
-    let mut st = FleetState::new(3);
+    let mut st = FleetState::new(&3);
     report.push(mutant_finding(
         scenario,
         "fence-epoch-skip",

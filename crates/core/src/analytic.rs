@@ -9,7 +9,9 @@
 
 use crate::baseline::best_named_time;
 use crate::bucket_sum::{bucket_sum_stats, threads_per_bucket};
-use crate::engine::{gpu_threads, window_shape, DistMsmConfig, PhaseBreakdown};
+use crate::engine::{
+    compose_timing, gpu_threads, window_shape, DistMsmConfig, PhaseBreakdown, PhaseTimes,
+};
 use crate::plan::plan_slices;
 use crate::reduce::{bucket_reduce_gpu_stats, cpu_seconds_for_padds};
 use crate::scatter::{
@@ -273,40 +275,25 @@ impl<'a> Shape<'a> {
         } else {
             crate::comm::window_partial_plan(config.collective, n_windows, point_bytes, system)
         };
-        let transfer_s = comm.total_s;
         let cpu_s = |padds: u64| cpu_seconds_for_padds(padds, model, system.cpu.int_ops_per_sec);
-        let comm_host_s = cpu_s(comm.host_reduce_ops);
-        let cpu_reduce_s = cpu_s(cpu_padds);
-        let window_reduce_s = cpu_s(u64::from(curve.scalar_bits) + u64::from(n_windows));
-
-        let gpu_makespan = (0..n_gpus)
-            .map(|g| scatter_per_gpu[g] + sum_per_gpu[g] + gpu_reduce_per_gpu[g])
-            .fold(0.0, f64::max);
-        let bucket_reduce_s = if config.bucket_reduce_on_cpu {
-            cpu_reduce_s
-        } else {
-            gpu_reduce_per_gpu.iter().copied().fold(0.0, f64::max) + comm_host_s
-        };
-        let total_s = if !feasible {
-            f64::INFINITY
-        } else if config.bucket_reduce_on_cpu && config.pipelined {
-            let tail = cpu_reduce_s / f64::from(n_windows.max(1));
-            gpu_makespan.max(cpu_reduce_s) + transfer_s + tail + window_reduce_s
-        } else {
-            gpu_makespan + transfer_s + bucket_reduce_s + window_reduce_s
-        };
-
+        let composed = compose_timing(
+            config,
+            n_windows,
+            &PhaseTimes {
+                scatter_per_gpu: &scatter_per_gpu,
+                sum_per_gpu: &sum_per_gpu,
+                gpu_reduce_per_gpu: &gpu_reduce_per_gpu,
+                cpu_reduce_s: cpu_s(cpu_padds),
+                comm_host_s: cpu_s(comm.host_reduce_ops),
+                window_reduce_s: cpu_s(u64::from(curve.scalar_bits) + u64::from(n_windows)),
+                transfer_s: comm.total_s,
+            },
+        );
         MsmEstimate {
             window_size: s,
             n_windows,
-            phases: PhaseBreakdown {
-                scatter_s: scatter_per_gpu.iter().copied().fold(0.0, f64::max),
-                bucket_sum_s: sum_per_gpu.iter().copied().fold(0.0, f64::max),
-                bucket_reduce_s,
-                window_reduce_s,
-                transfer_s,
-            },
-            total_s,
+            phases: composed.phases,
+            total_s: if feasible { composed.total_s } else { f64::INFINITY },
             feasible,
         }
     }

@@ -29,6 +29,7 @@
 
 use crate::analytic::CurveDesc;
 use crate::engine::{window_shape, DistMsm};
+use crate::reduce::window_reduce;
 use distmsm_ec::serialize::{point_from_uncompressed, point_to_uncompressed, CanonicalBytes};
 use distmsm_ec::{Affine, Curve, MsmInstance, Scalar, XyzzPoint};
 
@@ -200,18 +201,6 @@ pub fn window_partial<C: Curve>(
     partial
 }
 
-/// Horner fold of a full window-partial vector: `R = Σ_w 2^{w·s}·W_w`.
-pub fn fold_window_partials<C: Curve>(partials: &[XyzzPoint<C>], s: u32) -> XyzzPoint<C> {
-    let mut acc = XyzzPoint::identity();
-    for w in (0..partials.len()).rev() {
-        for _ in 0..s {
-            acc = acc.pdbl();
-        }
-        acc = acc.padd(&partials[w]);
-    }
-    acc
-}
-
 /// Outcome of a (possibly resumed) checkpointed windowed execution.
 #[derive(Clone, Debug)]
 pub struct WindowedMsmReport<C: Curve> {
@@ -311,7 +300,7 @@ impl DistMsm {
         let compute_s = self.estimate_seconds(n, &curve) * f64::from(windows_computed)
             / f64::from(n_windows.max(1));
         Ok(WindowedMsmReport {
-            result: fold_window_partials(&ckpt.partials, s),
+            result: window_reduce(&ckpt.partials, s).0,
             n_windows,
             windows_computed,
             checkpoints_taken,

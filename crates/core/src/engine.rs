@@ -180,6 +180,66 @@ pub struct PhaseBreakdown {
     pub transfer_s: f64,
 }
 
+/// The modelled seconds of one MSM before composition: per-GPU kernel
+/// time by phase plus the host-side and fabric terms.
+pub(crate) struct PhaseTimes<'a> {
+    pub scatter_per_gpu: &'a [f64],
+    pub sum_per_gpu: &'a [f64],
+    pub gpu_reduce_per_gpu: &'a [f64],
+    pub cpu_reduce_s: f64,
+    /// Host-side combines implied by the collective.
+    pub comm_host_s: f64,
+    pub window_reduce_s: f64,
+    pub transfer_s: f64,
+}
+
+/// [`compose_timing`]'s result.
+pub(crate) struct ComposedTiming {
+    /// Busy seconds per GPU (`scatter + sum + reduce`).
+    pub per_gpu_s: Vec<f64>,
+    pub phases: PhaseBreakdown,
+    /// Fault-free wall time (the engine adds supervisor recovery on top).
+    pub total_s: f64,
+}
+
+/// The one timing composition the functional engine and the analytic
+/// estimator share: per-GPU busy time → makespan → bucket-reduce term →
+/// total, with §3.2.3's pipelined CPU reduce leaving only the last
+/// window's reduce on the critical path.
+pub(crate) fn compose_timing(
+    config: &DistMsmConfig,
+    n_windows: u32,
+    t: &PhaseTimes<'_>,
+) -> ComposedTiming {
+    let max = |xs: &[f64]| xs.iter().copied().fold(0.0, f64::max);
+    let per_gpu_s: Vec<f64> = (0..t.scatter_per_gpu.len())
+        .map(|g| t.scatter_per_gpu[g] + t.sum_per_gpu[g] + t.gpu_reduce_per_gpu[g])
+        .collect();
+    let gpu_makespan = max(&per_gpu_s);
+    let bucket_reduce_s = if config.bucket_reduce_on_cpu {
+        t.cpu_reduce_s
+    } else {
+        max(t.gpu_reduce_per_gpu) + t.comm_host_s
+    };
+    let total_s = if config.bucket_reduce_on_cpu && config.pipelined {
+        let tail = t.cpu_reduce_s / f64::from(n_windows.max(1));
+        gpu_makespan.max(t.cpu_reduce_s) + t.transfer_s + tail + t.window_reduce_s
+    } else {
+        gpu_makespan + t.transfer_s + bucket_reduce_s + t.window_reduce_s
+    };
+    ComposedTiming {
+        per_gpu_s,
+        phases: PhaseBreakdown {
+            scatter_s: max(t.scatter_per_gpu),
+            bucket_sum_s: max(t.sum_per_gpu),
+            bucket_reduce_s,
+            window_reduce_s: t.window_reduce_s,
+            transfer_s: t.transfer_s,
+        },
+        total_s,
+    }
+}
+
 /// Result of one (simulated) MSM execution.
 #[derive(Clone, Debug)]
 pub struct MsmReport<C: Curve> {
@@ -797,10 +857,19 @@ impl DistMsm {
         let window_reduce_s =
             cpu_seconds_for_padds(wr_ops, &model, self.system.cpu.int_ops_per_sec);
 
-        let per_gpu_s: Vec<f64> = (0..n_gpus)
-            .map(|g| scatter_per_gpu[g] + sum_per_gpu[g] + gpu_reduce_per_gpu[g])
-            .collect();
-        let gpu_makespan = per_gpu_s.iter().copied().fold(0.0, f64::max);
+        let ComposedTiming { per_gpu_s, phases, total_s: base_s } = compose_timing(
+            &self.config,
+            n_windows,
+            &PhaseTimes {
+                scatter_per_gpu: &scatter_per_gpu,
+                sum_per_gpu: &sum_per_gpu,
+                gpu_reduce_per_gpu: &gpu_reduce_per_gpu,
+                cpu_reduce_s,
+                comm_host_s,
+                window_reduce_s,
+                transfer_s,
+            },
+        );
 
         // ---- straggler detection ------------------------------------------
         // the supervisor watches per-GPU busy time against the median;
@@ -841,20 +910,6 @@ impl DistMsm {
             }
         }
 
-        let bucket_reduce_s = if self.config.bucket_reduce_on_cpu {
-            cpu_reduce_s
-        } else {
-            gpu_reduce_per_gpu.iter().copied().fold(0.0, f64::max) + comm_host_s
-        };
-
-        let base_s = if self.config.bucket_reduce_on_cpu && self.config.pipelined {
-            // §3.2.3: the CPU reduce streams behind the GPUs; only the
-            // last window's reduce sits on the critical path.
-            let tail = cpu_reduce_s / f64::from(n_windows.max(1));
-            gpu_makespan.max(cpu_reduce_s) + transfer_s + tail + window_reduce_s
-        } else {
-            gpu_makespan + transfer_s + bucket_reduce_s + window_reduce_s
-        };
         // recovery runs as a serial phase after detection: probes back
         // off, survivors recompute, the self-check and checkpoints guard
         let total_s = base_s + if supervised { recovery.recovery_s() } else { 0.0 };
@@ -863,13 +918,7 @@ impl DistMsm {
             result,
             window_size: s,
             n_windows,
-            phases: PhaseBreakdown {
-                scatter_s: scatter_per_gpu.iter().copied().fold(0.0, f64::max),
-                bucket_sum_s: sum_per_gpu.iter().copied().fold(0.0, f64::max),
-                bucket_reduce_s,
-                window_reduce_s,
-                transfer_s,
-            },
+            phases,
             total_s,
             per_gpu_s,
             launches,
@@ -890,7 +939,7 @@ impl DistMsm {
                 prepass,
                 cpu_reduce_s,
                 comm_host_s,
-                gpu_makespan,
+                gpu_makespan: report.per_gpu_s.iter().copied().fold(0.0, f64::max),
             },
         );
         Ok(report)

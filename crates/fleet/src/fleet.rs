@@ -349,13 +349,7 @@ impl<C: Curve> FleetCoordinator<C> {
         let mut folds = Vec::with_capacity(config.n_pods);
         for durable in pod_durables {
             folds.push(
-                service_wal::recover_state(
-                    durable,
-                    config.pod.tenants.len(),
-                    config.pod.n_devices,
-                    &config.pod.breaker,
-                )?
-                .state,
+                service_wal::recover_state(durable, &config.pod.shape())?.state,
             );
         }
 
@@ -439,7 +433,12 @@ impl<C: Curve> FleetCoordinator<C> {
             });
         }
         let prior_events = fleet_wal::decode_fleet_events(coordinator)?;
-        let wal = FleetWal::resume(coordinator.reopen()?, state.clone(), config.pod.snapshot_every);
+        let wal = FleetWal::resume(
+            coordinator.reopen()?,
+            state.clone(),
+            config.n_pods,
+            config.pod.snapshot_every,
+        );
         let mut fleet = Self {
             quarantined: state.quarantined.clone(),
             events: Vec::new(),

@@ -66,11 +66,9 @@ pub use partition::{
     PartitionViolation,
 };
 pub use report::{FleetReport, PodStats};
-pub use shard::{execute_sharded, fold_windows, window_partials, ShardExecution, ShardedMsmConfig,
-    ShardedMsmReport};
+pub use shard::{execute_sharded, ShardExecution, ShardedMsmConfig, ShardedMsmReport};
 pub use wal::{
     decode_fleet_events, recover_fleet_state, AcceptedEntry, FleetRecord, FleetState, FleetWal,
-    FleetWalRecovery,
 };
 pub use soak::{
     fleet_shrink, run_fleet_soak, FleetSabotage, FleetSoakOptions, FleetSoakOutcome, FleetSoakSpec,

@@ -34,6 +34,7 @@ use distmsm::DistMsm;
 use distmsm_comms::PartitionSchedule;
 use distmsm_ec::curves::Bn254G1;
 use distmsm_gpu_sim::MultiGpuSystem;
+use distmsm_journal::{Fold, Wire};
 
 use crate::fleet::{FleetCoordinator, FleetEventKind, FleetOutcome};
 use crate::membership::MembershipConfig;
@@ -350,10 +351,10 @@ pub fn run_partition_soak(spec: &PartitionSoakSpec) -> PartitionSoakOutcome {
         // journal folds cleanly, twice, to the same bytes.
         let mut folds = Vec::new();
         for pass in 0..2 {
-            let mut st = FleetState::new(spec.fleet.n_pods);
+            let mut st = FleetState::new(&spec.fleet.n_pods);
             let mut ok = true;
             for r in &records {
-                let rec = match FleetRecord::decode(&r.payload) {
+                let rec = match FleetRecord::from_bytes(&r.payload) {
                     Ok(rec) => rec,
                     Err(err) => {
                         violations.push(PartitionViolation {
@@ -367,7 +368,7 @@ pub fn run_partition_soak(spec: &PartitionSoakSpec) -> PartitionSoakOutcome {
                         break;
                     }
                 };
-                if let Err(err) = st.apply(r.epoch, &rec) {
+                if let Err(err) = st.apply(r.epoch, &rec, &spec.fleet.n_pods) {
                     violations.push(PartitionViolation {
                         invariant: "partition-fencing-fold",
                         detail: format!(
@@ -382,7 +383,7 @@ pub fn run_partition_soak(spec: &PartitionSoakSpec) -> PartitionSoakOutcome {
             if !ok {
                 break;
             }
-            folds.push(st.encode());
+            folds.push(st.to_bytes());
         }
         if folds.len() == 2 && folds[0] != folds[1] {
             violations.push(PartitionViolation {
@@ -395,7 +396,7 @@ pub fn run_partition_soak(spec: &PartitionSoakSpec) -> PartitionSoakOutcome {
         // membership clock outlives lease + grace past the last heal,
         // so no pod may end the run still fenced.
         if let Some(bytes) = folds.first() {
-            let final_state = FleetState::decode(bytes).expect("fold output re-decodes");
+            let final_state = FleetState::from_bytes(bytes).expect("fold output re-decodes");
             for (p, fenced) in final_state.fenced.iter().enumerate() {
                 if *fenced {
                     violations.push(PartitionViolation {
@@ -522,12 +523,12 @@ mod tests {
                 RECORDS.get_or_init(|| run_scenario(&spec, spec.partition_seed, None).1);
             let keep = cut.min(records.len());
             let fold = |_: ()| {
-                let mut st = FleetState::new(spec.fleet.n_pods);
+                let mut st = FleetState::new(&spec.fleet.n_pods);
                 for r in &records[..keep] {
-                    let rec = FleetRecord::decode(&r.payload).expect("live journal decodes");
-                    st.apply(r.epoch, &rec).expect("live journal folds");
+                    let rec = FleetRecord::from_bytes(&r.payload).expect("live journal decodes");
+                    st.apply(r.epoch, &rec, &spec.fleet.n_pods).expect("live journal folds");
                 }
-                st.encode()
+                st.to_bytes()
             };
             prop_assert_eq!(fold(()), fold(()));
         }

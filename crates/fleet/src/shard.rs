@@ -15,11 +15,13 @@
 //! is allowed into the reduce: a byzantine pod is detected,
 //! quarantined, and its shard re-placed on the first healthy pod.
 
+use distmsm::checkpoint::window_partial;
+use distmsm::reduce::window_reduce;
 use distmsm::{
     shard_points_with_ir, window_shape, CollectiveStrategy, DistMsm, DistMsmConfig,
 };
 use distmsm_comms::{run_collective, CommConfig, CommSchedule, Fabric, Topology};
-use distmsm_ec::{Affine, Curve, FieldElement, MsmInstance, Scalar, XyzzPoint};
+use distmsm_ec::{Curve, FieldElement, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::MultiGpuSystem;
 
 use crate::outsource::{Challenge, Corruption, OutsourcedResult};
@@ -84,50 +86,6 @@ pub struct ShardedMsmReport<C: Curve> {
     pub compute_s: f64,
     /// Modeled wall-clock of the NIC-tier reduce tree.
     pub reduce_s: f64,
-}
-
-/// Computes the unsigned Pippenger window-partial vector
-/// `W_w = Σ_i digit_w(k_i)·P_i` for a shard, by bucket accumulation and
-/// suffix running-sum — the quantity the cross-pod collective reduces
-/// element-wise before the final Horner fold.
-pub fn window_partials<C: Curve>(
-    points: &[Affine<C>],
-    scalars: &[C::Scalar],
-    s: u32,
-) -> Vec<XyzzPoint<C>> {
-    let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, false);
-    (0..n_windows)
-        .map(|w| {
-            let mut buckets = vec![XyzzPoint::<C>::identity(); n_buckets as usize];
-            for (p, k) in points.iter().zip(scalars) {
-                let d = k.window(w * s, s) as usize;
-                if d != 0 {
-                    buckets[d].pacc(p);
-                }
-            }
-            // Suffix running-sum: Σ d·B_d.
-            let mut running = XyzzPoint::identity();
-            let mut partial = XyzzPoint::identity();
-            for b in buckets.iter().skip(1).rev() {
-                running = running.padd(b);
-                partial = partial.padd(&running);
-            }
-            partial
-        })
-        .collect()
-}
-
-/// Folds a window-partial vector into the final MSM result:
-/// `R = Σ_w 2^{w·s}·W_w`, evaluated top-down Horner style.
-pub fn fold_windows<C: Curve>(partials: &[XyzzPoint<C>], s: u32) -> XyzzPoint<C> {
-    let mut acc = XyzzPoint::identity();
-    for w in (0..partials.len()).rev() {
-        for _ in 0..s {
-            acc = acc.pdbl();
-        }
-        acc = acc.padd(&partials[w]);
-    }
-    acc
 }
 
 /// Executes one `N`-point MSM sharded across `cfg.n_pods` pods.
@@ -252,7 +210,7 @@ pub fn execute_sharded<C: Curve>(
         elem_bytes,
     );
     assert_eq!(reduced.len(), n_windows);
-    let result = fold_windows(&reduced, s);
+    let result = window_reduce(&reduced, s).0;
 
     let reduce_s = schedule.total_s;
     ShardedMsmReport { result, shards, quarantined, schedule, compute_s, reduce_s }
@@ -270,9 +228,12 @@ fn run_pod_shard<C: Curve>(
     let report = engine.execute(sub).expect("fault-free pod shard execution");
     let twin = challenge.twin_instance(sub);
     let twin_report = engine.execute(&twin).expect("fault-free twin execution");
-    let vector = window_partials(&sub.points, &sub.scalars, s);
+    let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, false);
+    let vector: Vec<XyzzPoint<C>> = (0..n_windows)
+        .map(|w| window_partial(&sub.points, &sub.scalars, w, s, n_buckets as usize))
+        .collect();
     assert_eq!(
-        fold_windows(&vector, s).to_affine(),
+        window_reduce(&vector, s).0.to_affine(),
         report.result.to_affine(),
         "window-partial vector inconsistent with the pod's engine result"
     );
@@ -296,16 +257,6 @@ mod tests {
 
     fn cfg(n_pods: usize) -> ShardedMsmConfig {
         ShardedMsmConfig { n_pods, gpus_per_pod: 2, ..ShardedMsmConfig::default() }
-    }
-
-    #[test]
-    fn window_partials_fold_to_the_reference() {
-        let inst = instance(33);
-        let partials = window_partials(&inst.points, &inst.scalars, 8);
-        assert_eq!(
-            fold_windows(&partials, 8).to_affine(),
-            inst.reference_result().to_affine()
-        );
     }
 
     #[test]

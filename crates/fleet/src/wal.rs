@@ -11,10 +11,10 @@
 //!   result bytes ride one [`FleetRecord::Accepted`] record, so no
 //!   torn write can strand a `Verified` event without the value it
 //!   verified.
-//! * **A shadow fold.** [`FleetWal`] folds every append through
-//!   [`FleetState::apply`] — the same function recovery replays — so a
-//!   snapshot (the encoded shadow) equals a from-scratch replay by
-//!   construction.
+//! * **A shadow fold.** [`FleetWal`] (a [`distmsm_journal::Journaled`])
+//!   folds every append through [`FleetState`]'s [`Fold::apply`] — the
+//!   same function recovery replays — so a snapshot (the encoded
+//!   shadow) equals a from-scratch replay by construction.
 //! * **Replay-only counters.** Everything the fold tracks (ownership,
 //!   quarantine flags, detections, accepted results) derives from the
 //!   record stream alone; volatile coordinator state (`last_good`, the
@@ -27,32 +27,35 @@
 
 use std::collections::BTreeMap;
 
-use distmsm_journal::{ByteReader, ByteWriter, DurableState, JournalError, WireError};
+use distmsm_journal::wire::{get_seq, put_seq, Blob, ByteReader, ByteWriter, Labels};
+use distmsm_journal::{
+    decode_records, recover, wire, DurableState, Fold, JournalError, Journaled, Recovery, Wire,
+    WireError,
+};
 
 use crate::fleet::{FleetEvent, FleetEventKind};
 
 // ---------------------------------------------------------------------
-// small tag codecs
+// the wire format: every tag and field order, declared once
 // ---------------------------------------------------------------------
 
-fn corruption_tag(label: &str) -> u8 {
-    match label {
-        "bit-flip" => 0,
-        "swapped-shard" => 1,
-        "zero-partial" => 2,
-        _ => 255,
-    }
-}
+/// The 2G2T corruption class labels, by wire tag.
+const CORRUPTIONS: Labels = Labels(&["bit-flip", "swapped-shard", "zero-partial"]);
 
-fn corruption_from(tag: u8, off: usize) -> Result<&'static str, WireError> {
-    match tag {
-        0 => Ok("bit-flip"),
-        1 => Ok("swapped-shard"),
-        2 => Ok("zero-partial"),
-        255 => Ok("unknown"),
-        _ => Err(WireError { offset: off }),
-    }
-}
+// Version-free: the record tag is the first payload byte; the journal
+// frame carries epoch/time/CRC.
+wire! { enum FleetRecord {
+    0 => Placed { t_s, id, pod, epoch },
+    1 => Stolen { t_s, id, from, to, epoch },
+    2 => Accepted { t_s, id, tenant, pod, attempts, epoch, result: Blob },
+    3 => Detected { t_s, id, pod, corruption: CORRUPTIONS },
+    4 => Quarantined { t_s, pod },
+    5 => Replaced { t_s, id, from, to, epoch },
+    6 => Fenced { t_s, pod, epoch },
+    7 => Rejoined { t_s, pod, epoch },
+    8 => Discarded { t_s, id, pod, epoch },
+} }
+wire! { struct AcceptedEntry { id, tenant, pod, attempts, result: Blob } }
 
 // ---------------------------------------------------------------------
 // records
@@ -179,100 +182,6 @@ pub enum FleetRecord {
 }
 
 impl FleetRecord {
-    /// Canonical payload bytes (version-free: the record tag is the
-    /// first byte; the journal frame carries epoch/time/CRC).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self {
-            FleetRecord::Placed { t_s, id, pod, epoch } => {
-                w.u8(0).f64(*t_s).u64(*id).usize(*pod).u64(*epoch);
-            }
-            FleetRecord::Stolen { t_s, id, from, to, epoch } => {
-                w.u8(1).f64(*t_s).u64(*id).usize(*from).usize(*to).u64(*epoch);
-            }
-            FleetRecord::Accepted { t_s, id, tenant, pod, attempts, epoch, result } => {
-                w.u8(2).f64(*t_s).u64(*id).usize(*tenant).usize(*pod).u32(*attempts);
-                w.u64(*epoch);
-                w.bytes(result);
-            }
-            FleetRecord::Detected { t_s, id, pod, corruption } => {
-                w.u8(3).f64(*t_s).u64(*id).usize(*pod).u8(corruption_tag(corruption));
-            }
-            FleetRecord::Quarantined { t_s, pod } => {
-                w.u8(4).f64(*t_s).usize(*pod);
-            }
-            FleetRecord::Replaced { t_s, id, from, to, epoch } => {
-                w.u8(5).f64(*t_s).u64(*id).usize(*from).usize(*to).u64(*epoch);
-            }
-            FleetRecord::Fenced { t_s, pod, epoch } => {
-                w.u8(6).f64(*t_s).usize(*pod).u64(*epoch);
-            }
-            FleetRecord::Rejoined { t_s, pod, epoch } => {
-                w.u8(7).f64(*t_s).usize(*pod).u64(*epoch);
-            }
-            FleetRecord::Discarded { t_s, id, pod, epoch } => {
-                w.u8(8).f64(*t_s).u64(*id).usize(*pod).u64(*epoch);
-            }
-        }
-        w.finish()
-    }
-
-    /// Strict decode: unknown tags and trailing bytes are errors.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(payload);
-        let off = r.offset();
-        let rec = match r.u8()? {
-            0 => FleetRecord::Placed {
-                t_s: r.f64()?,
-                id: r.u64()?,
-                pod: r.usize()?,
-                epoch: r.u64()?,
-            },
-            1 => FleetRecord::Stolen {
-                t_s: r.f64()?,
-                id: r.u64()?,
-                from: r.usize()?,
-                to: r.usize()?,
-                epoch: r.u64()?,
-            },
-            2 => FleetRecord::Accepted {
-                t_s: r.f64()?,
-                id: r.u64()?,
-                tenant: r.usize()?,
-                pod: r.usize()?,
-                attempts: r.u32()?,
-                epoch: r.u64()?,
-                result: r.bytes()?.to_vec(),
-            },
-            3 => {
-                let (t_s, id, pod) = (r.f64()?, r.u64()?, r.usize()?);
-                let coff = r.offset();
-                FleetRecord::Detected { t_s, id, pod, corruption: corruption_from(r.u8()?, coff)? }
-            }
-            4 => FleetRecord::Quarantined { t_s: r.f64()?, pod: r.usize()? },
-            5 => FleetRecord::Replaced {
-                t_s: r.f64()?,
-                id: r.u64()?,
-                from: r.usize()?,
-                to: r.usize()?,
-                epoch: r.u64()?,
-            },
-            6 => FleetRecord::Fenced { t_s: r.f64()?, pod: r.usize()?, epoch: r.u64()? },
-            7 => FleetRecord::Rejoined { t_s: r.f64()?, pod: r.usize()?, epoch: r.u64()? },
-            8 => FleetRecord::Discarded {
-                t_s: r.f64()?,
-                id: r.u64()?,
-                pod: r.usize()?,
-                epoch: r.u64()?,
-            },
-            _ => return Err(WireError { offset: off }),
-        };
-        if !r.is_empty() {
-            return Err(WireError { offset: r.offset() });
-        }
-        Ok(rec)
-    }
-
     /// The coordinator event this record witnesses.
     pub fn event(&self) -> FleetEvent {
         match self {
@@ -372,21 +281,6 @@ pub struct FleetState {
 }
 
 impl FleetState {
-    /// The empty fold for an `n_pods` fleet.
-    pub fn new(n_pods: usize) -> Self {
-        Self {
-            clock_s: 0.0,
-            last_epoch: 0,
-            quarantined: vec![false; n_pods],
-            detections: 0,
-            placed_on: BTreeMap::new(),
-            accepted: Vec::new(),
-            pod_epochs: vec![1; n_pods],
-            fenced: vec![false; n_pods],
-            placed_epoch: BTreeMap::new(),
-        }
-    }
-
     fn bad(epoch: u64, detail: String) -> JournalError {
         JournalError::BadPayload { epoch, detail }
     }
@@ -420,11 +314,44 @@ impl FleetState {
         Ok(())
     }
 
+}
+
+impl Fold for FleetState {
+    type Record = FleetRecord;
+    /// The fleet's pod count.
+    type Ctx = usize;
+
+    fn new(&n_pods: &usize) -> Self {
+        Self {
+            clock_s: 0.0,
+            last_epoch: 0,
+            quarantined: vec![false; n_pods],
+            detections: 0,
+            placed_on: BTreeMap::new(),
+            accepted: Vec::new(),
+            pod_epochs: vec![1; n_pods],
+            fenced: vec![false; n_pods],
+            placed_epoch: BTreeMap::new(),
+        }
+    }
+
+    fn fits(&self, n_pods: &usize) -> Result<(), String> {
+        if self.quarantined.len() == *n_pods {
+            return Ok(());
+        }
+        Err(format!("snapshot covers {} pods, the config has {n_pods}", self.quarantined.len()))
+    }
+
     /// Folds one record in. Semantic garbage — out-of-range pods, moves
     /// of unplaced jobs, double acceptance, double quarantine, stale or
     /// future fencing stamps, acceptance across an expired lease — is a
     /// typed error, never a panic.
-    pub fn apply(&mut self, epoch: u64, rec: &FleetRecord) -> Result<(), JournalError> {
+    fn apply(
+        &mut self,
+        epoch: u64,
+        rec: &FleetRecord,
+        _n_pods: &usize,
+    ) -> Result<(), JournalError> {
         match rec {
             FleetRecord::Placed { id, pod, epoch: stamp, .. } => {
                 self.check_pod(epoch, *pod)?;
@@ -555,80 +482,49 @@ impl FleetState {
         self.last_epoch = epoch;
         Ok(())
     }
+}
 
-    /// Canonical snapshot bytes (version byte 2; version 1 predates
-    /// fencing epochs and is refused — stale snapshots cannot silently
-    /// resurrect a pre-fencing fleet).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u8(2).f64(self.clock_s).u64(self.last_epoch);
-        w.usize(self.quarantined.len());
-        for &q in &self.quarantined {
-            w.bool(q);
-        }
-        for &e in &self.pod_epochs {
-            w.u64(e);
-        }
-        for &f in &self.fenced {
-            w.bool(f);
-        }
-        w.u64(self.detections);
-        w.usize(self.placed_on.len());
+/// The snapshot payload, hand-laid-out: a version byte (2; version 1
+/// predates fencing epochs and is refused — stale snapshots cannot
+/// silently resurrect a pre-fencing fleet), three per-pod vectors under
+/// one shared length, and the two placement maps zipped into one list.
+/// Canonical: the placement list must arrive in strictly ascending id
+/// order, so no other bytes decode to an equal state.
+impl Wire for FleetState {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u8(2).f64(self.clock_s).u64(self.last_epoch).usize(self.quarantined.len());
+        put_seq(&self.quarantined, w);
+        put_seq(&self.pod_epochs, w);
+        put_seq(&self.fenced, w);
+        w.u64(self.detections).usize(self.placed_on.len());
         for (&id, &pod) in &self.placed_on {
             w.u64(id).usize(pod).u64(self.placed_epoch.get(&id).copied().unwrap_or(0));
         }
-        w.usize(self.accepted.len());
-        for a in &self.accepted {
-            w.u64(a.id).usize(a.tenant).usize(a.pod).u32(a.attempts);
-            w.bytes(&a.result);
-        }
-        w.finish()
+        self.accepted.put(w);
     }
 
-    /// Strict decode of [`Self::encode`] bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(bytes);
-        let off = r.offset();
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let offset = r.offset();
         if r.u8()? != 2 {
-            return Err(WireError { offset: off });
+            return Err(WireError { offset });
         }
         let clock_s = r.f64()?;
         let last_epoch = r.u64()?;
         let n_pods = r.usize()?;
-        let mut quarantined = Vec::with_capacity(n_pods.min(4096));
-        for _ in 0..n_pods {
-            quarantined.push(r.bool()?);
-        }
-        let mut pod_epochs = Vec::with_capacity(n_pods.min(4096));
-        for _ in 0..n_pods {
-            pod_epochs.push(r.u64()?);
-        }
-        let mut fenced = Vec::with_capacity(n_pods.min(4096));
-        for _ in 0..n_pods {
-            fenced.push(r.bool()?);
-        }
+        let quarantined = get_seq(r, n_pods)?;
+        let pod_epochs = get_seq(r, n_pods)?;
+        let fenced = get_seq(r, n_pods)?;
         let detections = r.u64()?;
-        let n_placed = r.usize()?;
         let mut placed_on = BTreeMap::new();
         let mut placed_epoch = BTreeMap::new();
-        for _ in 0..n_placed {
+        for _ in 0..r.usize()? {
+            let offset = r.offset();
             let id = r.u64()?;
+            if placed_on.last_key_value().is_some_and(|(&last, _)| id <= last) {
+                return Err(WireError { offset });
+            }
             placed_on.insert(id, r.usize()?);
             placed_epoch.insert(id, r.u64()?);
-        }
-        let n_accepted = r.usize()?;
-        let mut accepted = Vec::with_capacity(n_accepted.min(4096));
-        for _ in 0..n_accepted {
-            accepted.push(AcceptedEntry {
-                id: r.u64()?,
-                tenant: r.usize()?,
-                pod: r.usize()?,
-                attempts: r.u32()?,
-                result: r.bytes()?.to_vec(),
-            });
-        }
-        if !r.is_empty() {
-            return Err(WireError { offset: r.offset() });
         }
         Ok(Self {
             clock_s,
@@ -636,7 +532,7 @@ impl FleetState {
             quarantined,
             detections,
             placed_on,
-            accepted,
+            accepted: Wire::get(r)?,
             pod_epochs,
             fenced,
             placed_epoch,
@@ -645,71 +541,12 @@ impl FleetState {
 }
 
 // ---------------------------------------------------------------------
-// the live WAL
+// the live WAL and recovery: the journal crate's generic kernel
 // ---------------------------------------------------------------------
 
 /// The coordinator's live write-ahead log: durable journal plus the
 /// shadow [`FleetState`] every append folds through.
-#[derive(Clone, Debug)]
-pub struct FleetWal {
-    durable: DurableState,
-    state: FleetState,
-    snapshot_every: u64,
-}
-
-impl FleetWal {
-    /// A fresh WAL for an `n_pods` fleet.
-    pub fn new(n_pods: usize, snapshot_every: u64) -> Self {
-        Self { durable: DurableState::new(), state: FleetState::new(n_pods), snapshot_every }
-    }
-
-    /// Resumes over recovered durable state (the restore path);
-    /// `durable` should be the reopened (torn-tail-free) state and
-    /// `state` the fold [`recover_fleet_state`] produced from it.
-    pub fn resume(durable: DurableState, state: FleetState, snapshot_every: u64) -> Self {
-        Self { durable, state, snapshot_every }
-    }
-
-    /// Appends one record: encode, journal, fold, snapshot on cadence.
-    pub fn append(&mut self, frame_t_s: f64, rec: &FleetRecord) -> u64 {
-        let payload = rec.encode();
-        let epoch = self.durable.append(frame_t_s, &payload);
-        // Invariant, not a recoverable error: live records mirror the
-        // very transitions the fold applies.
-        self.state
-            .apply(epoch, rec)
-            .expect("live fleet records always fold into the shadow state");
-        if self.snapshot_every > 0 && epoch.is_multiple_of(self.snapshot_every) {
-            self.durable.install_snapshot(epoch, frame_t_s, &self.state.encode());
-        }
-        epoch
-    }
-
-    /// The durable journal + snapshot bytes (what a crash preserves).
-    pub fn durable(&self) -> &DurableState {
-        &self.durable
-    }
-
-    /// The shadow fold of everything appended so far.
-    pub fn state(&self) -> &FleetState {
-        &self.state
-    }
-}
-
-/// What [`recover_fleet_state`] reconstructed, plus how it got there.
-#[derive(Clone, Debug)]
-pub struct FleetWalRecovery {
-    /// The folded coordinator state.
-    pub state: FleetState,
-    /// Epoch of the snapshot recovery started from (0 = none).
-    pub snapshot_epoch: u64,
-    /// Records replayed on top of the snapshot.
-    pub replayed_records: u64,
-    /// Bytes of the decoded snapshot payload (0 = none).
-    pub snapshot_payload_bytes: usize,
-    /// Torn frame bytes dropped from the journal tail.
-    pub torn_tail_bytes: usize,
-}
+pub type FleetWal = Journaled<FleetState>;
 
 /// Recovers a [`FleetState`] from durable coordinator bytes: newest
 /// intact snapshot plus bounded replay. A torn tail is dropped; any
@@ -717,42 +554,8 @@ pub struct FleetWalRecovery {
 pub fn recover_fleet_state(
     durable: &DurableState,
     n_pods: usize,
-) -> Result<FleetWalRecovery, JournalError> {
-    let rec = durable.recover()?;
-    let (mut state, snapshot_epoch, snapshot_payload_bytes) = match &rec.snapshot {
-        Some(s) => {
-            let st = FleetState::decode(&s.payload).map_err(|e| JournalError::BadPayload {
-                epoch: s.epoch,
-                detail: format!("snapshot: {e}"),
-            })?;
-            if st.quarantined.len() != n_pods {
-                return Err(JournalError::BadPayload {
-                    epoch: s.epoch,
-                    detail: format!(
-                        "snapshot covers {} pods, the config has {n_pods}",
-                        st.quarantined.len()
-                    ),
-                });
-            }
-            (st, s.epoch, s.payload.len())
-        }
-        None => (FleetState::new(n_pods), 0, 0),
-    };
-    let replayed_records = rec.records.len() as u64;
-    for r in &rec.records {
-        let fr = FleetRecord::decode(&r.payload).map_err(|e| JournalError::BadPayload {
-            epoch: r.epoch,
-            detail: e.to_string(),
-        })?;
-        state.apply(r.epoch, &fr)?;
-    }
-    Ok(FleetWalRecovery {
-        state,
-        snapshot_epoch,
-        replayed_records,
-        snapshot_payload_bytes,
-        torn_tail_bytes: rec.torn_tail_bytes,
-    })
+) -> Result<Recovery<FleetState>, JournalError> {
+    recover(durable, &n_pods)
 }
 
 /// Decodes the full coordinator event stream a durable journal
@@ -760,17 +563,7 @@ pub fn recover_fleet_state(
 /// crash soak checks. Torn tail dropped, full history replayed
 /// (the coordinator WAL never compacts).
 pub fn decode_fleet_events(durable: &DurableState) -> Result<Vec<FleetEvent>, JournalError> {
-    let clean = durable.reopen()?;
-    let records = clean.journal.replay()?;
-    let mut out = Vec::with_capacity(records.len());
-    for r in &records {
-        let fr = FleetRecord::decode(&r.payload).map_err(|e| JournalError::BadPayload {
-            epoch: r.epoch,
-            detail: e.to_string(),
-        })?;
-        out.push(fr.event());
-    }
-    Ok(out)
+    Ok(decode_records::<FleetRecord>(durable)?.iter().map(FleetRecord::event).collect())
 }
 
 #[cfg(test)]
@@ -797,33 +590,11 @@ mod tests {
         ]
     }
 
-    /// A membership cycle on pod 1: fence, re-place its job away, have
-    /// the stale copy surface, rejoin.
-    fn fencing_records() -> Vec<FleetRecord> {
-        vec![
-            FleetRecord::Placed { t_s: 0.5, id: 7, pod: 1, epoch: 1 },
-            FleetRecord::Fenced { t_s: 10.0, pod: 1, epoch: 2 },
-            FleetRecord::Replaced { t_s: 14.0, id: 7, from: 1, to: 0, epoch: 1 },
-            FleetRecord::Discarded { t_s: 16.0, id: 7, pod: 1, epoch: 1 },
-            FleetRecord::Rejoined { t_s: 16.0, pod: 1, epoch: 2 },
-        ]
-    }
-
-    #[test]
-    fn records_roundtrip_and_reject_trailing_garbage() {
-        for rec in sample_records().into_iter().chain(fencing_records()) {
-            let mut bytes = rec.encode();
-            assert_eq!(FleetRecord::decode(&bytes).unwrap(), rec);
-            bytes.push(0);
-            assert!(FleetRecord::decode(&bytes).is_err(), "trailing byte must fail: {rec:?}");
-        }
-    }
-
     #[test]
     fn fold_tracks_ownership_detections_and_snapshot_roundtrips() {
-        let mut st = FleetState::new(2);
+        let mut st = FleetState::new(&2);
         for (i, rec) in sample_records().iter().enumerate() {
-            st.apply(i as u64 + 1, rec).unwrap();
+            st.apply(i as u64 + 1, rec, &2).unwrap();
         }
         assert_eq!(st.placed_on[&7], 1, "7 replaced back onto pod 1");
         assert_eq!(st.placed_on[&8], 0);
@@ -832,24 +603,24 @@ mod tests {
         assert_eq!(st.accepted.len(), 1);
         assert_eq!(st.accepted[0].result, vec![1, 2, 3, 4]);
         assert_eq!(st.clock_s, 2.5);
-        let bytes = st.encode();
-        assert_eq!(FleetState::decode(&bytes).unwrap(), st);
+        let bytes = st.to_bytes();
+        assert_eq!(FleetState::from_bytes(&bytes).unwrap(), st);
     }
 
     #[test]
     fn fold_rejects_semantic_garbage() {
-        let mut st = FleetState::new(2);
+        let mut st = FleetState::new(&2);
         assert!(matches!(
-            st.apply(1, &FleetRecord::Placed { t_s: 0.0, id: 1, pod: 9, epoch: 1 }),
+            st.apply(1, &FleetRecord::Placed { t_s: 0.0, id: 1, pod: 9, epoch: 1 }, &2),
             Err(JournalError::BadPayload { .. })
         ));
         assert!(matches!(
-            st.apply(1, &FleetRecord::Stolen { t_s: 0.0, id: 1, from: 0, to: 1, epoch: 1 }),
+            st.apply(1, &FleetRecord::Stolen { t_s: 0.0, id: 1, from: 0, to: 1, epoch: 1 }, &2),
             Err(JournalError::BadPayload { .. })
         ));
-        st.apply(1, &FleetRecord::Quarantined { t_s: 1.0, pod: 0 }).unwrap();
+        st.apply(1, &FleetRecord::Quarantined { t_s: 1.0, pod: 0 }, &2).unwrap();
         assert!(matches!(
-            st.apply(2, &FleetRecord::Quarantined { t_s: 1.0, pod: 0 }),
+            st.apply(2, &FleetRecord::Quarantined { t_s: 1.0, pod: 0 }, &2),
             Err(JournalError::BadPayload { .. })
         ));
         let acc = FleetRecord::Accepted {
@@ -861,30 +632,30 @@ mod tests {
             epoch: 1,
             result: vec![9],
         };
-        st.apply(3, &acc).unwrap();
-        assert!(matches!(st.apply(4, &acc), Err(JournalError::BadPayload { .. })));
+        st.apply(3, &acc, &2).unwrap();
+        assert!(matches!(st.apply(4, &acc, &2), Err(JournalError::BadPayload { .. })));
     }
 
     #[test]
     fn fold_tracks_fencing_epochs_and_rejoin_restamps_owned_jobs() {
-        let mut st = FleetState::new(2);
-        st.apply(1, &FleetRecord::Placed { t_s: 0.5, id: 7, pod: 1, epoch: 1 }).unwrap();
-        st.apply(2, &FleetRecord::Placed { t_s: 0.6, id: 9, pod: 1, epoch: 1 }).unwrap();
-        st.apply(3, &FleetRecord::Fenced { t_s: 10.0, pod: 1, epoch: 2 }).unwrap();
+        let mut st = FleetState::new(&2);
+        st.apply(1, &FleetRecord::Placed { t_s: 0.5, id: 7, pod: 1, epoch: 1 }, &2).unwrap();
+        st.apply(2, &FleetRecord::Placed { t_s: 0.6, id: 9, pod: 1, epoch: 1 }, &2).unwrap();
+        st.apply(3, &FleetRecord::Fenced { t_s: 10.0, pod: 1, epoch: 2 }, &2).unwrap();
         assert_eq!(st.pod_epochs, vec![1, 2]);
         assert_eq!(st.fenced, vec![false, true]);
         // Job 7 is re-placed away while pod 1 is fenced; job 9 stays.
-        st.apply(4, &FleetRecord::Replaced { t_s: 14.0, id: 7, from: 1, to: 0, epoch: 1 })
+        st.apply(4, &FleetRecord::Replaced { t_s: 14.0, id: 7, from: 1, to: 0, epoch: 1 }, &2)
             .unwrap();
         assert_eq!(st.placed_epoch[&7], 1, "stamped with the destination pod's epoch");
         assert_eq!(st.placed_epoch[&9], 1, "still the stale pre-fence stamp");
-        st.apply(5, &FleetRecord::Discarded { t_s: 16.0, id: 7, pod: 1, epoch: 1 }).unwrap();
-        st.apply(6, &FleetRecord::Rejoined { t_s: 16.0, pod: 1, epoch: 2 }).unwrap();
+        st.apply(5, &FleetRecord::Discarded { t_s: 16.0, id: 7, pod: 1, epoch: 1 }, &2).unwrap();
+        st.apply(6, &FleetRecord::Rejoined { t_s: 16.0, pod: 1, epoch: 2 }, &2).unwrap();
         assert_eq!(st.fenced, vec![false, false]);
         assert_eq!(st.placed_epoch[&9], 2, "rejoin re-stamps jobs the pod still owns");
         assert_eq!(st.placed_epoch[&7], 1, "job 7 left pod 1 and keeps its own stamp");
-        let bytes = st.encode();
-        assert_eq!(FleetState::decode(&bytes).unwrap(), st);
+        let bytes = st.to_bytes();
+        assert_eq!(FleetState::from_bytes(&bytes).unwrap(), st);
     }
 
     /// Golden pin of the fenced-steal rejection path: every hand-off
@@ -893,10 +664,10 @@ mod tests {
     /// to a typed error with a stable message prefix.
     #[test]
     fn fold_rejects_fenced_hand_offs_and_stale_epoch_stamps() {
-        let mut st = FleetState::new(2);
-        st.apply(1, &FleetRecord::Placed { t_s: 0.5, id: 7, pod: 1, epoch: 1 }).unwrap();
-        st.apply(2, &FleetRecord::Placed { t_s: 0.5, id: 8, pod: 0, epoch: 1 }).unwrap();
-        st.apply(3, &FleetRecord::Fenced { t_s: 10.0, pod: 1, epoch: 2 }).unwrap();
+        let mut st = FleetState::new(&2);
+        st.apply(1, &FleetRecord::Placed { t_s: 0.5, id: 7, pod: 1, epoch: 1 }, &2).unwrap();
+        st.apply(2, &FleetRecord::Placed { t_s: 0.5, id: 8, pod: 0, epoch: 1 }, &2).unwrap();
+        st.apply(3, &FleetRecord::Fenced { t_s: 10.0, pod: 1, epoch: 2 }, &2).unwrap();
         let cases: Vec<(FleetRecord, &str)> = vec![
             // Steal ONTO the fenced pod: dead on arrival.
             (
@@ -943,7 +714,7 @@ mod tests {
             ),
         ];
         for (rec, want) in cases {
-            match st.clone().apply(4, &rec) {
+            match st.clone().apply(4, &rec, &2) {
                 Err(JournalError::BadPayload { detail, .. }) => {
                     assert!(
                         detail.starts_with(want),
@@ -983,9 +754,9 @@ mod tests {
         // A record-boundary cut recovers the exact prefix fold.
         let cut = wal.durable().truncate_records(4);
         let rec4 = recover_fleet_state(&cut, 2).unwrap();
-        let mut expect = FleetState::new(2);
+        let mut expect = FleetState::new(&2);
         for (i, r) in sample_records().iter().take(4).enumerate() {
-            expect.apply(i as u64 + 1, r).unwrap();
+            expect.apply(i as u64 + 1, r, &2).unwrap();
         }
         assert_eq!(rec4.state, expect);
     }

@@ -35,6 +35,13 @@
 //! records after it. [`DurableState::compact`] drops the journal prefix
 //! a snapshot covers, which is what makes replay *bounded*.
 //!
+//! On top of the byte log sit the two things every journaling layer
+//! would otherwise write for itself: the declare-once payload codec
+//! ([`mod@wire`]: the [`Wire`] trait and the [`wire!`] macro) and the
+//! journaled state machine ([`fold`]: [`Fold`], [`Journaled`],
+//! [`recover`]). A layer brings a record type, a state type and
+//! `apply`.
+//!
 //! Crash injection for the soaks is byte surgery on a cloned
 //! [`DurableState`]: [`DurableState::truncate_records`] cuts at a frame
 //! boundary, [`DurableState::truncate_bytes`] mid-frame (a torn write).
@@ -42,9 +49,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod fold;
 pub mod wire;
 
-pub use wire::{ByteReader, ByteWriter, WireError};
+pub use fold::{decode_records, recover, Fold, Journaled, Recovery};
+pub use wire::{ByteReader, ByteWriter, Wire, WireError};
 
 /// Frame header size: `len (4) ‖ epoch (8) ‖ t_s (8) ‖ crc (4)`.
 pub const FRAME_HEADER_LEN: usize = 24;
@@ -52,7 +61,12 @@ pub const FRAME_HEADER_LEN: usize = 24;
 /// CRC-32 (IEEE, reflected polynomial `0xEDB88320`), bit-serial — the
 /// journal is simulation-scale, so no lookup table is needed.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
+    !crc32_update(0xffff_ffff, data)
+}
+
+/// Folds `data` into a running (un-finalised) CRC register, so a frame
+/// is checksummed as header-then-payload without joining the two.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
         crc ^= u32::from(b);
         for _ in 0..8 {
@@ -60,7 +74,12 @@ pub fn crc32(data: &[u8]) -> u32 {
             crc = (crc >> 1) ^ (0xedb8_8320 & mask);
         }
     }
-    !crc
+    crc
+}
+
+/// The frame CRC: over `epoch ‖ t_s` (the 16 stamp bytes) then `payload`.
+fn frame_crc(stamp: &[u8], payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(0xffff_ffff, stamp), payload)
 }
 
 /// One decoded journal record.
@@ -197,13 +216,68 @@ pub struct Journal {
 
 fn push_frame(bytes: &mut Vec<u8>, epoch: u64, t_s: f64, payload: &[u8]) {
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut body = Vec::with_capacity(16 + payload.len());
-    body.extend_from_slice(&epoch.to_le_bytes());
-    body.extend_from_slice(&t_s.to_bits().to_le_bytes());
-    body.extend_from_slice(payload);
-    bytes.extend_from_slice(&body[..16]);
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+    let stamp_at = bytes.len();
+    bytes.extend_from_slice(&epoch.to_le_bytes());
+    bytes.extend_from_slice(&t_s.to_bits().to_le_bytes());
+    let crc = frame_crc(&bytes[stamp_at..], payload);
+    bytes.extend_from_slice(&crc.to_le_bytes());
     bytes.extend_from_slice(payload);
+}
+
+/// One complete frame of a byte log, borrowed in place.
+struct Frame<'a> {
+    /// Byte offset of the frame's length field.
+    offset: usize,
+    epoch: u64,
+    t_s: f64,
+    /// The CRC the header claims (not yet verified).
+    crc: u32,
+    /// The 16 CRC-covered header bytes, `epoch ‖ t_s`.
+    stamp: &'a [u8],
+    payload: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// Whole-frame length, header included.
+    fn len(&self) -> usize {
+        FRAME_HEADER_LEN + self.payload.len()
+    }
+}
+
+/// The one frame walker: yields the complete frames of a byte log in
+/// order and stops at the first incomplete one (truncated header, or a
+/// declared payload running past the end). Afterwards `off` is the
+/// clean length; anything beyond it is the torn tail.
+struct Frames<'a> {
+    bytes: &'a [u8],
+    off: usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Frame<'a>;
+
+    fn next(&mut self) -> Option<Frame<'a>> {
+        let rest = &self.bytes[self.off..];
+        let header = rest.get(..FRAME_HEADER_LEN)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice")) as usize;
+        let payload = rest.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN.checked_add(len)?)?;
+        let frame = Frame {
+            offset: self.off,
+            epoch: u64::from_le_bytes(header[4..12].try_into().expect("8-byte slice")),
+            t_s: f64::from_bits(u64::from_le_bytes(
+                header[12..20].try_into().expect("8-byte slice"),
+            )),
+            crc: u32::from_le_bytes(header[20..24].try_into().expect("4-byte slice")),
+            stamp: &header[4..20],
+            payload,
+        };
+        self.off += frame.len();
+        Some(frame)
+    }
+}
+
+fn frames(bytes: &[u8]) -> Frames<'_> {
+    Frames { bytes, off: 0 }
 }
 
 /// Result of a tolerant frame scan: complete valid frames plus the
@@ -220,40 +294,18 @@ struct Scan {
 /// whether it is tolerable.
 fn scan_frames(bytes: &[u8], check_crc: bool) -> Result<Scan, JournalError> {
     let mut records = Vec::new();
-    let mut off = 0usize;
-    while off < bytes.len() {
-        let remaining = bytes.len() - off;
-        if remaining < FRAME_HEADER_LEN {
-            return Ok(Scan { records, clean_len: off, torn_tail_bytes: remaining });
+    let mut walk = frames(bytes);
+    for f in walk.by_ref() {
+        if check_crc && frame_crc(f.stamp, f.payload) != f.crc {
+            return Err(JournalError::CrcMismatch {
+                epoch: f.epoch,
+                offset: f.offset,
+                frame_index: records.len(),
+            });
         }
-        let len =
-            u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte slice")) as usize;
-        if remaining < FRAME_HEADER_LEN + len {
-            return Ok(Scan { records, clean_len: off, torn_tail_bytes: remaining });
-        }
-        let epoch =
-            u64::from_le_bytes(bytes[off + 4..off + 12].try_into().expect("8-byte slice"));
-        let t_s = f64::from_bits(u64::from_le_bytes(
-            bytes[off + 12..off + 20].try_into().expect("8-byte slice"),
-        ));
-        let crc = u32::from_le_bytes(bytes[off + 20..off + 24].try_into().expect("4-byte slice"));
-        let payload = &bytes[off + FRAME_HEADER_LEN..off + FRAME_HEADER_LEN + len];
-        if check_crc {
-            let mut body = Vec::with_capacity(16 + len);
-            body.extend_from_slice(&bytes[off + 4..off + 20]);
-            body.extend_from_slice(payload);
-            if crc32(&body) != crc {
-                return Err(JournalError::CrcMismatch {
-                    epoch,
-                    offset: off,
-                    frame_index: records.len(),
-                });
-            }
-        }
-        records.push(Record { epoch, t_s, payload: payload.to_vec() });
-        off += FRAME_HEADER_LEN + len;
+        records.push(Record { epoch: f.epoch, t_s: f.t_s, payload: f.payload.to_vec() });
     }
-    Ok(Scan { records, clean_len: off, torn_tail_bytes: 0 })
+    Ok(Scan { records, clean_len: walk.off, torn_tail_bytes: bytes.len() - walk.off })
 }
 
 /// Checks record epochs are strictly consecutive starting at `first`.
@@ -306,19 +358,7 @@ impl Journal {
     /// Byte spans `(offset, len)` of the retained complete frames, in
     /// order — the menu of record-boundary kill points.
     pub fn frame_spans(&self) -> Vec<(usize, usize)> {
-        let mut spans = Vec::new();
-        let mut off = 0usize;
-        while off + FRAME_HEADER_LEN <= self.bytes.len() {
-            let len = u32::from_le_bytes(
-                self.bytes[off..off + 4].try_into().expect("4-byte slice"),
-            ) as usize;
-            if off + FRAME_HEADER_LEN + len > self.bytes.len() {
-                break;
-            }
-            spans.push((off, FRAME_HEADER_LEN + len));
-            off += FRAME_HEADER_LEN + len;
-        }
-        spans
+        frames(&self.bytes).map(|f| (f.offset, f.len())).collect()
     }
 
     /// Strict full decode: torn tails, CRC mismatches and epoch defects
@@ -445,29 +485,14 @@ impl DurableState {
             next_epoch: self.journal.next_epoch,
             first_epoch: self.journal.first_epoch,
         };
-        let last_epoch = scan_frames(&journal.bytes, false)
-            .ok()
-            .and_then(|s| s.records.last().map(|r| r.epoch))
-            .unwrap_or(journal.first_epoch.saturating_sub(1));
-        let mut snap_bytes = Vec::new();
-        if let Ok(scan) = scan_frames(&self.snap_bytes, false) {
-            let mut kept = 0usize;
-            for r in &scan.records {
-                if r.epoch <= last_epoch {
-                    kept += 1;
-                } else {
-                    break;
-                }
-            }
-            let mut off = 0usize;
-            for _ in 0..kept {
-                let len = u32::from_le_bytes(
-                    self.snap_bytes[off..off + 4].try_into().expect("4-byte slice"),
-                ) as usize;
-                off += FRAME_HEADER_LEN + len;
-            }
-            snap_bytes.extend_from_slice(&self.snap_bytes[..off]);
-        }
+        let last_epoch = frames(&journal.bytes)
+            .last()
+            .map_or(journal.first_epoch.saturating_sub(1), |f| f.epoch);
+        let keep = frames(&self.snap_bytes)
+            .take_while(|f| f.epoch <= last_epoch)
+            .last()
+            .map_or(0, |f| f.offset + f.len());
+        let snap_bytes = self.snap_bytes[..keep].to_vec();
         DurableState { journal, snap_bytes }
     }
 

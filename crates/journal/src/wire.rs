@@ -1,9 +1,15 @@
-//! Minimal little-endian byte codec used by journal payloads.
+//! The declare-once little-endian byte codec of journal payloads.
 //!
 //! The journal itself treats payloads as opaque; the service and fleet
-//! layers encode their records with this writer/reader pair so every
+//! layers give their record and snapshot types a [`Wire`] impl so every
 //! payload has one canonical byte form (byte-comparable snapshots) and
 //! decoding failures surface as typed [`WireError`]s instead of panics.
+//! Primitives, `String`, `Option<T>` and `Vec<T>` are implemented here
+//! once; a tagged enum or a plain struct lists its tags and field order
+//! once through [`wire!`](crate::wire!), which generates both
+//! directions. Only layouts the macro cannot say (a version byte,
+//! parallel vectors under one length) are hand-written `impl Wire`s
+//! over the same primitives.
 
 /// A decode failure: the reader ran past the end of the buffer or met a
 /// malformed length/UTF-8 field.
@@ -166,6 +172,202 @@ impl<'a> ByteReader<'a> {
     pub fn offset(&self) -> usize {
         self.off
     }
+}
+
+/// Capacity a decoder pre-allocates for at most, whatever element count
+/// the (untrusted) bytes declare; a hostile count then fails on the
+/// first short read instead of reserving memory for it.
+const SEQ_CAPACITY_CAP: usize = 4096;
+
+/// A type with one canonical byte form.
+pub trait Wire: Sized {
+    /// Appends the canonical encoding of `self`.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Reads one value, leaving the reader just past it.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError>;
+
+    /// The canonical encoding as a fresh buffer (a journal payload).
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        self.put(&mut w);
+        w.finish()
+    }
+
+    /// Strict decode of a whole buffer: trailing bytes are an error.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut r = ByteReader::new(bytes);
+        let v = Self::get(&mut r)?;
+        if r.is_empty() {
+            Ok(v)
+        } else {
+            Err(WireError { offset: r.offset() })
+        }
+    }
+}
+
+macro_rules! wire_primitive {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut ByteWriter) {
+                w.$t(*self);
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+wire_primitive!(u8, u32, u64, usize, f64, bool);
+
+impl Wire for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.str(self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        r.str()
+    }
+}
+
+/// Presence `bool`, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// Element count as `usize`, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.usize(self.len());
+        put_seq(self, w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let n = r.usize()?;
+        get_seq(r, n)
+    }
+}
+
+/// Appends `items` back to back with no count — for layouts where
+/// several sequences share one length written elsewhere.
+pub fn put_seq<T: Wire>(items: &[T], w: &mut ByteWriter) {
+    for item in items {
+        item.put(w);
+    }
+}
+
+/// Reads `n` values back to back; `n` is untrusted.
+pub fn get_seq<T: Wire>(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<T>, WireError> {
+    let mut items = Vec::with_capacity(n.min(SEQ_CAPACITY_CAP));
+    for _ in 0..n {
+        items.push(T::get(r)?);
+    }
+    Ok(items)
+}
+
+/// Field codec for opaque byte strings (`u32` length, then the bytes)
+/// — `Vec<u8>` as a [`Wire`] sequence would spend a `u64` count. Named
+/// per field in [`wire!`](crate::wire!): `result: Blob`.
+pub struct Blob;
+
+impl Blob {
+    /// Appends the length-prefixed bytes.
+    pub fn put(&self, v: &[u8], w: &mut ByteWriter) {
+        w.bytes(v);
+    }
+
+    /// Reads length-prefixed bytes.
+    pub fn get(&self, r: &mut ByteReader<'_>) -> Result<Vec<u8>, WireError> {
+        Ok(r.bytes()?.to_vec())
+    }
+}
+
+/// Field codec for a closed set of `&'static str` labels: the tag is
+/// the label's index in the table. Tag 255 is reserved for a label this
+/// build does not know — it is written for any string outside the
+/// table (so the append path never fails) and reads back as
+/// `"unknown"`.
+pub struct Labels(pub &'static [&'static str]);
+
+impl Labels {
+    /// Appends the label's one-byte tag.
+    pub fn put(&self, label: &str, w: &mut ByteWriter) {
+        w.u8(self.0.iter().position(|l| *l == label).map_or(255, |i| i as u8));
+    }
+
+    /// Reads a tag back to its label.
+    pub fn get(&self, r: &mut ByteReader<'_>) -> Result<&'static str, WireError> {
+        let offset = r.offset();
+        match r.u8()? {
+            255 => Ok("unknown"),
+            tag => self.0.get(usize::from(tag)).copied().ok_or(WireError { offset }),
+        }
+    }
+}
+
+/// Implements [`Wire`] for a type from one declaration of its layout.
+///
+/// `wire! { enum T { 0 => A, 1 => B { x, y }, 2 => C(inner) } }` writes
+/// the one-byte tag, then the listed fields in the listed order;
+/// `wire! { struct T { x, y } }` writes just the fields. Each field goes
+/// through its own type's [`Wire`] impl unless it names a field codec
+/// (`result: Blob`, `cause: CAUSES`): any expression with
+/// `put(&self, field, w)` / `get(&self, r)`. An unknown tag is a
+/// [`WireError`] at the tag's offset.
+#[macro_export]
+macro_rules! wire {
+    (@put $w:ident $f:ident) => { $crate::wire::Wire::put($f, $w) };
+    (@put $w:ident $f:ident, $codec:expr) => { $codec.put($f, $w) };
+    (@get $r:ident) => { $crate::wire::Wire::get($r)? };
+    (@get $r:ident, $codec:expr) => { $codec.get($r)? };
+    (@get $r:ident for $f:ident) => { $crate::wire::Wire::get($r)? };
+    (enum $ty:ty { $(
+        $tag:literal => $variant:ident
+            $({ $($f:ident $(: $codec:expr)?),* $(,)? })?
+            $(( $($t:ident),* ))?
+    ),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, w: &mut $crate::wire::ByteWriter) {
+                match self {$(
+                    Self::$variant $({ $($f),* })? $(( $($t),* ))? => {
+                        w.u8($tag);
+                        $($( $crate::wire!(@put w $f $(, $codec)?); )*)?
+                        $($( $crate::wire!(@put w $t); )*)?
+                    }
+                )*}
+            }
+            fn get(
+                r: &mut $crate::wire::ByteReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                let offset = r.offset();
+                Ok(match r.u8()? {
+                    $($tag => Self::$variant
+                        $({ $($f: $crate::wire!(@get r $(, $codec)?)),* })?
+                        $(( $($crate::wire!(@get r for $t)),* ))?,)*
+                    _ => return Err($crate::wire::WireError { offset }),
+                })
+            }
+        }
+    };
+    (struct $ty:ty { $($f:ident $(: $codec:expr)?),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, w: &mut $crate::wire::ByteWriter) {
+                let Self { $($f),* } = self;
+                $( $crate::wire!(@put w $f $(, $codec)?); )*
+            }
+            fn get(
+                r: &mut $crate::wire::ByteReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self { $($f: $crate::wire!(@get r $(, $codec)?)),* })
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -61,5 +61,5 @@ pub use service::{
 pub use soak::{run_soak, shrink, Sabotage, SoakOptions, SoakOutcome, SoakSpec, Violation};
 pub use wal::{
     decode_events, recover_state, AdmissionOutcome, BreakerRestore, CompletedEntry, JobEntry,
-    JobPhase, RecoveryInfo, ServiceRecord, ServiceState, ServiceWal, TenantCounters, WalRecovery,
+    JobPhase, RecoveryInfo, ServiceRecord, ServiceShape, ServiceState, ServiceWal, TenantCounters,
 };

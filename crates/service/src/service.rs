@@ -24,7 +24,8 @@ use crate::job::{JobClass, JobSpec, ShedReason};
 use crate::pool::DevicePool;
 use crate::report::{ServiceReport, TenantStats};
 use crate::wal::{
-    self, AdmissionOutcome, JobPhase, RecoveryInfo, ServiceRecord, ServiceState, ServiceWal,
+    self, AdmissionOutcome, JobPhase, RecoveryInfo, ServiceRecord, ServiceShape, ServiceState,
+    ServiceWal,
 };
 
 /// Configuration of the service front-end.
@@ -79,6 +80,18 @@ impl Default for ServiceConfig {
             straggler_sla: Some(3.0),
             snapshot_every: 0,
             validate_inputs: true,
+        }
+    }
+}
+
+impl ServiceConfig {
+    /// What the journal fold needs of this configuration: the table
+    /// sizes a snapshot must match and the breaker pricing.
+    pub fn shape(&self) -> ServiceShape {
+        ServiceShape {
+            n_tenants: self.tenants.len(),
+            n_devices: self.n_devices,
+            breaker: self.breaker,
         }
     }
 }
@@ -270,19 +283,6 @@ impl PartialOrd for Pending {
     }
 }
 
-/// Per-tenant accumulation while the run executes.
-#[derive(Clone, Debug, Default)]
-struct TenantAccum {
-    arrivals: u64,
-    admitted: u64,
-    rejected: u64,
-    completed: u64,
-    failed: u64,
-    shed: u64,
-    deadline_missed: u64,
-    sojourns_s: Vec<f64>,
-}
-
 /// The multi-tenant prover front-end.
 pub struct ProverService<C: Curve> {
     config: ServiceConfig,
@@ -294,7 +294,6 @@ pub struct ProverService<C: Curve> {
     clock_s: f64,
     events: Vec<ServiceEvent>,
     completed: Vec<CompletedJob<C>>,
-    accum: Vec<TenantAccum>,
     /// Round-robin placement cursor: the device id the next dispatch
     /// starts filling from, so traffic spreads across the pool instead
     /// of pinning the lowest ids.
@@ -335,19 +334,13 @@ impl<C: Curve> ProverService<C> {
         assert!(config.max_attempts > 0, "jobs need at least one attempt");
         let pool = DevicePool::new(config.n_devices, config.breaker);
         let queues = config.tenants.iter().map(|_| VecDeque::new()).collect();
-        let accum = config.tenants.iter().map(|_| TenantAccum::default()).collect();
         let k = config.gpus_per_job.min(config.n_devices);
         let admission_engine = DistMsm::with_config(
             MultiGpuSystem::dgx_a100(k),
             Self::engine_config(&config, distmsm_gpu_sim::FaultPlan::none())
                 .expect("service engine config is valid"),
         );
-        let wal = ServiceWal::new(
-            config.tenants.len(),
-            config.n_devices,
-            config.breaker,
-            config.snapshot_every,
-        );
+        let wal = ServiceWal::new(config.shape(), config.snapshot_every);
         Self {
             config,
             pool,
@@ -358,7 +351,6 @@ impl<C: Curve> ProverService<C> {
             clock_s: 0.0,
             events: Vec::new(),
             completed: Vec::new(),
-            accum,
             rr_cursor: 0,
             curve: CurveDesc::of::<C>(),
             admission_engine,
@@ -426,12 +418,8 @@ impl<C: Curve> ProverService<C> {
         jobs: &[JobSpec<C>],
         durable: &DurableState,
     ) -> Result<(Self, RecoveryInfo), JournalError> {
-        let rec = wal::recover_state(
-            durable,
-            config.tenants.len(),
-            config.n_devices,
-            &config.breaker,
-        )?;
+        let shape = config.shape();
+        let rec = wal::recover_state(durable, &shape)?;
         let snapshot_every = config.snapshot_every;
         let breaker_cfg = config.breaker;
         let mut svc = Self::new(config);
@@ -445,16 +433,6 @@ impl<C: Curve> ProverService<C> {
                 .map(|b| CircuitBreaker::restore(b.state, b.open_spells, b.open_until_s))
                 .collect(),
         );
-        for (a, t) in svc.accum.iter_mut().zip(&state.tenants) {
-            a.arrivals = t.arrivals;
-            a.admitted = t.admitted;
-            a.rejected = t.rejected;
-            a.completed = t.completed;
-            a.failed = t.failed;
-            a.shed = t.shed;
-            a.deadline_missed = t.deadline_missed;
-            a.sojourns_s = t.sojourns_s.clone();
-        }
         for e in &state.completed {
             let affine = distmsm_ec::serialize::point_from_uncompressed::<C>(&e.result)
                 .ok_or_else(|| JournalError::BadPayload {
@@ -471,12 +449,7 @@ impl<C: Curve> ProverService<C> {
         }
 
         // Continue the journal from the reopened (torn-tail-free) log.
-        svc.wal = ServiceWal::resume(
-            durable.reopen()?,
-            state.clone(),
-            breaker_cfg,
-            snapshot_every,
-        );
+        svc.wal = ServiceWal::resume(durable.reopen()?, state.clone(), shape, snapshot_every);
 
         let spec_by_id: BTreeMap<u64, &JobSpec<C>> = jobs.iter().map(|j| (j.id, j)).collect();
         let live_spec = |id: u64| {
@@ -897,7 +870,6 @@ impl<C: Curve> ProverService<C> {
 
     fn on_arrival(&mut self, spec: JobSpec<C>) {
         let tenant = spec.tenant;
-        self.accum[tenant].arrivals += 1;
         self.emit(Some(spec.id), Some(tenant), ServiceEventKind::Arrival { class: spec.class });
 
         let pressure = self.pressure();
@@ -926,7 +898,6 @@ impl<C: Curve> ProverService<C> {
         };
 
         if let Some(error) = error {
-            self.accum[tenant].rejected += 1;
             self.instant(
                 &format!("reject:{}", error.label()),
                 vec![("job".into(), spec.id.to_string()), ("tenant".into(), tcfg.name.clone())],
@@ -947,7 +918,6 @@ impl<C: Curve> ProverService<C> {
             return;
         }
 
-        self.accum[tenant].admitted += 1;
         let bound = self.config.shed.class_bound(spec.class);
         let expire_s = self.clock_s + bound;
         let id = spec.id;
@@ -1150,11 +1120,6 @@ impl<C: Curve> ProverService<C> {
                 self.record_transitions(transitions);
                 let sojourn_s = self.clock_s - fl.spec.arrival_s;
                 let deadline_met = fl.spec.deadline_s.is_none_or(|d| self.clock_s <= d);
-                self.accum[tenant].completed += 1;
-                if !deadline_met {
-                    self.accum[tenant].deadline_missed += 1;
-                }
-                self.accum[tenant].sojourns_s.push(sojourn_s);
                 let event = ServiceEvent {
                     t_s: self.clock_s,
                     job: Some(id),
@@ -1222,7 +1187,6 @@ impl<C: Curve> ProverService<C> {
                     });
                     self.push_pending(expire_s, PendingKind::Expire(id));
                 } else {
-                    self.accum[tenant].failed += 1;
                     self.instant(
                         "job:failed",
                         vec![("job".into(), id.to_string()), ("error".into(), error.to_string())],
@@ -1251,7 +1215,6 @@ impl<C: Curve> ProverService<C> {
                 } else {
                     ShedReason::Starvation
                 };
-                self.accum[tenant].shed += 1;
                 self.instant(
                     &format!("shed:{}", reason.label()),
                     vec![("job".into(), id.to_string())],
@@ -1262,14 +1225,17 @@ impl<C: Curve> ProverService<C> {
         }
     }
 
-    fn build_report(&mut self) -> ServiceReport {
+    /// The per-tenant figures are read off the WAL's shadow fold: the
+    /// journal already counts every arrival, outcome and sojourn (and
+    /// carries them across a restore), so the report is a view over it.
+    fn build_report(&self) -> ServiceReport {
         let tenants = self
             .config
             .tenants
             .iter()
-            .zip(&mut self.accum)
+            .zip(&self.wal.state().tenants)
             .map(|(cfg, a)| {
-                let mut sojourns = std::mem::take(&mut a.sojourns_s);
+                let mut sojourns = a.sojourns_s.clone();
                 sojourns.sort_by(f64::total_cmp);
                 TenantStats {
                     name: cfg.name.clone(),
@@ -1314,6 +1280,34 @@ mod tests {
             deadline_s: None,
             instance: MsmInstance::random(24, &mut rng),
         }
+    }
+
+    /// The report's per-tenant figures are a view over the WAL's shadow
+    /// fold (the service keeps no counters of its own beside it): they
+    /// equal the fold's counters field for field, and building the
+    /// report again does not drain them.
+    #[test]
+    fn report_is_a_view_over_the_journal_fold() {
+        let config = ServiceConfig { n_devices: 4, gpus_per_job: 2, ..ServiceConfig::default() };
+        let jobs: Vec<_> = (0..6)
+            .map(|i| job(i, i as usize % 2, JobClass::Interactive, 0.001 * i as f64))
+            .collect();
+        let mut service = ProverService::new(config);
+        let out = service.run(jobs, &ChaosSchedule::none());
+        assert_eq!(out.report.completed(), 6);
+        for (stats, folded) in out.report.tenants.iter().zip(&service.wal_state().tenants) {
+            assert_eq!(
+                (stats.arrivals, stats.admitted, stats.rejected, stats.completed),
+                (folded.arrivals, folded.admitted, folded.rejected, folded.completed)
+            );
+            assert_eq!(
+                (stats.failed, stats.shed, stats.deadline_missed),
+                (folded.failed, folded.shed, folded.deadline_missed)
+            );
+            assert_eq!(folded.sojourns_s.len(), 3);
+            assert!(stats.sojourn_p50_s > 0.0);
+        }
+        assert_eq!(service.finish().report, out.report);
     }
 
     /// When every device in the pool fail-stops forever, the service
@@ -1454,13 +1448,8 @@ mod tests {
 
         // The tombstone is durable: recovery marks the job stolen-away,
         // never re-queues it.
-        let rec = crate::wal::recover_state(
-            service.durable(),
-            2,
-            2,
-            &BreakerConfig::default(),
-        )
-        .expect("clean recovery");
+        let rec = crate::wal::recover_state(service.durable(), &service.config.shape())
+            .expect("clean recovery");
         assert!(matches!(rec.state.jobs[&1].phase, JobPhase::StolenAway { .. }));
     }
 }

@@ -18,9 +18,10 @@
 //!   record. No record boundary can therefore separate a decision from
 //!   its effect — a torn write loses the *whole* decision, never half
 //!   of it.
-//! * **A shadow fold.** [`ServiceWal`] maintains a [`ServiceState`] by
-//!   folding every appended record through [`ServiceState::apply`] —
-//!   the same function recovery uses. A snapshot is just the encoded
+//! * **A shadow fold.** The live [`ServiceWal`] (a
+//!   [`distmsm_journal::Journaled`]) maintains a [`ServiceState`] by
+//!   folding every appended record through its [`Fold::apply`] — the
+//!   same function recovery uses. A snapshot is just the encoded
 //!   shadow state, so *snapshot ≡ replay* holds by construction (the
 //!   `CKPT-001` analyzer rule grounds this equivalence on real logs).
 //! * **Replay-only counters.** Everything the fold tracks (job phases,
@@ -37,10 +38,14 @@
 
 use std::collections::BTreeMap;
 
-use distmsm_journal::{ByteReader, ByteWriter, DurableState, JournalError, WireError};
+use distmsm_journal::wire::{Blob, ByteReader, ByteWriter, Labels};
+use distmsm_journal::{
+    decode_records, recover, wire, DurableState, Fold, JournalError, Journaled, Recovery, Wire,
+    WireError,
+};
 
 use crate::admission::AdmissionError;
-use crate::breaker::{BreakerConfig, BreakerState};
+use crate::breaker::{BreakerConfig, BreakerState, PoolTransition};
 use crate::job::{JobClass, ShedReason};
 use crate::service::{ServiceEvent, ServiceEventKind};
 
@@ -52,229 +57,60 @@ pub const REPLAY_RECORD_S: f64 = 2e-4;
 pub const SNAPSHOT_BYTE_S: f64 = 1e-8;
 
 // ---------------------------------------------------------------------
-// small tag codecs
+// the wire format: every tag and field order, declared once
 // ---------------------------------------------------------------------
 
-fn class_tag(c: JobClass) -> u8 {
-    match c {
-        JobClass::Interactive => 0,
-        JobClass::Batch => 1,
-    }
-}
+/// The breaker's four `&'static str` transition causes, by wire tag.
+const CAUSES: Labels =
+    Labels(&["fault-threshold", "probation-elapsed", "probe-success", "probe-fault"]);
 
-fn class_from(tag: u8, off: usize) -> Result<JobClass, WireError> {
-    match tag {
-        0 => Ok(JobClass::Interactive),
-        1 => Ok(JobClass::Batch),
-        _ => Err(WireError { offset: off }),
-    }
-}
-
-fn reason_tag(r: ShedReason) -> u8 {
-    match r {
-        ShedReason::Starvation => 0,
-        ShedReason::PoolQuarantined => 1,
-    }
-}
-
-fn reason_from(tag: u8, off: usize) -> Result<ShedReason, WireError> {
-    match tag {
-        0 => Ok(ShedReason::Starvation),
-        1 => Ok(ShedReason::PoolQuarantined),
-        _ => Err(WireError { offset: off }),
-    }
-}
-
-fn state_tag(s: BreakerState) -> u8 {
-    match s {
-        BreakerState::Closed => 0,
-        BreakerState::Open => 1,
-        BreakerState::HalfOpen => 2,
-    }
-}
-
-fn state_from(tag: u8, off: usize) -> Result<BreakerState, WireError> {
-    match tag {
-        0 => Ok(BreakerState::Closed),
-        1 => Ok(BreakerState::Open),
-        2 => Ok(BreakerState::HalfOpen),
-        _ => Err(WireError { offset: off }),
-    }
-}
-
-/// The breaker's four `&'static str` transition causes, as wire tags.
-/// An unknown cause (future code) maps to the reserved tag rather than
-/// failing the append path.
-fn cause_tag(cause: &str) -> u8 {
-    match cause {
-        "fault-threshold" => 0,
-        "probation-elapsed" => 1,
-        "probe-success" => 2,
-        "probe-fault" => 3,
-        _ => 255,
-    }
-}
-
-fn cause_from(tag: u8, off: usize) -> Result<&'static str, WireError> {
-    match tag {
-        0 => Ok("fault-threshold"),
-        1 => Ok("probation-elapsed"),
-        2 => Ok("probe-success"),
-        3 => Ok("probe-fault"),
-        255 => Ok("unknown"),
-        _ => Err(WireError { offset: off }),
-    }
-}
-
-fn encode_admission_error(w: &mut ByteWriter, e: &AdmissionError) {
-    match e {
-        AdmissionError::QueueFull { tenant, capacity } => {
-            w.u8(0).str(tenant).usize(*capacity);
-        }
-        AdmissionError::Shedding { tenant, pressure } => {
-            w.u8(1).str(tenant).f64(*pressure);
-        }
-        AdmissionError::DeadlineInfeasible { needed_s, available_s } => {
-            w.u8(2).f64(*needed_s).f64(*available_s);
-        }
-        AdmissionError::MalformedInput { detail } => {
-            w.u8(3).str(detail);
-        }
-        AdmissionError::PodPartitioned { since_s } => {
-            w.u8(4).f64(*since_s);
-        }
-    }
-}
-
-fn decode_admission_error(r: &mut ByteReader<'_>) -> Result<AdmissionError, WireError> {
-    let off = r.offset();
-    match r.u8()? {
-        0 => Ok(AdmissionError::QueueFull { tenant: r.str()?, capacity: r.usize()? }),
-        1 => Ok(AdmissionError::Shedding { tenant: r.str()?, pressure: r.f64()? }),
-        2 => Ok(AdmissionError::DeadlineInfeasible { needed_s: r.f64()?, available_s: r.f64()? }),
-        3 => Ok(AdmissionError::MalformedInput { detail: r.str()? }),
-        4 => Ok(AdmissionError::PodPartitioned { since_s: r.f64()? }),
-        _ => Err(WireError { offset: off }),
-    }
-}
-
-fn encode_option_u64(w: &mut ByteWriter, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            w.bool(true).u64(x);
-        }
-        None => {
-            w.bool(false);
-        }
-    }
-}
-
-fn decode_option_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, WireError> {
-    Ok(if r.bool()? { Some(r.u64()?) } else { None })
-}
-
-fn encode_event(w: &mut ByteWriter, ev: &ServiceEvent) {
-    w.f64(ev.t_s);
-    encode_option_u64(w, ev.job);
-    encode_option_u64(w, ev.tenant.map(|t| t as u64));
-    match &ev.kind {
-        ServiceEventKind::Arrival { class } => {
-            w.u8(0).u8(class_tag(*class));
-        }
-        ServiceEventKind::Admitted { queue_len } => {
-            w.u8(1).usize(*queue_len);
-        }
-        ServiceEventKind::Rejected { error } => {
-            w.u8(2);
-            encode_admission_error(w, error);
-        }
-        ServiceEventKind::Dispatched { devices, attempt, degraded } => {
-            w.u8(3).usize(devices.len());
-            for d in devices {
-                w.usize(*d);
-            }
-            w.u32(*attempt).bool(*degraded);
-        }
-        ServiceEventKind::Requeued { attempt } => {
-            w.u8(4).u32(*attempt);
-        }
-        ServiceEventKind::Completed { deadline_met, sojourn_s, attempts } => {
-            w.u8(5).bool(*deadline_met).f64(*sojourn_s).u32(*attempts);
-        }
-        ServiceEventKind::Failed { error } => {
-            w.u8(6).str(error);
-        }
-        ServiceEventKind::Shed { reason } => {
-            w.u8(7).u8(reason_tag(*reason));
-        }
-        ServiceEventKind::Breaker { transition } => {
-            w.u8(8)
-                .usize(transition.device)
-                .f64(transition.t_s)
-                .u8(state_tag(transition.from))
-                .u8(state_tag(transition.to))
-                .u8(cause_tag(transition.cause));
-        }
-        ServiceEventKind::Recovered { snapshot_epoch, replayed, requeued, rearrived } => {
-            w.u8(9).u64(*snapshot_epoch).u64(*replayed).u64(*requeued).u64(*rearrived);
-        }
-    }
-}
-
-fn decode_event(r: &mut ByteReader<'_>) -> Result<ServiceEvent, WireError> {
-    let t_s = r.f64()?;
-    let job = decode_option_u64(r)?;
-    let tenant = decode_option_u64(r)?.map(|t| t as usize);
-    let off = r.offset();
-    let kind = match r.u8()? {
-        0 => {
-            let off = r.offset();
-            ServiceEventKind::Arrival { class: class_from(r.u8()?, off)? }
-        }
-        1 => ServiceEventKind::Admitted { queue_len: r.usize()? },
-        2 => ServiceEventKind::Rejected { error: decode_admission_error(r)? },
-        3 => {
-            let n = r.usize()?;
-            let mut devices = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                devices.push(r.usize()?);
-            }
-            ServiceEventKind::Dispatched { devices, attempt: r.u32()?, degraded: r.bool()? }
-        }
-        4 => ServiceEventKind::Requeued { attempt: r.u32()? },
-        5 => ServiceEventKind::Completed {
-            deadline_met: r.bool()?,
-            sojourn_s: r.f64()?,
-            attempts: r.u32()?,
-        },
-        6 => ServiceEventKind::Failed { error: r.str()? },
-        7 => {
-            let off = r.offset();
-            ServiceEventKind::Shed { reason: reason_from(r.u8()?, off)? }
-        }
-        8 => {
-            let device = r.usize()?;
-            let t_s = r.f64()?;
-            let off_from = r.offset();
-            let from = state_from(r.u8()?, off_from)?;
-            let off_to = r.offset();
-            let to = state_from(r.u8()?, off_to)?;
-            let off_cause = r.offset();
-            let cause = cause_from(r.u8()?, off_cause)?;
-            ServiceEventKind::Breaker {
-                transition: crate::breaker::PoolTransition { device, t_s, from, to, cause },
-            }
-        }
-        9 => ServiceEventKind::Recovered {
-            snapshot_epoch: r.u64()?,
-            replayed: r.u64()?,
-            requeued: r.u64()?,
-            rearrived: r.u64()?,
-        },
-        _ => return Err(WireError { offset: off }),
-    };
-    Ok(ServiceEvent { t_s, job, tenant, kind })
-}
+wire! { enum JobClass { 0 => Interactive, 1 => Batch } }
+wire! { enum ShedReason { 0 => Starvation, 1 => PoolQuarantined } }
+wire! { enum BreakerState { 0 => Closed, 1 => Open, 2 => HalfOpen } }
+wire! { enum AdmissionError {
+    0 => QueueFull { tenant, capacity },
+    1 => Shedding { tenant, pressure },
+    2 => DeadlineInfeasible { needed_s, available_s },
+    3 => MalformedInput { detail },
+    4 => PodPartitioned { since_s },
+} }
+wire! { struct PoolTransition { device, t_s, from, to, cause: CAUSES } }
+wire! { enum ServiceEventKind {
+    0 => Arrival { class },
+    1 => Admitted { queue_len },
+    2 => Rejected { error },
+    3 => Dispatched { devices, attempt, degraded },
+    4 => Requeued { attempt },
+    5 => Completed { deadline_met, sojourn_s, attempts },
+    6 => Failed { error },
+    7 => Shed { reason },
+    8 => Breaker { transition },
+    9 => Recovered { snapshot_epoch, replayed, requeued, rearrived },
+} }
+wire! { struct ServiceEvent { t_s, job, tenant, kind } }
+wire! { enum AdmissionOutcome { 0 => Admitted { queue_len }, 1 => Rejected { error } } }
+wire! { enum ServiceRecord {
+    0 => Admission { t_s, id, tenant, class, outcome },
+    1 => Event(event),
+    2 => Completed { event, result: Blob, used_readmitted },
+    3 => Absorbed { t_s, id, tenant, attempt },
+    4 => StolenOut { t_s, id, attempt },
+} }
+wire! { enum JobPhase {
+    0 => Queued { attempt, since_s },
+    1 => InFlight { attempt },
+    2 => Done,
+    3 => Rejected,
+    4 => Failed,
+    5 => Shed,
+    6 => StolenAway { attempt },
+} }
+wire! { struct JobEntry { tenant, phase } }
+wire! { struct TenantCounters {
+    arrivals, admitted, rejected, completed, failed, shed, deadline_missed, sojourns_s,
+} }
+wire! { struct BreakerRestore { state, open_spells, open_until_s } }
+wire! { struct CompletedEntry { id, tenant, attempts, used_readmitted, result: Blob } }
 
 // ---------------------------------------------------------------------
 // records
@@ -356,82 +192,6 @@ pub enum ServiceRecord {
 }
 
 impl ServiceRecord {
-    /// Canonical byte encoding (the journal frame payload).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self {
-            Self::Admission { t_s, id, tenant, class, outcome } => {
-                w.u8(0).f64(*t_s).u64(*id).usize(*tenant).u8(class_tag(*class));
-                match outcome {
-                    AdmissionOutcome::Admitted { queue_len } => {
-                        w.u8(0).usize(*queue_len);
-                    }
-                    AdmissionOutcome::Rejected { error } => {
-                        w.u8(1);
-                        encode_admission_error(&mut w, error);
-                    }
-                }
-            }
-            Self::Event(ev) => {
-                w.u8(1);
-                encode_event(&mut w, ev);
-            }
-            Self::Completed { event, result, used_readmitted } => {
-                w.u8(2);
-                encode_event(&mut w, event);
-                w.bytes(result).bool(*used_readmitted);
-            }
-            Self::Absorbed { t_s, id, tenant, attempt } => {
-                w.u8(3).f64(*t_s).u64(*id).usize(*tenant).u32(*attempt);
-            }
-            Self::StolenOut { t_s, id, attempt } => {
-                w.u8(4).f64(*t_s).u64(*id).u32(*attempt);
-            }
-        }
-        w.finish()
-    }
-
-    /// Strict decode of a journal payload; trailing bytes are rejected.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(payload);
-        let off = r.offset();
-        let rec = match r.u8()? {
-            0 => {
-                let t_s = r.f64()?;
-                let id = r.u64()?;
-                let tenant = r.usize()?;
-                let off_c = r.offset();
-                let class = class_from(r.u8()?, off_c)?;
-                let off_o = r.offset();
-                let outcome = match r.u8()? {
-                    0 => AdmissionOutcome::Admitted { queue_len: r.usize()? },
-                    1 => AdmissionOutcome::Rejected { error: decode_admission_error(&mut r)? },
-                    _ => return Err(WireError { offset: off_o }),
-                };
-                Self::Admission { t_s, id, tenant, class, outcome }
-            }
-            1 => Self::Event(decode_event(&mut r)?),
-            2 => {
-                let event = decode_event(&mut r)?;
-                let result = r.bytes()?.to_vec();
-                let used_readmitted = r.bool()?;
-                Self::Completed { event, result, used_readmitted }
-            }
-            3 => Self::Absorbed {
-                t_s: r.f64()?,
-                id: r.u64()?,
-                tenant: r.usize()?,
-                attempt: r.u32()?,
-            },
-            4 => Self::StolenOut { t_s: r.f64()?, id: r.u64()?, attempt: r.u32()? },
-            _ => return Err(WireError { offset: off }),
-        };
-        if !r.is_empty() {
-            return Err(WireError { offset: r.offset() });
-        }
-        Ok(rec)
-    }
-
     /// The service events this record reconstructs — the bridge from a
     /// recovered journal prefix back to the replayable event stream the
     /// soak invariants are checked over.
@@ -513,8 +273,8 @@ pub struct JobEntry {
     pub phase: JobPhase,
 }
 
-/// Per-tenant counters, mirroring the service's internal accumulator so
-/// a restored service reports continuous statistics.
+/// Per-tenant counters — the figures the service report is built from,
+/// so a restored service reports continuous statistics.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantCounters {
     /// Jobs that reached the door.
@@ -574,7 +334,7 @@ pub struct CompletedEntry {
 /// pod needs that is not re-derivable from its static inputs.
 ///
 /// `ServiceState` is both the recovery target *and* the shadow state
-/// the live [`ServiceWal`] maintains — snapshots are its canonical
+/// the live [`ServiceWal`] maintains — snapshots are its [`Wire`]
 /// encoding, so snapshot-and-replay agree by construction.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceState {
@@ -593,18 +353,6 @@ pub struct ServiceState {
 }
 
 impl ServiceState {
-    /// The initial (pre-history) state for a pod shape.
-    pub fn new(n_tenants: usize, n_devices: usize) -> Self {
-        Self {
-            clock_s: 0.0,
-            last_epoch: 0,
-            jobs: BTreeMap::new(),
-            tenants: vec![TenantCounters::default(); n_tenants],
-            breakers: vec![BreakerRestore::default(); n_devices],
-            completed: Vec::new(),
-        }
-    }
-
     fn bad(epoch: u64, detail: String) -> JournalError {
         JournalError::BadPayload { epoch, detail }
     }
@@ -625,16 +373,46 @@ impl ServiceState {
             .get_mut(&id)
             .ok_or_else(|| Self::bad(epoch, format!("record names unknown job {id}")))
     }
+}
+
+impl Fold for ServiceState {
+    type Record = ServiceRecord;
+    type Ctx = ServiceShape;
+
+    fn new(shape: &ServiceShape) -> Self {
+        Self {
+            clock_s: 0.0,
+            last_epoch: 0,
+            jobs: BTreeMap::new(),
+            tenants: vec![TenantCounters::default(); shape.n_tenants],
+            breakers: vec![BreakerRestore::default(); shape.n_devices],
+            completed: Vec::new(),
+        }
+    }
+
+    fn fits(&self, shape: &ServiceShape) -> Result<(), String> {
+        if self.tenants.len() == shape.n_tenants && self.breakers.len() == shape.n_devices {
+            return Ok(());
+        }
+        Err(format!(
+            "snapshot shape ({} tenants, {} devices) does not match the config \
+             ({} tenants, {} devices)",
+            self.tenants.len(),
+            self.breakers.len(),
+            shape.n_tenants,
+            shape.n_devices
+        ))
+    }
 
     /// Folds one record into the state. Errors are typed, never panics:
     /// a semantically impossible record (unknown job, out-of-range
     /// tenant or device, an event kind that must ride an atomic record)
     /// is a [`JournalError::BadPayload`].
-    pub fn apply(
+    fn apply(
         &mut self,
         epoch: u64,
         rec: &ServiceRecord,
-        breaker: &BreakerConfig,
+        shape: &ServiceShape,
     ) -> Result<(), JournalError> {
         match rec {
             ServiceRecord::Admission { t_s, id, tenant, class: _, outcome } => {
@@ -702,7 +480,7 @@ impl ServiceState {
                             // is priced off the spell count *before*
                             // this trip increments it.
                             b.open_until_s =
-                                transition.t_s + breaker.probation_for(b.open_spells);
+                                transition.t_s + shape.breaker.probation_for(b.open_spells);
                             b.open_spells += 1;
                         }
                         b.state = transition.to;
@@ -773,227 +551,74 @@ impl ServiceState {
         self.last_epoch = epoch;
         Ok(())
     }
+}
 
-    /// Canonical byte encoding — the snapshot payload. Deterministic:
-    /// equal states encode to equal bytes (`CKPT-001` compares these).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+/// The snapshot payload, hand-laid-out for its leading version byte.
+/// Deterministic and canonical: equal states encode to equal bytes
+/// (`CKPT-001` compares these) and no other bytes decode to them — the
+/// job table must arrive in strictly ascending id order.
+impl Wire for ServiceState {
+    fn put(&self, w: &mut ByteWriter) {
         w.u8(1); // version
-        w.f64(self.clock_s).u64(self.last_epoch);
-        w.usize(self.jobs.len());
-        for (id, e) in &self.jobs {
-            w.u64(*id).usize(e.tenant);
-            match e.phase {
-                JobPhase::Queued { attempt, since_s } => {
-                    w.u8(0).u32(attempt).f64(since_s);
-                }
-                JobPhase::InFlight { attempt } => {
-                    w.u8(1).u32(attempt);
-                }
-                JobPhase::Done => {
-                    w.u8(2);
-                }
-                JobPhase::Rejected => {
-                    w.u8(3);
-                }
-                JobPhase::Failed => {
-                    w.u8(4);
-                }
-                JobPhase::Shed => {
-                    w.u8(5);
-                }
-                JobPhase::StolenAway { attempt } => {
-                    w.u8(6).u32(attempt);
-                }
-            }
+        w.f64(self.clock_s).u64(self.last_epoch).usize(self.jobs.len());
+        for (id, entry) in &self.jobs {
+            w.u64(*id);
+            entry.put(w);
         }
-        w.usize(self.tenants.len());
-        for t in &self.tenants {
-            w.u64(t.arrivals)
-                .u64(t.admitted)
-                .u64(t.rejected)
-                .u64(t.completed)
-                .u64(t.failed)
-                .u64(t.shed)
-                .u64(t.deadline_missed)
-                .usize(t.sojourns_s.len());
-            for s in &t.sojourns_s {
-                w.f64(*s);
-            }
-        }
-        w.usize(self.breakers.len());
-        for b in &self.breakers {
-            w.u8(state_tag(b.state)).u32(b.open_spells).f64(b.open_until_s);
-        }
-        w.usize(self.completed.len());
-        for c in &self.completed {
-            w.u64(c.id).usize(c.tenant).u32(c.attempts).bool(c.used_readmitted).bytes(&c.result);
-        }
-        w.finish()
+        self.tenants.put(w);
+        self.breakers.put(w);
+        self.completed.put(w);
     }
 
-    /// Strict decode of a snapshot payload.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(bytes);
-        let off = r.offset();
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let offset = r.offset();
         if r.u8()? != 1 {
-            return Err(WireError { offset: off });
+            return Err(WireError { offset });
         }
         let clock_s = r.f64()?;
         let last_epoch = r.u64()?;
-        let n_jobs = r.usize()?;
         let mut jobs = BTreeMap::new();
-        for _ in 0..n_jobs {
+        for _ in 0..r.usize()? {
+            let offset = r.offset();
             let id = r.u64()?;
-            let tenant = r.usize()?;
-            let off = r.offset();
-            let phase = match r.u8()? {
-                0 => JobPhase::Queued { attempt: r.u32()?, since_s: r.f64()? },
-                1 => JobPhase::InFlight { attempt: r.u32()? },
-                2 => JobPhase::Done,
-                3 => JobPhase::Rejected,
-                4 => JobPhase::Failed,
-                5 => JobPhase::Shed,
-                6 => JobPhase::StolenAway { attempt: r.u32()? },
-                _ => return Err(WireError { offset: off }),
-            };
-            jobs.insert(id, JobEntry { tenant, phase });
-        }
-        let n_tenants = r.usize()?;
-        let mut tenants = Vec::with_capacity(n_tenants.min(1024));
-        for _ in 0..n_tenants {
-            let mut t = TenantCounters {
-                arrivals: r.u64()?,
-                admitted: r.u64()?,
-                rejected: r.u64()?,
-                completed: r.u64()?,
-                failed: r.u64()?,
-                shed: r.u64()?,
-                deadline_missed: r.u64()?,
-                sojourns_s: Vec::new(),
-            };
-            let n = r.usize()?;
-            for _ in 0..n {
-                t.sojourns_s.push(r.f64()?);
+            if jobs.last_key_value().is_some_and(|(&last, _)| id <= last) {
+                return Err(WireError { offset });
             }
-            tenants.push(t);
+            jobs.insert(id, JobEntry::get(r)?);
         }
-        let n_breakers = r.usize()?;
-        let mut breakers = Vec::with_capacity(n_breakers.min(4096));
-        for _ in 0..n_breakers {
-            let off = r.offset();
-            breakers.push(BreakerRestore {
-                state: state_from(r.u8()?, off)?,
-                open_spells: r.u32()?,
-                open_until_s: r.f64()?,
-            });
-        }
-        let n_completed = r.usize()?;
-        let mut completed = Vec::with_capacity(n_completed.min(4096));
-        for _ in 0..n_completed {
-            completed.push(CompletedEntry {
-                id: r.u64()?,
-                tenant: r.usize()?,
-                attempts: r.u32()?,
-                used_readmitted: r.bool()?,
-                result: r.bytes()?.to_vec(),
-            });
-        }
-        if !r.is_empty() {
-            return Err(WireError { offset: r.offset() });
-        }
-        Ok(Self { clock_s, last_epoch, jobs, tenants, breakers, completed })
+        Ok(Self {
+            clock_s,
+            last_epoch,
+            jobs,
+            tenants: Wire::get(r)?,
+            breakers: Wire::get(r)?,
+            completed: Wire::get(r)?,
+        })
     }
 }
 
 // ---------------------------------------------------------------------
-// the live WAL
+// the live WAL and recovery: the journal crate's generic kernel
 // ---------------------------------------------------------------------
+
+/// What the fold needs beyond the record stream: the pod's table sizes
+/// (the snapshot-shape check) and the breaker pricing `apply` mirrors.
+#[derive(Clone, Copy, Debug)]
+pub struct ServiceShape {
+    /// Rows of the tenant table.
+    pub n_tenants: usize,
+    /// Devices in the pool.
+    pub n_devices: usize,
+    /// Breaker configuration (probation backoff).
+    pub breaker: BreakerConfig,
+}
 
 /// The service's live write-ahead log: a durable journal plus the
 /// shadow [`ServiceState`] every append folds through. Journaling is
 /// always on (it emits no events and advances no simulated time, so
 /// existing behaviour is byte-identical); periodic snapshots are opt-in
 /// via [`crate::service::ServiceConfig::snapshot_every`].
-#[derive(Clone, Debug)]
-pub struct ServiceWal {
-    durable: DurableState,
-    state: ServiceState,
-    breaker: BreakerConfig,
-    snapshot_every: u64,
-}
-
-impl ServiceWal {
-    /// A fresh WAL for a pod shape.
-    pub fn new(
-        n_tenants: usize,
-        n_devices: usize,
-        breaker: BreakerConfig,
-        snapshot_every: u64,
-    ) -> Self {
-        Self {
-            durable: DurableState::new(),
-            state: ServiceState::new(n_tenants, n_devices),
-            breaker,
-            snapshot_every,
-        }
-    }
-
-    /// Resumes a WAL over recovered durable state (the restore path).
-    /// `durable` should be the *reopened* state (torn tail dropped) and
-    /// `state` the fold [`recover_state`] produced from it.
-    pub fn resume(
-        durable: DurableState,
-        state: ServiceState,
-        breaker: BreakerConfig,
-        snapshot_every: u64,
-    ) -> Self {
-        Self { durable, state, breaker, snapshot_every }
-    }
-
-    /// Appends one record: encodes, journals, folds into the shadow
-    /// state, and installs a snapshot when the epoch hits the
-    /// configured cadence.
-    pub fn append(&mut self, t_s: f64, rec: &ServiceRecord) -> u64 {
-        let payload = rec.encode();
-        let epoch = self.durable.append(t_s, &payload);
-        // Invariant, not a recoverable error: live records are built
-        // from the very state transitions the fold mirrors, so a fold
-        // failure here is a bug in the service, never bad input.
-        self.state
-            .apply(epoch, rec, &self.breaker)
-            .expect("live service records always fold into the shadow state");
-        if self.snapshot_every > 0 && epoch.is_multiple_of(self.snapshot_every) {
-            self.durable.install_snapshot(epoch, t_s, &self.state.encode());
-        }
-        epoch
-    }
-
-    /// The durable journal + snapshot bytes (what a crash preserves).
-    pub fn durable(&self) -> &DurableState {
-        &self.durable
-    }
-
-    /// The shadow fold of everything appended so far.
-    pub fn state(&self) -> &ServiceState {
-        &self.state
-    }
-}
-
-/// What [`recover_state`] reconstructed, plus how it got there.
-#[derive(Clone, Debug)]
-pub struct WalRecovery {
-    /// The folded state.
-    pub state: ServiceState,
-    /// Epoch of the snapshot recovery started from (0 = none).
-    pub snapshot_epoch: u64,
-    /// Journal records replayed on top of the snapshot.
-    pub replayed_records: u64,
-    /// Bytes of the decoded snapshot payload (0 = none).
-    pub snapshot_payload_bytes: usize,
-    /// Torn (incomplete) frame bytes dropped from the journal tail.
-    pub torn_tail_bytes: usize,
-}
+pub type ServiceWal = Journaled<ServiceState>;
 
 /// Recovers a [`ServiceState`] from durable bytes: newest intact
 /// snapshot plus a bounded replay of the records after it. A torn tail
@@ -1001,47 +626,9 @@ pub struct WalRecovery {
 /// snapshot or undecodable payload is a typed [`JournalError`].
 pub fn recover_state(
     durable: &DurableState,
-    n_tenants: usize,
-    n_devices: usize,
-    breaker: &BreakerConfig,
-) -> Result<WalRecovery, JournalError> {
-    let rec = durable.recover()?;
-    let (mut state, snapshot_epoch, snapshot_payload_bytes) = match &rec.snapshot {
-        Some(s) => {
-            let st = ServiceState::decode(&s.payload).map_err(|e| JournalError::BadPayload {
-                epoch: s.epoch,
-                detail: format!("snapshot: {e}"),
-            })?;
-            if st.tenants.len() != n_tenants || st.breakers.len() != n_devices {
-                return Err(JournalError::BadPayload {
-                    epoch: s.epoch,
-                    detail: format!(
-                        "snapshot shape ({} tenants, {} devices) does not match the config \
-                         ({n_tenants} tenants, {n_devices} devices)",
-                        st.tenants.len(),
-                        st.breakers.len()
-                    ),
-                });
-            }
-            (st, s.epoch, s.payload.len())
-        }
-        None => (ServiceState::new(n_tenants, n_devices), 0, 0),
-    };
-    let replayed_records = rec.records.len() as u64;
-    for r in &rec.records {
-        let sr = ServiceRecord::decode(&r.payload).map_err(|e| JournalError::BadPayload {
-            epoch: r.epoch,
-            detail: e.to_string(),
-        })?;
-        state.apply(r.epoch, &sr, breaker)?;
-    }
-    Ok(WalRecovery {
-        state,
-        snapshot_epoch,
-        replayed_records,
-        snapshot_payload_bytes,
-        torn_tail_bytes: rec.torn_tail_bytes,
-    })
+    shape: &ServiceShape,
+) -> Result<Recovery<ServiceState>, JournalError> {
+    recover(durable, shape)
 }
 
 /// Decodes the full event stream a durable journal witnesses — the
@@ -1051,17 +638,7 @@ pub fn recover_state(
 /// WAL never compacts, so the full history is present — snapshots
 /// bound recovery *replay* cost, not journal storage).
 pub fn decode_events(durable: &DurableState) -> Result<Vec<ServiceEvent>, JournalError> {
-    let clean = durable.reopen()?;
-    let records = clean.journal.replay()?;
-    let mut out = Vec::new();
-    for r in &records {
-        let sr = ServiceRecord::decode(&r.payload).map_err(|e| JournalError::BadPayload {
-            epoch: r.epoch,
-            detail: e.to_string(),
-        })?;
-        out.extend(sr.events());
-    }
-    Ok(out)
+    Ok(decode_records::<ServiceRecord>(durable)?.iter().flat_map(ServiceRecord::events).collect())
 }
 
 /// How a [`crate::service::ProverService::restore`] got back on its
@@ -1096,107 +673,10 @@ mod tests {
     }
 
     #[test]
-    fn records_roundtrip() {
-        let records = vec![
-            ServiceRecord::Admission {
-                t_s: 0.5,
-                id: 3,
-                tenant: 1,
-                class: JobClass::Batch,
-                outcome: AdmissionOutcome::Admitted { queue_len: 2 },
-            },
-            ServiceRecord::Admission {
-                t_s: 0.75,
-                id: 4,
-                tenant: 0,
-                class: JobClass::Interactive,
-                outcome: AdmissionOutcome::Rejected {
-                    error: AdmissionError::DeadlineInfeasible { needed_s: 2.0, available_s: 1.0 },
-                },
-            },
-            ServiceRecord::Event(ev(
-                1.0,
-                Some(3),
-                Some(1),
-                ServiceEventKind::Dispatched { devices: vec![0, 2], attempt: 0, degraded: false },
-            )),
-            ServiceRecord::Event(ev(
-                1.5,
-                None,
-                None,
-                ServiceEventKind::Breaker {
-                    transition: PoolTransition {
-                        device: 2,
-                        t_s: 1.5,
-                        from: BreakerState::Closed,
-                        to: BreakerState::Open,
-                        cause: "fault-threshold",
-                    },
-                },
-            )),
-            ServiceRecord::Completed {
-                event: ev(
-                    2.0,
-                    Some(3),
-                    Some(1),
-                    ServiceEventKind::Completed { deadline_met: true, sojourn_s: 1.5, attempts: 1 },
-                ),
-                result: vec![0, 1, 2, 3],
-                used_readmitted: true,
-            },
-            ServiceRecord::Absorbed { t_s: 2.5, id: 9, tenant: 0, attempt: 2 },
-            ServiceRecord::StolenOut { t_s: 3.0, id: 9, attempt: 1 },
-            ServiceRecord::Admission {
-                t_s: 3.1,
-                id: 11,
-                tenant: 1,
-                class: JobClass::Batch,
-                outcome: AdmissionOutcome::Rejected {
-                    error: AdmissionError::MalformedInput {
-                        detail: "point 2 is not on the curve".into(),
-                    },
-                },
-            },
-            ServiceRecord::Admission {
-                t_s: 3.2,
-                id: 12,
-                tenant: 0,
-                class: JobClass::Interactive,
-                outcome: AdmissionOutcome::Rejected {
-                    error: AdmissionError::PodPartitioned { since_s: 2.75 },
-                },
-            },
-            ServiceRecord::Event(ev(
-                3.5,
-                None,
-                None,
-                ServiceEventKind::Recovered {
-                    snapshot_epoch: 4,
-                    replayed: 2,
-                    requeued: 1,
-                    rearrived: 0,
-                },
-            )),
-        ];
-        for r in &records {
-            let bytes = r.encode();
-            assert_eq!(&ServiceRecord::decode(&bytes).expect("roundtrips"), r);
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes = ServiceRecord::StolenOut { t_s: 1.0, id: 7, attempt: 0 }.encode();
-        bytes.push(0);
-        assert!(ServiceRecord::decode(&bytes).is_err());
-        assert!(ServiceRecord::decode(&[200]).is_err(), "unknown tag rejected");
-        assert!(ServiceRecord::decode(&[]).is_err(), "empty payload rejected");
-    }
-
-    #[test]
     fn fold_tracks_phases_counters_and_breakers() {
         let bc = BreakerConfig::default();
-        let mut st = ServiceState::new(2, 4);
+        let shape = ServiceShape { n_tenants: 2, n_devices: 4, breaker: bc };
+        let mut st = ServiceState::new(&shape);
         st.apply(
             1,
             &ServiceRecord::Admission {
@@ -1206,7 +686,7 @@ mod tests {
                 class: JobClass::Interactive,
                 outcome: AdmissionOutcome::Admitted { queue_len: 1 },
             },
-            &bc,
+            &shape,
         )
         .unwrap();
         assert_eq!(st.jobs[&1].phase, JobPhase::Queued { attempt: 0, since_s: 0.5 });
@@ -1221,7 +701,7 @@ mod tests {
                 Some(0),
                 ServiceEventKind::Dispatched { devices: vec![0], attempt: 0, degraded: false },
             )),
-            &bc,
+            &shape,
         )
         .unwrap();
         assert_eq!(st.jobs[&1].phase, JobPhase::InFlight { attempt: 0 });
@@ -1242,7 +722,7 @@ mod tests {
                         transition: PoolTransition { device: 2, t_s: t, from, to, cause },
                     },
                 )),
-                &bc,
+                &shape,
             )
             .unwrap();
         }
@@ -1266,7 +746,7 @@ mod tests {
                 result: vec![1, 2],
                 used_readmitted: false,
             },
-            &bc,
+            &shape,
         )
         .unwrap();
         assert_eq!(st.jobs[&1].phase, JobPhase::Done);
@@ -1277,19 +757,20 @@ mod tests {
         assert_eq!(st.clock_s, 6.0);
 
         // Canonical encoding roundtrips byte-exactly.
-        let bytes = st.encode();
-        let decoded = ServiceState::decode(&bytes).expect("snapshot roundtrips");
+        let bytes = st.to_bytes();
+        let decoded = ServiceState::from_bytes(&bytes).expect("snapshot roundtrips");
         assert_eq!(decoded, st);
-        assert_eq!(decoded.encode(), bytes);
+        assert_eq!(decoded.to_bytes(), bytes);
     }
 
     #[test]
     fn fold_rejects_semantic_garbage() {
-        let bc = BreakerConfig::default();
-        let mut st = ServiceState::new(1, 1);
+        let shape =
+            ServiceShape { n_tenants: 1, n_devices: 1, breaker: BreakerConfig::default() };
+        let mut st = ServiceState::new(&shape);
         // Unknown job.
         assert!(matches!(
-            st.apply(1, &ServiceRecord::StolenOut { t_s: 0.0, id: 9, attempt: 0 }, &bc),
+            st.apply(1, &ServiceRecord::StolenOut { t_s: 0.0, id: 9, attempt: 0 }, &shape),
             Err(JournalError::BadPayload { .. })
         ));
         // Out-of-range tenant.
@@ -1303,7 +784,7 @@ mod tests {
                     class: JobClass::Batch,
                     outcome: AdmissionOutcome::Admitted { queue_len: 1 },
                 },
-                &bc
+                &shape
             ),
             Err(JournalError::BadPayload { .. })
         ));
@@ -1317,7 +798,7 @@ mod tests {
                     Some(0),
                     ServiceEventKind::Admitted { queue_len: 1 }
                 )),
-                &bc
+                &shape
             ),
             Err(JournalError::BadPayload { .. })
         ));
@@ -1325,8 +806,9 @@ mod tests {
 
     #[test]
     fn wal_snapshot_equals_fold_and_recovery_replays_it() {
-        let bc = BreakerConfig::default();
-        let mut wal = ServiceWal::new(2, 2, bc, 2);
+        let shape =
+            ServiceShape { n_tenants: 2, n_devices: 2, breaker: BreakerConfig::default() };
+        let mut wal = ServiceWal::new(shape, 2);
         let recs = vec![
             ServiceRecord::Admission {
                 t_s: 0.1,
@@ -1368,7 +850,7 @@ mod tests {
             wal.append(t, r);
         }
         // Recovery = snapshot (epoch 4) + 0 replayed records here.
-        let rec = recover_state(wal.durable(), 2, 2, &bc).expect("clean log recovers");
+        let rec = recover_state(wal.durable(), &shape).expect("clean log recovers");
         assert_eq!(&rec.state, wal.state(), "snapshot + replay equals the live shadow fold");
         assert_eq!(rec.snapshot_epoch, 4);
         assert_eq!(rec.replayed_records, 0);
@@ -1376,12 +858,12 @@ mod tests {
         // Truncating between records replays the un-snapshotted suffix
         // and still agrees with an incremental fold.
         let crashed = wal.durable().truncate_records(3);
-        let rec3 = recover_state(&crashed, 2, 2, &bc).expect("prefix recovers");
+        let rec3 = recover_state(&crashed, &shape).expect("prefix recovers");
         assert_eq!(rec3.snapshot_epoch, 2);
         assert_eq!(rec3.replayed_records, 1);
-        let mut byhand = ServiceState::new(2, 2);
+        let mut byhand = ServiceState::new(&shape);
         for (i, r) in recs[..3].iter().enumerate() {
-            byhand.apply(i as u64 + 1, r, &bc).unwrap();
+            byhand.apply(i as u64 + 1, r, &shape).unwrap();
         }
         assert_eq!(rec3.state, byhand);
 
