@@ -53,16 +53,24 @@ cargo test -p distmsm-gpu-sim -q --lib fault::
 # tenants, byzantine + pod loss), crash_soak (journal kill points, torn
 # writes, ckpt resume), partition_soak (leases, fencing, anti-entropy
 # rejoin): each report JSON is byte-stable, so any drift from its golden
-# is a behaviour change
+# is a behaviour change. The first stdout line of every soak is its spec
+# as re-runnable flags; replaying exactly that line (no --smoke) must
+# reproduce the same golden, so a printed reproducer is a gate too.
 for bin in soak fleet_soak crash_soak partition_soak; do
-    echo "== $bin smoke + golden =="
+    echo "== $bin smoke + golden + reproducer replay =="
     SMOKE_JSON="$(mktemp "/tmp/distmsm_ci_${bin}.XXXXXX.json")"
-    "target/release/$bin" --smoke --json "$SMOKE_JSON"
+    OUT="$("target/release/$bin" --smoke --json "$SMOKE_JSON")" || { echo "$OUT"; exit 1; }
+    echo "$OUT"
+    REPRODUCER="${OUT%%$'\n'*}"
     GOLDEN="crates/bench/golden/${bin}_smoke.json"
     if [[ "${BLESS:-0}" == "1" ]]; then
         cp "$SMOKE_JSON" "$GOLDEN"
         echo "blessed $GOLDEN"
     fi
+    diff -u "$GOLDEN" "$SMOKE_JSON"
+    echo "replaying: $REPRODUCER"
+    # shellcheck disable=SC2086 # the flags are meant to word-split
+    "target/release/$bin" ${REPRODUCER#"$bin "} --json "$SMOKE_JSON" > /dev/null
     diff -u "$GOLDEN" "$SMOKE_JSON"
     rm -f "$SMOKE_JSON"
 done

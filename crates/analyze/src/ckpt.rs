@@ -356,25 +356,6 @@ pub fn check_torn_tail(scenario: &str, durable: &DurableState) -> Report {
     report
 }
 
-/// One CKPT-900 mutant: a named corruption and the check that the
-/// recovery path refuses it.
-fn mutant_finding(scenario: &str, name: &str, result: Result<(), String>) -> Finding {
-    match result {
-        Ok(()) => Finding::new(
-            "CKPT-900",
-            Severity::Info,
-            scenario.to_owned(),
-            format!("mutant `{name}` caught"),
-        ),
-        Err(detail) => Finding::new(
-            "CKPT-900",
-            Severity::Error,
-            scenario.to_owned(),
-            format!("mutant `{name}` SURVIVED recovery: {detail}"),
-        ),
-    }
-}
-
 /// CKPT-900: the journal mutant corpus. Every seeded corruption must be
 /// refused by checked recovery with the right typed error.
 pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
@@ -395,7 +376,9 @@ pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
     // Dropped interior record → MissingRecord.
     let mut dropped = durable.clone();
     dropped.journal_bytes_mut().drain(mid_off..mid_off + mid_len);
-    report.push(mutant_finding(
+    report.mutant(
+        "CKPT-900",
+        "recovery",
         scenario,
         "dropped-record",
         match dropped.recover() {
@@ -403,7 +386,7 @@ pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
             Err(e) => Err(format!("wrong error (want MissingRecord): {e}")),
             Ok(_) => Err("recovery returned Ok over a hole in the epoch sequence".to_owned()),
         },
-    ));
+    );
 
     // Duplicated record → DuplicateRecord.
     let mut duplicated = durable.clone();
@@ -412,7 +395,9 @@ pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
     duplicated
         .journal_bytes_mut()
         .splice(mid_off..mid_off, frame);
-    report.push(mutant_finding(
+    report.mutant(
+        "CKPT-900",
+        "recovery",
         scenario,
         "duplicated-record",
         match duplicated.recover() {
@@ -420,7 +405,7 @@ pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
             Err(e) => Err(format!("wrong error (want DuplicateRecord): {e}")),
             Ok(_) => Err("recovery returned Ok over a replayed-twice record".to_owned()),
         },
-    ));
+    );
 
     // Stale-epoch snapshot: compact the journal behind the newest
     // snapshot, then lose the snapshot — the retained records no longer
@@ -438,7 +423,9 @@ pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
         let mut stale = durable.clone();
         stale.compact();
         stale.set_snapshot_bytes(Vec::new());
-        report.push(mutant_finding(
+        report.mutant(
+            "CKPT-900",
+            "recovery",
             scenario,
             "stale-epoch-snapshot",
             match stale.recover() {
@@ -449,7 +436,7 @@ pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
                         .to_owned())
                 }
             },
-        ));
+        );
     }
 
     // CRC-skipped tail: corrupt the last frame's payload. Checked
@@ -458,7 +445,9 @@ pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
     let (last_off, _) = *spans.last().expect("n >= 3 frames");
     let mut crc_tail = durable.clone();
     crc_tail.journal_bytes_mut()[last_off + FRAME_HEADER_LEN] ^= 0x80;
-    report.push(mutant_finding(
+    report.mutant(
+        "CKPT-900",
+        "recovery",
         scenario,
         "crc-skipped-tail",
         match (crc_tail.recover(), crc_tail.recover_unchecked()) {
@@ -469,7 +458,7 @@ pub fn check_journal_mutants(scenario: &str, durable: &DurableState) -> Report {
             (Err(e), _) => Err(format!("wrong error (want CrcMismatch): {e}")),
             (Ok(_), _) => Err("checked recovery accepted a corrupt tail frame".to_owned()),
         },
-    ));
+    );
 
     report
 }

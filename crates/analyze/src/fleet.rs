@@ -279,26 +279,13 @@ pub fn fleet_mutant_plan() -> PlanIr {
 /// rejecting rule); a surviving mutant is an FLT-900 error.
 pub fn check_fleet_mutant() -> Report {
     let mut report = Report::new();
-    let r = verify_plan(&fleet_mutant_plan());
-    match r.findings.iter().find(|f| f.severity == Severity::Error) {
-        None => report.push(Finding::new(
-            "FLT-900",
-            Severity::Error,
-            "mutant:overlapping-shards".to_owned(),
-            "seeded overlapping-shard mutant passed verification — the fleet \
-             shard proofs have lost their teeth"
-                .to_owned(),
-        )),
-        Some(first) => report.push(Finding::new(
-            "FLT-900",
-            Severity::Info,
-            "mutant:overlapping-shards".to_owned(),
-            format!(
-                "rejected by {} at {}: {}",
-                first.rule, first.location, first.message
-            ),
-        )),
-    }
+    report.mutant_rejected(
+        "FLT-900",
+        "mutant:overlapping-shards",
+        &verify_plan(&fleet_mutant_plan()),
+        "seeded overlapping-shard mutant passed verification — the fleet \
+         shard proofs have lost their teeth",
+    );
     report
 }
 

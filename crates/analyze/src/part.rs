@@ -405,25 +405,6 @@ pub fn check_no_expired_acceptance(
     report
 }
 
-/// One PART-900 mutant: a named fencing corruption and whether the
-/// shipped fold refused it.
-fn mutant_finding(scenario: &str, name: &str, result: Result<(), String>) -> Finding {
-    match result {
-        Ok(()) => Finding::new(
-            "PART-900",
-            Severity::Info,
-            scenario.to_owned(),
-            format!("mutant `{name}` caught"),
-        ),
-        Err(detail) => Finding::new(
-            "PART-900",
-            Severity::Error,
-            scenario.to_owned(),
-            format!("mutant `{name}` SURVIVED the fold: {detail}"),
-        ),
-    }
-}
-
 /// Expects the fold to refuse `rec` with an error mentioning `want`.
 fn expect_refusal(
     st: &mut FleetState,
@@ -455,7 +436,9 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
     st.apply(1, &FleetRecord::Placed { t_s: 0.0, id: 7, pod: 0, epoch: 1 }, &3).expect("placement");
     st.apply(2, &FleetRecord::Fenced { t_s: 10.0, pod: 0, epoch: 2 }, &3).expect("fence");
     st.apply(3, &FleetRecord::Rejoined { t_s: 20.0, pod: 0, epoch: 2 }, &3).expect("rejoin");
-    report.push(mutant_finding(
+    report.mutant(
+        "PART-900",
+        "the fold",
         scenario,
         "stale-epoch-acceptance",
         expect_refusal(
@@ -472,13 +455,15 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
             },
             "stamped epoch 1 but pod 0 is at epoch 2",
         ),
-    ));
+    );
 
     // Lease renewed after expiry: a rejoin arrives for a pod that was
     // never fenced — the lease table claims an expiry the journal
     // never recorded.
     let mut st = FleetState::new(&3);
-    report.push(mutant_finding(
+    report.mutant(
+        "PART-900",
+        "the fold",
         scenario,
         "lease-renew-after-expiry",
         expect_refusal(
@@ -487,7 +472,7 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
             &FleetRecord::Rejoined { t_s: 5.0, pod: 1, epoch: 1 },
             "rejoined without a fence",
         ),
-    ));
+    );
 
     // Double absorb on heal: the same job is handed off from its old
     // owner twice — the second steal names a source that no longer
@@ -496,7 +481,9 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
     st.apply(1, &FleetRecord::Placed { t_s: 0.0, id: 9, pod: 0, epoch: 1 }, &3).expect("placement");
     st.apply(2, &FleetRecord::Stolen { t_s: 1.0, id: 9, from: 0, to: 1, epoch: 1 }, &3)
         .expect("first steal");
-    report.push(mutant_finding(
+    report.mutant(
+        "PART-900",
+        "the fold",
         scenario,
         "double-absorb-on-heal",
         expect_refusal(
@@ -505,12 +492,14 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
             &FleetRecord::Stolen { t_s: 2.0, id: 9, from: 0, to: 2, epoch: 1 },
             "pod 1 owns it",
         ),
-    ));
+    );
 
     // Fence-epoch skip: a fence that advances by two forges history —
     // an unjournaled fence would hide a whole fenced window.
     let mut st = FleetState::new(&3);
-    report.push(mutant_finding(
+    report.mutant(
+        "PART-900",
+        "the fold",
         scenario,
         "fence-epoch-skip",
         expect_refusal(
@@ -519,7 +508,7 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
             &FleetRecord::Fenced { t_s: 3.0, pod: 2, epoch: 3 },
             "expected 2",
         ),
-    ));
+    );
 
     report
 }

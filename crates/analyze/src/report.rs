@@ -1,5 +1,8 @@
 //! Finding and report types shared by the race detector and the linter.
 
+use distmsm::report::JsonField::{Rows, Scalar};
+use distmsm::report::{json_pretty, json_str};
+
 /// How serious a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -110,47 +113,67 @@ impl Report {
         out
     }
 
-    /// JSON rendering (hand-rolled — the workspace is offline and carries
-    /// no serde).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"rule\": {}, \"severity\": {}, \"location\": {}, \"message\": {}}}{}\n",
-                json_str(f.rule),
-                json_str(f.severity.label()),
-                json_str(&f.location),
-                json_str(&f.message),
-                if i + 1 < self.findings.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"errors\": {},\n  \"warnings\": {},\n  \"infos\": {}\n}}\n",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info),
-        ));
-        out
+    /// One `*-900` corpus verdict from an explicit check: `Ok` means
+    /// the named seeded corruption was caught (info); `Err` means it
+    /// survived `defence` — the recovery path or fold that must refuse
+    /// it — and the rule has lost its teeth (error).
+    pub fn mutant(
+        &mut self,
+        rule: &'static str,
+        defence: &str,
+        scenario: &str,
+        name: &str,
+        result: Result<(), String>,
+    ) {
+        self.push(match result {
+            Ok(()) => Finding::new(rule, Severity::Info, scenario, format!("mutant `{name}` caught")),
+            Err(detail) => Finding::new(
+                rule,
+                Severity::Error,
+                scenario,
+                format!("mutant `{name}` SURVIVED {defence}: {detail}"),
+            ),
+        });
     }
-}
 
-/// Escapes `s` as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    /// One `*-900` corpus verdict from a verifier run over a seeded
+    /// mutant: its first error names the rejecting rule (info); no
+    /// error at all is `survived_msg` (error).
+    pub fn mutant_rejected(
+        &mut self,
+        rule: &'static str,
+        name: &str,
+        result: &Report,
+        survived_msg: &str,
+    ) {
+        self.push(match result.findings.iter().find(|f| f.severity == Severity::Error) {
+            None => Finding::new(rule, Severity::Error, name, survived_msg),
+            Some(first) => Finding::new(
+                rule,
+                Severity::Info,
+                name,
+                format!("rejected by {} at {}: {}", first.rule, first.location, first.message),
+            ),
+        });
     }
-    out.push('"');
-    out
+
+    /// JSON rendering in the workspace's one artefact layout.
+    pub fn render_json(&self) -> String {
+        let findings = self.findings.iter().map(|f| {
+            vec![
+                ("rule", json_str(f.rule)),
+                ("severity", json_str(f.severity.label())),
+                ("location", json_str(&f.location)),
+                ("message", json_str(&f.message)),
+            ]
+        });
+        json_pretty(&[
+            ("findings", Rows(findings.collect())),
+            ("errors", Scalar(self.count(Severity::Error).to_string())),
+            ("warnings", Scalar(self.count(Severity::Warning).to_string())),
+            ("infos", Scalar(self.count(Severity::Info).to_string())),
+        ]) + "\n"
+    }
 }
 
 #[cfg(test)]
@@ -180,5 +203,33 @@ mod tests {
         assert!(json.contains("\\\"addr\\\"\\twith"));
         assert!(json.contains("\"errors\": 1"));
         assert_eq!(r.actionable(), 1);
+    }
+
+    /// The workspace writer's output must satisfy the workspace's own
+    /// reader, whatever a tenant is called and whatever a float holds.
+    #[test]
+    fn writer_output_with_hostile_names_and_non_finite_floats_parses() {
+        use distmsm_ec::curves::Bn254G1;
+        use distmsm_service::{ChaosSchedule, ProverService, ServiceConfig, TenantConfig};
+
+        let config = ServiceConfig {
+            tenants: vec![TenantConfig::new("a\"b\\c")],
+            ..ServiceConfig::default()
+        };
+        let mut report =
+            ProverService::<Bn254G1>::new(config).run(Vec::new(), &ChaosSchedule::none()).report;
+        report.horizon_s = f64::NAN;
+        report.tenants[0].sojourn_p99_s = f64::INFINITY;
+        let doc = distmsm_telemetry::parse_json(&report.to_detailed_json())
+            .expect("the detailed report is a JSON document");
+        let tenant = &doc.get("tenants").and_then(|t| t.as_arr()).expect("tenants array")[0];
+        assert_eq!(tenant.get("name").and_then(|n| n.as_str()), Some("a\"b\\c"));
+        assert_eq!(tenant.get("sojourn_p99_s").and_then(|n| n.as_num()), Some(0.0));
+        assert_eq!(doc.get("horizon_s").and_then(|n| n.as_num()), Some(0.0));
+
+        let mut findings = Report::new();
+        findings.mutant("X-900", "the \"fold\"", "s\\1", "m", Err("tab\there".into()));
+        let doc = distmsm_telemetry::parse_json(&findings.render_json()).expect("parses");
+        assert_eq!(doc.get("errors").and_then(|n| n.as_num()), Some(1.0));
     }
 }

@@ -935,31 +935,9 @@ pub fn mutant_schedules() -> Vec<(&'static str, CommSchedule)> {
     ]
 }
 
-fn summarize_mutant(report: &mut Report, name: &str, result: &Report) {
-    match result
-        .findings
-        .iter()
-        .find(|f| f.severity == Severity::Error)
-    {
-        None => report.push(Finding::new(
-            "VRF-900",
-            Severity::Error,
-            name.to_owned(),
-            "seeded mutant passed verification — the verifier has lost its \
-             teeth"
-                .to_owned(),
-        )),
-        Some(first) => report.push(Finding::new(
-            "VRF-900",
-            Severity::Info,
-            name.to_owned(),
-            format!(
-                "rejected by {} at {}: {}",
-                first.rule, first.location, first.message
-            ),
-        )),
-    }
-}
+/// What a surviving `VRF-900` mutant means.
+const MUTANT_SURVIVED: &str =
+    "seeded mutant passed verification — the verifier has lost its teeth";
 
 /// Runs the verifier against its own mutant corpus: every seeded defect
 /// must be rejected (reported as `Info` naming the rejecting rule); a
@@ -968,16 +946,16 @@ pub fn check_mutants() -> Report {
     let mut report = Report::new();
     for (name, plan) in mutant_plans() {
         let r = verify_plan(&plan);
-        summarize_mutant(&mut report, &format!("mutant:{name}"), &r);
+        report.mutant_rejected("VRF-900", &format!("mutant:{name}"), &r, MUTANT_SURVIVED);
     }
     for (name, sched) in mutant_schedules() {
         let r = check_schedule_static(&format!("mutant:{name}"), &sched);
-        summarize_mutant(&mut report, &format!("mutant:{name}"), &r);
+        report.mutant_rejected("VRF-900", &format!("mutant:{name}"), &r, MUTANT_SURVIVED);
     }
     // M7: seeded order-sensitive hash iteration (DET-001 must fire).
     let src = format!("let order = std::collections::{}Map::new();\n", "Hash");
     let r = crate::det::lint_source("seeded.rs", &src);
-    summarize_mutant(&mut report, "mutant:seeded-hash-iteration", &r);
+    report.mutant_rejected("VRF-900", "mutant:seeded-hash-iteration", &r, MUTANT_SURVIVED);
     report
 }
 

@@ -17,63 +17,10 @@
 //! crash_soak --telemetry t.json   # (telemetry builds) Chrome-trace export
 //! ```
 //!
-//! Exits non-zero when any invariant is violated.
-
-use distmsm_bench::args::{flag_value, has_flag, parse};
-use distmsm_fleet::{run_crash_soak, CrashSoakSpec};
-
-fn spec_from_args(args: &[String]) -> CrashSoakSpec {
-    let base = if has_flag(args, "--smoke") { CrashSoakSpec::smoke() } else { CrashSoakSpec::full() };
-    CrashSoakSpec {
-        service: base.service,
-        fleet: base.fleet,
-        snapshot_every: parse(args, "--snapshot-every", base.snapshot_every),
-        n_kill_points: parse(args, "--kill-points", base.n_kill_points),
-        n_torn_points: parse(args, "--torn-points", base.n_torn_points),
-        n_fleet_cuts: parse(args, "--fleet-cuts", base.n_fleet_cuts),
-        ckpt_msm_size: parse(args, "--ckpt-msm-size", base.ckpt_msm_size),
-        ckpt_interval: parse(args, "--ckpt-interval", base.ckpt_interval),
-        ckpt_seed: parse(args, "--ckpt-seed", base.ckpt_seed),
-    }
-}
+//! The first stdout line is the full spec as re-runnable flags (nested
+//! pod and fleet specs under `--service-*` / `--fleet-*`). Exits
+//! non-zero when any invariant is violated.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace = distmsm_bench::telemetry_path(&args);
-    let spec = spec_from_args(&args);
-
-    println!("crash_soak: {}", spec.seed_tuple());
-    let outcome = distmsm_bench::run_with_telemetry(trace.as_deref(), || run_crash_soak(&spec));
-
-    let r = &outcome.report;
-    println!(
-        "kill points: {} record-boundary + {} torn (service), {} fleet cuts, {} shard resumes",
-        r.service_kill_points, r.service_torn_points, r.fleet_cuts, r.ckpt_resumes
-    );
-    println!(
-        "recovery economics: {} of {} evaluated restores beat scratch",
-        r.recovery_wins, r.recovery_evals
-    );
-    println!(
-        "restore reconciliation: {} completions re-verified via 2G2T, {} jobs re-placed",
-        r.reverified, r.replaced
-    );
-
-    if let Some(path) = flag_value(&args, "--json") {
-        std::fs::write(&path, outcome.report.to_json())
-            .unwrap_or_else(|e| panic!("cannot write report to {path}: {e}"));
-        println!("wrote CrashReport JSON to {path}");
-    }
-
-    if outcome.violations.is_empty() {
-        println!("invariants: all hold (zero violations)");
-        return;
-    }
-
-    println!("invariants VIOLATED ({}):", outcome.violations.len());
-    for v in &outcome.violations {
-        println!("  [{}] {}", v.invariant, v.detail);
-    }
-    println!("re-run with: crash_soak {}", spec.seed_tuple());
-    std::process::exit(1);
+    distmsm_bench::soak_main::<distmsm_fleet::CrashSoakSpec>();
 }

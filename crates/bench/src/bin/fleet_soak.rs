@@ -6,8 +6,8 @@
 //! verified termination, conservation, bit-exact accepted results,
 //! starvation bounds under stealing, quarantine of the byzantine pod,
 //! the pod-loss guarantees, the verified completion-rate floor), and on
-//! violation shrinks the scenario to a minimal reproducer printed as a
-//! re-runnable seed tuple.
+//! violation shrinks the scenario to a minimal reproducer printed as
+//! re-runnable flags (the first stdout line is the spec, same form).
 //!
 //! ```text
 //! fleet_soak                  # full scenario (4 pods × 8 GPUs, 4000 jobs, 2048 tenants)
@@ -19,67 +19,6 @@
 //!
 //! Exits non-zero when any invariant is violated.
 
-use distmsm_bench::args::{flag_value, has_flag, parse, parse_optional};
-use distmsm_fleet::{fleet_shrink, run_fleet_soak, FleetSoakOptions, FleetSoakSpec};
-
-fn spec_from_args(args: &[String]) -> FleetSoakSpec {
-    let base =
-        if has_flag(args, "--smoke") { FleetSoakSpec::smoke() } else { FleetSoakSpec::full() };
-    FleetSoakSpec {
-        arrival_seed: parse(args, "--arrival-seed", base.arrival_seed),
-        fault_seed: parse(args, "--fault-seed", base.fault_seed),
-        n_jobs: parse(args, "--jobs", base.n_jobs),
-        n_tenants: parse(args, "--tenants", base.n_tenants),
-        n_pods: parse(args, "--pods", base.n_pods),
-        devices_per_pod: parse(args, "--devices-per-pod", base.devices_per_pod),
-        n_fault_windows: parse(args, "--fault-windows", base.n_fault_windows),
-        horizon_s: parse(args, "--horizon", base.horizon_s),
-        msm_size: parse(args, "--msm-size", base.msm_size),
-        byzantine_pod: parse_optional(
-            args,
-            "--byzantine-pod",
-            "--no-byzantine-pod",
-            base.byzantine_pod,
-        ),
-        lost_pod: parse_optional(args, "--lost-pod", "--no-lost-pod", base.lost_pod),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace = distmsm_bench::telemetry_path(&args);
-    let spec = spec_from_args(&args);
-    let opts = FleetSoakOptions::default();
-
-    println!("fleet_soak: {}", spec.seed_tuple());
-    let outcome =
-        distmsm_bench::run_with_telemetry(trace.as_deref(), || run_fleet_soak(&spec, &opts));
-
-    print!("{}", outcome.report.render());
-    println!("events processed: {}", outcome.n_events);
-
-    if let Some(path) = flag_value(&args, "--json") {
-        std::fs::write(&path, outcome.report.to_detailed_json())
-            .unwrap_or_else(|e| panic!("cannot write report to {path}: {e}"));
-        println!("wrote FleetReport JSON to {path}");
-    }
-
-    if outcome.violations.is_empty() {
-        println!("invariants: all hold (zero violations)");
-        return;
-    }
-
-    println!("invariants VIOLATED ({}):", outcome.violations.len());
-    for v in &outcome.violations {
-        println!("  [{}] {}", v.invariant, v.detail);
-    }
-    println!("shrinking to a minimal reproducer...");
-    let (min, min_outcome) = fleet_shrink(&spec, &opts, 64);
-    println!(
-        "minimal reproducer ({} violations): {}",
-        min_outcome.violations.len(),
-        min.seed_tuple()
-    );
-    println!("re-run with: fleet_soak {}", min.cli());
-    std::process::exit(1);
+    distmsm_bench::soak_main::<distmsm_fleet::FleetSoakSpec>();
 }

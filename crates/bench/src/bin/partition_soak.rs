@@ -15,68 +15,10 @@
 //! partition_soak --telemetry t.json   # (telemetry builds) Chrome-trace export
 //! ```
 //!
-//! Exits non-zero when any invariant is violated.
-
-use distmsm_bench::args::{flag_value, has_flag, parse};
-use distmsm_fleet::{run_partition_soak, MembershipConfig, PartitionSoakSpec};
-
-fn spec_from_args(args: &[String]) -> PartitionSoakSpec {
-    let base =
-        if has_flag(args, "--smoke") { PartitionSoakSpec::smoke() } else { PartitionSoakSpec::full() };
-    PartitionSoakSpec {
-        fleet: base.fleet,
-        membership: MembershipConfig {
-            lease_s: parse(args, "--lease", base.membership.lease_s),
-            heartbeat_s: parse(args, "--heartbeat", base.membership.heartbeat_s),
-            replace_grace_s: parse(args, "--replace-grace", base.membership.replace_grace_s),
-        },
-        partition_seed: parse(args, "--partition-seed", base.partition_seed),
-        n_windows: parse(args, "--windows", base.n_windows),
-        n_seeds: parse(args, "--seeds", base.n_seeds),
-        availability_floor: parse(args, "--availability-floor", base.availability_floor),
-    }
-}
+//! The first stdout line is the full spec as re-runnable flags (the
+//! fleet base under `--fleet-*`). Exits non-zero when any invariant is
+//! violated.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace = distmsm_bench::telemetry_path(&args);
-    let spec = spec_from_args(&args);
-
-    println!("partition_soak: {}", spec.seed_tuple());
-    let outcome = distmsm_bench::run_with_telemetry(trace.as_deref(), || run_partition_soak(&spec));
-
-    let r = &outcome.report;
-    println!(
-        "scenarios: {} ({} partition windows), fences: {}, rejoins: {}",
-        r.scenarios, r.windows, r.fences, r.rejoins
-    );
-    println!(
-        "anti-entropy: {} stale copies discarded by fencing epoch, {} jobs re-placed",
-        r.discards, r.replaced
-    );
-    println!(
-        "availability: {}/{} accepted, worst scenario completion {}.{:03}",
-        r.accepted,
-        r.admitted,
-        r.min_completion_millis / 1000,
-        r.min_completion_millis % 1000
-    );
-
-    if let Some(path) = flag_value(&args, "--json") {
-        std::fs::write(&path, outcome.report.to_json())
-            .unwrap_or_else(|e| panic!("cannot write report to {path}: {e}"));
-        println!("wrote PartitionReport JSON to {path}");
-    }
-
-    if outcome.violations.is_empty() {
-        println!("invariants: all hold (zero violations)");
-        return;
-    }
-
-    println!("invariants VIOLATED ({}):", outcome.violations.len());
-    for v in &outcome.violations {
-        println!("  [{}] {}", v.invariant, v.detail);
-    }
-    println!("re-run with: partition_soak {}", spec.cli());
-    std::process::exit(1);
+    distmsm_bench::soak_main::<distmsm_fleet::PartitionSoakSpec>();
 }

@@ -5,7 +5,8 @@
 //! termination, conservation, bit-exact results, starvation bounds, no
 //! dispatch to an open breaker, quarantine of the always-faulty device,
 //! the completion-rate floor), and on violation shrinks the scenario to
-//! a minimal reproducer printed as a re-runnable seed tuple.
+//! a minimal reproducer printed as re-runnable flags. The first stdout
+//! line is the spec being run, in the same re-runnable form.
 //!
 //! ```text
 //! soak                  # full acceptance scenario (16 GPUs, 500 jobs, 2000 s)
@@ -17,63 +18,6 @@
 //!
 //! Exits non-zero when any invariant is violated.
 
-use distmsm_bench::args::{flag_value, has_flag, parse, parse_optional};
-use distmsm_service::soak::{run_soak, shrink, SoakOptions, SoakSpec};
-
-fn spec_from_args(args: &[String]) -> SoakSpec {
-    let base = if has_flag(args, "--smoke") { SoakSpec::smoke() } else { SoakSpec::full() };
-    SoakSpec {
-        arrival_seed: parse(args, "--arrival-seed", base.arrival_seed),
-        fault_seed: parse(args, "--fault-seed", base.fault_seed),
-        n_jobs: parse(args, "--jobs", base.n_jobs),
-        n_fault_windows: parse(args, "--fault-windows", base.n_fault_windows),
-        n_link_windows: parse(args, "--link-windows", base.n_link_windows),
-        horizon_s: parse(args, "--horizon", base.horizon_s),
-        n_devices: parse(args, "--devices", base.n_devices),
-        msm_size: parse(args, "--msm-size", base.msm_size),
-        always_faulty: parse_optional(
-            args,
-            "--always-faulty",
-            "--no-always-faulty",
-            base.always_faulty,
-        ),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace = distmsm_bench::telemetry_path(&args);
-    let spec = spec_from_args(&args);
-    let opts = SoakOptions::default();
-
-    println!("soak: {}", spec.seed_tuple());
-    let outcome = distmsm_bench::run_with_telemetry(trace.as_deref(), || run_soak(&spec, &opts));
-
-    print!("{}", outcome.report.render());
-    println!("events processed: {}", outcome.n_events);
-
-    if let Some(path) = flag_value(&args, "--json") {
-        std::fs::write(&path, outcome.report.to_detailed_json())
-            .unwrap_or_else(|e| panic!("cannot write report to {path}: {e}"));
-        println!("wrote ServiceReport JSON to {path}");
-    }
-
-    if outcome.violations.is_empty() {
-        println!("invariants: all hold (zero violations)");
-        return;
-    }
-
-    println!("invariants VIOLATED ({}):", outcome.violations.len());
-    for v in &outcome.violations {
-        println!("  [{}] {}", v.invariant, v.detail);
-    }
-    println!("shrinking to a minimal reproducer...");
-    let (min, min_outcome) = shrink(&spec, &opts, 64);
-    println!(
-        "minimal reproducer ({} violations): {}",
-        min_outcome.violations.len(),
-        min.seed_tuple()
-    );
-    println!("re-run with: soak {}", min.cli());
-    std::process::exit(1);
+    distmsm_bench::soak_main::<distmsm_service::SoakSpec>();
 }

@@ -24,7 +24,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod args;
+use distmsm_service::harness::{flag_value, shrink, Scenario};
+
 pub mod paper;
 pub mod runners;
 pub mod table;
@@ -36,20 +37,47 @@ pub mod table;
 ///
 /// Panics if the flag is present without a path.
 pub fn telemetry_path(args: &[String]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--telemetry" {
-            return Some(
-                it.next()
-                    .expect("--telemetry requires an output path")
-                    .clone(),
-            );
-        }
-        if let Some(p) = a.strip_prefix("--telemetry=") {
-            return Some(p.to_owned());
-        }
+    flag_value(args, "--telemetry")
+}
+
+/// The one `main` of the four soak binaries. Parses the scenario from
+/// the process arguments and prints it back as the binary's own flags —
+/// the first stdout line is the re-runnable spec, and `ci.sh` replays
+/// it — then runs it (under `--telemetry <out.json>` when given),
+/// prints the report, writes the byte-stable golden JSON to
+/// `--json <path>`, and on violation lists them, shrinks to a minimal
+/// reproducer and exits non-zero.
+///
+/// # Panics
+///
+/// Panics on a malformed flag or an unwritable `--json` path.
+pub fn soak_main<S: Scenario>() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let spec = S::from_args(&args);
+    println!("{} {}", S::NAME, spec.cli());
+    let run = run_with_telemetry(telemetry_path(&args).as_deref(), || spec.run());
+
+    print!("{}", S::render(&run.report));
+    println!("events processed: {}", run.n_events);
+    if let Some(path) = flag_value(&args, "--json") {
+        std::fs::write(&path, S::golden_json(&run.report))
+            .unwrap_or_else(|e| panic!("cannot write report to {path}: {e}"));
+        println!("wrote the report JSON to {path}");
     }
-    None
+    if run.violations.is_empty() {
+        println!("invariants: all hold (zero violations)");
+        return;
+    }
+
+    println!("invariants VIOLATED ({}):", run.violations.len());
+    for v in run.violations.iter() {
+        println!("  [{}] {}", v.invariant, v.detail);
+    }
+    println!("shrinking to a minimal reproducer...");
+    let (min, min_run) = shrink(&spec, S::run, 64).unwrap_or((spec, run));
+    println!("minimal reproducer has {} violations", min_run.violations.len());
+    println!("re-run with: {} {}", S::NAME, min.cli());
+    std::process::exit(1);
 }
 
 /// Runs `f`, recording a telemetry session and exporting it to `path`

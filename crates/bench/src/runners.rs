@@ -439,8 +439,8 @@ pub fn fig9_scaling_rows() -> (&'static str, u64, Vec<ScalingRow>) {
 /// multi-node MSM scaling of [`fig9_scaling_rows`], the fleet
 /// pod-scaling rows of [`fig9_pod_rows`], the checkpoint-interval
 /// recovery rows of [`fig9_ckpt_rows`] and the partition-tolerance
-/// cost rows of [`fig9_partition_rows`], plus the source revision, as
-/// hand-rolled JSON with exponent-notation floats —
+/// cost rows of [`fig9_partition_rows`], plus the source revision, in
+/// the workspace's one artefact layout with exponent-notation floats —
 /// byte-stable for a fixed source tree, so CI can diff trajectories
 /// across commits.
 ///
@@ -449,69 +449,54 @@ pub fn fig9_scaling_rows() -> (&'static str, u64, Vec<ScalingRow>) {
 /// pure function of its arguments — two calls with the same `describe`
 /// are byte-identical even across checkouts.
 pub fn bench_msm_json(describe: &str) -> String {
+    use distmsm::report::JsonField::{Rows, Scalar};
+    use distmsm::report::{json_pretty, json_str};
+    let sci = |v: f64| format!("{v:.9e}");
     let (curve, n, rows) = fig9_scaling_rows();
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"fig9_scaling\",\n");
-    s.push_str(&format!("  \"curve\": \"{curve}\",\n"));
-    s.push_str(&format!("  \"n\": {n},\n"));
-    s.push_str(&format!("  \"git\": \"{describe}\",\n"));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"gpus\": {}, \"best_pod_s\": {:.9e}, \"one_box_s\": {:.9e}}}{}\n",
-            r.gpus,
-            r.best_pod_s,
-            r.one_box_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    let pods = fig9_pod_rows();
-    s.push_str("  \"pod_rows\": [\n");
-    for (i, e) in pods.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"pods\": {}, \"compute_s\": {:.9e}, \"reduce_s\": {:.9e}, \
-             \"total_s\": {:.9e}, \"strategy\": \"{}\"}}{}\n",
-            e.n_pods,
-            e.compute_s,
-            e.reduce_s,
-            e.total_s,
-            e.strategy.name(),
-            if i + 1 < pods.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    let ckpts = fig9_ckpt_rows();
-    s.push_str("  \"ckpt_rows\": [\n");
-    for (i, e) in ckpts.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"interval\": {}, \"n_windows\": {}, \"overhead_s\": {:.9e}, \
-             \"recovery_s\": {:.9e}, \"scratch_s\": {:.9e}}}{}\n",
-            e.interval,
-            e.n_windows,
-            e.overhead_s,
-            e.recovery_s,
-            e.scratch_s,
-            if i + 1 < ckpts.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    let parts = fig9_partition_rows();
-    s.push_str("  \"partition_rows\": [\n");
-    for (i, e) in parts.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"partition_s\": {:.9e}, \"detect_s\": {:.9e}, \"fenced\": {}, \
-             \"replaced\": {}, \"unavailable_frac\": {:.9e}}}{}\n",
-            e.partition_s,
-            e.detect_s,
-            u8::from(e.fenced),
-            u8::from(e.replaced),
-            e.unavailable_frac,
-            if i + 1 < parts.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = rows.iter().map(|r| {
+        vec![
+            ("gpus", r.gpus.to_string()),
+            ("best_pod_s", sci(r.best_pod_s)),
+            ("one_box_s", sci(r.one_box_s)),
+        ]
+    });
+    let pods = fig9_pod_rows().into_iter().map(|e| {
+        vec![
+            ("pods", e.n_pods.to_string()),
+            ("compute_s", sci(e.compute_s)),
+            ("reduce_s", sci(e.reduce_s)),
+            ("total_s", sci(e.total_s)),
+            ("strategy", json_str(e.strategy.name())),
+        ]
+    });
+    let ckpts = fig9_ckpt_rows().into_iter().map(|e| {
+        vec![
+            ("interval", e.interval.to_string()),
+            ("n_windows", e.n_windows.to_string()),
+            ("overhead_s", sci(e.overhead_s)),
+            ("recovery_s", sci(e.recovery_s)),
+            ("scratch_s", sci(e.scratch_s)),
+        ]
+    });
+    let parts = fig9_partition_rows().into_iter().map(|e| {
+        vec![
+            ("partition_s", sci(e.partition_s)),
+            ("detect_s", sci(e.detect_s)),
+            ("fenced", u8::from(e.fenced).to_string()),
+            ("replaced", u8::from(e.replaced).to_string()),
+            ("unavailable_frac", sci(e.unavailable_frac)),
+        ]
+    });
+    json_pretty(&[
+        ("bench", Scalar(json_str("fig9_scaling"))),
+        ("curve", Scalar(json_str(curve))),
+        ("n", Scalar(n.to_string())),
+        ("git", Scalar(json_str(describe))),
+        ("rows", Rows(rows.collect())),
+        ("pod_rows", Rows(pods.collect())),
+        ("ckpt_rows", Rows(ckpts.collect())),
+        ("partition_rows", Rows(parts.collect())),
+    ]) + "\n"
 }
 
 /// One row of the partition-tolerance cost model in `BENCH_msm.json`:

@@ -38,14 +38,16 @@
 
 use std::collections::BTreeSet;
 
-use distmsm::checkpoint::{CheckpointConfig, WindowCheckpoint};
+use distmsm::checkpoint::{CheckpointConfig, WindowCheckpoint, WindowedMsmReport};
+use distmsm::report::{json_pretty, JsonField::Scalar};
 use distmsm::DistMsm;
 use distmsm_ec::curves::Bn254G1;
 use distmsm_ec::serialize::point_to_uncompressed;
 use distmsm_ec::{Curve, MsmInstance};
 use distmsm_gpu_sim::MultiGpuSystem;
-use distmsm_journal::DurableState;
-use distmsm_service::soak as pod_soak;
+use distmsm_journal::{DurableState, Record};
+use distmsm_service::harness::{by_id, unique_from_trace, Flags, Run, Scenario, Violations};
+use distmsm_service::soak::{self as pod_soak, SoakSpec};
 use distmsm_service::wal as service_wal;
 use distmsm_service::{
     ChaosSchedule, JobSpec, ProverService, ServiceConfig, ServiceEvent, ServiceEventKind,
@@ -54,7 +56,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use crate::fleet::{FleetChaos, FleetConfig, FleetCoordinator, FleetEventKind, FleetOutcome};
 use crate::outsource::Challenge;
-use crate::soak as fleet_soak;
+use crate::soak::{self as fleet_soak, FleetSoakSpec};
 use crate::wal as fleet_wal;
 
 /// Simulated-seconds of lost pod history above which recovery must be
@@ -73,9 +75,9 @@ pub const RECOVERY_WIN_MIN_SCRATCH_S: f64 = 0.05;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CrashSoakSpec {
     /// The pod-level scenario whose journal gets the kill-point sweep.
-    pub service: pod_soak::SoakSpec,
+    pub service: SoakSpec,
     /// The fleet scenario whose journals get the time-cut sweep.
-    pub fleet: fleet_soak::FleetSoakSpec,
+    pub fleet: FleetSoakSpec,
     /// Snapshot cadence (records between installs) for every journal.
     pub snapshot_every: u64,
     /// Record-boundary kill points swept over the service journal.
@@ -93,13 +95,21 @@ pub struct CrashSoakSpec {
     pub ckpt_seed: u64,
 }
 
-impl CrashSoakSpec {
+/// Invariant ids: `"crash-baseline"`, `"crash-decode"`,
+/// `"crash-restore"`, `"crash-no-resurrection"`, `"crash-invariant"`,
+/// `"crash-recovery-cost"`, `"crash-determinism"`, `"crash-torn"`,
+/// `"crash-ckpt"`, `"crash-ckpt-detect"`; every detail names its kill
+/// point.
+impl Scenario for CrashSoakSpec {
+    type Report = CrashReport;
+    const NAME: &'static str = "crash_soak";
+
     /// The CI smoke scenario: small enough to sweep a dozen kill
     /// points in seconds, still covering shedding, retries, breaker
     /// cycles, a byzantine pod and whole-pod loss across the restarts.
-    pub fn smoke() -> Self {
+    fn smoke() -> Self {
         Self {
-            service: pod_soak::SoakSpec {
+            service: SoakSpec {
                 arrival_seed: 11,
                 fault_seed: 3,
                 n_jobs: 60,
@@ -110,7 +120,7 @@ impl CrashSoakSpec {
                 msm_size: 48,
                 always_faulty: Some(5),
             },
-            fleet: fleet_soak::FleetSoakSpec {
+            fleet: FleetSoakSpec {
                 arrival_seed: 2027,
                 fault_seed: 17,
                 n_jobs: 300,
@@ -135,10 +145,10 @@ impl CrashSoakSpec {
 
     /// The acceptance-scale scenario: the full PR-5/PR-7 soak specs
     /// under a denser kill-point grid.
-    pub fn full() -> Self {
+    fn full() -> Self {
         Self {
-            service: pod_soak::SoakSpec::smoke(),
-            fleet: fleet_soak::FleetSoakSpec::smoke(),
+            service: SoakSpec::smoke(),
+            fleet: FleetSoakSpec::smoke(),
             snapshot_every: 32,
             n_kill_points: 12,
             n_torn_points: 6,
@@ -149,39 +159,42 @@ impl CrashSoakSpec {
         }
     }
 
-    /// The spec as a re-runnable seed tuple.
-    pub fn seed_tuple(&self) -> String {
-        format!(
-            "(service={}, fleet={}, snapshot_every={}, n_kill_points={}, n_torn_points={}, \
-             n_fleet_cuts={}, ckpt_msm_size={}, ckpt_interval={}, ckpt_seed={})",
-            self.service.seed_tuple(),
-            self.fleet.seed_tuple(),
-            self.snapshot_every,
-            self.n_kill_points,
-            self.n_torn_points,
-            self.n_fleet_cuts,
-            self.ckpt_msm_size,
-            self.ckpt_interval,
-            self.ckpt_seed
-        )
+    fn flags(&mut self, f: &mut Flags<'_>) {
+        f.nested("service", &mut self.service);
+        f.nested("fleet", &mut self.fleet);
+        f.field("snapshot-every", &mut self.snapshot_every);
+        f.field("kill-points", &mut self.n_kill_points);
+        f.field("torn-points", &mut self.n_torn_points);
+        f.field("fleet-cuts", &mut self.n_fleet_cuts);
+        f.field("ckpt-msm-size", &mut self.ckpt_msm_size);
+        f.field("ckpt-interval", &mut self.ckpt_interval);
+        f.field("ckpt-seed", &mut self.ckpt_seed);
+    }
+
+    /// Runs the full crash soak: the service kill-point sweep, the
+    /// fleet time-cut sweep and the checkpointed-shard resume sweep.
+    fn run(&self) -> Run<CrashReport> {
+        let mut run = Run::default();
+        service_sweep(self, &mut run);
+        fleet_sweep(self, &mut run);
+        if let Err(detail) = ckpt_sweep(self, &mut run) {
+            run.violations.fail("crash-ckpt", detail);
+        }
+        run.report.n_violations = run.violations.len();
+        run
+    }
+
+    fn render(report: &CrashReport) -> String {
+        report.render()
+    }
+
+    fn golden_json(report: &CrashReport) -> String {
+        report.to_json()
     }
 }
 
-/// One detected crash-consistency violation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CrashViolation {
-    /// Stable invariant id (`"crash-baseline"`, `"crash-decode"`,
-    /// `"crash-restore"`, `"crash-no-resurrection"`,
-    /// `"crash-invariant"`, `"crash-recovery-cost"`,
-    /// `"crash-determinism"`, `"crash-torn"`, `"crash-ckpt"`,
-    /// `"crash-ckpt-detect"`).
-    pub invariant: &'static str,
-    /// What went wrong, including the kill point.
-    pub detail: String,
-}
-
 /// Byte-stable summary of one crash soak (the golden-file surface).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CrashReport {
     /// Record-boundary service kill points restored and checked.
     pub service_kill_points: usize,
@@ -215,55 +228,37 @@ impl CrashReport {
     /// Renders the report as byte-stable JSON (integers only, fixed
     /// key order).
     pub fn to_json(&self) -> String {
+        json_pretty(&[
+            ("service_kill_points", Scalar(self.service_kill_points.to_string())),
+            ("service_torn_points", Scalar(self.service_torn_points.to_string())),
+            ("fleet_cuts", Scalar(self.fleet_cuts.to_string())),
+            ("ckpt_resumes", Scalar(self.ckpt_resumes.to_string())),
+            ("recovery_evals", Scalar(self.recovery_evals.to_string())),
+            ("recovery_wins", Scalar(self.recovery_wins.to_string())),
+            ("reverified", Scalar(self.reverified.to_string())),
+            ("replaced", Scalar(self.replaced.to_string())),
+            ("torn_tail_bytes", Scalar(self.torn_tail_bytes.to_string())),
+            ("n_violations", Scalar(self.n_violations.to_string())),
+        ])
+    }
+
+    /// Human-readable summary: sweep sizes, recovery economics and
+    /// restore reconciliation.
+    pub fn render(&self) -> String {
         format!(
-            "{{\n  \"service_kill_points\": {},\n  \"service_torn_points\": {},\n  \
-             \"fleet_cuts\": {},\n  \"ckpt_resumes\": {},\n  \"recovery_evals\": {},\n  \
-             \"recovery_wins\": {},\n  \"reverified\": {},\n  \"replaced\": {},\n  \
-             \"torn_tail_bytes\": {},\n  \"n_violations\": {}\n}}",
+            "kill points: {} record-boundary + {} torn (service), {} fleet cuts, {} shard resumes\n\
+             recovery economics: {} of {} evaluated restores beat scratch\n\
+             restore reconciliation: {} completions re-verified via 2G2T, {} jobs re-placed\n",
             self.service_kill_points,
             self.service_torn_points,
             self.fleet_cuts,
             self.ckpt_resumes,
-            self.recovery_evals,
             self.recovery_wins,
+            self.recovery_evals,
             self.reverified,
-            self.replaced,
-            self.torn_tail_bytes,
-            self.n_violations
+            self.replaced
         )
     }
-}
-
-/// The outcome of one crash soak.
-#[derive(Clone, Debug)]
-pub struct CrashSoakOutcome {
-    /// Byte-stable counters.
-    pub report: CrashReport,
-    /// Detected violations (empty on a healthy sweep).
-    pub violations: Vec<CrashViolation>,
-}
-
-/// Runs the full crash soak: the service kill-point sweep, the fleet
-/// time-cut sweep and the checkpointed-shard resume sweep.
-pub fn run_crash_soak(spec: &CrashSoakSpec) -> CrashSoakOutcome {
-    let mut violations = Vec::new();
-    let mut report = CrashReport {
-        service_kill_points: 0,
-        service_torn_points: 0,
-        fleet_cuts: 0,
-        ckpt_resumes: 0,
-        recovery_evals: 0,
-        recovery_wins: 0,
-        reverified: 0,
-        replaced: 0,
-        torn_tail_bytes: 0,
-        n_violations: 0,
-    };
-    service_sweep(spec, &mut violations, &mut report);
-    fleet_sweep(spec, &mut violations, &mut report);
-    ckpt_sweep(spec, &mut violations, &mut report);
-    report.n_violations = violations.len();
-    CrashSoakOutcome { report, violations }
 }
 
 /// Evenly spread kill indices over `[1, n_records - 1]` — never 0 (an
@@ -306,28 +301,29 @@ struct RestoreStats {
     torn_tail_bytes: usize,
 }
 
+/// Records one restore's recovery economics across `layers` journaled
+/// layers (see [`RECOVERY_WIN_MIN_SCRATCH_S`]).
 fn note_recovery(
     what: &str,
     recovery_cost_s: f64,
     scratch_cost_s: f64,
-    threshold_s: f64,
-    violations: &mut Vec<CrashViolation>,
-    report: &mut CrashReport,
+    layers: usize,
+    run: &mut Run<CrashReport>,
 ) {
-    if scratch_cost_s < threshold_s {
+    if scratch_cost_s < RECOVERY_WIN_MIN_SCRATCH_S * layers as f64 {
         return;
     }
-    report.recovery_evals += 1;
+    run.report.recovery_evals += 1;
     if recovery_cost_s < scratch_cost_s {
-        report.recovery_wins += 1;
+        run.report.recovery_wins += 1;
     } else {
-        violations.push(CrashViolation {
-            invariant: "crash-recovery-cost",
-            detail: format!(
+        run.violations.fail(
+            "crash-recovery-cost",
+            format!(
                 "{what}: recovery cost {recovery_cost_s:.6}s is not below scratch \
                  {scratch_cost_s:.6}s despite {scratch_cost_s:.3}s of lost history"
             ),
-        });
+        );
     }
 }
 
@@ -340,34 +336,26 @@ fn service_restore_check(
     chaos: &ChaosSchedule,
     cut: &DurableState,
     what: &str,
-    violations: &mut Vec<CrashViolation>,
+    run: &mut Run<CrashReport>,
 ) -> Option<RestoreStats> {
+    let v = &mut run.violations;
     let before = match service_wal::decode_events(cut) {
         Ok(events) => events,
         Err(err) => {
-            violations.push(CrashViolation {
-                invariant: "crash-decode",
-                detail: format!("{what}: durable prefix failed to decode: {err:?}"),
-            });
+            v.fail("crash-decode", format!("{what}: durable prefix failed to decode: {err:?}"));
             return None;
         }
     };
-    let mut terminal: BTreeSet<u64> = BTreeSet::new();
-    for ev in &before {
-        if let Some(id) = ev.job {
-            if service_terminal(&ev.kind) {
-                terminal.insert(id);
-            }
-        }
-    }
+    let terminal: BTreeSet<u64> = before
+        .iter()
+        .filter(|ev| service_terminal(&ev.kind))
+        .filter_map(|ev| ev.job)
+        .collect();
 
     let (mut svc, info) = match ProverService::restore(config.clone(), jobs, cut) {
         Ok(pair) => pair,
         Err(err) => {
-            violations.push(CrashViolation {
-                invariant: "crash-restore",
-                detail: format!("{what}: restore failed: {err:?}"),
-            });
+            v.fail("crash-restore", format!("{what}: restore failed: {err:?}"));
             return None;
         }
     };
@@ -375,29 +363,24 @@ fn service_restore_check(
     let outcome = svc.finish();
 
     for ev in &outcome.events {
-        if let Some(id) = ev.job {
-            if terminal.contains(&id) {
-                violations.push(CrashViolation {
-                    invariant: "crash-no-resurrection",
-                    detail: format!(
-                        "{what}: job {id} was terminal before the crash but re-appeared \
-                         as {:?} at t={:.3}",
-                        ev.kind, ev.t_s
-                    ),
-                });
-            }
+        if let Some(id) = ev.job.filter(|id| terminal.contains(id)) {
+            v.fail(
+                "crash-no-resurrection",
+                format!(
+                    "{what}: job {id} was terminal before the crash but re-appeared \
+                     as {:?} at t={:.3}",
+                    ev.kind, ev.t_s
+                ),
+            );
         }
     }
 
     let signature = format!("{:?}", outcome.events);
     let mut merged = before;
     merged.extend(outcome.events.iter().cloned());
-    for v in pod_soak::check_invariants(jobs, &merged, &outcome.completed, config) {
-        violations.push(CrashViolation {
-            invariant: "crash-invariant",
-            detail: format!("{what}: {}: {}", v.invariant, v.detail),
-        });
-    }
+    run.n_events += merged.len();
+    let inner = pod_soak::check_invariants(jobs, &merged, &outcome.completed, config);
+    v.nest("crash-invariant", what, inner);
 
     Some(RestoreStats {
         signature,
@@ -407,11 +390,7 @@ fn service_restore_check(
     })
 }
 
-fn service_sweep(
-    spec: &CrashSoakSpec,
-    violations: &mut Vec<CrashViolation>,
-    report: &mut CrashReport,
-) {
+fn service_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
     let jobs = pod_soak::build_jobs(&spec.service);
     let chaos = pod_soak::build_chaos(&spec.service);
     let mut config = pod_soak::service_config(&spec.service);
@@ -421,45 +400,30 @@ fn service_sweep(
     svc.begin(jobs.clone());
     while svc.step(&chaos) {}
     let reference = svc.finish();
-    for v in pod_soak::check_invariants(&jobs, &reference.events, &reference.completed, &config) {
-        violations.push(CrashViolation {
-            invariant: "crash-baseline",
-            detail: format!("service baseline: {}: {}", v.invariant, v.detail),
-        });
-    }
+    let baseline =
+        pod_soak::check_invariants(&jobs, &reference.events, &reference.completed, &config);
+    run.violations.nest("crash-baseline", "service baseline", baseline);
     let durable = svc.durable().clone();
     let n_records = durable.journal.n_records();
 
     for (i, k) in kill_indices(n_records, spec.n_kill_points).into_iter().enumerate() {
         let cut = durable.truncate_records(k);
         let what = format!("service kill at record {k}/{n_records}");
-        let stats = service_restore_check(&config, &jobs, &chaos, &cut, &what, violations);
-        let Some(stats) = stats else { continue };
-        report.service_kill_points += 1;
-        report.torn_tail_bytes += stats.torn_tail_bytes;
-        note_recovery(
-            &what,
-            stats.recovery_cost_s,
-            stats.scratch_cost_s,
-            RECOVERY_WIN_MIN_SCRATCH_S,
-            violations,
-            report,
-        );
+        let Some(stats) = service_restore_check(&config, &jobs, &chaos, &cut, &what, run) else {
+            continue;
+        };
+        run.report.service_kill_points += 1;
+        run.report.torn_tail_bytes += stats.torn_tail_bytes;
+        note_recovery(&what, stats.recovery_cost_s, stats.scratch_cost_s, 1, run);
         if i == 0 {
             // Determinism probe: restoring the same prefix twice must
             // replay the identical post-crash history.
-            let mut probe = Vec::new();
-            let again = service_restore_check(&config, &jobs, &chaos, &cut, &what, &mut probe);
-            violations.extend(probe);
-            if let Some(again) = again {
-                if again.signature != stats.signature {
-                    violations.push(CrashViolation {
-                        invariant: "crash-determinism",
-                        detail: format!(
-                            "{what}: two restores of the same durable prefix diverged"
-                        ),
-                    });
-                }
+            let again = service_restore_check(&config, &jobs, &chaos, &cut, &what, run);
+            if again.is_some_and(|again| again.signature != stats.signature) {
+                run.violations.fail(
+                    "crash-determinism",
+                    format!("{what}: two restores of the same durable prefix diverged"),
+                );
             }
         }
     }
@@ -469,24 +433,18 @@ fn service_sweep(
         let (offset, len) = spans[k];
         let cut = durable.truncate_bytes(offset + len / 2);
         let what = format!("service torn write inside record {k}/{n_records}");
-        let stats = service_restore_check(&config, &jobs, &chaos, &cut, &what, violations);
-        let Some(stats) = stats else { continue };
-        report.service_torn_points += 1;
-        report.torn_tail_bytes += stats.torn_tail_bytes;
+        let Some(stats) = service_restore_check(&config, &jobs, &chaos, &cut, &what, run) else {
+            continue;
+        };
+        run.report.service_torn_points += 1;
+        run.report.torn_tail_bytes += stats.torn_tail_bytes;
         if stats.torn_tail_bytes == 0 {
-            violations.push(CrashViolation {
-                invariant: "crash-torn",
-                detail: format!("{what}: recovery reported no torn tail for a mid-frame cut"),
-            });
+            run.violations.fail(
+                "crash-torn",
+                format!("{what}: recovery reported no torn tail for a mid-frame cut"),
+            );
         }
-        note_recovery(
-            &what,
-            stats.recovery_cost_s,
-            stats.scratch_cost_s,
-            RECOVERY_WIN_MIN_SCRATCH_S,
-            violations,
-            report,
-        );
+        note_recovery(&what, stats.recovery_cost_s, stats.scratch_cost_s, 1, run);
     }
 }
 
@@ -526,132 +484,119 @@ fn fleet_terminal_before(
     terminal
 }
 
-/// Restores one fleet-wide cut, resumes it and checks the merged
-/// streams. Returns the coordinator's torn-tail byte count so the torn
-/// cut can assert it was actually torn.
-#[allow(clippy::too_many_arguments)]
-fn fleet_restore_check(
-    spec: &CrashSoakSpec,
-    config: &FleetConfig,
-    jobs: &[JobSpec<Bn254G1>],
-    chaos: &FleetChaos,
-    coordinator_cut: &DurableState,
-    pod_cuts: &[DurableState],
-    what: &str,
-    violations: &mut Vec<CrashViolation>,
-    report: &mut CrashReport,
-) -> Option<usize> {
-    let pre_fleet = match fleet_wal::decode_fleet_events(coordinator_cut) {
-        Ok(events) => events,
-        Err(err) => {
-            violations.push(CrashViolation {
-                invariant: "crash-decode",
-                detail: format!("{what}: coordinator prefix failed to decode: {err:?}"),
-            });
-            return None;
-        }
-    };
-    let mut pre_pods: Vec<(usize, ServiceEvent)> = Vec::new();
-    for (pod, cut) in pod_cuts.iter().enumerate() {
-        match service_wal::decode_events(cut) {
-            Ok(events) => pre_pods.extend(events.into_iter().map(|e| (pod, e))),
-            Err(err) => {
-                violations.push(CrashViolation {
-                    invariant: "crash-decode",
-                    detail: format!("{what}: pod {pod} prefix failed to decode: {err:?}"),
-                });
-                return None;
-            }
-        }
-    }
-    let terminal = fleet_terminal_before(&pre_fleet, &pre_pods);
+/// One fleet reference run under crash injection: everything a
+/// restore needs, built once by [`fleet_sweep`].
+struct FleetCuts<'a> {
+    spec: &'a FleetSoakSpec,
+    config: &'a FleetConfig,
+    jobs: &'a [JobSpec<Bn254G1>],
+    chaos: &'a FleetChaos,
+    /// The reference run's per-pod durable journals.
+    pod_durables: &'a [DurableState],
+}
 
-    let (mut fleet, info) =
-        match FleetCoordinator::restore(config.clone(), jobs, coordinator_cut, pod_cuts, chaos) {
-            Ok(pair) => pair,
+impl FleetCuts<'_> {
+    /// Restores one fleet-wide cut — the given coordinator prefix plus
+    /// every pod journal cut at `t_s` — resumes it and checks the
+    /// merged streams. Returns the coordinator's torn-tail byte count
+    /// so the torn cut can assert it was actually torn.
+    fn restore_check(
+        &self,
+        coordinator_cut: &DurableState,
+        t_s: f64,
+        what: &str,
+        run: &mut Run<CrashReport>,
+    ) -> Option<usize> {
+        let Self { spec, config, jobs, chaos, pod_durables } = *self;
+        let v = &mut run.violations;
+        let pod_cuts: Vec<DurableState> =
+            pod_durables.iter().map(|d| truncate_at_time(d, t_s)).collect();
+        let pre_fleet = match fleet_wal::decode_fleet_events(coordinator_cut) {
+            Ok(events) => events,
             Err(err) => {
-                violations.push(CrashViolation {
-                    invariant: "crash-restore",
-                    detail: format!("{what}: fleet restore failed: {err:?}"),
-                });
+                let detail = format!("{what}: coordinator prefix failed to decode: {err:?}");
+                v.fail("crash-decode", detail);
                 return None;
             }
         };
-    let post = fleet.resume(chaos);
-
-    for ev in &post.events {
-        if let (Some(id), FleetEventKind::Verified { .. }) = (ev.job, &ev.kind) {
-            if terminal.contains(&id) {
-                violations.push(CrashViolation {
-                    invariant: "crash-no-resurrection",
-                    detail: format!(
-                        "{what}: job {id} was fleet-terminal before the crash but was \
-                         verified again at t={:.3}",
-                        ev.t_s
-                    ),
-                });
+        let mut pre_pods: Vec<(usize, ServiceEvent)> = Vec::new();
+        for (pod, cut) in pod_cuts.iter().enumerate() {
+            match service_wal::decode_events(cut) {
+                Ok(events) => pre_pods.extend(events.into_iter().map(|e| (pod, e))),
+                Err(err) => {
+                    let detail = format!("{what}: pod {pod} prefix failed to decode: {err:?}");
+                    v.fail("crash-decode", detail);
+                    return None;
+                }
             }
         }
-    }
-    for (pod, ev) in &post.pod_events {
-        if let Some(id) = ev.job {
-            if service_terminal(&ev.kind) && terminal.contains(&id) {
-                violations.push(CrashViolation {
-                    invariant: "crash-no-resurrection",
-                    detail: format!(
-                        "{what}: job {id} was fleet-terminal before the crash but pod {pod} \
-                         re-emitted {:?} at t={:.3}",
-                        ev.kind, ev.t_s
-                    ),
-                });
+        let terminal = fleet_terminal_before(&pre_fleet, &pre_pods);
+
+        let restored =
+            FleetCoordinator::restore(config.clone(), jobs, coordinator_cut, &pod_cuts, chaos);
+        let (mut fleet, info) = match restored {
+            Ok(pair) => pair,
+            Err(err) => {
+                v.fail("crash-restore", format!("{what}: fleet restore failed: {err:?}"));
+                return None;
+            }
+        };
+        let post = fleet.resume(chaos);
+
+        for ev in &post.events {
+            if let (Some(id), FleetEventKind::Verified { .. }) = (ev.job, &ev.kind) {
+                if terminal.contains(&id) {
+                    v.fail(
+                        "crash-no-resurrection",
+                        format!(
+                            "{what}: job {id} was fleet-terminal before the crash but was \
+                             verified again at t={:.3}",
+                            ev.t_s
+                        ),
+                    );
+                }
             }
         }
-    }
-
-    let mut seen_accepted: BTreeSet<u64> = BTreeSet::new();
-    for accepted in &post.accepted {
-        if !seen_accepted.insert(accepted.id) {
-            violations.push(CrashViolation {
-                invariant: "crash-invariant",
-                detail: format!("{what}: job {} accepted more than once", accepted.id),
-            });
+        for (pod, ev) in &post.pod_events {
+            if let Some(id) = ev.job {
+                if service_terminal(&ev.kind) && terminal.contains(&id) {
+                    v.fail(
+                        "crash-no-resurrection",
+                        format!(
+                            "{what}: job {id} was fleet-terminal before the crash but pod \
+                             {pod} re-emitted {:?} at t={:.3}",
+                            ev.kind, ev.t_s
+                        ),
+                    );
+                }
+            }
         }
-    }
 
-    let merged = FleetOutcome {
-        report: post.report.clone(),
-        events: pre_fleet.into_iter().chain(post.events.iter().cloned()).collect(),
-        pod_events: pre_pods.into_iter().chain(post.pod_events.iter().cloned()).collect(),
-        pod_reports: post.pod_reports.clone(),
-        accepted: post.accepted.clone(),
-    };
-    for v in fleet_soak::check_fleet_invariants(&spec.fleet, jobs, &merged, config) {
-        violations.push(CrashViolation {
-            invariant: "crash-invariant",
-            detail: format!("{what}: {}: {}", v.invariant, v.detail),
-        });
-    }
+        let mut accepted_once = Violations::default();
+        let accepted = post.accepted.iter().map(|a| a.id);
+        unique_from_trace(&mut accepted_once, "crash-invariant", &by_id(jobs), accepted);
+        v.within(what, accepted_once);
+        let merged = FleetOutcome {
+            report: post.report.clone(),
+            events: pre_fleet.into_iter().chain(post.events.iter().cloned()).collect(),
+            pod_events: pre_pods.into_iter().chain(post.pod_events.iter().cloned()).collect(),
+            pod_reports: post.pod_reports.clone(),
+            accepted: post.accepted.clone(),
+        };
+        run.n_events += merged.events.len() + merged.pod_events.len();
+        let inner = fleet_soak::check_fleet_invariants(spec, jobs, &merged, config);
+        v.nest("crash-invariant", what, inner);
 
-    report.fleet_cuts += 1;
-    report.reverified += info.reverified;
-    report.replaced += info.replaced_jobs;
-    report.torn_tail_bytes += info.coordinator_torn_tail_bytes;
-    note_recovery(
-        what,
-        info.recovery_cost_s,
-        info.scratch_cost_s,
-        RECOVERY_WIN_MIN_SCRATCH_S * (config.n_pods + 1) as f64,
-        violations,
-        report,
-    );
-    Some(info.coordinator_torn_tail_bytes)
+        run.report.fleet_cuts += 1;
+        run.report.reverified += info.reverified;
+        run.report.replaced += info.replaced_jobs;
+        run.report.torn_tail_bytes += info.coordinator_torn_tail_bytes;
+        note_recovery(what, info.recovery_cost_s, info.scratch_cost_s, config.n_pods + 1, run);
+        Some(info.coordinator_torn_tail_bytes)
+    }
 }
 
-fn fleet_sweep(
-    spec: &CrashSoakSpec,
-    violations: &mut Vec<CrashViolation>,
-    report: &mut CrashReport,
-) {
+fn fleet_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
     let jobs = fleet_soak::build_fleet_jobs(&spec.fleet);
     let chaos = fleet_soak::build_fleet_chaos(&spec.fleet);
     let mut config = fleet_soak::fleet_config(&spec.fleet);
@@ -659,12 +604,8 @@ fn fleet_sweep(
 
     let mut coordinator = FleetCoordinator::new(config.clone());
     let reference = coordinator.run(jobs.clone(), &chaos);
-    for v in fleet_soak::check_fleet_invariants(&spec.fleet, &jobs, &reference, &config) {
-        violations.push(CrashViolation {
-            invariant: "crash-baseline",
-            detail: format!("fleet baseline: {}: {}", v.invariant, v.detail),
-        });
-    }
+    let baseline = fleet_soak::check_fleet_invariants(&spec.fleet, &jobs, &reference, &config);
+    run.violations.nest("crash-baseline", "fleet baseline", baseline);
 
     let coordinator_durable = coordinator.durable().clone();
     let pod_durables: Vec<DurableState> =
@@ -676,30 +617,22 @@ fn fleet_sweep(
         })
         .fold(0.0_f64, f64::max);
     if t_max <= 0.0 {
-        violations.push(CrashViolation {
-            invariant: "crash-baseline",
-            detail: "fleet baseline produced an empty pod history — nothing to cut".into(),
-        });
+        let detail = "fleet baseline produced an empty pod history — nothing to cut";
+        run.violations.fail("crash-baseline", detail.into());
         return;
     }
+    let cuts = FleetCuts {
+        spec: &spec.fleet,
+        config: &config,
+        jobs: &jobs,
+        chaos: &chaos,
+        pod_durables: &pod_durables,
+    };
 
     for i in 1..=spec.n_fleet_cuts {
         let t = t_max * i as f64 / (spec.n_fleet_cuts + 1) as f64;
         let coordinator_cut = truncate_at_time(&coordinator_durable, t);
-        let pod_cuts: Vec<DurableState> =
-            pod_durables.iter().map(|d| truncate_at_time(d, t)).collect();
-        let what = format!("fleet cut at t={t:.3}");
-        fleet_restore_check(
-            spec,
-            &config,
-            &jobs,
-            &chaos,
-            &coordinator_cut,
-            &pod_cuts,
-            &what,
-            violations,
-            report,
-        );
+        cuts.restore_check(&coordinator_cut, t, &format!("fleet cut at t={t:.3}"), run);
     }
 
     // One torn coordinator frame: the pods are cut at the stamp of the
@@ -714,300 +647,170 @@ fn fleet_sweep(
         let t = records[k - 1].t_s;
         let (offset, len) = spans[k];
         let coordinator_cut = coordinator_durable.truncate_bytes(offset + len / 2);
-        let pod_cuts: Vec<DurableState> =
-            pod_durables.iter().map(|d| truncate_at_time(d, t)).collect();
         let what = format!("fleet torn coordinator frame {k} at t={t:.3}");
-        if let Some(torn_tail_bytes) = fleet_restore_check(
-            spec,
-            &config,
-            &jobs,
-            &chaos,
-            &coordinator_cut,
-            &pod_cuts,
-            &what,
-            violations,
-            report,
-        ) {
-            if torn_tail_bytes == 0 {
-                violations.push(CrashViolation {
-                    invariant: "crash-torn",
-                    detail: format!(
-                        "{what}: recovery reported no torn coordinator tail for a mid-frame cut"
-                    ),
-                });
-            }
+        if cuts.restore_check(&coordinator_cut, t, &what, run) == Some(0) {
+            run.violations.fail(
+                "crash-torn",
+                format!("{what}: recovery reported no torn coordinator tail for a mid-frame cut"),
+            );
         }
     }
 }
 
-/// Decodes checkpoint `k` (1-based) from a checkpoint journal; `k = 0`
-/// means no durable boundary (resume from scratch).
-fn ckpt_at(
-    durable: &DurableState,
-    k: usize,
-) -> Result<Option<WindowCheckpoint<Bn254G1>>, String> {
-    if k == 0 {
-        return Ok(None);
-    }
-    let records = durable.journal.replay().map_err(|e| format!("{e:?}"))?;
-    WindowCheckpoint::decode(&records[k - 1].payload).map(Some).map_err(|e| format!("{e:?}"))
+type Ckpt = WindowCheckpoint<Bn254G1>;
+type ShardRun = WindowedMsmReport<Bn254G1>;
+
+/// Decodes checkpoint `k` (1-based) of a checkpoint journal's records;
+/// `k = 0` means no durable boundary (resume from scratch).
+fn ckpt_at(records: &[Record], k: usize) -> Result<Option<Ckpt>, String> {
+    let Some(i) = k.checked_sub(1) else { return Ok(None) };
+    WindowCheckpoint::decode(&records[i].payload)
+        .map(Some)
+        .map_err(|e| format!("checkpoint {k} undecodable: {e:?}"))
 }
 
-fn ckpt_sweep(
-    spec: &CrashSoakSpec,
-    violations: &mut Vec<CrashViolation>,
-    report: &mut CrashReport,
-) {
-    let engine = DistMsm::new(MultiGpuSystem::dgx_a100(1));
+/// The checkpointed giant-MSM shard and its blinded twin.
+struct Shard {
+    engine: DistMsm,
+    cfg: CheckpointConfig,
+    instance: MsmInstance<Bn254G1>,
+    twin: MsmInstance<Bn254G1>,
+    challenge: Challenge<Bn254G1>,
+}
+
+impl Shard {
+    /// Runs the real and twin streams from a boundary each (`None` is
+    /// scratch), handing every new checkpoint to `sink(stream, ckpt)`
+    /// (stream 0 real, 1 twin), and 2G2T-verifies the finished pair —
+    /// resumed checkpoints are untrusted by design.
+    fn resume_pair(
+        &self,
+        real: Option<Ckpt>,
+        twin: Option<Ckpt>,
+        mut sink: impl FnMut(usize, &Ckpt),
+    ) -> Result<(ShardRun, ShardRun), String> {
+        let real = self
+            .engine
+            .execute_windowed(&self.instance, &self.cfg, real, |c| sink(0, c))
+            .map_err(|e| format!("real run failed: {e:?}"))?;
+        let twin = self
+            .engine
+            .execute_windowed(&self.twin, &self.cfg, twin, |c| sink(1, c))
+            .map_err(|e| format!("twin run failed: {e:?}"))?;
+        if !self.challenge.verify(&self.instance.points, &real.result, &twin.result) {
+            return Err("the pair failed the 2G2T check".into());
+        }
+        Ok((real, twin))
+    }
+}
+
+/// The checkpointed-shard sweep. An `Err` is a `crash-ckpt` violation
+/// that ends the sweep (no baseline, no checkpoints, an undecodable
+/// stored checkpoint).
+fn ckpt_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(spec.ckpt_seed ^ 0xc4ec_0000_0000_0001);
     let instance: MsmInstance<Bn254G1> = MsmInstance::random(spec.ckpt_msm_size, &mut rng);
     let challenge: Challenge<Bn254G1> = Challenge::generate(spec.ckpt_seed, spec.ckpt_msm_size);
-    let twin = challenge.twin_instance(&instance);
-    let cfg = CheckpointConfig { interval: spec.ckpt_interval };
+    let shard = Shard {
+        engine: DistMsm::new(MultiGpuSystem::dgx_a100(1)),
+        cfg: CheckpointConfig { interval: spec.ckpt_interval },
+        twin: challenge.twin_instance(&instance),
+        instance,
+        challenge,
+    };
 
-    let mut real_journal = DurableState::new();
-    let full_real = match engine.execute_windowed(&instance, &cfg, None, |c| {
-        real_journal.append(f64::from(c.next_window), &c.encode());
-    }) {
-        Ok(report) => report,
-        Err(err) => {
-            violations.push(CrashViolation {
-                invariant: "crash-ckpt",
-                detail: format!("checkpointed real run failed: {err:?}"),
-            });
-            return;
-        }
-    };
-    let mut twin_journal = DurableState::new();
-    let full_twin = match engine.execute_windowed(&twin, &cfg, None, |c| {
-        twin_journal.append(f64::from(c.next_window), &c.encode());
-    }) {
-        Ok(report) => report,
-        Err(err) => {
-            violations.push(CrashViolation {
-                invariant: "crash-ckpt",
-                detail: format!("checkpointed twin run failed: {err:?}"),
-            });
-            return;
-        }
-    };
-    if !challenge.verify(&instance.points, &full_real.result, &full_twin.result) {
-        violations.push(CrashViolation {
-            invariant: "crash-ckpt",
-            detail: "fault-free checkpointed pair failed the 2G2T check".into(),
-        });
-        return;
-    }
+    let mut journals = [DurableState::new(), DurableState::new()];
+    let (full_real, _) = shard
+        .resume_pair(None, None, |stream, c| {
+            journals[stream].append(f64::from(c.next_window), &c.encode());
+        })
+        .map_err(|e| format!("fault-free checkpointed pair: {e}"))?;
     let want = point_to_uncompressed(&full_real.result.to_affine());
+    let replay = |d: &DurableState| d.journal.replay().map_err(|e| format!("{e:?}"));
+    let (real_records, twin_records) = (replay(&journals[0])?, replay(&journals[1])?);
+    let resume_at = |real_records: &[Record], k: usize| {
+        shard.resume_pair(ckpt_at(real_records, k)?, ckpt_at(&twin_records, k)?, |_, _| {})
+    };
 
     // Resume sweep: crash with k durable checkpoints on both streams,
     // resume both from the last boundary, re-verify the finished pair.
-    let n_ckpts = real_journal.journal.n_records().min(twin_journal.journal.n_records());
+    let n_ckpts = real_records.len().min(twin_records.len());
     for k in 0..=n_ckpts {
         let what = format!("shard resume from checkpoint {k}/{n_ckpts}");
-        let resumed = ckpt_at(&real_journal, k).and_then(|resume_real| {
-            ckpt_at(&twin_journal, k).map(|resume_twin| (resume_real, resume_twin))
-        });
-        let (resume_real, resume_twin) = match resumed {
-            Ok(pair) => pair,
-            Err(err) => {
-                violations.push(CrashViolation {
-                    invariant: "crash-ckpt",
-                    detail: format!("{what}: checkpoint decode failed: {err}"),
-                });
-                continue;
-            }
-        };
-        let real = engine.execute_windowed(&instance, &cfg, resume_real, |_| {});
-        let twin_run = engine.execute_windowed(&twin, &cfg, resume_twin, |_| {});
-        match (real, twin_run) {
-            (Ok(real), Ok(twin_run)) => {
+        match resume_at(&real_records, k) {
+            Err(err) => run.violations.fail("crash-ckpt", format!("{what}: {err}")),
+            Ok((real, _)) => {
                 if point_to_uncompressed(&real.result.to_affine()) != want {
-                    violations.push(CrashViolation {
-                        invariant: "crash-ckpt",
-                        detail: format!("{what}: resumed result diverged from the full run"),
-                    });
-                }
-                if !challenge.verify(&instance.points, &real.result, &twin_run.result) {
-                    violations.push(CrashViolation {
-                        invariant: "crash-ckpt",
-                        detail: format!("{what}: resumed pair failed the 2G2T check"),
-                    });
+                    let detail = format!("{what}: resumed result diverged from the full run");
+                    run.violations.fail("crash-ckpt", detail);
                 }
                 if k > 0 && real.windows_computed >= full_real.windows_computed {
-                    violations.push(CrashViolation {
-                        invariant: "crash-recovery-cost",
-                        detail: format!(
+                    run.violations.fail(
+                        "crash-recovery-cost",
+                        format!(
                             "{what}: resume recomputed {} of {} windows — no cheaper than \
                              scratch",
                             real.windows_computed, full_real.windows_computed
                         ),
-                    });
+                    );
                 }
-                report.ckpt_resumes += 1;
-            }
-            (real, twin_run) => {
-                violations.push(CrashViolation {
-                    invariant: "crash-ckpt",
-                    detail: format!(
-                        "{what}: resume failed (real: {:?}, twin: {:?})",
-                        real.err(),
-                        twin_run.err()
-                    ),
-                });
+                run.report.ckpt_resumes += 1;
             }
         }
     }
-
     if n_ckpts == 0 {
-        violations.push(CrashViolation {
-            invariant: "crash-ckpt",
-            detail: format!(
-                "shard sweep emitted no checkpoints (interval {} over {} windows)",
-                spec.ckpt_interval, full_real.n_windows
-            ),
-        });
-        return;
+        return Err(format!(
+            "shard sweep emitted no checkpoints (interval {} over {} windows)",
+            spec.ckpt_interval, full_real.n_windows
+        ));
     }
 
     // Torn checkpoint tail: a mid-frame cut must fall back to the
     // previous durable boundary, and that resume must still verify.
-    {
-        let spans = real_journal.journal.frame_spans();
-        let (offset, len) = spans[n_ckpts - 1];
-        let torn = real_journal.truncate_bytes(offset + len / 2);
-        match torn.recover() {
-            Ok(recovered) => {
-                if recovered.torn_tail_bytes == 0 {
-                    violations.push(CrashViolation {
-                        invariant: "crash-torn",
-                        detail: "torn checkpoint tail was not reported by recovery".into(),
-                    });
-                }
-                let k = recovered.records.len();
-                let what = format!("shard torn tail falling back to checkpoint {k}");
-                let resume_real = recovered
-                    .records
-                    .last()
-                    .map(|r| WindowCheckpoint::<Bn254G1>::decode(&r.payload));
-                match resume_real.transpose() {
-                    Ok(resume_real) => {
-                        let real = engine.execute_windowed(&instance, &cfg, resume_real, |_| {});
-                        let twin_resume = match ckpt_at(&twin_journal, k) {
-                            Ok(resume) => resume,
-                            Err(err) => {
-                                violations.push(CrashViolation {
-                                    invariant: "crash-ckpt",
-                                    detail: format!("{what}: twin decode failed: {err}"),
-                                });
-                                return;
-                            }
-                        };
-                        let twin_run = engine.execute_windowed(&twin, &cfg, twin_resume, |_| {});
-                        match (real, twin_run) {
-                            (Ok(real), Ok(twin_run))
-                                if challenge.verify(
-                                    &instance.points,
-                                    &real.result,
-                                    &twin_run.result,
-                                ) =>
-                            {
-                                report.ckpt_resumes += 1;
-                            }
-                            _ => violations.push(CrashViolation {
-                                invariant: "crash-ckpt",
-                                detail: format!("{what}: fallback resume failed to verify"),
-                            }),
-                        }
-                    }
-                    Err(err) => violations.push(CrashViolation {
-                        invariant: "crash-ckpt",
-                        detail: format!("{what}: fallback checkpoint undecodable: {err:?}"),
-                    }),
-                }
+    let (offset, len) = journals[0].journal.frame_spans()[n_ckpts - 1];
+    match journals[0].truncate_bytes(offset + len / 2).recover() {
+        Ok(recovered) => {
+            if recovered.torn_tail_bytes == 0 {
+                let detail = "torn checkpoint tail was not reported by recovery";
+                run.violations.fail("crash-torn", detail.into());
             }
-            Err(err) => violations.push(CrashViolation {
-                invariant: "crash-torn",
-                detail: format!("torn checkpoint tail was rejected instead of dropped: {err:?}"),
-            }),
+            let k = recovered.records.len();
+            match resume_at(&recovered.records, k) {
+                Ok(_) => run.report.ckpt_resumes += 1,
+                Err(err) => run.violations.fail(
+                    "crash-ckpt",
+                    format!("shard torn tail falling back to checkpoint {k}: {err}"),
+                ),
+            }
         }
+        Err(err) => run.violations.fail(
+            "crash-torn",
+            format!("torn checkpoint tail was rejected instead of dropped: {err:?}"),
+        ),
     }
 
     // Corrupted-but-decodable checkpoint: the resumed result is wrong,
     // so the 2G2T check must *fail*, and the scratch fallback must
-    // then verify. Resumed checkpoints are untrusted by design.
-    {
-        let records = real_journal
-            .journal
-            .replay()
-            .expect("checkpoint journal is intact before corruption injection");
-        let payload = &records[n_ckpts - 1].payload;
-        let mut bad = match WindowCheckpoint::<Bn254G1>::decode(payload) {
-            Ok(ckpt) => ckpt,
-            Err(err) => {
-                violations.push(CrashViolation {
-                    invariant: "crash-ckpt",
-                    detail: format!("stored checkpoint undecodable: {err:?}"),
-                });
-                return;
-            }
-        };
-        let delta =
-            instance.points[0].scalar_mul(&Bn254G1::field_to_scalar(&challenge.alpha));
-        bad.partials[0] = bad.partials[0].padd(&delta);
-        let what = "shard resume from corrupted checkpoint";
-        let real = engine.execute_windowed(&instance, &cfg, Some(bad), |_| {});
-        let twin_resume = match ckpt_at(&twin_journal, n_ckpts) {
-            Ok(resume) => resume,
-            Err(err) => {
-                violations.push(CrashViolation {
-                    invariant: "crash-ckpt",
-                    detail: format!("{what}: twin decode failed: {err}"),
-                });
-                return;
-            }
-        };
-        let twin_run = engine.execute_windowed(&twin, &cfg, twin_resume, |_| {});
-        match (real, twin_run) {
-            (Ok(real), Ok(twin_run)) => {
-                if challenge.verify(&instance.points, &real.result, &twin_run.result) {
-                    violations.push(CrashViolation {
-                        invariant: "crash-ckpt-detect",
-                        detail: format!(
-                            "{what}: the 2G2T check accepted a corrupted resume"
-                        ),
-                    });
-                } else {
-                    // Detected — the fallback recomputes from scratch
-                    // and must verify.
-                    let scratch = engine.execute_windowed(&instance, &cfg, None, |_| {});
-                    match scratch {
-                        Ok(scratch)
-                            if challenge.verify(
-                                &instance.points,
-                                &scratch.result,
-                                &twin_run.result,
-                            ) =>
-                        {
-                            report.ckpt_resumes += 1;
-                        }
-                        _ => violations.push(CrashViolation {
-                            invariant: "crash-ckpt",
-                            detail: format!("{what}: scratch fallback failed to verify"),
-                        }),
-                    }
-                }
-            }
-            (real, twin_run) => violations.push(CrashViolation {
-                invariant: "crash-ckpt",
-                detail: format!(
-                    "{what}: resume failed (real: {:?}, twin: {:?})",
-                    real.err(),
-                    twin_run.err()
-                ),
-            }),
+    // then verify.
+    let mut bad = ckpt_at(&real_records, n_ckpts)?.expect("n_ckpts ≥ 1 names a stored checkpoint");
+    let alpha = Bn254G1::field_to_scalar(&shard.challenge.alpha);
+    bad.partials[0] = bad.partials[0].padd(&shard.instance.points[0].scalar_mul(&alpha));
+    let what = "shard resume from corrupted checkpoint";
+    let twin_resume = ckpt_at(&twin_records, n_ckpts)?;
+    match shard.resume_pair(Some(bad), twin_resume.clone(), |_, _| {}) {
+        Ok(_) => {
+            let detail = format!("{what}: the 2G2T check accepted a corrupted resume");
+            run.violations.fail("crash-ckpt-detect", detail);
         }
+        Err(_) => match shard.resume_pair(None, twin_resume, |_, _| {}) {
+            Ok(_) => run.report.ckpt_resumes += 1,
+            Err(err) => {
+                let detail = format!("{what}: scratch fallback failed to verify: {err}");
+                run.violations.fail("crash-ckpt", detail);
+            }
+        },
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1016,7 +819,7 @@ mod tests {
 
     fn tiny() -> CrashSoakSpec {
         CrashSoakSpec {
-            service: pod_soak::SoakSpec {
+            service: SoakSpec {
                 arrival_seed: 11,
                 fault_seed: 3,
                 n_jobs: 12,
@@ -1027,7 +830,7 @@ mod tests {
                 msm_size: 32,
                 always_faulty: None,
             },
-            fleet: fleet_soak::FleetSoakSpec {
+            fleet: FleetSoakSpec {
                 arrival_seed: 2027,
                 fault_seed: 17,
                 n_jobs: 24,
@@ -1053,7 +856,7 @@ mod tests {
     #[test]
     fn tiny_crash_soak_is_clean_and_deterministic() {
         let spec = tiny();
-        let first = run_crash_soak(&spec);
+        let first = spec.run();
         assert!(
             first.violations.is_empty(),
             "tiny crash soak found violations: {:#?}",
@@ -1063,8 +866,19 @@ mod tests {
         assert!(first.report.service_torn_points > 0);
         assert!(first.report.fleet_cuts > 0);
         assert!(first.report.ckpt_resumes > 0);
-        let second = run_crash_soak(&spec);
+        let second = spec.run();
         assert_eq!(first.report, second.report, "crash soak must be deterministic");
+    }
+
+    #[test]
+    fn cli_round_trips_through_from_args_with_nested_specs() {
+        let perturbed = CrashSoakSpec { snapshot_every: 5, ..tiny() };
+        for spec in [CrashSoakSpec::smoke(), CrashSoakSpec::full(), perturbed] {
+            let cli = spec.cli();
+            assert!(cli.contains("--service-jobs") && cli.contains("--fleet-pods"), "{cli}");
+            let args: Vec<String> = cli.split(' ').map(str::to_owned).collect();
+            assert_eq!(CrashSoakSpec::from_args(&args), spec, "{cli}");
+        }
     }
 
     #[test]

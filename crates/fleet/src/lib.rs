@@ -50,10 +50,7 @@ pub mod shard;
 pub mod soak;
 pub mod wal;
 
-pub use crash::{
-    run_crash_soak, CrashReport, CrashSoakOutcome, CrashSoakSpec, CrashViolation,
-    RECOVERY_WIN_MIN_SCRATCH_S,
-};
+pub use crash::{CrashReport, CrashSoakSpec, RECOVERY_WIN_MIN_SCRATCH_S};
 pub use estimate::{estimate_fleet_msm, FleetMsmEstimate};
 pub use fleet::{
     AcceptedJob, FleetChaos, FleetConfig, FleetCoordinator, FleetEvent, FleetEventKind,
@@ -61,16 +58,10 @@ pub use fleet::{
 };
 pub use membership::{LeaseState, Membership, MembershipAction, MembershipConfig};
 pub use outsource::{Challenge, Corruption, OutsourcedResult, N_DECOYS};
-pub use partition::{
-    run_partition_soak, PartitionReport, PartitionSoakOutcome, PartitionSoakSpec,
-    PartitionViolation,
-};
+pub use partition::{PartitionReport, PartitionSoakSpec};
 pub use report::{FleetReport, PodStats};
 pub use shard::{execute_sharded, ShardExecution, ShardedMsmConfig, ShardedMsmReport};
 pub use wal::{
     decode_fleet_events, recover_fleet_state, AcceptedEntry, FleetRecord, FleetState, FleetWal,
 };
-pub use soak::{
-    fleet_shrink, run_fleet_soak, FleetSabotage, FleetSoakOptions, FleetSoakOutcome, FleetSoakSpec,
-    FleetViolation,
-};
+pub use soak::FleetSoakSpec;

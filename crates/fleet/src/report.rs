@@ -6,6 +6,8 @@
 //! per-pod [`ServiceReport`]s remain available on the outcome for
 //! drill-down.
 
+use distmsm::report::JsonField::{Inline, Rows, Scalar};
+use distmsm::report::{json_num, json_pretty, json_str};
 use distmsm::{Phase, Report};
 use distmsm_service::ServiceReport;
 
@@ -196,15 +198,6 @@ impl FleetReport {
     }
 }
 
-/// Byte-stable float formatting shared with the service report JSON.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".into()
-    }
-}
-
 impl Report for FleetReport {
     fn kind(&self) -> &'static str {
         "fleet"
@@ -229,49 +222,38 @@ impl FleetReport {
     /// The full fleet accounting as byte-stable JSON (pod rollups plus
     /// coordinator counters) — the shape the soak golden pins.
     pub fn to_detailed_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"kind\": \"fleet\",\n");
-        out.push_str(&format!("  \"n_pods\": {},\n", self.pods.len()));
-        out.push_str(&format!("  \"n_tenants\": {},\n", self.n_tenants));
-        out.push_str(&format!("  \"tenants_served\": {},\n", self.tenants_served));
-        out.push_str(&format!("  \"placed\": {},\n", self.placed));
-        out.push_str(&format!("  \"admitted\": {},\n", self.admitted));
-        out.push_str(&format!("  \"accepted\": {},\n", self.accepted));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed));
-        out.push_str(&format!("  \"shed\": {},\n", self.shed));
-        out.push_str(&format!("  \"steals\": {},\n", self.steals));
-        out.push_str(&format!("  \"detections\": {},\n", self.detections));
-        out.push_str(&format!("  \"replaced\": {},\n", self.replaced));
-        out.push_str(&format!(
-            "  \"quarantined_pods\": [{}],\n",
-            self.quarantined_pods
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("  \"completion_rate\": {},\n", num(self.completion_rate())));
-        out.push_str(&format!("  \"horizon_s\": {},\n", num(self.horizon_s)));
-        out.push_str("  \"pods\": [\n");
-        for (i, p) in self.pods.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"pod\": {}, \"placed\": {}, \"admitted\": {}, \"accepted\": {}, \
-                 \"failed\": {}, \"shed\": {}, \"stolen_in\": {}, \"stolen_out\": {}, \
-                 \"detections\": {}, \"quarantined\": {}}}{}\n",
-                p.pod,
-                p.placed,
-                p.admitted,
-                p.accepted,
-                p.failed,
-                p.shed,
-                p.stolen_in,
-                p.stolen_out,
-                p.detections,
-                p.quarantined,
-                if i + 1 < self.pods.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let pods = self.pods.iter().map(|p| {
+            vec![
+                ("pod", p.pod.to_string()),
+                ("placed", p.placed.to_string()),
+                ("admitted", p.admitted.to_string()),
+                ("accepted", p.accepted.to_string()),
+                ("failed", p.failed.to_string()),
+                ("shed", p.shed.to_string()),
+                ("stolen_in", p.stolen_in.to_string()),
+                ("stolen_out", p.stolen_out.to_string()),
+                ("detections", p.detections.to_string()),
+                ("quarantined", p.quarantined.to_string()),
+            ]
+        });
+        let quarantined = self.quarantined_pods.iter().map(|p| p.to_string());
+        json_pretty(&[
+            ("kind", Scalar(json_str("fleet"))),
+            ("n_pods", Scalar(self.pods.len().to_string())),
+            ("n_tenants", Scalar(self.n_tenants.to_string())),
+            ("tenants_served", Scalar(self.tenants_served.to_string())),
+            ("placed", Scalar(self.placed.to_string())),
+            ("admitted", Scalar(self.admitted.to_string())),
+            ("accepted", Scalar(self.accepted.to_string())),
+            ("failed", Scalar(self.failed.to_string())),
+            ("shed", Scalar(self.shed.to_string())),
+            ("steals", Scalar(self.steals.to_string())),
+            ("detections", Scalar(self.detections.to_string())),
+            ("replaced", Scalar(self.replaced.to_string())),
+            ("quarantined_pods", Inline(quarantined.collect())),
+            ("completion_rate", Scalar(json_num(self.completion_rate()))),
+            ("horizon_s", Scalar(json_num(self.horizon_s))),
+            ("pods", Rows(pods.collect())),
+        ]) + "\n"
     }
 }

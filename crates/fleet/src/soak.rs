@@ -2,22 +2,23 @@
 //! placed across pods and replayed against per-pod chaos *plus* the
 //! pod-level fault classes that have no single-pod analogue — whole-pod
 //! loss and a byzantine pod — with fleet-scope invariants checked over
-//! the merged event streams and a greedy seed-tuple shrinker.
+//! the merged event streams. The ledger, the bit-exact check, the
+//! shrinker and the flag plumbing are `distmsm_service::harness`; this
+//! module is the scenario: its spec, its merged-timeline `match`, its
+//! pod-level invariants and its shrink candidates.
 //!
 //! Everything derives from the [`FleetSoakSpec`] alone, and generation
 //! is prefix-stable: shrinking a count replays a strict subset.
 
-use distmsm::engine::DistMsm;
-use distmsm_ec::curves::Bn254G1;
 use distmsm_comms::PartitionSchedule;
-use distmsm_ec::MsmInstance;
-use distmsm_gpu_sim::fault::splitmix64;
-use distmsm_gpu_sim::MultiGpuSystem;
+use distmsm_ec::curves::Bn254G1;
+use distmsm_service::harness::{
+    arrival_trace, bit_exact, by_id, Flags, Ledger, LedgerIds, Run, Scenario, Violations,
+};
 use distmsm_service::{
-    BreakerState, ChaosSchedule, JobClass, JobSpec, ServiceConfig, ServiceEvent, ServiceEventKind,
+    BreakerState, ChaosSchedule, JobSpec, ServiceConfig, ServiceEvent, ServiceEventKind,
     TenantConfig,
 };
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::fleet::{
     ByzantineWindow, FleetChaos, FleetConfig, FleetCoordinator, FleetEvent, FleetEventKind,
@@ -60,7 +61,9 @@ pub struct FleetSoakSpec {
 impl FleetSoakSpec {
     /// The acceptance-scale scenario: 1024 tenants across 4 pods, a
     /// byzantine pod and a whole-pod loss, with work stealing healing
-    /// the imbalance.
+    /// the imbalance. Inherent (not only [`Scenario::smoke`]) because
+    /// `benchmark/` derives its `fleet_serve` spec from it without the
+    /// trait in scope.
     pub fn smoke() -> Self {
         Self {
             arrival_seed: 2026,
@@ -77,8 +80,23 @@ impl FleetSoakSpec {
         }
     }
 
+    /// The corruption class the byzantine pod applies, derived from the
+    /// fault seed so soak sweeps cover all classes.
+    pub fn byzantine_class(&self) -> Corruption {
+        Corruption::ALL[(self.fault_seed % Corruption::ALL.len() as u64) as usize]
+    }
+}
+
+impl Scenario for FleetSoakSpec {
+    type Report = FleetReport;
+    const NAME: &'static str = "fleet_soak";
+
+    fn smoke() -> Self {
+        Self::smoke()
+    }
+
     /// The overnight scenario: more jobs, bigger MSMs, more chaos.
-    pub fn full() -> Self {
+    fn full() -> Self {
         Self {
             arrival_seed: 2026,
             fault_seed: 29,
@@ -94,147 +112,70 @@ impl FleetSoakSpec {
         }
     }
 
-    /// The spec as a re-runnable seed tuple (the shrinker's output
-    /// format).
-    pub fn seed_tuple(&self) -> String {
-        format!(
-            "(arrival_seed={}, fault_seed={}, n_jobs={}, n_tenants={}, n_pods={}, \
-             devices_per_pod={}, n_fault_windows={}, horizon_s={}, msm_size={}, \
-             byzantine_pod={:?}, lost_pod={:?})",
-            self.arrival_seed,
-            self.fault_seed,
-            self.n_jobs,
-            self.n_tenants,
-            self.n_pods,
-            self.devices_per_pod,
-            self.n_fault_windows,
-            self.horizon_s,
-            self.msm_size,
-            self.byzantine_pod,
-            self.lost_pod,
-        )
+    fn flags(&mut self, f: &mut Flags<'_>) {
+        f.field("arrival-seed", &mut self.arrival_seed);
+        f.field("fault-seed", &mut self.fault_seed);
+        f.field("jobs", &mut self.n_jobs);
+        f.field("tenants", &mut self.n_tenants);
+        f.field("pods", &mut self.n_pods);
+        f.field("devices-per-pod", &mut self.devices_per_pod);
+        f.field("fault-windows", &mut self.n_fault_windows);
+        f.field("horizon", &mut self.horizon_s);
+        f.field("msm-size", &mut self.msm_size);
+        f.optional("byzantine-pod", &mut self.byzantine_pod);
+        f.optional("lost-pod", &mut self.lost_pod);
     }
 
-    /// The spec as `fleet_soak` binary flags, for copy-paste
-    /// reproduction.
-    pub fn cli(&self) -> String {
-        let mut s = format!(
-            "--arrival-seed {} --fault-seed {} --jobs {} --tenants {} --pods {} \
-             --devices-per-pod {} --fault-windows {} --horizon {} --msm-size {}",
-            self.arrival_seed,
-            self.fault_seed,
-            self.n_jobs,
-            self.n_tenants,
-            self.n_pods,
-            self.devices_per_pod,
-            self.n_fault_windows,
-            self.horizon_s,
-            self.msm_size,
-        );
-        if let Some(p) = self.byzantine_pod {
-            s.push_str(&format!(" --byzantine-pod {p}"));
+    fn run(&self) -> Run<FleetReport> {
+        let (jobs, config, outcome) = execute(self);
+        verdict(self, &jobs, &config, outcome)
+    }
+
+    fn render(report: &FleetReport) -> String {
+        report.render()
+    }
+
+    fn golden_json(report: &FleetReport) -> String {
+        report.to_detailed_json()
+    }
+
+    /// The pod-soak axes plus the pod-level fault classes (drop the
+    /// byzantine pod, drop the lost pod, shrink the tenant table).
+    fn shrink_candidates(&self) -> Vec<Self> {
+        let mut out = Vec::new();
+        if self.n_jobs > 1 {
+            out.push(Self { n_jobs: self.n_jobs / 2, ..*self });
+            out.push(Self { n_jobs: self.n_jobs - 1, ..*self });
         }
-        if let Some(p) = self.lost_pod {
-            s.push_str(&format!(" --lost-pod {p}"));
+        if self.n_fault_windows > 0 {
+            out.push(Self { n_fault_windows: self.n_fault_windows / 2, ..*self });
+            out.push(Self { n_fault_windows: self.n_fault_windows - 1, ..*self });
         }
-        s
+        if self.byzantine_pod.is_some() {
+            out.push(Self { byzantine_pod: None, ..*self });
+        }
+        if self.lost_pod.is_some() {
+            out.push(Self { lost_pod: None, ..*self });
+        }
+        if self.n_tenants > 1 {
+            out.push(Self { n_tenants: (self.n_tenants / 2).max(1), ..*self });
+        }
+        if self.horizon_s > 1.0 {
+            out.push(Self { horizon_s: self.horizon_s / 2.0, ..*self });
+        }
+        out.retain(|c| c != self);
+        out.dedup();
+        out
     }
-
-    /// The corruption class the byzantine pod applies, derived from the
-    /// fault seed so soak sweeps cover all classes.
-    pub fn byzantine_class(&self) -> Corruption {
-        Corruption::ALL[(self.fault_seed % Corruption::ALL.len() as u64) as usize]
-    }
 }
 
-/// Test-only corruption of the coordinator's event stream, proving the
-/// fleet invariant checker catches violations. Never a production path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FleetSabotage {
-    /// No corruption: the honest run.
-    #[default]
-    None,
-    /// Drops every third `Verified` fleet event before the invariant
-    /// check — verified jobs appear to vanish, breaking fleet
-    /// conservation and exactly-once termination.
-    DropAccepted,
-}
-
-/// Options for one fleet soak run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FleetSoakOptions {
-    /// Event-stream corruption (tests only).
-    pub sabotage: FleetSabotage,
-}
-
-/// One detected fleet-invariant violation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FleetViolation {
-    /// Stable invariant id (`"fleet-exactly-once"`,
-    /// `"fleet-conservation"`, `"fleet-bit-exact"`,
-    /// `"fleet-starvation-bound"`, `"quarantined-pod"`, `"pod-loss"`,
-    /// `"fleet-completion-floor"`).
-    pub invariant: &'static str,
-    /// What went wrong.
-    pub detail: String,
-}
-
-/// The outcome of one fleet soak run.
-#[derive(Clone, Debug)]
-pub struct FleetSoakOutcome {
-    /// The aggregated fleet report.
-    pub report: FleetReport,
-    /// Detected invariant violations (empty on a healthy run).
-    pub violations: Vec<FleetViolation>,
-    /// Coordinator + pod events processed (after any sabotage).
-    pub n_events: usize,
-}
-
-fn unit(state: &mut u64) -> f64 {
-    splitmix64(state) as f64 / u64::MAX as f64
-}
-
-/// Builds the seeded fleet arrival trace: bursty Poisson-like arrivals
-/// of mixed-class, mixed-size MSM jobs spread over `n_tenants` tenants.
-///
-/// Prefix-stable: job `i` consumes a fixed number of PRNG draws and its
-/// instance is seeded per-id, so shrinking `n_jobs` keeps every
-/// surviving job identical.
+/// Builds the seeded fleet arrival trace of mixed-class, mixed-size MSM
+/// jobs spread over `n_tenants` tenants (prefix-stable, see
+/// [`arrival_trace`]).
 pub fn build_fleet_jobs(spec: &FleetSoakSpec) -> Vec<JobSpec<Bn254G1>> {
-    let mut state = spec.arrival_seed ^ 0xf1ee_7001_9abc_def0;
-    let mean_long_gap = spec.horizon_s / 150.0;
-    let mut t = 0.0;
-    let mut jobs = Vec::with_capacity(spec.n_jobs);
-    for i in 0..spec.n_jobs {
-        let u_gap = unit(&mut state);
-        let tenant_draw = splitmix64(&mut state);
-        let u_class = unit(&mut state);
-        let u_deadline = unit(&mut state);
-        let u_size = unit(&mut state);
-        t += if i % 8 < 5 {
-            0.0002 + 0.0018 * u_gap
-        } else {
-            -((u_gap.max(1e-12)).ln()) * mean_long_gap
-        };
-        let tenant = (tenant_draw % spec.n_tenants as u64) as usize;
-        let class = if u_class < 0.6 { JobClass::Interactive } else { JobClass::Batch };
-        let deadline_s = match class {
-            JobClass::Interactive => Some(t + 0.05 + 0.45 * u_deadline),
-            JobClass::Batch => None,
-        };
-        let half = (spec.msm_size / 2).max(1);
-        let n = half + (u_size * half as f64) as usize;
-        let mut rng = StdRng::seed_from_u64(spec.arrival_seed.wrapping_add(0xf5eed + i as u64));
-        jobs.push(JobSpec {
-            id: i as u64,
-            tenant,
-            class,
-            arrival_s: t,
-            deadline_s,
-            instance: MsmInstance::random(n, &mut rng),
-        });
-    }
-    jobs
+    const SALTS: [u64; 2] = [0xf1ee_7001_9abc_def0, 0xf5eed];
+    let tenants = Some(spec.n_tenants);
+    arrival_trace(spec.arrival_seed, SALTS, spec.n_jobs, spec.horizon_s, spec.msm_size, tenants)
 }
 
 /// The fleet configuration a soak runs: identical pods sharing one
@@ -293,30 +234,29 @@ pub fn build_fleet_chaos(spec: &FleetSoakSpec) -> FleetChaos {
     chaos
 }
 
-/// Runs one fleet soak end to end: build, place, execute, corrupt (if
-/// sabotaged), check the fleet invariants.
-pub fn run_fleet_soak(spec: &FleetSoakSpec, opts: &FleetSoakOptions) -> FleetSoakOutcome {
+/// Builds, places and executes one fleet scenario, unchecked: the
+/// arrival trace, the fleet configuration and everything the run
+/// produced.
+pub fn execute(
+    spec: &FleetSoakSpec,
+) -> (Vec<JobSpec<Bn254G1>>, FleetConfig, FleetOutcome<Bn254G1>) {
     let jobs = build_fleet_jobs(spec);
-    let chaos = build_fleet_chaos(spec);
     let config = fleet_config(spec);
-    let mut coordinator = FleetCoordinator::new(config.clone());
-    let mut outcome = coordinator.run(jobs.clone(), &chaos);
+    let outcome =
+        FleetCoordinator::new(config.clone()).run(jobs.clone(), &build_fleet_chaos(spec));
+    (jobs, config, outcome)
+}
 
-    if opts.sabotage == FleetSabotage::DropAccepted {
-        let mut kept = 0u64;
-        outcome.events.retain(|e| {
-            if matches!(e.kind, FleetEventKind::Verified { .. }) {
-                kept += 1;
-                !kept.is_multiple_of(3)
-            } else {
-                true
-            }
-        });
-    }
-
-    let violations = check_fleet_invariants(spec, &jobs, &outcome, &config);
+/// Checks one executed fleet scenario ([`check_fleet_invariants`]).
+pub fn verdict(
+    spec: &FleetSoakSpec,
+    jobs: &[JobSpec<Bn254G1>],
+    config: &FleetConfig,
+    outcome: FleetOutcome<Bn254G1>,
+) -> Run<FleetReport> {
+    let violations = check_fleet_invariants(spec, jobs, &outcome, config);
     let n_events = outcome.events.len() + outcome.pod_events.len();
-    FleetSoakOutcome { report: outcome.report, violations, n_events }
+    Run { report: outcome.report, violations, n_events }
 }
 
 /// One entry of the merged fleet timeline, ordered by time with
@@ -368,10 +308,9 @@ pub fn check_fleet_invariants(
     jobs: &[JobSpec<Bn254G1>],
     outcome: &FleetOutcome<Bn254G1>,
     config: &FleetConfig,
-) -> Vec<FleetViolation> {
-    let mut violations = Vec::new();
-    let by_id: std::collections::BTreeMap<u64, &JobSpec<Bn254G1>> =
-        jobs.iter().map(|j| (j.id, j)).collect();
+) -> Violations {
+    let mut violations = Violations::default();
+    let by_id = by_id(jobs);
 
     let mut timeline: Vec<Timeline<'_>> = outcome
         .events
@@ -383,125 +322,37 @@ pub fn check_fleet_invariants(
         a.t_s().total_cmp(&b.t_s()).then(a.fleet_first().cmp(&b.fleet_first()))
     });
 
-    let mut admitted = 0i64;
-    let mut terminated = 0i64;
-    let mut terminal_count: std::collections::BTreeMap<u64, u32> = Default::default();
-    let mut admitted_ids: std::collections::BTreeSet<u64> = Default::default();
-    let mut queued_since: std::collections::BTreeMap<u64, f64> = Default::default();
-    const EPS: f64 = 1e-6;
-
-    let check_wait = |violations: &mut Vec<FleetViolation>, id: u64, since: f64, until: f64| {
-        let Some(job) = by_id.get(&id) else { return };
-        let bound = config.pod.shed.class_bound(job.class);
-        let waited = until - since;
-        if waited > bound + EPS {
-            violations.push(FleetViolation {
-                invariant: "fleet-starvation-bound",
-                detail: format!(
-                    "{} job {id} waited {waited:.3}s in queue, past its {bound:.3}s bound",
-                    job.class.label()
-                ),
-            });
-        }
-    };
-
+    // 1, 2, 4: the shared ledger. A pod-level `Completed` is not
+    // terminal; `Verified` is, and it leaves no queue epoch open.
+    let mut ledger = Ledger::new(LedgerIds::FLEET, &by_id, &config.pod.shed);
     for entry in &timeline {
+        let v = &mut violations;
         match entry {
             Timeline::Fleet(e) => match &e.kind {
+                // The job re-enters a queue under a fresh epoch.
                 FleetEventKind::Stolen { .. } | FleetEventKind::Replaced { .. } => {
-                    // The job re-enters a queue under a fresh epoch.
-                    if let Some(id) = e.job {
-                        queued_since.insert(id, e.t_s);
-                    }
+                    ledger.requeue(e.job, e.t_s);
                 }
-                FleetEventKind::Verified { .. } => {
-                    terminated += 1;
-                    if let Some(id) = e.job {
-                        *terminal_count.entry(id).or_insert(0) += 1;
-                    }
-                }
+                FleetEventKind::Verified { .. } => ledger.terminate(v, e.job, e.t_s, false),
                 _ => {}
             },
             Timeline::Pod(e) => match &e.kind {
-                ServiceEventKind::Admitted { .. } => {
-                    admitted += 1;
-                    admitted_ids.insert(e.job.unwrap_or(u64::MAX));
-                    if let Some(id) = e.job {
-                        queued_since.insert(id, e.t_s);
-                    }
-                }
-                ServiceEventKind::Requeued { .. } => {
-                    if let Some(id) = e.job {
-                        queued_since.insert(id, e.t_s);
-                    }
-                }
-                ServiceEventKind::Dispatched { .. } => {
-                    if let Some(id) = e.job {
-                        if let Some(since) = queued_since.remove(&id) {
-                            check_wait(&mut violations, id, since, e.t_s);
-                        }
-                    }
-                }
+                ServiceEventKind::Admitted { .. } => ledger.admit(e.job, e.t_s),
+                ServiceEventKind::Requeued { .. } => ledger.requeue(e.job, e.t_s),
+                ServiceEventKind::Dispatched { .. } => ledger.dispatch(v, e.job, e.t_s),
                 ServiceEventKind::Failed { .. } | ServiceEventKind::Shed { .. } => {
-                    terminated += 1;
-                    if let Some(id) = e.job {
-                        *terminal_count.entry(id).or_insert(0) += 1;
-                        if let Some(since) = queued_since.remove(&id) {
-                            check_wait(&mut violations, id, since, e.t_s);
-                        }
-                    }
+                    ledger.terminate(v, e.job, e.t_s, true);
                 }
                 _ => {}
             },
         }
-        if admitted - terminated < 0 {
-            violations.push(FleetViolation {
-                invariant: "fleet-conservation",
-                detail: format!(
-                    "at t={}: {terminated} fleet terminations exceed {admitted} admissions",
-                    entry.t_s()
-                ),
-            });
-        }
+        ledger.check_prefix(v, entry.t_s());
     }
-    if admitted != terminated {
-        violations.push(FleetViolation {
-            invariant: "fleet-conservation",
-            detail: format!(
-                "run ended with {admitted} jobs admitted but {terminated} fleet-terminated",
-            ),
-        });
-    }
-    for id in &admitted_ids {
-        match terminal_count.get(id).copied().unwrap_or(0) {
-            1 => {}
-            n => violations.push(FleetViolation {
-                invariant: "fleet-exactly-once",
-                detail: format!("admitted job {id} reached {n} fleet-terminal states"),
-            }),
-        }
-    }
+    ledger.finish(&mut violations);
 
     // 3: bit-exactness of every verified-accepted result.
-    let reference = DistMsm::new(MultiGpuSystem::dgx_a100(1));
-    for a in &outcome.accepted {
-        let Some(job) = by_id.get(&a.id) else {
-            violations.push(FleetViolation {
-                invariant: "fleet-bit-exact",
-                detail: format!("accepted job {} is not in the arrival trace", a.id),
-            });
-            continue;
-        };
-        let expect = reference
-            .execute(&job.instance)
-            .expect("fault-free reference execution succeeds");
-        if expect.result.to_affine() != a.result.to_affine() {
-            violations.push(FleetViolation {
-                invariant: "fleet-bit-exact",
-                detail: format!("job {} was accepted with a wrong MSM value", a.id),
-            });
-        }
-    }
+    let accepted = outcome.accepted.iter().map(|a| (a.id, &a.result));
+    bit_exact(&mut violations, "fleet-bit-exact", &by_id, accepted);
 
     // 5: the byzantine pod must be *detected*, not merely survived.
     if let Some(pod) = spec.byzantine_pod {
@@ -510,15 +361,15 @@ pub fn check_fleet_invariants(
             .iter()
             .any(|e| matches!(e.kind, FleetEventKind::ByzantineDetected { pod: p, .. } if p == pod));
         if !detected {
-            violations.push(FleetViolation {
-                invariant: "quarantined-pod",
-                detail: format!("byzantine pod {pod} was never detected by the 2G2T check"),
-            });
+            violations.fail(
+                "quarantined-pod",
+                format!("byzantine pod {pod} was never detected by the 2G2T check"),
+            );
         } else if !outcome.report.quarantined_pods.contains(&pod) {
-            violations.push(FleetViolation {
-                invariant: "quarantined-pod",
-                detail: format!("byzantine pod {pod} was detected but not quarantined"),
-            });
+            violations.fail(
+                "quarantined-pod",
+                format!("byzantine pod {pod} was detected but not quarantined"),
+            );
         }
     }
 
@@ -548,13 +399,13 @@ pub fn check_fleet_invariants(
                 ServiceEventKind::Completed { .. } => {
                     if let Some(id) = e.job {
                         if last_dispatch.get(&id).copied().unwrap_or(f64::NEG_INFINITY) >= loss_s {
-                            violations.push(FleetViolation {
-                                invariant: "pod-loss",
-                                detail: format!(
+                            violations.fail(
+                                "pod-loss",
+                                format!(
                                     "lost pod {pod} completed job {id} from a dispatch after \
                                      the loss at t={loss_s}"
                                 ),
-                            });
+                            );
                         }
                     }
                 }
@@ -565,102 +416,34 @@ pub fn check_fleet_invariants(
         let all_tripped = post_loss_dispatches.iter().all(|&n| n >= threshold);
         let states = &outcome.pod_reports[pod].final_states;
         if all_tripped && states.contains(&BreakerState::Closed) {
-            violations.push(FleetViolation {
-                invariant: "pod-loss",
-                detail: format!(
+            violations.fail(
+                "pod-loss",
+                format!(
                     "lost pod {pod} ended with breakers {states:?} despite every device \
                      faulting at least {threshold} dispatches past the loss"
                 ),
-            });
+            );
         }
     }
 
     // 7: the fleet-scope completion floor.
     if outcome.report.completion_rate() < config.pod.shed.min_completion_rate {
-        violations.push(FleetViolation {
-            invariant: "fleet-completion-floor",
-            detail: format!(
+        violations.fail(
+            "fleet-completion-floor",
+            format!(
                 "fleet completion rate {:.3} fell below the shed-policy floor {:.3}",
                 outcome.report.completion_rate(),
                 config.pod.shed.min_completion_rate
             ),
-        });
+        );
     }
     violations
 }
 
-/// Greedily shrinks a violating fleet spec to a minimal reproducer,
-/// keeping only reductions that still violate **the same invariant**
-/// (the first one the original run reported), until a fixpoint or
-/// `max_runs` soak executions.
-///
-/// # Panics
-///
-/// Panics when called with a spec that does not violate.
-pub fn fleet_shrink(
-    spec: &FleetSoakSpec,
-    opts: &FleetSoakOptions,
-    max_runs: usize,
-) -> (FleetSoakSpec, FleetSoakOutcome) {
-    let mut current = *spec;
-    let mut outcome = run_fleet_soak(&current, opts);
-    assert!(
-        !outcome.violations.is_empty(),
-        "fleet_shrink needs a violating spec; {} is healthy",
-        spec.seed_tuple()
-    );
-    let target = outcome.violations[0].invariant;
-    let mut runs = 0;
-    'outer: loop {
-        for candidate in fleet_candidates(&current) {
-            if runs >= max_runs {
-                break 'outer;
-            }
-            runs += 1;
-            let c_outcome = run_fleet_soak(&candidate, opts);
-            if c_outcome.violations.iter().any(|v| v.invariant == target) {
-                current = candidate;
-                outcome = c_outcome;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (current, outcome)
-}
-
-/// Reduction candidates for one shrink round — the PR 5 axes plus the
-/// pod-level fault classes (drop the byzantine pod, drop the lost pod,
-/// shrink the tenant table).
-fn fleet_candidates(spec: &FleetSoakSpec) -> Vec<FleetSoakSpec> {
-    let mut out = Vec::new();
-    if spec.n_jobs > 1 {
-        out.push(FleetSoakSpec { n_jobs: spec.n_jobs / 2, ..*spec });
-        out.push(FleetSoakSpec { n_jobs: spec.n_jobs - 1, ..*spec });
-    }
-    if spec.n_fault_windows > 0 {
-        out.push(FleetSoakSpec { n_fault_windows: spec.n_fault_windows / 2, ..*spec });
-        out.push(FleetSoakSpec { n_fault_windows: spec.n_fault_windows - 1, ..*spec });
-    }
-    if spec.byzantine_pod.is_some() {
-        out.push(FleetSoakSpec { byzantine_pod: None, ..*spec });
-    }
-    if spec.lost_pod.is_some() {
-        out.push(FleetSoakSpec { lost_pod: None, ..*spec });
-    }
-    if spec.n_tenants > 1 {
-        out.push(FleetSoakSpec { n_tenants: (spec.n_tenants / 2).max(1), ..*spec });
-    }
-    if spec.horizon_s > 1.0 {
-        out.push(FleetSoakSpec { horizon_s: spec.horizon_s / 2.0, ..*spec });
-    }
-    out.retain(|c| c != spec);
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use distmsm_service::harness::shrink;
+
     use super::*;
 
     fn tiny() -> FleetSoakSpec {
@@ -679,6 +462,24 @@ mod tests {
         }
     }
 
+    /// Test-only corruption of the coordinator's event stream: drops
+    /// every third `Verified` fleet event before the invariant check —
+    /// verified jobs appear to vanish, breaking fleet conservation and
+    /// exactly-once termination.
+    fn run_dropping_accepted(spec: &FleetSoakSpec) -> Run<FleetReport> {
+        let (jobs, config, mut outcome) = execute(spec);
+        let mut kept = 0u64;
+        outcome.events.retain(|e| {
+            if matches!(e.kind, FleetEventKind::Verified { .. }) {
+                kept += 1;
+                !kept.is_multiple_of(3)
+            } else {
+                true
+            }
+        });
+        verdict(spec, &jobs, &config, outcome)
+    }
+
     #[test]
     fn fleet_jobs_are_prefix_stable() {
         let spec = tiny();
@@ -694,7 +495,7 @@ mod tests {
 
     #[test]
     fn tiny_fleet_soak_detects_and_quarantines_the_byzantine_pod() {
-        let out = run_fleet_soak(&tiny(), &FleetSoakOptions::default());
+        let out = tiny().run();
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.report.detections > 0, "byzantine pod must be detected");
         assert_eq!(out.report.quarantined_pods, vec![1]);
@@ -704,7 +505,7 @@ mod tests {
     #[test]
     fn tiny_fleet_soak_survives_whole_pod_loss() {
         let spec = FleetSoakSpec { byzantine_pod: None, lost_pod: Some(0), ..tiny() };
-        let out = run_fleet_soak(&spec, &FleetSoakOptions::default());
+        let out = spec.run();
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.report.accepted > 0);
     }
@@ -712,21 +513,30 @@ mod tests {
     #[test]
     fn fleet_sabotage_is_caught_and_shrinks() {
         let spec = tiny();
-        let opts = FleetSoakOptions { sabotage: FleetSabotage::DropAccepted };
-        let out = run_fleet_soak(&spec, &opts);
+        let out = run_dropping_accepted(&spec);
         assert!(
             out.violations.iter().any(|v| v.invariant == "fleet-conservation"),
             "dropped verifications must break fleet conservation: {:?}",
             out.violations
         );
-        let (min, min_out) = fleet_shrink(&spec, &opts, 12);
+        let (min, min_out) =
+            shrink(&spec, run_dropping_accepted, 12).expect("a violating spec shrinks");
         assert!(!min_out.violations.is_empty());
         assert!(
             min.n_jobs < spec.n_jobs || min.n_fault_windows < spec.n_fault_windows,
             "shrinker made no progress: {}",
-            min.seed_tuple()
+            min.cli()
         );
-        let replay = run_fleet_soak(&min, &opts);
+        let replay = run_dropping_accepted(&min);
         assert!(!replay.violations.is_empty(), "reproducer must replay: {}", min.cli());
+    }
+
+    #[test]
+    fn cli_round_trips_through_from_args() {
+        let perturbed = FleetSoakSpec { horizon_s: 0.1 + 0.2, byzantine_pod: None, ..tiny() };
+        for spec in [FleetSoakSpec::smoke(), <FleetSoakSpec as Scenario>::full(), perturbed] {
+            let args: Vec<String> = spec.cli().split(' ').map(str::to_owned).collect();
+            assert_eq!(FleetSoakSpec::from_args(&args), spec, "{}", spec.cli());
+        }
     }
 }

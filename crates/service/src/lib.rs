@@ -29,9 +29,10 @@
 //!   link-fault windows for thousands of simulated seconds, with the
 //!   service invariants (exactly-once termination, conservation,
 //!   bit-exact results, starvation bounds, no dispatch to an open
-//!   breaker) checked over the replayable event stream — and a greedy
-//!   shrinker that reduces any violation to a minimal re-runnable seed
-//!   tuple.
+//!   breaker) checked over the replayable event stream — on the one
+//!   soak [`harness`] every soak in the workspace shares (`Violation`,
+//!   `Ledger`, `Scenario`, the greedy `shrink` that reduces any
+//!   violation to a minimal spec printed as re-runnable flags).
 //!
 //! [`MsmError::implicated_devices`]: distmsm::MsmError::implicated_devices
 
@@ -41,6 +42,7 @@
 pub mod admission;
 pub mod breaker;
 pub mod chaos;
+pub mod harness;
 pub mod job;
 pub mod pool;
 pub mod report;
@@ -58,7 +60,8 @@ pub use service::{
     CompletedJob, ProverService, ServiceConfig, ServiceEvent, ServiceEventKind, ServiceOutcome,
     StolenJob,
 };
-pub use soak::{run_soak, shrink, Sabotage, SoakOptions, SoakOutcome, SoakSpec, Violation};
+pub use harness::{shrink, Run, Scenario, Violation, Violations};
+pub use soak::SoakSpec;
 pub use wal::{
     decode_events, recover_state, AdmissionOutcome, BreakerRestore, CompletedEntry, JobEntry,
     JobPhase, RecoveryInfo, ServiceRecord, ServiceShape, ServiceState, ServiceWal, TenantCounters,

@@ -3,6 +3,8 @@
 //! timeline — implementing the workspace-wide [`Report`] trait so bench
 //! tables and JSON dumps consume it like any engine report.
 
+use distmsm::report::JsonField::{Inline, Rows, Scalar};
+use distmsm::report::{json_num, json_pretty, json_str};
 use distmsm::{Phase, Report};
 
 use crate::breaker::{BreakerState, PoolTransition};
@@ -141,62 +143,40 @@ impl ServiceReport {
     /// via Rust's shortest-roundtrip formatter) — the golden the CI soak
     /// smoke diffs against.
     pub fn to_detailed_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"kind\": \"service\",\n  \"horizon_s\": {},\n", num(self.horizon_s)));
-        out.push_str(&format!("  \"n_devices\": {},\n", self.n_devices));
-        out.push_str(&format!("  \"completion_rate\": {},\n", num(self.completion_rate())));
-        out.push_str("  \"tenants\": [\n");
-        for (i, t) in self.tenants.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"arrivals\": {}, \"admitted\": {}, \"rejected\": {}, \
-                 \"completed\": {}, \"failed\": {}, \"shed\": {}, \"deadline_missed\": {}, \
-                 \"sojourn_p50_s\": {}, \"sojourn_p95_s\": {}, \"sojourn_p99_s\": {}}}{}\n",
-                t.name,
-                t.arrivals,
-                t.admitted,
-                t.rejected,
-                t.completed,
-                t.failed,
-                t.shed,
-                t.deadline_missed,
-                num(t.sojourn_p50_s),
-                num(t.sojourn_p95_s),
-                num(t.sojourn_p99_s),
-                if i + 1 < self.tenants.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"final_states\": [{}],\n",
-            self.final_states
-                .iter()
-                .map(|s| format!("\"{}\"", s.label()))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-        out.push_str("  \"pool_timeline\": [\n");
-        for (i, t) in self.pool_timeline.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"device\": {}, \"t_s\": {}, \"from\": \"{}\", \"to\": \"{}\", \"cause\": \"{}\"}}{}\n",
-                t.device,
-                num(t.t_s),
-                t.from.label(),
-                t.to.label(),
-                t.cause,
-                if i + 1 < self.pool_timeline.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// JSON-safe float formatting (non-finite values become 0).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".into()
+        let tenants = self.tenants.iter().map(|t| {
+            vec![
+                ("name", json_str(&t.name)),
+                ("arrivals", t.arrivals.to_string()),
+                ("admitted", t.admitted.to_string()),
+                ("rejected", t.rejected.to_string()),
+                ("completed", t.completed.to_string()),
+                ("failed", t.failed.to_string()),
+                ("shed", t.shed.to_string()),
+                ("deadline_missed", t.deadline_missed.to_string()),
+                ("sojourn_p50_s", json_num(t.sojourn_p50_s)),
+                ("sojourn_p95_s", json_num(t.sojourn_p95_s)),
+                ("sojourn_p99_s", json_num(t.sojourn_p99_s)),
+            ]
+        });
+        let timeline = self.pool_timeline.iter().map(|t| {
+            vec![
+                ("device", t.device.to_string()),
+                ("t_s", json_num(t.t_s)),
+                ("from", json_str(t.from.label())),
+                ("to", json_str(t.to.label())),
+                ("cause", json_str(t.cause)),
+            ]
+        });
+        let states = self.final_states.iter().map(|s| json_str(s.label()));
+        json_pretty(&[
+            ("kind", Scalar(json_str("service"))),
+            ("horizon_s", Scalar(json_num(self.horizon_s))),
+            ("n_devices", Scalar(self.n_devices.to_string())),
+            ("completion_rate", Scalar(json_num(self.completion_rate()))),
+            ("tenants", Rows(tenants.collect())),
+            ("final_states", Inline(states.collect())),
+            ("pool_timeline", Rows(timeline.collect())),
+        ]) + "\n"
     }
 }
 

@@ -3,22 +3,25 @@
 //! simulated seconds, with the service invariants checked over the
 //! event stream — and, on violation, greedy shrinking of the
 //! (arrival trace, fault plan) pair to a minimal reproducer printed as
-//! a re-runnable seed tuple.
+//! re-runnable `soak` flags. The checks, the shrinker and the CLI
+//! plumbing are the shared [`crate::harness`]; this module is the
+//! scenario: its spec, its event `match`, its candidates.
 //!
 //! Everything is derived from the [`SoakSpec`] alone (no wall clock, no
 //! global state), and all generation is prefix-stable: shrinking a
 //! count re-runs a strict subset of the original scenario.
 
-use distmsm::engine::DistMsm;
+use std::collections::BTreeMap;
+
 use distmsm_ec::curves::Bn254G1;
-use distmsm_ec::MsmInstance;
-use distmsm_gpu_sim::fault::splitmix64;
-use distmsm_gpu_sim::MultiGpuSystem;
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::breaker::BreakerState;
 use crate::chaos::ChaosSchedule;
-use crate::job::{JobClass, JobSpec};
+use crate::harness::{
+    arrival_trace, bit_exact, by_id, Flags, Ledger, LedgerIds, Run, Scenario, Violations,
+};
+use crate::job::JobSpec;
+use crate::report::ServiceReport;
 use crate::service::{
     CompletedJob, ProverService, ServiceConfig, ServiceEvent, ServiceEventKind, ServiceOutcome,
 };
@@ -48,11 +51,14 @@ pub struct SoakSpec {
     pub always_faulty: Option<usize>,
 }
 
-impl SoakSpec {
+impl Scenario for SoakSpec {
+    type Report = ServiceReport;
+    const NAME: &'static str = "soak";
+
     /// The acceptance-scale scenario: a 16-GPU pod, 500 jobs over 2000
     /// simulated seconds, randomized device and link faults, one
     /// always-faulty device.
-    pub fn full() -> Self {
+    fn full() -> Self {
         Self {
             arrival_seed: 2024,
             fault_seed: 7,
@@ -68,7 +74,7 @@ impl SoakSpec {
 
     /// The CI smoke scenario: small enough to run in seconds, still
     /// exercising shedding, retries and the breaker cycle.
-    pub fn smoke() -> Self {
+    fn smoke() -> Self {
         Self {
             arrival_seed: 11,
             fault_seed: 3,
@@ -82,140 +88,64 @@ impl SoakSpec {
         }
     }
 
-    /// The spec as a re-runnable seed tuple (the shrinker's output
-    /// format).
-    pub fn seed_tuple(&self) -> String {
-        format!(
-            "(arrival_seed={}, fault_seed={}, n_jobs={}, n_fault_windows={}, \
-             n_link_windows={}, horizon_s={}, n_devices={}, msm_size={}, always_faulty={:?})",
-            self.arrival_seed,
-            self.fault_seed,
-            self.n_jobs,
-            self.n_fault_windows,
-            self.n_link_windows,
-            self.horizon_s,
-            self.n_devices,
-            self.msm_size,
-            self.always_faulty,
-        )
+    fn flags(&mut self, f: &mut Flags<'_>) {
+        f.field("arrival-seed", &mut self.arrival_seed);
+        f.field("fault-seed", &mut self.fault_seed);
+        f.field("jobs", &mut self.n_jobs);
+        f.field("fault-windows", &mut self.n_fault_windows);
+        f.field("link-windows", &mut self.n_link_windows);
+        f.field("horizon", &mut self.horizon_s);
+        f.field("devices", &mut self.n_devices);
+        f.field("msm-size", &mut self.msm_size);
+        f.optional("always-faulty", &mut self.always_faulty);
     }
 
-    /// The spec as `soak` binary flags, for copy-paste reproduction.
-    pub fn cli(&self) -> String {
-        let mut s = format!(
-            "--arrival-seed {} --fault-seed {} --jobs {} --fault-windows {} \
-             --link-windows {} --horizon {} --devices {} --msm-size {}",
-            self.arrival_seed,
-            self.fault_seed,
-            self.n_jobs,
-            self.n_fault_windows,
-            self.n_link_windows,
-            self.horizon_s,
-            self.n_devices,
-            self.msm_size,
-        );
-        if let Some(d) = self.always_faulty {
-            s.push_str(&format!(" --always-faulty {d}"));
+    fn run(&self) -> Run<ServiceReport> {
+        let (jobs, config, outcome) = execute(self);
+        verdict(self, &jobs, &config, outcome)
+    }
+
+    fn render(report: &ServiceReport) -> String {
+        report.render()
+    }
+
+    fn golden_json(report: &ServiceReport) -> String {
+        report.to_detailed_json()
+    }
+
+    /// The cheapest reductions, one axis each: halve the trace, halve
+    /// the chaos, drop the probe device, halve the horizon.
+    fn shrink_candidates(&self) -> Vec<Self> {
+        let mut out = Vec::new();
+        if self.n_jobs > 1 {
+            out.push(Self { n_jobs: self.n_jobs / 2, ..*self });
+            out.push(Self { n_jobs: self.n_jobs - 1, ..*self });
         }
-        s
+        if self.n_fault_windows > 0 {
+            out.push(Self { n_fault_windows: self.n_fault_windows / 2, ..*self });
+            out.push(Self { n_fault_windows: self.n_fault_windows - 1, ..*self });
+        }
+        if self.n_link_windows > 0 {
+            out.push(Self { n_link_windows: self.n_link_windows / 2, ..*self });
+            out.push(Self { n_link_windows: self.n_link_windows - 1, ..*self });
+        }
+        if self.always_faulty.is_some() {
+            out.push(Self { always_faulty: None, ..*self });
+        }
+        if self.horizon_s > 1.0 {
+            out.push(Self { horizon_s: self.horizon_s / 2.0, ..*self });
+        }
+        out.retain(|c| c != self);
+        out.dedup();
+        out
     }
 }
 
-/// Test-only event-stream corruption, used to demonstrate that the
-/// invariant checker catches violations and the shrinker minimizes
-/// them. Never wired into a production path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sabotage {
-    /// No corruption: the honest run.
-    #[default]
-    None,
-    /// Drops every third `Completed` event before the invariant check —
-    /// admitted jobs appear to vanish, breaking conservation and
-    /// exactly-once termination.
-    DropCompletions,
-}
-
-/// Options for one soak run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SoakOptions {
-    /// Event-stream corruption (tests only).
-    pub sabotage: Sabotage,
-}
-
-/// One detected invariant violation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Violation {
-    /// Stable invariant id (`"exactly-once"`, `"conservation"`,
-    /// `"bit-exact"`, `"starvation-bound"`, `"open-dispatch"`,
-    /// `"quarantine"`, `"completion-floor"`).
-    pub invariant: &'static str,
-    /// What went wrong.
-    pub detail: String,
-}
-
-/// The outcome of one soak run.
-#[derive(Clone, Debug)]
-pub struct SoakOutcome {
-    /// The service report.
-    pub report: crate::report::ServiceReport,
-    /// Detected invariant violations (empty on a healthy run).
-    pub violations: Vec<Violation>,
-    /// Events processed (after any sabotage).
-    pub n_events: usize,
-}
-
-fn unit(state: &mut u64) -> f64 {
-    splitmix64(state) as f64 / u64::MAX as f64
-}
-
-/// Builds the seeded arrival trace: bursty Poisson-like arrivals (five
-/// tightly-packed jobs, then exponential gaps) of mixed-class,
-/// mixed-size MSM jobs over two tenants.
-///
-/// Prefix-stable: job `i` consumes a fixed number of PRNG draws and its
-/// instance is seeded per-id, so shrinking `n_jobs` keeps every
-/// surviving job identical.
+/// Builds the seeded arrival trace of mixed-class, mixed-size MSM jobs
+/// over two tenants (prefix-stable, see [`arrival_trace`]).
 pub fn build_jobs(spec: &SoakSpec) -> Vec<JobSpec<Bn254G1>> {
-    let mut state = spec.arrival_seed ^ 0x1234_5678_9abc_def0;
-    // Pacing depends on the horizon only — never on `n_jobs` — so
-    // shrinking the job count keeps every surviving arrival identical.
-    let mean_long_gap = spec.horizon_s / 150.0;
-    let mut t = 0.0;
-    let mut jobs = Vec::with_capacity(spec.n_jobs);
-    for i in 0..spec.n_jobs {
-        // Fixed draw count per job keeps the stream prefix-stable.
-        let u_gap = unit(&mut state);
-        let u_class = unit(&mut state);
-        let u_deadline = unit(&mut state);
-        let u_size = unit(&mut state);
-        t += if i % 8 < 5 {
-            // Burst: arrivals far tighter than a service time.
-            0.0002 + 0.0018 * u_gap
-        } else {
-            -((u_gap.max(1e-12)).ln()) * mean_long_gap
-        };
-        let (tenant, class) = if u_class < 0.6 {
-            (0, JobClass::Interactive)
-        } else {
-            (1, JobClass::Batch)
-        };
-        let deadline_s = match class {
-            JobClass::Interactive => Some(t + 0.05 + 0.45 * u_deadline),
-            JobClass::Batch => None,
-        };
-        let half = (spec.msm_size / 2).max(1);
-        let n = half + (u_size * half as f64) as usize;
-        let mut rng = StdRng::seed_from_u64(spec.arrival_seed.wrapping_add(0x5eed + i as u64));
-        jobs.push(JobSpec {
-            id: i as u64,
-            tenant,
-            class,
-            arrival_s: t,
-            deadline_s,
-            instance: MsmInstance::random(n, &mut rng),
-        });
-    }
-    jobs
+    const SALTS: [u64; 2] = [0x1234_5678_9abc_def0, 0x5eed];
+    arrival_trace(spec.arrival_seed, SALTS, spec.n_jobs, spec.horizon_s, spec.msm_size, None)
 }
 
 /// Builds the seeded chaos schedule, merging the always-faulty probe
@@ -246,50 +176,49 @@ pub fn service_config(spec: &SoakSpec) -> ServiceConfig {
     cfg
 }
 
-/// Runs one soak scenario end to end: build, execute, corrupt (if
-/// sabotaged), check invariants.
-pub fn run_soak(spec: &SoakSpec, opts: &SoakOptions) -> SoakOutcome {
+/// Builds and executes one scenario, unchecked: the arrival trace, the
+/// service configuration and everything the run produced.
+pub fn execute(
+    spec: &SoakSpec,
+) -> (Vec<JobSpec<Bn254G1>>, ServiceConfig, ServiceOutcome<Bn254G1>) {
     let jobs = build_jobs(spec);
-    let chaos = build_chaos(spec);
     let config = service_config(spec);
-    let mut service = ProverService::new(config.clone());
-    let ServiceOutcome { report, mut events, completed } = service.run(jobs.clone(), &chaos);
+    let outcome = ProverService::new(config.clone()).run(jobs.clone(), &build_chaos(spec));
+    (jobs, config, outcome)
+}
 
-    if opts.sabotage == Sabotage::DropCompletions {
-        let mut kept = 0u64;
-        events.retain(|e| {
-            if matches!(e.kind, ServiceEventKind::Completed { .. }) {
-                kept += 1;
-                !kept.is_multiple_of(3)
-            } else {
-                true
-            }
-        });
-    }
-
-    let mut violations = check_invariants(&jobs, &events, &completed, &config);
-    if let Some(d) = spec.always_faulty {
-        if !report.quarantined(d) {
-            violations.push(Violation {
-                invariant: "quarantine",
-                detail: format!(
-                    "always-faulty device {d} ended the run {:?} instead of open",
-                    report.final_states.get(d)
-                ),
-            });
-        }
+/// Checks one executed scenario: the event-stream invariants of
+/// [`check_invariants`], plus **quarantine** (the always-faulty probe
+/// device ends the run with an open breaker) and **completion-floor**
+/// (the completion rate holds the shed policy's floor).
+pub fn verdict(
+    spec: &SoakSpec,
+    jobs: &[JobSpec<Bn254G1>],
+    config: &ServiceConfig,
+    outcome: ServiceOutcome<Bn254G1>,
+) -> Run<ServiceReport> {
+    let ServiceOutcome { report, events, completed } = outcome;
+    let mut violations = check_invariants(jobs, &events, &completed, config);
+    if let Some(d) = spec.always_faulty.filter(|&d| !report.quarantined(d)) {
+        violations.fail(
+            "quarantine",
+            format!(
+                "always-faulty device {d} ended the run {:?} instead of open",
+                report.final_states.get(d)
+            ),
+        );
     }
     if report.completion_rate() < config.shed.min_completion_rate {
-        violations.push(Violation {
-            invariant: "completion-floor",
-            detail: format!(
+        violations.fail(
+            "completion-floor",
+            format!(
                 "completion rate {:.3} fell below the shed-policy floor {:.3}",
                 report.completion_rate(),
                 config.shed.min_completion_rate
             ),
-        });
+        );
     }
-    SoakOutcome { report, violations, n_events: events.len() }
+    Run { report, violations, n_events: events.len() }
 }
 
 /// Checks the service invariants over a replayed event stream:
@@ -302,7 +231,8 @@ pub fn run_soak(spec: &SoakSpec, opts: &SoakOptions) -> SoakOutcome {
 /// 3. **bit-exact** — every completed result equals the fault-free
 ///    single-GPU reference for its instance (affine-canonical compare).
 /// 4. **starvation-bound** — no job waits in queue longer than its
-///    class bound (each queue epoch measured separately).
+///    class bound (each queue epoch measured separately; a shed closes
+///    its epoch, a completion or failure left the queue at dispatch).
 /// 5. **open-dispatch** — no dispatch names a device whose breaker was
 ///    open at dispatch time (the SVC-002 property).
 pub fn check_invariants(
@@ -310,219 +240,47 @@ pub fn check_invariants(
     events: &[ServiceEvent],
     completed: &[CompletedJob<Bn254G1>],
     config: &ServiceConfig,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let by_id: std::collections::BTreeMap<u64, &JobSpec<Bn254G1>> =
-        jobs.iter().map(|j| (j.id, j)).collect();
-
-    // 1 + 2: termination accounting and conservation, replayed.
-    let mut admitted = 0i64;
-    let mut terminated = 0i64;
-    let mut terminal_count: std::collections::BTreeMap<u64, u32> = Default::default();
-    let mut admitted_ids: std::collections::BTreeSet<u64> = Default::default();
-    // 4: open queue epochs (job → epoch start), 5: breaker states.
-    let mut queued_since: std::collections::BTreeMap<u64, f64> = Default::default();
-    let mut breaker: std::collections::BTreeMap<usize, BreakerState> = Default::default();
-    const EPS: f64 = 1e-6;
-
+) -> Violations {
+    let mut v = Violations::default();
+    let by_id = by_id(jobs);
+    let mut ledger = Ledger::new(LedgerIds::SERVICE, &by_id, &config.shed);
+    let mut breaker: BTreeMap<usize, BreakerState> = BTreeMap::new();
     for ev in events {
         match &ev.kind {
-            ServiceEventKind::Admitted { .. } => {
-                admitted += 1;
-                admitted_ids.insert(ev.job.unwrap_or(u64::MAX));
-                if let Some(id) = ev.job {
-                    queued_since.insert(id, ev.t_s);
-                }
-            }
-            ServiceEventKind::Requeued { .. } => {
-                if let Some(id) = ev.job {
-                    queued_since.insert(id, ev.t_s);
-                }
-            }
+            ServiceEventKind::Admitted { .. } => ledger.admit(ev.job, ev.t_s),
+            ServiceEventKind::Requeued { .. } => ledger.requeue(ev.job, ev.t_s),
             ServiceEventKind::Dispatched { devices, .. } => {
-                if let Some(id) = ev.job {
-                    if let Some(since) = queued_since.remove(&id) {
-                        check_wait(&mut violations, &by_id, config, id, since, ev.t_s, EPS);
-                    }
-                }
-                for d in devices {
-                    if breaker.get(d) == Some(&BreakerState::Open) {
-                        violations.push(Violation {
-                            invariant: "open-dispatch",
-                            detail: format!(
-                                "job {:?} dispatched to device {d} at t={} while its breaker was open",
-                                ev.job, ev.t_s
-                            ),
-                        });
-                    }
+                ledger.dispatch(&mut v, ev.job, ev.t_s);
+                for d in devices.iter().filter(|d| breaker.get(d) == Some(&BreakerState::Open)) {
+                    v.fail(
+                        "open-dispatch",
+                        format!(
+                            "job {:?} dispatched to device {d} at t={} while its breaker was open",
+                            ev.job, ev.t_s
+                        ),
+                    );
                 }
             }
-            ServiceEventKind::Completed { .. }
-            | ServiceEventKind::Failed { .. }
-            | ServiceEventKind::Shed { .. } => {
-                terminated += 1;
-                if let Some(id) = ev.job {
-                    *terminal_count.entry(id).or_insert(0) += 1;
-                    if matches!(ev.kind, ServiceEventKind::Shed { .. }) {
-                        if let Some(since) = queued_since.remove(&id) {
-                            check_wait(&mut violations, &by_id, config, id, since, ev.t_s, EPS);
-                        }
-                    }
-                }
+            ServiceEventKind::Completed { .. } | ServiceEventKind::Failed { .. } => {
+                ledger.terminate(&mut v, ev.job, ev.t_s, false);
+            }
+            ServiceEventKind::Shed { .. } => ledger.terminate(&mut v, ev.job, ev.t_s, true),
+            ServiceEventKind::Breaker { transition } => {
+                breaker.insert(transition.device, transition.to);
             }
             _ => {}
         }
-        if let ServiceEventKind::Breaker { transition } = &ev.kind {
-            breaker.insert(transition.device, transition.to);
-        }
-        let in_flight = admitted - terminated;
-        if in_flight < 0 {
-            violations.push(Violation {
-                invariant: "conservation",
-                detail: format!(
-                    "at t={}: {terminated} terminations exceed {admitted} admissions",
-                    ev.t_s
-                ),
-            });
-        }
+        ledger.check_prefix(&mut v, ev.t_s);
     }
-    if admitted != terminated {
-        violations.push(Violation {
-            invariant: "conservation",
-            detail: format!(
-                "run ended with {} jobs admitted but only {} terminated",
-                admitted, terminated
-            ),
-        });
-    }
-    for id in &admitted_ids {
-        match terminal_count.get(id).copied().unwrap_or(0) {
-            1 => {}
-            n => violations.push(Violation {
-                invariant: "exactly-once",
-                detail: format!("admitted job {id} terminated {n} times"),
-            }),
-        }
-    }
-
-    // 3: bit-exactness against the fault-free single-GPU reference.
-    let reference = DistMsm::new(MultiGpuSystem::dgx_a100(1));
-    for c in completed {
-        let Some(job) = by_id.get(&c.id) else {
-            violations.push(Violation {
-                invariant: "bit-exact",
-                detail: format!("completed job {} is not in the arrival trace", c.id),
-            });
-            continue;
-        };
-        let expect = reference
-            .execute(&job.instance)
-            .expect("fault-free reference execution succeeds");
-        if expect.result.to_affine() != c.result.to_affine() {
-            violations.push(Violation {
-                invariant: "bit-exact",
-                detail: format!("job {} completed with a wrong MSM value", c.id),
-            });
-        }
-    }
-    violations
-}
-
-fn check_wait(
-    violations: &mut Vec<Violation>,
-    by_id: &std::collections::BTreeMap<u64, &JobSpec<Bn254G1>>,
-    config: &ServiceConfig,
-    id: u64,
-    since: f64,
-    until: f64,
-    eps: f64,
-) {
-    let Some(job) = by_id.get(&id) else { return };
-    let bound = config.shed.class_bound(job.class);
-    let waited = until - since;
-    if waited > bound + eps {
-        violations.push(Violation {
-            invariant: "starvation-bound",
-            detail: format!(
-                "{} job {id} waited {waited:.3}s in queue, past its {bound:.3}s bound",
-                job.class.label()
-            ),
-        });
-    }
-}
-
-/// Greedily shrinks a violating spec to a minimal reproducer: tries the
-/// cheapest reductions (halve the trace, halve the chaos, drop the
-/// probe device, halve the horizon) and keeps any that still violates
-/// **the same invariant** as the original failure (so shrinking cannot
-/// drift onto an unrelated violation), until a fixpoint or `max_runs`
-/// soak executions.
-///
-/// Returns the minimal spec and its outcome. The caller prints
-/// [`SoakSpec::seed_tuple`] / [`SoakSpec::cli`] as the reproducer.
-///
-/// # Panics
-///
-/// Panics when called with a spec that does not violate — there is
-/// nothing to shrink.
-pub fn shrink(spec: &SoakSpec, opts: &SoakOptions, max_runs: usize) -> (SoakSpec, SoakOutcome) {
-    let mut current = *spec;
-    let mut outcome = run_soak(&current, opts);
-    assert!(
-        !outcome.violations.is_empty(),
-        "shrink needs a violating spec; {} is healthy",
-        spec.seed_tuple()
-    );
-    let target = outcome.violations[0].invariant;
-    let mut runs = 0;
-    'outer: loop {
-        for candidate in candidates(&current) {
-            if runs >= max_runs {
-                break 'outer;
-            }
-            runs += 1;
-            let c_outcome = run_soak(&candidate, opts);
-            if c_outcome.violations.iter().any(|v| v.invariant == target) {
-                current = candidate;
-                outcome = c_outcome;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (current, outcome)
-}
-
-/// Reduction candidates for one shrink round, strictly smaller than the
-/// input along one axis each.
-fn candidates(spec: &SoakSpec) -> Vec<SoakSpec> {
-    let mut out = Vec::new();
-    if spec.n_jobs > 1 {
-        out.push(SoakSpec { n_jobs: spec.n_jobs / 2, ..*spec });
-        out.push(SoakSpec { n_jobs: spec.n_jobs - 1, ..*spec });
-    }
-    if spec.n_fault_windows > 0 {
-        out.push(SoakSpec { n_fault_windows: spec.n_fault_windows / 2, ..*spec });
-        out.push(SoakSpec { n_fault_windows: spec.n_fault_windows - 1, ..*spec });
-    }
-    if spec.n_link_windows > 0 {
-        out.push(SoakSpec { n_link_windows: spec.n_link_windows / 2, ..*spec });
-        out.push(SoakSpec { n_link_windows: spec.n_link_windows - 1, ..*spec });
-    }
-    if spec.always_faulty.is_some() {
-        out.push(SoakSpec { always_faulty: None, ..*spec });
-    }
-    if spec.horizon_s > 1.0 {
-        out.push(SoakSpec { horizon_s: spec.horizon_s / 2.0, ..*spec });
-    }
-    out.retain(|c| c != spec);
-    out.dedup();
-    out
+    ledger.finish(&mut v);
+    bit_exact(&mut v, "bit-exact", &by_id, completed.iter().map(|c| (c.id, &c.result)));
+    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::shrink;
 
     fn tiny() -> SoakSpec {
         SoakSpec {
@@ -536,6 +294,23 @@ mod tests {
             msm_size: 24,
             always_faulty: Some(3),
         }
+    }
+
+    /// Test-only event-stream corruption: drops every third `Completed`
+    /// event before the invariant check — admitted jobs appear to
+    /// vanish, breaking conservation and exactly-once termination.
+    fn run_dropping_completions(spec: &SoakSpec) -> Run<ServiceReport> {
+        let (jobs, config, mut outcome) = execute(spec);
+        let mut kept = 0u64;
+        outcome.events.retain(|e| {
+            if matches!(e.kind, ServiceEventKind::Completed { .. }) {
+                kept += 1;
+                !kept.is_multiple_of(3)
+            } else {
+                true
+            }
+        });
+        verdict(spec, &jobs, &config, outcome)
     }
 
     #[test]
@@ -554,7 +329,7 @@ mod tests {
 
     #[test]
     fn tiny_soak_has_no_violations() {
-        let out = run_soak(&tiny(), &SoakOptions::default());
+        let out = tiny().run();
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.report.quarantined(3), "always-faulty device quarantined");
         assert_eq!(
@@ -562,27 +337,37 @@ mod tests {
             out.report.completed() + out.report.failed() + out.report.shed(),
             "conservation at end of run"
         );
+        assert!(shrink(&tiny(), SoakSpec::run, 4).is_none(), "a healthy spec has no reproducer");
     }
 
     #[test]
     fn sabotage_is_caught_and_shrinks_to_a_minimal_reproducer() {
         let spec = tiny();
-        let opts = SoakOptions { sabotage: Sabotage::DropCompletions };
-        let out = run_soak(&spec, &opts);
+        let out = run_dropping_completions(&spec);
         assert!(
             out.violations.iter().any(|v| v.invariant == "conservation"),
             "dropped completions must break conservation: {:?}",
             out.violations
         );
-        let (min, min_out) = shrink(&spec, &opts, 40);
+        let (min, min_out) =
+            shrink(&spec, run_dropping_completions, 40).expect("a violating spec shrinks");
         assert!(!min_out.violations.is_empty());
         assert!(
             min.n_jobs < spec.n_jobs || min.n_fault_windows < spec.n_fault_windows,
             "shrinker made no progress: {}",
-            min.seed_tuple()
+            min.cli()
         );
         // The reproducer is printable and re-runnable.
-        let replay = run_soak(&min, &opts);
+        let replay = run_dropping_completions(&min);
         assert!(!replay.violations.is_empty(), "reproducer must replay: {}", min.cli());
+    }
+
+    #[test]
+    fn cli_round_trips_through_from_args() {
+        let perturbed = SoakSpec { horizon_s: 0.1 + 0.2, always_faulty: None, ..tiny() };
+        for spec in [SoakSpec::smoke(), SoakSpec::full(), perturbed] {
+            let args: Vec<String> = spec.cli().split(' ').map(str::to_owned).collect();
+            assert_eq!(SoakSpec::from_args(&args), spec, "{}", spec.cli());
+        }
     }
 }

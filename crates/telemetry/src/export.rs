@@ -12,6 +12,7 @@ use crate::span::{Lane, Timeline};
 use std::fmt::Write as _;
 
 /// Escapes a string for embedding in a JSON document.
+// Private copy of `distmsm::report::json_str`: core must not link this optional leaf (ci.sh greps).
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
