@@ -20,34 +20,19 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo build --release (suite + bench binaries) =="
-# The root is itself a package (distmsm-suite), so a bare build on a
-# fresh target skips the bench binaries the later steps run; bench is
-# selected explicitly. Not --workspace: that would unify the analyze
-# crate's unconditional telemetry dependency into the default-feature
-# bench binaries and defeat the zero-symbol gate below.
-cargo build --release -p distmsm-suite -p distmsm-bench
+echo "== cargo build --release --workspace =="
+# one feature resolution: every later step runs the binaries built here
+cargo build --release --workspace
 
-echo "== telemetry: default build carries no telemetry symbols =="
-# feature-off must mean compiled out, not merely inactive (the positive
-# control for this grep runs after the feature smoke run below)
-for bin in fault_sweep soak fleet_soak crash_soak partition_soak; do
-    if grep -qa distmsm_telemetry "target/release/$bin"; then
-        echo "FAIL: default-feature $bin binary contains telemetry symbols" >&2
-        exit 1
-    fi
-done
+echo "== one build: no cargo feature may creep back =="
+if grep -rn 'cfg(.*feature' crates --include='*.rs' ||
+    grep -n '^\[features\]\|optional = true' crates/*/Cargo.toml; then
+    echo "FAIL: the workspace builds one way; gate hooks on a running capture, not a feature" >&2
+    exit 1
+fi
 
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
-
-echo "== cargo test -p distmsm-comms -q =="
-cargo test -p distmsm-comms -q
-
-echo "== fault-injection tests (supervisor + cross-curve recovery props) =="
-cargo test -p distmsm -q --test fault_props
-cargo test -p distmsm -q --lib supervisor::
-cargo test -p distmsm-gpu-sim -q --lib fault::
 
 # soak (seeded chaos, zero violations), fleet_soak (4 pods, 1024
 # tenants, byzantine + pod loss), crash_soak (journal kill points, torn
@@ -81,26 +66,23 @@ cargo clippy --workspace -- -D warnings
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "== telemetry feature tests (span sums + golden trace) =="
-cargo test -p distmsm-telemetry -q
-cargo test -p distmsm -q --features telemetry --test telemetry
-
-echo "== telemetry smoke run (fault_sweep --telemetry + trace validation) =="
+echo "== telemetry smoke runs (--telemetry + trace validation; soak golden with the recorder on) =="
 TRACE="$(mktemp /tmp/distmsm_ci_trace.XXXXXX.json)"
-cargo run --release -q -p distmsm-bench --features telemetry --bin fault_sweep -- \
-    --telemetry "$TRACE" > /dev/null
+target/release/fault_sweep --telemetry "$TRACE" > /dev/null
 grep -q '"producer":"distmsm_telemetry"' "$TRACE"
-# positive control: the same grep that must fail on the default build
-# does detect the feature build it just produced
-grep -qa distmsm_telemetry target/release/fault_sweep
-cargo run --release -q -p distmsm-analyze -- trace "$TRACE"
-rm -f "$TRACE"
+target/release/distmsm-analyze trace "$TRACE"
+# recording must not move a byte of the simulated outcome
+SMOKE_JSON="$(mktemp /tmp/distmsm_ci_soak_traced.XXXXXX.json)"
+target/release/soak --smoke --telemetry "$TRACE" --json "$SMOKE_JSON" > /dev/null
+diff -u crates/bench/golden/soak_smoke.json "$SMOKE_JSON"
+target/release/distmsm-analyze trace "$TRACE"
+rm -f "$TRACE" "$SMOKE_JSON"
 
 echo "== distmsm-analyze check (race + lint + comm + fault + service + ckpt + partition + fleet + telemetry) =="
-cargo run -p distmsm-analyze -- check
+target/release/distmsm-analyze check
 
 echo "== distmsm-analyze verify --all-presets (static proofs incl. fleet plans + mutants + det lint) =="
-cargo run --release -q -p distmsm-analyze -- verify --all-presets
+target/release/distmsm-analyze verify --all-presets
 
 echo "== unsafe audit: every crate root must forbid unsafe_code =="
 for lib in crates/*/src/lib.rs; do
@@ -114,8 +96,7 @@ echo "== fig9 scaling smoke vs the committed BENCH_msm.json trajectory artefact 
 # written beside the tree, not over it: only the `git` stamp may differ
 # from the committed rows (BLESS=1 re-baselines after a model change)
 BENCH_JSON="$(mktemp /tmp/distmsm_ci_bench_msm.XXXXXX.json)"
-cargo run --release -q -p distmsm-bench --bin fig9_scaling -- \
-    --smoke --bench-json "$BENCH_JSON"
+target/release/fig9_scaling --smoke --bench-json "$BENCH_JSON"
 grep -q '"bench": "fig9_scaling"' "$BENCH_JSON"
 grep -q '"pods": 4' "$BENCH_JSON"
 grep -q '"ckpt_rows"' "$BENCH_JSON"
@@ -134,6 +115,14 @@ echo "== repo benchmark: harness tests + 2-second traced smokes (output checks o
 # the independent-Pippenger oracle and the layer walk's bit-equality with
 # `execute`, on the signed/sliced path and on the large-bucket path where
 # every slice runs batched-affine rounds
+# Six crates in its graph gained a hard edge to distmsm-telemetry, so
+# cargo re-resolves the committed benchmark/Cargo.lock in place; restore
+# it so CI leaves the tree clean. Delete these lines with the
+# benchmark-archetype follow-up that commits the refreshed lock
+# (ROADMAP item 5).
+LOCK_KEEP="$(mktemp /tmp/distmsm_ci_bench_lock.XXXXXX)"
+cp benchmark/Cargo.lock "$LOCK_KEEP"
+trap 'cp "$LOCK_KEEP" benchmark/Cargo.lock; rm -f "$LOCK_KEEP"' EXIT
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for workload in msm_bls381_sliced msm_bn254_64k; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \

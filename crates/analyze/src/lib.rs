@@ -3,7 +3,7 @@
 //! Two complementary analyses over the DistMSM reproduction:
 //!
 //! * A **dynamic race detector** ([`race`], driven by [`harness`]): the
-//!   simulator's access-trace hook (`distmsm-gpu-sim`'s `trace` feature)
+//!   simulator's access-trace hook (`distmsm_gpu_sim::trace`)
 //!   tags every simulated global/shared read, write and atomic with its
 //!   originating device, block, warp and thread plus a synchronisation
 //!   phase; a collapsed vector-clock happens-before checker then reports

@@ -1,8 +1,7 @@
 //! Sweeps fault rate × GPU count and verifies bit-exact recovery.
 //!
-//! `--telemetry <out.json>` (with the `telemetry` feature) records the
-//! sweep's span timeline and exports Chrome-trace JSON for
-//! `ui.perfetto.dev`.
+//! `--telemetry <out.json>` records the sweep's span timeline and exports
+//! Chrome-trace JSON for `ui.perfetto.dev`.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let trace = distmsm_bench::telemetry_path(&args);

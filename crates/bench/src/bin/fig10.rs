@@ -1,8 +1,7 @@
 //! Regenerates Figure 10 (optimisation breakdown).
 //!
-//! `--telemetry <out.json>` (with the `telemetry` feature) records the
-//! run's span timeline and exports Chrome-trace JSON for
-//! `ui.perfetto.dev`.
+//! `--telemetry <out.json>` records the run's span timeline and exports
+//! Chrome-trace JSON for `ui.perfetto.dev`.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let trace = distmsm_bench::telemetry_path(&args);

@@ -83,35 +83,22 @@ pub fn soak_main<S: Scenario>() {
 /// Runs `f`, recording a telemetry session and exporting it to `path`
 /// when one is given.
 ///
-/// With a path and the `telemetry` feature, the run's span timeline is
-/// written as Chrome-trace JSON (open in `ui.perfetto.dev`) and a live
-/// phase table is printed. Without the feature, a requested export is a
-/// hard error rather than a silently missing trace.
+/// With a path, the run's span timeline is written as Chrome-trace JSON
+/// (open in `ui.perfetto.dev`) and a live phase table is printed.
 ///
 /// # Panics
 ///
-/// Panics if the trace file cannot be written, or if `path` is given on
-/// a build without the `telemetry` feature.
+/// Panics if the trace file cannot be written.
 pub fn run_with_telemetry<T>(path: Option<&str>, f: impl FnOnce() -> T) -> T {
     let Some(path) = path else {
         return f();
     };
-    #[cfg(feature = "telemetry")]
-    {
-        distmsm_telemetry::session::begin();
-        let out = f();
-        let timeline = distmsm_telemetry::session::end();
-        std::fs::write(path, distmsm_telemetry::to_chrome_trace(&timeline))
-            .unwrap_or_else(|e| panic!("cannot write trace to {path}: {e}"));
-        println!("{}", distmsm_telemetry::phase_table(&timeline));
-        println!("telemetry: wrote Chrome-trace JSON to {path} (open in ui.perfetto.dev)");
-        out
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        panic!(
-            "--telemetry {path} requested, but this binary was built without the \
-             `telemetry` feature; rebuild with `--features telemetry`"
-        );
-    }
+    distmsm_telemetry::session::begin();
+    let out = f();
+    let timeline = distmsm_telemetry::session::end();
+    std::fs::write(path, distmsm_telemetry::to_chrome_trace(&timeline))
+        .unwrap_or_else(|e| panic!("cannot write trace to {path}: {e}"));
+    println!("{}", distmsm_telemetry::phase_table(&timeline));
+    println!("telemetry: wrote Chrome-trace JSON to {path} (open in ui.perfetto.dev)");
+    out
 }

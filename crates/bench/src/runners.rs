@@ -845,13 +845,9 @@ pub fn run_ablations() -> String {
 }
 
 /// Opt-in trace-overhead measurement (the fig8 binary's `--analyze` flag):
-/// runs the same multi-GPU MSM repeatedly with trace capture off and — when
-/// this crate is built with the `analyze` feature — again with capture on,
-/// reporting the wall-clock delta the access-trace hooks cost.
-///
-/// Built *without* the feature (the default for every bench target), the
-/// hooks are compiled out entirely and the function only reports the
-/// baseline timing, demonstrating the zero-cost-when-disabled claim.
+/// runs the same multi-GPU MSM repeatedly with trace capture off and again
+/// with capture on, reporting the wall-clock delta recording costs over
+/// the always-compiled, inactive access-trace hooks.
 pub fn run_trace_overhead(n: usize, reps: usize) -> String {
     use std::time::Instant;
     let mut rng = StdRng::seed_from_u64(42);
@@ -863,30 +859,21 @@ pub fn run_trace_overhead(n: usize, reps: usize) -> String {
         }
     };
 
-    let mut out = format!("Trace-hook overhead (N={n}, {reps} runs, 4 GPUs, BN254):\n");
     let t0 = Instant::now(); // det-ok: harness measures real host time
     run_all();
     let off = t0.elapsed();
 
-    #[cfg(feature = "analyze")]
-    {
-        distmsm_gpu_sim::trace::begin_capture();
-        let t1 = Instant::now(); // det-ok: harness measures real host time
-        run_all();
-        let on = t1.elapsed();
-        let traces = distmsm_gpu_sim::trace::end_capture();
-        let accesses: usize = traces.iter().map(|t| t.accesses.len()).sum();
-        out.push_str(&format!(
-            "  capture off: {off:.2?} (hooks compiled in, capture disabled)\n  capture on:  {on:.2?} ({} launches, {accesses} accesses recorded)\n  capture overhead: {:+.1}%\n",
-            traces.len(),
-            (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0,
-        ));
-    }
-    #[cfg(not(feature = "analyze"))]
-    out.push_str(&format!(
-        "  hooks compiled out: {off:.2?}\n  (rebuild with `--features analyze` to measure capture overhead)\n"
-    ));
-    out
+    distmsm_gpu_sim::trace::begin_capture();
+    let t1 = Instant::now(); // det-ok: harness measures real host time
+    run_all();
+    let on = t1.elapsed();
+    let traces = distmsm_gpu_sim::trace::end_capture();
+    let accesses: usize = traces.iter().map(|t| t.accesses.len()).sum();
+    format!(
+        "Trace-hook overhead (N={n}, {reps} runs, 4 GPUs, BN254):\n  capture off: {off:.2?} (hooks inactive)\n  capture on:  {on:.2?} ({} launches, {accesses} accesses recorded)\n  capture overhead: {:+.1}%\n",
+        traces.len(),
+        (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0,
+    )
 }
 
 /// Fault sweep: seeded fault injection across fault rate × GPU count on

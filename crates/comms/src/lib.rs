@@ -13,7 +13,7 @@
 //! * [`schedule`] — collectives lowered to step/flow schedules costed
 //!   under an α–β (latency + inverse-bandwidth) model with chunked
 //!   store-and-forward pipelining and per-link contention metering, plus
-//!   a feature-gated trace stream for `distmsm-analyze`.
+//!   a capture-gated trace stream for `distmsm-analyze`.
 //! * [`collective`] — host-gather, ring all-reduce, binomial-tree
 //!   all-reduce, and reduce-scatter+gather strategies that execute the
 //!   reduction *for real* over any element type (the engine passes EC

@@ -382,9 +382,8 @@ impl CommSchedule {
     }
 }
 
-/// Feature-gated emission of a finalized schedule onto the fabric lane
-/// of the active `distmsm-telemetry` session.
-#[cfg(feature = "telemetry")]
+/// Emission of a finalized schedule onto the fabric lane of the active
+/// `distmsm-telemetry` session.
 pub mod telemetry {
     use super::{CommSchedule, Endpoint};
     use distmsm_telemetry::{session, Lane, Span};
@@ -464,78 +463,48 @@ pub mod telemetry {
     }
 }
 
-/// Feature-gated process-global schedule collector, mirroring the
-/// `distmsm-gpu-sim` trace stream: `distmsm-analyze` turns capture on,
-/// runs a workload, and replays the recorded schedules against its
-/// comm-schedule rules. With the `trace` feature off every hook is an
-/// inline no-op.
+/// Process-global schedule collector, mirroring the `distmsm-gpu-sim`
+/// trace stream: `distmsm-analyze` turns capture on, runs a workload, and
+/// replays the recorded schedules against its comm-schedule rules. With
+/// no capture running, [`maybe_submit`](trace::maybe_submit) is one
+/// atomic load per finalized schedule.
 pub mod trace {
     use super::CommSchedule;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Mutex, MutexGuard};
 
-    #[cfg(feature = "trace")]
-    mod imp {
-        use super::CommSchedule;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Mutex;
+    static CAPTURING: AtomicBool = AtomicBool::new(false);
+    static SCHEDULES: Mutex<Vec<CommSchedule>> = Mutex::new(Vec::new());
 
-        static CAPTURING: AtomicBool = AtomicBool::new(false);
-        static SCHEDULES: Mutex<Vec<CommSchedule>> = Mutex::new(Vec::new());
-
-        // A panicking workload thread must not wedge the collector:
-        // recover the (plain-Vec) state from a poisoned lock.
-        fn schedules() -> std::sync::MutexGuard<'static, Vec<CommSchedule>> {
-            SCHEDULES.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        pub fn begin_capture() {
-            schedules().clear();
-            CAPTURING.store(true, Ordering::SeqCst);
-        }
-
-        pub fn end_capture() -> Vec<CommSchedule> {
-            CAPTURING.store(false, Ordering::SeqCst);
-            std::mem::take(&mut *schedules())
-        }
-
-        pub fn capturing() -> bool {
-            CAPTURING.load(Ordering::SeqCst)
-        }
-
-        pub fn submit(s: &CommSchedule) {
-            if capturing() {
-                schedules().push(s.clone());
-            }
-        }
+    // A panicking workload thread must not wedge the collector:
+    // recover the (plain-Vec) state from a poisoned lock.
+    fn schedules() -> MutexGuard<'static, Vec<CommSchedule>> {
+        SCHEDULES.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Starts recording every finalized schedule process-wide.
-    #[cfg(feature = "trace")]
     pub fn begin_capture() {
-        imp::begin_capture();
+        schedules().clear();
+        CAPTURING.store(true, Ordering::SeqCst);
     }
 
     /// Stops recording and returns the captured schedules.
-    #[cfg(feature = "trace")]
     pub fn end_capture() -> Vec<CommSchedule> {
-        imp::end_capture()
+        CAPTURING.store(false, Ordering::SeqCst);
+        std::mem::take(&mut *schedules())
     }
 
     /// Whether capture is currently active.
-    #[cfg(feature = "trace")]
     pub fn capturing() -> bool {
-        imp::capturing()
+        CAPTURING.load(Ordering::SeqCst)
     }
 
     /// Records `s` if capture is active; no-op otherwise.
-    #[cfg(feature = "trace")]
     pub fn maybe_submit(s: &CommSchedule) {
-        imp::submit(s);
+        if capturing() {
+            schedules().push(s.clone());
+        }
     }
-
-    /// Records `s` if capture is active; no-op otherwise.
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    pub fn maybe_submit(_s: &CommSchedule) {}
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@ use distmsm_kernel::ir::PlanIr;
 use distmsm_kernel::EcKernelModel;
 
 /// Trace address namespaces (see `distmsm_gpu_sim::trace`).
-#[cfg(feature = "trace")]
 mod addr {
     /// Global: affine point array, indexed by point.
     pub const POINT: u64 = 0x1000_0000_0000;
@@ -30,7 +29,8 @@ mod addr {
 /// from the writes it consumes. When a bucket's lanes straddle a block
 /// boundary, per-block segment leaders publish their partial globally and
 /// the combine crosses a grid sync, mirroring a cooperative-groups launch.
-#[cfg(feature = "trace")]
+#[cold]
+#[inline(never)]
 fn emit_bucket_sum_trace(
     rec: &mut LaunchRecorder,
     buckets: &[Vec<u32>],
@@ -221,10 +221,7 @@ pub(crate) fn bucket_sum_with<C: Curve>(
         block_size,
     );
 
-    let rec = LaunchRecorder::start("bucket-sum", 0);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
+    let mut rec = LaunchRecorder::start("bucket-sum", 0);
     if rec.active() {
         emit_bucket_sum_trace(&mut rec, buckets, tpb, block_size);
     }

@@ -23,7 +23,6 @@ use distmsm_kernel::ir::{IndexExpr, PlanIr, Poly, Region, RegionFamily, SymBound
 use distmsm_kernel::{EcKernelModel, PaddOptimizations};
 
 /// Trace address namespaces (see `distmsm_gpu_sim::trace`).
-#[cfg(feature = "trace")]
 mod addr {
     /// Global: packed scalar-chunk array, indexed by point.
     pub const SCAL: u64 = 0x1000_0000_0000;
@@ -42,7 +41,8 @@ mod addr {
 /// scalars and writes each point into its claimed (unique) transposed
 /// cell. Passes are separated by grid syncs, which is the only reason the
 /// cross-thread histogram/offset reads are ordered.
-#[cfg(feature = "trace")]
+#[cold]
+#[inline(never)]
 fn emit_transpose_trace<S: Scalar>(
     rec: &mut LaunchRecorder,
     scalars: &[S],
@@ -165,10 +165,7 @@ pub fn transpose_window<S: Scalar>(
     };
     stats.total = stats.max_thread.scale(threads as f64);
 
-    let rec = LaunchRecorder::start("cuzk-transpose", 0);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
+    let mut rec = LaunchRecorder::start("cuzk-transpose", 0);
     if rec.active() {
         emit_transpose_trace(&mut rec, scalars, s, window, threads);
     }

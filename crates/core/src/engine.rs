@@ -925,23 +925,24 @@ impl DistMsm {
             comm: Some(comm),
             recovery: supervised.then_some(recovery),
         };
-        #[cfg(feature = "telemetry")]
-        self.emit_telemetry(
-            &report,
-            &done,
-            &recovered,
-            attempt,
-            &TelemetryPhases {
-                scatter_per_gpu: &scatter_per_gpu,
-                sum_per_gpu: &sum_per_gpu,
-                gpu_reduce_per_gpu: &gpu_reduce_per_gpu,
-                rec_per_gpu: &rec_per_gpu,
-                prepass,
-                cpu_reduce_s,
-                comm_host_s,
-                gpu_makespan: report.per_gpu_s.iter().copied().fold(0.0, f64::max),
-            },
-        );
+        if distmsm_telemetry::session::active() {
+            self.emit_telemetry(
+                &report,
+                &done,
+                &recovered,
+                attempt,
+                &TelemetryPhases {
+                    scatter_per_gpu: &scatter_per_gpu,
+                    sum_per_gpu: &sum_per_gpu,
+                    gpu_reduce_per_gpu: &gpu_reduce_per_gpu,
+                    rec_per_gpu: &rec_per_gpu,
+                    prepass,
+                    cpu_reduce_s,
+                    comm_host_s,
+                    gpu_makespan: report.per_gpu_s.iter().copied().fold(0.0, f64::max),
+                },
+            );
+        }
         Ok(report)
     }
 
@@ -953,8 +954,9 @@ impl DistMsm {
     /// phase category's aggregate over the emitted spans reproduces the
     /// corresponding [`PhaseBreakdown`] field (the TEL-001 analyze rule
     /// holds the trace to that) and the latest span ends at
-    /// `clock + total_s`.
-    #[cfg(feature = "telemetry")]
+    /// `clock + total_s`. Called only while a session is active.
+    #[cold]
+    #[inline(never)]
     #[allow(clippy::too_many_lines)] // one linear timeline layout pass
     fn emit_telemetry<C: Curve>(
         &self,
@@ -966,9 +968,6 @@ impl DistMsm {
     ) {
         use distmsm_gpu_sim::telemetry::{device_span, fault_instant, kernel_span};
         use distmsm_telemetry::{session, Instant, Lane, Span};
-        if !session::active() {
-            return;
-        }
         let t0 = session::clock_s();
         let n_gpus = ph.scatter_per_gpu.len();
         let plan = &self.config.fault_plan;
@@ -1393,7 +1392,6 @@ struct SliceOutcome<C: Curve> {
 /// Per-phase timing internals `execute_attempt` hands to the telemetry
 /// emitter: everything the timeline layout needs that the public
 /// [`MsmReport`] does not carry.
-#[cfg(feature = "telemetry")]
 struct TelemetryPhases<'a> {
     scatter_per_gpu: &'a [f64],
     sum_per_gpu: &'a [f64],

@@ -9,6 +9,7 @@ use crate::engine::MsmReport;
 use crate::supervisor::RecoveryReport;
 use distmsm_comms::CommSchedule;
 use distmsm_ec::Curve;
+pub use distmsm_telemetry::export::{json_num, json_str};
 
 /// One named phase of a report's time breakdown.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,38 +65,6 @@ pub trait Report {
             json_num(self.total_s()),
             phases.join(",")
         )
-    }
-}
-
-/// Escapes a string as a JSON string literal — the workspace's one
-/// writer-side escape (`distmsm-telemetry` keeps a private copy because
-/// it is an optional leaf that default binaries must not link).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an f64 with a JSON-safe fallback for non-finite values.
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".into()
     }
 }
 

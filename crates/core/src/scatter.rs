@@ -18,7 +18,6 @@ use distmsm_kernel::ir::{self, IndexExpr, PlanIr, Poly, Region, RegionFamily, Sy
 /// Simulated address namespaces for the access trace (see
 /// `distmsm_gpu_sim::trace`). Each launch gets its own trace, so bases only
 /// need to be distinct *within* one kernel.
-#[cfg(feature = "trace")]
 mod addr {
     /// Global: packed per-window coefficient array, indexed by point.
     pub const COEFF: u64 = 0x1000_0000_0000;
@@ -38,7 +37,8 @@ mod addr {
 /// payload slot is the point's final position in its bucket, i.e. the
 /// location the claimed cursor value denotes; slots are therefore unique
 /// and the only cross-thread collisions are the (atomic) cursor bumps.
-#[cfg(feature = "trace")]
+#[cold]
+#[inline(never)]
 fn emit_naive_trace(
     rec: &mut LaunchRecorder,
     n_points: usize,
@@ -80,7 +80,8 @@ fn emit_naive_trace(
 /// commit phase issues one global cursor atomic per non-empty local bucket
 /// and writes the claimed (disjoint) payload range. `contrib(i)` returns
 /// the slice-local bucket of point `i`, or `None` when it lands outside.
-#[cfg(feature = "trace")]
+#[cold]
+#[inline(never)]
 fn emit_hierarchical_trace(
     rec: &mut LaunchRecorder,
     n_points: usize,
@@ -241,10 +242,7 @@ pub fn scatter_naive<S: Scalar>(
     let stats =
         naive_scatter_stats(scalars.len() as u64, inserts, slice.len(), gpu_threads, coeff_bytes);
 
-    let rec = LaunchRecorder::start("scatter-naive", slice.gpu as u16);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
+    let mut rec = LaunchRecorder::start("scatter-naive", slice.gpu as u16);
     if rec.active() {
         let per_thread = (scalars.len() as u64).div_ceil(stats.threads);
         emit_naive_trace(&mut rec, scalars.len(), per_thread, &buckets, slice.bucket_lo);
@@ -357,10 +355,7 @@ pub fn scatter_hierarchical<S: Scalar>(
         coeff_bytes,
     );
 
-    let rec = LaunchRecorder::start("scatter-hierarchical", slice.gpu as u16);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
+    let mut rec = LaunchRecorder::start("scatter-hierarchical", slice.gpu as u16);
     if rec.active() {
         emit_hierarchical_trace(&mut rec, scalars.len(), range, slice.bucket_lo, cfg, |i| {
             let b = bucket_of(&scalars[i], slice.window, s);
@@ -470,10 +465,7 @@ pub fn scatter_signed_digits(
         }
     };
 
-    let rec = LaunchRecorder::start(stats.profile.name, slice.gpu as u16);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
+    let mut rec = LaunchRecorder::start(stats.profile.name, slice.gpu as u16);
     if rec.active() {
         match kind {
             ScatterKind::Naive => {

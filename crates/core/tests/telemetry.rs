@@ -1,7 +1,6 @@
-//! Telemetry integration tests (compiled only with the `telemetry`
-//! feature): span nesting and sum-consistency of the engine's live
-//! emission, and a byte-exact golden Chrome-trace export for a seeded
-//! 4-GPU run with one injected fail-stop.
+//! Telemetry integration tests: span nesting and sum-consistency of the
+//! engine's live emission, and a byte-exact golden Chrome-trace export
+//! for a seeded 4-GPU run with one injected fail-stop.
 //!
 //! The emission is a pure function of the simulated timing model, so
 //! the exported JSON is deterministic down to the byte; the golden file
@@ -9,10 +8,8 @@
 //! an intentional timing or emission change with:
 //!
 //! ```text
-//! BLESS=1 cargo test -p distmsm --features telemetry --test telemetry
+//! BLESS=1 cargo test -p distmsm --test telemetry
 //! ```
-
-#![cfg(feature = "telemetry")]
 
 use distmsm::prelude::*;
 use distmsm_telemetry::{session, to_chrome_trace};
@@ -122,4 +119,15 @@ fn sequential_msms_lay_out_end_to_end() {
         (extent - want).abs() <= 1e-9 * want,
         "two MSMs extend to {extent}, want {want}"
     );
+}
+
+#[test]
+fn nothing_is_recorded_unless_a_capture_was_begun() {
+    let _guard = session_lock();
+    let mut rng = StdRng::seed_from_u64(44);
+    let inst = MsmInstance::<Bn254G1>::random(128, &mut rng);
+    DistMsm::new(MultiGpuSystem::dgx_a100(2)).execute(&inst).expect("MSM");
+    assert!(distmsm_gpu_sim::trace::end_capture().is_empty());
+    assert!(distmsm_comms::schedule::trace::end_capture().is_empty());
+    assert_eq!(session::end(), distmsm_telemetry::Timeline::default());
 }

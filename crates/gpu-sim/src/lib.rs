@@ -27,7 +27,6 @@ pub mod cost;
 pub mod device;
 pub mod fault;
 pub mod system;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod trace;
 

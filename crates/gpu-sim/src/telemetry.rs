@@ -1,5 +1,4 @@
-//! Feature-gated emission helpers targeting the `distmsm-telemetry`
-//! session.
+//! Emission helpers targeting the `distmsm-telemetry` session.
 //!
 //! The engine crate drives the timeline layout (it knows phase start
 //! times); these helpers wrap the per-launch and per-fault details that

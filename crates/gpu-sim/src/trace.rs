@@ -1,14 +1,15 @@
-//! Feature-gated access tracing for the simulated GPU.
+//! Access tracing for the simulated GPU.
 //!
 //! The functional kernel implementations (in the `distmsm` crate) *meter*
 //! atomics, barriers and bytes for the cost model — but metering proves
-//! nothing about correctness. When the `trace` cargo feature is enabled,
-//! kernels additionally *emit* every simulated global/shared read, write
-//! and atomic, tagged with the issuing [`SimThread`] (device, block, warp,
-//! thread) and its synchronisation **phase**, plus the block-barrier and
-//! grid-sync structure of the launch. The `distmsm-analyze` crate replays
-//! these [`LaunchTrace`]s through a vector-clock happens-before checker to
-//! detect data races, barrier divergence and atomic hotspots.
+//! nothing about correctness. Between [`begin_capture`] and
+//! [`end_capture`], kernels additionally *emit* every simulated
+//! global/shared read, write and atomic, tagged with the issuing
+//! [`SimThread`] (device, block, warp, thread) and its synchronisation
+//! **phase**, plus the block-barrier and grid-sync structure of the
+//! launch. The `distmsm-analyze` crate replays these [`LaunchTrace`]s
+//! through a vector-clock happens-before checker to detect data races,
+//! barrier divergence and atomic hotspots.
 //!
 //! # Phase encoding
 //!
@@ -23,10 +24,13 @@
 //!
 //! # Cost
 //!
-//! With the feature **off**, every hook is an inline empty function and
-//! [`LaunchRecorder`] is a zero-sized type: the instrumentation compiles
-//! to nothing. With the feature **on** but capture disabled (the default),
-//! each hook is a single branch on an `Option` discriminant.
+//! The hooks are always compiled. With no capture running (the default)
+//! [`LaunchRecorder::start`] is one relaxed atomic load per kernel launch
+//! and every other hook a single branch on an `Option` discriminant;
+//! recording never feeds back into a simulated number.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Identity of one simulated GPU thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -128,78 +132,43 @@ pub struct LaunchTrace {
     pub metered_atomic_addrs: Option<u64>,
 }
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::LaunchTrace;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
+static CAPTURING: AtomicBool = AtomicBool::new(false);
+static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
+static TRACES: Mutex<Vec<LaunchTrace>> = Mutex::new(Vec::new());
 
-    pub(super) static CAPTURING: AtomicBool = AtomicBool::new(false);
-    pub(super) static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
-    pub(super) static TRACES: Mutex<Vec<LaunchTrace>> = Mutex::new(Vec::new());
-
-    pub(super) fn capturing() -> bool {
-        CAPTURING.load(Ordering::Relaxed)
-    }
-
-    pub(super) fn next_launch() -> u64 {
-        LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed)
-    }
-
-    // A panicking workload thread must not wedge the collector: recover
-    // the (plain-Vec) state from a poisoned lock.
-    pub(super) fn traces() -> std::sync::MutexGuard<'static, Vec<LaunchTrace>> {
-        TRACES.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(super) fn submit(trace: LaunchTrace) {
-        traces().push(trace);
-    }
+// A panicking workload thread must not wedge the collector: recover
+// the (plain-Vec) state from a poisoned lock.
+fn traces() -> MutexGuard<'static, Vec<LaunchTrace>> {
+    TRACES.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Starts capturing launch traces (process-wide). No-op without the
-/// `trace` feature.
+/// Starts capturing launch traces (process-wide).
 pub fn begin_capture() {
-    #[cfg(feature = "trace")]
-    {
-        imp::traces().clear();
-        imp::CAPTURING.store(true, std::sync::atomic::Ordering::SeqCst);
-    }
+    traces().clear();
+    CAPTURING.store(true, Ordering::SeqCst);
 }
 
 /// Stops capturing and returns every launch trace recorded since
-/// [`begin_capture`]. Always empty without the `trace` feature.
+/// [`begin_capture`].
 pub fn end_capture() -> Vec<LaunchTrace> {
-    #[cfg(feature = "trace")]
-    {
-        imp::CAPTURING.store(false, std::sync::atomic::Ordering::SeqCst);
-        return std::mem::take(&mut *imp::traces());
-    }
-    #[cfg(not(feature = "trace"))]
-    Vec::new()
+    CAPTURING.store(false, Ordering::SeqCst);
+    std::mem::take(&mut *traces())
 }
 
 /// True while a capture is in progress.
 pub fn capturing() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        imp::capturing()
-    }
-    #[cfg(not(feature = "trace"))]
-    false
+    CAPTURING.load(Ordering::Relaxed)
 }
 
 /// Per-launch trace emitter held by an instrumented kernel.
 ///
 /// Buffers events locally (kernels run on concurrent host threads) and
 /// publishes the finished [`LaunchTrace`] to the process-wide collector on
-/// [`commit`](Self::commit). All methods are inline no-ops when the
-/// `trace` feature is off, and a single branch when capture is inactive.
+/// [`commit`](Self::commit). Every method is a single branch when capture
+/// is inactive.
 #[derive(Debug, Default)]
 pub struct LaunchRecorder {
-    #[cfg(feature = "trace")]
     inner: Option<Box<LaunchTrace>>,
-    #[cfg(feature = "trace")]
     device: u16,
 }
 
@@ -208,40 +177,21 @@ impl LaunchRecorder {
     /// inactive recorder when capture is off.
     #[inline]
     pub fn start(kernel: &str, device: u16) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            if imp::capturing() {
-                return Self {
-                    inner: Some(Box::new(LaunchTrace {
-                        kernel: kernel.to_owned(),
-                        launch: imp::next_launch(),
-                        ..LaunchTrace::default()
-                    })),
-                    device,
-                };
-            }
-            Self {
-                inner: None,
-                device,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (kernel, device);
-            Self {}
-        }
+        let inner = capturing().then(|| {
+            Box::new(LaunchTrace {
+                kernel: kernel.to_owned(),
+                launch: LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed),
+                ..LaunchTrace::default()
+            })
+        });
+        Self { inner, device }
     }
 
     /// True when this recorder is collecting events. Use to skip
     /// address-computation work in instrumented kernels.
     #[inline]
     pub fn active(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        false
+        self.inner.is_some()
     }
 
     /// Records one access by `(block, thread)` at `phase`.
@@ -255,7 +205,6 @@ impl LaunchRecorder {
         kind: AccessKind,
         addr: u64,
     ) {
-        #[cfg(feature = "trace")]
         if let Some(t) = &mut self.inner {
             t.accesses.push(Access {
                 thread: SimThread {
@@ -269,17 +218,12 @@ impl LaunchRecorder {
                 addr,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (block, thread, phase, space, kind, addr);
-        }
     }
 
     /// Declares that all `threads` threads of `block` arrive at `count`
     /// block barriers.
     #[inline]
     pub fn block_barriers(&mut self, block: u32, threads: u32, count: u32) {
-        #[cfg(feature = "trace")]
         if let Some(t) = &mut self.inner {
             t.barriers.push(BlockBarriers {
                 block,
@@ -287,17 +231,12 @@ impl LaunchRecorder {
                 count,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (block, threads, count);
-        }
     }
 
     /// Overrides the barrier count of a single thread (for modelling
     /// divergent kernels in fixtures).
     #[inline]
     pub fn thread_barriers(&mut self, block: u32, thread: u32, count: u32) {
-        #[cfg(feature = "trace")]
         if let Some(t) = &mut self.inner {
             t.thread_barriers.push((
                 SimThread {
@@ -308,22 +247,13 @@ impl LaunchRecorder {
                 count,
             ));
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (block, thread, count);
-        }
     }
 
     /// Declares the `phase → phase+1` transition as a grid-wide sync.
     #[inline]
     pub fn grid_sync_at(&mut self, phase: u32) {
-        #[cfg(feature = "trace")]
         if let Some(t) = &mut self.inner {
             t.grid_sync_phases.push(phase);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = phase;
         }
     }
 
@@ -331,32 +261,34 @@ impl LaunchRecorder {
     /// hotspot cross-check.
     #[inline]
     pub fn note_metered_atomics(&mut self, distinct: u64) {
-        #[cfg(feature = "trace")]
         if let Some(t) = &mut self.inner {
             t.metered_atomic_addrs = Some(distinct);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = distinct;
         }
     }
 
     /// Publishes the trace to the collector (no-op when inactive).
     #[inline]
     pub fn commit(self) {
-        #[cfg(feature = "trace")]
         if let Some(t) = self.inner {
-            imp::submit(*t);
+            traces().push(*t);
         }
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
+    // The capture buffer is process-global: tests that begin or end a
+    // capture must not interleave.
+    fn guard() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn capture_round_trip() {
+        let _g = guard();
         begin_capture();
         assert!(capturing());
         let mut rec = LaunchRecorder::start("toy", 1);
@@ -379,6 +311,7 @@ mod tests {
 
     #[test]
     fn inactive_recorder_records_nothing() {
+        let _g = guard();
         // no begin_capture
         let mut rec = LaunchRecorder::start("toy", 0);
         assert!(!rec.active());

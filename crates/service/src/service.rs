@@ -580,21 +580,17 @@ impl<C: Curve> ProverService<C> {
         self.wal.state()
     }
 
-    /// Emits a telemetry instant on the `service` lane (no-op unless the
-    /// `telemetry` feature is on and a session is active).
-    #[allow(unused_variables)]
+    /// Emits a telemetry instant on the `service` lane (no-op unless a
+    /// session is active).
     fn instant(&self, name: &str, args: Vec<(String, String)>) {
-        #[cfg(feature = "telemetry")]
-        {
-            if distmsm_telemetry::session::active() {
-                distmsm_telemetry::session::push_instant(distmsm_telemetry::Instant {
-                    name: name.to_string(),
-                    cat: "service".to_string(),
-                    lane: distmsm_telemetry::Lane::Service,
-                    t_s: self.clock_s,
-                    args,
-                });
-            }
+        if distmsm_telemetry::session::active() {
+            distmsm_telemetry::session::push_instant(distmsm_telemetry::Instant {
+                name: name.to_string(),
+                cat: "service".to_string(),
+                lane: distmsm_telemetry::Lane::Service,
+                t_s: self.clock_s,
+                args,
+            });
         }
     }
 

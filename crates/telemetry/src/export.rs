@@ -11,9 +11,9 @@
 use crate::span::{Lane, Timeline};
 use std::fmt::Write as _;
 
-/// Escapes a string for embedding in a JSON document.
-// Private copy of `distmsm::report::json_str`: core must not link this optional leaf (ci.sh greps).
-fn json_str(s: &str) -> String {
+/// Escapes a string as a JSON string literal — the workspace's one
+/// writer-side escape (`distmsm::report` re-exports it).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -36,7 +36,7 @@ fn json_str(s: &str) -> String {
 /// Formats an f64 so the JSON stays parseable (`NaN`/`inf` have no JSON
 /// representation; simulated times should never produce them, but a
 /// malformed hook must not yield an unreadable file).
-fn json_num(v: f64) -> String {
+pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -62,8 +62,8 @@ fn args_obj(args: &[(String, String)]) -> String {
 /// Event order: metadata records (process + one `thread_name` per lane),
 /// then spans, instants and counters in recording order, then one
 /// summary instant per histogram. The trailing `otherData.producer`
-/// field marks the document as coming from this crate — ci.sh greps for
-/// that token as the positive control of its zero-symbol gate.
+/// field marks the document as coming from this crate (ci.sh greps for
+/// that token in its telemetry smoke).
 pub fn to_chrome_trace(tl: &Timeline) -> String {
     let mut events: Vec<String> = Vec::new();
     events.push(
@@ -231,7 +231,7 @@ mod tests {
         let text = to_chrome_trace(&sample_timeline());
         let doc = parse(&text).expect("exported trace parses");
         assert_eq!(validate_chrome_trace(&doc), Vec::<String>::new());
-        // positive-control marker for the ci.sh zero-symbol gate
+        // the marker ci.sh's telemetry smoke greps for
         assert!(text.contains("\"producer\":\"distmsm_telemetry\""));
     }
 

@@ -18,10 +18,9 @@
 //! * **Deterministic, simulated timestamps.** Every span boundary is a
 //!   value of the `gpu_sim::cost` model (seconds of *simulated* time),
 //!   never wall clock — identical runs produce byte-identical traces.
-//! * **Zero cost when unused.** Instrumented crates gate their hooks
-//!   behind a `telemetry` cargo feature; with the feature off this crate
-//!   is not even compiled into the dependency graph (ci.sh asserts the
-//!   default bench binaries carry no `distmsm_telemetry` symbols).
+//! * **One build.** Every hook is always compiled; with no session
+//!   begun a hook costs one relaxed atomic load ([`session::active`]),
+//!   and recording never feeds back into a simulated number.
 //!
 //! # Module map
 //!

@@ -102,22 +102,27 @@ impl Groth16Prover {
     /// Runs one MSM with service-level retries: a fault-class failure
     /// (lost device, partitioned fabric, exhausted in-run budget) re-runs
     /// the MSM as the next attempt, up to the engine's retry budget.
-    /// Non-fault errors propagate immediately.
+    /// Non-fault errors propagate immediately. A successful MSM is
+    /// wrapped in a prover-lane span called `name`.
     fn msm_with_retry<C: Curve>(
         &self,
+        name: &str,
         inst: &MsmInstance<C>,
         retries: &mut u32,
     ) -> Result<MsmReport<C>, MsmError> {
+        let t0 = distmsm_telemetry::session::clock_s();
         let mut attempt = 0u32;
-        loop {
+        let rep = loop {
             match self.msm.execute_attempt(inst, attempt) {
                 Err(e) if e.is_fault() && attempt < self.retry_budget => {
                     attempt += 1;
                     *retries += 1;
                 }
-                other => return other,
+                other => break other?,
             }
-        }
+        };
+        telem::msm_span(name, t0);
+        Ok(rep)
     }
 
     /// Generates a proof for a satisfied constraint system, running every
@@ -148,62 +153,38 @@ impl Groth16Prover {
             qap.h.iter().map(Fp::to_uint).collect();
 
         let mut msm_retries = 0u32;
-        let a_msm = {
-            #[cfg(feature = "telemetry")]
-            let t0 = distmsm_telemetry::session::clock_s();
-            let rep = self.msm_with_retry(
-                &MsmInstance::<Bn254G1> {
-                    points: g1_bases[..m].to_vec(),
-                    scalars: z.clone(),
-                },
-                &mut msm_retries,
-            )?;
-            #[cfg(feature = "telemetry")]
-            telem::msm_span("msm:a(G1)", t0);
-            rep
-        };
-        let b_msm = {
-            #[cfg(feature = "telemetry")]
-            let t0 = distmsm_telemetry::session::clock_s();
-            let rep = self.msm_with_retry(
-                &MsmInstance::<Bn254G2> {
-                    points: g2_bases,
-                    scalars: z.clone(),
-                },
-                &mut msm_retries,
-            )?;
-            #[cfg(feature = "telemetry")]
-            telem::msm_span("msm:b(G2)", t0);
-            rep
-        };
-        let c_base = {
-            #[cfg(feature = "telemetry")]
-            let t0 = distmsm_telemetry::session::clock_s();
-            let rep = self.msm_with_retry(
-                &MsmInstance::<Bn254G1> {
-                    points: g1_bases[..m].to_vec(),
-                    scalars: z,
-                },
-                &mut msm_retries,
-            )?;
-            #[cfg(feature = "telemetry")]
-            telem::msm_span("msm:c(G1)", t0);
-            rep
-        };
-        let h_msm = {
-            #[cfg(feature = "telemetry")]
-            let t0 = distmsm_telemetry::session::clock_s();
-            let rep = self.msm_with_retry(
-                &MsmInstance::<Bn254G1> {
-                    points: g1_bases[..d].to_vec(),
-                    scalars: h_scalars,
-                },
-                &mut msm_retries,
-            )?;
-            #[cfg(feature = "telemetry")]
-            telem::msm_span("msm:h(G1)", t0);
-            rep
-        };
+        let a_msm = self.msm_with_retry(
+            "msm:a(G1)",
+            &MsmInstance::<Bn254G1> {
+                points: g1_bases[..m].to_vec(),
+                scalars: z.clone(),
+            },
+            &mut msm_retries,
+        )?;
+        let b_msm = self.msm_with_retry(
+            "msm:b(G2)",
+            &MsmInstance::<Bn254G2> {
+                points: g2_bases,
+                scalars: z.clone(),
+            },
+            &mut msm_retries,
+        )?;
+        let c_base = self.msm_with_retry(
+            "msm:c(G1)",
+            &MsmInstance::<Bn254G1> {
+                points: g1_bases[..m].to_vec(),
+                scalars: z,
+            },
+            &mut msm_retries,
+        )?;
+        let h_msm = self.msm_with_retry(
+            "msm:h(G1)",
+            &MsmInstance::<Bn254G1> {
+                points: g1_bases[..d].to_vec(),
+                scalars: h_scalars,
+            },
+            &mut msm_retries,
+        )?;
 
         let proof = Proof {
             a: a_msm.result,
@@ -220,11 +201,8 @@ impl Groth16Prover {
             .map(|c| (c.a.len() + c.b.len() + c.c.len()) as u64)
             .sum();
         let others_s = others_time_cpu(nnz, d as u64, &self.system);
-        #[cfg(feature = "telemetry")]
-        {
-            telem::serial_stage("ntt(single-gpu)", "ntt", ntt_s);
-            telem::serial_stage("witness+others(cpu)", "others", others_s);
-        }
+        telem::serial_stage("ntt(single-gpu)", "ntt", ntt_s);
+        telem::serial_stage("witness+others(cpu)", "others", others_s);
 
         Ok(ProveOutcome {
             proof,
@@ -295,7 +273,6 @@ pub fn others_time_cpu(nnz: u64, d: u64, system: &MultiGpuSystem) -> f64 {
 /// engine emissions (which advance the session clock themselves) and
 /// serial NTT/"others" stage spans that advance the clock by their own
 /// duration.
-#[cfg(feature = "telemetry")]
 mod telem {
     use distmsm_telemetry::{session, Lane, Span};
 
