@@ -44,8 +44,12 @@ cargo test -q --workspace
 for bin in soak fleet_soak crash_soak partition_soak; do
     echo "== $bin smoke + golden + reproducer replay =="
     SMOKE_JSON="$(mktemp "/tmp/distmsm_ci_${bin}.XXXXXX.json")"
+    SECONDS=0
     OUT="$("target/release/$bin" --smoke --json "$SMOKE_JSON")" || { echo "$OUT"; exit 1; }
     echo "$OUT"
+    # CI's chaos budget, for the next anchor to see move (fleet_soak is
+    # the unit cost of most of it)
+    echo "$bin smoke wall time: ${SECONDS} s"
     REPRODUCER="${OUT%%$'\n'*}"
     GOLDEN="crates/bench/golden/${bin}_smoke.json"
     if [[ "${BLESS:-0}" == "1" ]]; then
@@ -114,7 +118,9 @@ echo "== repo benchmark: harness tests + 2-second traced smokes (output checks o
 # this only proves it still builds against the crates and checks clean:
 # the independent-Pippenger oracle and the layer walk's bit-equality with
 # `execute`, on the signed/sliced path and on the large-bucket path where
-# every slice runs batched-affine rounds
+# every slice runs batched-affine rounds; `check_fleet_invariants` and a
+# byte-identical `FleetReport` on the fleet path, where an op is a few
+# hundred tiny `execute`s
 # Six crates in its graph gained a hard edge to distmsm-telemetry, so
 # cargo re-resolves the committed benchmark/Cargo.lock in place; restore
 # it so CI leaves the tree clean. Delete these lines with the
@@ -124,7 +130,7 @@ LOCK_KEEP="$(mktemp /tmp/distmsm_ci_bench_lock.XXXXXX)"
 cp benchmark/Cargo.lock "$LOCK_KEEP"
 trap 'cp "$LOCK_KEEP" benchmark/Cargo.lock; rm -f "$LOCK_KEEP"' EXIT
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in msm_bls381_sliced msm_bn254_64k; do
+for workload in msm_bls381_sliced msm_bn254_64k fleet_serve; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1 | grep -q '"correct": true'
 done

@@ -96,6 +96,14 @@ pub enum CheckpointError {
     ZeroInterval,
     /// The instance is empty (mirrors `MsmError::EmptyInstance`).
     EmptyInstance,
+    /// Unequal point and scalar counts (mirrors
+    /// `MsmError::LengthMismatch`).
+    LengthMismatch {
+        /// Points in the instance.
+        points: usize,
+        /// Scalars in the instance.
+        scalars: usize,
+    },
 }
 
 impl core::fmt::Display for CheckpointError {
@@ -112,6 +120,9 @@ impl core::fmt::Display for CheckpointError {
             }
             CheckpointError::ZeroInterval => write!(f, "checkpoint interval must be ≥ 1"),
             CheckpointError::EmptyInstance => write!(f, "cannot checkpoint an empty MSM"),
+            CheckpointError::LengthMismatch { points, scalars } => {
+                write!(f, "MSM instance pairs {points} points with {scalars} scalars")
+            }
         }
     }
 }
@@ -237,8 +248,9 @@ impl DistMsm {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on an empty instance, a zero interval, or a
-    /// resume checkpoint inconsistent with this engine's window shape.
+    /// [`CheckpointError`] on an empty instance, unequal point and scalar
+    /// counts, a zero interval, or a resume checkpoint inconsistent with
+    /// this engine's window shape.
     pub fn execute_windowed<C: Curve, F>(
         &self,
         instance: &MsmInstance<C>,
@@ -250,6 +262,12 @@ impl DistMsm {
         F: FnMut(&WindowCheckpoint<C>),
     {
         let n = instance.points.len();
+        if n != instance.scalars.len() {
+            return Err(CheckpointError::LengthMismatch {
+                points: n,
+                scalars: instance.scalars.len(),
+            });
+        }
         if n == 0 {
             return Err(CheckpointError::EmptyInstance);
         }
@@ -473,6 +491,23 @@ mod tests {
             eng.execute_windowed(&inst, &CheckpointConfig::default(), Some(far), |_| {}),
             Err(CheckpointError::WindowOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn mismatched_point_and_scalar_counts_are_a_typed_error() {
+        fn check<C: Curve>() {
+            let inst = MsmInstance::<C>::random(24, &mut StdRng::seed_from_u64(9));
+            for (points, scalars) in [(12, 24), (24, 12)] {
+                let bad = MsmInstance::<C> {
+                    points: inst.points[..points].to_vec(),
+                    scalars: inst.scalars[..scalars].to_vec(),
+                };
+                let got = engine().execute_windowed(&bad, &CheckpointConfig::default(), None, |_| {});
+                assert_eq!(got.unwrap_err(), CheckpointError::LengthMismatch { points, scalars });
+            }
+        }
+        check::<Bn254G1>();
+        check::<distmsm_ec::curves::Bls12381G1>();
     }
 
     #[test]

@@ -30,6 +30,8 @@ use distmsm_gpu_sim::{
 };
 use distmsm_kernel::{EcKernelModel, PaddOptimizations};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Window/bucket shape of a plan: `(n_windows, n_buckets)` for scalar
@@ -277,8 +279,17 @@ pub enum MsmError {
     ScatterOverflow(SharedMemoryOverflow),
     /// The instance was empty.
     EmptyInstance,
-    /// A planned slice produced no outcome and no recovery path claimed
-    /// it — the typed replacement for what used to be a panic.
+    /// The instance pairs `points` points with `scalars` scalars: an input
+    /// error that would recur identically, not a fault.
+    LengthMismatch {
+        /// Points in the instance.
+        points: usize,
+        /// Scalars in the instance.
+        scalars: usize,
+    },
+    /// The kernel code of a planned slice panicked on its host worker, so
+    /// the slice produced no outcome — the typed replacement for taking
+    /// the caller down with it.
     SliceLost {
         /// GPU the slice was planned on.
         gpu: usize,
@@ -316,6 +327,9 @@ impl core::fmt::Display for MsmError {
         match self {
             Self::ScatterOverflow(e) => write!(f, "{e}"),
             Self::EmptyInstance => write!(f, "MSM instance has no points"),
+            Self::LengthMismatch { points, scalars } => {
+                write!(f, "MSM instance pairs {points} points with {scalars} scalars")
+            }
             Self::SliceLost { gpu, window } => {
                 write!(f, "slice of window {window} on GPU {gpu} was lost without recovery")
             }
@@ -483,7 +497,9 @@ impl DistMsm {
     ///
     /// [`MsmError::ScatterOverflow`] when a forced hierarchical scatter
     /// does not fit in shared memory; [`MsmError::EmptyInstance`] for
-    /// zero-length input; under a fault plan, the fault-class errors of
+    /// zero-length input and [`MsmError::LengthMismatch`] for unequal point
+    /// and scalar counts; [`MsmError::SliceLost`] when a slice's kernel
+    /// code panicked; under a fault plan, the fault-class errors of
     /// [`MsmError`] when recovery is impossible (no survivors, total
     /// fabric partition, exhausted retry budget, SLA-breaching
     /// straggler).
@@ -502,6 +518,12 @@ impl DistMsm {
         instance: &MsmInstance<C>,
         attempt: u32,
     ) -> Result<MsmReport<C>, MsmError> {
+        if instance.points.len() != instance.scalars.len() {
+            return Err(MsmError::LengthMismatch {
+                points: instance.points.len(),
+                scalars: instance.scalars.len(),
+            });
+        }
         if instance.is_empty() {
             return Err(MsmError::EmptyInstance);
         }
@@ -578,7 +600,8 @@ impl DistMsm {
         let (live, lost): (Jobs, Jobs) =
             jobs.iter().partition(|(sl, e)| !is_lost(&dead, sl, *e));
         self.note_fail_stops(&lost, &mut dead, &mut recovery);
-        let done = self.run_slices(instance, &digits, s, gpu_threads, &model, &live)?;
+        let workers = host_parallelism();
+        let done = self.run_slices(instance, &digits, s, gpu_threads, &model, &live, workers)?;
 
         // ---- supervisor: probe, declare lost, re-plan, recompute --------
         let mut recovered: Vec<SliceOutcome<C>> = Vec::new();
@@ -627,7 +650,9 @@ impl DistMsm {
             recovery
                 .replanned
                 .retain(|s| !rlost.iter().any(|(lost, _)| lost == s));
-            recovered.extend(self.run_slices(instance, &digits, s, gpu_threads, &model, &rlive)?);
+            recovered.extend(
+                self.run_slices(instance, &digits, s, gpu_threads, &model, &rlive, workers)?,
+            );
             lost_slices = rlost.into_iter().map(|(sl, _)| sl).collect();
             rounds += 1;
         }
@@ -666,32 +691,28 @@ impl DistMsm {
             scatter_per_gpu[oc.slice.gpu] +=
                 f * estimate_kernel_time(dev, &oc.scatter_stats, &self.cost_cfg).total();
             sum_per_gpu[oc.slice.gpu] +=
-                f * estimate_kernel_time(dev, &oc.sum.stats, &self.cost_cfg).total();
+                f * estimate_kernel_time(dev, &oc.sum_stats, &self.cost_cfg).total();
             launches.push(oc.scatter_stats.clone());
-            launches.push(oc.sum.stats.clone());
+            launches.push(oc.sum_stats.clone());
         }
         for oc in &recovered {
             let dev = &self.system.devices[oc.slice.gpu];
             let f = straggle(oc.slice.gpu, oc.event);
             rec_per_gpu[oc.slice.gpu] += f
                 * (estimate_kernel_time(dev, &oc.scatter_stats, &self.cost_cfg).total()
-                    + estimate_kernel_time(dev, &oc.sum.stats, &self.cost_cfg).total());
+                    + estimate_kernel_time(dev, &oc.sum_stats, &self.cost_cfg).total());
             launches.push(oc.scatter_stats.clone());
-            launches.push(oc.sum.stats.clone());
+            launches.push(oc.sum_stats.clone());
         }
 
         // ---- bucket-reduce ----------------------------------------------
-        // group slices per window, reduce each slice with its offset, and
-        // merge (slices of one window compose additively). On the CPU
-        // path the host holds every partial (gathered below); on the GPU
-        // path each GPU keeps its own window partials, merged by the
-        // configured collective.
+        // every slice arrives already reduced with its offset (by the
+        // worker that summed it); slices of one window compose additively
+        // and are merged below. On the CPU path the host holds every
+        // partial (gathered below); on the GPU path each GPU keeps its own
+        // window partials, merged by the configured collective.
         let all_done: Vec<&SliceOutcome<C>> = done.iter().chain(&recovered).collect();
         let primary_count = done.len();
-        let mut contribs: Vec<(XyzzPoint<C>, u64)> = Vec::with_capacity(all_done.len());
-        for oc in &all_done {
-            contribs.push(bucket_reduce_serial(&oc.sum.sums, oc.slice.bucket_lo));
-        }
 
         // ---- RLC self-check against silent corruption -------------------
         // Each device folds Σ rᵢ·wᵢ over the partials it computed; the
@@ -701,7 +722,7 @@ impl DistMsm {
         // under the retry budget.
         if supervised {
             let coeffs = rlc_coefficients(RLC_SEED, all_done.len());
-            let true_vals: Vec<XyzzPoint<C>> = contribs.iter().map(|c| c.0).collect();
+            let true_vals: Vec<XyzzPoint<C>> = all_done.iter().map(|oc| oc.contrib.0).collect();
             let recv_vals: Vec<XyzzPoint<C>> = all_done
                 .iter()
                 .zip(&true_vals)
@@ -751,7 +772,7 @@ impl DistMsm {
         let mut cpu_padds: u64 = 0;
         let mut gpu_reduce_per_gpu = vec![0.0f64; n_gpus];
         for (i, oc) in all_done.iter().enumerate() {
-            let (w, ops) = contribs[i];
+            let (w, ops) = oc.contrib;
             if self.config.bucket_reduce_on_cpu {
                 window_results[oc.slice.window as usize] =
                     window_results[oc.slice.window as usize].padd(&w);
@@ -1009,7 +1030,7 @@ impl DistMsm {
             device_span(g, "bucket-sum", "phase", sc_end, su_end);
             let mut cursor = sc_end;
             for oc in done.iter().filter(|oc| oc.slice.gpu == g) {
-                let t = kernel_s(oc, &oc.sum.stats);
+                let t = kernel_s(oc, &oc.sum_stats);
                 kernel_span(
                     g,
                     &format!(
@@ -1019,7 +1040,7 @@ impl DistMsm {
                     "bucket-sum",
                     cursor,
                     cursor + t,
-                    &oc.sum.stats,
+                    &oc.sum_stats,
                 );
                 cursor += t;
             }
@@ -1247,7 +1268,8 @@ impl DistMsm {
         }
     }
 
-    /// Functionally executes one slice: scatter, then bucket-sum.
+    /// Functionally executes one slice: scatter, bucket-sum, and the
+    /// slice's bucket-reduce, so the bucket vector never leaves the worker.
     #[allow(clippy::too_many_arguments)] // kernel launch context, not state
     fn run_one_slice<C: Curve>(
         &self,
@@ -1306,13 +1328,22 @@ impl DistMsm {
             slice,
             event,
             scatter_stats: scattered.stats,
-            sum,
+            sum_stats: sum.stats,
+            contrib: bucket_reduce_serial(&sum.sums, slice.bucket_lo),
         })
     }
 
-    /// Functionally executes `jobs` (slice + work-event id) in parallel
-    /// on host threads. A job that vanishes without an outcome reports
-    /// the typed [`MsmError::SliceLost`] instead of panicking.
+    /// Functionally executes `jobs` (slice + work-event id) on at most
+    /// `workers` host threads, the calling thread among them. Each worker
+    /// claims the next unclaimed job until none is left, so the threads
+    /// finish within one slice of each other whatever the slices weigh.
+    /// Which worker ran a slice cannot show in its outcome: events were
+    /// assigned in plan order before any worker started, an outcome lands
+    /// in its job's slot, and a bucket sum does not depend on what its
+    /// worker's scratch summed before. A slice whose kernel code panics
+    /// leaves its slot empty and reports the typed
+    /// [`MsmError::SliceLost`] instead of taking the caller down.
+    #[allow(clippy::too_many_arguments)] // kernel launch context, not state
     fn run_slices<C: Curve>(
         &self,
         instance: &MsmInstance<C>,
@@ -1321,51 +1352,55 @@ impl DistMsm {
         gpu_threads: u64,
         model: &EcKernelModel,
         jobs: &[(Slice, u64)],
+        workers: usize,
     ) -> Result<Vec<SliceOutcome<C>>, MsmError> {
-        let mut outcomes: Vec<Option<Result<SliceOutcome<C>, MsmError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        let chunk = jobs.len().div_ceil(host_parallelism()).max(1);
-        let run_chunk =
-            |job_chunk: &[(Slice, u64)],
-             out_chunk: &mut [Option<Result<SliceOutcome<C>, MsmError>>]| {
-                // one bucket-sum scratch per worker, not per slice
-                let mut scratch = BatchAccumulator::new();
-                for ((slice, event), out) in job_chunk.iter().zip(out_chunk) {
-                    *out = Some(self.run_one_slice(
+        let slots: Vec<OnceLock<Result<SliceOutcome<C>, MsmError>>> =
+            jobs.iter().map(|_| OnceLock::new()).collect();
+        // a ticket counter: it publishes nothing but its own value (an
+        // outcome is published by its slot), so `Relaxed` suffices
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            // one bucket-sum scratch per worker, not per slice
+            let mut scratch = BatchAccumulator::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(slice, event)) = jobs.get(i) else { break };
+                // a panic may leave `scratch` mid-slice: harmless, the
+                // empty slot fails the whole call and every outcome with it
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    self.run_one_slice(
                         instance,
                         digits,
                         s,
                         gpu_threads,
                         model,
                         &mut scratch,
-                        *slice,
-                        *event,
-                    ));
-                }
-            };
-        if jobs.len() <= chunk {
-            // one chunk: no worker to hand it to
-            run_chunk(jobs, &mut outcomes);
-        } else {
-            std::thread::scope(|scope| {
-                for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
-                    scope.spawn(move || run_chunk(job_chunk, out_chunk));
-                }
-            });
-        }
-        let mut done = Vec::with_capacity(jobs.len());
-        for (o, (slice, _)) in outcomes.into_iter().zip(jobs) {
-            match o {
-                Some(r) => done.push(r?),
-                None => {
-                    return Err(MsmError::SliceLost {
-                        gpu: slice.gpu,
-                        window: slice.window,
-                    })
+                        slice,
+                        event,
+                    )
+                }));
+                if let Ok(outcome) = ran {
+                    // each index is claimed once, so the slot is empty
+                    let _ = slots[i].set(outcome);
                 }
             }
-        }
-        Ok(done)
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..helper_count(workers, jobs.len()) {
+                scope.spawn(work);
+            }
+            work();
+        });
+        slots
+            .into_iter()
+            .zip(jobs)
+            .map(|(slot, (slice, _))| {
+                slot.into_inner().unwrap_or(Err(MsmError::SliceLost {
+                    gpu: slice.gpu,
+                    window: slice.window,
+                }))
+            })
+            .collect()
     }
 }
 
@@ -1376,17 +1411,27 @@ fn host_parallelism() -> usize {
     *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
 }
 
+/// Threads [`DistMsm::run_slices`] spawns beside its caller: none for one
+/// job or one worker.
+fn helper_count(workers: usize, jobs: usize) -> usize {
+    workers.min(jobs).saturating_sub(1)
+}
+
 /// Slices paired with their per-device work-event ids, as scheduled by
 /// the supervisor's fault-injection event counters.
 type Jobs = Vec<(Slice, u64)>;
 
 /// One completed slice: its plan coordinates, per-device work-event id,
-/// metered kernel stats, and the functional bucket sums.
+/// metered kernel stats, and its bucket-reduce — the slice's contribution
+/// to its window with the modelled PADD count. The bucket sums themselves
+/// are dropped on the worker.
+#[derive(Debug)]
 struct SliceOutcome<C: Curve> {
     slice: Slice,
     event: u64,
     scatter_stats: LaunchStats,
-    sum: crate::bucket_sum::BucketSumOutcome<C>,
+    sum_stats: LaunchStats,
+    contrib: (XyzzPoint<C>, u64),
 }
 
 /// Per-phase timing internals `execute_attempt` hands to the telemetry
@@ -1632,6 +1677,25 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_point_and_scalar_counts_rejected() {
+        fn check<C: Curve>() {
+            let inst = MsmInstance::<C>::random(64, &mut StdRng::seed_from_u64(12));
+            let engine = DistMsm::new(MultiGpuSystem::dgx_a100(2));
+            for (points, scalars) in [(32, 64), (64, 32), (0, 64), (64, 0)] {
+                let bad = MsmInstance::<C> {
+                    points: inst.points[..points].to_vec(),
+                    scalars: inst.scalars[..scalars].to_vec(),
+                };
+                let err = engine.execute(&bad).unwrap_err();
+                assert_eq!(err, MsmError::LengthMismatch { points, scalars });
+                assert!(!err.is_fault() && err.implicated_devices().is_empty());
+            }
+        }
+        check::<Bn254G1>();
+        check::<Bls12381G1>();
+    }
+
+    #[test]
     fn auto_scatter_falls_back_to_naive_for_large_windows() {
         let mut rng = StdRng::seed_from_u64(9);
         let inst = MsmInstance::<Bn254G1>::random(64, &mut rng);
@@ -1645,6 +1709,94 @@ mod tests {
         );
         let report = engine.execute(&inst).expect("auto mode must not fail");
         assert_eq!(report.result, inst.reference_result());
+    }
+
+    // ---- host workers ---------------------------------------------------
+
+    /// Drives `run_slices` the way `execute_attempt` does — 3 GPUs, window
+    /// 6, events in plan order — but with a chosen worker count and without
+    /// the entry checks. `Debug` prints every field of every outcome (kernel
+    /// stats as shortest-round-trip floats, points as canonical XYZZ
+    /// coordinates), so equal strings are equal outcomes field for field.
+    fn run_slices_with<C: Curve>(
+        inst: &MsmInstance<C>,
+        signed: bool,
+        workers: usize,
+    ) -> Result<String, MsmError> {
+        let (gpus, s) = (3, 6);
+        let engine = DistMsm::with_config(
+            MultiGpuSystem::dgx_a100(gpus),
+            DistMsmConfig::builder()
+                .window_size(s)
+                .signed_digits(signed)
+                .build()
+                .unwrap(),
+        );
+        let model = EcKernelModel::new(C::Base::LIMBS32, engine.config.kernel_opts);
+        let gpu_threads = gpu_threads(&engine.system, &engine.config, &model);
+        let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, signed);
+        let digits: Option<Vec<Vec<i32>>> = signed.then(|| {
+            inst.scalars
+                .iter()
+                .map(|k| crate::signed::recode_signed(k, s, C::SCALAR_BITS))
+                .collect()
+        });
+        let mut next_event = vec![0u64; gpus];
+        let jobs: Jobs = plan_slices(n_windows, n_buckets, gpus)
+            .into_iter()
+            .map(|sl| {
+                next_event[sl.gpu] += 1;
+                (sl, next_event[sl.gpu] - 1)
+            })
+            .collect();
+        engine
+            .run_slices(inst, &digits, s, gpu_threads, &model, &jobs, workers)
+            .map(|done| format!("{done:?}"))
+    }
+
+    #[test]
+    fn outcomes_do_not_depend_on_the_worker_count() {
+        fn check<C: Curve>(seed: u64) {
+            let inst = MsmInstance::<C>::random(1 << 9, &mut StdRng::seed_from_u64(seed));
+            for signed in [false, true] {
+                let one = run_slices_with(&inst, signed, 1).expect("slices run");
+                for workers in [2, 3, 8] {
+                    let many = run_slices_with(&inst, signed, workers).expect("slices run");
+                    assert!(many == one, "{workers} workers, signed={signed}");
+                }
+            }
+        }
+        check::<Bn254G1>(61);
+        check::<Bls12381G1>(62);
+        check::<distmsm_ec::curves::Bn254G2>(63);
+    }
+
+    #[test]
+    fn helpers_are_spawned_only_beside_a_working_caller() {
+        // one job or one worker: the caller runs everything, no thread
+        for (workers, jobs) in [(1, 40), (8, 1), (1, 1), (0, 40), (8, 0)] {
+            assert_eq!(helper_count(workers, jobs), 0, "{workers} workers, {jobs} jobs");
+        }
+        assert_eq!(helper_count(2, 40), 1);
+        assert_eq!(helper_count(8, 3), 2);
+        assert_eq!(helper_count(3, 3), 2);
+    }
+
+    #[test]
+    fn a_panicking_slice_is_slice_lost_not_a_panic() {
+        // twice as many scalars as points: the entry check would refuse the
+        // instance; past it, every slice that holds a point index >= 32
+        // indexes out of bounds inside the bucket-sum kernel
+        let good = MsmInstance::<Bn254G1>::random(64, &mut StdRng::seed_from_u64(64));
+        let bad = MsmInstance::<Bn254G1> {
+            points: good.points[..32].to_vec(),
+            scalars: good.scalars,
+        };
+        // on the caller alone, and with helpers beside it
+        let alone = run_slices_with(&bad, false, 1).unwrap_err();
+        assert!(matches!(alone, MsmError::SliceLost { .. }), "{alone:?}");
+        assert!(alone.is_fault());
+        assert_eq!(run_slices_with(&bad, false, 3).unwrap_err(), alone);
     }
 
     // ---- fault injection and recovery ---------------------------------
@@ -1706,6 +1858,68 @@ mod tests {
             rep.total_s - clean.total_s,
             clean.total_s
         );
+    }
+
+    #[test]
+    fn replanned_slices_reduce_on_the_worker_like_primaries() {
+        // GPU 1 dies at its fourth slice (mid-plan) and one of GPU 2's
+        // shipments is corrupted; the report is frozen from the commit
+        // before slices were bucket-reduced on their workers
+        let inst = MsmInstance::<Bn254G1>::random(1 << 9, &mut StdRng::seed_from_u64(2024));
+        let mk = |plan| {
+            DistMsm::with_config(
+                MultiGpuSystem::dgx_a100(3),
+                DistMsmConfig::builder()
+                    .window_size(13)
+                    .fault_plan(plan)
+                    .build()
+                    .unwrap(),
+            )
+            .execute(&inst)
+            .expect("run completes")
+        };
+        let clean = mk(FaultPlan::none());
+        let rep = mk(FaultPlan::fail_stop(1, 3).with_event(FaultEvent {
+            device: 2,
+            at_event: 2,
+            attempt: 0,
+            kind: FaultKind::BitFlip,
+        }));
+        assert_eq!(rep.result, clean.result);
+        assert_eq!(rep.result, inst.reference_result());
+        assert_eq!(rep.total_s, 0.011303954922032025);
+
+        let sl = |gpu, window, bucket_lo, bucket_hi| Slice { gpu, window, bucket_lo, bucket_hi };
+        let fault = |device, event, kind: &str| FaultObservation { device, event, kind: kind.into() };
+        let replanned = vec![
+            sl(0, 9, 0, 8192), sl(0, 10, 0, 8192), sl(0, 11, 0, 1365),
+            sl(2, 11, 1365, 8192), sl(2, 12, 0, 8192), sl(2, 13, 0, 2730),
+        ];
+        assert!(replanned.iter().any(|s| s.bucket_lo != 0));
+        let mut completed = vec![
+            sl(0, 0, 0, 8192), sl(0, 1, 0, 8192), sl(0, 2, 0, 8192), sl(0, 3, 0, 8192),
+            sl(0, 4, 0, 8192), sl(0, 5, 0, 8192), sl(0, 6, 0, 5461),
+            sl(1, 6, 5461, 8192), sl(1, 7, 0, 8192), sl(1, 8, 0, 8192),
+            sl(2, 13, 2730, 8192), sl(2, 14, 0, 8192), sl(2, 15, 0, 8192), sl(2, 16, 0, 8192),
+            sl(2, 17, 0, 8192), sl(2, 18, 0, 8192), sl(2, 19, 0, 8192),
+        ];
+        completed.extend(&replanned);
+        let want = RecoveryReport {
+            faults: vec![fault(1, 3, "fail-stop"), fault(2, 2, "bit-flip")],
+            lost_gpus: vec![1],
+            stragglers: vec![],
+            retries: 4,
+            replanned,
+            completed,
+            degraded_collective: false,
+            backoff_s: 0.008,
+            recompute_s: 8.387894723202409e-5,
+            self_check_s: 1.6595665333333335e-5,
+            checkpoint_s: 0.0,
+            n_windows: 20,
+            n_buckets: 8192,
+        };
+        assert_eq!(rep.recovery.expect("supervised"), want);
     }
 
     #[test]

@@ -60,11 +60,12 @@ impl<P: FpParams<N>, const N: usize> Fp2<P, N> {
         Self::new(self.c0.double(), self.c1.double())
     }
 
-    /// Squares the element (`(a+bu)² = a²-b² + 2ab·u`).
+    /// Squares the element: `(a+bu)² = (a+b)(a−b) + 2ab·u`, two base-field
+    /// multiplications.
     pub fn square(&self) -> Self {
         let a = self.c0;
         let b = self.c1;
-        Self::new(a * a - b * b, (a * b).double())
+        Self::new((a + b) * (a - b), (a * b).double())
     }
 
     /// Conjugate `c0 - c1·u`.
@@ -227,6 +228,23 @@ mod tests {
             if !a.is_zero() {
                 assert_eq!(a.inverse().unwrap() * a, F2::ONE);
             }
+        }
+    }
+
+    #[test]
+    fn complex_squaring_equals_the_product() {
+        let p_minus_1 = -Fp::ONE;
+        let edges = [
+            F2::ZERO,
+            F2::ONE,
+            F2::new(Fp::ZERO, Fp::ONE),
+            -F2::ONE,
+            F2::new(p_minus_1, p_minus_1),
+        ];
+        let mut rng = StdRng::seed_from_u64(12);
+        let random = (0..1000).map(|_| F2::random(&mut rng));
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(x.square(), x * x, "{x}");
         }
     }
 

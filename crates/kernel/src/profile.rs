@@ -120,6 +120,59 @@ fn formula_op_counts() -> [(usize, usize); 4] {
     })
 }
 
+/// Schedules the accumulation kernel `opts` selects: graph choice,
+/// execution order (exhaustive search under `optimal_order`) and spill
+/// schedule are deterministic functions of three of the five toggles.
+fn schedule_for(opts: &PaddOptimizations) -> KernelSchedule {
+    let graph = if opts.dedicated_pacc {
+        pacc_graph()
+    } else {
+        padd_graph()
+    };
+    let (policy, order, peak) = if opts.optimal_order {
+        let (peak, order) = graph.optimal_order(AllocPolicy::InPlace);
+        (AllocPolicy::InPlace, order, peak)
+    } else {
+        let order = graph.program_order();
+        let peak = graph.pressure_of(&order, AllocPolicy::Fresh).peak_live;
+        (AllocPolicy::Fresh, order, peak)
+    };
+    let spill = if opts.explicit_spill && peak > 2 {
+        // the paper's two-big-integer reduction
+        spill_schedule(&graph, &order, peak - 2, policy).ok()
+    } else {
+        None
+    };
+    KernelSchedule {
+        graph,
+        order,
+        policy,
+        peak_live: peak,
+        spill,
+    }
+}
+
+/// `(register-resident, shared-memory, spill-transfer)` big integers per
+/// thread of [`schedule_for`]'s schedule.
+fn fresh_bigint_footprint(opts: &PaddOptimizations) -> (usize, usize, usize) {
+    let sched = schedule_for(opts);
+    match sched.spill {
+        Some(s) => (sched.peak_live - 2, s.shared_peak, s.transfers),
+        None => (sched.peak_live, 0, 0),
+    }
+}
+
+/// [`fresh_bigint_footprint`], scheduled once per process for each of the
+/// eight `(dedicated_pacc, optimal_order, explicit_spill)` combinations it
+/// depends on: every `execute` builds a model.
+fn bigint_footprint(opts: &PaddOptimizations) -> (usize, usize, usize) {
+    static FOOTPRINTS: [OnceLock<(usize, usize, usize)>; 8] = [const { OnceLock::new() }; 8];
+    let slot = usize::from(opts.dedicated_pacc)
+        | usize::from(opts.optimal_order) << 1
+        | usize::from(opts.explicit_spill) << 2;
+    *FOOTPRINTS[slot].get_or_init(|| fresh_bigint_footprint(opts))
+}
+
 /// Cost and configuration model of the EC arithmetic kernel for one curve.
 #[derive(Clone, Debug)]
 pub struct EcKernelModel {
@@ -145,29 +198,16 @@ impl EcKernelModel {
     ///
     /// Panics if `limbs32` is zero.
     pub fn new(limbs32: usize, opts: PaddOptimizations) -> Self {
+        Self::with_footprint(limbs32, opts, bigint_footprint(&opts))
+    }
+
+    /// [`Self::new`] on a given `(live, shared, transfers)` footprint.
+    fn with_footprint(
+        limbs32: usize,
+        opts: PaddOptimizations,
+        (live, shared, transfers): (usize, usize, usize),
+    ) -> Self {
         assert!(limbs32 > 0, "limbs32 must be positive");
-        let graph = if opts.dedicated_pacc {
-            pacc_graph()
-        } else {
-            padd_graph()
-        };
-        let (policy, order, peak) = if opts.optimal_order {
-            let (peak, order) = graph.optimal_order(AllocPolicy::InPlace);
-            (AllocPolicy::InPlace, order, peak)
-        } else {
-            let order = graph.program_order();
-            let peak = graph.pressure_of(&order, AllocPolicy::Fresh).peak_live;
-            (AllocPolicy::Fresh, order, peak)
-        };
-        let (live, shared, transfers) = if opts.explicit_spill && peak > 2 {
-            let budget = peak - 2; // the paper's two-big-integer reduction
-            match spill_schedule(&graph, &order, budget, policy) {
-                Ok(s) => (budget, s.shared_peak, s.transfers),
-                Err(_) => (peak, 0, 0),
-            }
-        } else {
-            (peak, 0, 0)
-        };
         let mut model = Self {
             limbs32,
             opts,
@@ -194,31 +234,7 @@ impl EcKernelModel {
     /// graph choice, execution order and spill schedule are deterministic
     /// functions of the optimisation set).
     pub fn schedule(&self) -> KernelSchedule {
-        let graph = if self.opts.dedicated_pacc {
-            pacc_graph()
-        } else {
-            padd_graph()
-        };
-        let (policy, order, peak) = if self.opts.optimal_order {
-            let (peak, order) = graph.optimal_order(AllocPolicy::InPlace);
-            (AllocPolicy::InPlace, order, peak)
-        } else {
-            let order = graph.program_order();
-            let peak = graph.pressure_of(&order, AllocPolicy::Fresh).peak_live;
-            (AllocPolicy::Fresh, order, peak)
-        };
-        let spill = if self.opts.explicit_spill && peak > 2 {
-            spill_schedule(&graph, &order, peak - 2, policy).ok()
-        } else {
-            None
-        };
-        KernelSchedule {
-            graph,
-            order,
-            policy,
-            peak_live: peak,
-            spill,
-        }
+        schedule_for(&self.opts)
     }
 
     /// The active optimisation set.
@@ -371,6 +387,29 @@ mod tests {
         assert_eq!(bls.live_bigints() * bls.limbs32(), 132);
         let mnt = EcKernelModel::new(24, PaddOptimizations::none());
         assert_eq!(mnt.live_bigints() * mnt.limbs32(), 264);
+    }
+
+    #[test]
+    fn memoised_footprint_equals_a_fresh_schedule() {
+        // all 32 toggle combinations, asked for in an order that would mix
+        // up slots if the memo keyed on the wrong toggles
+        for limbs in [8usize, 12, 24] {
+            for bits in 0..32u32 {
+                let on = |b: u32| bits >> b & 1 == 1;
+                let opts = PaddOptimizations {
+                    tc_montmul: on(0),
+                    explicit_spill: on(1),
+                    tc_onthefly_compact: on(2),
+                    dedicated_pacc: on(3),
+                    optimal_order: on(4),
+                };
+                let memoised = EcKernelModel::new(limbs, opts);
+                let fresh =
+                    EcKernelModel::with_footprint(limbs, opts, fresh_bigint_footprint(&opts));
+                // `Debug` prints every field, floats at full precision
+                assert_eq!(format!("{memoised:?}"), format!("{fresh:?}"), "{opts:?}");
+            }
+        }
     }
 
     #[test]

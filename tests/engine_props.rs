@@ -146,10 +146,10 @@ use distmsm::signed::recode_signed;
 use distmsm_ec::{Curve, XyzzPoint};
 use distmsm_kernel::EcKernelModel;
 
-/// `execute` hands runs of slices to host workers, each with one
-/// bucket-sum scratch reused from slice to slice; how many workers there
-/// are is the host's business. This walk gives every slice a scratch of
-/// its own (as many chunks as slices) through `core`'s public functions
+/// `execute`'s host workers claim slices one at a time, each worker with
+/// one bucket-sum scratch reused from slice to slice; how many workers
+/// there are and which takes what is the host's business. This walk gives
+/// every slice a scratch of its own through `core`'s public functions
 /// and must land on the same XYZZ coordinates, not merely the same point.
 fn walk_with_a_scratch_per_slice<C: Curve>(
     inst: &MsmInstance<C>,
@@ -200,7 +200,7 @@ proptest! {
     /// Slices of 1–3 thousand points in a few dozen buckets: every slice
     /// fills the scratch and runs batched rounds.
     #[test]
-    fn execute_coordinates_do_not_depend_on_chunking(
+    fn execute_coordinates_do_not_depend_on_which_worker_ran_a_slice(
         seed in 0u64..10_000,
         n in 1100usize..3000,
         gpus in 1usize..9,
