@@ -96,6 +96,20 @@ for lib in crates/*/src/lib.rs; do
     fi
 done
 
+echo "== counted source (ROADMAP item 7: non-blank, non-// lines before a file's first #[cfg(test)]) =="
+# the figure every CHANGES.md entry quotes before/after; printed, not gated
+TOTAL=0
+for crate in crates/*/; do
+    N="$(find "${crate}src" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { live = 1 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+        live && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
+        END { print n + 0 }')"
+    printf '  %-10s %6d\n' "$(basename "$crate")" "$N"
+    TOTAL=$((TOTAL + N))
+done
+printf '  %-10s %6d\n' total "$TOTAL"
+
 echo "== fig9 scaling smoke vs the committed BENCH_msm.json trajectory artefact =="
 # written beside the tree, not over it: only the `git` stamp may differ
 # from the committed rows (BLESS=1 re-baselines after a model change)

@@ -751,11 +751,10 @@ pub fn run_fig12() -> (String, Vec<(&'static str, f64)>) {
 
 
 
-/// Ablations of the adopted techniques (precomputation, signed digits,
-/// batch-affine accumulation, multi-MSM pipelining). Returns the printed
+/// Ablations of the adopted techniques (signed digits, batch-affine
+/// accumulation, multi-MSM pipelining). Returns the printed
 /// report.
 pub fn run_ablations() -> String {
-    use distmsm::precompute::{msm_precomputed, op_savings, PrecomputeTable};
     use distmsm::signed::{recode_signed, signed_bucket_count, signed_pippenger};
     use distmsm_ec::batch::{batched_muls_per_point, sum_affine_batched};
     use distmsm_ec::sample::generator_multiples;
@@ -780,23 +779,6 @@ pub fn run_ablations() -> String {
     }
     out.push_str("Signed-digit recoding halves every window's buckets:\n");
     out.push_str(&t.render());
-
-    // ---- precomputation ----------------------------------------------------
-    let table = PrecomputeTable::build(&inst.points, 8);
-    let got = msm_precomputed(&table, &inst.scalars);
-    assert_eq!(got, expect);
-    let (plain, merged) = op_savings(1 << 26, 254, 11);
-    let n_win = 254u64.div_ceil(11);
-    out.push_str(&format!(
-        "\nPrecomputation (2^{{js}}·P tables): verified OK; table = {} points.\n\
-         At N = 2^26, s = 11 it merges the {n_win} per-window bucket-reduces into one\n\
-         ({} point ops saved — {:.1}% of the poorly-scaling reduce stage) and removes\n\
-         the 254-PDBL window-reduce chain, for {:.1} GB of BN254 table memory.\n",
-        table.table_points(),
-        plain - merged,
-        100.0 * (n_win - 1) as f64 / n_win as f64,
-        ((1u64 << 26) * n_win * 64) as f64 / (1u64 << 30) as f64,
-    ));
 
     // ---- batch-affine accumulation ----------------------------------------
     use std::time::Instant;

@@ -47,6 +47,12 @@ impl CurveDesc {
         }
     }
 
+    /// Wire size of one XYZZ point: four base-field coordinates of
+    /// `limbs32` four-byte limbs.
+    pub fn xyzz_bytes(&self) -> f64 {
+        16.0 * self.limbs32 as f64
+    }
+
     /// BN254 (Table 1: 254-bit scalars and points).
     pub const BN254: Self = Self {
         name: "BN254",
@@ -267,7 +273,7 @@ impl<'a> Shape<'a> {
             }
         }
 
-        let point_bytes = 4.0 * curve.limbs32 as f64 * 4.0;
+        let point_bytes = curve.xyzz_bytes();
         // identical schedules to the engine's gather/collective (see
         // `crate::comm`): the transfer term stays in lockstep by construction
         let comm = if config.bucket_reduce_on_cpu {

@@ -152,7 +152,7 @@ impl BestGpuBaseline {
         }
         // The CPU merge of per-GPU results crosses the real fabric (the
         // N-dim augmentation ships one point per GPU to the host).
-        let point_bytes = 4.0 * <C::Base as distmsm_ec::FieldElement>::LIMBS32 as f64 * 4.0;
+        let point_bytes = crate::analytic::CurveDesc::of::<C>().xyzz_bytes();
         let (merged, sched) = run_collective(
             CollectiveStrategy::HostGather,
             &partials,
@@ -175,6 +175,7 @@ impl BestGpuBaseline {
         let total_s = per_gpu_s.iter().copied().fold(0.0, f64::max) + merge_s;
         Ok(MsmReport {
             result: merged[0],
+            window_partials: Vec::new(),
             window_size,
             n_windows,
             phases,

@@ -28,10 +28,11 @@
 //! soak and pinned in `BENCH_msm.json`'s `ckpt_rows`).
 
 use crate::analytic::CurveDesc;
-use crate::engine::{window_shape, DistMsm};
+use crate::engine::{host_parallelism, DistMsm, MsmError};
+use crate::plan::plan_slices;
 use crate::reduce::window_reduce;
 use distmsm_ec::serialize::{point_from_uncompressed, point_to_uncompressed, CanonicalBytes};
-use distmsm_ec::{Affine, Curve, MsmInstance, Scalar, XyzzPoint};
+use distmsm_ec::{Affine, Curve, MsmInstance, XyzzPoint};
 
 /// Modeled fixed latency of one durable checkpoint append, seconds.
 pub const CHECKPOINT_LATENCY_S: f64 = 100e-6;
@@ -94,16 +95,8 @@ pub enum CheckpointError {
     },
     /// The checkpoint interval must be at least one window.
     ZeroInterval,
-    /// The instance is empty (mirrors `MsmError::EmptyInstance`).
-    EmptyInstance,
-    /// Unequal point and scalar counts (mirrors
-    /// `MsmError::LengthMismatch`).
-    LengthMismatch {
-        /// Points in the instance.
-        points: usize,
-        /// Scalars in the instance.
-        scalars: usize,
-    },
+    /// The engine refused the instance or lost a slice of it.
+    Engine(MsmError),
 }
 
 impl core::fmt::Display for CheckpointError {
@@ -119,10 +112,7 @@ impl core::fmt::Display for CheckpointError {
                 write!(f, "checkpoint next_window {found} exceeds {n_windows} windows")
             }
             CheckpointError::ZeroInterval => write!(f, "checkpoint interval must be ≥ 1"),
-            CheckpointError::EmptyInstance => write!(f, "cannot checkpoint an empty MSM"),
-            CheckpointError::LengthMismatch { points, scalars } => {
-                write!(f, "MSM instance pairs {points} points with {scalars} scalars")
-            }
+            CheckpointError::Engine(e) => write!(f, "{e}"),
         }
     }
 }
@@ -150,15 +140,12 @@ impl<C: Curve> WindowCheckpoint<C> {
     /// Strict decode; validates lengths, canonical field ranges and
     /// curve membership of every partial.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < 8 {
-            return Err(CheckpointError::Undecodable { detail: "short header".into() });
-        }
-        let window_size =
-            u32::from_le_bytes(bytes[0..4].try_into().expect("4-byte slice"));
-        let next_window =
-            u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
+        let (&[s0, s1, s2, s3, n0, n1, n2, n3], body) = bytes
+            .split_first_chunk::<8>()
+            .ok_or_else(|| CheckpointError::Undecodable { detail: "short header".into() })?;
+        let window_size = u32::from_le_bytes([s0, s1, s2, s3]);
+        let next_window = u32::from_le_bytes([n0, n1, n2, n3]);
         let point_len = 1 + 2 * C::Base::encoded_len();
-        let body = &bytes[8..];
         if body.len() != next_window as usize * point_len {
             return Err(CheckpointError::Undecodable {
                 detail: format!(
@@ -187,31 +174,6 @@ impl<C: Curve> WindowCheckpoint<C> {
     }
 }
 
-/// One unsigned Pippenger window partial `W_w = Σ_i digit_w(k_i)·P_i`
-/// by bucket accumulation and suffix running-sum.
-pub fn window_partial<C: Curve>(
-    points: &[Affine<C>],
-    scalars: &[C::Scalar],
-    w: u32,
-    s: u32,
-    n_buckets: usize,
-) -> XyzzPoint<C> {
-    let mut buckets = vec![XyzzPoint::<C>::identity(); n_buckets];
-    for (p, k) in points.iter().zip(scalars) {
-        let d = k.window(w * s, s) as usize;
-        if d != 0 {
-            buckets[d].pacc(p);
-        }
-    }
-    let mut running = XyzzPoint::identity();
-    let mut partial = XyzzPoint::identity();
-    for b in buckets.iter().skip(1).rev() {
-        running = running.padd(b);
-        partial = partial.padd(&running);
-    }
-    partial
-}
-
 /// Outcome of a (possibly resumed) checkpointed windowed execution.
 #[derive(Clone, Debug)]
 pub struct WindowedMsmReport<C: Curve> {
@@ -232,9 +194,12 @@ pub struct WindowedMsmReport<C: Curve> {
 }
 
 impl DistMsm {
-    /// Executes an MSM window-by-window, emitting a durable
-    /// [`WindowCheckpoint`] to `sink` every [`CheckpointConfig::interval`]
-    /// completed windows, and resuming from `resume` when given.
+    /// Executes an MSM in batches of [`CheckpointConfig::interval`]
+    /// windows, emitting a durable [`WindowCheckpoint`] to `sink` after
+    /// every batch but the last, and resuming from `resume` when given.
+    /// A batch is the slices [`plan_slices`] gives its windows, run on the
+    /// host workers like any other execution's and folded per window; the
+    /// engine's fault plan is not consulted.
     ///
     /// The caller owns durability: `sink` typically appends
     /// `checkpoint.encode()` to a `distmsm-journal` log. The final
@@ -248,9 +213,11 @@ impl DistMsm {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on an empty instance, unequal point and scalar
-    /// counts, a zero interval, or a resume checkpoint inconsistent with
-    /// this engine's window shape.
+    /// [`CheckpointError::Engine`] with what [`DistMsm::execute`] would
+    /// report for the instance (empty, unequal point and scalar counts, a
+    /// scatter overflow, a lost slice); otherwise [`CheckpointError`] on a
+    /// zero interval or a resume checkpoint inconsistent with this
+    /// engine's window shape.
     pub fn execute_windowed<C: Curve, F>(
         &self,
         instance: &MsmInstance<C>,
@@ -261,22 +228,11 @@ impl DistMsm {
     where
         F: FnMut(&WindowCheckpoint<C>),
     {
-        let n = instance.points.len();
-        if n != instance.scalars.len() {
-            return Err(CheckpointError::LengthMismatch {
-                points: n,
-                scalars: instance.scalars.len(),
-            });
-        }
-        if n == 0 {
-            return Err(CheckpointError::EmptyInstance);
-        }
+        let launch = self.launch(instance).map_err(CheckpointError::Engine)?;
         if cfg.interval == 0 {
             return Err(CheckpointError::ZeroInterval);
         }
-        let curve = CurveDesc::of::<C>();
-        let s = self.window_size_for(n, &curve);
-        let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, false);
+        let (s, n_windows) = (launch.s, launch.n_windows);
 
         let mut ckpt = match resume {
             Some(r) => {
@@ -298,15 +254,26 @@ impl DistMsm {
         };
 
         let start = ckpt.next_window;
+        let slices = plan_slices(n_windows, launch.n_buckets, self.system().n_gpus());
         let mut checkpoints_taken = 0u32;
         let mut checkpoint_s = 0.0f64;
-        for w in start..n_windows {
-            let partial =
-                window_partial(&instance.points, &instance.scalars, w, s, n_buckets as usize);
-            ckpt.partials.push(partial);
-            ckpt.next_window = w + 1;
-            let done = ckpt.next_window - start;
-            if ckpt.next_window < n_windows && done % cfg.interval == 0 {
+        while ckpt.next_window < n_windows {
+            let hi = ckpt.next_window.saturating_add(cfg.interval).min(n_windows);
+            let jobs: Vec<_> = slices
+                .iter()
+                .filter(|sl| (ckpt.next_window..hi).contains(&sl.window))
+                .map(|&sl| (sl, 0))
+                .collect();
+            let done = self
+                .run_slices(&launch, &jobs, host_parallelism())
+                .map_err(CheckpointError::Engine)?;
+            ckpt.partials.resize(hi as usize, XyzzPoint::identity());
+            for oc in &done {
+                let w = &mut ckpt.partials[oc.slice.window as usize];
+                *w = w.padd(&oc.contrib.0);
+            }
+            ckpt.next_window = hi;
+            if hi < n_windows {
                 sink(&ckpt);
                 checkpoints_taken += 1;
                 checkpoint_s +=
@@ -315,7 +282,8 @@ impl DistMsm {
         }
 
         let windows_computed = n_windows - start;
-        let compute_s = self.estimate_seconds(n, &curve) * f64::from(windows_computed)
+        let compute_s = self.estimate_seconds(instance.len(), &CurveDesc::of::<C>())
+            * f64::from(windows_computed)
             / f64::from(n_windows.max(1));
         Ok(WindowedMsmReport {
             result: window_reduce(&ckpt.partials, s).0,
@@ -358,8 +326,7 @@ pub fn estimate_checkpoint_recovery(
     point_bytes: usize,
     interval: u32,
 ) -> CheckpointRecoveryEstimate {
-    let s = engine.window_size_for(n as usize, curve);
-    let n_windows = window_shape(curve.scalar_bits, s, false).0;
+    let n_windows = engine.shape_for(n as usize, curve).1;
     let interval = interval.max(1);
     let total_s = engine.estimate_seconds(n as usize, curve);
     let per_window_s = total_s / f64::from(n_windows.max(1));
@@ -389,64 +356,143 @@ pub fn estimate_checkpoint_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::window_shape;
     use distmsm_ec::curves::Bn254G1;
     use distmsm_gpu_sim::MultiGpuSystem;
     use rand::{rngs::StdRng, SeedableRng};
 
-    fn engine() -> DistMsm {
+    fn engine_with(signed_digits: bool) -> DistMsm {
         DistMsm::with_config(
             MultiGpuSystem::flat_pool(2),
             crate::DistMsmConfig::builder()
                 .window_size(8)
+                .signed_digits(signed_digits)
                 .build()
                 .expect("static test config is valid"),
         )
+    }
+
+    fn engine() -> DistMsm {
+        engine_with(false)
     }
 
     fn instance(n: usize) -> MsmInstance<Bn254G1> {
         MsmInstance::random(n, &mut StdRng::seed_from_u64(9))
     }
 
+    /// `encode()` of the first checkpoint `engine()` emits for
+    /// `instance(64)` at interval 3, captured on the commit before
+    /// `execute_windowed` moved onto the engine's slices.
+    const FIRST_CHECKPOINT_HEX: &str = "\
+        080000000300000000f9493521f27a716f5ba0be47bd886e78cba34ceefc0f21caa22085f007456d16\
+        3d3049e34a60dcacf60516b73cb455f18701a83954a099d2491d082979fdac170013b8435145ba8905\
+        bce431bc7e8ce03162ba0441ad615f0cf02f70bcd0a584108a65cd0bb34c74fa4c5c4ec2ab8a5cbb72\
+        3b6bc19d432847b304deda7714bb03008839ffe07b9d42580610a7250123a58fa6b33221d19b722770\
+        7107410bf9c92f06ff8264d7bda54b770bcf1158181a2f7989d2f041f0267905d6f015b654a52b";
+
+    fn first_checkpoint_bytes() -> Vec<u8> {
+        let hex = FIRST_CHECKPOINT_HEX.as_bytes();
+        hex.chunks(2)
+            .map(|b| u8::from_str_radix(std::str::from_utf8(b).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn first_checkpoint_bytes_are_frozen() {
+        let mut first = None;
+        engine()
+            .execute_windowed(&instance(64), &CheckpointConfig { interval: 3 }, None, |c| {
+                first.get_or_insert_with(|| c.encode());
+            })
+            .expect("checkpointed run succeeds");
+        assert_eq!(first.expect("a checkpoint was emitted"), first_checkpoint_bytes());
+    }
+
+    #[test]
+    fn hostile_checkpoint_bytes_never_panic() {
+        let good = first_checkpoint_bytes();
+        let original = WindowCheckpoint::<Bn254G1>::decode(&good).expect("frozen bytes decode");
+        assert_eq!((original.window_size, original.partials.len()), (8, 3));
+        assert_eq!(original.encode(), good);
+
+        let mut hostile: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
+        hostile.push([&good[..], &[0]].concat());
+        for bit in 0..good.len() * 8 {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            hostile.push(flipped);
+        }
+        let inst = instance(64);
+        let mut rejected = 0;
+        for bytes in &hostile {
+            match WindowCheckpoint::<Bn254G1>::decode(bytes) {
+                Err(CheckpointError::Undecodable { .. }) => rejected += 1,
+                Err(other) => panic!("decode reports only Undecodable, got {other:?}"),
+                // `window_size` is the one field the bytes cannot vouch
+                // for: the resuming engine is what refuses it
+                Ok(c) => {
+                    assert_ne!(c.window_size, original.window_size);
+                    assert_eq!(c, WindowCheckpoint { window_size: c.window_size, ..original.clone() });
+                    let found = c.window_size;
+                    let resumed =
+                        engine().execute_windowed(&inst, &CheckpointConfig::default(), Some(c), |_| {});
+                    assert_eq!(
+                        resumed.unwrap_err(),
+                        CheckpointError::WindowSizeMismatch { expected: 8, found }
+                    );
+                }
+            }
+        }
+        // everything but the 32 flips of the `window_size` word
+        assert_eq!(rejected, hostile.len() - 32);
+    }
+
     #[test]
     fn windowed_matches_reference_and_checkpoints_roundtrip() {
         let inst = instance(37);
-        let eng = engine();
-        let mut saved: Vec<Vec<u8>> = Vec::new();
-        let report = eng
-            .execute_windowed(&inst, &CheckpointConfig { interval: 3 }, None, |c| {
-                saved.push(c.encode())
-            })
-            .expect("checkpointed run succeeds");
-        assert_eq!(report.result.to_affine(), inst.reference_result().to_affine());
-        assert_eq!(report.windows_computed, report.n_windows);
-        assert_eq!(report.checkpoints_taken as usize, saved.len());
-        assert!(report.checkpoints_taken > 0);
-        assert!(report.checkpoint_s > 0.0 && report.compute_s > 0.0);
-        for bytes in &saved {
-            let c = WindowCheckpoint::<Bn254G1>::decode(bytes).expect("own encoding decodes");
-            assert_eq!(c.partials.len(), c.next_window as usize);
+        for signed in [false, true] {
+            let mut saved: Vec<Vec<u8>> = Vec::new();
+            let report = engine_with(signed)
+                .execute_windowed(&inst, &CheckpointConfig { interval: 3 }, None, |c| {
+                    saved.push(c.encode())
+                })
+                .expect("checkpointed run succeeds");
+            assert_eq!(report.result.to_affine(), inst.reference_result().to_affine());
+            assert_eq!(report.n_windows, window_shape(254, 8, signed).0);
+            assert_eq!(report.windows_computed, report.n_windows);
+            assert_eq!(report.checkpoints_taken as usize, saved.len());
+            assert_eq!(report.checkpoints_taken, (report.n_windows - 1) / 3);
+            assert!(report.checkpoint_s > 0.0 && report.compute_s > 0.0);
+            for (k, bytes) in saved.iter().enumerate() {
+                let c = WindowCheckpoint::<Bn254G1>::decode(bytes).expect("own encoding decodes");
+                assert_eq!(c.next_window as usize, 3 * (k + 1));
+                assert_eq!(c.partials.len(), c.next_window as usize);
+            }
         }
     }
 
     #[test]
     fn resume_from_every_checkpoint_is_bit_exact_and_cheaper() {
         let inst = instance(29);
-        let eng = engine();
-        let mut saved: Vec<Vec<u8>> = Vec::new();
-        let full = eng
-            .execute_windowed(&inst, &CheckpointConfig { interval: 4 }, None, |c| {
-                saved.push(c.encode())
-            })
-            .expect("full run succeeds");
-        for bytes in &saved {
-            let ckpt = WindowCheckpoint::<Bn254G1>::decode(bytes).expect("decodes");
-            let resumed_windows = full.n_windows - ckpt.next_window;
-            let report = eng
-                .execute_windowed(&inst, &CheckpointConfig { interval: 4 }, Some(ckpt), |_| {})
-                .expect("resumed run succeeds");
-            assert_eq!(report.result.to_affine(), full.result.to_affine());
-            assert_eq!(report.windows_computed, resumed_windows);
-            assert!(report.compute_s < full.compute_s, "resume must be cheaper");
+        for signed in [false, true] {
+            let eng = engine_with(signed);
+            let mut saved: Vec<Vec<u8>> = Vec::new();
+            let full = eng
+                .execute_windowed(&inst, &CheckpointConfig { interval: 4 }, None, |c| {
+                    saved.push(c.encode())
+                })
+                .expect("full run succeeds");
+            assert_eq!(full.result.to_affine(), inst.reference_result().to_affine());
+            for bytes in &saved {
+                let ckpt = WindowCheckpoint::<Bn254G1>::decode(bytes).expect("decodes");
+                let resumed_windows = full.n_windows - ckpt.next_window;
+                let report = eng
+                    .execute_windowed(&inst, &CheckpointConfig { interval: 4 }, Some(ckpt), |_| {})
+                    .expect("resumed run succeeds");
+                assert_eq!(report.result.to_affine(), full.result.to_affine());
+                assert_eq!(report.windows_computed, resumed_windows);
+                assert!(report.compute_s < full.compute_s, "resume must be cheaper");
+            }
         }
     }
 
@@ -494,16 +540,17 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_point_and_scalar_counts_are_a_typed_error() {
+    fn instances_the_engine_refuses_are_its_typed_error() {
         fn check<C: Curve>() {
             let inst = MsmInstance::<C>::random(24, &mut StdRng::seed_from_u64(9));
-            for (points, scalars) in [(12, 24), (24, 12)] {
+            for (points, scalars) in [(12, 24), (24, 12), (0, 0)] {
                 let bad = MsmInstance::<C> {
                     points: inst.points[..points].to_vec(),
                     scalars: inst.scalars[..scalars].to_vec(),
                 };
                 let got = engine().execute_windowed(&bad, &CheckpointConfig::default(), None, |_| {});
-                assert_eq!(got.unwrap_err(), CheckpointError::LengthMismatch { points, scalars });
+                let want = engine().execute(&bad).unwrap_err();
+                assert_eq!(got.unwrap_err(), CheckpointError::Engine(want));
             }
         }
         check::<Bn254G1>();

@@ -11,6 +11,7 @@
 //! This is a genuinely different algorithm (counting-sort transpose vs
 //! atomics), implemented functionally and metered like everything else.
 
+use crate::analytic::CurveDesc;
 use crate::bucket_sum::{bucket_sum, threads_per_bucket};
 use crate::plan::Slice;
 use crate::reduce::{bucket_reduce_gpu_stats, bucket_reduce_serial, window_reduce};
@@ -231,7 +232,7 @@ pub fn execute<C: Curve>(
     let (result, _) = window_reduce(&window_results, s);
     // each GPU ships its round-robin share of window results to the
     // host, routed through the fabric (topology-aware on DGX presets)
-    let point_bytes = 4.0 * C::Base::LIMBS32 as f64 * 4.0;
+    let point_bytes = CurveDesc::of::<C>().xyzz_bytes();
     let per_gpu_bytes: Vec<f64> = (0..n_gpus)
         .map(|g| {
             let windows = (u64::from(n_windows) + n_gpus as u64 - 1 - g as u64) / n_gpus as u64;

@@ -247,6 +247,12 @@ pub(crate) fn compose_timing(
 pub struct MsmReport<C: Curve> {
     /// The MSM value (bit-exact, verified against references in tests).
     pub result: XyzzPoint<C>,
+    /// The window partials `W_0 .. W_{n_windows-1}` that
+    /// [`window_reduce`] folded into `result` (§3.1), as the host held
+    /// them after the CPU fold, the collective merge or the
+    /// survivors-only gather. Empty for reports merged by point range
+    /// rather than by window ([`crate::BestGpuBaseline`]).
+    pub window_partials: Vec<XyzzPoint<C>>,
     /// Window size used.
     pub window_size: u32,
     /// Number of windows.
@@ -479,6 +485,14 @@ impl DistMsm {
             .unwrap_or_else(|| self.estimate(n, curve).window_size)
     }
 
+    /// `(s, n_windows, n_buckets)` for an `n`-point MSM on this engine: its
+    /// window size and digit encoding through [`window_shape`].
+    pub(crate) fn shape_for(&self, n: usize, curve: &CurveDesc) -> (u32, u32, u32) {
+        let s = self.window_size_for(n, curve);
+        let (n_windows, n_buckets) = window_shape(curve.scalar_bits, s, self.config.signed_digits);
+        (s, n_windows, n_buckets)
+    }
+
     /// Job-level admission estimate: the analytic cost-model projection
     /// for an `n`-point MSM on this engine's system and configuration,
     /// in simulated seconds, without executing anything. Service
@@ -518,15 +532,9 @@ impl DistMsm {
         instance: &MsmInstance<C>,
         attempt: u32,
     ) -> Result<MsmReport<C>, MsmError> {
-        if instance.points.len() != instance.scalars.len() {
-            return Err(MsmError::LengthMismatch {
-                points: instance.points.len(),
-                scalars: instance.scalars.len(),
-            });
-        }
-        if instance.is_empty() {
-            return Err(MsmError::EmptyInstance);
-        }
+        let launch = self.launch(instance)?;
+        let (s, n_windows, n_buckets) = (launch.s, launch.n_windows, launch.n_buckets);
+        let (model, gpu_threads) = (&launch.model, launch.gpu_threads);
         let plan = &self.config.fault_plan;
         let supervised = !plan.is_empty();
 
@@ -549,20 +557,7 @@ impl DistMsm {
         let link_lost: Vec<usize> =
             (0..n_gpus).filter(|g| !reachable.contains(g)).collect();
 
-        let model = EcKernelModel::new(C::Base::LIMBS32, self.config.kernel_opts);
-        let gpu_threads = gpu_threads(&self.system, &self.config, &model);
-        let s = self.window_size_for(instance.len(), &CurveDesc::of::<C>());
-        let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, self.config.signed_digits);
         let slices = plan_slices(n_windows, n_buckets, n_gpus);
-        // signed-digit recoding happens once, up front (like the packed
-        // coefficient pre-pass; same memory-bound cost class)
-        let digits: Option<Vec<Vec<i32>>> = self.config.signed_digits.then(|| {
-            instance
-                .scalars
-                .iter()
-                .map(|k| crate::signed::recode_signed(k, s, C::SCALAR_BITS))
-                .collect()
-        });
 
         // Per-device work-event counters: one event per scheduled slice,
         // in plan order — the deterministic coordinate fault plans key
@@ -601,7 +596,7 @@ impl DistMsm {
             jobs.iter().partition(|(sl, e)| !is_lost(&dead, sl, *e));
         self.note_fail_stops(&lost, &mut dead, &mut recovery);
         let workers = host_parallelism();
-        let done = self.run_slices(instance, &digits, s, gpu_threads, &model, &live, workers)?;
+        let done = self.run_slices(&launch, &live, workers)?;
 
         // ---- supervisor: probe, declare lost, re-plan, recompute --------
         let mut recovered: Vec<SliceOutcome<C>> = Vec::new();
@@ -650,9 +645,7 @@ impl DistMsm {
             recovery
                 .replanned
                 .retain(|s| !rlost.iter().any(|(lost, _)| lost == s));
-            recovered.extend(
-                self.run_slices(instance, &digits, s, gpu_threads, &model, &rlive, workers)?,
-            );
+            recovered.extend(self.run_slices(&launch, &rlive, workers)?);
             lost_slices = rlost.into_iter().map(|(sl, _)| sl).collect();
             rounds += 1;
         }
@@ -760,7 +753,7 @@ impl DistMsm {
             // whether or not corruption occurs)
             recovery.self_check_s = cpu_seconds_for_padds(
                 RLC_OPS_PER_PARTIAL * all_done.len() as u64,
-                &model,
+                model,
                 self.system.cpu.int_ops_per_sec,
             );
         }
@@ -784,7 +777,7 @@ impl DistMsm {
                     u64::from(oc.slice.len()),
                     s,
                     gpu_threads,
-                    &model,
+                    model,
                     C::A_IS_ZERO,
                     self.config.block_size,
                 );
@@ -802,7 +795,7 @@ impl DistMsm {
         recovery.recompute_s = rec_per_gpu.iter().copied().fold(0.0, f64::max);
 
         // ---- communication ------------------------------------------------
-        let point_bytes = 4.0 * C::Base::LIMBS32 as f64 * 4.0; // XYZZ coords
+        let point_bytes = CurveDesc::of::<C>().xyzz_bytes();
         let comm = if self.config.bucket_reduce_on_cpu {
             // every bucket partial crosses to the host before the CPU
             // reduce; under recovery the gather covers the slices that
@@ -858,7 +851,7 @@ impl DistMsm {
         // host-side combines implied by the collective (e.g. host-gather
         // reduces (g−1)·n_windows pairs on the CPU)
         let comm_host_s =
-            cpu_seconds_for_padds(comm.host_reduce_ops, &model, self.system.cpu.int_ops_per_sec);
+            cpu_seconds_for_padds(comm.host_reduce_ops, model, self.system.cpu.int_ops_per_sec);
 
         // window-level checkpoints: on the CPU-reduce path the gather
         // above already lands every partial on the host (the checkpoint
@@ -874,9 +867,9 @@ impl DistMsm {
         let (result, wr_ops) = window_reduce(&window_results, s);
 
         // ---- timing composition -------------------------------------------
-        let cpu_reduce_s = cpu_seconds_for_padds(cpu_padds, &model, self.system.cpu.int_ops_per_sec);
+        let cpu_reduce_s = cpu_seconds_for_padds(cpu_padds, model, self.system.cpu.int_ops_per_sec);
         let window_reduce_s =
-            cpu_seconds_for_padds(wr_ops, &model, self.system.cpu.int_ops_per_sec);
+            cpu_seconds_for_padds(wr_ops, model, self.system.cpu.int_ops_per_sec);
 
         let ComposedTiming { per_gpu_s, phases, total_s: base_s } = compose_timing(
             &self.config,
@@ -937,6 +930,7 @@ impl DistMsm {
 
         let report = MsmReport {
             result,
+            window_partials: window_results,
             window_size: s,
             n_windows,
             phases,
@@ -1268,20 +1262,54 @@ impl DistMsm {
         }
     }
 
+    /// What every slice of one execution of `instance` shares, behind the
+    /// entry checks: the window shape this engine's configuration gives
+    /// the instance, the signed-digit recoding (done once, up front, like
+    /// the packed coefficient pre-pass; same memory-bound cost class) and
+    /// the kernel model.
+    pub(crate) fn launch<'a, C: Curve>(
+        &self,
+        instance: &'a MsmInstance<C>,
+    ) -> Result<Launch<'a, C>, MsmError> {
+        if instance.points.len() != instance.scalars.len() {
+            return Err(MsmError::LengthMismatch {
+                points: instance.points.len(),
+                scalars: instance.scalars.len(),
+            });
+        }
+        if instance.is_empty() {
+            return Err(MsmError::EmptyInstance);
+        }
+        let model = EcKernelModel::new(C::Base::LIMBS32, self.config.kernel_opts);
+        let (s, n_windows, n_buckets) = self.shape_for(instance.len(), &CurveDesc::of::<C>());
+        let digits = self.config.signed_digits.then(|| {
+            instance
+                .scalars
+                .iter()
+                .map(|k| crate::signed::recode_signed(k, s, C::SCALAR_BITS))
+                .collect()
+        });
+        Ok(Launch {
+            instance,
+            s,
+            n_windows,
+            n_buckets,
+            digits,
+            gpu_threads: gpu_threads(&self.system, &self.config, &model),
+            model,
+        })
+    }
+
     /// Functionally executes one slice: scatter, bucket-sum, and the
     /// slice's bucket-reduce, so the bucket vector never leaves the worker.
-    #[allow(clippy::too_many_arguments)] // kernel launch context, not state
     fn run_one_slice<C: Curve>(
         &self,
-        instance: &MsmInstance<C>,
-        digits: &Option<Vec<Vec<i32>>>,
-        s: u32,
-        gpu_threads: u64,
-        model: &EcKernelModel,
+        launch: &Launch<'_, C>,
         scratch: &mut BatchAccumulator<C>,
         slice: Slice,
         event: u64,
     ) -> Result<SliceOutcome<C>, MsmError> {
+        let Launch { instance, s, ref digits, gpu_threads, ref model, .. } = *launch;
         let kind = self.pick_scatter(&slice)?;
         let coeff_bytes = if self.config.packed_coefficients {
             4.0
@@ -1343,14 +1371,9 @@ impl DistMsm {
     /// worker's scratch summed before. A slice whose kernel code panics
     /// leaves its slot empty and reports the typed
     /// [`MsmError::SliceLost`] instead of taking the caller down.
-    #[allow(clippy::too_many_arguments)] // kernel launch context, not state
-    fn run_slices<C: Curve>(
+    pub(crate) fn run_slices<C: Curve>(
         &self,
-        instance: &MsmInstance<C>,
-        digits: &Option<Vec<Vec<i32>>>,
-        s: u32,
-        gpu_threads: u64,
-        model: &EcKernelModel,
+        launch: &Launch<'_, C>,
         jobs: &[(Slice, u64)],
         workers: usize,
     ) -> Result<Vec<SliceOutcome<C>>, MsmError> {
@@ -1368,16 +1391,7 @@ impl DistMsm {
                 // a panic may leave `scratch` mid-slice: harmless, the
                 // empty slot fails the whole call and every outcome with it
                 let ran = catch_unwind(AssertUnwindSafe(|| {
-                    self.run_one_slice(
-                        instance,
-                        digits,
-                        s,
-                        gpu_threads,
-                        model,
-                        &mut scratch,
-                        slice,
-                        event,
-                    )
+                    self.run_one_slice(launch, &mut scratch, slice, event)
                 }));
                 if let Ok(outcome) = ran {
                     // each index is claimed once, so the slot is empty
@@ -1406,7 +1420,7 @@ impl DistMsm {
 
 /// `std::thread::available_parallelism()`, read once per process: std
 /// re-reads the affinity mask and the cgroup quota files on every call.
-fn host_parallelism() -> usize {
+pub(crate) fn host_parallelism() -> usize {
     static PARALLELISM: OnceLock<usize> = OnceLock::new();
     *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
 }
@@ -1426,12 +1440,27 @@ type Jobs = Vec<(Slice, u64)>;
 /// to its window with the modelled PADD count. The bucket sums themselves
 /// are dropped on the worker.
 #[derive(Debug)]
-struct SliceOutcome<C: Curve> {
-    slice: Slice,
+pub(crate) struct SliceOutcome<C: Curve> {
+    pub(crate) slice: Slice,
     event: u64,
     scatter_stats: LaunchStats,
     sum_stats: LaunchStats,
-    contrib: (XyzzPoint<C>, u64),
+    pub(crate) contrib: (XyzzPoint<C>, u64),
+}
+
+/// The per-execution context [`DistMsm::launch`] builds and every slice
+/// of the execution reads.
+pub(crate) struct Launch<'a, C: Curve> {
+    instance: &'a MsmInstance<C>,
+    /// Window size.
+    pub(crate) s: u32,
+    /// Windows, counting the signed-digit carry window.
+    pub(crate) n_windows: u32,
+    /// Buckets per window.
+    pub(crate) n_buckets: u32,
+    digits: Option<Vec<Vec<i32>>>,
+    gpu_threads: u64,
+    model: EcKernelModel,
 }
 
 /// Per-phase timing internals `execute_attempt` hands to the telemetry
@@ -1732,15 +1761,23 @@ mod tests {
                 .build()
                 .unwrap(),
         );
+        // `launch` minus its entry checks
         let model = EcKernelModel::new(C::Base::LIMBS32, engine.config.kernel_opts);
-        let gpu_threads = gpu_threads(&engine.system, &engine.config, &model);
         let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, signed);
-        let digits: Option<Vec<Vec<i32>>> = signed.then(|| {
-            inst.scalars
-                .iter()
-                .map(|k| crate::signed::recode_signed(k, s, C::SCALAR_BITS))
-                .collect()
-        });
+        let launch = Launch {
+            instance: inst,
+            s,
+            n_windows,
+            n_buckets,
+            digits: signed.then(|| {
+                inst.scalars
+                    .iter()
+                    .map(|k| crate::signed::recode_signed(k, s, C::SCALAR_BITS))
+                    .collect()
+            }),
+            gpu_threads: gpu_threads(&engine.system, &engine.config, &model),
+            model,
+        };
         let mut next_event = vec![0u64; gpus];
         let jobs: Jobs = plan_slices(n_windows, n_buckets, gpus)
             .into_iter()
@@ -1749,9 +1786,7 @@ mod tests {
                 (sl, next_event[sl.gpu] - 1)
             })
             .collect();
-        engine
-            .run_slices(inst, &digits, s, gpu_threads, &model, &jobs, workers)
-            .map(|done| format!("{done:?}"))
+        engine.run_slices(&launch, &jobs, workers).map(|done| format!("{done:?}"))
     }
 
     #[test]
@@ -1937,6 +1972,8 @@ mod tests {
         );
         let rep = engine.execute(&inst).expect("recovers on GPU-reduce path");
         assert_eq!(rep.result, inst.reference_result());
+        assert_eq!(rep.window_partials.len(), rep.n_windows as usize);
+        assert_eq!(window_reduce(&rep.window_partials, 7).0, rep.result);
         let rec = rep.recovery.unwrap();
         assert!(rec.degraded_collective, "dead rank must degrade collective");
         assert!(rec.checkpoint_s > 0.0, "GPU path charges checkpoints");

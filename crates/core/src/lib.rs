@@ -14,11 +14,11 @@
 //! | §3.2.1 three-level hierarchical bucket scatter | [`scatter`] |
 //! | §3.2.2 multi-thread-per-bucket bucket-sum, flexible slicing | [`bucket_sum`], [`plan`] |
 //! | §3.2.3 CPU bucket-reduce | [`reduce`] |
-//! | Figure 1 end-to-end engine | [`engine`] |
+//! | Figure 1 end-to-end engine; §3.1 window partials ([`MsmReport::window_partials`]) | [`engine`] |
+//! | resumable execution in checkpointed window batches | [`checkpoint`] |
 //! | §5 baselines ("BG", NO-OPT) | [`baseline`] |
 //! | paper-scale (2^22–2^28) timing | [`analytic`] |
 //! | signed-digit recoding (adopted technique, §6) | [`signed`] |
-//! | precomputation tables + merged windows (§2.3.1) | [`precompute`] |
 //! | cuZK-style sparse-matrix MSM (baseline #2) | [`cuzk`] |
 //! | multi-MSM pipelining (§3.2.3) | [`pipeline`] |
 //! | topology-routed gathers and collectives (multi-node scaling) | [`comm`] |
@@ -57,7 +57,6 @@ pub mod cuzk;
 pub mod engine;
 pub mod pipeline;
 pub mod plan;
-pub mod precompute;
 pub mod prelude;
 pub mod reduce;
 pub mod report;

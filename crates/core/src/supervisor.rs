@@ -83,13 +83,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Returns the policy with `backoff_cap_s` replaced.
-    #[must_use]
-    pub fn with_backoff_cap_s(mut self, seconds: f64) -> Self {
-        self.backoff_cap_s = seconds;
-        self
-    }
-
     /// Backoff charged before retry `k` (0-based): `base · factor^k`,
     /// saturating at [`RetryPolicy::backoff_cap_s`]. The raw exponential
     /// overflows `f64` for large `k`; saturation keeps every charge

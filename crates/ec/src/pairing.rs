@@ -20,9 +20,9 @@
 //! Correctness is established by the strongest available self-tests:
 //! bilinearity `e(aP, bQ) = e(P, Q)^{ab}` and non-degeneracy.
 
-use crate::curve::{Affine, Curve, XyzzPoint};
+use crate::curve::{Affine, Curve};
 use crate::curves::{Bn254G1, Bn254G2};
-use distmsm_ff::params::{Bn254Fq, Bn254Fr, FqBn254};
+use distmsm_ff::params::{Bn254Fq, FqBn254};
 use distmsm_ff::{Fp2, FpParams, Uint};
 
 type F = FqBn254;
@@ -436,17 +436,10 @@ fn mul_g<C: Curve>(k: u64) -> Affine<C> {
         .to_affine()
 }
 
-/// Scalar multiplication of an arbitrary affine point by an `Fr` element.
-pub fn g1_mul_fr(
-    p: &Affine<Bn254G1>,
-    k: &distmsm_ff::Fp<Bn254Fr, 4>,
-) -> XyzzPoint<Bn254G1> {
-    p.scalar_mul(&k.to_uint())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distmsm_ff::params::Bn254Fr;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]

@@ -92,7 +92,8 @@ where
         return None;
     }
     match bytes[0] {
-        FLAG_INFINITY => Some(Affine::identity()),
+        // one encoding per point: the identity's coordinate bytes are zero
+        FLAG_INFINITY => bytes[1..].iter().all(|&b| b == 0).then(Affine::identity),
         FLAG_FINITE => {
             let x = C::Base::from_canonical_bytes(&bytes[1..1 + fl])?;
             let y = C::Base::from_canonical_bytes(&bytes[1 + fl..])?;
@@ -234,6 +235,15 @@ mod tests {
         // corrupt y
         let last = b.len() - 1;
         b[last] ^= 1;
+        assert_eq!(point_from_uncompressed::<Bn254G1>(&b), None);
+    }
+
+    #[test]
+    fn infinity_flag_over_nonzero_coordinates_rejected() {
+        // found by the `WindowCheckpoint` hostile-bytes sweep: one flipped
+        // flag bit turned any finite point into an accepted identity
+        let mut b = point_to_uncompressed(&generator_multiples::<Bn254G1>(1)[0]);
+        b[0] = FLAG_INFINITY;
         assert_eq!(point_from_uncompressed::<Bn254G1>(&b), None);
     }
 

@@ -346,12 +346,6 @@ impl<const N: usize> Uint<N> {
         self.0.iter().flat_map(|l| l.to_le_bytes()).collect()
     }
 
-    /// Interprets the low 64 bits as `u64` (truncating).
-    #[inline]
-    pub const fn low_u64(&self) -> u64 {
-        self.0[0]
-    }
-
     /// Division by a small divisor: returns `(self / d, self % d)`.
     ///
     /// Used to derive pairing exponents such as `(p − 1)/6` at runtime.

@@ -46,7 +46,7 @@ pub fn estimate_fleet_msm(
     let compute_s = 2.0 * pod.total_s;
 
     let w = window_shape(curve.scalar_bits, pod.window_size, false).0 as usize;
-    let elem_bytes = 16.0 * curve.limbs32 as f64;
+    let elem_bytes = curve.xyzz_bytes();
     let topo = Topology::fleet(n_pods);
     let (strategy, reduce_s) = CollectiveStrategy::ALL
         .iter()

@@ -4,8 +4,8 @@
 //! The point range `[0, N)` is split into per-pod quota tiles by
 //! [`distmsm::shard_points`] (the same plan shape the PR 6 verifier
 //! proves via [`distmsm::fleet_shard_ir`]). Each pod runs the full
-//! multi-GPU engine on its shard *and* exposes its shard as a
-//! `W`-length window-partial vector; the cross-pod reduce is then an
+//! multi-GPU engine on its shard and ships the `W` window partials of
+//! that execution's report; the cross-pod reduce is then an
 //! element-wise point-add collective over [`Topology::fleet`] — the
 //! PR 2 schedule builders route it through the per-pod NICs and the IB
 //! core switch — followed by a constant `W`-term Horner fold on the
@@ -15,13 +15,10 @@
 //! is allowed into the reduce: a byzantine pod is detected,
 //! quarantined, and its shard re-placed on the first healthy pod.
 
-use distmsm::checkpoint::window_partial;
 use distmsm::reduce::window_reduce;
-use distmsm::{
-    shard_points_with_ir, window_shape, CollectiveStrategy, DistMsm, DistMsmConfig,
-};
+use distmsm::{shard_points_with_ir, CollectiveStrategy, CurveDesc, DistMsm, DistMsmConfig};
 use distmsm_comms::{run_collective, CommConfig, CommSchedule, Fabric, Topology};
-use distmsm_ec::{Curve, FieldElement, MsmInstance, XyzzPoint};
+use distmsm_ec::{Curve, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::MultiGpuSystem;
 
 use crate::outsource::{Challenge, Corruption, OutsourcedResult};
@@ -90,17 +87,15 @@ pub struct ShardedMsmReport<C: Curve> {
 
 /// Executes one `N`-point MSM sharded across `cfg.n_pods` pods.
 ///
-/// Per shard: the pod runs the full engine on its sub-instance (R1) and
-/// on the blinded twin (R2), and also materialises the shard's
-/// window-partial vector. The coordinator 2G2T-checks `(R1, R2)`; on
+/// Per shard: the pod runs the full engine on its sub-instance (R1, whose
+/// report carries the shard's window-partial vector) and on the blinded
+/// twin (R2). The coordinator 2G2T-checks `(R1, R2)`; on
 /// rejection the pod is quarantined and the shard re-executed on the
 /// first healthy pod. Surviving window-partial vectors are reduced
 /// element-wise over the fleet NIC topology and Horner-folded on the
 /// host.
 ///
-/// Panics if the instance is empty, if every pod is quarantined, or if
-/// a shard's window-partial fold disagrees with the pod's engine result
-/// (an internal consistency bug, not a byzantine event).
+/// Panics if the instance is empty or if every pod is quarantined.
 pub fn execute_sharded<C: Curve>(
     instance: &MsmInstance<C>,
     cfg: &ShardedMsmConfig,
@@ -110,17 +105,22 @@ pub fn execute_sharded<C: Curve>(
     assert!(cfg.n_pods > 0, "need at least one pod");
     let (ranges, _ir, _env) = shard_points_with_ir(n, cfg.n_pods);
     let s = cfg.window_size;
-    let n_windows = window_shape(C::SCALAR_BITS, s, false).0 as usize;
-
-    let pod_engine = || {
-        DistMsm::with_config(
-            MultiGpuSystem::dgx_a100(cfg.gpus_per_pod),
-            DistMsmConfig::builder()
-                .window_size(s)
-                .build()
-                .expect("static pod engine config is valid"),
-        )
-    };
+    // Pods are identical, so one engine (one topology, one set of route
+    // and plan memos) stands for whichever pod runs a shard.
+    let engine = DistMsm::with_config(
+        MultiGpuSystem::dgx_a100(cfg.gpus_per_pod),
+        DistMsmConfig::builder()
+            .window_size(s)
+            .build()
+            .expect("static pod engine config is valid"),
+    );
+    let subs: Vec<MsmInstance<C>> = ranges
+        .iter()
+        .map(|&(lo, hi)| MsmInstance {
+            points: instance.points[lo..hi].to_vec(),
+            scalars: instance.scalars[lo..hi].to_vec(),
+        })
+        .collect();
 
     // Phase 1: every pod executes its shard + blinded twin.
     let mut shards = Vec::with_capacity(cfg.n_pods);
@@ -129,13 +129,9 @@ pub fn execute_sharded<C: Curve>(
     let mut challenges: Vec<Challenge<C>> = Vec::with_capacity(cfg.n_pods);
     let mut compute_s = 0.0f64;
     for (pod, &(lo, hi)) in ranges.iter().enumerate() {
-        let sub = MsmInstance {
-            points: instance.points[lo..hi].to_vec(),
-            scalars: instance.scalars[lo..hi].to_vec(),
-        };
         let challenge =
             Challenge::<C>::generate(cfg.challenge_seed ^ (pod as u64).wrapping_mul(0x9e37), hi - lo);
-        let (pair, vector, pod_s) = run_pod_shard(&sub, &challenge, s, &pod_engine());
+        let (pair, vector, pod_s) = run_pod_shard(&subs[pod], &challenge, &engine);
         // Byzantine model: the seeded pod lies about its pair (and its
         // reduce-tree vector, so a missed detection would surface as a
         // bit-exactness violation downstream).
@@ -178,15 +174,11 @@ pub fn execute_sharded<C: Curve>(
             .find(|p| !quarantined.contains(p))
             .expect("every pod quarantined: no healthy pod left to re-place on");
         // Re-execute the stranded shard on the healthy pod, re-verify.
-        let sub = MsmInstance {
-            points: instance.points[lo..hi].to_vec(),
-            scalars: instance.scalars[lo..hi].to_vec(),
-        };
         let rechallenge = Challenge::<C>::generate(
             cfg.challenge_seed ^ 0x5e81_aced ^ ((pod as u64) << 32),
             hi - lo,
         );
-        let (pair, vector, pod_s) = run_pod_shard(&sub, &rechallenge, s, &pod_engine());
+        let (pair, vector, pod_s) = run_pod_shard(&subs[pod], &rechallenge, &engine);
         assert!(
             rechallenge.verify(&instance.points[lo..hi], &pair.r1, &pair.r2),
             "re-placed shard failed its own 2G2T check"
@@ -199,49 +191,37 @@ pub fn execute_sharded<C: Curve>(
 
     // Phase 3: element-wise point-add reduce over the NIC tier.
     let topo = Topology::fleet(cfg.n_pods);
-    // An XYZZ point is 4 base-field coordinates of LIMBS32 × 4 bytes.
-    let elem_bytes = 16.0 * C::Base::LIMBS32 as f64;
     let (reduced, schedule) = run_collective(
         cfg.strategy,
         &vectors,
         |a: &XyzzPoint<C>, b| a.padd(b),
         &Fabric::Topology(&topo),
         &CommConfig::default(),
-        elem_bytes,
+        CurveDesc::of::<C>().xyzz_bytes(),
     );
-    assert_eq!(reduced.len(), n_windows);
     let result = window_reduce(&reduced, s).0;
 
     let reduce_s = schedule.total_s;
     ShardedMsmReport { result, shards, quarantined, schedule, compute_s, reduce_s }
 }
 
-/// One pod's honest work: engine result on the shard (R1), engine
-/// result on the blinded twin (R2), the shard's window-partial vector
-/// (asserted consistent with R1), and the modeled pod wall-clock.
+/// One pod's honest work: the engine's result on the shard (R1) with the
+/// window partials it was folded from, its result on the blinded twin
+/// (R2), and the modeled pod wall-clock.
 fn run_pod_shard<C: Curve>(
     sub: &MsmInstance<C>,
     challenge: &Challenge<C>,
-    s: u32,
     engine: &DistMsm,
 ) -> (OutsourcedResult<C>, Vec<XyzzPoint<C>>, f64) {
     let report = engine.execute(sub).expect("fault-free pod shard execution");
-    let twin = challenge.twin_instance(sub);
-    let twin_report = engine.execute(&twin).expect("fault-free twin execution");
-    let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, false);
-    let vector: Vec<XyzzPoint<C>> = (0..n_windows)
-        .map(|w| window_partial(&sub.points, &sub.scalars, w, s, n_buckets as usize))
-        .collect();
-    assert_eq!(
-        window_reduce(&vector, s).0.to_affine(),
-        report.result.to_affine(),
-        "window-partial vector inconsistent with the pod's engine result"
-    );
-    let total_s = report.total_s + twin_report.total_s;
+    let twin_report =
+        engine.execute(&challenge.twin_instance(sub)).expect("fault-free twin execution");
+    // the cross-pod collective reduces the vectors element by element
+    assert_eq!(report.window_partials.len(), report.n_windows as usize);
     (
         OutsourcedResult { r1: report.result, r2: twin_report.result },
-        vector,
-        total_s,
+        report.window_partials,
+        report.total_s + twin_report.total_s,
     )
 }
 

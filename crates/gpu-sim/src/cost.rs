@@ -143,12 +143,6 @@ impl LaunchStats {
             distinct_shared_addrs: 0,
         }
     }
-
-    /// Folds one thread's report into the aggregate.
-    pub fn record_thread(&mut self, cost: &ThreadCost) {
-        self.max_thread = self.max_thread.max(cost);
-        self.total = self.total.add(cost);
-    }
 }
 
 /// Tunable constants of the timing model.

@@ -129,13 +129,6 @@ impl DeviceSpec {
         (occupancy / SATURATION).clamp(0.0, 1.0)
     }
 
-    /// Effective int32 throughput (ops/s) for a kernel with the given
-    /// occupancy characteristics.
-    pub fn effective_int32_ops(&self, regs_per_thread: u32, shared_per_block: u32, block_size: u32) -> f64 {
-        let occ = self.occupancy(regs_per_thread, shared_per_block, block_size);
-        self.cuda_int32_tops * 1e12 * self.efficiency_at(occ)
-    }
-
     /// Tensor-core throughput expressed in int32-equivalent ops/s (the
     /// paper's "8× the CUDA cores" for the A100: 624 int8 TOPS ≙ 156
     /// int32 TOPS).

@@ -254,11 +254,6 @@ impl FaultPlan {
         out.sort_unstable();
         out
     }
-
-    /// Device faults that fire during `attempt` (for reports).
-    pub fn events_on_attempt(&self, attempt: u32) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(move |e| e.attempt == attempt)
-    }
 }
 
 /// SplitMix64 step: the crate-local deterministic generator used for

@@ -56,12 +56,6 @@ impl DevicePool {
         self.breakers[device].open_spells()
     }
 
-    /// When a device's current probation window elapses (meaningful only
-    /// while its breaker is open).
-    pub fn open_until(&self, device: usize) -> f64 {
-        self.breakers[device].open_until_s()
-    }
-
     /// Earliest time at or after `now_s` when an open breaker moves to
     /// half-open, if any breaker is open.
     pub fn next_probation_end(&self) -> Option<f64> {

@@ -51,11 +51,6 @@ impl<P: FpParams<N>, const N: usize> NttDomain<P, N> {
         1 << self.log_n
     }
 
-    /// log₂ of the domain size.
-    pub fn log_size(&self) -> u32 {
-        self.log_n
-    }
-
     /// The primitive `2^log_n`-th root of unity generating the domain.
     pub fn generator(&self) -> Fp<P, N> {
         self.omega

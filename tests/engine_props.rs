@@ -227,3 +227,90 @@ proptest! {
         prop_assert_eq!((again.x, again.y, again.zz, again.zzz), (got.x, got.y, got.zz, got.zzz));
     }
 }
+
+// ---- the report's window partials are the paper's §3.1 window sums -------
+
+use distmsm_ec::{Affine, Scalar};
+use distmsm_gpu_sim::FaultPlan;
+
+/// `W = Σᵢ dᵢ·Pᵢ` for one window's digits by plain bucket accumulation and
+/// a suffix running sum over every bucket: no slices, no batched-affine
+/// sum, no empty-run skip, no workers.
+fn naive_window_partial<C: Curve>(
+    points: &[Affine<C>],
+    digit: impl Fn(usize) -> i32,
+    n_buckets: u32,
+) -> XyzzPoint<C> {
+    let mut buckets = vec![XyzzPoint::<C>::identity(); n_buckets as usize];
+    for (i, p) in points.iter().enumerate() {
+        match digit(i) {
+            0 => {}
+            d if d > 0 => buckets[d as usize].pacc(p),
+            d => buckets[d.unsigned_abs() as usize].pacc(&p.neg()),
+        }
+    }
+    let mut running = XyzzPoint::identity();
+    let mut partial = XyzzPoint::identity();
+    for b in buckets.iter().skip(1).rev() {
+        running = running.padd(b);
+        partial = partial.padd(&running);
+    }
+    partial
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Whichever path filled it — CPU fold, collective merge, supervised
+    /// recovery, survivors-only gather — `window_partials` is the vector
+    /// `result` was folded from, window for window.
+    #[test]
+    fn window_partials_are_the_naive_window_sums(
+        seed in 0u64..10_000,
+        n in 1usize..150,
+        gpus in 1usize..9,
+        s in 2u32..12,
+        signed in any::<bool>(),
+        cpu_reduce in any::<bool>(),
+        collective in 0usize..4,
+        fail_stop_at in 0u64..6,
+    ) {
+        let inst = MsmInstance::<Bn254G1>::random(n, &mut StdRng::seed_from_u64(seed));
+        // half the cases fail-stop the last device of at least two, so a
+        // survivor remains
+        let plan = if fail_stop_at < 3 && gpus > 1 {
+            FaultPlan::fail_stop(gpus - 1, fail_stop_at)
+        } else {
+            FaultPlan::none()
+        };
+        let cfg = DistMsmConfig::builder()
+            .window_size(s)
+            .signed_digits(signed)
+            .bucket_reduce_on_cpu(cpu_reduce)
+            .collective(CollectiveStrategy::ALL[collective])
+            .fault_plan(plan)
+            .build()
+            .expect("valid config");
+        let engine = DistMsm::with_config(MultiGpuSystem::dgx_a100(gpus), cfg);
+        let report = engine.execute(&inst).expect("small windows fit, a survivor remains");
+
+        let (n_windows, n_buckets) = window_shape(254, s, signed);
+        prop_assert_eq!(report.n_windows, n_windows);
+        prop_assert_eq!(report.window_partials.len(), n_windows as usize);
+        prop_assert_eq!(window_reduce(&report.window_partials, s).0, report.result);
+        prop_assert_eq!(report.result, inst.reference_result());
+        let recoded: Vec<Vec<i32>> =
+            inst.scalars.iter().map(|k| recode_signed(k, s, 254)).collect();
+        let digit = |i: usize, w: usize| {
+            if signed {
+                recoded[i][w]
+            } else {
+                inst.scalars[i].window(w as u32 * s, s) as i32
+            }
+        };
+        for (w, got) in report.window_partials.iter().enumerate() {
+            let want = naive_window_partial(&inst.points, |i| digit(i, w), n_buckets);
+            prop_assert_eq!(*got, want, "window {}", w);
+        }
+    }
+}
