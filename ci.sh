@@ -127,7 +127,7 @@ fi
 diff -u <(grep -v '^  "git": ' BENCH_msm.json) <(grep -v '^  "git": ' "$BENCH_JSON")
 rm -f "$BENCH_JSON"
 
-echo "== repo benchmark: harness tests + 2-second traced smokes (output checks on) =="
+echo "== repo benchmark: harness tests + 2-second traced smokes of all four workloads (output checks on) =="
 # the benchmark package is its own workspace (BENCHMARK.json drives it);
 # this only proves it still builds against the crates and checks clean:
 # the independent-Pippenger oracle and the layer walk's bit-equality with
@@ -144,9 +144,12 @@ LOCK_KEEP="$(mktemp /tmp/distmsm_ci_bench_lock.XXXXXX)"
 cp benchmark/Cargo.lock "$LOCK_KEEP"
 trap 'cp "$LOCK_KEEP" benchmark/Cargo.lock; rm -f "$LOCK_KEEP"' EXIT
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in msm_bls381_sliced msm_bn254_64k fleet_serve; do
+for workload in msm_bls381_sliced msm_bn254_64k groth16_4k fleet_serve; do
+    SECONDS=0
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1 | grep -q '"correct": true'
+    # input building included: groth16_4k's is three trusted setups
+    echo "$workload smoke wall time: ${SECONDS} s"
 done
 
 echo "CI OK"

@@ -12,6 +12,8 @@
 //!   Groth16 verification;
 //! * [`batch`] — batched affine addition (the ZPrize "batch addition"
 //!   technique) with Montgomery-trick shared inversions;
+//! * [`fixed_base`] — windowed table of one base's multiples, for the
+//!   many same-base products of a trusted setup;
 //! * [`serialize`] — canonical field/point wire formats, compressed and
 //!   uncompressed.
 //!
@@ -36,6 +38,7 @@
 pub mod batch;
 pub mod curve;
 pub mod curves;
+pub mod fixed_base;
 pub mod pairing;
 pub mod sample;
 pub mod serialize;
@@ -43,6 +46,7 @@ pub mod traits;
 pub mod validate;
 
 pub use curve::{Affine, Curve, XyzzPoint};
+pub use fixed_base::FixedBaseTable;
 pub use sample::MsmInstance;
 pub use traits::{FieldElement, Scalar, SqrtField};
 pub use validate::{validate_msm_inputs, validate_point, InputViolation};

@@ -132,7 +132,8 @@ where
         return None;
     }
     if bytes[0] == FLAG_INFINITY {
-        return Some(Affine::identity());
+        // one encoding per point, as in `point_from_uncompressed`
+        return bytes[1..].iter().all(|&b| b == 0).then(Affine::identity);
     }
     if bytes[0] & !(FLAG_Y_ODD) != FLAG_FINITE {
         return None;
@@ -245,6 +246,29 @@ mod tests {
         let mut b = point_to_uncompressed(&generator_multiples::<Bn254G1>(1)[0]);
         b[0] = FLAG_INFINITY;
         assert_eq!(point_from_uncompressed::<Bn254G1>(&b), None);
+    }
+
+    #[test]
+    fn infinity_flag_over_nonzero_x_rejected() {
+        fn check<C: Curve>()
+        where
+            C::Base: SqrtField,
+        {
+            let id = Affine::<C>::identity();
+            assert_eq!(
+                point_from_compressed::<C>(&point_to_compressed(&id)),
+                Some(id)
+            );
+            let mut b = point_to_compressed(&C::generator());
+            b[0] = FLAG_INFINITY;
+            assert_eq!(point_from_compressed::<C>(&b), None);
+            let last = b.len() - 1;
+            b[1..last].fill(0);
+            b[last] = 1;
+            assert_eq!(point_from_compressed::<C>(&b), None, "one stray bit");
+        }
+        check::<Bn254G1>();
+        check::<Bn254G2>();
     }
 
     #[test]
