@@ -31,6 +31,19 @@ if grep -rn 'cfg(.*feature' crates --include='*.rs' ||
     exit 1
 fi
 
+echo "== one record per decision: each journaled layer appends and pushes events in one place =="
+# the coordinator's and the service's events are derived from their
+# journal records inside one private `record`; a second append or a
+# hand-written event beside one is the parallel bookkeeping this deleted
+for layer in crates/fleet/src/fleet.rs crates/service/src/service.rs; do
+    APPENDS="$({ grep -o 'wal\.append(' "$layer" || true; } | wc -l)"
+    PUSHES="$({ grep -oE 'events\.(push|extend)\(' "$layer" || true; } | wc -l)"
+    if [[ "$APPENDS" -ne 1 || "$PUSHES" -ne 1 ]]; then
+        echo "FAIL: $layer has $APPENDS 'wal.append(' and $PUSHES 'events.push(/extend('; route every decision through its one record()" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 

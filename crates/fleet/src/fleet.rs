@@ -251,19 +251,21 @@ pub struct FleetRecoveryInfo {
 }
 
 /// The global placement layer over `n_pods` untrusted pods.
+///
+/// Ownership, quarantine flags and the detection count live only in the
+/// WAL's fold ([`Self::wal_state`]); every decision goes through one
+/// `record`, which journals it and derives the coordinator event and its
+/// telemetry instant from the record.
 pub struct FleetCoordinator<C: Curve> {
     config: FleetConfig,
     pods: Vec<ProverService<C>>,
-    quarantined: Vec<bool>,
     events: Vec<FleetEvent>,
     /// Durable pre-crash coordinator events, seeded by [`Self::restore`]
     /// so the final report accounts the full history (the outcome's
     /// `events` stay post-restore only, mirroring the pods).
     prior_events: Vec<FleetEvent>,
     accepted: Vec<AcceptedJob<C>>,
-    detections: u64,
     specs: BTreeMap<u64, JobSpec<C>>,
-    placed_on: BTreeMap<u64, usize>,
     last_good: Option<OutsourcedResult<C>>,
     checker: DistMsm,
     wal: FleetWal,
@@ -286,13 +288,10 @@ impl<C: Curve> FleetCoordinator<C> {
             (0..config.n_pods).map(|_| ProverService::new(config.pod.clone())).collect();
         let wal = FleetWal::new(config.n_pods, config.pod.snapshot_every);
         Self {
-            quarantined: vec![false; config.n_pods],
             events: Vec::new(),
             prior_events: Vec::new(),
             accepted: Vec::new(),
-            detections: 0,
             specs: BTreeMap::new(),
-            placed_on: BTreeMap::new(),
             last_good: None,
             checker: DistMsm::new(MultiGpuSystem::dgx_a100(1)),
             membership: None,
@@ -314,7 +313,8 @@ impl<C: Curve> FleetCoordinator<C> {
     /// * A job whose only durable trace is a `StolenAway` tombstone was
     ///   torn mid-steal — the cut kept the victim's hand-off but lost
     ///   the thief's absorption. It is already admitted, so it is
-    ///   re-absorbed onto a healthy pod with its retry budget intact
+    ///   re-absorbed onto a placeable pod (neither quarantined nor
+    ///   fenced in the recovered fold) with its retry budget intact
     ///   (a `Replaced` record is journaled, never a re-admission).
     /// * Durable pod completions whose 2G2T acceptance was *not*
     ///   durable are untrusted: each re-runs the blinded-twin check
@@ -330,8 +330,9 @@ impl<C: Curve> FleetCoordinator<C> {
     /// # Panics
     ///
     /// Panics when the durable slices don't match `config.n_pods`, or
-    /// when every pod is quarantined and a torn-steal job has nowhere
-    /// to go (the same unrecoverable state [`Self::run`] panics on).
+    /// when no pod is placeable (every one quarantined or fenced) and a
+    /// job has nowhere to go (the same unrecoverable state [`Self::run`]
+    /// panics on).
     pub fn restore(
         config: FleetConfig,
         jobs: &[JobSpec<C>],
@@ -339,45 +340,36 @@ impl<C: Curve> FleetCoordinator<C> {
         pod_durables: &[DurableState],
         chaos: &FleetChaos,
     ) -> Result<(Self, FleetRecoveryInfo), JournalError> {
-        assert!(config.n_pods > 0, "a fleet needs at least one pod");
-        assert_eq!(pod_durables.len(), config.n_pods, "one durable state per pod");
-        assert_eq!(chaos.pods.len(), config.n_pods, "chaos must cover every pod");
-        let rec = fleet_wal::recover_fleet_state(coordinator, config.n_pods)?;
-        let state = rec.state;
+        let n_pods = config.n_pods;
+        assert_eq!(pod_durables.len(), n_pods, "one durable state per pod");
+        assert_eq!(chaos.pods.len(), n_pods, "chaos must cover every pod");
+        let mut fleet = Self::new(config);
+        let rec = fleet_wal::recover_fleet_state(coordinator, n_pods)?;
+        let state = &rec.state;
 
         // Pod folds first: the durable truth about which pod owns what.
-        let mut folds = Vec::with_capacity(config.n_pods);
+        let mut folds = Vec::with_capacity(n_pods);
         for durable in pod_durables {
-            folds.push(
-                service_wal::recover_state(durable, &config.pod.shape())?.state,
-            );
+            folds.push(service_wal::recover_state(durable, &fleet.config.pod.shape())?.state);
         }
 
-        let healthy: Vec<usize> = (0..config.n_pods)
-            .filter(|&p| !state.quarantined[p] && !state.fenced[p])
-            .collect();
-        let mut spec_lists: Vec<Vec<JobSpec<C>>> = vec![Vec::new(); config.n_pods];
+        let mut spec_lists: Vec<Vec<JobSpec<C>>> = vec![Vec::new(); n_pods];
         let mut replacements: Vec<(u64, usize)> = Vec::new();
         let mut torn_steals: Vec<(JobSpec<C>, u32)> = Vec::new();
         for job in jobs {
-            let knowing: Vec<usize> = (0..config.n_pods)
-                .filter(|&p| folds[p].jobs.contains_key(&job.id))
-                .collect();
+            let knowing: Vec<usize> =
+                (0..n_pods).filter(|&p| folds[p].jobs.contains_key(&job.id)).collect();
             if knowing.is_empty() {
                 // Never durably admitted anywhere: (re-)arrives at the
-                // recorded owner, or a healthy pod when the owner is
-                // quarantined, fenced, or the placement itself was lost.
-                let owner = state
-                    .placed_on
-                    .get(&job.id)
-                    .copied()
-                    .filter(|&p| !state.quarantined[p] && !state.fenced[p]);
+                // recorded owner, or the placeable pod with the fewest
+                // specs when the owner is not placeable or the placement
+                // itself was lost.
+                let owner = state.placed_on.get(&job.id).copied().filter(|&p| state.placeable(p));
                 let target = owner.unwrap_or_else(|| {
-                    let t = healthy
-                        .iter()
-                        .copied()
+                    let t = (0..n_pods)
+                        .filter(|&p| state.placeable(p))
                         .min_by_key(|&p| spec_lists[p].len())
-                        .expect("every pod quarantined: nowhere to re-place");
+                        .expect("no placeable pod: nowhere to re-place");
                     replacements.push((job.id, t));
                     t
                 });
@@ -408,15 +400,14 @@ impl<C: Curve> FleetCoordinator<C> {
             }
         }
 
-        let mut pod_svcs = Vec::with_capacity(config.n_pods);
-        let mut pod_infos = Vec::with_capacity(config.n_pods);
+        let mut pod_infos = Vec::with_capacity(n_pods);
         for (p, durable) in pod_durables.iter().enumerate() {
-            let (svc, info) = ProverService::restore(config.pod.clone(), &spec_lists[p], durable)?;
-            pod_svcs.push(svc);
+            let (svc, info) =
+                ProverService::restore(fleet.config.pod.clone(), &spec_lists[p], durable)?;
+            fleet.pods[p] = svc;
             pod_infos.push(info);
         }
 
-        let mut accepted = Vec::with_capacity(state.accepted.len());
         for a in &state.accepted {
             let affine = point_from_uncompressed::<C>(&a.result).ok_or_else(|| {
                 JournalError::BadPayload {
@@ -424,7 +415,7 @@ impl<C: Curve> FleetCoordinator<C> {
                     detail: format!("accepted job {} carries an undecodable result point", a.id),
                 }
             })?;
-            accepted.push(AcceptedJob {
+            fleet.accepted.push(AcceptedJob {
                 id: a.id,
                 tenant: a.tenant,
                 pod: a.pod,
@@ -432,57 +423,30 @@ impl<C: Curve> FleetCoordinator<C> {
                 attempts: a.attempts,
             });
         }
-        let prior_events = fleet_wal::decode_fleet_events(coordinator)?;
-        let wal = FleetWal::resume(
-            coordinator.reopen()?,
-            state.clone(),
-            config.n_pods,
-            config.pod.snapshot_every,
-        );
-        let mut fleet = Self {
-            quarantined: state.quarantined.clone(),
-            events: Vec::new(),
-            prior_events,
-            accepted,
-            detections: state.detections,
-            specs: jobs.iter().map(|j| (j.id, j.clone())).collect(),
-            placed_on: state.placed_on.clone(),
-            last_good: None,
-            checker: DistMsm::new(MultiGpuSystem::dgx_a100(1)),
-            membership: None,
-            stale_copies: vec![BTreeMap::new(); config.n_pods],
-            config,
-            pods: pod_svcs,
-            wal,
-        };
+        fleet.prior_events = fleet_wal::decode_fleet_events(coordinator)?;
+        fleet.specs = jobs.iter().map(|j| (j.id, j.clone())).collect();
+        let snapshot_every = fleet.config.pod.snapshot_every;
+        fleet.wal = FleetWal::resume(coordinator.reopen()?, rec.state, n_pods, snapshot_every);
 
         // Journal the restore-time re-placements (the fold must track
         // the new ownership, exactly like a live placement).
         let now = fleet.pods.iter().map(|p| p.clock_s()).fold(0.0, f64::max);
         for &(id, pod) in &replacements {
             let epoch = fleet.wal.state().pod_epochs[pod];
-            fleet.wal.append(now, &FleetRecord::Placed { t_s: now, id, pod, epoch });
-            fleet.placed_on.insert(id, pod);
-            fleet.emit(now, Some(id), FleetEventKind::Placed { pod });
-            fleet.instant(now, "fleet.recovery:replaced", vec![("pod".into(), pod.to_string())]);
+            fleet.record(now, FleetRecord::Placed { t_s: now, id, pod, epoch });
         }
         let n_torn = torn_steals.len() as u64;
         for (spec, attempt) in torn_steals {
-            let to = fleet
-                .least_loaded_healthy()
-                .expect("every pod quarantined: nowhere to re-place");
-            let id = spec.id;
-            let from = fleet.placed_on.get(&id).copied().unwrap_or(to);
-            fleet.pods[to].absorb_stolen(
-                StolenJob { spec, attempt, effective_deadline_s: now },
-                now,
-                &chaos.pods[to],
-            );
-            let epoch = fleet.wal.state().pod_epochs[to];
-            fleet.placed_on.insert(id, to);
-            fleet.wal.append(now, &FleetRecord::Replaced { t_s: now, id, from, to, epoch });
-            fleet.emit(now, Some(id), FleetEventKind::Replaced { from, to });
-            fleet.replaced_instant(now, from, to);
+            // Same placeable test as above: the fold refuses a hand-off
+            // onto a fenced pod.
+            let state = fleet.wal.state();
+            let to = (0..n_pods)
+                .filter(|&p| state.placeable(p))
+                .min_by_key(|&p| fleet.pods[p].queued_jobs())
+                .expect("no placeable pod: nowhere to re-place");
+            let from = state.placed_on.get(&spec.id).copied().unwrap_or(to);
+            let stolen = StolenJob { spec, attempt, effective_deadline_s: now };
+            fleet.replace(stolen, from, to, now, chaos);
         }
 
         // Durable completions whose acceptance was not durable are
@@ -503,7 +467,7 @@ impl<C: Curve> FleetCoordinator<C> {
             })
             .collect();
         let mut drained: Vec<(usize, CompletedJob<C>)> = Vec::new();
-        for p in 0..fleet.config.n_pods {
+        for p in 0..n_pods {
             for done in fleet.pods[p].drain_completed() {
                 drained.push((p, done));
             }
@@ -680,13 +644,7 @@ impl<C: Curve> FleetCoordinator<C> {
     /// epoch is dead on arrival at the fold.
     fn fence_pod(&mut self, pod: usize, t_s: f64) {
         let epoch = self.wal.state().pod_epochs[pod] + 1;
-        self.wal.append(t_s, &FleetRecord::Fenced { t_s, pod, epoch });
-        self.emit(t_s, None, FleetEventKind::Fenced { pod, epoch });
-        self.instant(
-            t_s,
-            "fleet.fenced",
-            vec![("pod".into(), pod.to_string()), ("epoch".into(), epoch.to_string())],
-        );
+        self.record(t_s, FleetRecord::Fenced { t_s, pod, epoch });
     }
 
     /// Gives up on a fenced pod's orphans after the replace grace: each
@@ -697,6 +655,8 @@ impl<C: Curve> FleetCoordinator<C> {
     fn replace_orphans(&mut self, pod: usize, t_s: f64, chaos: &FleetChaos) {
         let accepted_ids: BTreeSet<u64> = self.accepted.iter().map(|a| a.id).collect();
         let orphans: Vec<u64> = self
+            .wal
+            .state()
             .placed_on
             .iter()
             .filter(|&(id, &owner)| owner == pod && !accepted_ids.contains(id))
@@ -714,16 +674,8 @@ impl<C: Curve> FleetCoordinator<C> {
             let spec = self.specs.get(&id).expect("orphaned job has a recorded spec").clone();
             let stale_epoch = self.wal.state().placed_epoch[&id];
             self.stale_copies[pod].insert(id, stale_epoch);
-            let epoch = self.wal.state().pod_epochs[to];
-            self.pods[to].absorb_stolen(
-                StolenJob { spec, attempt: 0, effective_deadline_s: t_s },
-                t_s,
-                &chaos.pods[to],
-            );
-            self.placed_on.insert(id, to);
-            self.wal.append(t_s, &FleetRecord::Replaced { t_s, id, from: pod, to, epoch });
-            self.emit(t_s, Some(id), FleetEventKind::Replaced { from: pod, to });
-            self.replaced_instant(t_s, pod, to);
+            let stolen = StolenJob { spec, attempt: 0, effective_deadline_s: t_s };
+            self.replace(stolen, pod, to, t_s, chaos);
         }
     }
 
@@ -739,13 +691,7 @@ impl<C: Curve> FleetCoordinator<C> {
     /// re-placed jobs are dropped from the pod's queues the same way.
     fn rejoin_pod(&mut self, pod: usize, t_s: f64, chaos: &FleetChaos) {
         let epoch = self.wal.state().pod_epochs[pod];
-        self.wal.append(t_s, &FleetRecord::Rejoined { t_s, pod, epoch });
-        self.emit(t_s, None, FleetEventKind::Rejoined { pod, epoch });
-        self.instant(
-            t_s,
-            "fleet.rejoined",
-            vec![("pod".into(), pod.to_string()), ("epoch".into(), epoch.to_string())],
-        );
+        self.record(t_s, FleetRecord::Rejoined { t_s, pod, epoch });
         self.pods[pod].clear_partitioned(t_s);
         self.drain_parked(pod, chaos);
         let stale: Vec<(u64, u64)> =
@@ -753,14 +699,7 @@ impl<C: Curve> FleetCoordinator<C> {
         for (id, stale_epoch) in stale {
             if self.pods[pod].fence_discard(id, t_s) {
                 self.stale_copies[pod].remove(&id);
-                self.wal
-                    .append(t_s, &FleetRecord::Discarded { t_s, id, pod, epoch: stale_epoch });
-                self.emit(t_s, Some(id), FleetEventKind::Discarded { pod });
-                self.instant(
-                    t_s,
-                    "fleet.discarded",
-                    vec![("pod".into(), pod.to_string()), ("job".into(), id.to_string())],
-                );
+                self.record(t_s, FleetRecord::Discarded { t_s, id, pod, epoch: stale_epoch });
             }
         }
     }
@@ -790,12 +729,8 @@ impl<C: Curve> FleetCoordinator<C> {
             // can never tear it apart; the payload keeps the arrival
             // time for event reconstruction.
             let epoch = self.wal.state().pod_epochs[pod];
-            self.wal
-                .append(0.0, &FleetRecord::Placed { t_s: job.arrival_s, id: job.id, pod, epoch });
-            self.emit(job.arrival_s, Some(job.id), FleetEventKind::Placed { pod });
-            self.instant(job.arrival_s, "fleet.placed", vec![("pod".into(), pod.to_string())]);
+            self.record(0.0, FleetRecord::Placed { t_s: job.arrival_s, id: job.id, pod, epoch });
             self.specs.insert(job.id, job.clone());
-            self.placed_on.insert(job.id, pod);
             per_pod[pod].push(job);
         }
         for (pod, batch) in per_pod.into_iter().enumerate() {
@@ -814,24 +749,14 @@ impl<C: Curve> FleetCoordinator<C> {
         if self.membership.is_some() {
             let st = self.wal.state();
             let already = self.accepted.iter().any(|a| a.id == done.id);
-            let owned = self.placed_on.get(&done.id) == Some(&pod);
+            let owned = st.placed_on.get(&done.id) == Some(&pod);
             let fresh = st.placed_epoch.get(&done.id).copied() == Some(st.pod_epochs[pod]);
             if already || !owned || !fresh {
                 let stale_epoch = self.stale_copies[pod]
-                    .get(&done.id)
-                    .copied()
+                    .remove(&done.id)
                     .unwrap_or_else(|| st.pod_epochs[pod].saturating_sub(1));
-                self.stale_copies[pod].remove(&done.id);
-                self.wal.append(
-                    now,
-                    &FleetRecord::Discarded { t_s: now, id: done.id, pod, epoch: stale_epoch },
-                );
-                self.emit(now, Some(done.id), FleetEventKind::Discarded { pod });
-                self.instant(
-                    now,
-                    "fleet.discarded",
-                    vec![("pod".into(), pod.to_string()), ("job".into(), done.id.to_string())],
-                );
+                let id = done.id;
+                self.record(now, FleetRecord::Discarded { t_s: now, id, pod, epoch: stale_epoch });
                 return;
             }
         }
@@ -868,9 +793,9 @@ impl<C: Curve> FleetCoordinator<C> {
             // Acceptance and the accepted value ride one atomic record,
             // stamped with the accepting pod's live fencing epoch.
             let epoch = self.wal.state().pod_epochs[pod];
-            self.wal.append(
+            self.record(
                 now,
-                &FleetRecord::Accepted {
+                FleetRecord::Accepted {
                     t_s: now,
                     id: done.id,
                     tenant: done.tenant,
@@ -880,8 +805,6 @@ impl<C: Curve> FleetCoordinator<C> {
                     result: point_to_uncompressed(&pair.r1.to_affine()),
                 },
             );
-            self.emit(now, Some(done.id), FleetEventKind::Verified { pod });
-            self.instant(now, "fleet.verified", vec![("pod".into(), pod.to_string())]);
             self.last_good = Some(pair);
             self.accepted.push(AcceptedJob {
                 id: done.id,
@@ -899,22 +822,9 @@ impl<C: Curve> FleetCoordinator<C> {
         let class = chaos
             .byzantine_class(pod, now)
             .expect("2G2T check rejected an honest pod result");
-        self.detections += 1;
-        self.wal.append(
-            now,
-            &FleetRecord::Detected { t_s: now, id: done.id, pod, corruption: class.label() },
-        );
-        self.emit(
-            now,
-            Some(done.id),
-            FleetEventKind::ByzantineDetected { pod, corruption: class.label() },
-        );
-        self.instant(
-            now,
-            "fleet.byzantine-detected",
-            vec![("pod".into(), pod.to_string()), ("class".into(), class.label().into())],
-        );
-        if !self.quarantined[pod] {
+        let corruption = class.label();
+        self.record(now, FleetRecord::Detected { t_s: now, id: done.id, pod, corruption });
+        if !self.wal.state().quarantined[pod] {
             self.quarantine(pod, now, chaos);
         }
         // Re-place the rejected job itself. The 2G2T rejection is a new
@@ -926,31 +836,29 @@ impl<C: Curve> FleetCoordinator<C> {
             attempt: done.attempts.saturating_sub(1),
             effective_deadline_s: now,
         };
-        self.pods[to].absorb_stolen(stolen, now, &chaos.pods[to]);
-        self.placed_on.insert(done.id, to);
-        let epoch = self.wal.state().pod_epochs[to];
-        self.wal
-            .append(now, &FleetRecord::Replaced { t_s: now, id: done.id, from: pod, to, epoch });
-        self.emit(now, Some(done.id), FleetEventKind::Replaced { from: pod, to });
-        self.replaced_instant(now, pod, to);
+        self.replace(stolen, pod, to, now, chaos);
     }
 
-    /// Telemetry instant for a re-placement off a quarantined pod.
-    fn replaced_instant(&self, now: f64, from: usize, to: usize) {
-        self.instant(
-            now,
-            "fleet.replaced",
-            vec![("from".into(), from.to_string()), ("to".into(), to.to_string())],
-        );
+    /// Hands a job lifted off pod `from` to pod `to` and journals the
+    /// re-placement.
+    fn replace(
+        &mut self,
+        stolen: StolenJob<C>,
+        from: usize,
+        to: usize,
+        now: f64,
+        chaos: &FleetChaos,
+    ) {
+        let id = stolen.spec.id;
+        let epoch = self.wal.state().pod_epochs[to];
+        self.pods[to].absorb_stolen(stolen, now, &chaos.pods[to]);
+        self.record(now, FleetRecord::Replaced { t_s: now, id, from, to, epoch });
     }
 
     /// Quarantines a pod fleet-wide and re-places its stranded queue
     /// across the healthy pods with the `fleet-replace` quota plan.
     fn quarantine(&mut self, pod: usize, now: f64, chaos: &FleetChaos) {
-        self.quarantined[pod] = true;
-        self.wal.append(now, &FleetRecord::Quarantined { t_s: now, pod });
-        self.emit(now, None, FleetEventKind::Quarantined { pod });
-        self.instant(now, "fleet.quarantined", vec![("pod".into(), pod.to_string())]);
+        self.record(now, FleetRecord::Quarantined { t_s: now, pod });
         let mut stranded = Vec::new();
         while let Some(stolen) = self.pods[pod].steal_earliest() {
             stranded.push(stolen);
@@ -961,16 +869,7 @@ impl<C: Curve> FleetCoordinator<C> {
         let ranges = replace_assignments(stranded.len(), healthy.len());
         for (h, (lo, hi)) in ranges.into_iter().enumerate() {
             for stolen in stranded[lo..hi].iter().cloned() {
-                let id = stolen.spec.id;
-                let epoch = self.wal.state().pod_epochs[healthy[h]];
-                self.pods[healthy[h]].absorb_stolen(stolen, now, &chaos.pods[healthy[h]]);
-                self.placed_on.insert(id, healthy[h]);
-                self.wal.append(
-                    now,
-                    &FleetRecord::Replaced { t_s: now, id, from: pod, to: healthy[h], epoch },
-                );
-                self.emit(now, Some(id), FleetEventKind::Replaced { from: pod, to: healthy[h] });
-                self.replaced_instant(now, pod, healthy[h]);
+                self.replace(stolen, pod, healthy[h], now, chaos);
             }
         }
     }
@@ -980,21 +879,14 @@ impl<C: Curve> FleetCoordinator<C> {
     /// healthy pod — nothing may rot behind a quarantine.
     fn drain_quarantined(&mut self, chaos: &FleetChaos) {
         for pod in 0..self.config.n_pods {
-            if !self.quarantined[pod] {
+            if !self.wal.state().quarantined[pod] {
                 continue;
             }
             while self.pods[pod].queued_jobs() > 0 {
                 let now = self.pods[pod].clock_s();
                 let Some(to) = self.least_loaded_live(now, chaos) else { return };
                 let Some(stolen) = self.pods[pod].steal_earliest() else { break };
-                let id = stolen.spec.id;
-                let epoch = self.wal.state().pod_epochs[to];
-                self.pods[to].absorb_stolen(stolen, now, &chaos.pods[to]);
-                self.placed_on.insert(id, to);
-                self.wal
-                    .append(now, &FleetRecord::Replaced { t_s: now, id, from: pod, to, epoch });
-                self.emit(now, Some(id), FleetEventKind::Replaced { from: pod, to });
-                self.replaced_instant(now, pod, to);
+                self.replace(stolen, pod, to, now, chaos);
             }
         }
     }
@@ -1026,34 +918,16 @@ impl<C: Curve> FleetCoordinator<C> {
             let now = self.pods[victim].clock_s().max(self.pods[thief].clock_s());
             let epoch = self.wal.state().pod_epochs[thief];
             self.pods[thief].absorb_stolen(stolen, now, &chaos.pods[thief]);
-            self.placed_on.insert(id, thief);
-            self.wal.append(
-                now,
-                &FleetRecord::Stolen { t_s: now, id, from: victim, to: thief, epoch },
-            );
-            self.emit(now, Some(id), FleetEventKind::Stolen { from: victim, to: thief });
-            self.instant(
-                now,
-                "fleet.stolen",
-                vec![("from".into(), victim.to_string()), ("to".into(), thief.to_string())],
-            );
+            self.record(now, FleetRecord::Stolen { t_s: now, id, from: victim, to: thief, epoch });
         }
     }
 
-    /// Healthy pod with the smallest queue (ties to the lowest id).
-    fn least_loaded_healthy(&self) -> Option<usize> {
-        (0..self.config.n_pods)
-            .filter(|&p| !self.quarantined[p])
-            .min_by_key(|&p| (self.pods[p].queued_jobs(), p))
-    }
-
-    /// Is `p` a valid hand-off target at `now`: not quarantined, not
-    /// behind a fence, not in degraded mode, and with a round-trip
-    /// coordinator↔pod path. Without membership and partitions this is
-    /// exactly the legacy `!quarantined` predicate.
+    /// Is `p` a valid hand-off target at `now`: placeable in the fold
+    /// (not quarantined, not behind a fence), not in degraded mode, and
+    /// with a round-trip coordinator↔pod path. Without membership and
+    /// partitions this is exactly the legacy `!quarantined` predicate.
     fn pod_live(&self, p: usize, now: f64, chaos: &FleetChaos) -> bool {
-        !self.quarantined[p]
-            && !self.wal.state().fenced[p]
+        self.wal.state().placeable(p)
             && self.membership.as_ref().is_none_or(|m| !m.lease(p).degraded)
             && chaos.partitions.round_trip_ok(p, now)
     }
@@ -1067,11 +941,11 @@ impl<C: Curve> FleetCoordinator<C> {
     }
 
     fn finish(&mut self) -> FleetOutcome<C> {
-        let mut pod_events = Vec::new();
+        let mut by_pod = Vec::new();
         let mut pod_reports = Vec::new();
         for (i, pod) in self.pods.iter_mut().enumerate() {
             let outcome = pod.finish();
-            pod_events.extend(outcome.events.into_iter().map(|e| (i, e)));
+            by_pod.extend(outcome.events.into_iter().map(|e| (i, e)));
             pod_reports.push(outcome.report);
         }
         let events = std::mem::take(&mut self.events);
@@ -1082,15 +956,9 @@ impl<C: Curve> FleetCoordinator<C> {
         // their durable past. The outcome's `events` stay post-restore.
         let mut full_history = std::mem::take(&mut self.prior_events);
         full_history.extend(events.iter().cloned());
-        let report = FleetReport::build(
-            &pod_reports,
-            &full_history,
-            &self.quarantined,
-            self.detections,
-            accepted.iter().map(|a| a.tenant),
-            self.config.pod.tenants.len(),
-        );
-        FleetOutcome { report, events, pod_events, pod_reports, accepted }
+        let n_tenants = self.config.pod.tenants.len();
+        let report = FleetReport::build(&pod_reports, &full_history, self.wal.state(), n_tenants);
+        FleetOutcome { report, events, pod_events: by_pod, pod_reports, accepted }
     }
 
     /// The coordinator's durable journal + snapshot bytes — what a
@@ -1110,8 +978,19 @@ impl<C: Curve> FleetCoordinator<C> {
         self.wal.state()
     }
 
-    fn emit(&mut self, t_s: f64, job: Option<u64>, kind: FleetEventKind) {
-        self.events.push(FleetEvent { t_s, job, kind });
+    /// Journals one coordinator decision. Everything else the decision
+    /// produces is read off the record: the WAL folds it, the
+    /// coordinator event is [`FleetRecord::event`], and the `fleet`-lane
+    /// instant named after the record kind is emitted at the event's
+    /// time while a session is active.
+    fn record(&mut self, t_s: f64, rec: FleetRecord) {
+        self.wal.append(t_s, &rec);
+        let event = rec.event();
+        if distmsm_telemetry::session::active() {
+            let (name, args) = instant_of(&rec);
+            self.instant(event.t_s, name, args);
+        }
+        self.events.push(event);
     }
 
     /// Emits a telemetry instant on the `fleet` lane (no-op unless a
@@ -1125,6 +1004,37 @@ impl<C: Curve> FleetCoordinator<C> {
                 t_s,
                 args,
             });
+        }
+    }
+}
+
+/// The `fleet`-lane telemetry instant a coordinator record is traced
+/// as: its name and arguments.
+fn instant_of(rec: &FleetRecord) -> (&'static str, Vec<(String, String)>) {
+    fn arg(key: &str, value: impl ToString) -> (String, String) {
+        (key.to_string(), value.to_string())
+    }
+    match rec {
+        FleetRecord::Placed { pod, .. } => ("fleet.placed", vec![arg("pod", pod)]),
+        FleetRecord::Stolen { from, to, .. } => {
+            ("fleet.stolen", vec![arg("from", from), arg("to", to)])
+        }
+        FleetRecord::Accepted { pod, .. } => ("fleet.verified", vec![arg("pod", pod)]),
+        FleetRecord::Detected { pod, corruption, .. } => {
+            ("fleet.byzantine-detected", vec![arg("pod", pod), arg("class", corruption)])
+        }
+        FleetRecord::Quarantined { pod, .. } => ("fleet.quarantined", vec![arg("pod", pod)]),
+        FleetRecord::Replaced { from, to, .. } => {
+            ("fleet.replaced", vec![arg("from", from), arg("to", to)])
+        }
+        FleetRecord::Fenced { pod, epoch, .. } => {
+            ("fleet.fenced", vec![arg("pod", pod), arg("epoch", epoch)])
+        }
+        FleetRecord::Rejoined { pod, epoch, .. } => {
+            ("fleet.rejoined", vec![arg("pod", pod), arg("epoch", epoch)])
+        }
+        FleetRecord::Discarded { id, pod, .. } => {
+            ("fleet.discarded", vec![arg("pod", pod), arg("job", id)])
         }
     }
 }

@@ -6,12 +6,15 @@
 //! per-pod [`ServiceReport`]s remain available on the outcome for
 //! drill-down.
 
+use std::collections::BTreeSet;
+
 use distmsm::report::JsonField::{Inline, Rows, Scalar};
 use distmsm::report::{json_num, json_pretty, json_str};
 use distmsm::{Phase, Report};
 use distmsm_service::ServiceReport;
 
 use crate::fleet::{FleetEvent, FleetEventKind};
+use crate::wal::FleetState;
 
 /// Rollup of one pod's service report plus its fleet-level traffic.
 #[derive(Clone, Debug)]
@@ -74,13 +77,13 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Aggregates pod reports and the coordinator event stream.
+    /// Aggregates pod reports and the coordinator event stream; the
+    /// quarantine flags, the detection count and the tenants served are
+    /// read off the coordinator's journal fold.
     pub fn build(
         pod_reports: &[ServiceReport],
         events: &[FleetEvent],
-        quarantined: &[bool],
-        detections: u64,
-        accepted_tenants: impl Iterator<Item = usize>,
+        state: &FleetState,
         n_tenants: usize,
     ) -> Self {
         let n_pods = pod_reports.len();
@@ -98,7 +101,7 @@ impl FleetReport {
                 stolen_out: 0,
                 stolen_in: 0,
                 detections: 0,
-                quarantined: quarantined[i],
+                quarantined: state.quarantined[i],
                 horizon_s: r.horizon_s,
             })
             .collect();
@@ -128,22 +131,19 @@ impl FleetReport {
                 | FleetEventKind::Discarded { .. } => {}
             }
         }
-        let mut served = vec![false; n_tenants];
-        for t in accepted_tenants {
-            served[t] = true;
-        }
+        let served: BTreeSet<usize> = state.accepted.iter().map(|a| a.tenant).collect();
         Self {
             n_tenants,
-            tenants_served: served.iter().filter(|s| **s).count(),
+            tenants_served: served.len(),
             placed,
             admitted: pods.iter().map(|p| p.admitted).sum(),
             accepted,
             failed: pods.iter().map(|p| p.failed).sum(),
             shed: pods.iter().map(|p| p.shed).sum(),
             steals,
-            detections,
+            detections: state.detections,
             replaced,
-            quarantined_pods: (0..n_pods).filter(|&p| quarantined[p]).collect(),
+            quarantined_pods: (0..n_pods).filter(|&p| state.quarantined[p]).collect(),
             horizon_s: pod_reports.iter().map(|r| r.horizon_s).fold(0.0, f64::max),
             pods,
         }

@@ -182,7 +182,8 @@ pub enum FleetRecord {
 }
 
 impl FleetRecord {
-    /// The coordinator event this record witnesses.
+    /// The coordinator event this record witnesses — the one source of
+    /// both the live outcome stream and [`decode_fleet_events`].
     pub fn event(&self) -> FleetEvent {
         match self {
             FleetRecord::Placed { t_s, id, pod, .. } => {
@@ -314,6 +315,12 @@ impl FleetState {
         Ok(())
     }
 
+    /// Whether `pod` may receive a placement or hand-off: neither
+    /// quarantined nor behind a fence (the fold refuses a hand-off onto
+    /// a fenced pod).
+    pub(crate) fn placeable(&self, pod: usize) -> bool {
+        !self.quarantined[pod] && !self.fenced[pod]
+    }
 }
 
 impl Fold for FleetState {

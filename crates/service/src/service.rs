@@ -292,6 +292,8 @@ pub struct ProverService<C: Curve> {
     heap: std::collections::BinaryHeap<Reverse<Pending>>,
     seq: u64,
     clock_s: f64,
+    /// The events the journaled records witness, in record order — only
+    /// [`Self::record`] adds to it.
     events: Vec<ServiceEvent>,
     completed: Vec<CompletedJob<C>>,
     /// Round-robin placement cursor: the device id the next dispatch
@@ -482,7 +484,7 @@ impl<C: Curve> ProverService<C> {
                     // queue at the same attempt, fresh epoch.
                     let bound = svc.config.shed.class_bound(spec.class);
                     let expire_s = svc.clock_s + bound;
-                    svc.emit_journal(
+                    svc.record_event(
                         Some(id),
                         Some(entry.tenant),
                         ServiceEventKind::Requeued { attempt },
@@ -513,7 +515,7 @@ impl<C: Curve> ProverService<C> {
         let rearrived = rearrive.len() as u64;
         svc.begin(rearrive);
 
-        svc.emit_journal(
+        svc.record_event(
             None,
             None,
             ServiceEventKind::Recovered {
@@ -553,19 +555,21 @@ impl<C: Curve> ProverService<C> {
         self.heap.push(Reverse(Pending { t_s, seq, kind }));
     }
 
-    fn emit(&mut self, job: Option<u64>, tenant: Option<usize>, kind: ServiceEventKind) {
-        self.events.push(ServiceEvent { t_s: self.clock_s, job, tenant, kind });
+    /// Journals one state change and takes the service events it
+    /// witnesses from the record itself ([`ServiceRecord::events`]), so
+    /// the event stream is a view over the journal by construction.
+    fn record(&mut self, t_s: f64, rec: ServiceRecord) {
+        self.wal.append(t_s, &rec);
+        self.events.extend(rec.events());
     }
 
-    /// Emits an event *and* journals it as a [`ServiceRecord::Event`] —
-    /// the path for every event that is itself the atomic unit of a
-    /// state change (dispatch, requeue, failure, shed, breaker,
-    /// recovery marker). Admission and completion instead ride their
-    /// compound records, journaled at their call sites.
-    fn emit_journal(&mut self, job: Option<u64>, tenant: Option<usize>, kind: ServiceEventKind) {
-        let ev = ServiceEvent { t_s: self.clock_s, job, tenant, kind };
-        self.wal.append(ev.t_s, &ServiceRecord::Event(ev.clone()));
-        self.events.push(ev);
+    /// Records an event that is itself the atomic unit of a state change
+    /// (dispatch, requeue, failure, shed, breaker, recovery marker) as a
+    /// [`ServiceRecord::Event`]. Admission and completion instead ride
+    /// their compound records.
+    fn record_event(&mut self, job: Option<u64>, tenant: Option<usize>, kind: ServiceEventKind) {
+        let event = ServiceEvent { t_s: self.clock_s, job, tenant, kind };
+        self.record(self.clock_s, ServiceRecord::Event(event));
     }
 
     /// The durable journal + snapshot bytes — what a simulated crash
@@ -604,7 +608,7 @@ impl<C: Curve> ProverService<C> {
                     ("cause".into(), t.cause.into()),
                 ],
             );
-            self.emit_journal(None, None, ServiceEventKind::Breaker { transition: t });
+            self.record_event(None, None, ServiceEventKind::Breaker { transition: t });
         }
     }
 
@@ -762,10 +766,10 @@ impl<C: Curve> ProverService<C> {
         let (eff, tenant, pos) = self.find_edf()?;
         let q = self.queues[tenant].remove(pos)?;
         // Journal the steal so recovery never resurrects a job another
-        // pod now owns. No service event is emitted for queue surgery.
-        self.wal.append(
+        // pod now owns. The record witnesses no service event.
+        self.record(
             self.clock_s,
-            &ServiceRecord::StolenOut { t_s: self.clock_s, id: q.spec.id, attempt: q.attempt },
+            ServiceRecord::StolenOut { t_s: self.clock_s, id: q.spec.id, attempt: q.attempt },
         );
         Some(StolenJob { spec: q.spec, attempt: q.attempt, effective_deadline_s: eff })
     }
@@ -790,14 +794,9 @@ impl<C: Curve> ProverService<C> {
         let bound = self.config.shed.class_bound(stolen.spec.class);
         let expire_s = self.clock_s + bound;
         let id = stolen.spec.id;
-        self.wal.append(
+        self.record(
             self.clock_s,
-            &ServiceRecord::Absorbed {
-                t_s: self.clock_s,
-                id,
-                tenant,
-                attempt: stolen.attempt,
-            },
+            ServiceRecord::Absorbed { t_s: self.clock_s, id, tenant, attempt: stolen.attempt },
         );
         self.queues[tenant].push_back(QueuedJob {
             spec: stolen.spec,
@@ -851,23 +850,23 @@ impl<C: Curve> ProverService<C> {
     /// completion is discarded at hand-off by epoch fencing instead.
     pub fn fence_discard(&mut self, id: u64, now_s: f64) -> bool {
         self.clock_s = self.clock_s.max(now_s);
-        for queue in self.queues.iter_mut() {
-            if let Some(pos) = queue.iter().position(|q| q.spec.id == id) {
-                let q = queue.remove(pos).expect("position is in range");
-                self.wal.append(
-                    self.clock_s,
-                    &ServiceRecord::StolenOut { t_s: self.clock_s, id, attempt: q.attempt },
-                );
-                return true;
-            }
-        }
-        false
+        let Some(q) = self.queues.iter_mut().find_map(|queue| {
+            let pos = queue.iter().position(|q| q.spec.id == id)?;
+            queue.remove(pos)
+        }) else {
+            return false;
+        };
+        self.record(
+            self.clock_s,
+            ServiceRecord::StolenOut { t_s: self.clock_s, id, attempt: q.attempt },
+        );
+        true
     }
 
+    /// Decides one arrival's admission. The arrival and its outcome ride
+    /// one [`ServiceRecord::Admission`], which yields both events.
     fn on_arrival(&mut self, spec: JobSpec<C>) {
         let tenant = spec.tenant;
-        self.emit(Some(spec.id), Some(tenant), ServiceEventKind::Arrival { class: spec.class });
-
         let pressure = self.pressure();
         let tcfg = &self.config.tenants[tenant];
         let error = if let Some(since_s) = self.partitioned_since_s {
@@ -900,17 +899,16 @@ impl<C: Curve> ProverService<C> {
             );
             // Arrival + outcome ride one atomic journal record: a torn
             // write can lose the whole admission, never half of it.
-            self.wal.append(
+            self.record(
                 self.clock_s,
-                &ServiceRecord::Admission {
+                ServiceRecord::Admission {
                     t_s: self.clock_s,
                     id: spec.id,
                     tenant,
                     class: spec.class,
-                    outcome: AdmissionOutcome::Rejected { error: error.clone() },
+                    outcome: AdmissionOutcome::Rejected { error },
                 },
             );
-            self.emit(Some(spec.id), Some(tenant), ServiceEventKind::Rejected { error });
             return;
         }
 
@@ -925,9 +923,9 @@ impl<C: Curve> ProverService<C> {
             expire_s,
         });
         let queue_len = self.queues[tenant].len();
-        self.wal.append(
+        self.record(
             self.clock_s,
-            &ServiceRecord::Admission {
+            ServiceRecord::Admission {
                 t_s: self.clock_s,
                 id,
                 tenant,
@@ -935,7 +933,6 @@ impl<C: Curve> ProverService<C> {
                 outcome: AdmissionOutcome::Admitted { queue_len },
             },
         );
-        self.emit(Some(id), Some(tenant), ServiceEventKind::Admitted { queue_len });
         self.push_pending(expire_s, PendingKind::Expire(id));
     }
 
@@ -1068,7 +1065,7 @@ impl<C: Curve> ProverService<C> {
         let used_readmitted_device = devices.iter().any(|&d| self.pool.open_spells(d) > 0);
         self.pool.allocate(&devices, self.clock_s + duration_s);
         self.push_pending(self.clock_s + duration_s, PendingKind::Completion(job.spec.id));
-        self.emit_journal(
+        self.record_event(
             Some(job.spec.id),
             Some(job.spec.tenant),
             ServiceEventKind::Dispatched { devices: devices.clone(), attempt, degraded },
@@ -1128,17 +1125,16 @@ impl<C: Curve> ProverService<C> {
                 };
                 // Event + result bytes in one atomic record: no torn
                 // write can strand a completion without its payload.
-                self.wal.append(
+                self.record(
                     self.clock_s,
-                    &ServiceRecord::Completed {
-                        event: event.clone(),
+                    ServiceRecord::Completed {
+                        event,
                         result: distmsm_ec::serialize::point_to_uncompressed(
                             &report.result.to_affine(),
                         ),
                         used_readmitted: fl.used_readmitted_device,
                     },
                 );
-                self.events.push(event);
                 self.completed.push(CompletedJob {
                     id,
                     tenant,
@@ -1170,7 +1166,7 @@ impl<C: Curve> ProverService<C> {
                 if next_attempt < self.config.max_attempts {
                     let bound = self.config.shed.class_bound(fl.spec.class);
                     let expire_s = self.clock_s + bound;
-                    self.emit_journal(
+                    self.record_event(
                         Some(id),
                         Some(tenant),
                         ServiceEventKind::Requeued { attempt: next_attempt },
@@ -1187,7 +1183,7 @@ impl<C: Curve> ProverService<C> {
                         "job:failed",
                         vec![("job".into(), id.to_string()), ("error".into(), error.to_string())],
                     );
-                    self.emit_journal(
+                    self.record_event(
                         Some(id),
                         Some(tenant),
                         ServiceEventKind::Failed { error: error.to_string() },
@@ -1215,7 +1211,7 @@ impl<C: Curve> ProverService<C> {
                     &format!("shed:{}", reason.label()),
                     vec![("job".into(), id.to_string())],
                 );
-                self.emit_journal(Some(id), Some(tenant), ServiceEventKind::Shed { reason });
+                self.record_event(Some(id), Some(tenant), ServiceEventKind::Shed { reason });
                 return;
             }
         }

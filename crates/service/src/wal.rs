@@ -192,9 +192,9 @@ pub enum ServiceRecord {
 }
 
 impl ServiceRecord {
-    /// The service events this record reconstructs — the bridge from a
-    /// recovered journal prefix back to the replayable event stream the
-    /// soak invariants are checked over.
+    /// The service events this record witnesses — the one source of
+    /// both the live event stream the soak invariants are checked over
+    /// and the one [`decode_events`] recovers from a journal prefix.
     pub fn events(&self) -> Vec<ServiceEvent> {
         match self {
             Self::Admission { t_s, id, tenant, class, outcome } => {
@@ -615,9 +615,9 @@ pub struct ServiceShape {
 
 /// The service's live write-ahead log: a durable journal plus the
 /// shadow [`ServiceState`] every append folds through. Journaling is
-/// always on (it emits no events and advances no simulated time, so
-/// existing behaviour is byte-identical); periodic snapshots are opt-in
-/// via [`crate::service::ServiceConfig::snapshot_every`].
+/// always on (it advances no simulated time; the service's events are
+/// read off the records it appends); periodic snapshots are opt-in via
+/// [`crate::service::ServiceConfig::snapshot_every`].
 pub type ServiceWal = Journaled<ServiceState>;
 
 /// Recovers a [`ServiceState`] from durable bytes: newest intact
