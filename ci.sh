@@ -83,16 +83,20 @@ cargo clippy --workspace -- -D warnings
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "== telemetry smoke runs (--telemetry + trace validation; soak golden with the recorder on) =="
+echo "== telemetry smoke runs (--telemetry + trace validation; soak and fleet_soak goldens with the recorder on) =="
 TRACE="$(mktemp /tmp/distmsm_ci_trace.XXXXXX.json)"
 target/release/fault_sweep --telemetry "$TRACE" > /dev/null
 grep -q '"producer":"distmsm_telemetry"' "$TRACE"
 target/release/distmsm-analyze trace "$TRACE"
 # recording must not move a byte of the simulated outcome
 SMOKE_JSON="$(mktemp /tmp/distmsm_ci_soak_traced.XXXXXX.json)"
-target/release/soak --smoke --telemetry "$TRACE" --json "$SMOKE_JSON" > /dev/null
-diff -u crates/bench/golden/soak_smoke.json "$SMOKE_JSON"
-target/release/distmsm-analyze trace "$TRACE"
+for bin in soak fleet_soak; do
+    SECONDS=0
+    "target/release/$bin" --smoke --telemetry "$TRACE" --json "$SMOKE_JSON" > /dev/null
+    diff -u "crates/bench/golden/${bin}_smoke.json" "$SMOKE_JSON"
+    target/release/distmsm-analyze trace "$TRACE"
+    echo "$bin traced smoke + trace check wall time: ${SECONDS} s"
+done
 rm -f "$TRACE" "$SMOKE_JSON"
 
 echo "== distmsm-analyze check (race + lint + comm + fault + service + ckpt + partition + fleet + telemetry) =="

@@ -41,9 +41,7 @@ use distmsm_comms::PartitionSchedule;
 use distmsm_ec::curves::Bn254G1;
 use distmsm_fleet::soak::{build_fleet_chaos, build_fleet_jobs, fleet_config};
 use distmsm_journal::{decode_records, Fold, Wire};
-use distmsm_fleet::{
-    FleetCoordinator, FleetRecord, FleetSoakSpec, FleetState, MembershipConfig,
-};
+use distmsm_fleet::{FleetCoordinator, FleetRecord, FleetSoakSpec, FleetState};
 
 /// The seeded scenario the checker journals: a three-pod fleet with
 /// heartbeat leases under two randomized partition windows, long
@@ -57,36 +55,27 @@ pub const PART_SEED: u64 = 41;
 /// Partition windows injected into [`PART_SCENARIO`].
 pub const PART_WINDOWS: usize = 2;
 
-fn part_spec() -> (FleetSoakSpec, MembershipConfig) {
-    (
-        FleetSoakSpec {
-            arrival_seed: 2028,
-            fault_seed: 7,
-            n_jobs: 24,
-            n_tenants: 16,
-            n_pods: 3,
-            devices_per_pod: 3,
-            n_fault_windows: 0,
-            horizon_s: 300.0,
-            msm_size: 12,
-            byzantine_pod: None,
-            lost_pod: None,
-        },
-        MembershipConfig::default(),
-    )
-}
-
 /// Runs [`PART_SCENARIO`] and returns its decoded journal as
 /// `(journal epoch, record)` pairs plus the pod count.
 pub fn journal_scenario() -> (Vec<(u64, FleetRecord)>, usize) {
-    let (spec, membership) = part_spec();
+    let spec = FleetSoakSpec {
+        arrival_seed: 2028,
+        fault_seed: 7,
+        n_jobs: 24,
+        n_tenants: 16,
+        n_pods: 3,
+        devices_per_pod: 3,
+        n_fault_windows: 0,
+        horizon_s: 300.0,
+        msm_size: 12,
+        byzantine_pod: None,
+        lost_pod: None,
+    };
     let jobs = build_fleet_jobs(&spec);
     let mut chaos = build_fleet_chaos(&spec);
     chaos.partitions =
         PartitionSchedule::random(PART_SEED, PART_WINDOWS, spec.n_pods, spec.horizon_s);
-    let mut config = fleet_config(&spec);
-    config.membership = Some(membership);
-    let mut coordinator: FleetCoordinator<Bn254G1> = FleetCoordinator::new(config);
+    let mut coordinator: FleetCoordinator<Bn254G1> = FleetCoordinator::new(fleet_config(&spec));
     let _ = coordinator.run(jobs, &chaos);
     // the coordinator journal never compacts: epochs are 1, 2, …
     let decoded = (1u64..)

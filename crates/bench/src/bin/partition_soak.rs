@@ -2,7 +2,7 @@
 //!
 //! Sweeps link-partition windows (symmetric and asymmetric, varying
 //! heal times) crossed with a concurrent whole-pod loss over the
-//! membership-enabled coordinator, and checks the partition-tolerance
+//! coordinator's heartbeat leases, and checks the partition-tolerance
 //! invariants: exactly-once acceptance under fencing, no acceptance
 //! from expired leases, replayable anti-entropy rejoin, availability
 //! floors, and byte-stable reports.
@@ -11,7 +11,7 @@
 //! partition_soak                  # full scenario grid
 //! partition_soak --smoke          # bounded CI scenario (~seconds)
 //! partition_soak --json out.json  # also write the byte-stable PartitionReport JSON
-//! partition_soak --seeds 3 --windows 4 --lease 12 ...   # explicit spec
+//! partition_soak --seeds 3 --windows 4 ...   # explicit spec
 //! partition_soak --telemetry t.json   # (telemetry builds) Chrome-trace export
 //! ```
 //!

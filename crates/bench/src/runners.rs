@@ -525,16 +525,16 @@ pub struct PartitionCostRow {
 /// thresholds on a 4-pod fleet over a 900 s horizon. Pure cost model —
 /// byte-stable like [`fig9_scaling_rows`].
 pub fn fig9_partition_rows() -> Vec<PartitionCostRow> {
-    let mc = distmsm_fleet::MembershipConfig::default();
+    use distmsm_fleet::membership::{HEARTBEAT_S, LEASE_S, REPLACE_GRACE_S};
     let n_pods = 4.0;
     let horizon_s = 900.0;
     [5.0f64, 15.0, 45.0, 120.0, 300.0]
         .into_iter()
         .map(|partition_s| PartitionCostRow {
             partition_s,
-            detect_s: mc.heartbeat_s,
-            fenced: partition_s > mc.lease_s,
-            replaced: partition_s > mc.lease_s + mc.replace_grace_s,
+            detect_s: HEARTBEAT_S,
+            fenced: partition_s > LEASE_S,
+            replaced: partition_s > LEASE_S + REPLACE_GRACE_S,
             unavailable_frac: partition_s.min(horizon_s) / horizon_s / n_pods,
         })
         .collect()

@@ -379,7 +379,7 @@ fn service_restore_check(
     let mut merged = before;
     merged.extend(outcome.events.iter().cloned());
     run.n_events += merged.len();
-    let inner = pod_soak::check_invariants(jobs, &merged, &outcome.completed, config);
+    let inner = pod_soak::check_invariants(jobs, &merged, &outcome.completed);
     v.nest("crash-invariant", what, inner);
 
     Some(RestoreStats {
@@ -400,8 +400,7 @@ fn service_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
     svc.begin(jobs.clone());
     while svc.step(&chaos) {}
     let reference = svc.finish();
-    let baseline =
-        pod_soak::check_invariants(&jobs, &reference.events, &reference.completed, &config);
+    let baseline = pod_soak::check_invariants(&jobs, &reference.events, &reference.completed);
     run.violations.nest("crash-baseline", "service baseline", baseline);
     let durable = svc.durable().clone();
     let n_records = durable.journal.n_records();

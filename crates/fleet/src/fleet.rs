@@ -28,12 +28,14 @@ use distmsm_service::{
     RecoveryInfo, ServiceConfig, ServiceEvent, ServiceReport, StolenJob,
 };
 
-use crate::membership::{Membership, MembershipAction, MembershipConfig};
+use crate::membership::{Membership, MembershipAction};
 use crate::outsource::{Challenge, Corruption, OutsourcedResult};
 use crate::report::FleetReport;
 use crate::wal::{self as fleet_wal, FleetRecord, FleetState, FleetWal};
 
 /// Fleet-level configuration: identical pods behind one coordinator.
+/// Every fleet steals work between pod queues and holds each pod to a
+/// heartbeat lease ([`crate::membership`]).
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Number of pods.
@@ -43,12 +45,6 @@ pub struct FleetConfig {
     pub pod: ServiceConfig,
     /// Seed for the per-job 2G2T challenges.
     pub check_seed: u64,
-    /// Enables work stealing between pod queues.
-    pub steal: bool,
-    /// Heartbeat-lease membership. `None` preserves the pre-partition
-    /// fleet exactly: no leases, no fencing, every pod permanently
-    /// reachable (the legacy soaks and goldens stay byte-identical).
-    pub membership: Option<MembershipConfig>,
 }
 
 /// A byzantine window: between `t0_s` and `t1_s` the pod corrupts every
@@ -269,10 +265,9 @@ pub struct FleetCoordinator<C: Curve> {
     last_good: Option<OutsourcedResult<C>>,
     checker: DistMsm,
     wal: FleetWal,
-    /// Lease table, built lazily on the first [`Self::run_loop`] pass
-    /// when `config.membership` is set (it needs the run's partition
-    /// schedule to bound its clock).
-    membership: Option<Membership>,
+    /// One heartbeat lease per pod. Without partition windows no lease
+    /// lapses, so every fencing check below passes.
+    membership: Membership,
     /// Per pod: stale job copies left behind by a post-fence
     /// re-placement, keyed by job id with the copy's placement epoch.
     /// Consumed by rejoin's `fence_discard` pass and by the zombie
@@ -294,7 +289,7 @@ impl<C: Curve> FleetCoordinator<C> {
             specs: BTreeMap::new(),
             last_good: None,
             checker: DistMsm::new(MultiGpuSystem::dgx_a100(1)),
-            membership: None,
+            membership: Membership::new(config.n_pods),
             stale_copies: vec![BTreeMap::new(); config.n_pods],
             config,
             pods,
@@ -428,9 +423,15 @@ impl<C: Curve> FleetCoordinator<C> {
         let snapshot_every = fleet.config.pod.snapshot_every;
         fleet.wal = FleetWal::resume(coordinator.reopen()?, rec.state, n_pods, snapshot_every);
 
+        // The lease table is volatile: pods the durable fold has fenced
+        // take the rejoin path, not a second fence.
+        let now = fleet.pods.iter().map(|p| p.clock_s()).fold(0.0, f64::max);
+        for p in (0..n_pods).filter(|&p| fleet.wal.state().fenced[p]) {
+            fleet.membership.restore_fence(p, now);
+        }
+
         // Journal the restore-time re-placements (the fold must track
         // the new ownership, exactly like a live placement).
-        let now = fleet.pods.iter().map(|p| p.clock_s()).fold(0.0, f64::max);
         for &(id, pod) in &replacements {
             let epoch = fleet.wal.state().pod_epochs[pod];
             fleet.record(now, FleetRecord::Placed { t_s: now, id, pod, epoch });
@@ -545,21 +546,6 @@ impl<C: Curve> FleetCoordinator<C> {
     }
 
     fn run_loop(&mut self, chaos: &FleetChaos) {
-        if self.membership.is_none() {
-            if let Some(mc) = self.config.membership {
-                let mut m = Membership::new(mc, self.config.n_pods, &chaos.partitions);
-                // A restored fleet may come back with pods already
-                // fenced in the durable fold; sync the lease table so
-                // they take the rejoin path, not a double fence.
-                let now = self.pods.iter().map(|p| p.clock_s()).fold(0.0, f64::max);
-                for p in 0..self.config.n_pods {
-                    if self.wal.state().fenced[p] {
-                        m.restore_fence(p, now);
-                    }
-                }
-                self.membership = Some(m);
-            }
-        }
         loop {
             // Next pod event vs. next membership transition, in global
             // time order; ties go to membership so a pod never runs
@@ -567,22 +553,15 @@ impl<C: Curve> FleetCoordinator<C> {
             let pod_next = (0..self.config.n_pods)
                 .filter_map(|p| self.pods[p].next_time().map(|t| (t, p)))
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mem_next =
-                self.membership.as_ref().and_then(|m| m.next_event_s(pod_next.is_some()));
+            let mem_next = self.membership.next_event_s(pod_next.is_some(), &chaos.partitions);
             let pod = match (pod_next, mem_next) {
-                (None, None) => break,
-                (Some((tp, pod)), Some(tm)) => {
-                    if tm <= tp {
-                        self.membership_step(tm, chaos);
-                        continue;
-                    }
-                    pod
-                }
+                (Some((tp, pod)), Some(tm)) if tp < tm => pod,
                 (Some((_, pod)), None) => pod,
-                (None, Some(tm)) => {
+                (_, Some(tm)) => {
                     self.membership_step(tm, chaos);
                     continue;
                 }
+                (None, None) => break,
             };
             self.pods[pod].step(&chaos.pods[pod]);
             let now = self.pods[pod].clock_s();
@@ -591,27 +570,20 @@ impl<C: Curve> FleetCoordinator<C> {
             // results wait for anti-entropy rejoin). Undrained
             // completions park in the pod's buffer — its WAL already
             // journaled them, so nothing is lost.
-            let fenced = self.membership.as_ref().is_some_and(|m| m.lease(pod).fenced);
+            let fenced = self.membership.lease(pod).fenced;
             if !fenced && chaos.partitions.pod_reaches_coordinator(pod, now) {
                 for done in self.pods[pod].drain_completed() {
                     self.check_completion(pod, done, chaos);
                 }
             }
             self.drain_quarantined(chaos);
-            if self.config.steal {
-                self.rebalance(chaos);
-            }
+            self.rebalance(chaos);
         }
     }
 
     /// Executes the membership transitions due at `t_s`, in order.
     fn membership_step(&mut self, t_s: f64, chaos: &FleetChaos) {
-        let actions = self
-            .membership
-            .as_mut()
-            .expect("membership_step only runs with a lease table")
-            .poll(t_s, &chaos.partitions);
-        for action in actions {
+        for action in self.membership.poll(t_s, &chaos.partitions) {
             match action {
                 MembershipAction::Degrade(pod) => {
                     self.pods[pod].set_partitioned(t_s);
@@ -738,27 +710,25 @@ impl<C: Curve> FleetCoordinator<C> {
         }
     }
 
-    /// Runs the 2G2T check on one completion; accepts, detects, or —
-    /// under membership — discards a zombie (a completion for a job the
-    /// fleet re-placed or already accepted while the pod was fenced).
+    /// Runs the 2G2T check on one completion; accepts, detects, or
+    /// discards a zombie (a completion for a job the fleet re-placed or
+    /// already accepted while the pod was fenced).
     fn check_completion(&mut self, pod: usize, done: CompletedJob<C>, chaos: &FleetChaos) {
         let now = self.pods[pod].clock_s();
         // The fencing guard: exactly-once is preserved by epochs, not
         // by assuming connectivity. A hand-off from an expired lease is
         // rejected *on arrival*, whatever the network did meanwhile.
-        if self.membership.is_some() {
-            let st = self.wal.state();
-            let already = self.accepted.iter().any(|a| a.id == done.id);
-            let owned = st.placed_on.get(&done.id) == Some(&pod);
-            let fresh = st.placed_epoch.get(&done.id).copied() == Some(st.pod_epochs[pod]);
-            if already || !owned || !fresh {
-                let stale_epoch = self.stale_copies[pod]
-                    .remove(&done.id)
-                    .unwrap_or_else(|| st.pod_epochs[pod].saturating_sub(1));
-                let id = done.id;
-                self.record(now, FleetRecord::Discarded { t_s: now, id, pod, epoch: stale_epoch });
-                return;
-            }
+        let st = self.wal.state();
+        let already = self.accepted.iter().any(|a| a.id == done.id);
+        let owned = st.placed_on.get(&done.id) == Some(&pod);
+        let fresh = st.placed_epoch.get(&done.id).copied() == Some(st.pod_epochs[pod]);
+        if already || !owned || !fresh {
+            let stale_epoch = self.stale_copies[pod]
+                .remove(&done.id)
+                .unwrap_or_else(|| st.pod_epochs[pod].saturating_sub(1));
+            let id = done.id;
+            self.record(now, FleetRecord::Discarded { t_s: now, id, pod, epoch: stale_epoch });
+            return;
         }
         // Invariant: every dispatchable job's spec was recorded at
         // placement (or at restore from the durable fold), so a pod can
@@ -924,11 +894,11 @@ impl<C: Curve> FleetCoordinator<C> {
 
     /// Is `p` a valid hand-off target at `now`: placeable in the fold
     /// (not quarantined, not behind a fence), not in degraded mode, and
-    /// with a round-trip coordinator↔pod path. Without membership and
-    /// partitions this is exactly the legacy `!quarantined` predicate.
+    /// with a round-trip coordinator↔pod path. Without partitions this
+    /// is `!quarantined`.
     fn pod_live(&self, p: usize, now: f64, chaos: &FleetChaos) -> bool {
         self.wal.state().placeable(p)
-            && self.membership.as_ref().is_none_or(|m| !m.lease(p).degraded)
+            && !self.membership.lease(p).degraded
             && chaos.partitions.round_trip_ok(p, now)
     }
 

@@ -56,7 +56,7 @@ pub use fleet::{
     AcceptedJob, FleetChaos, FleetConfig, FleetCoordinator, FleetEvent, FleetEventKind,
     FleetOutcome, FleetRecoveryInfo,
 };
-pub use membership::{LeaseState, Membership, MembershipAction, MembershipConfig};
+pub use membership::{LeaseState, Membership, MembershipAction};
 pub use outsource::{Challenge, Corruption, OutsourcedResult, N_DECOYS};
 pub use partition::{PartitionReport, PartitionSoakSpec};
 pub use report::{FleetReport, PodStats};

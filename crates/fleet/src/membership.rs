@@ -28,37 +28,27 @@
 //! records, service-mode flips, re-placements — stay in the
 //! coordinator, which executes the returned [`MembershipAction`]s in
 //! order. Every decision derives from the partition schedule and the
-//! configured intervals, so membership is as deterministic as the rest
-//! of the simulation.
+//! intervals below, so membership is as deterministic as the rest of the
+//! simulation. Without partition windows every round trip succeeds, so
+//! no lease ever lapses and membership takes no action at all.
 
 use distmsm_comms::PartitionSchedule;
 
 /// Tolerance for comparing event times on the simulated clock.
 const EPS: f64 = 1e-9;
 
-/// Lease and heartbeat intervals for a fleet.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MembershipConfig {
-    /// Lease duration: a pod whose last heartbeat request is older than
-    /// this is fenced.
-    pub lease_s: f64,
-    /// Heartbeat interval: round trips are attempted at every multiple
-    /// of this (the detection latency for a partition).
-    pub heartbeat_s: f64,
-    /// Grace period between fencing a pod and re-placing its orphaned
-    /// jobs. A partition that heals within the grace costs nothing but
-    /// the degraded window; one that outlives it costs re-execution of
-    /// the orphans (their stale copies are discarded by fencing).
-    pub replace_grace_s: f64,
-}
-
-impl Default for MembershipConfig {
-    /// Heartbeat every 5 s, fence after 12 s of silence, re-place
-    /// orphans 20 s after the fence.
-    fn default() -> Self {
-        Self { lease_s: 12.0, heartbeat_s: 5.0, replace_grace_s: 20.0 }
-    }
-}
+/// Lease duration: a pod whose last heartbeat request is older than this
+/// is fenced. Outlives one heartbeat, or healthy pods would be fenced
+/// between rounds.
+pub const LEASE_S: f64 = 12.0;
+/// Heartbeat interval: round trips are attempted at every multiple of
+/// this (the detection latency for a partition).
+pub const HEARTBEAT_S: f64 = 5.0;
+/// Grace period between fencing a pod and re-placing its orphaned jobs.
+/// A partition that heals within the grace costs nothing but the
+/// degraded window; one that outlives it costs re-execution of the
+/// orphans (their stale copies are discarded by fencing).
+pub const REPLACE_GRACE_S: f64 = 20.0;
 
 /// One pod's lease as the coordinator tracks it.
 #[derive(Clone, Debug)]
@@ -97,52 +87,18 @@ pub enum MembershipAction {
 /// heartbeat tick counter.
 #[derive(Clone, Debug)]
 pub struct Membership {
-    config: MembershipConfig,
     /// Index of the next heartbeat round (round `k` fires at
-    /// `k * heartbeat_s`; round 0 is the initial grant, not a tick).
+    /// `k * HEARTBEAT_S`; round 0 is the initial grant, not a tick).
     tick: u64,
     leases: Vec<LeaseState>,
-    /// Past this instant nothing can change any more once the pods are
-    /// idle: every partition window has closed, every fence and grace
-    /// that could fire has fired, and two more rounds have passed.
-    idle_deadline_s: f64,
 }
 
 impl Membership {
     /// Grants every pod an initial lease at `t = 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < heartbeat_s < lease_s` and
-    /// `replace_grace_s >= 0` — a lease shorter than the heartbeat
-    /// would fence healthy pods between rounds.
-    pub fn new(config: MembershipConfig, n_pods: usize, partitions: &PartitionSchedule) -> Self {
-        assert!(config.heartbeat_s > 0.0, "heartbeat interval must be positive");
-        assert!(config.lease_s > config.heartbeat_s, "lease must outlive one heartbeat");
-        assert!(config.replace_grace_s >= 0.0, "replace grace must be non-negative");
-        let last_transition = partitions
-            .transition_times()
-            .into_iter()
-            .filter(|t| t.is_finite())
-            .fold(0.0f64, f64::max);
-        let idle_deadline_s = last_transition
-            + config.lease_s
-            + config.replace_grace_s
-            + 2.0 * config.heartbeat_s;
-        let leases = (0..n_pods)
-            .map(|_| LeaseState {
-                expires_s: config.lease_s,
-                fenced: false,
-                degraded: false,
-                replace_at_s: None,
-            })
-            .collect();
-        Self { config, tick: 1, leases, idle_deadline_s }
-    }
-
-    /// The configured intervals.
-    pub fn config(&self) -> &MembershipConfig {
-        &self.config
+    pub fn new(n_pods: usize) -> Self {
+        let lease =
+            LeaseState { expires_s: LEASE_S, fenced: false, degraded: false, replace_at_s: None };
+        Self { tick: 1, leases: vec![lease; n_pods] }
     }
 
     /// Marks a pod fenced at restore time — the durable fleet fold says
@@ -153,7 +109,7 @@ impl Membership {
         let lease = &mut self.leases[pod];
         lease.fenced = true;
         lease.degraded = true;
-        lease.replace_at_s = Some(now_s + self.config.replace_grace_s);
+        lease.replace_at_s = Some(now_s + REPLACE_GRACE_S);
     }
 
     /// One pod's lease state.
@@ -169,7 +125,7 @@ impl Membership {
     }
 
     fn next_tick_s(&self) -> f64 {
-        self.tick as f64 * self.config.heartbeat_s
+        self.tick as f64 * HEARTBEAT_S
     }
 
     /// The next instant a membership transition can happen: the next
@@ -177,10 +133,13 @@ impl Membership {
     /// earliest pending replace deadline.
     ///
     /// With `pods_active == false` the clock keeps ticking only up to
-    /// the idle deadline — late partition windows still fence and
-    /// rejoin an idle fleet, but a partition that never heals leaves
-    /// its pod degraded forever rather than spinning the simulation.
-    pub fn next_event_s(&self, pods_active: bool) -> Option<f64> {
+    /// the idle deadline — past it nothing can change any more: every
+    /// window of `partitions` has closed, every fence and grace that
+    /// could fire has fired, and two more rounds have passed. Late
+    /// partition windows still fence and rejoin an idle fleet, but a
+    /// partition that never heals leaves its pod degraded forever rather
+    /// than spinning the simulation.
+    pub fn next_event_s(&self, pods_active: bool, partitions: &PartitionSchedule) -> Option<f64> {
         let mut next = self.next_tick_s();
         for lease in &self.leases {
             if !lease.fenced {
@@ -190,8 +149,15 @@ impl Membership {
                 next = next.min(r);
             }
         }
-        if !pods_active && next > self.idle_deadline_s {
-            return None;
+        if !pods_active {
+            let last_transition = partitions
+                .transition_times()
+                .into_iter()
+                .filter(|t| t.is_finite())
+                .fold(0.0f64, f64::max);
+            if next > last_transition + LEASE_S + REPLACE_GRACE_S + 2.0 * HEARTBEAT_S {
+                return None;
+            }
         }
         Some(next)
     }
@@ -213,7 +179,7 @@ impl Membership {
                 if request_ok {
                     // The request leg renews the lease on arrival even
                     // when the response cannot be delivered.
-                    lease.expires_s = t_s + self.config.lease_s;
+                    lease.expires_s = t_s + LEASE_S;
                 }
                 if request_ok && response_ok {
                     if lease.fenced {
@@ -235,7 +201,7 @@ impl Membership {
             let lease = &mut self.leases[pod];
             if !lease.fenced && t_s + EPS >= lease.expires_s {
                 lease.fenced = true;
-                lease.replace_at_s = Some(t_s + self.config.replace_grace_s);
+                lease.replace_at_s = Some(t_s + REPLACE_GRACE_S);
                 actions.push(MembershipAction::Fence(pod));
             }
         }
@@ -257,13 +223,9 @@ mod tests {
     use super::*;
     use distmsm_comms::{PartitionDirection, PartitionWindow};
 
-    fn cfg() -> MembershipConfig {
-        MembershipConfig { lease_s: 12.0, heartbeat_s: 5.0, replace_grace_s: 20.0 }
-    }
-
     fn drive(m: &mut Membership, parts: &PartitionSchedule, until_s: f64) -> Vec<(f64, MembershipAction)> {
         let mut out = Vec::new();
-        while let Some(t) = m.next_event_s(true) {
+        while let Some(t) = m.next_event_s(true, parts) {
             if t > until_s {
                 break;
             }
@@ -277,11 +239,11 @@ mod tests {
     #[test]
     fn healthy_pods_never_fence_and_ticks_stop_when_idle() {
         let parts = PartitionSchedule::none();
-        let mut m = Membership::new(cfg(), 2, &parts);
+        let mut m = Membership::new(2);
         let actions = drive(&mut m, &parts, 100.0);
         assert!(actions.is_empty(), "no partitions, no transitions: {actions:?}");
         assert!(!m.outstanding());
-        assert_eq!(m.next_event_s(false), None, "idle fleet stops the membership clock");
+        assert_eq!(m.next_event_s(false, &parts), None, "idle fleet stops the membership clock");
     }
 
     #[test]
@@ -295,7 +257,7 @@ mod tests {
             t1_s: 31.0,
             direction: PartitionDirection::Symmetric,
         }]);
-        let mut m = Membership::new(cfg(), 2, &parts);
+        let mut m = Membership::new(2);
         let actions = drive(&mut m, &parts, 60.0);
         assert_eq!(
             actions,
@@ -319,7 +281,7 @@ mod tests {
             t1_s: 23.0,
             direction: PartitionDirection::CoordinatorToPod,
         }]);
-        let mut m = Membership::new(cfg(), 2, &parts);
+        let mut m = Membership::new(2);
         let actions = drive(&mut m, &parts, 60.0);
         assert_eq!(
             actions,
@@ -338,7 +300,7 @@ mod tests {
             t1_s: 48.0,
             direction: PartitionDirection::PodToCoordinator,
         }]);
-        let mut m = Membership::new(cfg(), 2, &parts);
+        let mut m = Membership::new(2);
         let actions = drive(&mut m, &parts, 60.0);
         assert_eq!(
             actions,
@@ -359,14 +321,14 @@ mod tests {
             t1_s: f64::INFINITY,
             direction: PartitionDirection::Symmetric,
         }]);
-        let mut m = Membership::new(cfg(), 1, &parts);
+        let mut m = Membership::new(1);
         // Drain everything due while the fleet still has pod events.
         let _ = drive(&mut m, &parts, 100.0);
         assert!(m.outstanding(), "the pod stays fenced forever");
         // Once the pods go idle, the clock refuses to spin past the
         // idle deadline even though the fence never clears.
         let mut guard = 0;
-        while let Some(t) = m.next_event_s(false) {
+        while let Some(t) = m.next_event_s(false, &parts) {
             let _ = m.poll(t, &parts);
             guard += 1;
             assert!(guard < 10_000, "membership clock must terminate");

@@ -4,7 +4,7 @@
 //! One [`PartitionSoakSpec`] derives a grid of scenarios — partition
 //! window sets (different seeds give different windows, directions and
 //! heal times) crossed with an optional concurrent whole-pod loss — and
-//! replays each against the membership-enabled coordinator. Per
+//! replays each against the coordinator's heartbeat leases. Per
 //! scenario the soak checks:
 //!
 //! * **partition-exactly-once** — no job is 2G2T-accepted twice, and
@@ -42,7 +42,6 @@ use distmsm_service::harness::{
 use distmsm_service::JobSpec;
 
 use crate::fleet::{FleetCoordinator, FleetEventKind, FleetOutcome};
-use crate::membership::MembershipConfig;
 use crate::soak::{self as fleet_soak, FleetSoakSpec};
 use crate::wal::{FleetRecord, FleetState};
 
@@ -54,8 +53,6 @@ pub struct PartitionSoakSpec {
     /// `lost_pod` is *not* applied directly — it names the pod the
     /// crash half of the scenario grid loses.
     pub fleet: FleetSoakSpec,
-    /// Heartbeat-lease intervals for every scenario.
-    pub membership: MembershipConfig,
     /// Seed of the first scenario's partition windows.
     pub partition_seed: u64,
     /// Partition windows per scenario.
@@ -88,7 +85,6 @@ impl Scenario for PartitionSoakSpec {
                 byzantine_pod: None,
                 lost_pod: Some(2),
             },
-            membership: MembershipConfig::default(),
             partition_seed: 41,
             n_windows: 3,
             n_seeds: 2,
@@ -113,7 +109,6 @@ impl Scenario for PartitionSoakSpec {
                 byzantine_pod: None,
                 lost_pod: Some(2),
             },
-            membership: MembershipConfig::default(),
             partition_seed: 41,
             n_windows: 4,
             n_seeds: 3,
@@ -123,9 +118,6 @@ impl Scenario for PartitionSoakSpec {
 
     fn flags(&mut self, f: &mut Flags<'_>) {
         f.nested("fleet", &mut self.fleet);
-        f.field("lease", &mut self.membership.lease_s);
-        f.field("heartbeat", &mut self.membership.heartbeat_s);
-        f.field("replace-grace", &mut self.membership.replace_grace_s);
         f.field("partition-seed", &mut self.partition_seed);
         f.field("windows", &mut self.n_windows);
         f.field("seeds", &mut self.n_seeds);
@@ -281,9 +273,7 @@ fn execute_scenario(
         fleet_spec.n_pods,
         fleet_spec.horizon_s,
     );
-    let mut config = fleet_soak::fleet_config(&fleet_spec);
-    config.membership = Some(spec.membership);
-    let mut coordinator = FleetCoordinator::new(config);
+    let mut coordinator = FleetCoordinator::new(fleet_soak::fleet_config(&fleet_spec));
     let outcome = coordinator.run(jobs.clone(), &chaos);
     let records = coordinator
         .durable()
@@ -400,7 +390,6 @@ mod tests {
                 byzantine_pod: None,
                 lost_pod: None,
             },
-            membership: MembershipConfig::default(),
             partition_seed: 41,
             n_windows: 2,
             n_seeds: 2,
@@ -463,7 +452,8 @@ mod tests {
         let perturbed = PartitionSoakSpec { n_windows: 5, availability_floor: 0.1 + 0.2, ..tiny() };
         for spec in [PartitionSoakSpec::smoke(), PartitionSoakSpec::full(), perturbed] {
             let cli = spec.cli();
-            assert!(cli.contains("--fleet-jobs") && cli.contains("--lease"), "{cli}");
+            assert!(cli.contains("--fleet-jobs") && cli.contains("--windows"), "{cli}");
+            assert!(!cli.contains("--lease") && !cli.contains("--heartbeat"), "{cli}");
             let args: Vec<String> = cli.split(' ').map(str::to_owned).collect();
             assert_eq!(PartitionSoakSpec::from_args(&args), spec, "{cli}");
         }

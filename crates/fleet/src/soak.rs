@@ -15,6 +15,8 @@ use distmsm_ec::curves::Bn254G1;
 use distmsm_service::harness::{
     arrival_trace, bit_exact, by_id, Flags, Ledger, LedgerIds, Run, Scenario, Violations,
 };
+use distmsm_service::breaker::FAULT_THRESHOLD;
+use distmsm_service::soak::MIN_COMPLETION_RATE;
 use distmsm_service::{
     BreakerState, ChaosSchedule, JobSpec, ServiceConfig, ServiceEvent, ServiceEventKind,
     TenantConfig,
@@ -187,13 +189,10 @@ pub fn fleet_config(spec: &FleetSoakSpec) -> FleetConfig {
         ..ServiceConfig::default()
     };
     pod.gpus_per_job = pod.gpus_per_job.min(spec.devices_per_pod);
-    pod.degraded_gpus_per_job = pod.degraded_gpus_per_job.min(spec.devices_per_pod);
     FleetConfig {
         n_pods: spec.n_pods,
         pod,
         check_seed: spec.arrival_seed ^ spec.fault_seed.rotate_left(17) ^ 0x2620_2620,
-        steal: true,
-        membership: None,
     }
 }
 
@@ -324,7 +323,7 @@ pub fn check_fleet_invariants(
 
     // 1, 2, 4: the shared ledger. A pod-level `Completed` is not
     // terminal; `Verified` is, and it leaves no queue epoch open.
-    let mut ledger = Ledger::new(LedgerIds::FLEET, &by_id, &config.pod.shed);
+    let mut ledger = Ledger::new(LedgerIds::FLEET, &by_id);
     for entry in &timeline {
         let v = &mut violations;
         match entry {
@@ -380,7 +379,7 @@ pub fn check_fleet_invariants(
     if let Some(pod) = spec.lost_pod {
         let loss_s = loss_time(spec);
         let mut last_dispatch: std::collections::BTreeMap<u64, f64> = Default::default();
-        let mut post_loss_dispatches = vec![0u32; spec.devices_per_pod];
+        let mut post_loss_dispatches = vec![0u32; config.pod.n_devices];
         for (p, e) in &outcome.pod_events {
             if *p != pod {
                 continue;
@@ -412,28 +411,27 @@ pub fn check_fleet_invariants(
                 _ => {}
             }
         }
-        let threshold = config.pod.breaker.fault_threshold;
-        let all_tripped = post_loss_dispatches.iter().all(|&n| n >= threshold);
+        let all_tripped = post_loss_dispatches.iter().all(|&n| n >= FAULT_THRESHOLD);
         let states = &outcome.pod_reports[pod].final_states;
         if all_tripped && states.contains(&BreakerState::Closed) {
             violations.fail(
                 "pod-loss",
                 format!(
                     "lost pod {pod} ended with breakers {states:?} despite every device \
-                     faulting at least {threshold} dispatches past the loss"
+                     faulting at least {FAULT_THRESHOLD} dispatches past the loss"
                 ),
             );
         }
     }
 
     // 7: the fleet-scope completion floor.
-    if outcome.report.completion_rate() < config.pod.shed.min_completion_rate {
+    if outcome.report.completion_rate() < MIN_COMPLETION_RATE {
         violations.fail(
             "fleet-completion-floor",
             format!(
                 "fleet completion rate {:.3} fell below the shed-policy floor {:.3}",
                 outcome.report.completion_rate(),
-                config.pod.shed.min_completion_rate
+                MIN_COMPLETION_RATE
             ),
         );
     }

@@ -84,9 +84,8 @@ fn partition_soak_events_and_counters_are_journal_views() {
             let mut chaos = build_fleet_chaos(&spec);
             chaos.partitions =
                 PartitionSchedule::random(seed, smoke.n_windows, spec.n_pods, spec.horizon_s);
-            let mut config = fleet_config(&spec);
-            config.membership = Some(smoke.membership);
-            check_fleet(config, &spec, &chaos, &format!("partition seed {seed} lost {lost_pod:?}"));
+            let what = format!("partition seed {seed} lost {lost_pod:?}");
+            check_fleet(fleet_config(&spec), &spec, &chaos, &what);
         }
     }
 }

@@ -32,7 +32,7 @@ fn admit(wal: &mut ServiceWal, id: u64, queue_len: usize) {
 #[test]
 fn a_torn_steal_is_never_reabsorbed_onto_a_fenced_pod() {
     let pod = ServiceConfig { n_devices: 2, gpus_per_job: 2, ..ServiceConfig::default() };
-    let config = FleetConfig { n_pods: 3, pod, check_seed: 1, steal: true, membership: None };
+    let config = FleetConfig { n_pods: 3, pod, check_seed: 1 };
 
     // Coordinator: j1 → pod 1, j2 → pod 2, j3 → pod 1, then pod 0's
     // lease lapses. Pod 0 owns nothing, so it has the shortest queue.

@@ -1,8 +1,7 @@
-//! Admission control: bounded per-tenant queues, a typed rejection
-//! error, and the explicit shed policy that trades batch work for
-//! interactive survival under overload.
-
-use crate::job::JobClass;
+//! Admission control: bounded per-tenant queues and a typed rejection
+//! error. The shed policy that trades batch work for interactive
+//! survival under overload is the pressure thresholds in
+//! [`crate::service`] and the class bounds of [`crate::job::JobClass`].
 
 /// Why the service refused a job at the door.
 ///
@@ -132,53 +131,6 @@ impl TenantConfig {
     }
 }
 
-/// The explicit load-shed policy: *when* the service starts refusing
-/// work and *what* it refuses, instead of silent drops.
-///
-/// Pressure is total queued jobs over total queue capacity, in `[0, 1]`.
-#[derive(Clone, Copy, Debug)]
-pub struct ShedPolicy {
-    /// Pressure at or above which batch-class jobs are refused at the
-    /// door ([`AdmissionError::Shedding`]). Interactive jobs are never
-    /// door-shed; their protection is the queue bound itself.
-    pub shed_pressure: f64,
-    /// Pressure at or above which dispatch trades latency for survival:
-    /// jobs run on the degraded (smaller) partition size so more jobs
-    /// run concurrently.
-    pub degrade_pressure: f64,
-    /// The completion-rate floor the policy promises: the soak asserts
-    /// `completed / admitted` stays at or above this under chaos.
-    pub min_completion_rate: f64,
-    /// Starvation bound for interactive jobs, seconds of continuous
-    /// queue wait.
-    pub interactive_bound_s: f64,
-    /// Starvation bound for batch jobs, seconds of continuous queue
-    /// wait.
-    pub batch_bound_s: f64,
-}
-
-impl ShedPolicy {
-    /// The starvation bound for a job class, in seconds.
-    pub fn class_bound(&self, class: JobClass) -> f64 {
-        match class {
-            JobClass::Interactive => self.interactive_bound_s,
-            JobClass::Batch => self.batch_bound_s,
-        }
-    }
-}
-
-impl Default for ShedPolicy {
-    fn default() -> Self {
-        Self {
-            shed_pressure: 0.75,
-            degrade_pressure: 0.5,
-            min_completion_rate: 0.5,
-            interactive_bound_s: 2.0,
-            batch_bound_s: 30.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,8 +156,10 @@ mod tests {
 
     #[test]
     fn shed_policy_bounds_by_class() {
-        let p = ShedPolicy::default();
-        assert!(p.class_bound(JobClass::Interactive) < p.class_bound(JobClass::Batch));
-        assert!(p.shed_pressure > p.degrade_pressure);
+        use crate::job::JobClass;
+        use crate::service::{DEGRADE_PRESSURE, SHED_PRESSURE};
+        assert!(JobClass::Interactive.bound_s() < JobClass::Batch.bound_s());
+        // dispatch degrades before the door starts shedding
+        const { assert!(SHED_PRESSURE > DEGRADE_PRESSURE) };
     }
 }

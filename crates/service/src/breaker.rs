@@ -3,7 +3,7 @@
 //! subsequent request.
 //!
 //! ```text
-//!            fault_threshold consecutive faults
+//!            FAULT_THRESHOLD consecutive faults
 //!   CLOSED ────────────────────────────────────▶ OPEN
 //!     ▲                                           │ probation backoff
 //!     │ probe succeeds                            ▼ elapses
@@ -39,41 +39,24 @@ impl BreakerState {
     }
 }
 
-/// Tunables of the per-device breaker state machine.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive faults that trip a closed breaker open.
-    pub fault_threshold: u32,
-    /// First probation window, seconds.
-    pub probation_base_s: f64,
-    /// Probation growth per consecutive open spell (>= 1).
-    pub probation_factor: f64,
-    /// Saturation cap on the probation window, seconds.
-    pub probation_cap_s: f64,
-}
+/// Consecutive faults that trip a closed breaker open.
+pub const FAULT_THRESHOLD: u32 = 3;
+/// First probation window, seconds.
+pub const PROBATION_BASE_S: f64 = 2.0;
+/// Probation growth per consecutive open spell (>= 1).
+pub const PROBATION_FACTOR: f64 = 2.0;
+/// Saturation cap on the probation window, seconds.
+pub const PROBATION_CAP_S: f64 = 64.0;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            fault_threshold: 3,
-            probation_base_s: 2.0,
-            probation_factor: 2.0,
-            probation_cap_s: 64.0,
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// The probation window after `spell` consecutive open spells
-    /// (0-based: the first trip waits `probation_base_s`), saturating at
-    /// [`Self::probation_cap_s`] instead of overflowing.
-    pub fn probation_for(&self, spell: u32) -> f64 {
-        let raw = self.probation_base_s * self.probation_factor.powi(spell.min(i32::MAX as u32) as i32);
-        if raw.is_finite() {
-            raw.min(self.probation_cap_s)
-        } else {
-            self.probation_cap_s
-        }
+/// The probation window after `spell` consecutive open spells (0-based:
+/// the first trip waits [`PROBATION_BASE_S`]), saturating at
+/// [`PROBATION_CAP_S`] instead of overflowing.
+pub fn probation_for(spell: u32) -> f64 {
+    let raw = PROBATION_BASE_S * PROBATION_FACTOR.powi(spell.min(i32::MAX as u32) as i32);
+    if raw.is_finite() {
+        raw.min(PROBATION_CAP_S)
+    } else {
+        PROBATION_CAP_S
     }
 }
 
@@ -185,17 +168,12 @@ impl CircuitBreaker {
     /// Records a fault charged to this device. A closed breaker trips
     /// open at the threshold; a half-open probe fault re-opens
     /// immediately with a doubled (saturating) probation window.
-    pub fn on_fault(
-        &mut self,
-        cfg: &BreakerConfig,
-        device: usize,
-        now_s: f64,
-    ) -> Option<PoolTransition> {
+    pub fn on_fault(&mut self, device: usize, now_s: f64) -> Option<PoolTransition> {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_faults = self.consecutive_faults.saturating_add(1);
-                if self.consecutive_faults >= cfg.fault_threshold {
-                    self.trip(cfg, now_s);
+                if self.consecutive_faults >= FAULT_THRESHOLD {
+                    self.trip(now_s);
                     return Some(PoolTransition {
                         device,
                         t_s: now_s,
@@ -207,7 +185,7 @@ impl CircuitBreaker {
                 None
             }
             BreakerState::HalfOpen => {
-                self.trip(cfg, now_s);
+                self.trip(now_s);
                 Some(PoolTransition {
                     device,
                     t_s: now_s,
@@ -222,9 +200,9 @@ impl CircuitBreaker {
         }
     }
 
-    fn trip(&mut self, cfg: &BreakerConfig, now_s: f64) {
+    fn trip(&mut self, now_s: f64) {
         self.state = BreakerState::Open;
-        self.open_until_s = now_s + cfg.probation_for(self.open_spells);
+        self.open_until_s = now_s + probation_for(self.open_spells);
         self.open_spells = self.open_spells.saturating_add(1);
         self.consecutive_faults = 0;
     }
@@ -236,18 +214,17 @@ mod tests {
 
     #[test]
     fn closed_trips_open_at_threshold_and_probation_readmits() {
-        let cfg = BreakerConfig::default();
         let mut b = CircuitBreaker::new();
-        assert!(b.on_fault(&cfg, 0, 1.0).is_none());
-        assert!(b.on_fault(&cfg, 0, 2.0).is_none());
-        let t = b.on_fault(&cfg, 0, 3.0).expect("third fault trips");
+        assert!(b.on_fault(0, 1.0).is_none());
+        assert!(b.on_fault(0, 2.0).is_none());
+        let t = b.on_fault(0, 3.0).expect("third fault trips");
         assert_eq!((t.from, t.to), (BreakerState::Closed, BreakerState::Open));
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.open_until_s(), 3.0 + cfg.probation_base_s);
+        assert_eq!(b.open_until_s(), 3.0 + PROBATION_BASE_S);
 
         // Probation elapses → half-open; probe success → closed.
         assert!(b.poll(0, 4.0).is_none(), "probation not elapsed yet");
-        let t = b.poll(0, 3.0 + cfg.probation_base_s).expect("half-open");
+        let t = b.poll(0, 3.0 + PROBATION_BASE_S).expect("half-open");
         assert_eq!(t.to, BreakerState::HalfOpen);
         let t = b.on_success(0, 6.0).expect("re-admitted");
         assert_eq!(t.to, BreakerState::Closed);
@@ -256,44 +233,38 @@ mod tests {
 
     #[test]
     fn probe_fault_reopens_with_doubled_backoff() {
-        let cfg = BreakerConfig::default();
         let mut b = CircuitBreaker::new();
-        for _ in 0..cfg.fault_threshold {
-            b.on_fault(&cfg, 1, 0.0);
+        for _ in 0..FAULT_THRESHOLD {
+            b.on_fault(1, 0.0);
         }
         b.poll(1, 100.0);
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        let t = b.on_fault(&cfg, 1, 100.0).expect("probe fault reopens");
+        let t = b.on_fault(1, 100.0).expect("probe fault reopens");
         assert_eq!((t.from, t.to), (BreakerState::HalfOpen, BreakerState::Open));
         // Second spell waits base * factor.
-        assert_eq!(
-            b.open_until_s(),
-            100.0 + cfg.probation_base_s * cfg.probation_factor
-        );
+        assert_eq!(b.open_until_s(), 100.0 + PROBATION_BASE_S * PROBATION_FACTOR);
     }
 
     #[test]
     fn probation_backoff_saturates_at_the_cap() {
-        let cfg = BreakerConfig::default();
         // base 2, factor 2, cap 64 → saturation at spell 5 (2·2^5 = 64).
-        assert_eq!(cfg.probation_for(4), 32.0);
-        assert_eq!(cfg.probation_for(5), 64.0);
-        assert_eq!(cfg.probation_for(6), 64.0);
+        assert_eq!(probation_for(4), 32.0);
+        assert_eq!(probation_for(5), 64.0);
+        assert_eq!(probation_for(6), 64.0);
         for spell in [64, 1_000, u32::MAX] {
-            let p = cfg.probation_for(spell);
+            let p = probation_for(spell);
             assert!(p.is_finite(), "spell {spell} overflowed: {p}");
-            assert_eq!(p, cfg.probation_cap_s);
+            assert_eq!(p, PROBATION_CAP_S);
         }
     }
 
     #[test]
     fn success_resets_the_fault_streak() {
-        let cfg = BreakerConfig::default();
         let mut b = CircuitBreaker::new();
-        b.on_fault(&cfg, 2, 0.0);
-        b.on_fault(&cfg, 2, 1.0);
+        b.on_fault(2, 0.0);
+        b.on_fault(2, 1.0);
         b.on_success(2, 2.0);
-        assert!(b.on_fault(&cfg, 2, 3.0).is_none(), "streak was reset");
+        assert!(b.on_fault(2, 3.0).is_none(), "streak was reset");
         assert_eq!(b.state(), BreakerState::Closed);
     }
 }

@@ -20,7 +20,6 @@ use distmsm_gpu_sim::fault::splitmix64;
 use distmsm_gpu_sim::MultiGpuSystem;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::admission::ShedPolicy;
 use crate::job::{JobClass, JobSpec};
 
 /// One detected invariant violation, from any soak.
@@ -190,7 +189,6 @@ impl LedgerIds {
 pub struct Ledger<'a> {
     ids: LedgerIds,
     by_id: &'a ById<'a>,
-    shed: &'a ShedPolicy,
     admitted: i64,
     terminated: i64,
     terminal_count: BTreeMap<u64, u32>,
@@ -200,12 +198,11 @@ pub struct Ledger<'a> {
 }
 
 impl<'a> Ledger<'a> {
-    /// An empty ledger over one arrival trace and its class bounds.
-    pub fn new(ids: LedgerIds, by_id: &'a ById<'a>, shed: &'a ShedPolicy) -> Self {
+    /// An empty ledger over one arrival trace.
+    pub fn new(ids: LedgerIds, by_id: &'a ById<'a>) -> Self {
         Self {
             ids,
             by_id,
-            shed,
             admitted: 0,
             terminated: 0,
             terminal_count: BTreeMap::new(),
@@ -235,7 +232,7 @@ impl<'a> Ledger<'a> {
         let Some(id) = job else { return };
         let Some(since) = self.queued_since.remove(&id) else { return };
         let Some(spec) = self.by_id.get(&id) else { return };
-        let bound = self.shed.class_bound(spec.class);
+        let bound = spec.class.bound_s();
         let waited = t_s - since;
         if waited > bound + EPS {
             v.fail(
@@ -651,11 +648,10 @@ mod tests {
     fn ledger_ids(feed: impl Fn(&mut Ledger<'_>, &mut Violations, f64)) -> Vec<&'static str> {
         let jobs = arrival_trace(1, [2, 3], 2, 10.0, 8, None);
         let by_id = by_id(&jobs);
-        let shed = ShedPolicy::default();
-        let bound = shed.interactive_bound_s.max(shed.batch_bound_s);
+        let bound = crate::job::INTERACTIVE_BOUND_S.max(crate::job::BATCH_BOUND_S);
         let replay = |ledger_ids| {
             let mut v = Violations::default();
-            let mut ledger = Ledger::new(ledger_ids, &by_id, &shed);
+            let mut ledger = Ledger::new(ledger_ids, &by_id);
             feed(&mut ledger, &mut v, bound);
             ledger.finish(&mut v);
             ids(&v)

@@ -4,8 +4,9 @@
 
 use distmsm_ec::{Curve, MsmInstance};
 
-/// Service class of a job: decides its starvation bound and whether the
-/// shed policy may drop it at the door under overload.
+/// Service class of a job: decides its starvation bound
+/// ([`JobClass::bound_s`]) and whether the shed policy may drop it at the
+/// door under overload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobClass {
     /// Latency-sensitive (a user waiting on a proof): short starvation
@@ -16,12 +17,27 @@ pub enum JobClass {
     Batch,
 }
 
+/// Starvation bound for interactive jobs, seconds of continuous queue
+/// wait.
+pub const INTERACTIVE_BOUND_S: f64 = 2.0;
+/// Starvation bound for batch jobs, seconds of continuous queue wait.
+pub const BATCH_BOUND_S: f64 = 30.0;
+
 impl JobClass {
     /// Short stable label used in events and reports.
     pub fn label(&self) -> &'static str {
         match self {
             Self::Interactive => "interactive",
             Self::Batch => "batch",
+        }
+    }
+
+    /// The starvation bound for this class, in seconds: a queued job is
+    /// shed once one queue epoch outlasts it.
+    pub fn bound_s(self) -> f64 {
+        match self {
+            Self::Interactive => INTERACTIVE_BOUND_S,
+            Self::Batch => BATCH_BOUND_S,
         }
     }
 }

@@ -12,7 +12,9 @@
 //! * **Admission control & backpressure** ([`admission`]): bounded
 //!   per-tenant queues, a typed [`AdmissionError`]
 //!   (queue-full / shedding / deadline-infeasible), deadline-aware EDF
-//!   dispatch, and an explicit [`ShedPolicy`] instead of silent drops.
+//!   dispatch, and an explicit shed policy (pressure thresholds and class
+//!   starvation bounds, [`service::SHED_PRESSURE`] and its neighbours)
+//!   instead of silent drops.
 //! * **Health-gated device pools** ([`breaker`], [`pool`]): per-device
 //!   circuit breakers fed by [`MsmError::implicated_devices`] — closed →
 //!   open on repeated faults, half-open probation probes on a saturating
@@ -50,8 +52,8 @@ pub mod service;
 pub mod soak;
 pub mod wal;
 
-pub use admission::{AdmissionError, ShedPolicy, TenantConfig};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, PoolTransition};
+pub use admission::{AdmissionError, TenantConfig};
+pub use breaker::{BreakerState, CircuitBreaker, PoolTransition};
 pub use chaos::{ChaosSchedule, DeviceFaultWindow, LinkFaultWindow};
 pub use job::{JobClass, JobSpec, ShedReason};
 pub use pool::DevicePool;

@@ -1,49 +1,34 @@
 //! The health-gated device pool: one circuit breaker and one busy
-//! horizon per simulated GPU, plus the transition timeline the
-//! [`crate::report::ServiceReport`] publishes.
+//! horizon per simulated GPU.
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, PoolTransition};
+use crate::breaker::{BreakerState, CircuitBreaker, PoolTransition};
 
 /// A pool of simulated GPUs gated by per-device circuit breakers.
 #[derive(Clone, Debug)]
 pub struct DevicePool {
-    config: BreakerConfig,
     breakers: Vec<CircuitBreaker>,
     /// Per-device time until which the device is executing a job.
     busy_until_s: Vec<f64>,
-    timeline: Vec<PoolTransition>,
 }
 
 impl DevicePool {
     /// A pool of `n` healthy idle devices.
-    pub fn new(n: usize, config: BreakerConfig) -> Self {
-        Self {
-            config,
-            breakers: vec![CircuitBreaker::new(); n],
-            busy_until_s: vec![0.0; n],
-            timeline: Vec::new(),
-        }
+    pub fn new(n: usize) -> Self {
+        Self::restore(vec![CircuitBreaker::new(); n])
     }
 
     /// Rebuilds a pool from restored breakers (crash recovery).
     ///
     /// Busy horizons reset to idle — any in-flight work was lost with
-    /// the crash and is re-dispatched by the service — and the
-    /// transition timeline restarts empty (the pre-crash prefix lives
-    /// in the journal, not in volatile pool state).
-    pub fn restore(config: BreakerConfig, breakers: Vec<CircuitBreaker>) -> Self {
+    /// the crash and is re-dispatched by the service.
+    pub fn restore(breakers: Vec<CircuitBreaker>) -> Self {
         let n = breakers.len();
-        Self { config, breakers, busy_until_s: vec![0.0; n], timeline: Vec::new() }
+        Self { breakers, busy_until_s: vec![0.0; n] }
     }
 
     /// Number of devices in the pool (healthy or not).
     pub fn n_devices(&self) -> usize {
         self.breakers.len()
-    }
-
-    /// The breaker configuration the pool runs.
-    pub fn config(&self) -> &BreakerConfig {
-        &self.config
     }
 
     /// Current breaker state of a device.
@@ -67,17 +52,9 @@ impl DevicePool {
     }
 
     /// Advances the clock: moves every open breaker whose probation
-    /// elapsed to half-open, returning the transitions (also appended to
-    /// the timeline).
+    /// elapsed to half-open, returning the transitions.
     pub fn poll(&mut self, now_s: f64) -> Vec<PoolTransition> {
-        let mut out = Vec::new();
-        for (d, b) in self.breakers.iter_mut().enumerate() {
-            if let Some(t) = b.poll(d, now_s) {
-                self.timeline.push(t.clone());
-                out.push(t);
-            }
-        }
-        out
+        self.breakers.iter_mut().enumerate().filter_map(|(d, b)| b.poll(d, now_s)).collect()
     }
 
     /// The devices a dispatch at `now_s` may use: `(closed, half_open)`,
@@ -109,20 +86,12 @@ impl DevicePool {
     /// Records a successful job on a device; a half-open probe success
     /// re-admits it.
     pub fn record_success(&mut self, device: usize, now_s: f64) -> Option<PoolTransition> {
-        let t = self.breakers[device].on_success(device, now_s);
-        if let Some(t) = &t {
-            self.timeline.push(t.clone());
-        }
-        t
+        self.breakers[device].on_success(device, now_s)
     }
 
     /// Records a fault charged to a device; may trip its breaker open.
     pub fn record_fault(&mut self, device: usize, now_s: f64) -> Option<PoolTransition> {
-        let t = self.breakers[device].on_fault(&self.config, device, now_s);
-        if let Some(t) = &t {
-            self.timeline.push(t.clone());
-        }
-        t
+        self.breakers[device].on_fault(device, now_s)
     }
 
     /// True when **no** device is dispatchable or on probation — every
@@ -130,11 +99,6 @@ impl DevicePool {
     /// state as [`crate::job::ShedReason::PoolQuarantined`].
     pub fn fully_quarantined(&self) -> bool {
         self.breakers.iter().all(|b| b.state() == BreakerState::Open)
-    }
-
-    /// The full transition timeline, in emission order.
-    pub fn timeline(&self) -> &[PoolTransition] {
-        &self.timeline
     }
 
     /// Final breaker states, indexed by device.
@@ -146,12 +110,12 @@ impl DevicePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::FAULT_THRESHOLD;
 
     #[test]
     fn open_devices_are_never_allocatable() {
-        let cfg = BreakerConfig::default();
-        let mut pool = DevicePool::new(4, cfg);
-        for _ in 0..cfg.fault_threshold {
+        let mut pool = DevicePool::new(4);
+        for _ in 0..FAULT_THRESHOLD {
             pool.record_fault(2, 1.0);
         }
         assert_eq!(pool.state(2), BreakerState::Open);
@@ -162,7 +126,7 @@ mod tests {
 
     #[test]
     fn busy_devices_are_not_allocatable_until_released() {
-        let mut pool = DevicePool::new(2, BreakerConfig::default());
+        let mut pool = DevicePool::new(2);
         pool.allocate(&[0], 5.0);
         let (closed, _) = pool.allocatable(4.0);
         assert_eq!(closed, vec![1]);
@@ -172,18 +136,16 @@ mod tests {
 
     #[test]
     fn fully_quarantined_requires_every_breaker_open() {
-        let cfg = BreakerConfig::default();
-        let mut pool = DevicePool::new(2, cfg);
+        let mut pool = DevicePool::new(2);
         for d in 0..2 {
-            for _ in 0..cfg.fault_threshold {
+            for _ in 0..FAULT_THRESHOLD {
                 pool.record_fault(d, 0.0);
             }
         }
         assert!(pool.fully_quarantined());
-        // Probation elapses on one device → half-open → not quarantined.
+        // Probation elapses → half-open → not quarantined.
         let end = pool.next_probation_end().expect("open breakers have ends");
-        pool.poll(end);
+        assert_eq!(pool.poll(end).len(), 2, "both probations end together");
         assert!(!pool.fully_quarantined());
-        assert_eq!(pool.timeline().len(), 2 + 2, "2 trips + 2 half-open polls");
     }
 }

@@ -84,7 +84,7 @@ impl ServiceReport {
     }
 
     /// `completed / admitted` (1.0 when nothing was admitted) — the
-    /// number the shed policy's `min_completion_rate` floors.
+    /// number [`crate::soak::MIN_COMPLETION_RATE`] floors.
     pub fn completion_rate(&self) -> f64 {
         let admitted = self.admitted();
         if admitted == 0 {

@@ -17,8 +17,8 @@ use distmsm_gpu_sim::MultiGpuSystem;
 
 use distmsm_journal::{DurableState, JournalError};
 
-use crate::admission::{AdmissionError, ShedPolicy, TenantConfig};
-use crate::breaker::{BreakerConfig, CircuitBreaker, PoolTransition};
+use crate::admission::{AdmissionError, TenantConfig};
+use crate::breaker::{CircuitBreaker, PoolTransition};
 use crate::chaos::ChaosSchedule;
 use crate::job::{JobClass, JobSpec, ShedReason};
 use crate::pool::DevicePool;
@@ -28,39 +28,46 @@ use crate::wal::{
     ServiceWal,
 };
 
-/// Configuration of the service front-end.
+// The explicit load-shed policy: *when* the service starts refusing
+// work and *what* it refuses, instead of silent drops. Pressure is total
+// queued jobs over total queue capacity, in `[0, 1]`; the starvation
+// bounds are [`JobClass::bound_s`].
+
+/// Pressure at or above which batch-class jobs are refused at the door
+/// ([`AdmissionError::Shedding`]). Interactive jobs are never door-shed;
+/// their protection is the queue bound itself.
+pub const SHED_PRESSURE: f64 = 0.75;
+/// Pressure at or above which dispatch trades latency for survival: jobs
+/// run on [`DEGRADED_GPUS_PER_JOB`] devices so more jobs run
+/// concurrently.
+pub const DEGRADE_PRESSURE: f64 = 0.5;
+/// Partition size once pressure crosses [`DEGRADE_PRESSURE`] — smaller
+/// partitions mean more jobs run concurrently: latency traded for
+/// survival.
+pub const DEGRADED_GPUS_PER_JOB: usize = 1;
+/// Service-level execution attempts per job (1 = no retry).
+pub const MAX_ATTEMPTS: u32 = 3;
+/// Straggler SLA forwarded to the engine.
+pub const STRAGGLER_SLA: f64 = 3.0;
+
+/// Configuration of the service front-end. Admission always validates a
+/// job's MSM inputs (on-curve, prime-subgroup, canonical scalars),
+/// refusing garbage with [`AdmissionError::MalformedInput`] instead of
+/// feeding it to the engine.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Devices in the shared pool.
     pub n_devices: usize,
     /// Partition size for a normal dispatch.
     pub gpus_per_job: usize,
-    /// Partition size once pressure crosses
-    /// [`ShedPolicy::degrade_pressure`] — smaller partitions mean more
-    /// jobs run concurrently: latency traded for survival.
-    pub degraded_gpus_per_job: usize,
     /// The tenants sharing the pool.
     pub tenants: Vec<TenantConfig>,
-    /// The load-shed policy.
-    pub shed: ShedPolicy,
-    /// The per-device circuit-breaker tunables.
-    pub breaker: BreakerConfig,
-    /// Service-level execution attempts per job (1 = no retry).
-    pub max_attempts: u32,
     /// Pippenger window size every dispatch uses.
     pub window_size: u32,
-    /// Straggler SLA forwarded to the engine (`None` disables).
-    pub straggler_sla: Option<f64>,
     /// Install a journal snapshot every this many records (0 disables
     /// snapshotting; recovery then replays the whole journal). The
     /// journal itself is always on.
     pub snapshot_every: u64,
-    /// Validate MSM inputs at admission (on-curve, prime-subgroup,
-    /// canonical scalars) and reject garbage with
-    /// [`AdmissionError::MalformedInput`] instead of feeding it to the
-    /// engine. On cofactor-1 curves the subgroup check is free
-    /// (on-curve already implies it), so this stays on by default.
-    pub validate_inputs: bool,
 }
 
 impl Default for ServiceConfig {
@@ -68,31 +75,21 @@ impl Default for ServiceConfig {
         Self {
             n_devices: 16,
             gpus_per_job: 4,
-            degraded_gpus_per_job: 1,
             tenants: vec![
                 TenantConfig::new("alice").with_weight(2.0),
                 TenantConfig::new("bob"),
             ],
-            shed: ShedPolicy::default(),
-            breaker: BreakerConfig::default(),
-            max_attempts: 3,
             window_size: 8,
-            straggler_sla: Some(3.0),
             snapshot_every: 0,
-            validate_inputs: true,
         }
     }
 }
 
 impl ServiceConfig {
     /// What the journal fold needs of this configuration: the table
-    /// sizes a snapshot must match and the breaker pricing.
+    /// sizes a snapshot must match.
     pub fn shape(&self) -> ServiceShape {
-        ServiceShape {
-            n_tenants: self.tenants.len(),
-            n_devices: self.n_devices,
-            breaker: self.breaker,
-        }
+        ServiceShape { n_tenants: self.tenants.len(), n_devices: self.n_devices }
     }
 }
 
@@ -325,16 +322,12 @@ impl<C: Curve> ProverService<C> {
     /// # Panics
     ///
     /// Panics when the configuration is degenerate (no tenants, no
-    /// devices, zero partition sizes or attempts).
+    /// devices, a zero partition size).
     pub fn new(config: ServiceConfig) -> Self {
         assert!(!config.tenants.is_empty(), "service needs at least one tenant");
         assert!(config.n_devices > 0, "service needs at least one device");
-        assert!(
-            config.gpus_per_job > 0 && config.degraded_gpus_per_job > 0,
-            "partition sizes must be positive"
-        );
-        assert!(config.max_attempts > 0, "jobs need at least one attempt");
-        let pool = DevicePool::new(config.n_devices, config.breaker);
+        assert!(config.gpus_per_job > 0, "partition sizes must be positive");
+        let pool = DevicePool::new(config.n_devices);
         let queues = config.tenants.iter().map(|_| VecDeque::new()).collect();
         let k = config.gpus_per_job.min(config.n_devices);
         let admission_engine = DistMsm::with_config(
@@ -366,17 +359,14 @@ impl<C: Curve> ProverService<C> {
         config: &ServiceConfig,
         plan: distmsm_gpu_sim::FaultPlan,
     ) -> Result<distmsm::DistMsmConfig, distmsm::ConfigError> {
-        let mut b = distmsm::DistMsmConfig::builder()
+        distmsm::DistMsmConfig::builder()
             .window_size(config.window_size)
-            .fault_plan(plan);
-        b = match config.straggler_sla {
-            Some(sla) => b.straggler_sla(sla),
-            None => b.no_straggler_sla(),
-        };
-        b.build()
+            .fault_plan(plan)
+            .straggler_sla(STRAGGLER_SLA)
+            .build()
     }
 
-    /// The pool (breaker states, timeline) as of now.
+    /// The pool (breaker states) as of now.
     pub fn pool(&self) -> &DevicePool {
         &self.pool
     }
@@ -423,12 +413,10 @@ impl<C: Curve> ProverService<C> {
         let shape = config.shape();
         let rec = wal::recover_state(durable, &shape)?;
         let snapshot_every = config.snapshot_every;
-        let breaker_cfg = config.breaker;
         let mut svc = Self::new(config);
         let state = rec.state;
         svc.clock_s = state.clock_s;
         svc.pool = DevicePool::restore(
-            breaker_cfg,
             state
                 .breakers
                 .iter()
@@ -465,7 +453,7 @@ impl<C: Curve> ProverService<C> {
             match entry.phase {
                 JobPhase::Queued { attempt, since_s } => {
                     let spec = live_spec(id)?;
-                    let bound = svc.config.shed.class_bound(spec.class);
+                    let bound = spec.class.bound_s();
                     // The original queue epoch survives the crash, so
                     // the starvation bound keeps counting.
                     let expire_s = since_s + bound;
@@ -482,7 +470,7 @@ impl<C: Curve> ProverService<C> {
                     let spec = live_spec(id)?;
                     // The execution died with the pod: back to the
                     // queue at the same attempt, fresh epoch.
-                    let bound = svc.config.shed.class_bound(spec.class);
+                    let bound = spec.class.bound_s();
                     let expire_s = svc.clock_s + bound;
                     svc.record_event(
                         Some(id),
@@ -715,9 +703,10 @@ impl<C: Curve> ProverService<C> {
     /// Builds the outcome after stepping has drained: report plus the
     /// event stream and completed-job results accumulated so far.
     pub fn finish(&mut self) -> ServiceOutcome<C> {
+        let events = std::mem::take(&mut self.events);
         ServiceOutcome {
-            report: self.build_report(),
-            events: std::mem::take(&mut self.events),
+            report: self.build_report(&events),
+            events,
             completed: std::mem::take(&mut self.completed),
         }
     }
@@ -791,7 +780,7 @@ impl<C: Curve> ProverService<C> {
             stolen.spec.id
         );
         self.clock_s = self.clock_s.max(now_s);
-        let bound = self.config.shed.class_bound(stolen.spec.class);
+        let bound = stolen.spec.class.bound_s();
         let expire_s = self.clock_s + bound;
         let id = stolen.spec.id;
         self.record(
@@ -806,15 +795,6 @@ impl<C: Curve> ProverService<C> {
         });
         self.push_pending(expire_s, PendingKind::Expire(id));
         self.try_dispatch(chaos);
-    }
-
-    /// Admission-time input validation (when enabled): the first
-    /// violation in slice order, or `None` for clean inputs.
-    fn input_violation(&self, spec: &JobSpec<C>) -> Option<distmsm_ec::InputViolation> {
-        if !self.config.validate_inputs {
-            return None;
-        }
-        distmsm_ec::validate_msm_inputs::<C>(&spec.instance.points, &spec.instance.scalars).err()
     }
 
     /// Marks the pod partitioned from its coordinator as of `now_s`
@@ -874,9 +854,12 @@ impl<C: Curve> ProverService<C> {
             // by the coordinator on a healthy pod, so shed at the door
             // with a typed outcome the client can retry against.
             Some(AdmissionError::PodPartitioned { since_s })
-        } else if let Some(violation) = self.input_violation(&spec) {
+        } else if let Err(violation) =
+            distmsm_ec::validate_msm_inputs::<C>(&spec.instance.points, &spec.instance.scalars)
+        {
+            // the first violation in slice order
             Some(AdmissionError::MalformedInput { detail: violation.to_string() })
-        } else if spec.class == JobClass::Batch && pressure >= self.config.shed.shed_pressure {
+        } else if spec.class == JobClass::Batch && pressure >= SHED_PRESSURE {
             Some(AdmissionError::Shedding { tenant: tcfg.name.clone(), pressure })
         } else if self.queues[tenant].len() >= tcfg.queue_capacity {
             Some(AdmissionError::QueueFull { tenant: tcfg.name.clone(), capacity: tcfg.queue_capacity })
@@ -912,7 +895,7 @@ impl<C: Curve> ProverService<C> {
             return;
         }
 
-        let bound = self.config.shed.class_bound(spec.class);
+        let bound = spec.class.bound_s();
         let expire_s = self.clock_s + bound;
         let id = spec.id;
         let class = spec.class;
@@ -951,7 +934,7 @@ impl<C: Curve> ProverService<C> {
         for (tenant, queue) in self.queues.iter().enumerate() {
             let weight = self.config.tenants[tenant].weight;
             for (pos, q) in queue.iter().enumerate() {
-                let bound = self.config.shed.class_bound(q.spec.class);
+                let bound = q.spec.class.bound_s();
                 let eff = q
                     .spec
                     .deadline_s
@@ -1001,12 +984,8 @@ impl<C: Curve> ProverService<C> {
             let pressure = self.pressure();
             let Some(job) = self.pick_edf() else { return };
 
-            let degraded = pressure >= self.config.shed.degrade_pressure;
-            let target = if degraded {
-                self.config.degraded_gpus_per_job
-            } else {
-                self.config.gpus_per_job
-            };
+            let degraded = pressure >= DEGRADE_PRESSURE;
+            let target = if degraded { DEGRADED_GPUS_PER_JOB } else { self.config.gpus_per_job };
             // Round-robin placement: start filling from the cursor so
             // every device (including high ids) sees regular traffic.
             let split = closed.partition_point(|&d| d < self.rr_cursor);
@@ -1163,8 +1142,8 @@ impl<C: Curve> ProverService<C> {
                 self.record_transitions(transitions);
 
                 let next_attempt = fl.attempt + 1;
-                if next_attempt < self.config.max_attempts {
-                    let bound = self.config.shed.class_bound(fl.spec.class);
+                if next_attempt < MAX_ATTEMPTS {
+                    let bound = fl.spec.class.bound_s();
                     let expire_s = self.clock_s + bound;
                     self.record_event(
                         Some(id),
@@ -1220,7 +1199,9 @@ impl<C: Curve> ProverService<C> {
     /// The per-tenant figures are read off the WAL's shadow fold: the
     /// journal already counts every arrival, outcome and sojourn (and
     /// carries them across a restore), so the report is a view over it.
-    fn build_report(&self) -> ServiceReport {
+    /// The pool timeline is the `Breaker` events of `events`, the stream
+    /// since construction or restore.
+    fn build_report(&self, events: &[ServiceEvent]) -> ServiceReport {
         let tenants = self
             .config
             .tenants
@@ -1246,7 +1227,13 @@ impl<C: Curve> ProverService<C> {
             .collect();
         ServiceReport {
             tenants,
-            pool_timeline: self.pool.timeline().to_vec(),
+            pool_timeline: events
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    ServiceEventKind::Breaker { transition } => Some(transition.clone()),
+                    _ => None,
+                })
+                .collect(),
             final_states: self.pool.final_states(),
             horizon_s: self.clock_s,
             n_devices: self.config.n_devices,
@@ -1308,12 +1295,7 @@ mod tests {
     /// `PoolQuarantined` (not misreported as mere starvation).
     #[test]
     fn fully_quarantined_pool_sheds_with_pool_quarantined() {
-        let config = ServiceConfig {
-            n_devices: 2,
-            gpus_per_job: 2,
-            degraded_gpus_per_job: 1,
-            ..ServiceConfig::default()
-        };
+        let config = ServiceConfig { n_devices: 2, gpus_per_job: 2, ..ServiceConfig::default() };
         let chaos =
             ChaosSchedule::always_faulty(0).merged(ChaosSchedule::always_faulty(1));
         let jobs: Vec<_> = (0..8)
@@ -1374,19 +1356,6 @@ mod tests {
             (Some(2), AdmissionError::MalformedInput { detail }) if detail.contains("scalar 0")
         ));
         assert_eq!(out.report.completed(), 1, "the clean job still completes");
-
-        // Validation off: garbage reaches the engine (legacy behavior).
-        let mut off_curve = job(1, 0, JobClass::Interactive, 0.0);
-        off_curve.instance.points[3].y += <Bn254G1 as Curve>::Base::one();
-        let mut lax = ProverService::<Bn254G1>::new(ServiceConfig {
-            validate_inputs: false,
-            ..ServiceConfig::default()
-        });
-        let out = lax.run(vec![off_curve], &ChaosSchedule::none());
-        assert!(
-            !out.events.iter().any(|e| matches!(e.kind, ServiceEventKind::Rejected { .. })),
-            "validation disabled: nothing refused at the door"
-        );
     }
 
     #[test]

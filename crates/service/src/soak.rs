@@ -101,8 +101,8 @@ impl Scenario for SoakSpec {
     }
 
     fn run(&self) -> Run<ServiceReport> {
-        let (jobs, config, outcome) = execute(self);
-        verdict(self, &jobs, &config, outcome)
+        let (jobs, outcome) = execute(self);
+        verdict(self, &jobs, outcome)
     }
 
     fn render(report: &ServiceReport) -> String {
@@ -164,41 +164,40 @@ pub fn build_chaos(spec: &SoakSpec) -> ChaosSchedule {
     chaos
 }
 
-/// The service configuration a soak runs (devices from the spec,
-/// partition sizes clamped to the pool).
+/// The service configuration a soak runs (devices from the spec, the
+/// partition size clamped to the pool).
 pub fn service_config(spec: &SoakSpec) -> ServiceConfig {
     let mut cfg = ServiceConfig {
         n_devices: spec.n_devices,
         ..ServiceConfig::default()
     };
     cfg.gpus_per_job = cfg.gpus_per_job.min(spec.n_devices);
-    cfg.degraded_gpus_per_job = cfg.degraded_gpus_per_job.min(spec.n_devices);
     cfg
 }
 
-/// Builds and executes one scenario, unchecked: the arrival trace, the
-/// service configuration and everything the run produced.
-pub fn execute(
-    spec: &SoakSpec,
-) -> (Vec<JobSpec<Bn254G1>>, ServiceConfig, ServiceOutcome<Bn254G1>) {
+/// Builds and executes one scenario, unchecked: the arrival trace and
+/// everything the run produced.
+pub fn execute(spec: &SoakSpec) -> (Vec<JobSpec<Bn254G1>>, ServiceOutcome<Bn254G1>) {
     let jobs = build_jobs(spec);
-    let config = service_config(spec);
-    let outcome = ProverService::new(config.clone()).run(jobs.clone(), &build_chaos(spec));
-    (jobs, config, outcome)
+    let outcome = ProverService::new(service_config(spec)).run(jobs.clone(), &build_chaos(spec));
+    (jobs, outcome)
 }
+
+/// The completion-rate floor the shed policy promises: the soaks assert
+/// `completed / admitted` stays at or above this under chaos.
+pub const MIN_COMPLETION_RATE: f64 = 0.5;
 
 /// Checks one executed scenario: the event-stream invariants of
 /// [`check_invariants`], plus **quarantine** (the always-faulty probe
 /// device ends the run with an open breaker) and **completion-floor**
-/// (the completion rate holds the shed policy's floor).
+/// (the completion rate holds [`MIN_COMPLETION_RATE`]).
 pub fn verdict(
     spec: &SoakSpec,
     jobs: &[JobSpec<Bn254G1>],
-    config: &ServiceConfig,
     outcome: ServiceOutcome<Bn254G1>,
 ) -> Run<ServiceReport> {
     let ServiceOutcome { report, events, completed } = outcome;
-    let mut violations = check_invariants(jobs, &events, &completed, config);
+    let mut violations = check_invariants(jobs, &events, &completed);
     if let Some(d) = spec.always_faulty.filter(|&d| !report.quarantined(d)) {
         violations.fail(
             "quarantine",
@@ -208,13 +207,13 @@ pub fn verdict(
             ),
         );
     }
-    if report.completion_rate() < config.shed.min_completion_rate {
+    if report.completion_rate() < MIN_COMPLETION_RATE {
         violations.fail(
             "completion-floor",
             format!(
                 "completion rate {:.3} fell below the shed-policy floor {:.3}",
                 report.completion_rate(),
-                config.shed.min_completion_rate
+                MIN_COMPLETION_RATE
             ),
         );
     }
@@ -239,11 +238,10 @@ pub fn check_invariants(
     jobs: &[JobSpec<Bn254G1>],
     events: &[ServiceEvent],
     completed: &[CompletedJob<Bn254G1>],
-    config: &ServiceConfig,
 ) -> Violations {
     let mut v = Violations::default();
     let by_id = by_id(jobs);
-    let mut ledger = Ledger::new(LedgerIds::SERVICE, &by_id, &config.shed);
+    let mut ledger = Ledger::new(LedgerIds::SERVICE, &by_id);
     let mut breaker: BTreeMap<usize, BreakerState> = BTreeMap::new();
     for ev in events {
         match &ev.kind {
@@ -300,7 +298,7 @@ mod tests {
     /// event before the invariant check — admitted jobs appear to
     /// vanish, breaking conservation and exactly-once termination.
     fn run_dropping_completions(spec: &SoakSpec) -> Run<ServiceReport> {
-        let (jobs, config, mut outcome) = execute(spec);
+        let (jobs, mut outcome) = execute(spec);
         let mut kept = 0u64;
         outcome.events.retain(|e| {
             if matches!(e.kind, ServiceEventKind::Completed { .. }) {
@@ -310,7 +308,7 @@ mod tests {
                 true
             }
         });
-        verdict(spec, &jobs, &config, outcome)
+        verdict(spec, &jobs, outcome)
     }
 
     #[test]

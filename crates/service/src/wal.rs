@@ -45,7 +45,7 @@ use distmsm_journal::{
 };
 
 use crate::admission::AdmissionError;
-use crate::breaker::{BreakerConfig, BreakerState, PoolTransition};
+use crate::breaker::{probation_for, BreakerState, PoolTransition};
 use crate::job::{JobClass, ShedReason};
 use crate::service::{ServiceEvent, ServiceEventKind};
 
@@ -412,7 +412,7 @@ impl Fold for ServiceState {
         &mut self,
         epoch: u64,
         rec: &ServiceRecord,
-        shape: &ServiceShape,
+        _shape: &ServiceShape,
     ) -> Result<(), JournalError> {
         match rec {
             ServiceRecord::Admission { t_s, id, tenant, class: _, outcome } => {
@@ -480,7 +480,7 @@ impl Fold for ServiceState {
                             // is priced off the spell count *before*
                             // this trip increments it.
                             b.open_until_s =
-                                transition.t_s + shape.breaker.probation_for(b.open_spells);
+                                transition.t_s + probation_for(b.open_spells);
                             b.open_spells += 1;
                         }
                         b.state = transition.to;
@@ -602,15 +602,13 @@ impl Wire for ServiceState {
 // ---------------------------------------------------------------------
 
 /// What the fold needs beyond the record stream: the pod's table sizes
-/// (the snapshot-shape check) and the breaker pricing `apply` mirrors.
+/// (the snapshot-shape check).
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceShape {
     /// Rows of the tenant table.
     pub n_tenants: usize,
     /// Devices in the pool.
     pub n_devices: usize,
-    /// Breaker configuration (probation backoff).
-    pub breaker: BreakerConfig,
 }
 
 /// The service's live write-ahead log: a durable journal plus the
@@ -674,8 +672,7 @@ mod tests {
 
     #[test]
     fn fold_tracks_phases_counters_and_breakers() {
-        let bc = BreakerConfig::default();
-        let shape = ServiceShape { n_tenants: 2, n_devices: 4, breaker: bc };
+        let shape = ServiceShape { n_tenants: 2, n_devices: 4 };
         let mut st = ServiceState::new(&shape);
         st.apply(
             1,
@@ -728,7 +725,7 @@ mod tests {
         }
         assert_eq!(st.breakers[2].open_spells, 2);
         assert_eq!(st.breakers[2].state, BreakerState::Open);
-        assert_eq!(st.breakers[2].open_until_s, 5.5 + bc.probation_for(1));
+        assert_eq!(st.breakers[2].open_until_s, 5.5 + probation_for(1));
 
         st.apply(
             6,
@@ -765,8 +762,7 @@ mod tests {
 
     #[test]
     fn fold_rejects_semantic_garbage() {
-        let shape =
-            ServiceShape { n_tenants: 1, n_devices: 1, breaker: BreakerConfig::default() };
+        let shape = ServiceShape { n_tenants: 1, n_devices: 1 };
         let mut st = ServiceState::new(&shape);
         // Unknown job.
         assert!(matches!(
@@ -806,8 +802,7 @@ mod tests {
 
     #[test]
     fn wal_snapshot_equals_fold_and_recovery_replays_it() {
-        let shape =
-            ServiceShape { n_tenants: 2, n_devices: 2, breaker: BreakerConfig::default() };
+        let shape = ServiceShape { n_tenants: 2, n_devices: 2 };
         let mut wal = ServiceWal::new(shape, 2);
         let recs = vec![
             ServiceRecord::Admission {

@@ -23,7 +23,6 @@ fn run_readmission_scenario<C: Curve>(seed: u64, n: usize) -> distmsm_service::S
     let config = ServiceConfig {
         n_devices: 3,
         gpus_per_job: 2,
-        degraded_gpus_per_job: 1,
         ..ServiceConfig::default()
     };
     let chaos = ChaosSchedule {

@@ -61,9 +61,17 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The descent spends a
+/// stack frame per level, so a hostile document of a million `[` would
+/// otherwise overflow the stack and abort the process; the traces this
+/// crate emits nest four deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -112,8 +120,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected byte `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -267,6 +282,7 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -384,6 +400,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "`{bad}` must not parse");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_positioned_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(1_000_000);
+        let err = parse(&hostile).expect_err("a million `[` must not parse");
+        assert_eq!(err, format!("JSON parse error at byte {MAX_DEPTH}: nesting deeper than {MAX_DEPTH}"));
+        let objects = "{\"a\":".repeat(1_000_000);
+        assert!(parse(&objects).expect_err("deep objects").contains("nesting deeper"));
+        // the limit itself still parses
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 
     #[test]

@@ -275,25 +275,21 @@ impl Timeline {
     /// Sum of span durations of category `cat` on one lane, counting
     /// only spans with no same-lane, same-category ancestor (children
     /// refine their parent's duration; double-counting both would break
-    /// the phase sums).
+    /// the phase sums). An ancestor `p` of `s` satisfies
+    /// `p.t0 <= s.t0 + eps`, `s.t1 <= p.t1 + eps` and
+    /// `p.dur > s.dur`; the counted durations add in emission order.
     fn lane_cat_sum(&self, lane: Lane, cat: &str) -> f64 {
         let spans: Vec<&Span> = self
             .spans
             .iter()
             .filter(|s| s.lane == lane && s.cat == cat)
             .collect();
-        let eps = self.eps();
+        let covered = have_ancestor(&spans, self.eps());
         spans
             .iter()
-            .filter(|s| {
-                !spans.iter().any(|p| {
-                    !std::ptr::eq(*p, **s)
-                        && p.t0_s <= s.t0_s + eps
-                        && s.t1_s <= p.t1_s + eps
-                        && p.dur_s() > s.dur_s()
-                })
-            })
-            .map(|s| s.dur_s())
+            .zip(covered)
+            .filter(|&(_, covered)| !covered)
+            .map(|(s, _)| s.dur_s())
             .sum()
     }
 
@@ -334,6 +330,73 @@ impl Timeline {
         cats.iter()
             .map(|c| (c.to_string(), self.category_s(c)))
             .collect()
+    }
+}
+
+/// Which spans have an ancestor in [`Timeline::lane_cat_sum`]'s sense,
+/// by one sort-and-sweep: candidate ancestors enter in start order while
+/// `p.t0 <= s.t0 + eps` holds for the query `s` (queries go in
+/// `s.t0 + eps` order, so entry is a prefix), and a max tree over the
+/// entered candidates ranked by `p.t1 + eps` answers "is one ending late
+/// enough also longer?". Each comparison is the defining one, so a NaN
+/// bound neither covers nor is covered, exactly as in the definition.
+fn have_ancestor(spans: &[&Span], eps: f64) -> Vec<bool> {
+    let reach: Vec<f64> = spans.iter().map(|s| s.t1_s + eps).collect();
+    let dur: Vec<f64> = spans.iter().map(|s| s.dur_s()).collect();
+    let open: Vec<f64> = spans.iter().map(|s| s.t0_s + eps).collect();
+    let all = 0..spans.len();
+
+    let mut by_start: Vec<usize> = all
+        .clone()
+        .filter(|&i| !(spans[i].t0_s.is_nan() || reach[i].is_nan() || dur[i].is_nan()))
+        .collect();
+    by_start.sort_by(|&a, &b| spans[a].t0_s.total_cmp(&spans[b].t0_s));
+    let mut by_reach = by_start.clone();
+    by_reach.sort_by(|&a, &b| reach[a].total_cmp(&reach[b]));
+    let mut rank = vec![0; spans.len()];
+    for (r, &i) in by_reach.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut queries: Vec<usize> =
+        all.filter(|&i| !(open[i].is_nan() || spans[i].t1_s.is_nan())).collect();
+    queries.sort_by(|&a, &b| open[a].total_cmp(&open[b]));
+
+    let mut longest = SuffixMax(vec![f64::NEG_INFINITY; by_reach.len()]);
+    let mut entered = 0;
+    let mut covered = vec![false; spans.len()];
+    for s in queries {
+        while let Some(&p) = by_start.get(entered).filter(|&&p| spans[p].t0_s <= open[s]) {
+            longest.raise(rank[p], dur[p]);
+            entered += 1;
+        }
+        let first = by_reach.partition_point(|&p| reach[p] < spans[s].t1_s);
+        covered[s] = longest.max_from(first) > dur[s];
+    }
+    covered
+}
+
+/// A max Fenwick tree over suffixes: `max_from(i)` is the largest value
+/// raised at any position `>= i` (`-inf` when there is none).
+struct SuffixMax(Vec<f64>);
+
+impl SuffixMax {
+    fn raise(&mut self, i: usize, value: f64) {
+        let n = self.0.len();
+        let mut k = n - i;
+        while k <= n {
+            self.0[k - 1] = self.0[k - 1].max(value);
+            k += k & k.wrapping_neg();
+        }
+    }
+
+    fn max_from(&self, i: usize) -> f64 {
+        let mut k = self.0.len() - i;
+        let mut max = f64::NEG_INFINITY;
+        while k > 0 {
+            max = max.max(self.0[k - 1]);
+            k &= k - 1;
+        }
+        max
     }
 }
 
@@ -427,6 +490,140 @@ mod tests {
         };
         // the parent covers its children; only the parent counts
         assert!((tl.category_s("scatter") - 10.0).abs() < 1e-12);
+    }
+
+    /// The quadratic definition [`Timeline::lane_cat_sum`] sweeps: a span
+    /// counts unless another span starts no later, ends no earlier (both
+    /// within `eps`) and is strictly longer.
+    fn lane_cat_sum_reference(tl: &Timeline, lane: Lane, cat: &str) -> f64 {
+        let spans: Vec<&Span> = tl.spans.iter().filter(|s| s.lane == lane && s.cat == cat).collect();
+        let eps = tl.eps();
+        spans
+            .iter()
+            .filter(|s| {
+                !spans.iter().any(|p| {
+                    !std::ptr::eq(*p, **s)
+                        && p.t0_s <= s.t0_s + eps
+                        && s.t1_s <= p.t1_s + eps
+                        && p.dur_s() > s.dur_s()
+                })
+            })
+            .map(|s| s.dur_s())
+            .sum()
+    }
+
+    /// A seeded timeline on two lanes and two categories: nested span
+    /// trees whose children often share a parent bound, with exact
+    /// duplicates. With `overlap` it also has ulp-shifted bounds (inside
+    /// `eps`), equal-length duplicates shifted across their original,
+    /// and spans placed with no regard for nesting.
+    fn random_timeline(seed: u64, overlap: bool) -> Timeline {
+        let mut state = seed;
+        let mut draw = |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let mut spans = Vec::new();
+        let mut open = vec![(0.0f64, 64.0f64, 0u32)];
+        while let Some((t0, t1, depth)) = open.pop() {
+            let lane = if draw(4) == 0 { Lane::Host } else { Lane::Device(0) };
+            let cat = if draw(3) == 0 { "bucket-sum" } else { "scatter" };
+            let (a, b) = match draw(6) {
+                0 if overlap => (t0 * (1.0 - 1e-15), t1),
+                1 if overlap => (t0, t1 * (1.0 - 1e-15)),
+                _ => (t0, t1),
+            };
+            spans.push(span("n", cat, lane, a, b));
+            match draw(5) {
+                0 => spans.push(span("dup", cat, lane, a, b)),
+                1 if overlap && t1 - t0 >= 1.0 => {
+                    // same length, shifted by a quarter of it
+                    let shift = (t1 - t0) / 4.0;
+                    spans.push(span("shift", cat, lane, t0 + shift, t1 + shift));
+                }
+                _ => {}
+            }
+            if depth < 5 && t1 - t0 > 0.25 {
+                // children tile [t0, t1) on a grid of eighths, so ties
+                // with the parent's bounds are common
+                let mut cut = t0;
+                while cut < t1 {
+                    let next = (cut + (t1 - t0) * (1 + draw(4)) as f64 / 8.0).min(t1);
+                    if draw(3) != 0 {
+                        open.push((cut, next, depth + 1));
+                    }
+                    cut = next;
+                }
+            }
+        }
+        if overlap {
+            for _ in 0..40 {
+                let t0 = draw(256) as f64 / 4.0;
+                let t1 = t0 + draw(64) as f64 / 4.0;
+                spans.push(span("free", "scatter", Lane::Device(0), t0, t1));
+            }
+        }
+        Timeline { spans, ..Timeline::default() }
+    }
+
+    #[test]
+    fn sweep_equals_the_quadratic_definition_bit_for_bit() {
+        for seed in 0..200 {
+            let tl = random_timeline(seed, seed % 2 == 1);
+            if seed % 2 == 0 {
+                tl.check_well_nested().expect("the nested generator nests");
+            }
+            for lane in [Lane::Device(0), Lane::Host] {
+                for cat in ["scatter", "bucket-sum", "absent"] {
+                    let got = tl.lane_cat_sum(lane, cat);
+                    let want = lane_cat_sum_reference(&tl, lane, cat);
+                    assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} {lane:?} {cat}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_counts_an_ancestor_exactly_eps_away_on_either_bound() {
+        // the far span pins eps; each category holds an ancestor that
+        // clears the child by exactly eps at one bound
+        let far = span("far", "x", Lane::Fabric, 0.0, 1024.0);
+        let eps = Timeline { spans: vec![far.clone()], ..Timeline::default() }.eps();
+        let tl = Timeline {
+            spans: vec![
+                far,
+                span("p", "end", Lane::Host, 0.0, 1.0),
+                span("s", "end", Lane::Host, 0.5, 1.0 + eps),
+                span("p", "start", Lane::Host, 0.5 + eps, 2.0),
+                span("s", "start", Lane::Host, 0.5, 1.0),
+            ],
+            ..Timeline::default()
+        };
+        for (cat, parent) in [("end", 1.0), ("start", 2.0 - (0.5 + eps))] {
+            let got = tl.lane_cat_sum(Lane::Host, cat);
+            assert_eq!(got.to_bits(), lane_cat_sum_reference(&tl, Lane::Host, cat).to_bits());
+            assert_eq!(got, parent, "{cat}: only the ancestor counts");
+        }
+    }
+
+    #[test]
+    fn sweep_matches_the_definition_on_non_finite_bounds() {
+        let tl = Timeline {
+            spans: vec![
+                span("nan-start", "scatter", Lane::Host, f64::NAN, 4.0),
+                span("nan-end", "scatter", Lane::Host, 1.0, f64::NAN),
+                span("inf", "scatter", Lane::Host, f64::NEG_INFINITY, 3.0),
+                span("a", "scatter", Lane::Host, 0.0, 2.0),
+                span("b", "scatter", Lane::Host, 0.5, 1.0),
+            ],
+            ..Timeline::default()
+        };
+        let got = tl.lane_cat_sum(Lane::Host, "scatter");
+        let want = lane_cat_sum_reference(&tl, Lane::Host, "scatter");
+        assert_eq!(got.to_bits(), want.to_bits());
     }
 
     #[test]

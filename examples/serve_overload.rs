@@ -35,7 +35,6 @@ fn main() {
     let config = ServiceConfig {
         n_devices: 3,
         gpus_per_job: 2,
-        degraded_gpus_per_job: 1,
         tenants: vec![
             TenantConfig::new("alice").with_weight(2.0).with_queue_capacity(6),
             TenantConfig::new("bob").with_queue_capacity(4),
