@@ -3,14 +3,19 @@
 #
 #   ./ci.sh            # build, test, lint, analyze
 #
-# Every step must pass; the analyze step runs the simulated-GPU race
-# detector, the kernel resource linter, the comm-schedule checker, the
-# fault-recovery checker, and the service-invariant checker
-# (crates/analyze) over traced executions and fails on any warning- or
+# Every step must pass. The analyze step captures every row of one
+# scenario table once (engine kernels and collectives, cuZK, the
+# baseline merge, five fault plans; access trace and telemetry session
+# on) and runs the simulated-GPU race detector, the comm-schedule
+# checker on each report's own schedule, the result and recovery
+# checks, and the telemetry checker on that one capture; then the kernel
+# resource linter and the service, crash-consistency, partition and
+# fleet checkers (crates/analyze). It fails on any warning- or
 # error-level finding. The verify step runs the static plan verifier:
-# symbolic write-set disjointness/coverage proofs, static collective
-# deadlock checks over every topology preset, the mutant corpus and the
-# workspace determinism lint — no execution, all N/window/GPU shapes.
+# symbolic write-set disjointness/coverage proofs, the same
+# comm-schedule checker over every collective the planner emits on every
+# topology preset, the mutant corpus and the workspace determinism lint
+# — no execution, all N/window/GPU shapes.
 # The soak smokes replay seeded chaos scenarios through the
 # multi-tenant service and the multi-pod fleet coordinator (whole-pod
 # loss plus a byzantine pod caught by the 2G2T check), the journaling
@@ -77,8 +82,8 @@ for bin in soak fleet_soak crash_soak partition_soak; do
     rm -f "$SMOKE_JSON"
 done
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
@@ -99,11 +104,16 @@ for bin in soak fleet_soak; do
 done
 rm -f "$TRACE" "$SMOKE_JSON"
 
-echo "== distmsm-analyze check (race + lint + comm + fault + service + ckpt + partition + fleet + telemetry) =="
+echo "== distmsm-analyze check (scenario table: race + comm + fault + telemetry; lint + service + ckpt + partition + fleet) =="
+# both run in about a second: time them in ms, not the soaks' seconds
+T0="$(date +%s%N)"
 target/release/distmsm-analyze check
+echo "distmsm-analyze check wall time: $((($(date +%s%N) - T0) / 1000000)) ms"
 
 echo "== distmsm-analyze verify --all-presets (static proofs incl. fleet plans + mutants + det lint) =="
+T0="$(date +%s%N)"
 target/release/distmsm-analyze verify --all-presets
+echo "distmsm-analyze verify --all-presets wall time: $((($(date +%s%N) - T0) / 1000000)) ms"
 
 echo "== unsafe audit: every crate root must forbid unsafe_code =="
 for lib in crates/*/src/lib.rs; do
@@ -113,7 +123,7 @@ for lib in crates/*/src/lib.rs; do
     fi
 done
 
-echo "== counted source (ROADMAP item 7: non-blank, non-// lines before a file's first #[cfg(test)]) =="
+echo "== counted source (ROADMAP item 8: non-blank, non-// lines before a file's first #[cfg(test)]) =="
 # the figure every CHANGES.md entry quotes before/after; printed, not gated
 TOTAL=0
 for crate in crates/*/; do

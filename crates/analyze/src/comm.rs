@@ -1,37 +1,37 @@
-//! Comm-schedule checker: replays [`CommSchedule`]s captured from the
-//! comms crate's trace stream and verifies conservation and feasibility.
+//! The one comm-schedule checker: folds per-element contribution masks
+//! over a [`CommSchedule`] step by step. `verify` runs it over every
+//! schedule the planner can emit on the topology presets (and the
+//! `VRF-900` schedule mutants); `check` runs it on the schedule each
+//! captured report carries in `MsmReport::comm`.
 //!
-//! Three rule families over every captured schedule:
+//! Every endpoint holds, per element, the bitmask of rank contributions
+//! it has received; steps are barrier-synchronised, so a flow sends what
+//! its source held at the *start* of the step. Three rule families:
 //!
 //! * **COMM-001 — byte conservation.** Each flow must carry exactly
 //!   `(hi − lo) · elem_bytes` (when the schedule declares an element
-//!   size), and after replaying every step the host's per-element
-//!   contribution mask must equal the union of the ranks that
-//!   [`CommSchedule::rank_owns`] declares as contributors: no partial may
-//!   be dropped on the fabric and none may be fabricated.
-//! * **COMM-002 — deadlock-free step ordering.** Replay tracks, per
-//!   endpoint and element, the set of rank contributions held (a `u64`
-//!   bitmask). A flow may only send data its source already holds at the
-//!   *start* of the step (steps are barrier-synchronised: intra-step
-//!   sends see pre-step state), and a flow marked
+//!   size), and after the final step the host must hold, per element,
+//!   exactly the ranks [`CommSchedule::rank_owns`] declares as
+//!   contributors: no partial dropped on the fabric, none fabricated.
+//! * **COMM-002 — ordering.** A flow may only send data its source
+//!   already holds, and a flow marked
 //!   [`reduced`](distmsm_comms::Flow::reduced) must hold *every*
-//!   contribution for its range — claiming a full reduction before the
-//!   inputs arrived is exactly the ordering bug that deadlocks (or
-//!   corrupts) a real NCCL-style pipeline.
-//! * **COMM-003 — link over-subscription.** Each GPU rank models a
-//!   single-port NIC: at most one injected and one ejected flow per
-//!   step (the host is a many-ported sink). A physical link whose
-//!   peak concurrent flow count exceeds the rank count indicates a
-//!   schedule that serialises on the wire while the model assumes
-//!   concurrency.
+//!   contribution for its range. A need that only a same-step delivery
+//!   could satisfy is a wait-for edge: a cycle of them is a rendezvous
+//!   deadlock, an acyclic one an ordering violation. An empty step
+//!   stalls every rank for a barrier (warning).
+//! * **COMM-003 — ports and links.** A GPU rank drives one send and one
+//!   receive port, so a second concurrent flow on either serialises and
+//!   the step's modelled time is wrong (error; the host is a many-ported
+//!   sink). A self-flow occupies the fabric for nothing, and a link whose
+//!   peak concurrent flow count exceeds the rank count serialises on the
+//!   wire while the model assumes concurrency (warnings).
 
 use crate::report::{Finding, Report, Severity};
-use distmsm_comms::{CommSchedule, Endpoint};
+use distmsm_comms::{CommSchedule, Endpoint, Flow};
 
-/// Replays one schedule against all three rule families.
-///
-/// `location` prefixes every finding (typically
-/// `"<scenario>/<strategy>#<index>"`).
+/// Checks one schedule against all three rule families. `location`
+/// prefixes every finding.
 pub fn check_schedule(location: &str, s: &CommSchedule) -> Report {
     let mut report = Report::new();
     let n = s.n_ranks;
@@ -41,22 +41,21 @@ pub fn check_schedule(location: &str, s: &CommSchedule) -> Report {
             "COMM-000",
             Severity::Info,
             location.to_owned(),
-            format!("{n} ranks exceed the 64-bit replay mask; schedule skipped"),
+            format!("{n} ranks exceed the 64-bit contribution mask; schedule skipped"),
         ));
         return report;
     }
 
-    // Contribution universe: which ranks feed each element.
+    // Which ranks feed each element; each rank starts holding its own
+    // contributions. Index `n` of `held` is the host.
     let mut contrib = vec![0u64; v];
-    for (r, &(lo, hi)) in s.rank_owns.iter().enumerate() {
-        for c in &mut contrib[lo.min(v)..hi.min(v)] {
-            *c |= 1 << r;
-        }
-    }
-    // Held-contribution masks per endpoint; index `n` is the host.
     let mut held = vec![vec![0u64; v]; n + 1];
     for (r, &(lo, hi)) in s.rank_owns.iter().enumerate() {
-        for h in &mut held[r][lo.min(v)..hi.min(v)] {
+        let own = lo.min(v)..hi.min(v);
+        for c in &mut contrib[own.clone()] {
+            *c |= 1 << r;
+        }
+        for h in &mut held[r][own] {
             *h |= 1 << r;
         }
     }
@@ -64,13 +63,21 @@ pub fn check_schedule(location: &str, s: &CommSchedule) -> Report {
         Endpoint::Rank(r) => r,
         Endpoint::Host => n,
     };
+    let satisfied = |f: &Flow, have: u64, want: u64| {
+        if f.reduced {
+            have == want
+        } else {
+            have != 0
+        }
+    };
 
     for (si, step) in s.steps.iter().enumerate() {
+        let at = format!("{location}/step{si}");
         if step.flows.is_empty() {
             report.push(Finding::new(
                 "COMM-002",
                 Severity::Warning,
-                format!("{location}/step{si}"),
+                at,
                 "empty step: every rank stalls for a full barrier".to_owned(),
             ));
             continue;
@@ -78,9 +85,10 @@ pub fn check_schedule(location: &str, s: &CommSchedule) -> Report {
         let snapshot = held.clone();
         let mut sends = vec![0usize; n + 1];
         let mut recvs = vec![0usize; n + 1];
+        let mut edges: Vec<(usize, usize)> = Vec::new();
         for (fi, f) in step.flows.iter().enumerate() {
             let (src, dst) = (idx(f.src), idx(f.dst));
-            let loc = format!("{location}/step{si}/flow{fi}");
+            let loc = format!("{at}/flow{fi}");
             sends[src] += 1;
             recvs[dst] += 1;
             if src == dst && f.bytes > 0.0 {
@@ -105,67 +113,101 @@ pub fn check_schedule(location: &str, s: &CommSchedule) -> Report {
                     ));
                 }
             }
-            for e in f.lo..f.hi.min(v) {
-                let have = snapshot[src][e];
-                if have == 0 {
-                    report.push(Finding::new(
-                        "COMM-002",
-                        Severity::Error,
-                        loc.clone(),
-                        format!(
-                            "source sends element {e} before holding any contribution for it"
-                        ),
-                    ));
-                    break;
-                }
-                if f.reduced && have != contrib[e] {
-                    report.push(Finding::new(
-                        "COMM-002",
-                        Severity::Error,
-                        loc.clone(),
-                        format!(
-                            "flow claims a fully reduced payload but its source holds \
-                             {}/{} contributions for element {e}",
-                            have.count_ones(),
-                            contrib[e].count_ones()
-                        ),
-                    ));
-                    break;
+            // the first element the source cannot send from its
+            // pre-step state: same-step suppliers turn it into wait-for
+            // edges, none at all into an error
+            let Some(e) =
+                (f.lo..f.hi.min(v)).find(|&e| !satisfied(f, snapshot[src][e], contrib[e]))
+            else {
+                continue;
+            };
+            let have = snapshot[src][e];
+            let mut boosted = have;
+            let mut suppliers = Vec::new();
+            for (fj, g) in step.flows.iter().enumerate() {
+                if fj != fi && idx(g.dst) == src && g.lo <= e && e < g.hi {
+                    boosted |= snapshot[idx(g.src)][e];
+                    suppliers.push(fj);
                 }
             }
+            if satisfied(f, boosted, contrib[e]) {
+                edges.extend(suppliers.into_iter().map(|fj| (fi, fj)));
+            } else {
+                report.push(Finding::new(
+                    "COMM-002",
+                    Severity::Error,
+                    loc,
+                    format!(
+                        "element {e} cannot be produced: the source holds {}/{} \
+                         contributions and no earlier step supplies the rest{}",
+                        have.count_ones(),
+                        contrib[e].count_ones(),
+                        if f.reduced { " (flow claims a fully reduced payload)" } else { "" }
+                    ),
+                ));
+            }
+        }
+        for f in &step.flows {
+            let (src, dst) = (idx(f.src), idx(f.dst));
             for e in f.lo..f.hi.min(v) {
                 held[dst][e] |= snapshot[src][e];
             }
         }
         for r in 0..n {
-            if sends[r] > 1 {
-                report.push(Finding::new(
-                    "COMM-003",
-                    Severity::Warning,
-                    format!("{location}/step{si}"),
-                    format!("rank {r} injects {} concurrent flows on a single port", sends[r]),
-                ));
+            for (count, what) in [(sends[r], "sends"), (recvs[r], "receives")] {
+                if count > 1 {
+                    report.push(Finding::new(
+                        "COMM-003",
+                        Severity::Error,
+                        at.clone(),
+                        format!(
+                            "port infeasible: rank {r} drives {count} concurrent {what} \
+                             on a single port"
+                        ),
+                    ));
+                }
             }
-            if recvs[r] > 1 {
+        }
+        if let Some(cycle) = find_cycle(step.flows.len(), &edges) {
+            let names: Vec<String> = cycle.iter().map(|f| format!("flow{f}")).collect();
+            report.push(Finding::new(
+                "COMM-002",
+                Severity::Error,
+                at,
+                format!(
+                    "rendezvous deadlock: {} wait on each other's same-step \
+                     deliveries; under barrier-step semantics none can start",
+                    names.join(" → ")
+                ),
+            ));
+        } else {
+            edges.dedup();
+            for (fi, fj) in edges {
                 report.push(Finding::new(
-                    "COMM-003",
-                    Severity::Warning,
-                    format!("{location}/step{si}"),
-                    format!("rank {r} ejects {} concurrent flows on a single port", recvs[r]),
+                    "COMM-002",
+                    Severity::Error,
+                    format!("{at}/flow{fi}"),
+                    format!(
+                        "ordering violation: flow{fi} needs data flow{fj} delivers \
+                         in the same step; move the consumer to a later step"
+                    ),
                 ));
             }
         }
     }
 
-    let lost = (0..v).filter(|&e| held[n][e] != contrib[e]).count();
-    if lost > 0 {
+    let missing: Vec<usize> = (0..v).filter(|&e| held[n][e] != contrib[e]).collect();
+    if let Some(&first) = missing.first() {
         report.push(Finding::new(
             "COMM-001",
             Severity::Error,
             location.to_owned(),
             format!(
-                "host coverage incomplete: {lost}/{v} element(s) missing or carrying \
-                 fabricated contributions after the final step"
+                "host coverage incomplete: {}/{v} element(s) end without exactly \
+                 their contribution set (first: element {first}, host holds {}/{})",
+                missing.len(),
+                held[n][first].count_ones(),
+                contrib[first].count_ones()
             ),
         ));
     }
@@ -185,109 +227,45 @@ pub fn check_schedule(location: &str, s: &CommSchedule) -> Report {
     report
 }
 
-/// Execution paths whose comm schedules the checker captures: the engine's
-/// GPU-reduce path under every collective strategy (on a multi-node pod,
-/// so routes cross the NIC), the CPU bucket-gather path, and the best-GPU
-/// baseline merge.
-pub const COMM_SCENARIOS: [&str; 6] = [
-    "collective-host-gather",
-    "collective-ring-all-reduce",
-    "collective-tree-all-reduce",
-    "collective-reduce-scatter-gather",
-    "cpu-bucket-gather",
-    "baseline-merge",
-];
-
-/// Runs one comm scenario under the comms crate's trace capture and
-/// returns every schedule it finalized.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name or an engine failure (both indicate
-/// a bug in this crate).
-pub fn capture_comm_scenario(scenario: &str) -> Vec<CommSchedule> {
-    use distmsm::engine::{DistMsm, DistMsmConfig};
-    use distmsm::BestGpuBaseline;
-    use distmsm_comms::schedule::trace::{begin_capture, end_capture};
-    use distmsm_ec::{curves::Bn254G1, MsmInstance};
-    use distmsm_gpu_sim::MultiGpuSystem;
-    use rand::{rngs::StdRng, SeedableRng};
-
-    let guard = crate::harness::CAPTURE_GUARD
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let mut rng = StdRng::seed_from_u64(0xC0_4417);
-    let instance = MsmInstance::<Bn254G1>::random(256, &mut rng);
-    begin_capture();
-    match scenario {
-        s if s.starts_with("collective-") => {
-            let strat = distmsm::CollectiveStrategy::parse(&s["collective-".len()..])
-                .expect("strategy name");
-            let cfg = DistMsmConfig::builder()
-                .window_size(8)
-                .bucket_reduce_on_cpu(false)
-                .collective(strat)
-                .build()
-                .unwrap();
-            // 12 GPUs → two-box dgx pod: routes cross the NIC tier.
-            DistMsm::with_config(MultiGpuSystem::dgx_a100(12), cfg)
-                .execute(&instance)
-                .expect(scenario);
+/// First cycle of the wait-for relation, as a node sequence, if any.
+fn find_cycle(n_nodes: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
+    fn dfs(
+        u: usize,
+        adj: &[Vec<usize>],
+        state: &mut [u8],
+        stack: &mut Vec<usize>,
+    ) -> Option<Vec<usize>> {
+        state[u] = 1;
+        stack.push(u);
+        for &w in &adj[u] {
+            if state[w] == 1 {
+                let start = stack.iter().position(|&x| x == w)?;
+                return Some(stack[start..].to_vec());
+            }
+            if state[w] == 0 {
+                if let Some(c) = dfs(w, adj, state, stack) {
+                    return Some(c);
+                }
+            }
         }
-        "cpu-bucket-gather" => {
-            let cfg = DistMsmConfig::builder()
-                .window_size(8)
-                .build()
-                .unwrap();
-            DistMsm::with_config(MultiGpuSystem::dgx_a100(4), cfg)
-                .execute(&instance)
-                .expect(scenario);
-        }
-        "baseline-merge" => {
-            BestGpuBaseline::new(MultiGpuSystem::dgx_a100(4))
-                .with_window_size(8)
-                .execute(&instance)
-                .expect(scenario);
-        }
-        other => panic!("unknown comm scenario `{other}`"),
+        stack.pop();
+        state[u] = 2;
+        None
     }
-    let schedules = end_capture();
-    drop(guard);
-    schedules
-}
-
-/// Captures every comm scenario and replays each schedule through the
-/// COMM rules. A scenario that captures no schedules is itself an error
-/// (`COMM-000`): a vacuously clean verdict would hide dead
-/// instrumentation.
-pub fn check_comm_schedules() -> Report {
-    let mut report = Report::new();
-    for scenario in COMM_SCENARIOS {
-        let schedules = capture_comm_scenario(scenario);
-        if schedules.is_empty() {
-            report.push(Finding::new(
-                "COMM-000",
-                Severity::Error,
-                scenario.to_owned(),
-                "scenario captured no comm schedules — trace stream inactive".to_owned(),
-            ));
-            continue;
-        }
-        report.push(Finding::new(
-            "COMM-000",
-            Severity::Info,
-            scenario.to_owned(),
-            format!(
-                "checked {} schedule(s), {} flow(s)",
-                schedules.len(),
-                schedules.iter().map(CommSchedule::n_flows).sum::<usize>()
-            ),
-        ));
-        for (i, s) in schedules.iter().enumerate() {
-            report.extend(check_schedule(&format!("{scenario}/{}#{i}", s.strategy), s));
-        }
+    let mut adj = vec![Vec::new(); n_nodes];
+    for &(a, b) in edges {
+        adj[a].push(b);
     }
-    report
+    // 0 = unvisited, 1 = on stack, 2 = done
+    let mut state = vec![0u8; n_nodes];
+    let mut stack = Vec::new();
+    (0..n_nodes).find_map(|u| {
+        if state[u] == 0 {
+            dfs(u, &adj, &mut state, &mut stack)
+        } else {
+            None
+        }
+    })
 }
 
 #[cfg(test)]
@@ -297,10 +275,6 @@ mod tests {
         plan_collective, CollectiveStrategy, CommConfig, CommStep, Fabric, Topology,
     };
 
-    fn pod_fabric(topo: &Topology) -> Fabric<'_> {
-        Fabric::Topology(topo)
-    }
-
     fn clean_plan(strategy: CollectiveStrategy) -> CommSchedule {
         let topo = Topology::dgx_pod(12);
         plan_collective(
@@ -308,7 +282,7 @@ mod tests {
             12,
             96,
             96.0,
-            &pod_fabric(&topo),
+            &Fabric::Topology(&topo),
             &CommConfig::default(),
         )
     }
@@ -403,17 +377,5 @@ mod tests {
             "{}",
             r.render_text()
         );
-    }
-
-    #[test]
-    fn captured_engine_scenarios_replay_clean() {
-        for scenario in COMM_SCENARIOS {
-            let schedules = capture_comm_scenario(scenario);
-            assert!(!schedules.is_empty(), "{scenario} captured nothing");
-            for (i, s) in schedules.iter().enumerate() {
-                let r = check_schedule(&format!("{scenario}#{i}"), s);
-                assert_eq!(r.actionable(), 0, "{}", r.render_text());
-            }
-        }
     }
 }

@@ -1,15 +1,12 @@
-//! Fault-recovery checker: runs the engine under seeded fault plans and
-//! verifies that recovery kept every invariant it claims to.
+//! Fault-recovery rules, applied to every captured scenario (see
+//! [`crate::harness`]; five of its rows run under seeded fail-stop,
+//! link-down, cascade and bit-flip plans):
 //!
-//! Two rule families over every fault scenario:
-//!
-//! * **FAULT-001 — byte conservation under replay.** The comm schedules
-//!   a *recovering* execution emits (degraded host gathers, survivor-only
-//!   bucket gathers) must still replay clean through the `COMM-00x`
-//!   rules: a lost rank contributes nothing, but nothing any survivor
-//!   shipped may be dropped or fabricated. The recovered MSM value must
-//!   also equal the fault-free execution bit-for-bit — conservation of
-//!   the *payload*, not just the byte counts.
+//! * **FAULT-001 — payload conservation.** Every row's MSM value must
+//!   equal `MsmInstance::reference_result()` bit for bit, recovering
+//!   executions included. The schedules a recovering execution ships
+//!   (degraded host gathers, survivor-only bucket gathers) go through
+//!   the same `COMM-00x` checker as every other report's.
 //! * **FAULT-002 — no orphaned work after re-plan.** The supervisor's
 //!   [`RecoveryReport::completed`] slice set must tile the plan's
 //!   `n_windows × n_buckets` space exactly (every bucket folded exactly
@@ -17,117 +14,8 @@
 //!   double-covered one corrupts it loudly), and every re-planned slice
 //!   must be owned by a surviving GPU.
 
-use crate::comm::check_schedule;
 use crate::report::{Finding, Report, Severity};
-use distmsm::engine::{DistMsm, DistMsmConfig};
 use distmsm::supervisor::RecoveryReport;
-use distmsm_ec::{curves::Bn254G1, MsmInstance, XyzzPoint};
-use distmsm_gpu_sim::{FaultEvent, FaultKind, FaultPlan, LinkFault, MultiGpuSystem};
-use rand::{rngs::StdRng, SeedableRng};
-
-/// The fault scenarios the checker injects. Together they cover the
-/// supervisor's recovery paths: fail-stop on the CPU-gather path,
-/// fail-stop degrading the GPU-reduce collective, a fabric-isolated
-/// rank, a mid-recovery cascade, and a transient bit-flip caught by the
-/// RLC self-check.
-pub const FAULT_SCENARIOS: [&str; 5] = [
-    "fail-stop-cpu-gather",
-    "fail-stop-degraded-collective",
-    "isolated-rank",
-    "cascading-fail-stop",
-    "bit-flip-self-check",
-];
-
-/// Builds `(system, faulted config, clean config)` for one scenario.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name (a bug in this crate).
-fn scenario_setup(scenario: &str) -> (MultiGpuSystem, DistMsmConfig, DistMsmConfig) {
-    let base = DistMsmConfig::builder().window_size(8);
-    let (system, faulted) = match scenario {
-        "fail-stop-cpu-gather" => (
-            MultiGpuSystem::dgx_a100(8),
-            base.fault_plan(FaultPlan::fail_stop(3, 0)),
-        ),
-        "fail-stop-degraded-collective" => (
-            MultiGpuSystem::dgx_a100(4),
-            base.bucket_reduce_on_cpu(false)
-                .fault_plan(FaultPlan::fail_stop(2, 0)),
-        ),
-        "isolated-rank" => (
-            MultiGpuSystem::dgx_a100(4),
-            base.fault_plan(
-                FaultPlan::none()
-                    .with_link_fault(LinkFault::PeerPortDown { rank: 2 })
-                    .with_link_fault(LinkFault::HostPortDown { rank: 2 }),
-            ),
-        ),
-        "cascading-fail-stop" => (
-            MultiGpuSystem::dgx_a100(8),
-            base.window_size(4)
-                .fault_plan(FaultPlan::fail_stop(3, 0).with_event(FaultEvent {
-                    device: 4,
-                    at_event: 8,
-                    attempt: 0,
-                    kind: FaultKind::FailStop,
-                })),
-        ),
-        "bit-flip-self-check" => (
-            MultiGpuSystem::dgx_a100(4),
-            base.fault_plan(FaultPlan::bit_flip(1, 0)),
-        ),
-        other => panic!("unknown fault scenario `{other}`"),
-    };
-    let faulted = faulted.build().expect("scenario config is valid");
-    // the clean reference must use the same path flags as the faulted run
-    let clean = faulted
-        .to_builder()
-        .fault_plan(FaultPlan::none())
-        .build()
-        .expect("clean twin of a valid config is valid");
-    (system, faulted, clean)
-}
-
-/// Runs one fault scenario: the clean reference result, the recovering
-/// execution's result + recovery report, and the comm schedules the
-/// recovering execution emitted.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario or an unrecoverable engine failure
-/// (every shipped scenario is recoverable by construction).
-pub fn run_fault_scenario(
-    scenario: &str,
-) -> (
-    XyzzPoint<Bn254G1>,
-    XyzzPoint<Bn254G1>,
-    RecoveryReport,
-    Vec<distmsm_comms::CommSchedule>,
-) {
-    use distmsm_comms::schedule::trace::{begin_capture, end_capture};
-
-    let guard = crate::harness::CAPTURE_GUARD
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let (system, faulted_cfg, clean_cfg) = scenario_setup(scenario);
-    let mut rng = StdRng::seed_from_u64(0xFA_017);
-    let instance = MsmInstance::<Bn254G1>::random(256, &mut rng);
-
-    let clean = DistMsm::with_config(system.clone(), clean_cfg)
-        .execute(&instance)
-        .expect(scenario);
-
-    begin_capture();
-    let faulted = DistMsm::with_config(system, faulted_cfg)
-        .execute(&instance)
-        .expect(scenario);
-    let schedules = end_capture();
-    drop(guard);
-
-    let recovery = faulted.recovery.expect("supervised run reports recovery");
-    (clean.result, faulted.result, recovery, schedules)
-}
 
 /// Replays one recovery report against the FAULT-002 rules.
 ///
@@ -204,72 +92,10 @@ pub fn check_recovery_report(location: &str, rec: &RecoveryReport) -> Report {
     report
 }
 
-/// Runs every fault scenario and replays the FAULT rules. A scenario
-/// whose recovering execution captured no comm schedules is itself an
-/// error (`FAULT-000`), mirroring `COMM-000`.
-pub fn check_fault_recovery() -> Report {
-    let mut report = Report::new();
-    for scenario in FAULT_SCENARIOS {
-        let (clean, recovered, rec, schedules) = run_fault_scenario(scenario);
-        report.push(Finding::new(
-            "FAULT-000",
-            Severity::Info,
-            scenario.to_owned(),
-            format!(
-                "{} fault(s) observed, {} slice(s) re-planned, {} schedule(s) replayed",
-                rec.faults.len(),
-                rec.replanned.len(),
-                schedules.len()
-            ),
-        ));
-        if recovered != clean {
-            report.push(Finding::new(
-                "FAULT-001",
-                Severity::Error,
-                scenario.to_owned(),
-                "recovered MSM differs from the fault-free execution".to_owned(),
-            ));
-        }
-        if schedules.is_empty() {
-            report.push(Finding::new(
-                "FAULT-000",
-                Severity::Error,
-                scenario.to_owned(),
-                "recovering execution captured no comm schedules — trace stream inactive"
-                    .to_owned(),
-            ));
-        }
-        for (i, s) in schedules.iter().enumerate() {
-            let replay = check_schedule(&format!("{scenario}/{}#{i}", s.strategy), s);
-            if replay.actionable() > 0 {
-                report.push(Finding::new(
-                    "FAULT-001",
-                    Severity::Error,
-                    format!("{scenario}/{}#{i}", s.strategy),
-                    format!(
-                        "recovery comm schedule violates conservation/ordering \
-                         ({} actionable replay finding(s))",
-                        replay.actionable()
-                    ),
-                ));
-            }
-            report.extend(replay);
-        }
-        report.extend(check_recovery_report(scenario, &rec));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use distmsm::plan::Slice;
-
-    #[test]
-    fn shipped_fault_scenarios_replay_clean() {
-        let r = check_fault_recovery();
-        assert_eq!(r.actionable(), 0, "{}", r.render_text());
-    }
 
     fn toy_report() -> RecoveryReport {
         RecoveryReport {

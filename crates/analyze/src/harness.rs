@@ -1,132 +1,301 @@
-//! Drives the shipped MSM kernels under trace capture and feeds the
-//! captured launches to the race checker.
+//! The one scenario table behind `distmsm-analyze check`'s dynamic
+//! families. Each row names a system, an executor and an instance size;
+//! [`capture`] runs a row exactly once, with the gpu-sim access trace and
+//! a telemetry session both on, and [`check_capture`] applies every
+//! family to what that one run left behind:
 //!
-//! Capture state in `distmsm_gpu_sim::trace` is process-global, so every
-//! capture session takes the crate-internal `CAPTURE_GUARD` — concurrent test threads
-//! would otherwise interleave their launches into each other's captures.
+//! * RACE/TRACE — [`check_traces`] over the captured launches;
+//! * COMM — [`check_schedule`] over the report's `comm` schedule;
+//! * FAULT — the result against `MsmInstance::reference_result()`
+//!   (FAULT-001) on every row, [`check_recovery_report`] (FAULT-002)
+//!   wherever the report carries a recovery account;
+//! * TEL — [`check_timeline`] on engine rows.
+//!
+//! Schedules and recovery accounts come off the executor's own report;
+//! only the access trace and the telemetry session are process-global
+//! captures (kernels record from the engine's worker threads), so
+//! [`capture`] holds `CAPTURE_GUARD` for the whole run — concurrent test
+//! threads would otherwise interleave launches and spans into each
+//! other's captures.
 
+use crate::comm::check_schedule;
+use crate::fault::check_recovery_report;
 use crate::race::{check_traces, RaceConfig};
 use crate::report::{Finding, Report, Severity};
-use distmsm::engine::{DistMsm, DistMsmConfig};
-use distmsm::{cuzk, BestGpuBaseline, ScatterKind};
-use distmsm_ec::{curves::Bn254G1, MsmInstance};
+use crate::tel::check_timeline;
+use distmsm::engine::{DistMsm, DistMsmConfig, MsmReport};
+use distmsm::supervisor::RecoveryReport;
+use distmsm::{cuzk, BestGpuBaseline, CollectiveStrategy, DistMsmConfigBuilder, ScatterKind};
+use distmsm_comms::CommSchedule;
+use distmsm_ec::{curves::Bn254G1, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::trace::{begin_capture, end_capture, LaunchTrace};
-use distmsm_gpu_sim::MultiGpuSystem;
+use distmsm_gpu_sim::{FaultEvent, FaultKind, FaultPlan, LinkFault, MultiGpuSystem};
+use distmsm_telemetry::{session, Timeline};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Mutex;
 
-/// Serialises capture sessions: both the gpu-sim launch trace and the
-/// comms schedule trace are process-global, and every captured scenario
-/// (here and in [`crate::comm`]) drives engines that feed both streams.
-pub(crate) static CAPTURE_GUARD: Mutex<()> = Mutex::new(());
+/// Serialises captures: the gpu-sim launch trace and the telemetry
+/// session are both process-global.
+static CAPTURE_GUARD: Mutex<()> = Mutex::new(());
 
-/// The execution paths the dynamic checker exercises. Together they cover
-/// every instrumented kernel: hierarchical and naive scatter, signed-digit
-/// scatter, multi-thread bucket-sum, the cuZK sparse transpose, and the
-/// single-GPU baseline.
-pub const SCENARIOS: [&str; 5] = [
-    "distmsm-default",
-    "distmsm-naive",
-    "distmsm-signed",
-    "cuzk",
-    "baseline",
-];
+/// Window size of every row (the cascade row narrows its own to 4).
+pub const WINDOW: u32 = 8;
 
-/// MSM sizes the checker runs each scenario at.
-pub const SIZES: [usize; 2] = [256, 1024];
+/// What executes a row.
+#[derive(Clone, Debug)]
+pub enum Executor {
+    /// [`DistMsm::execute`] under this configuration.
+    Engine(DistMsmConfig),
+    /// [`cuzk::execute`] at window [`WINDOW`].
+    CuZk,
+    /// [`BestGpuBaseline`] at window [`WINDOW`].
+    Baseline,
+}
 
-/// Runs one scenario at one size under trace capture and returns the
-/// captured launches.
+/// One named execution on `dgx_a100(gpus)`.
+#[derive(Clone, Debug)]
+pub struct Scenario {
+    /// Stable row name.
+    pub name: String,
+    /// GPUs of the DGX-A100 system it runs on.
+    pub gpus: usize,
+    /// What runs it.
+    pub executor: Executor,
+    /// Points in its seeded random BN254 instance.
+    pub size: usize,
+}
+
+impl Scenario {
+    /// `<name>/n=<size>`: the location prefix of every finding.
+    pub fn location(&self) -> String {
+        format!("{}/n={}", self.name, self.size)
+    }
+}
+
+/// Every execution `check` runs, each distinct system, configuration and
+/// size once. Together they cover:
+///
+/// * hierarchical, naive and signed-digit scatter, the cuZK transpose
+///   and the baseline merge, at n = 256 and 1024 — the default row is
+///   also the CPU bucket gather and the pipelined CPU-reduce telemetry
+///   path;
+/// * the GPU-reduce path under each collective strategy on a two-box
+///   pod, so routes cross the NIC tier (the collective telemetry path);
+/// * five fault plans: fail-stop on both reduce paths (the first is the
+///   recovery-tail telemetry path), a fabric-isolated rank, a
+///   mid-recovery cascade, and a bit-flip caught by the RLC self-check.
+pub fn scenarios() -> Vec<Scenario> {
+    let row = |name: &str, gpus, size, executor| Scenario {
+        name: name.to_owned(),
+        gpus,
+        executor,
+        size,
+    };
+    let engine = |b: DistMsmConfigBuilder| {
+        Executor::Engine(b.build().expect("scenario config is valid"))
+    };
+    let base = || DistMsmConfig::builder().window_size(WINDOW);
+    let mut rows = Vec::new();
+    for size in [256, 1024] {
+        rows.extend([
+            row("distmsm-default", 4, size, engine(base())),
+            row("distmsm-naive", 4, size, engine(base().scatter(ScatterKind::Naive))),
+            row("distmsm-signed", 4, size, engine(base().signed_digits(true))),
+            row("cuzk", 2, size, Executor::CuZk),
+            row("baseline", 4, size, Executor::Baseline),
+        ]);
+    }
+    let gpu_reduce = || base().bucket_reduce_on_cpu(false);
+    for strategy in CollectiveStrategy::ALL {
+        let name = format!("collective-{}", strategy.name());
+        rows.push(row(&name, 12, 256, engine(gpu_reduce().collective(strategy))));
+    }
+    let cascade = FaultPlan::fail_stop(3, 0).with_event(FaultEvent {
+        device: 4,
+        at_event: 8,
+        attempt: 0,
+        kind: FaultKind::FailStop,
+    });
+    let isolated = FaultPlan::none()
+        .with_link_fault(LinkFault::PeerPortDown { rank: 2 })
+        .with_link_fault(LinkFault::HostPortDown { rank: 2 });
+    rows.extend([
+        row("fail-stop-cpu-gather", 8, 256, engine(base().fault_plan(FaultPlan::fail_stop(3, 0)))),
+        row(
+            "fail-stop-degraded-collective",
+            4,
+            256,
+            engine(gpu_reduce().fault_plan(FaultPlan::fail_stop(2, 0))),
+        ),
+        row("isolated-rank", 4, 256, engine(base().fault_plan(isolated))),
+        row("cascading-fail-stop", 8, 256, engine(base().window_size(4).fault_plan(cascade))),
+        row("bit-flip-self-check", 4, 256, engine(base().fault_plan(FaultPlan::bit_flip(1, 0)))),
+    ]);
+    rows
+}
+
+/// What one run of a row left behind.
+#[derive(Clone, Debug)]
+pub struct Capture {
+    /// The launches the access trace recorded.
+    pub traces: Vec<LaunchTrace>,
+    /// The MSM value the executor returned.
+    pub result: XyzzPoint<Bn254G1>,
+    /// `reference_result()` of the row's instance.
+    pub reference: XyzzPoint<Bn254G1>,
+    /// The report's communication schedule (cuZK's report carries none).
+    pub comm: Option<CommSchedule>,
+    /// The report's recovery account (supervised engine rows).
+    pub recovery: Option<RecoveryReport>,
+    /// Engine rows: the session's timeline and the report it must agree
+    /// with.
+    pub telemetry: Option<(Timeline, MsmReport<Bn254G1>)>,
+}
+
+/// Runs `row` once under `CAPTURE_GUARD` with the access trace and a
+/// telemetry session on.
 ///
 /// # Panics
 ///
-/// Panics on an unknown scenario name or if the engine rejects the
-/// generated instance (both indicate a bug in this crate).
-pub fn capture_scenario(scenario: &str, size: usize) -> Vec<LaunchTrace> {
+/// If the executor fails: every row is recoverable by construction, so
+/// a failure is a bug in the engine or in this table.
+pub fn capture(row: &Scenario) -> Capture {
+    let mut rng = StdRng::seed_from_u64(0xD157_0000 ^ row.size as u64);
+    let instance = MsmInstance::<Bn254G1>::random(row.size, &mut rng);
+    let system = MultiGpuSystem::dgx_a100(row.gpus);
+    let failed = |e| panic!("{}: execution must succeed, got {e}", row.location());
     let guard = CAPTURE_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = StdRng::seed_from_u64(0xD157_0000 ^ size as u64);
-    let instance = MsmInstance::<Bn254G1>::random(size, &mut rng);
-    const WINDOW: u32 = 8;
     begin_capture();
-    match scenario {
-        "distmsm-default" => {
-            let cfg = DistMsmConfig::builder()
-                .window_size(WINDOW)
-                .build()
-                .unwrap();
-            DistMsm::with_config(MultiGpuSystem::dgx_a100(4), cfg)
+    session::begin();
+    let (result, comm, recovery, engine_report) = match &row.executor {
+        Executor::Engine(config) => {
+            let r = DistMsm::with_config(system, config.clone())
                 .execute(&instance)
-                .expect("distmsm-default");
+                .unwrap_or_else(failed);
+            (r.result, r.comm.clone(), r.recovery.clone(), Some(r))
         }
-        "distmsm-naive" => {
-            let cfg = DistMsmConfig::builder()
-                .window_size(WINDOW)
-                .scatter(ScatterKind::Naive)
-                .build()
-                .unwrap();
-            DistMsm::with_config(MultiGpuSystem::dgx_a100(4), cfg)
+        Executor::CuZk => {
+            let r = cuzk::execute(&instance, &system, Some(WINDOW));
+            (r.result, None, None, None)
+        }
+        Executor::Baseline => {
+            let r = BestGpuBaseline::new(system)
+                .with_window_size(WINDOW)
                 .execute(&instance)
-                .expect("distmsm-naive");
+                .unwrap_or_else(failed);
+            (r.result, r.comm, r.recovery, None)
         }
-        "distmsm-signed" => {
-            let cfg = DistMsmConfig::builder()
-                .window_size(WINDOW)
-                .signed_digits(true)
-                .build()
-                .unwrap();
-            DistMsm::with_config(MultiGpuSystem::dgx_a100(4), cfg)
-                .execute(&instance)
-                .expect("distmsm-signed");
-        }
-        "cuzk" => {
-            cuzk::execute(&instance, &MultiGpuSystem::dgx_a100(2), Some(WINDOW));
-        }
-        "baseline" => {
-            BestGpuBaseline::new(MultiGpuSystem::dgx_a100(1))
-                .with_window_size(8)
-                .execute(&instance)
-                .expect("baseline");
-        }
-        other => panic!("unknown scenario `{other}`"),
-    }
+    };
+    let timeline = session::end();
     let traces = end_capture();
     drop(guard);
-    traces
+    Capture {
+        traces,
+        result,
+        reference: instance.reference_result(),
+        comm,
+        recovery,
+        telemetry: engine_report.map(|r| (timeline, r)),
+    }
 }
 
-/// Runs every scenario at every size and checks the captured launches.
-///
-/// Besides race findings, a scenario that captures **no** launches is
-/// reported (`TRACE-001`): an empty capture would make a "zero findings"
+/// Applies every dynamic family to one capture of `row`. A row that
+/// captured no launches (`TRACE-001`) or an engine row that emitted no
+/// spans (`TEL-000`) is an error: an empty capture would make a clean
 /// verdict vacuous.
-pub fn check_shipped_kernels(cfg: &RaceConfig) -> Report {
+pub fn check_capture(row: &Scenario, cap: &Capture, cfg: &RaceConfig) -> Report {
+    let loc = row.location();
     let mut report = Report::new();
-    for scenario in SCENARIOS {
-        for size in SIZES {
-            let traces = capture_scenario(scenario, size);
-            if traces.is_empty() {
-                report.push(Finding::new(
-                    "TRACE-001",
-                    Severity::Error,
-                    format!("{scenario}/n={size}"),
-                    "scenario captured no launches — instrumentation inactive".to_owned(),
-                ));
-                continue;
-            }
+    let mut info = |rule, message: String| {
+        report.push(Finding::new(rule, Severity::Info, loc.clone(), message));
+    };
+    info(
+        "TRACE-000",
+        format!(
+            "checked {} launch(es), {} accesses",
+            cap.traces.len(),
+            cap.traces.iter().map(|t| t.accesses.len()).sum::<usize>()
+        ),
+    );
+    if let Some(s) = &cap.comm {
+        info("COMM-000", format!("checked the {} schedule, {} flow(s)", s.strategy, s.n_flows()));
+    }
+    if let Some(rec) = &cap.recovery {
+        info(
+            "FAULT-000",
+            format!(
+                "{} fault(s) observed, {} slice(s) re-planned",
+                rec.faults.len(),
+                rec.replanned.len()
+            ),
+        );
+    }
+    if let Some((tl, _)) = &cap.telemetry {
+        info(
+            "TEL-000",
+            format!(
+                "{} span(s), {} instant(s), {} counter sample(s) captured",
+                tl.spans.len(),
+                tl.instants.len(),
+                tl.counters.len()
+            ),
+        );
+    }
+
+    if cap.traces.is_empty() {
+        report.push(Finding::new(
+            "TRACE-001",
+            Severity::Error,
+            loc.clone(),
+            "scenario captured no launches — instrumentation inactive",
+        ));
+    }
+    report.extend(check_traces(&cap.traces, cfg));
+    if let Some(s) = &cap.comm {
+        report.extend(check_schedule(&format!("{loc}/{}", s.strategy), s));
+    }
+    if cap.result != cap.reference {
+        report.push(Finding::new(
+            "FAULT-001",
+            Severity::Error,
+            loc.clone(),
+            "MSM value differs from the instance's reference_result()",
+        ));
+    }
+    if let Some(rec) = &cap.recovery {
+        report.extend(check_recovery_report(&loc, rec));
+    }
+    if let Some((tl, msm)) = &cap.telemetry {
+        if tl.spans.is_empty() {
             report.push(Finding::new(
-                "TRACE-000",
-                Severity::Info,
-                format!("{scenario}/n={size}"),
-                format!(
-                    "checked {} launch(es), {} accesses",
-                    traces.len(),
-                    traces.iter().map(|t| t.accesses.len()).sum::<usize>()
-                ),
+                "TEL-000",
+                Severity::Error,
+                loc.clone(),
+                "engine emitted no spans — telemetry hooks inactive",
             ));
-            report.extend(check_traces(&traces, cfg));
         }
+        report.findings.extend(check_timeline(&loc, tl, msm));
     }
     report
+}
+
+/// Captures every row of [`scenarios`] once and checks it.
+pub fn check_scenarios(cfg: &RaceConfig) -> Report {
+    let mut report = Report::new();
+    for row in scenarios() {
+        report.extend(check_capture(&row, &capture(&row), cfg));
+    }
+    report
+}
+
+/// Captures the row at `location` (`<name>/n=<size>`).
+#[cfg(test)]
+pub(crate) fn capture_at(location: &str) -> Capture {
+    let row = scenarios()
+        .into_iter()
+        .find(|r| r.location() == location)
+        .unwrap_or_else(|| panic!("no scenario at {location}"));
+    capture(&row)
 }
 
 #[cfg(test)]
@@ -135,20 +304,100 @@ mod tests {
 
     #[test]
     fn default_scenario_captures_scatter_and_bucket_sum() {
-        let traces = capture_scenario("distmsm-default", 256);
+        let traces = capture_at("distmsm-default/n=256").traces;
         assert!(traces.iter().any(|t| t.kernel.contains("scatter")));
         assert!(traces.iter().any(|t| t.kernel == "bucket-sum"));
     }
 
     #[test]
     fn cuzk_scenario_captures_transpose() {
-        let traces = capture_scenario("cuzk", 256);
+        let traces = capture_at("cuzk/n=256").traces;
         assert!(traces.iter().any(|t| t.kernel == "cuzk-transpose"));
     }
 
+    /// The table keeps every path the dynamic families cover, and runs
+    /// each distinct system, configuration and size once.
     #[test]
-    fn shipped_kernels_are_race_free() {
-        let r = check_shipped_kernels(&RaceConfig::default());
-        assert_eq!(r.actionable(), 0, "{}", r.render_text());
+    fn table_covers_every_path_once() {
+        let rows = scenarios();
+        let config = |name: &str| {
+            rows.iter()
+                .find_map(|r| match &r.executor {
+                    Executor::Engine(c) if r.name == name => Some((r.gpus, c.clone())),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("no engine row {name}"))
+        };
+        for name in ["distmsm-default", "distmsm-naive", "distmsm-signed", "cuzk", "baseline"] {
+            for size in [256, 1024] {
+                let loc = format!("{name}/n={size}");
+                assert!(rows.iter().any(|r| r.location() == loc), "{loc} missing");
+            }
+        }
+        assert_eq!(config("distmsm-naive").1.scatter, Some(ScatterKind::Naive));
+        assert!(config("distmsm-signed").1.signed_digits);
+        let (_, default) = config("distmsm-default");
+        assert!(default.bucket_reduce_on_cpu && default.pipelined && default.fault_plan.is_empty());
+        for strategy in CollectiveStrategy::ALL {
+            let (gpus, c) = config(&format!("collective-{}", strategy.name()));
+            assert_eq!((gpus, c.collective, c.bucket_reduce_on_cpu), (12, strategy, false));
+        }
+        let faulted: Vec<&str> = rows
+            .iter()
+            .filter(|r| matches!(&r.executor, Executor::Engine(c) if !c.fault_plan.is_empty()))
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(
+            faulted,
+            [
+                "fail-stop-cpu-gather",
+                "fail-stop-degraded-collective",
+                "isolated-rank",
+                "cascading-fail-stop",
+                "bit-flip-self-check"
+            ]
+        );
+        assert!(!config("fail-stop-degraded-collective").1.bucket_reduce_on_cpu);
+        let mut keys: Vec<String> = rows
+            .iter()
+            .map(|r| format!("{} {:?} {}", r.gpus, r.executor, r.size))
+            .collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), rows.len(), "two rows run the same execution");
+    }
+
+    /// Every row, captured once: it records launches, engine rows emit
+    /// spans, the result is the reference value, and every family is
+    /// clean on it.
+    #[test]
+    fn every_row_captures_once_and_checks_clean() {
+        for row in scenarios() {
+            let loc = row.location();
+            let cap = capture(&row);
+            assert!(!cap.traces.is_empty(), "{loc}: no launches");
+            if matches!(row.executor, Executor::Engine(_)) {
+                let (tl, _) = cap.telemetry.as_ref().expect("engine rows keep their timeline");
+                assert!(!tl.spans.is_empty(), "{loc}: no spans");
+            }
+            assert!(cap.result == cap.reference, "{loc}: result is not the reference value");
+            let r = check_capture(&row, &cap, &RaceConfig::default());
+            assert_eq!(r.actionable(), 0, "{loc}:\n{}", r.render_text());
+        }
+    }
+
+    #[test]
+    fn wrong_result_is_fault_001() {
+        let row = scenarios().swap_remove(0);
+        let mut cap = capture(&row);
+        cap.result = XyzzPoint::identity();
+        let r = check_capture(&row, &cap, &RaceConfig::default());
+        assert!(
+            r.findings
+                .iter()
+                .any(|f| f.rule == "FAULT-001" && f.severity == Severity::Error),
+            "{}",
+            r.render_text()
+        );
     }
 }

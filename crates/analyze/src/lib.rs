@@ -1,9 +1,13 @@
 //! # distmsm-analyze — simulated-GPU race detector and kernel linter
 //!
-//! Two complementary analyses over the DistMSM reproduction:
+//! Static and dynamic analyses over the DistMSM reproduction. The
+//! dynamic ones share one **scenario table** ([`harness`]): every named
+//! execution — engine kernels and collectives, cuZK, the baseline, five
+//! fault plans — runs once with the access trace and a telemetry session
+//! on, and each family below reads that one capture.
 //!
-//! * A **dynamic race detector** ([`race`], driven by [`harness`]): the
-//!   simulator's access-trace hook (`distmsm_gpu_sim::trace`)
+//! * A **dynamic race detector** ([`race`]): the simulator's
+//!   access-trace hook (`distmsm_gpu_sim::trace`)
 //!   tags every simulated global/shared read, write and atomic with its
 //!   originating device, block, warp and thread plus a synchronisation
 //!   phase; a collapsed vector-clock happens-before checker then reports
@@ -14,15 +18,18 @@
 //!   device register files, shared-memory fit, dead ops, and
 //!   spill/reload consistency replayed from the spill event stream.
 //!
-//! * A **comm-schedule checker** ([`comm`]): replays the collective
-//!   schedules captured from `distmsm-comms`' trace stream and verifies
-//!   byte conservation, deadlock-free step ordering, and link
-//!   over-subscription (rules `COMM-00x`).
+//! * One **comm-schedule checker** ([`comm`]): folds contribution masks
+//!   over a collective schedule and verifies byte conservation and host
+//!   coverage, step ordering and rendezvous deadlock, and port and link
+//!   over-subscription (rules `COMM-00x`). `check` runs it on the
+//!   schedule each captured report carries (`MsmReport::comm`), `verify`
+//!   on every schedule the planner can emit.
 //!
-//! * A **fault-recovery checker** ([`fault`]): injects seeded fail-stop,
-//!   link-down, cascade and bit-flip faults into the engine and verifies
-//!   byte conservation under replay (`FAULT-001`) and exact re-plan
-//!   coverage with no orphaned work (`FAULT-002`).
+//! * A **fault-recovery checker** ([`fault`]): every captured result
+//!   must equal the instance's reference value (`FAULT-001`), and the
+//!   recovery account of the five seeded fail-stop, link-down, cascade
+//!   and bit-flip rows must re-plan with exact coverage and no orphaned
+//!   work (`FAULT-002`).
 //!
 //! * A **fleet-invariant checker** ([`fleet`]): grounds the cross-pod
 //!   shard and quarantine re-placement planners against their symbolic
@@ -53,8 +60,8 @@
 //!   mutant corpus (stale-epoch acceptance, lease renewed after
 //!   expiry, double absorb on heal, fence-epoch skip — `PART-900`).
 //!
-//! * A **telemetry checker** ([`tel`]): runs the engine with a live
-//!   `distmsm-telemetry` session and verifies the emitted span timeline
+//! * A **telemetry checker** ([`tel`]): verifies that the span timeline
+//!   each engine row emitted into its live `distmsm-telemetry` session
 //!   is well-nested and sum-consistent with the engine's own phase
 //!   report (`TEL-001`), and that the Chrome-trace export round-trips
 //!   through the crate's validator (`TEL-002`, also available against
@@ -65,10 +72,9 @@
 //!   interval + congruence arithmetic over the index-expression IR the
 //!   schedule builders emit — that per-device and per-kernel write
 //!   regions are pairwise disjoint and cover the bucket space
-//!   (`VRF-001`/`VRF-002`), statically checks every collective
-//!   schedule the planner can emit for deadlock-freedom, port
-//!   feasibility and host coverage (`VRF-003`), and validates itself
-//!   against a built-in mutant corpus (`VRF-900`).
+//!   (`VRF-001`/`VRF-002`), runs the comm-schedule checker over every
+//!   collective schedule the planner can emit (`VRF-003` counts them),
+//!   and validates itself against a built-in mutant corpus (`VRF-900`).
 //!
 //! * A **determinism linter** ([`det`]): a lightweight source walk over
 //!   the workspace flagging order-sensitive hash-collection iteration,
@@ -103,9 +109,9 @@ pub use ckpt::{
     check_ckpt, check_exactly_once, check_journal_mutants, check_replay_idempotence,
     check_torn_tail,
 };
-pub use comm::{check_comm_schedules, check_schedule};
+pub use comm::check_schedule;
 pub use det::{lint_source, lint_workspace};
-pub use fault::{check_fault_recovery, check_recovery_report};
+pub use fault::check_recovery_report;
 pub use fleet::{
     check_byzantine_shard_replay, check_fleet, check_fleet_grounding, check_fleet_mutant,
     check_outsourcing_soundness,
@@ -115,7 +121,7 @@ pub use part::{
     check_part, check_rejoin_idempotence,
 };
 pub use svc::{check_conservation, check_open_dispatch, check_svc};
-pub use tel::{check_telemetry, check_trace_file};
+pub use tel::check_trace_file;
 pub use race::{check_trace, check_traces, RaceConfig};
 pub use report::{Finding, Report, Severity};
-pub use verify::{check_grounding, check_mutants, check_schedule_static, check_verify, verify_plan};
+pub use verify::{check_grounding, check_mutants, check_verify, verify_plan};

@@ -6,32 +6,33 @@
 //! distmsm-analyze trace <file.json> [--json]
 //! ```
 //!
-//! `check` runs the dynamic race checker over every shipped kernel
-//! scenario, the static linter over every kernel preset × device, the
-//! comm-schedule checker over every captured collective, the
-//! fault-recovery checker over every seeded fault scenario, the
-//! crash-consistency checker over the journaled service WAL
-//! (`CKPT-00x`/`CKPT-900`), the partition-tolerance checker over the
-//! fenced fleet journal (`PART-00x`/`PART-900`), and the telemetry
-//! checker over every traced engine scenario. `verify` runs
-//! the static plan verifier instead: symbolic write-set proofs
-//! (`VRF-001`/`VRF-002`), static collective-schedule checks over the
-//! topology presets (`VRF-003`, widened by `--all-presets`), the
-//! built-in mutant corpus (`VRF-900`) and the workspace determinism
-//! lint (`DET-00x`) — no engine execution, no trace capture. `trace`
-//! validates an exported Chrome-trace JSON file. All print the combined
-//! report (text by default, `--json` for machine consumption) and exit
-//! with status 1 when any warning or error is found.
+//! `check` captures every row of the scenario table once (access trace
+//! and telemetry session on) and runs the dynamic families on that one
+//! capture: the race checker (`RACE`/`TRACE`), the comm-schedule checker
+//! on the report's schedule (`COMM-00x`), the result against the
+//! reference value and the recovery account (`FAULT-00x`), and the
+//! timeline against the engine report (`TEL-00x`). It then runs the
+//! static linter over every kernel preset × device, the service checker
+//! (`SVC-00x`), the crash-consistency checker over the journaled service
+//! WAL (`CKPT-00x`/`CKPT-900`), the partition-tolerance checker over the
+//! fenced fleet journal (`PART-00x`/`PART-900`) and the fleet checker
+//! (`FLT-00x`). `verify` runs the static plan verifier instead: symbolic
+//! write-set proofs (`VRF-001`/`VRF-002`), the same comm-schedule checker
+//! over every planned collective on the topology presets (`VRF-003`,
+//! widened by `--all-presets`), the built-in mutant corpus (`VRF-900`)
+//! and the workspace determinism lint (`DET-00x`) — no engine execution,
+//! no trace capture. `trace` validates an exported Chrome-trace JSON
+//! file. All print the combined report (text by default, `--json` for
+//! machine consumption) and exit with status 1 when any warning or error
+//! is found.
 
 use distmsm_analyze::ckpt::check_ckpt;
-use distmsm_analyze::comm::check_comm_schedules;
-use distmsm_analyze::fault::check_fault_recovery;
 use distmsm_analyze::fleet::check_fleet;
-use distmsm_analyze::harness::check_shipped_kernels;
+use distmsm_analyze::harness::check_scenarios;
 use distmsm_analyze::lint::lint_presets;
 use distmsm_analyze::part::check_part;
 use distmsm_analyze::svc::check_svc;
-use distmsm_analyze::tel::{check_telemetry, check_trace_file};
+use distmsm_analyze::tel::check_trace_file;
 use distmsm_analyze::verify::check_verify;
 use distmsm_analyze::{RaceConfig, Report};
 use std::process::ExitCode;
@@ -64,15 +65,12 @@ fn main() -> ExitCode {
     let report = match (command.as_deref(), trace_path) {
         (Some("check"), None) => {
             let mut report = Report::new();
-            report.extend(check_shipped_kernels(&RaceConfig::default()));
+            report.extend(check_scenarios(&RaceConfig::default()));
             report.extend(lint_presets());
-            report.extend(check_comm_schedules());
-            report.extend(check_fault_recovery());
             report.extend(check_svc());
             report.extend(check_ckpt());
             report.extend(check_part());
             report.extend(check_fleet());
-            report.extend(check_telemetry());
             report
         }
         (Some("verify"), None) => check_verify(all_presets),

@@ -1,5 +1,9 @@
-//! Telemetry-consistency checker: runs the engine with live telemetry
-//! and verifies the emitted timeline against the report it came from.
+//! Telemetry-consistency checker: verifies the timeline an engine
+//! execution emitted against the report it came from. `check` applies it
+//! to every engine row of [`crate::harness`], whose capture runs a live
+//! session; `BestGpuBaseline` rows are exempt, because the baseline lays
+//! its sub-engines' spans out one after another while its report runs
+//! them in parallel.
 //!
 //! Rules:
 //!
@@ -16,73 +20,16 @@
 //!   `distmsm-analyze trace <file>` applies to traces on disk.
 
 use crate::report::{Finding, Report, Severity};
-use distmsm::engine::{DistMsm, DistMsmConfig, MsmReport};
+use distmsm::engine::MsmReport;
 use distmsm::report::Report as _;
-use distmsm_ec::{curves::Bn254G1, Curve, MsmInstance};
-use distmsm_gpu_sim::{FaultPlan, MultiGpuSystem};
-use distmsm_telemetry::{parse_json, session, to_chrome_trace, validate_chrome_trace, Timeline};
-use rand::{rngs::StdRng, SeedableRng};
+use distmsm_ec::Curve;
+use distmsm_telemetry::{parse_json, to_chrome_trace, validate_chrome_trace, Timeline};
 
 /// Relative tolerance for span-sum vs report-phase comparisons: the
 /// emitter re-accumulates per-slice kernel times in a different order
 /// than the engine, so the sums may differ by floating-point rounding,
 /// never by a kernel's worth of time.
 const REL_EPS: f64 = 1e-9;
-
-/// The scenarios the checker traces. Together they cover the engine's
-/// emission paths: the pipelined CPU bucket-reduce, the GPU-reduce
-/// collective with its host combine, and a supervised fail-stop with
-/// the full recovery tail.
-pub const TEL_SCENARIOS: [&str; 3] = [
-    "default-pipelined",
-    "gpu-reduce-collective",
-    "fail-stop-recovery",
-];
-
-/// Builds `(system, config)` for one scenario.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name (a bug in this crate).
-fn scenario_setup(scenario: &str) -> (MultiGpuSystem, DistMsmConfig) {
-    let base = DistMsmConfig::builder().window_size(8);
-    let (system, builder) = match scenario {
-        "default-pipelined" => (MultiGpuSystem::dgx_a100(4), base),
-        "gpu-reduce-collective" => (
-            MultiGpuSystem::dgx_a100(4),
-            base.bucket_reduce_on_cpu(false),
-        ),
-        "fail-stop-recovery" => (
-            MultiGpuSystem::dgx_a100(8),
-            base.fault_plan(FaultPlan::fail_stop(3, 0)),
-        ),
-        other => panic!("unknown telemetry scenario `{other}`"),
-    };
-    (system, builder.build().expect("scenario config is valid"))
-}
-
-/// Runs one scenario with a live telemetry session and returns the
-/// captured timeline with the engine report it must be consistent with.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario or an engine failure (every shipped
-/// scenario is recoverable by construction).
-pub fn run_tel_scenario(scenario: &str) -> (Timeline, MsmReport<Bn254G1>) {
-    let guard = crate::harness::CAPTURE_GUARD
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let (system, config) = scenario_setup(scenario);
-    let mut rng = StdRng::seed_from_u64(0x7e1e ^ scenario.len() as u64);
-    let instance = MsmInstance::<Bn254G1>::random(256, &mut rng);
-    session::begin();
-    let report = DistMsm::with_config(system, config)
-        .execute(&instance)
-        .unwrap_or_else(|e| panic!("{scenario}: engine must succeed, got {e}"));
-    let timeline = session::end();
-    drop(guard);
-    (timeline, report)
-}
 
 /// Checks one captured timeline against its report (`TEL-001`) and its
 /// export round-trip (`TEL-002`).
@@ -149,38 +96,6 @@ pub fn check_timeline<C: Curve>(
     findings
 }
 
-/// Runs every telemetry scenario and checks span nesting, report
-/// sum-consistency and export validity.
-pub fn check_telemetry() -> Report {
-    let mut report = Report::new();
-    for scenario in TEL_SCENARIOS {
-        let (timeline, msm) = run_tel_scenario(scenario);
-        report.push(Finding::new(
-            "TEL-000",
-            Severity::Info,
-            scenario.to_owned(),
-            format!(
-                "{} span(s), {} instant(s), {} counter sample(s) captured",
-                timeline.spans.len(),
-                timeline.instants.len(),
-                timeline.counters.len()
-            ),
-        ));
-        if timeline.spans.is_empty() {
-            report.push(Finding::new(
-                "TEL-000",
-                Severity::Error,
-                scenario.to_owned(),
-                "engine emitted no spans — telemetry hooks inactive".to_owned(),
-            ));
-        }
-        for f in check_timeline(scenario, &timeline, &msm) {
-            report.push(f);
-        }
-    }
-    report
-}
-
 /// Validates a Chrome-trace JSON file on disk (the `trace` subcommand):
 /// parses it with the telemetry crate's own parser and applies
 /// [`validate_chrome_trace`].
@@ -226,20 +141,13 @@ pub fn check_trace_file(path: &str) -> Result<Report, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn all_scenarios_pass_tel_rules() {
-        let report = check_telemetry();
-        assert_eq!(
-            report.actionable(),
-            0,
-            "telemetry rules must hold:\n{}",
-            report.render_text()
-        );
+    fn engine_run(location: &str) -> (Timeline, MsmReport<distmsm_ec::curves::Bn254G1>) {
+        crate::harness::capture_at(location).telemetry.expect("engine row")
     }
 
     #[test]
     fn recovery_scenario_carries_fault_instant_and_recovery_spans() {
-        let (tl, msm) = run_tel_scenario("fail-stop-recovery");
+        let (tl, msm) = engine_run("fail-stop-cpu-gather/n=256");
         assert!(
             tl.instants.iter().any(|i| i.cat == "fault"),
             "fault instants must be recorded"
@@ -259,7 +167,7 @@ mod tests {
 
     #[test]
     fn tampered_timeline_is_caught() {
-        let (mut tl, msm) = run_tel_scenario("default-pipelined");
+        let (mut tl, msm) = engine_run("distmsm-default/n=256");
         // shift one attributed span to overlap its sibling: nesting or
         // the phase sum (or both) must now fail
         let idx = tl
@@ -277,7 +185,7 @@ mod tests {
 
     #[test]
     fn trace_file_checker_accepts_own_export() {
-        let (tl, _) = run_tel_scenario("default-pipelined");
+        let (tl, _) = engine_run("distmsm-default/n=256");
         let path = std::env::temp_dir().join("distmsm_tel_check.json");
         std::fs::write(&path, to_chrome_trace(&tl)).expect("write temp trace");
         let report = check_trace_file(path.to_str().expect("utf-8 path")).expect("readable");

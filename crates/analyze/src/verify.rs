@@ -21,19 +21,14 @@
 //!   plan is **rejected** (soundness over completeness), and a bounded
 //!   numeric sweep searches for a concrete counterexample to name the
 //!   offending members and symbol values in the diagnostic.
-//! * **VRF-003 — static schedule ordering.** [`check_schedule_static`]
-//!   replays the contribution masks of a [`CommSchedule`] produced by
-//!   [`plan_collective`] — no engine, no trace capture — and proves:
-//!   every flow's payload is producible from strictly earlier steps
-//!   (flows that would need a *same-step* delivery are classified via a
-//!   wait-for graph: a cycle is a rendezvous deadlock, an acyclic
-//!   dependency an ordering violation — both rejected), every non-host
-//!   endpoint sends and receives at most one flow per step (port
-//!   feasibility), and the host ends holding exactly the declared
-//!   contributions. This upgrades the trace-replay rules COMM-002/003
-//!   from "the schedules we happened to capture" to "every schedule the
-//!   planner can emit" for all strategies × topology presets; the
-//!   dynamic replay stays on as a cross-check.
+//! * **VRF-003 — every planned schedule.** The one schedule checker,
+//!   [`check_schedule`] (rules `COMM-001/002/003`: contribution masks
+//!   folded step by step, wait-for edges and rendezvous cycles, ports,
+//!   host coverage), runs over every [`CommSchedule`] that
+//!   [`plan_collective`] emits for all strategies × topology presets —
+//!   no engine, no capture — so the guarantee covers every schedule the
+//!   planner can emit, not only those `check` executes. `VRF-003` itself
+//!   is the info line counting the schedules proven.
 //! * **VRF-900 — mutant corpus.** The verifier verifies itself: a
 //!   built-in corpus of seeded defects (overlapping tiles, off-by-one
 //!   coverage gap, unbounded slot bands, swapped collective steps, a
@@ -48,6 +43,7 @@
 //! planner output, so the symbolic model provably describes the
 //! schedules the engine actually runs.
 
+use crate::comm::check_schedule;
 use crate::report::{Finding, Report, Severity};
 use crate::symbolic::Ctx;
 use distmsm_comms::{
@@ -557,236 +553,14 @@ fn ground_partition(
 }
 
 // ---------------------------------------------------------------------------
-// VRF-003: static collective-schedule checks
+// VRF-003: every planned collective schedule, checked without executing
 // ---------------------------------------------------------------------------
 
-/// Statically verifies one collective schedule: availability (every
-/// flow's payload producible from strictly earlier steps, same-step
-/// rendezvous classified as deadlock or ordering violation), per-step
-/// single-port feasibility for GPU ranks (the host fans in by design),
-/// and exact host coverage after the final step.
-pub fn check_schedule_static(location: &str, s: &CommSchedule) -> Report {
-    let mut report = Report::new();
-    let n = s.n_ranks;
-    let v = s.vec_len;
-    if n > 64 {
-        report.push(Finding::new(
-            "VRF-003",
-            Severity::Info,
-            location.to_owned(),
-            format!("{n} ranks exceed the 64-bit contribution mask; schedule skipped"),
-        ));
-        return report;
-    }
-    let mut contrib = vec![0u64; v];
-    for (r, &(lo, hi)) in s.rank_owns.iter().enumerate() {
-        for c in &mut contrib[lo.min(v)..hi.min(v)] {
-            *c |= 1 << r;
-        }
-    }
-    let mut held = vec![vec![0u64; v]; n + 1];
-    for (r, &(lo, hi)) in s.rank_owns.iter().enumerate() {
-        for h in &mut held[r][lo.min(v)..hi.min(v)] {
-            *h |= 1 << r;
-        }
-    }
-    let idx = |ep: Endpoint| match ep {
-        Endpoint::Rank(r) => r,
-        Endpoint::Host => n,
-    };
-
-    for (si, step) in s.steps.iter().enumerate() {
-        let snapshot = held.clone();
-        // Port feasibility: a GPU rank drives one send and one receive
-        // port; concurrent flows on either serialise and the step's
-        // modelled time is wrong. The host is a fan-in endpoint.
-        let mut sends = vec![0usize; n + 1];
-        let mut recvs = vec![0usize; n + 1];
-        for f in &step.flows {
-            sends[idx(f.src)] += 1;
-            recvs[idx(f.dst)] += 1;
-        }
-        for r in 0..n {
-            if sends[r] > 1 {
-                report.push(Finding::new(
-                    "VRF-003",
-                    Severity::Error,
-                    format!("{location}/step{si}"),
-                    format!(
-                        "port infeasible: rank {r} drives {} concurrent sends \
-                         on a single port",
-                        sends[r]
-                    ),
-                ));
-            }
-            if recvs[r] > 1 {
-                report.push(Finding::new(
-                    "VRF-003",
-                    Severity::Error,
-                    format!("{location}/step{si}"),
-                    format!(
-                        "port infeasible: rank {r} sinks {} concurrent \
-                         receives on a single port",
-                        recvs[r]
-                    ),
-                ));
-            }
-        }
-        // Availability: what each flow needs must exist at its source
-        // *before* the step. A need satisfiable only by a same-step
-        // delivery builds a wait-for edge; cycles are deadlocks, acyclic
-        // edges ordering violations — steps are barrier-synchronised.
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for (fi, f) in step.flows.iter().enumerate() {
-            let src = idx(f.src);
-            for e in f.lo..f.hi.min(v) {
-                let have = snapshot[src][e];
-                let ok = if f.reduced { have == contrib[e] } else { have != 0 };
-                if ok {
-                    continue;
-                }
-                let mut boosted = have;
-                let mut suppliers = Vec::new();
-                for (fj, g2) in step.flows.iter().enumerate() {
-                    if fj != fi && idx(g2.dst) == src && g2.lo <= e && e < g2.hi {
-                        boosted |= snapshot[idx(g2.src)][e];
-                        suppliers.push(fj);
-                    }
-                }
-                let saved = if f.reduced {
-                    boosted == contrib[e]
-                } else {
-                    boosted != 0
-                };
-                if saved {
-                    for fj in suppliers {
-                        edges.push((fi, fj));
-                    }
-                } else {
-                    report.push(Finding::new(
-                        "VRF-003",
-                        Severity::Error,
-                        format!("{location}/step{si}/flow{fi}"),
-                        format!(
-                            "element {e} cannot be produced: the source holds \
-                             {}/{} contributions and no earlier step supplies \
-                             the rest{}",
-                            have.count_ones(),
-                            contrib[e].count_ones(),
-                            if f.reduced {
-                                " (flow claims a fully reduced payload)"
-                            } else {
-                                ""
-                            }
-                        ),
-                    ));
-                }
-                break;
-            }
-        }
-        for f in &step.flows {
-            let (src, dst) = (idx(f.src), idx(f.dst));
-            for e in f.lo..f.hi.min(v) {
-                held[dst][e] |= snapshot[src][e];
-            }
-        }
-        if !edges.is_empty() {
-            if let Some(cycle) = find_cycle(step.flows.len(), &edges) {
-                let names: Vec<String> =
-                    cycle.iter().map(|f| format!("flow{f}")).collect();
-                report.push(Finding::new(
-                    "VRF-003",
-                    Severity::Error,
-                    format!("{location}/step{si}"),
-                    format!(
-                        "rendezvous deadlock: {} wait on each other's \
-                         same-step deliveries; under barrier-step semantics \
-                         none can start",
-                        names.join(" → ")
-                    ),
-                ));
-            } else {
-                edges.dedup();
-                for (fi, fj) in edges {
-                    report.push(Finding::new(
-                        "VRF-003",
-                        Severity::Error,
-                        format!("{location}/step{si}/flow{fi}"),
-                        format!(
-                            "ordering violation: flow{fi} needs data flow{fj} \
-                             delivers in the same step; move the consumer to a \
-                             later step"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    let missing: Vec<usize> = (0..v).filter(|&e| held[n][e] != contrib[e]).collect();
-    if let Some(&first) = missing.first() {
-        report.push(Finding::new(
-            "VRF-003",
-            Severity::Error,
-            location.to_owned(),
-            format!(
-                "host coverage incomplete: {}/{v} element(s) end without their \
-                 full contribution set (first: element {first}, host holds \
-                 {}/{})",
-                missing.len(),
-                held[n][first].count_ones(),
-                contrib[first].count_ones()
-            ),
-        ));
-    }
-    report
-}
-
-/// First cycle of the wait-for relation, as a node sequence, if any.
-fn find_cycle(n_nodes: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
-    let mut adj = vec![Vec::new(); n_nodes];
-    for &(a, b) in edges {
-        adj[a].push(b);
-    }
-    // 0 = unvisited, 1 = on stack, 2 = done
-    let mut state = vec![0u8; n_nodes];
-    let mut stack = Vec::new();
-    fn dfs(
-        u: usize,
-        adj: &[Vec<usize>],
-        state: &mut [u8],
-        stack: &mut Vec<usize>,
-    ) -> Option<Vec<usize>> {
-        state[u] = 1;
-        stack.push(u);
-        for &w in &adj[u] {
-            if state[w] == 1 {
-                let start = stack.iter().position(|&x| x == w).unwrap();
-                return Some(stack[start..].to_vec());
-            }
-            if state[w] == 0 {
-                if let Some(c) = dfs(w, adj, state, stack) {
-                    return Some(c);
-                }
-            }
-        }
-        stack.pop();
-        state[u] = 2;
-        None
-    }
-    for u in 0..n_nodes {
-        if state[u] == 0 {
-            if let Some(c) = dfs(u, &adj, &mut state, &mut stack) {
-                return Some(c);
-            }
-        }
-    }
-    None
-}
-
-/// Statically verifies every collective strategy over the topology
-/// presets. `all_presets` widens the rank sweep (the CI gate runs with
-/// it; the default `check` keeps one shape per preset family).
+/// Runs [`check_schedule`] over every collective strategy the planner
+/// emits on the topology presets; the `COMM-00x` findings stand, and one
+/// `VRF-003` info line counts the schedules proven. `all_presets` widens
+/// the rank sweep (the CI gate runs with it; the default keeps one shape
+/// per preset family).
 pub fn check_collective_plans(all_presets: bool) -> Report {
     let cfg = CommConfig::default();
     let mut combos: Vec<(String, Topology)> = Vec::new();
@@ -811,7 +585,7 @@ pub fn check_collective_plans(all_presets: bool) -> Report {
             for v in [96usize, 97] {
                 let sched = plan_collective(strat, n, v, 96.0, &fabric, &cfg);
                 let loc = format!("{}/{name}/v{v}", strat.name());
-                let r = check_schedule_static(&loc, &sched);
+                let r = check_schedule(&loc, &sched);
                 if r.actionable() == 0 {
                     proven += 1;
                 }
@@ -891,7 +665,7 @@ pub fn mutant_plans() -> Vec<(&'static str, PlanIr)> {
     ]
 }
 
-/// Seeded schedule defects the static checker must reject.
+/// Seeded schedule defects [`check_schedule`] must reject.
 pub fn mutant_schedules() -> Vec<(&'static str, CommSchedule)> {
     let topo = Topology::single_box(4);
     let fabric = Fabric::Topology(&topo);
@@ -949,7 +723,7 @@ pub fn check_mutants() -> Report {
         report.mutant_rejected("VRF-900", &format!("mutant:{name}"), &r, MUTANT_SURVIVED);
     }
     for (name, sched) in mutant_schedules() {
-        let r = check_schedule_static(&format!("mutant:{name}"), &sched);
+        let r = check_schedule(&format!("mutant:{name}"), &sched);
         report.mutant_rejected("VRF-900", &format!("mutant:{name}"), &r, MUTANT_SURVIVED);
     }
     // M7: seeded order-sensitive hash iteration (DET-001 must fire).
@@ -1070,7 +844,7 @@ mod tests {
     #[test]
     fn mutant_swapped_ring_steps_rejected() {
         let (name, sched) = mutant_schedules().remove(0);
-        let r = check_schedule_static(name, &sched);
+        let r = check_schedule(name, &sched);
         let f = r
             .findings
             .iter()
@@ -1082,7 +856,7 @@ mod tests {
     #[test]
     fn mutant_rendezvous_cycle_rejected() {
         let (name, sched) = mutant_schedules().remove(1);
-        let r = check_schedule_static(name, &sched);
+        let r = check_schedule(name, &sched);
         assert!(
             r.findings
                 .iter()
@@ -1096,7 +870,7 @@ mod tests {
     #[test]
     fn mutant_duplicate_port_flow_rejected() {
         let (name, sched) = mutant_schedules().remove(2);
-        let r = check_schedule_static(name, &sched);
+        let r = check_schedule(name, &sched);
         assert!(
             r.findings
                 .iter()

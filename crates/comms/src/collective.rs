@@ -8,9 +8,7 @@
 //! *emits the schedule* that moved it, so the same code path drives
 //! functional verification and analytic costing.
 
-use crate::schedule::{
-    trace, CommConfig, CommSchedule, CommStep, Endpoint, Fabric, Flow,
-};
+use crate::schedule::{CommConfig, CommSchedule, CommStep, Endpoint, Fabric, Flow};
 
 /// How per-GPU partial vectors are combined and delivered to the host.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -218,7 +216,6 @@ pub fn run_collective<T: Clone>(
     };
 
     sched.finalize(fabric, cfg);
-    trace::maybe_submit(&sched);
     (result, sched)
 }
 
@@ -271,7 +268,6 @@ pub fn gather_to_host(
         sched.steps.push(step);
     }
     sched.finalize(fabric, cfg);
-    trace::maybe_submit(&sched);
     sched
 }
 

@@ -12,8 +12,9 @@
 //!   over InfiniBand.
 //! * [`schedule`] — collectives lowered to step/flow schedules costed
 //!   under an α–β (latency + inverse-bandwidth) model with chunked
-//!   store-and-forward pipelining and per-link contention metering, plus
-//!   a capture-gated trace stream for `distmsm-analyze`.
+//!   store-and-forward pipelining and per-link contention metering.
+//!   Callers keep the schedule they are handed (the engine reports it as
+//!   `MsmReport::comm`); nothing collects schedules on the side.
 //! * [`collective`] — host-gather, ring all-reduce, binomial-tree
 //!   all-reduce, and reduce-scatter+gather strategies that execute the
 //!   reduction *for real* over any element type (the engine passes EC

@@ -463,50 +463,6 @@ pub mod telemetry {
     }
 }
 
-/// Process-global schedule collector, mirroring the `distmsm-gpu-sim`
-/// trace stream: `distmsm-analyze` turns capture on, runs a workload, and
-/// replays the recorded schedules against its comm-schedule rules. With
-/// no capture running, [`maybe_submit`](trace::maybe_submit) is one
-/// atomic load per finalized schedule.
-pub mod trace {
-    use super::CommSchedule;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, MutexGuard};
-
-    static CAPTURING: AtomicBool = AtomicBool::new(false);
-    static SCHEDULES: Mutex<Vec<CommSchedule>> = Mutex::new(Vec::new());
-
-    // A panicking workload thread must not wedge the collector:
-    // recover the (plain-Vec) state from a poisoned lock.
-    fn schedules() -> MutexGuard<'static, Vec<CommSchedule>> {
-        SCHEDULES.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Starts recording every finalized schedule process-wide.
-    pub fn begin_capture() {
-        schedules().clear();
-        CAPTURING.store(true, Ordering::SeqCst);
-    }
-
-    /// Stops recording and returns the captured schedules.
-    pub fn end_capture() -> Vec<CommSchedule> {
-        CAPTURING.store(false, Ordering::SeqCst);
-        std::mem::take(&mut *schedules())
-    }
-
-    /// Whether capture is currently active.
-    pub fn capturing() -> bool {
-        CAPTURING.load(Ordering::SeqCst)
-    }
-
-    /// Records `s` if capture is active; no-op otherwise.
-    pub fn maybe_submit(s: &CommSchedule) {
-        if capturing() {
-            schedules().push(s.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,6 @@
 
 use crate::analytic::CurveDesc;
 use crate::bucket_sum::{bucket_sum, threads_per_bucket};
-use crate::plan::Slice;
 use crate::reduce::{bucket_reduce_gpu_stats, bucket_reduce_serial, window_reduce};
 use distmsm_ec::{Curve, FieldElement, MsmInstance, Scalar, XyzzPoint};
 use distmsm_gpu_sim::trace::LaunchRecorder;
@@ -210,13 +209,6 @@ pub fn execute<C: Curve>(
         let sum = bucket_sum(&instance.points, &buckets, tpb, &model, 256);
         per_gpu[gpu] += estimate_kernel_time(&system.devices[gpu], &sum.stats, &cost_cfg).total();
 
-        let slice = Slice {
-            gpu,
-            window: w,
-            bucket_lo: 0,
-            bucket_hi: 1 << s,
-        };
-        let _ = slice;
         let (reduced, _) = bucket_reduce_serial(&sum.sums, 0);
         window_results[w as usize] = reduced;
         let r_stats = bucket_reduce_gpu_stats(
@@ -319,6 +311,7 @@ pub fn transpose_cell_ir() -> PlanIr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Slice;
     use distmsm_ec::curves::Bn254G1;
     use rand::{rngs::StdRng, SeedableRng};
 

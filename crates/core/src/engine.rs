@@ -557,8 +557,6 @@ impl DistMsm {
         let link_lost: Vec<usize> =
             (0..n_gpus).filter(|g| !reachable.contains(g)).collect();
 
-        let slices = plan_slices(n_windows, n_buckets, n_gpus);
-
         // Per-device work-event counters: one event per scheduled slice,
         // in plan order — the deterministic coordinate fault plans key
         // on, independent of host-thread scheduling.
@@ -568,7 +566,10 @@ impl DistMsm {
             next_event[sl.gpu] += 1;
             (sl, e)
         };
-        let jobs: Vec<(Slice, u64)> = slices.iter().copied().map(&mut assign).collect();
+        let jobs: Vec<(Slice, u64)> = plan_slices(n_windows, n_buckets, n_gpus)
+            .into_iter()
+            .map(&mut assign)
+            .collect();
 
         let mut recovery = RecoveryReport {
             n_windows,
@@ -798,13 +799,10 @@ impl DistMsm {
         let point_bytes = CurveDesc::of::<C>().xyzz_bytes();
         let comm = if self.config.bucket_reduce_on_cpu {
             // every bucket partial crosses to the host before the CPU
-            // reduce; under recovery the gather covers the slices that
-            // actually completed, shipped by whoever computed them
-            crate::comm::bucket_gather_schedule(
-                recovery_or_plan_slices(supervised, &recovery, &slices),
-                point_bytes,
-                system,
-            )
+            // reduce; the gather covers the slices that completed,
+            // shipped by whoever computed them (the plan itself, in plan
+            // order, when nothing was lost)
+            crate::comm::bucket_gather_schedule(&recovery.completed, point_bytes, system)
         } else if !recovery.lost_gpus.is_empty() {
             // a lost rank cannot take part in ring/tree exchanges, so the
             // collective degrades to a survivors-only host gather; the
@@ -944,7 +942,6 @@ impl DistMsm {
             self.emit_telemetry(
                 &report,
                 &done,
-                &recovered,
                 attempt,
                 &TelemetryPhases {
                     scatter_per_gpu: &scatter_per_gpu,
@@ -977,7 +974,6 @@ impl DistMsm {
         &self,
         report: &MsmReport<C>,
         done: &[SliceOutcome<C>],
-        recovered: &[SliceOutcome<C>],
         attempt: u32,
         ph: &TelemetryPhases<'_>,
     ) {
@@ -1214,9 +1210,8 @@ impl DistMsm {
                     args: Vec::new(),
                 });
             }
-            // recovered slices are re-run inside the recompute segments;
-            // annotate them without separate spans (they'd double-count)
-            let _ = recovered;
+            // recovered slices run inside the recompute segments above and
+            // get no spans of their own (they would double-count)
         }
 
         session::advance_s(report.total_s);
@@ -1475,21 +1470,6 @@ struct TelemetryPhases<'a> {
     cpu_reduce_s: f64,
     comm_host_s: f64,
     gpu_makespan: f64,
-}
-
-/// The slice set the CPU-path bucket gather covers: under supervision
-/// the slices that actually completed (recovery moved ownership), on
-/// the fast path the original plan.
-fn recovery_or_plan_slices<'a>(
-    supervised: bool,
-    recovery: &'a RecoveryReport,
-    planned: &'a [Slice],
-) -> &'a [Slice] {
-    if supervised {
-        &recovery.completed
-    } else {
-        planned
-    }
 }
 
 #[cfg(test)]

@@ -198,11 +198,13 @@ mod tests {
 
     #[test]
     fn recovery_report_totals_its_phases() {
-        let mut rec = RecoveryReport::default();
-        rec.backoff_s = 1.0;
-        rec.recompute_s = 2.0;
-        rec.self_check_s = 0.25;
-        rec.checkpoint_s = 0.5;
+        let rec = RecoveryReport {
+            backoff_s: 1.0,
+            recompute_s: 2.0,
+            self_check_s: 0.25,
+            checkpoint_s: 0.5,
+            ..RecoveryReport::default()
+        };
         let sum: f64 = rec.phase_breakdown().iter().map(|p| p.seconds).sum();
         assert_eq!(sum, Report::total_s(&rec));
         assert_eq!(rec.kind(), "recovery");
@@ -237,8 +239,10 @@ mod tests {
 
     #[test]
     fn to_json_is_valid_and_carries_phases() {
-        let mut rec = RecoveryReport::default();
-        rec.recompute_s = 2.5;
+        let rec = RecoveryReport {
+            recompute_s: 2.5,
+            ..RecoveryReport::default()
+        };
         let json = rec.to_json();
         assert!(json.contains("\"kind\":\"recovery\""), "{json}");
         assert!(json.contains("\"name\":\"recompute\""), "{json}");

@@ -271,6 +271,58 @@ mod tests {
         check::<Bn254G2>();
     }
 
+    /// Every strict prefix of `good`, `good` plus one trailing byte, and
+    /// every single-bit flip of `good`.
+    fn hostile(good: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let prefixes = (0..good.len()).map(|n| good[..n].to_vec());
+        let flips = (0..good.len() * 8).map(|bit| {
+            let mut b = good.to_vec();
+            b[bit / 8] ^= 1 << (bit % 8);
+            b
+        });
+        prefixes.chain(std::iter::once([good, &[0]].concat())).chain(flips)
+    }
+
+    /// Sweeps both decoders of `C` over the hostile variants of the
+    /// identity's and the generator's encodings: each returns `None` or
+    /// the one point whose encoding is exactly those bytes, and never
+    /// panics.
+    fn sweep_hostile_points<C: Curve>()
+    where
+        C::Base: SqrtField,
+    {
+        type Codec<C> = (fn(&Affine<C>) -> Vec<u8>, fn(&[u8]) -> Option<Affine<C>>);
+        let codecs: [Codec<C>; 2] = [
+            (point_to_uncompressed, point_from_uncompressed),
+            (point_to_compressed, point_from_compressed),
+        ];
+        for p in [Affine::identity(), C::generator()] {
+            for (encode, decode) in codecs {
+                let good = encode(&p);
+                assert_eq!(decode(&good), Some(p));
+                for bytes in hostile(&good) {
+                    if let Some(q) = decode(&bytes) {
+                        assert_eq!(encode(&q), bytes, "{}: a second spelling of {q:?}", C::NAME);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_point_bytes_decode_to_none_or_their_own_encoding() {
+        sweep_hostile_points::<Bn254G1>();
+        sweep_hostile_points::<Bn254G2>();
+        sweep_hostile_points::<Bls12381G1>();
+    }
+
+    /// Its own test: 776 compressed flips, each a 753-bit Tonelli–Shanks
+    /// attempt, dominate the sweep in a debug build.
+    #[test]
+    fn hostile_mnt4_753_point_bytes_decode_to_none_or_their_own_encoding() {
+        sweep_hostile_points::<Mnt4753G1>();
+    }
+
     #[test]
     fn bad_flags_rejected() {
         let p = generator_multiples::<Bn254G1>(1)[0];

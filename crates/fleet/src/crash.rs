@@ -887,7 +887,7 @@ mod tests {
         assert!(kill_indices(5, 0).is_empty());
         let ks = kill_indices(100, 7);
         assert!(ks.windows(2).all(|w| w[0] < w[1]));
-        assert!(ks.iter().all(|&k| k >= 1 && k < 100));
+        assert!(ks.iter().all(|k| (1..100).contains(k)));
         assert_eq!(kill_indices(3, 1), vec![1]);
     }
 }

@@ -16,7 +16,7 @@ fn build(seed: u64, n: usize, every: usize) -> DurableState {
         let len = (s >> 33) as usize % 48;
         let payload: Vec<u8> = (0..len).map(|j| (s as u8).wrapping_add(j as u8)).collect();
         let epoch = d.append(i as f64 * 0.25, &payload);
-        if every > 0 && epoch as usize % every == 0 {
+        if every > 0 && (epoch as usize).is_multiple_of(every) {
             d.install_snapshot(epoch, i as f64 * 0.25, format!("snap@{epoch}").as_bytes());
         }
     }

@@ -414,6 +414,62 @@ mod tests {
         assert!(parse(&ok).is_ok());
     }
 
+    /// Every strict prefix of an exported trace, the trace plus one
+    /// trailing byte, and every single-bit flip of it (the variants that
+    /// are still UTF-8) parse to a positioned error or to a different
+    /// document: a corrupted byte is never silently absorbed, and nothing
+    /// panics. Only the export's trailing newline may go unnoticed.
+    #[test]
+    fn hostile_trace_bytes_parse_to_an_error_or_a_different_document() {
+        use crate::export::to_chrome_trace;
+        use crate::span::{CounterSample, Histogram, Instant, Lane, Span, Timeline};
+        let mut h = Histogram::new("flow-bytes");
+        h.record(96.0);
+        let tl = Timeline {
+            spans: vec![Span {
+                name: "scatter:w0[0,128)".into(),
+                cat: "scatter".into(),
+                lane: Lane::Device(1),
+                t0_s: 0.0,
+                t1_s: 2.5e-3,
+                args: vec![("note".into(), "q\"b\\s\n\u{1}π".into())],
+            }],
+            instants: vec![Instant {
+                name: "fault:fail-stop".into(),
+                cat: "fault".into(),
+                lane: Lane::Device(1),
+                t_s: 1e-3,
+                args: Vec::new(),
+            }],
+            counters: vec![CounterSample {
+                name: "fabric-bytes".into(),
+                lane: Lane::Fabric,
+                t_s: 2.5e-3,
+                value: 4096.0,
+            }],
+            histograms: vec![h],
+        };
+        let text = to_chrome_trace(&tl);
+        let good = text.as_bytes();
+        let original = parse(&text).expect("the export parses");
+        let prefixes = (0..good.len()).map(|n| good[..n].to_vec());
+        let flips = (0..good.len() * 8).map(|bit| {
+            let mut b = good.to_vec();
+            b[bit / 8] ^= 1 << (bit % 8);
+            b
+        });
+        for bytes in prefixes.chain([[good, &[0]].concat()]).chain(flips) {
+            let Ok(s) = std::str::from_utf8(&bytes) else { continue };
+            match parse(s) {
+                Err(e) => assert!(e.starts_with("JSON parse error at byte "), "{e}"),
+                Ok(doc) => assert!(
+                    doc != original || s == text.trim_end(),
+                    "a corrupted byte went unnoticed: {s}"
+                ),
+            }
+        }
+    }
+
     #[test]
     fn validates_a_minimal_trace() {
         let doc = parse(

@@ -620,6 +620,36 @@ proof 00b63f5ae30d3e21775ecb0929d9198f7ab1ebedc9735357dcc419477229a6c42f009ae0d7
         assert_eq!(frozen_lines(&pk, &vk, &proof), FROZEN_64);
     }
 
+    /// Every strict prefix of the frozen proof, the proof plus one
+    /// trailing byte, and every single-bit flip of it decode to `None` or
+    /// to the one proof whose encoding is exactly those bytes.
+    #[test]
+    fn hostile_proof_bytes_decode_to_none_or_their_own_encoding() {
+        let good: Vec<u8> = {
+            let hex = FROZEN_64
+                .lines()
+                .find_map(|l| l.strip_prefix("proof "))
+                .expect("frozen proof line");
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+                .collect()
+        };
+        let proof = Groth16Proof::from_bytes(&good).expect("the frozen proof decodes");
+        assert_eq!(proof.to_bytes(), good);
+        let prefixes = (0..good.len()).map(|n| good[..n].to_vec());
+        let flips = (0..good.len() * 8).map(|bit| {
+            let mut b = good.clone();
+            b[bit / 8] ^= 1 << (bit % 8);
+            b
+        });
+        for bytes in prefixes.chain([[&good[..], &[0]].concat()]).chain(flips) {
+            if let Some(p) = Groth16Proof::from_bytes(&bytes) {
+                assert_eq!(hex(&p.to_bytes()), hex(&bytes), "a second spelling of {p:?}");
+            }
+        }
+    }
+
     #[test]
     fn b_outside_the_prime_subgroup_rejected() {
         use distmsm_ec::serialize::{point_from_compressed, point_to_compressed};
