@@ -23,6 +23,10 @@
 //!   outside the telemetry crate. Modelled time comes from the cost
 //!   model; host time is only legitimate in explicitly-labelled
 //!   measurement harnesses.
+//! * **PANIC-001** — a ratchet, not a lint: the unwrap/expect call sites
+//!   in each crate's library code (a file's lines before its first
+//!   `#[cfg(test)]`, the window `ci.sh` counts) may not exceed the
+//!   crate's entry in [`PANIC_CEILINGS`].
 //!
 //! A line ending in a `// det-ok: <reason>` comment is exempt — the
 //! annotation is the audit trail for intentional wall-clock use (e.g.
@@ -33,8 +37,27 @@
 //! `crates/*/src/**/*.rs` from the workspace root.
 
 use crate::report::{Finding, Report, Severity};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// PANIC-001 ceilings: unwrap/expect call sites per crate in library
+/// code. A crate that sheds sites lowers its entry; a crate not listed
+/// may have none.
+pub const PANIC_CEILINGS: [(&str, usize); 12] = [
+    ("analyze", 11),
+    ("bench", 19),
+    ("comms", 3),
+    ("core", 4),
+    ("ec", 7),
+    ("ff", 1),
+    ("fleet", 19),
+    ("journal", 7),
+    ("kernel", 2),
+    ("service", 3),
+    ("telemetry", 5),
+    ("zksnark", 10),
+];
 
 /// Trigger tokens are assembled at runtime so this file's own string
 /// literals do not trip the linter when it walks the workspace.
@@ -46,6 +69,8 @@ struct Patterns {
     instant_now: String,
     systemtime_now: String,
     float_truncs: Vec<String>,
+    unwrap: String,
+    expect: String,
 }
 
 impl Patterns {
@@ -64,6 +89,8 @@ impl Patterns {
                 .iter()
                 .map(|f| format!("{f} as "))
                 .collect(),
+            unwrap: format!(".{}()", "unwrap"),
+            expect: format!(".{}(", "expect"),
         }
     }
 }
@@ -160,6 +187,54 @@ pub fn lint_source(label: &str, source: &str) -> Report {
     report
 }
 
+/// Unwrap/expect call sites in one source's library code: its lines
+/// before the first `#[cfg(test)]`, trailing `//` comments stripped.
+pub fn panic_sites(source: &str) -> usize {
+    let pat = Patterns::new();
+    source
+        .lines()
+        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"))
+        .map(|line| {
+            let (code, _) = split_comment(line);
+            code.matches(pat.unwrap.as_str()).count() + code.matches(pat.expect.as_str()).count()
+        })
+        .sum()
+}
+
+/// PANIC-001 over per-crate site counts: an error for each crate above
+/// its [`PANIC_CEILINGS`] entry, then one info line with the totals.
+pub fn check_panic_ceilings(sites: &BTreeMap<String, usize>) -> Report {
+    let mut report = Report::new();
+    for (krate, &n) in sites {
+        let ceiling = PANIC_CEILINGS
+            .iter()
+            .find(|(name, _)| name == krate)
+            .map_or(0, |&(_, ceiling)| ceiling);
+        if n > ceiling {
+            report.push(Finding::new(
+                "PANIC-001",
+                Severity::Error,
+                format!("crates/{krate}"),
+                format!(
+                    "{n} unwrap/expect call sites in library code, above the \
+                     crate's ceiling of {ceiling}: return a typed error instead"
+                ),
+            ));
+        }
+    }
+    report.push(Finding::new(
+        "PANIC-001",
+        Severity::Info,
+        "workspace".to_owned(),
+        format!(
+            "{} unwrap/expect call sites in the library code of {} crates",
+            sites.values().sum::<usize>(),
+            sites.len()
+        ),
+    ));
+    report
+}
+
 /// Recursively collects `.rs` files under `dir`, sorted for stable
 /// finding order, skipping anything under a `shims` directory.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -204,6 +279,7 @@ pub fn lint_workspace() -> Report {
     let mut files = Vec::new();
     collect_rs(&crates, &mut files);
     let mut scanned = 0usize;
+    let mut panic_counts: BTreeMap<String, usize> = BTreeMap::new();
     for f in &files {
         // Only lint crate sources, not vendored fixtures.
         if !f.components().any(|c| c.as_os_str() == "src") {
@@ -219,6 +295,12 @@ pub fn lint_workspace() -> Report {
             .to_string();
         report.extend(lint_source(&label, &text));
         scanned += 1;
+        if let Ok(rel) = f.strip_prefix(&crates) {
+            if let Some(krate) = rel.components().next() {
+                let krate = krate.as_os_str().to_string_lossy().into_owned();
+                *panic_counts.entry(krate).or_default() += panic_sites(&text);
+            }
+        }
     }
     report.push(Finding::new(
         "DET-000",
@@ -229,6 +311,7 @@ pub fn lint_workspace() -> Report {
              DET-001/002/003)"
         ),
     ));
+    report.extend(check_panic_ceilings(&panic_counts));
     report
 }
 
@@ -284,6 +367,31 @@ mod tests {
         assert_eq!(lint_source("crates/telemetry/src/lib.rs", &src).actionable(), 0);
         let ok = format!("let t = Instant::{}; // det-ok: measures host time\n", "now()");
         assert_eq!(lint_source("crates/core/src/engine.rs", &ok).actionable(), 0);
+    }
+
+    #[test]
+    fn panic001_counts_library_code_only() {
+        let (u, e) = (format!(".{}()", "unwrap"), format!(".{}(", "expect"));
+        let src = format!(
+            "let a = x{u};\nlet b = y{e}\"why\"); // and z{u}\n// w{u}\n\
+             let c = x.{}_or(0);\n#[cfg(test)]\nmod tests {{ fn t() {{ x{u}; }} }}\n",
+            "unwrap"
+        );
+        assert_eq!(panic_sites(&src), 2);
+        let at = |n: usize| BTreeMap::from([("journal".to_owned(), n), ("gpu-sim".to_owned(), 0)]);
+        let journal = PANIC_CEILINGS
+            .iter()
+            .find(|(c, _)| *c == "journal")
+            .expect("listed")
+            .1;
+        assert_eq!(check_panic_ceilings(&at(journal)).actionable(), 0);
+        let r = check_panic_ceilings(&at(journal + 1));
+        assert_eq!(r.count(Severity::Error), 1);
+        assert_eq!(r.findings[0].rule, "PANIC-001");
+        assert_eq!(r.findings[0].location, "crates/journal");
+        // a crate without a ceiling may have no site at all
+        let unlisted = BTreeMap::from([("gpu-sim".to_owned(), 1)]);
+        assert_eq!(check_panic_ceilings(&unlisted).count(Severity::Error), 1);
     }
 
     #[test]

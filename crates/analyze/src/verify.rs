@@ -730,6 +730,16 @@ pub fn check_mutants() -> Report {
     let src = format!("let order = std::collections::{}Map::new();\n", "Hash");
     let r = crate::det::lint_source("seeded.rs", &src);
     report.mutant_rejected("VRF-900", "mutant:seeded-hash-iteration", &r, MUTANT_SURVIVED);
+    // M8: one seeded panic site in a crate already at its ceiling
+    // (PANIC-001 must fire).
+    let mut sites: std::collections::BTreeMap<String, usize> = crate::det::PANIC_CEILINGS
+        .iter()
+        .map(|&(krate, ceiling)| (krate.to_owned(), ceiling))
+        .collect();
+    let src = format!("let first = bytes.first().{}();\n", "unwrap");
+    *sites.entry("journal".to_owned()).or_default() += crate::det::panic_sites(&src);
+    let r = crate::det::check_panic_ceilings(&sites);
+    report.mutant_rejected("VRF-900", "mutant:seeded-panic-site", &r, MUTANT_SURVIVED);
     report
 }
 
@@ -885,7 +895,7 @@ mod tests {
     fn mutant_corpus_meta_check_is_green() {
         let r = check_mutants();
         assert_eq!(r.count(Severity::Error), 0, "{}", r.render_text());
-        // One verdict per mutant: 3 plans + 3 schedules + 1 det.
-        assert_eq!(r.findings.len(), 7);
+        // One verdict per mutant: 3 plans + 3 schedules + 1 det + 1 panic.
+        assert_eq!(r.findings.len(), 8);
     }
 }

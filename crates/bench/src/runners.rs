@@ -967,6 +967,17 @@ pub fn run_fault_sweep() -> (String, f64) {
 mod tests {
     use super::*;
 
+    /// The committed soak goldens are strict JSON to the workspace's own
+    /// reader.
+    #[test]
+    fn soak_goldens_parse() {
+        for bin in ["soak", "fleet_soak", "crash_soak", "partition_soak"] {
+            let path = format!("{}/golden/{bin}_smoke.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            distmsm_telemetry::parse_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        }
+    }
+
     #[test]
     fn functional_validation_passes() {
         let report = run_functional_validation(1 << 9);

@@ -158,15 +158,29 @@ impl<C: Curve> XyzzPoint<C> {
         self.zz.is_zero()
     }
 
+    /// `ZZ = ZZZ = 1`: the point's `X`, `Y` are its affine coordinates,
+    /// as [`Affine::to_xyzz`] leaves them.
+    pub fn is_normalized(&self) -> bool {
+        self.zz == C::Base::one() && self.zzz == C::Base::one()
+    }
+
     /// Full PADD (paper Algorithm 1, `add-2008-s`): 14 field
     /// multiplications. Handles the identity and doubling exceptions that
     /// the GPU kernels branch around.
+    ///
+    /// A [normalized](Self::is_normalized) `rhs` takes the PACC formula:
+    /// it is this one without its four multiplications by `ZZ₂ = ZZZ₂ = 1`,
+    /// and a field product is its canonical representative, so `a·1` is
+    /// `a` bit for bit and so is the sum.
     pub fn padd(&self, rhs: &Self) -> Self {
         if self.is_identity() {
             return *rhs;
         }
         if rhs.is_identity() {
             return *self;
+        }
+        if rhs.is_normalized() {
+            return self.add_affine(&rhs.x, &rhs.y);
         }
         let u1 = self.x * rhs.zz;
         let u2 = rhs.x * self.zz;
@@ -214,17 +228,21 @@ impl<C: Curve> XyzzPoint<C> {
             *self = p.to_xyzz();
             return;
         }
-        let u2 = p.x * self.zz;
-        let s2 = p.y * self.zzz;
+        *self = self.add_affine(&p.x, &p.y);
+    }
+
+    /// The PACC formula: `self + (x2, y2)` for a finite `self` and a
+    /// finite affine point.
+    fn add_affine(&self, x2: &C::Base, y2: &C::Base) -> Self {
+        let u2 = *x2 * self.zz;
+        let s2 = *y2 * self.zzz;
         let pp_ = u2 - self.x; // "P" of the paper; renamed to avoid the point
         let r = s2 - self.y;
         if pp_.is_zero() {
             if r.is_zero() {
-                *self = self.pdbl();
-            } else {
-                *self = Self::identity();
+                return self.pdbl();
             }
-            return;
+            return Self::identity();
         }
         let pp = pp_.square();
         let ppp = pp * pp_;
@@ -232,14 +250,16 @@ impl<C: Curve> XyzzPoint<C> {
         let mut v = r.square();
         v -= ppp;
         v -= q;
-        let x_new = v - q;
-        let t = q - x_new;
+        let x3 = v - q;
+        let t = q - x3;
         let y = r * t;
         let t2 = self.y * ppp;
-        self.x = x_new;
-        self.y = y - t2;
-        self.zz *= pp;
-        self.zzz *= ppp;
+        Self {
+            x: x3,
+            y: y - t2,
+            zz: self.zz * pp,
+            zzz: self.zzz * ppp,
+        }
     }
 
     /// PDBL (`dbl-2008-s-1`): point doubling in XYZZ coordinates.

@@ -2,7 +2,7 @@
 //!
 //! Wire formats for proofs and point vectors: little-endian canonical
 //! field bytes, uncompressed points (`flag ‖ x ‖ y`) and compressed
-//! points (`flag ‖ x`, with the y-parity in the flag — recovered through
+//! points (`flag ‖ x`, with the sign of y in the flag — recovered through
 //! Tonelli–Shanks). Deserialisation validates range and curve membership.
 
 use crate::curve::{Affine, Curve};
@@ -17,6 +17,10 @@ pub trait CanonicalBytes: Sized {
     fn to_canonical_bytes(&self) -> Vec<u8>;
     /// Strict decoding: rejects wrong lengths and non-canonical values.
     fn from_canonical_bytes(bytes: &[u8]) -> Option<Self>;
+    /// The sign a compressed point stores for `y`: the low bit of the
+    /// first non-zero coefficient's canonical value. `p` is odd, so `v`
+    /// and `−v` differ in it unless `v = 0`.
+    fn sign(&self) -> bool;
 }
 
 impl<P: FpParams<N>, const N: usize> CanonicalBytes for Fp<P, N> {
@@ -39,6 +43,10 @@ impl<P: FpParams<N>, const N: usize> CanonicalBytes for Fp<P, N> {
         let v = Uint(limbs);
         v.lt(&P::MODULUS).then(|| Self::from_uint(&v))
     }
+
+    fn sign(&self) -> bool {
+        self.to_uint().0[0] & 1 == 1
+    }
 }
 
 impl<P: FpParams<N>, const N: usize> CanonicalBytes for Fp2<P, N> {
@@ -60,11 +68,19 @@ impl<P: FpParams<N>, const N: usize> CanonicalBytes for Fp2<P, N> {
         let c1 = Fp::from_canonical_bytes(&bytes[8 * N..])?;
         Some(Self::new(c0, c1))
     }
+
+    fn sign(&self) -> bool {
+        if self.c0.is_zero() {
+            self.c1.sign()
+        } else {
+            self.c0.sign()
+        }
+    }
 }
 
 const FLAG_FINITE: u8 = 0x00;
 const FLAG_INFINITY: u8 = 0x01;
-const FLAG_Y_ODD: u8 = 0x02;
+const FLAG_Y_SIGN: u8 = 0x02;
 
 /// Serialises a point as `flag ‖ x ‖ y` (one byte + two field elements).
 pub fn point_to_uncompressed<C: Curve>(p: &Affine<C>) -> Vec<u8>
@@ -104,7 +120,8 @@ where
     }
 }
 
-/// Serialises a point as `flag ‖ x`, with the parity of `y` in the flag.
+/// Serialises a point as `flag ‖ x`, with [`CanonicalBytes::sign`] of
+/// `y` in the flag.
 pub fn point_to_compressed<C: Curve>(p: &Affine<C>) -> Vec<u8>
 where
     C::Base: CanonicalBytes + SqrtField,
@@ -114,15 +131,14 @@ where
         out[0] = FLAG_INFINITY;
         return out;
     }
-    let y_bytes = p.y.to_canonical_bytes();
-    let flag = FLAG_FINITE | (FLAG_Y_ODD * (y_bytes[0] & 1));
+    let flag = if p.y.sign() { FLAG_Y_SIGN } else { FLAG_FINITE };
     let mut out = vec![flag];
     out.extend(p.x.to_canonical_bytes());
     out
 }
 
 /// Deserialises a compressed point: solves `y² = x³ + ax + b` and picks
-/// the root with the encoded parity.
+/// the root with the encoded sign.
 pub fn point_from_compressed<C: Curve>(bytes: &[u8]) -> Option<Affine<C>>
 where
     C::Base: CanonicalBytes + SqrtField,
@@ -135,15 +151,14 @@ where
         // one encoding per point, as in `point_from_uncompressed`
         return bytes[1..].iter().all(|&b| b == 0).then(Affine::identity);
     }
-    if bytes[0] & !(FLAG_Y_ODD) != FLAG_FINITE {
+    if bytes[0] & !FLAG_Y_SIGN != FLAG_FINITE {
         return None;
     }
-    let want_odd = bytes[0] & FLAG_Y_ODD != 0;
+    let want_sign = bytes[0] & FLAG_Y_SIGN != 0;
     let x = C::Base::from_canonical_bytes(&bytes[1..])?;
     let rhs = x.square() * x + C::a() * x + C::b();
     let y = rhs.sqrt()?;
-    let y_is_odd = y.to_canonical_bytes()[0] & 1 == 1;
-    let y = if y_is_odd == want_odd { y } else { -y };
+    let y = if y.sign() == want_sign { y } else { -y };
     Some(Affine::new_unchecked(x, y))
 }
 
@@ -213,6 +228,27 @@ mod tests {
             let b = point_to_compressed(&p);
             assert_eq!(b.len(), 65);
             assert_eq!(point_from_compressed::<Bn254G2>(&b), Some(p));
+        }
+    }
+
+    #[test]
+    fn fp2_sign_is_the_first_non_zero_coefficient() {
+        // `y = c1·u` has `c0 = 0`, so the low bit of `c0` cannot tell it
+        // from `−y`; the first non-zero coefficient can. The encoder reads
+        // `y` alone, so no point on the curve (and no cube root) is needed.
+        type Fq2 = <Bn254G2 as Curve>::Base;
+        let mut rng = StdRng::seed_from_u64(118);
+        for _ in 0..32 {
+            let y = Fq2::new(FqBn254::ZERO, FqBn254::random(&mut rng));
+            assert_ne!(y.sign(), (-y).sign(), "{y:?}");
+            let x = Fq2::random(&mut rng);
+            let p = Affine::<Bn254G2>::new_unchecked(x, y);
+            assert_ne!(point_to_compressed(&p), point_to_compressed(&p.neg()));
+            // elsewhere the sign is the parity of the low byte, as before
+            let z = Fq2::random(&mut rng);
+            assert_eq!(z.sign(), z.c0.to_canonical_bytes()[0] & 1 == 1);
+            let a = FqBn254::random(&mut rng);
+            assert_eq!(a.sign(), a.to_canonical_bytes()[0] & 1 == 1);
         }
     }
 

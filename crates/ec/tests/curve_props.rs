@@ -169,3 +169,83 @@ fn scalar_mul_by_zero_and_one() {
     assert!(g.scalar_mul(&Scalar::zero()).is_identity());
     assert_eq!(g.scalar_mul(&Scalar::from_u64(1)).to_affine(), g);
 }
+
+/// `padd`'s general formula, copied here unchanged: what `padd` must
+/// return coordinate for coordinate when it takes the PACC shortcut for a
+/// normalized right operand.
+fn padd_general<C: Curve>(a: &XyzzPoint<C>, b: &XyzzPoint<C>) -> XyzzPoint<C> {
+    use distmsm_ec::FieldElement;
+    if a.is_identity() {
+        return *b;
+    }
+    if b.is_identity() {
+        return *a;
+    }
+    let u1 = a.x * b.zz;
+    let u2 = b.x * a.zz;
+    let s1 = a.y * b.zzz;
+    let s2 = b.y * a.zzz;
+    let p = u2 - u1;
+    let r = s2 - s1;
+    if p.is_zero() {
+        if r.is_zero() {
+            return a.pdbl();
+        }
+        return XyzzPoint::identity();
+    }
+    let pp = p.square();
+    let ppp = pp * p;
+    let q = u1 * pp;
+    let mut v = r.square();
+    v -= ppp;
+    v -= q;
+    let x3 = v - q;
+    let t = q - x3;
+    let y = r * t;
+    let t2 = s1 * ppp;
+    XyzzPoint {
+        x: x3,
+        y: y - t2,
+        zz: a.zz * b.zz * pp,
+        zzz: a.zzz * b.zzz * ppp,
+    }
+}
+
+fn mixed_padd_is_bit_identical_to_the_general_formula<C: Curve>() {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(16);
+    let mut point = || C::generator().scalar_mul(&C::Scalar::from_u64(rng.random()));
+    let (p, q) = (point(), point());
+    let normal = |x: &XyzzPoint<C>| x.to_affine().to_xyzz();
+    assert!(!p.is_normalized() && normal(&p).is_normalized());
+    let cases = [
+        (XyzzPoint::identity(), normal(&q)),
+        (p, normal(&q)),
+        (normal(&p), normal(&q)),
+        // P + P, from either representative of P
+        (p, normal(&p)),
+        (normal(&p), normal(&p)),
+        // P + (−P)
+        (p, normal(&p).neg()),
+        (normal(&p).neg(), normal(&p)),
+    ];
+    for (a, b) in cases {
+        assert_eq!(
+            format!("{:?}", a.padd(&b)),
+            format!("{:?}", padd_general(&a, &b)),
+            "{}: {a:?} + {b:?}",
+            C::NAME
+        );
+    }
+    assert!(p.padd(&normal(&p).neg()).is_identity());
+    assert_eq!(p.padd(&normal(&p)), p.pdbl());
+}
+
+#[test]
+fn mixed_padd_is_bit_identical_to_the_general_formula_on_every_curve() {
+    mixed_padd_is_bit_identical_to_the_general_formula::<Bn254G1>();
+    mixed_padd_is_bit_identical_to_the_general_formula::<Bn254G2>();
+    mixed_padd_is_bit_identical_to_the_general_formula::<Bls12377G1>();
+    mixed_padd_is_bit_identical_to_the_general_formula::<Bls12381G1>();
+    mixed_padd_is_bit_identical_to_the_general_formula::<Mnt4753G1>();
+}

@@ -193,18 +193,38 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, nothing looser:
+    /// no leading zero, no bare `.` on either side, no empty exponent.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                    return Err(self.err("leading zero in number"));
+                }
+            }
+            Some(c) if c.is_ascii_digit() => {
+                self.digits();
+            }
+            _ => return Err(self.err("expected a digit")),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit after `.`"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -212,8 +232,8 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit in the exponent"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -399,6 +419,48 @@ mod tests {
             "",
         ] {
             assert!(parse(bad).is_err(), "`{bad}` must not parse");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("7", 7.0),
+            ("-120", -120.0),
+            ("0.5", 0.5),
+            ("-0.25e-2", -0.0025),
+            ("1E+2", 100.0),
+            ("10e1", 100.0),
+        ] {
+            assert_eq!(parse(good).map(|v| v.as_num()), Ok(Some(value)), "`{good}`");
+        }
+        for (bad, at) in [
+            ("01", 1),
+            ("-01", 2),
+            ("00", 1),
+            ("1.", 2),
+            ("1.e5", 2),
+            ("-.5", 1),
+            ("-", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("[1, 02]", 5),
+            (r#"{"a": 3.}"#, 8),
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(
+                err.starts_with(&format!("JSON parse error at byte {at}: ")),
+                "`{bad}`: {err}"
+            );
+        }
+        // no leading `+` or `.`: not a value at all
+        for bad in ["+1", ".5"] {
+            assert!(
+                parse(bad).expect_err(bad).contains("unexpected byte"),
+                "`{bad}`"
+            );
         }
     }
 
