@@ -49,6 +49,22 @@ for layer in crates/fleet/src/fleet.rs crates/service/src/service.rs; do
     fi
 done
 
+echo "== one kernel per linear combination: no padd(&…scalar_mul( sum in library code =="
+# a sum of scalar multiples off the engine is one `distmsm_ec::straus`
+# call (DESIGN.md §26); the per-term double-and-add oracle
+# `MsmInstance::reference_result` is the one allowed site. Library code is
+# the counted-source window: each file before its first #[cfg(test)]
+SUMS="$(find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { live = 1 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+    live && /padd\(&[^;]*scalar_mul\(/ { print FILENAME ":" FNR ": " $0 }' |
+    grep -v '^crates/ec/src/sample\.rs:[0-9]*:  *acc = acc\.padd(&p\.scalar_mul(k));$' || true)"
+if [[ -n "$SUMS" ]]; then
+    echo "$SUMS" >&2
+    echo "FAIL: a linear combination of scalar multiplications outside the oracle; make it one straus call" >&2
+    exit 1
+fi
+
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 

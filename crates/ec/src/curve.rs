@@ -4,7 +4,8 @@
 //! paper's kernels use: a full point addition (PADD, Algorithm 1) costs 14
 //! field multiplications and the mixed *point accumulation* (PACC,
 //! Algorithm 4) specialises to 10 by exploiting `ZZ = ZZZ = 1` for affine
-//! inputs — the "PADD→PACC" optimisation of §4.1.
+//! inputs — the "PADD→PACC" optimisation of §4.1. [`straus`] builds the
+//! short multi-scalar sums computed off the engine from the same formulas.
 
 use crate::traits::{FieldElement, Scalar};
 use rand::Rng;
@@ -402,5 +403,119 @@ impl<C: Curve> core::iter::Sum for XyzzPoint<C> {
 impl<C: Curve> From<Affine<C>> for XyzzPoint<C> {
     fn from(a: Affine<C>) -> Self {
         a.to_xyzz()
+    }
+}
+
+/// NAF digit width `w` of [`straus`]. A `λ`-bit scalar costs `≈ λ/(w+1)`
+/// PACCs and its table one PDBL, `2^{w−2} − 1` PADDs and `2^{w−2}`
+/// normalisations, so each extra bit saves a fifth or less of the
+/// additions and doubles the table. In field multiplications per term,
+/// widths 3 / 4 / 5 cost 676 / 595 / 602 on a 254-bit scalar (the 2G2T
+/// check) and 201 / 215 / 286 on a 64-bit one (the RLC fold): 4 is within
+/// 1 % and 5 % of the best width on the two shapes, the only width close
+/// on both (DESIGN.md §26).
+const NAF_WIDTH: u32 = 4;
+
+/// Table entries per base: the odd multiples `1·P, 3·P, 5·P, 7·P`.
+const ODD_MULTIPLES: usize = 1 << (NAF_WIDTH - 2);
+
+/// `Σ kᵢ·Pᵢ` by Straus's interleaved method, for the short linear
+/// combinations computed off the engine (the 2G2T check, the RLC
+/// self-check, Groth16's blinding and public-input sums).
+///
+/// Each scalar is recoded into width-4 NAF digits; each base gets a table
+/// of its odd multiples, and all tables are normalised together with one
+/// [`XyzzPoint::batch_to_affine`] (a single field inversion). One doubling
+/// chain is shared by every term, and each non-zero digit is one mixed
+/// addition. Identity bases and zero scalars are skipped; no terms give
+/// the identity. [`XyzzPoint::scalar_mul`] stays double-and-add: it and
+/// `MsmInstance::reference_result` are the references this is tested
+/// against.
+pub fn straus<C: Curve>(terms: &[(XyzzPoint<C>, C::Scalar)]) -> XyzzPoint<C> {
+    let terms: Vec<_> = terms
+        .iter()
+        .filter(|(p, k)| !p.is_identity() && k.num_bits() > 0)
+        .collect();
+    let mut odd = Vec::with_capacity(terms.len() * ODD_MULTIPLES);
+    for (p, _) in &terms {
+        let twice = p.pdbl();
+        let mut m = *p;
+        for _ in 0..ODD_MULTIPLES {
+            odd.push(m);
+            m = m.padd(&twice);
+        }
+    }
+    let tables = XyzzPoint::batch_to_affine(&odd);
+    let digits: Vec<Vec<i8>> = terms.iter().map(|(_, k)| wnaf(k)).collect();
+    let len = digits.iter().map(Vec::len).max().unwrap_or(0);
+
+    let mut acc = XyzzPoint::identity();
+    for i in (0..len).rev() {
+        acc = acc.pdbl();
+        for (d, table) in digits.iter().zip(tables.chunks_exact(ODD_MULTIPLES)) {
+            match d.get(i).copied().unwrap_or(0) {
+                0 => {}
+                d if d > 0 => acc.pacc(&table[d as usize / 2]),
+                d => acc.pacc(&table[d.unsigned_abs() as usize / 2].neg()),
+            }
+        }
+    }
+    acc
+}
+
+/// Width-[`NAF_WIDTH`] NAF digits of `k`, least significant first, with
+/// `Σ dᵢ·2^i = k`: `num_bits(k) + 1` digits, since a negative digit can
+/// carry one position past the top bit.
+fn wnaf<S: Scalar>(k: &S) -> Vec<i8> {
+    let bits = k.num_bits();
+    let mut digits = vec![0i8; bits as usize + 1];
+    let mut carry = 0;
+    let mut pos = 0;
+    // invariant: the digits still to come sum to ⌊k / 2^pos⌋ + carry
+    while pos < bits || carry != 0 {
+        let window = carry + k.window(pos, NAF_WIDTH);
+        if window % 2 == 0 {
+            pos += 1;
+            continue;
+        }
+        let digit = if window < 1 << (NAF_WIDTH - 1) {
+            carry = 0;
+            window as i8
+        } else {
+            carry = 1;
+            window as i8 - (1 << NAF_WIDTH)
+        };
+        digits[pos as usize] = digit;
+        pos += NAF_WIDTH;
+    }
+    digits
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use distmsm_ff::Uint;
+
+    fn value(digits: &[i8]) -> i128 {
+        digits.iter().rev().fold(0, |acc, &d| 2 * acc + i128::from(d))
+    }
+
+    #[test]
+    fn wnaf_digits_are_odd_sparse_and_sum_to_the_scalar() {
+        let samples = (0..4096u64)
+            .chain([u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1])
+            .chain((0..64).map(|s| 0x9e37_79b9_7f4a_7c15u64.rotate_left(s)));
+        for k in samples {
+            let digits = wnaf(&Uint::<1>::from_u64(k));
+            assert_eq!(value(&digits), i128::from(k), "k = {k}");
+            assert_eq!(digits.len(), 64 - k.leading_zeros() as usize + 1);
+            let nonzero: Vec<usize> = (0..digits.len()).filter(|&i| digits[i] != 0).collect();
+            for &i in &nonzero {
+                assert!(digits[i] % 2 != 0 && digits[i].unsigned_abs() < 1 << (NAF_WIDTH - 1));
+            }
+            for pair in nonzero.windows(2) {
+                assert!(pair[1] - pair[0] >= NAF_WIDTH as usize, "k = {k}: {digits:?}");
+            }
+        }
     }
 }

@@ -14,6 +14,8 @@
 //!   technique) with Montgomery-trick shared inversions;
 //! * [`fixed_base`] — windowed table of one base's multiples, for the
 //!   many same-base products of a trusted setup;
+//! * [`straus()`] — interleaved-wNAF multi-scalar multiplication, for the
+//!   short linear combinations computed off the engine;
 //! * [`serialize`] — canonical field/point wire formats, compressed and
 //!   uncompressed.
 //!
@@ -45,7 +47,7 @@ pub mod serialize;
 pub mod traits;
 pub mod validate;
 
-pub use curve::{Affine, Curve, XyzzPoint};
+pub use curve::{straus, Affine, Curve, XyzzPoint};
 pub use fixed_base::FixedBaseTable;
 pub use sample::MsmInstance;
 pub use traits::{FieldElement, Scalar, SqrtField};

@@ -1,12 +1,16 @@
 //! Property-based tests of the group laws in XYZZ coordinates.
 //!
 //! These exercise exactly the exceptional paths (identity, doubling,
-//! inverse pairs) that a GPU PADD kernel must branch around.
+//! inverse pairs) that a GPU PADD kernel must branch around, and hold the
+//! multi-scalar kernel `straus` to the double-and-add oracle.
 
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
-use distmsm_ec::{Affine, Curve, Scalar, XyzzPoint};
+use distmsm_ec::sample::generator_multiples;
+use distmsm_ec::validate::order_minus_one;
+use distmsm_ec::{straus, Affine, Curve, FieldElement, MsmInstance, Scalar, XyzzPoint};
+use distmsm_ff::Uint;
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn arb_point<C: Curve>() -> impl Strategy<Value = XyzzPoint<C>> {
     (0u64..1000).prop_map(|k| {
@@ -124,7 +128,6 @@ fn batch_to_affine_matches_individual() {
 /// `to_affine` shares one inversion between `ZZ⁻¹` and `ZZZ⁻¹`; the
 /// coordinates must be the bits the two separate inversions give.
 fn to_affine_matches_two_inversions<C: Curve>() {
-    use distmsm_ec::FieldElement;
     let mut rng = StdRng::seed_from_u64(11);
     let mut p = C::generator().scalar_mul(&C::random_scalar(&mut rng));
     for _ in 0..4 {
@@ -174,7 +177,6 @@ fn scalar_mul_by_zero_and_one() {
 /// return coordinate for coordinate when it takes the PACC shortcut for a
 /// normalized right operand.
 fn padd_general<C: Curve>(a: &XyzzPoint<C>, b: &XyzzPoint<C>) -> XyzzPoint<C> {
-    use distmsm_ec::FieldElement;
     if a.is_identity() {
         return *b;
     }
@@ -212,7 +214,6 @@ fn padd_general<C: Curve>(a: &XyzzPoint<C>, b: &XyzzPoint<C>) -> XyzzPoint<C> {
 }
 
 fn mixed_padd_is_bit_identical_to_the_general_formula<C: Curve>() {
-    use rand::Rng;
     let mut rng = StdRng::seed_from_u64(16);
     let mut point = || C::generator().scalar_mul(&C::Scalar::from_u64(rng.random()));
     let (p, q) = (point(), point());
@@ -248,4 +249,103 @@ fn mixed_padd_is_bit_identical_to_the_general_formula_on_every_curve() {
     mixed_padd_is_bit_identical_to_the_general_formula::<Bls12377G1>();
     mixed_padd_is_bit_identical_to_the_general_formula::<Bls12381G1>();
     mixed_padd_is_bit_identical_to_the_general_formula::<Mnt4753G1>();
+}
+
+/// `p` in the XYZZ representative with `ZZ = λ²`, `ZZZ = λ³`: bases
+/// reach the kernel unnormalised, as engine results do.
+fn rescaled<C: Curve>(p: &Affine<C>, lambda: C::Base) -> XyzzPoint<C> {
+    if p.is_identity() {
+        return XyzzPoint::identity();
+    }
+    let zz = lambda.square();
+    let zzz = zz * lambda;
+    XyzzPoint {
+        x: p.x * zz,
+        y: p.y * zzz,
+        zz,
+        zzz,
+    }
+}
+
+/// `straus` against the per-term double-and-add oracle.
+fn check<C: Curve>(points: &[Affine<C>], scalars: &[C::Scalar], rng: &mut StdRng) {
+    let terms: Vec<_> = points
+        .iter()
+        .zip(scalars)
+        .map(|(p, k)| (rescaled(p, C::Base::random(rng)), *k))
+        .collect();
+    let oracle = MsmInstance {
+        points: points.to_vec(),
+        scalars: scalars.to_vec(),
+    };
+    assert_eq!(
+        straus(&terms),
+        oracle.reference_result(),
+        "{} terms on {}: {scalars:?}",
+        terms.len(),
+        C::NAME
+    );
+}
+
+/// 0 to 40 terms, with full-width scalars and with 64-bit ones (the
+/// 2G2T and the RLC shapes).
+fn random_combinations<C: Curve>(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for n in [0, 1, 2, 5, 13, 40] {
+        let instance = MsmInstance::<C>::random(n, &mut rng);
+        check(&instance.points, &instance.scalars, &mut rng);
+        let short: Vec<_> = (0..n).map(|_| C::Scalar::from_u64(rng.random())).collect();
+        check(&instance.points, &short, &mut rng);
+    }
+}
+
+#[test]
+fn random_combinations_match_the_reference_on_every_curve() {
+    random_combinations::<Bn254G1>(2901);
+    random_combinations::<Bn254G2>(2902);
+    random_combinations::<Bls12377G1>(2903);
+    random_combinations::<Bls12381G1>(2904);
+    random_combinations::<Mnt4753G1>(2905);
+}
+
+fn edge_cases<C: Curve<Scalar = Uint<N>>, const N: usize>() {
+    let mut rng = StdRng::seed_from_u64(2906);
+    let id = Affine::<C>::identity();
+    let g = C::generator();
+    let p = generator_multiples::<C>(3)[2];
+    let k = C::random_scalar(&mut rng);
+    let r_minus_1 = order_minus_one::<C>();
+    let cases: [(&[Affine<C>], &[Uint<N>]); 9] = [
+        // no terms
+        (&[], &[]),
+        // identity bases
+        (&[id, g, id], &[k, k, Uint::ONE]),
+        // zero scalars, alone and beside a live term
+        (&[g, p], &[Uint::ZERO, Uint::ZERO]),
+        (&[g, p], &[Uint::ZERO, k]),
+        // the scalars 1, r − 1 and the widest limb pattern
+        (&[g, p, g], &[Uint::ONE, r_minus_1, Uint::MAX]),
+        // a repeated base
+        (&[p, p, p], &[k, r_minus_1, Uint::ONE]),
+        // a base next to its negation, cancelling and not
+        (&[p, p.neg()], &[k, k]),
+        (&[p, p.neg(), g], &[k, Uint::ONE, r_minus_1]),
+        // the 2G2T shape with R1 = identity: α·∞ + Σ βⱼ·Pⱼ
+        (&[id, g, p], &[k, r_minus_1, k]),
+    ];
+    for (points, scalars) in cases {
+        check(points, scalars, &mut rng);
+    }
+    assert!(straus::<C>(&[]).is_identity());
+    assert!(straus(&[(p.to_xyzz(), k), (p.neg().to_xyzz(), k)]).is_identity());
+    assert_eq!(straus(&[(g.to_xyzz(), r_minus_1)]), g.neg().to_xyzz());
+}
+
+#[test]
+fn edge_cases_match_the_reference_on_every_curve() {
+    edge_cases::<Bn254G1, 4>();
+    edge_cases::<Bn254G2, 4>();
+    edge_cases::<Bls12377G1, 4>();
+    edge_cases::<Bls12381G1, 4>();
+    edge_cases::<Mnt4753G1, 12>();
 }

@@ -43,7 +43,8 @@ use distmsm::report::{json_pretty, JsonField::Scalar};
 use distmsm::DistMsm;
 use distmsm_ec::curves::Bn254G1;
 use distmsm_ec::serialize::point_to_uncompressed;
-use distmsm_ec::{Curve, MsmInstance};
+use distmsm_ec::{straus, Curve, MsmInstance};
+use distmsm_ff::Uint;
 use distmsm_gpu_sim::MultiGpuSystem;
 use distmsm_journal::{DurableState, Record};
 use distmsm_service::harness::{by_id, unique_from_trace, Flags, Run, Scenario, Violations};
@@ -793,7 +794,10 @@ fn ckpt_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) -> Result<(), St
     // then verify.
     let mut bad = ckpt_at(&real_records, n_ckpts)?.expect("n_ckpts ≥ 1 names a stored checkpoint");
     let alpha = Bn254G1::field_to_scalar(&shard.challenge.alpha);
-    bad.partials[0] = bad.partials[0].padd(&shard.instance.points[0].scalar_mul(&alpha));
+    bad.partials[0] = straus(&[
+        (bad.partials[0], Uint::ONE),
+        (shard.instance.points[0].to_xyzz(), alpha),
+    ]);
     let what = "shard resume from corrupted checkpoint";
     let twin_resume = ckpt_at(&twin_records, n_ckpts)?;
     match shard.resume_pair(Some(bad), twin_resume.clone(), |_, _| {}) {

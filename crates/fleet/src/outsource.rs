@@ -11,14 +11,14 @@
 //! R2 == α·R1 + V,   V = Σ_decoys βⱼ·Pⱼ
 //! ```
 //!
-//! which costs one scalar multiplication plus [`N_DECOYS`] more —
-//! constant in the MSM size. An additive corruption `R1 + D` would need
+//! which costs one (1 + [`N_DECOYS`])-term multi-scalar multiplication
+//! ([`straus`]) — constant in the MSM size. An additive corruption `R1 + D` would need
 //! the pod to shift `R2` by `α·D` with `α` secret; a *scaling* attack
 //! `(c·R1, c·R2)` would need `(c − 1)·V = 0`, and `V` is a secret
 //! nonzero point — the decoys are precisely what closes that hole. A
 //! cheating pod therefore survives with probability `≈ 1/r`.
 
-use distmsm_ec::{Affine, Curve, FieldElement, MsmInstance, XyzzPoint};
+use distmsm_ec::{straus, Affine, Curve, FieldElement, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::fault::splitmix64;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -97,22 +97,15 @@ impl<C: Curve> Challenge<C> {
         }
     }
 
-    /// The secret decoy point `V = Σ βⱼ·Pⱼ`.
-    pub fn decoy_offset(&self, points: &[Affine<C>]) -> XyzzPoint<C> {
-        let mut v = XyzzPoint::identity();
-        for (p, beta) in &self.decoys {
-            v = v.padd(&points[*p].scalar_mul(&C::field_to_scalar(beta)));
-        }
-        v
-    }
-
-    /// The acceptance predicate: `r2 == α·r1 + V`.
+    /// The acceptance predicate: `r2 == α·r1 + Σ βⱼ·Pⱼ`, the right-hand
+    /// side one `1 + N_DECOYS`-term [`straus`] call.
     pub fn verify(&self, points: &[Affine<C>], r1: &XyzzPoint<C>, r2: &XyzzPoint<C>) -> bool {
-        let expected = r1
-            .scalar_mul(&C::field_to_scalar(&self.alpha))
-            .padd(&self.decoy_offset(points));
+        let terms: Vec<_> = std::iter::once((*r1, self.alpha))
+            .chain(self.decoys.iter().map(|(p, beta)| (points[*p].to_xyzz(), *beta)))
+            .map(|(point, k)| (point, C::field_to_scalar(&k)))
+            .collect();
         // projective equality: no inversion on either side
-        expected == *r2
+        straus(&terms) == *r2
     }
 }
 

@@ -1,10 +1,11 @@
 //! Property-based tests of the 2G2T blinded-twin outsourcing check,
 //! across all four paper curves (plus G2): every honest pod result is
-//! accepted, and every seeded corruption class — bit flip, swapped
-//! shard, zeroed partial — is detected.
+//! accepted, every seeded corruption class — bit flip, swapped shard,
+//! zeroed partial — is detected, and every verdict is the one the
+//! double-and-add predicate gives.
 
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
-use distmsm_ec::{Curve, MsmInstance};
+use distmsm_ec::{Affine, Curve, MsmInstance, XyzzPoint};
 use distmsm_fleet::{Challenge, Corruption, OutsourcedResult};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -50,6 +51,76 @@ fn check_curve<C: Curve>(seed: u64, n: usize) {
             class.label()
         );
     }
+}
+
+/// The right-hand side before the check ran on `straus`: `α·R1` and each
+/// `βⱼ·Pⱼ` by double-and-add.
+fn double_and_add_rhs<C: Curve>(
+    challenge: &Challenge<C>,
+    points: &[Affine<C>],
+    r1: &XyzzPoint<C>,
+) -> XyzzPoint<C> {
+    let mut rhs = r1.scalar_mul(&C::field_to_scalar(&challenge.alpha));
+    for (p, beta) in &challenge.decoys {
+        rhs = rhs.padd(&points[*p].scalar_mul(&C::field_to_scalar(beta)));
+    }
+    rhs
+}
+
+/// `Challenge::verify` gives the double-and-add predicate's verdict on
+/// honest, corrupted, random and degenerate pairs of `n`-point shards.
+fn verdicts_match_double_and_add<C: Curve>(seed: u64, sizes: &[usize]) {
+    for &n in sizes {
+        let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
+        let instance = MsmInstance::<C>::random(n, &mut rng);
+        let challenge = Challenge::<C>::generate(seed ^ 0x2929 ^ n as u64, n);
+        let honest = honest_pair(&instance, &challenge);
+        let other = MsmInstance::<C>::random(n, &mut rng);
+        let swap = honest_pair(&other, &Challenge::<C>::generate(seed ^ 0xbeef, n));
+
+        let rhs = |r1: &XyzzPoint<C>| double_and_add_rhs(&challenge, &instance.points, r1);
+        let mut random = || C::generator().scalar_mul(&C::random_scalar(&mut rng));
+        let (a, b) = (random(), random());
+        let id = XyzzPoint::identity();
+        // (R1, R2, the double-and-add right-hand side for R1)
+        let [rhs_a, rhs_id] = [a, id].map(|r1| rhs(&r1));
+        let mut cases = vec![
+            (honest.r1, honest.r2, rhs(&honest.r1)),
+            (a, rhs_a, rhs_a),
+            (a, b, rhs_a),
+            (a, id, rhs_a),
+            (a, a, rhs_a),
+            (a, a.neg(), rhs_a),
+            (id, rhs_id, rhs_id),
+            (id, id, rhs_id),
+            (id, a, rhs_id),
+        ];
+        cases.extend(Corruption::ALL.map(|class| {
+            let bad = honest.corrupted(class, &swap);
+            (bad.r1, bad.r2, rhs(&bad.r1))
+        }));
+        for (i, (r1, r2, rhs)) in cases.iter().enumerate() {
+            assert_eq!(
+                challenge.verify(&instance.points, r1, r2),
+                rhs == r2,
+                "case {i} on {} with {n} points",
+                C::NAME
+            );
+        }
+        assert!(challenge.verify(&instance.points, &honest.r1, &honest.r2));
+    }
+}
+
+/// Shards with fewer points than `N_DECOYS` on every curve, and 24-point
+/// ones on the three 4-limb G1 curves (the debug build's budget).
+#[test]
+fn verdicts_match_double_and_add_on_every_curve() {
+    let all = [1, 2, 3, 4, 24];
+    verdicts_match_double_and_add::<Bn254G1>(2910, &all);
+    verdicts_match_double_and_add::<Bls12377G1>(2911, &all);
+    verdicts_match_double_and_add::<Bls12381G1>(2912, &all);
+    verdicts_match_double_and_add::<Mnt4753G1>(2913, &[1, 4]);
+    verdicts_match_double_and_add::<Bn254G2>(2914, &[1, 2, 3, 4]);
 }
 
 proptest! {

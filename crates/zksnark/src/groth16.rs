@@ -20,7 +20,7 @@ use distmsm_ec::curves::{Bn254G1, Bn254G2};
 use distmsm_ec::fixed_base::FixedBaseTable;
 use distmsm_ec::pairing::pairing_product_is_one;
 use distmsm_ec::validate::in_prime_subgroup;
-use distmsm_ec::MsmInstance;
+use distmsm_ec::{straus, MsmInstance};
 use distmsm_ff::params::Bn254Fr;
 use distmsm_ff::Fp;
 use distmsm_gpu_sim::MultiGpuSystem;
@@ -254,7 +254,7 @@ pub fn prove<R: Rng + ?Sized>(
     // A = α + Σ zᵢ uᵢ(τ) + rδ
     let a_acc = msm_g1(&pk.a_query, &z)?
         .padd(&pk.alpha_g1.to_xyzz())
-        .padd(&pk.delta_g1.scalar_mul(&r.to_uint()));
+        .padd(&straus(&[(pk.delta_g1.to_xyzz(), r.to_uint())]));
 
     // B = β + Σ zᵢ vᵢ(τ) + sδ (in G2, with a G1 copy for C)
     let b_g2 = engine
@@ -264,10 +264,10 @@ pub fn prove<R: Rng + ?Sized>(
         })?
         .result
         .padd(&pk.beta_g2.to_xyzz())
-        .padd(&pk.delta_g2.scalar_mul(&s.to_uint()));
+        .padd(&straus(&[(pk.delta_g2.to_xyzz(), s.to_uint())]));
     let b_g1 = msm_g1(&pk.b_g1_query, &z)?
         .padd(&pk.beta_g1.to_xyzz())
-        .padd(&pk.delta_g1.scalar_mul(&s.to_uint()));
+        .padd(&straus(&[(pk.delta_g1.to_xyzz(), s.to_uint())]));
 
     // C = Σ_priv zᵢ Lᵢ + h(τ)Z(τ)/δ + sA + rB − rsδ
     let qap = qap_witness(cs);
@@ -285,10 +285,11 @@ pub fn prove<R: Rng + ?Sized>(
     if !pk.h_query.is_empty() {
         c_acc = c_acc.padd(&msm_g1(&pk.h_query[..h_scalars.len()], &h_scalars)?);
     }
-    c_acc = c_acc
-        .padd(&a_acc.scalar_mul(&s.to_uint()))
-        .padd(&b_g1.scalar_mul(&r.to_uint()))
-        .padd(&pk.delta_g1.scalar_mul(&(r * s).to_uint()).neg());
+    c_acc = c_acc.padd(&straus(&[
+        (a_acc, s.to_uint()),
+        (b_g1, r.to_uint()),
+        (pk.delta_g1.to_xyzz(), (-(r * s)).to_uint()),
+    ]));
 
     Ok(Groth16Proof {
         a: a_acc.to_affine(),
@@ -303,10 +304,12 @@ pub fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Groth16Proof) -> 
         return false;
     }
     // Σ aᵢ·ICᵢ with a₀ = 1
-    let mut acc = vk.ic[0].to_xyzz();
-    for (x, ic) in public_inputs.iter().zip(&vk.ic[1..]) {
-        acc = acc.padd(&ic.scalar_mul(&x.to_uint()));
-    }
+    let terms: Vec<_> = std::iter::once(Fr::ONE)
+        .chain(public_inputs.iter().copied())
+        .zip(&vk.ic)
+        .map(|(x, ic)| (ic.to_xyzz(), x.to_uint()))
+        .collect();
+    let acc = straus(&terms);
     // e(A, B) · e(−α, β) · e(−acc, γ) · e(−C, δ) = 1
     pairing_product_is_one(&[
         (proof.a, proof.b),
