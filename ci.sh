@@ -140,18 +140,25 @@ for lib in crates/*/src/lib.rs; do
 done
 
 echo "== counted source (ROADMAP item 8: non-blank, non-// lines before a file's first #[cfg(test)]) =="
-# the figure every CHANGES.md entry quotes before/after; printed, not gated
-TOTAL=0
-for crate in crates/*/; do
-    N="$(find "${crate}src" -name '*.rs' -print0 | xargs -0 awk '
-        FNR == 1 { live = 1 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
-        live && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
-        END { print n + 0 }')"
-    printf '  %-10s %6d\n' "$(basename "$crate")" "$N"
-    TOTAL=$((TOTAL + N))
-done
-printf '  %-10s %6d\n' total "$TOTAL"
+# counted once per file; the per-crate totals (the figure every CHANGES.md
+# entry quotes before/after) are sums of these rows
+FILES="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { live = 1; n[FILENAME] += 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+    live && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n[FILENAME]++ }
+    END { for (f in n) print n[f], f }' | sort -rn)"
+awk '{ split($2, p, "/"); n[p[2]] += $1; total += $1 }
+    END { for (c in n) printf "  %-10s %6d\n", c, n[c] | "sort"; close("sort")
+          printf "  %-10s %6d\n", "total", total }' <<< "$FILES"
+# the largest file is printed, and no library file may grow past 900
+# counted lines (split it along its seams instead)
+LARGEST="${FILES%%$'\n'*}"
+printf '  %-10s %6d  %s\n' largest "${LARGEST%% *}" "${LARGEST#* }"
+if awk '$1 > 900 { over = 1 } END { exit !over }' <<< "$FILES"; then
+    awk '$1 > 900' <<< "$FILES" >&2
+    echo "FAIL: a library file holds more than 900 counted lines; split it along its seams" >&2
+    exit 1
+fi
 
 echo "== fig9 scaling smoke vs the committed BENCH_msm.json trajectory artefact =="
 # written beside the tree, not over it: only the `git` stamp may differ

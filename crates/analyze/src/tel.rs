@@ -21,14 +21,14 @@
 
 use crate::report::{Finding, Report, Severity};
 use distmsm::engine::MsmReport;
-use distmsm::report::Report as _;
 use distmsm_ec::Curve;
 use distmsm_telemetry::{parse_json, to_chrome_trace, validate_chrome_trace, Timeline};
 
 /// Relative tolerance for span-sum vs report-phase comparisons: the
-/// emitter re-accumulates per-slice kernel times in a different order
-/// than the engine, so the sums may differ by floating-point rounding,
-/// never by a kernel's worth of time.
+/// emitter lays spans out from the engine's own per-slice prices and
+/// per-GPU sums, but a span's duration is the difference of two
+/// absolute session-clock times, so the sums may differ by
+/// floating-point rounding, never by a kernel's worth of time.
 const REL_EPS: f64 = 1e-9;
 
 /// Checks one captured timeline against its report (`TEL-001`) and its
@@ -47,30 +47,39 @@ pub fn check_timeline<C: Curve>(
             format!("span nesting violated: {e}"),
         ));
     }
-    for phase in report.phase_breakdown() {
-        let got = timeline.category_s(&phase.name);
-        let tol = REL_EPS * phase.seconds.abs().max(1e-12);
-        if (got - phase.seconds).abs() > tol {
+    // the report's phases in the telemetry category vocabulary
+    let p = &report.phases;
+    let mut phases = vec![
+        ("scatter", p.scatter_s),
+        ("bucket-sum", p.bucket_sum_s),
+        ("bucket-reduce", p.bucket_reduce_s),
+        ("window-reduce", p.window_reduce_s),
+        ("transfer", p.transfer_s),
+    ];
+    if let Some(rec) = &report.recovery {
+        phases.push(("recovery", rec.recovery_s()));
+    }
+    for (name, seconds) in phases {
+        let got = timeline.category_s(name);
+        let tol = REL_EPS * seconds.abs().max(1e-12);
+        if (got - seconds).abs() > tol {
             findings.push(Finding::new(
                 "TEL-001",
                 Severity::Error,
-                format!("{scenario}/{}", phase.name),
-                format!(
-                    "span time {got:.9e}s disagrees with report phase {:.9e}s",
-                    phase.seconds
-                ),
+                format!("{scenario}/{name}"),
+                format!("span time {got:.9e}s disagrees with report phase {seconds:.9e}s"),
             ));
         }
     }
     let extent = timeline.extent_s();
-    if extent > report.total_s() * (1.0 + REL_EPS) + 1e-15 {
+    if extent > report.total_s * (1.0 + REL_EPS) + 1e-15 {
         findings.push(Finding::new(
             "TEL-001",
             Severity::Error,
             scenario.to_owned(),
             format!(
                 "timeline extends to {extent:.9e}s past the report total {:.9e}s",
-                report.total_s()
+                report.total_s
             ),
         ));
     }

@@ -755,7 +755,7 @@ pub fn run_fig12() -> (String, Vec<(&'static str, f64)>) {
 /// accumulation, multi-MSM pipelining). Returns the printed
 /// report.
 pub fn run_ablations() -> String {
-    use distmsm::signed::{recode_signed, signed_bucket_count, signed_pippenger};
+    use distmsm::signed::signed_bucket_count;
     use distmsm_ec::batch::{batched_muls_per_point, sum_affine_batched};
     use distmsm_ec::sample::generator_multiples;
 
@@ -767,9 +767,12 @@ pub fn run_ablations() -> String {
     let expect = inst.reference_result();
     let mut t = Table::new(["s", "unsigned buckets", "signed buckets", "verified"]);
     for s in [8u32, 11, 16] {
-        let got = signed_pippenger::<Bn254G1>(&inst.points, &inst.scalars, s);
-        assert_eq!(got, expect);
-        let _ = recode_signed(&inst.scalars[0], s, 254);
+        let config = DistMsmConfig::builder().signed_digits(true).window_size(s).build();
+        let got = config.map(|c| DistMsm::with_config(MultiGpuSystem::dgx_a100(4), c).execute(&inst));
+        assert!(
+            matches!(got, Ok(Ok(ref rep)) if rep.result == expect),
+            "signed digits at s={s} must match the reference"
+        );
         t.row([
             s.to_string(),
             (1u64 << s).to_string(),

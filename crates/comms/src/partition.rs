@@ -175,16 +175,6 @@ impl PartitionSchedule {
         ts
     }
 
-    /// Latest heal time of any window touching `pod` (`0.0` if none) —
-    /// the instant after which the pod is reachable for good.
-    pub fn last_heal_s(&self, pod: usize) -> f64 {
-        self.windows
-            .iter()
-            .filter(|w| w.pod == pod)
-            .map(|w| w.t1_s)
-            .fold(0.0, f64::max)
-    }
-
     /// The NIC-tier link ids of `pod` on a [`Topology::fleet`] fabric —
     /// the links a window on that pod severs (leader↔NIC and
     /// NIC↔core). Panics if the topology is not a fleet fabric.
@@ -196,15 +186,6 @@ impl PartitionSchedule {
             .position(|n| n.kind == NodeKind::Nic && n.label == label)
             .unwrap_or_else(|| panic!("no node {label}: not a fleet fabric"));
         topo.links_of_node(nic)
-    }
-
-    /// Applies one pod's partition to a fleet fabric by downing its
-    /// NIC-tier links — used by tests and what-if routing to prove the
-    /// windows act on exactly the modeled tier.
-    pub fn sever_pod(topo: &mut Topology, pod: usize) {
-        for id in Self::severed_links(topo, pod) {
-            topo.set_link_down(id);
-        }
     }
 }
 
@@ -249,9 +230,6 @@ mod tests {
             w(1, 10.0, 30.0, PartitionDirection::PodToCoordinator),
         ]);
         assert_eq!(s.transition_times(), vec![10.0, 30.0, 50.0]);
-        assert_eq!(s.last_heal_s(0), 50.0);
-        assert_eq!(s.last_heal_s(1), 30.0);
-        assert_eq!(s.last_heal_s(7), 0.0);
     }
 
     #[test]
@@ -276,7 +254,9 @@ mod tests {
         for p in 0..4 {
             assert!(topo.route(host, topo.gpu_node(p)).is_some());
         }
-        PartitionSchedule::sever_pod(&mut topo, 2);
+        for id in PartitionSchedule::severed_links(&topo, 2) {
+            topo.set_link_down(id);
+        }
         assert!(
             topo.route(host, topo.gpu_node(2)).is_none(),
             "pod 2 unreachable with its NIC tier down"

@@ -244,14 +244,6 @@ impl Topology {
         self.links.len() - 1
     }
 
-    /// Index of the (first) link joining nodes `a` and `b`, in either
-    /// orientation.
-    pub fn link_between(&self, a: usize, b: usize) -> Option<usize> {
-        self.links
-            .iter()
-            .position(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
-    }
-
     /// Indices of all links incident to `node`.
     pub fn links_of_node(&self, node: usize) -> Vec<usize> {
         (0..self.links.len())
@@ -844,18 +836,5 @@ pub(crate) mod tests {
         assert!(t.try_gpu_to_host_route(2).is_ok());
         let err = t.try_gpu_route(3, 4).unwrap_err();
         assert!(err.to_string().contains("gpu3"), "{err}");
-    }
-
-    #[test]
-    fn link_between_finds_either_orientation() {
-        let t = Topology::dgx_a100_box();
-        let g0 = t.gpu_node(0);
-        let g1 = t.gpu_node(1);
-        assert!(t.link_between(g0, g1).is_none(), "no direct gpu-gpu link");
-        for l in t.links_of_node(g0) {
-            let link = &t.links[l];
-            let other = if link.a == g0 { link.b } else { link.a };
-            assert_eq!(t.link_between(other, g0), Some(l));
-        }
     }
 }

@@ -9,9 +9,8 @@
 
 use crate::baseline::best_named_time;
 use crate::bucket_sum::{bucket_sum_stats, threads_per_bucket};
-use crate::engine::{
-    compose_timing, gpu_threads, window_shape, DistMsmConfig, PhaseBreakdown, PhaseTimes,
-};
+use crate::config::DistMsmConfig;
+use crate::engine::{compose_timing, gpu_threads, window_shape, PhaseBreakdown, PhaseTimes};
 use crate::plan::plan_slices;
 use crate::reduce::{bucket_reduce_gpu_stats, cpu_seconds_for_padds};
 use crate::scatter::{

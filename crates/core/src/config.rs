@@ -1,5 +1,5 @@
-//! Validating builder for [`DistMsmConfig`] — the supported way to
-//! construct engine configurations.
+//! The engine configuration [`DistMsmConfig`] and its validating
+//! builder — the supported way to construct engine configurations.
 //!
 //! [`DistMsmConfig`] is `#[non_exhaustive]`: new knobs (a new fault
 //! class, a new reduce strategy) must not be breaking changes for
@@ -11,12 +11,85 @@
 //! mid-execution panics or silent nonsense (a 40-bit window, a
 //! 7-thread block) into typed [`ConfigError`]s at construction time.
 
-use crate::engine::DistMsmConfig;
 use crate::scatter::{ScatterConfig, ScatterKind};
 use crate::supervisor::RetryPolicy;
 use distmsm_comms::CollectiveStrategy;
 use distmsm_gpu_sim::FaultPlan;
 use distmsm_kernel::PaddOptimizations;
+
+/// Engine configuration.
+///
+/// Marked `#[non_exhaustive]`: construct it through
+/// [`DistMsmConfig::builder`] / [`DistMsmConfig::to_builder`], which also
+/// validate the combination. Struct literals and functional-update syntax
+/// are reserved to this crate.
+#[derive(Clone, Debug)]
+#[non_exhaustive]
+pub struct DistMsmConfig {
+    /// Window size `s`; `None` selects the §3.1 optimum for the system.
+    pub window_size: Option<u32>,
+    /// Scatter implementation; `None` selects hierarchical whenever the
+    /// slice fits in shared memory (DistMSM's choice), naive otherwise.
+    pub scatter: Option<ScatterKind>,
+    /// Hierarchical-scatter tuning.
+    pub scatter_cfg: ScatterConfig,
+    /// PADD-kernel optimisation set.
+    pub kernel_opts: PaddOptimizations,
+    /// Run bucket-reduce on the CPU (§3.2.3) instead of the GPU.
+    pub bucket_reduce_on_cpu: bool,
+    /// Thread-block size of the bucket-sum kernel.
+    pub block_size: u32,
+    /// Model the CPU reduce as pipelined with GPU work (§3.2.3).
+    pub pipelined: bool,
+    /// Stream packed 4-byte per-window coefficient views (DistMSM's
+    /// choice; charged a one-time repacking pre-pass) instead of reading
+    /// full λ-bit scalars in every scatter.
+    pub packed_coefficients: bool,
+    /// Recode scalars into signed digits (§6's adopted technique): halves
+    /// every window's bucket count (`2^s → 2^{s−1}+1`) at the cost of one
+    /// extra carry window.
+    pub signed_digits: bool,
+    /// How per-GPU window partials are combined when bucket-reduce runs
+    /// on the GPUs: the reduction executes bit-exactly over EC points
+    /// through `distmsm-comms` and its transfer cost is routed through
+    /// the system's interconnect (topology-aware on DGX presets).
+    pub collective: CollectiveStrategy,
+    /// Deterministic fault-injection plan. Non-empty plans turn the
+    /// supervisor on: window-level checkpoints, the RLC self-check,
+    /// bounded retries and degraded-mode re-planning, all charged
+    /// through the cost model and reported in
+    /// [`MsmReport::recovery`](crate::engine::MsmReport::recovery).
+    /// The empty plan (default) executes exactly the fault-free path.
+    pub fault_plan: FaultPlan,
+    /// Bounded-retry policy the supervisor charges when probing faulted
+    /// devices and re-shipping corrupted partials.
+    pub retry: RetryPolicy,
+    /// Optional straggler SLA: when a GPU's busy time exceeds this
+    /// multiple of the median, execution fails with
+    /// [`MsmError::Straggler`](crate::engine::MsmError::Straggler)
+    /// instead of merely recording the skew.
+    pub straggler_sla: Option<f64>,
+}
+
+impl Default for DistMsmConfig {
+    fn default() -> Self {
+        Self {
+            window_size: None,
+            scatter: None,
+            scatter_cfg: ScatterConfig::default(),
+            kernel_opts: PaddOptimizations::all(),
+            bucket_reduce_on_cpu: true,
+            block_size: 256,
+            pipelined: true,
+            packed_coefficients: true,
+            signed_digits: false,
+            collective: CollectiveStrategy::HostGather,
+            fault_plan: FaultPlan::none(),
+            retry: RetryPolicy::default(),
+            straggler_sla: None,
+        }
+    }
+}
 
 /// Largest window size the planner accepts: bucket indices are `u32`
 /// and `2^31` buckets already exceeds any simulated device's memory.

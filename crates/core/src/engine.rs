@@ -5,34 +5,36 @@
 //! scatter and bucket-sum (executed functionally, in parallel on host
 //! threads), CPU (or GPU) bucket-reduce, and window-reduce — composing
 //! the metered kernel statistics into a wall-time estimate.
+//!
+//! [`DistMsm::execute_attempt`] runs that pipeline as a sequence of
+//! stages, each deciding one thing once: the launch (shape, recoding,
+//! kernel model); the supervisor's rounds ([`crate::supervisor`]), the
+//! primary pass being round 0; its RLC self-check; one price per slice;
+//! the window partials and the schedule that moved them; the timing
+//! composition; straggler detection; and the telemetry timeline, laid out
+//! from that same timing. Its pieces live in three submodules: `report`
+//! (the report and error types), `slices` (slice execution on host
+//! workers) and `timing` (prices, composition, telemetry).
+
+mod report;
+mod slices;
+mod timing;
+
+pub use crate::config::DistMsmConfig;
+pub use report::{MsmError, MsmReport, PhaseBreakdown};
+pub(crate) use slices::{gpu_threads, host_parallelism, Jobs, Launch, SliceOutcome};
+pub(crate) use timing::{compose_timing, PhaseTimes};
 
 use crate::analytic::{CurveDesc, MsmEstimate};
-use crate::bucket_sum::{bucket_sum_with, threads_per_bucket};
-use crate::plan::{plan_slices, replan_slices, Slice};
-use crate::reduce::{
-    bucket_reduce_gpu_stats, bucket_reduce_serial, cpu_seconds_for_padds, window_reduce,
-};
-use crate::scatter::{
-    scatter_hierarchical, scatter_naive, ScatterConfig, ScatterKind, ScatterOutcome,
-    SharedMemoryOverflow,
-};
-use crate::supervisor::{
-    rlc_coefficients, rlc_fold, FaultObservation, RecoveryReport, RetryPolicy,
-    RLC_OPS_PER_PARTIAL,
-};
-use distmsm_comms::{
-    gather_to_host, run_collective, CollectiveStrategy, CommConfig, CommSchedule,
-};
-use distmsm_ec::batch::BatchAccumulator;
-use distmsm_ec::{Curve, FieldElement, MsmInstance, XyzzPoint};
-use distmsm_gpu_sim::{
-    estimate_kernel_time, CostModelConfig, FaultPlan, LaunchStats, MultiGpuSystem,
-};
-use distmsm_kernel::{EcKernelModel, PaddOptimizations};
+use crate::plan::Slice;
+use crate::reduce::{cpu_seconds_for_padds, window_reduce};
+use crate::supervisor::{RecoveryReport, Supervisor};
+use distmsm_comms::{gather_to_host, run_collective, CommConfig, CommSchedule};
+use distmsm_ec::{Curve, MsmInstance, XyzzPoint};
+use distmsm_gpu_sim::{CostModelConfig, MultiGpuSystem};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use timing::ComposedTiming;
 
 /// Window/bucket shape of a plan: `(n_windows, n_buckets)` for scalar
 /// width `scalar_bits`, window size `s`, and digit encoding. Signed
@@ -48,7 +50,7 @@ pub fn window_shape(scalar_bits: u32, s: u32, signed_digits: bool) -> (u32, u32)
 }
 
 /// The engine's partition plan plus its symbolic description: the
-/// concrete [`Slice`]s of [`plan_slices`], the
+/// concrete [`Slice`]s of [`plan_slices`](crate::plan::plan_slices), the
 /// [`PlanIr`](distmsm_kernel::ir::PlanIr)
 /// (quota tiling over the flat `W·B` bucket range) and the concrete
 /// symbol environment for grounding. This is the exact planning path
@@ -66,327 +68,6 @@ pub fn partition_plan(
 ) {
     let (n_windows, n_buckets) = window_shape(scalar_bits, s, signed_digits);
     crate::plan::plan_slices_with_ir(n_windows, n_buckets, n_gpus)
-}
-
-/// Effective concurrent threads per GPU for a kernel model: resident
-/// threads per SM at the model's register and shared-memory footprint,
-/// times the SM count of the system's first device.
-pub(crate) fn gpu_threads(
-    system: &MultiGpuSystem,
-    config: &DistMsmConfig,
-    model: &EcKernelModel,
-) -> u64 {
-    let d = &system.devices[0];
-    let resident = d.resident_threads_per_sm(
-        model.regs_per_thread(),
-        model.shared_mem_per_block(config.block_size),
-        config.block_size,
-    );
-    (u64::from(resident) * u64::from(d.sm_count)).max(1)
-}
-
-/// Seed of the RLC self-check coefficient stream (device and host derive
-/// the same coefficients without communicating them).
-const RLC_SEED: u64 = 0x0005_e1fc_4ec4_u64;
-
-/// Per-GPU busy time above this multiple of the median flags the GPU as
-/// a straggler in the recovery report.
-const STRAGGLER_DETECT_RATIO: f64 = 1.25;
-
-/// Engine configuration.
-///
-/// Marked `#[non_exhaustive]`: construct it through
-/// [`DistMsmConfig::builder`] / [`DistMsmConfig::to_builder`] (see
-/// [`crate::config`]), which also validate the combination. Struct
-/// literals and functional-update syntax are reserved to this crate.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct DistMsmConfig {
-    /// Window size `s`; `None` selects the §3.1 optimum for the system.
-    pub window_size: Option<u32>,
-    /// Scatter implementation; `None` selects hierarchical whenever the
-    /// slice fits in shared memory (DistMSM's choice), naive otherwise.
-    pub scatter: Option<ScatterKind>,
-    /// Hierarchical-scatter tuning.
-    pub scatter_cfg: ScatterConfig,
-    /// PADD-kernel optimisation set.
-    pub kernel_opts: PaddOptimizations,
-    /// Run bucket-reduce on the CPU (§3.2.3) instead of the GPU.
-    pub bucket_reduce_on_cpu: bool,
-    /// Thread-block size of the bucket-sum kernel.
-    pub block_size: u32,
-    /// Model the CPU reduce as pipelined with GPU work (§3.2.3).
-    pub pipelined: bool,
-    /// Stream packed 4-byte per-window coefficient views (DistMSM's
-    /// choice; charged a one-time repacking pre-pass) instead of reading
-    /// full λ-bit scalars in every scatter.
-    pub packed_coefficients: bool,
-    /// Recode scalars into signed digits (§6's adopted technique): halves
-    /// every window's bucket count (`2^s → 2^{s−1}+1`) at the cost of one
-    /// extra carry window.
-    pub signed_digits: bool,
-    /// How per-GPU window partials are combined when bucket-reduce runs
-    /// on the GPUs: the reduction executes bit-exactly over EC points
-    /// through `distmsm-comms` and its transfer cost is routed through
-    /// the system's interconnect (topology-aware on DGX presets).
-    pub collective: CollectiveStrategy,
-    /// Deterministic fault-injection plan. Non-empty plans turn the
-    /// supervisor on: window-level checkpoints, the RLC self-check,
-    /// bounded retries and degraded-mode re-planning, all charged
-    /// through the cost model and reported in [`MsmReport::recovery`].
-    /// The empty plan (default) executes exactly the fault-free path.
-    pub fault_plan: FaultPlan,
-    /// Bounded-retry policy the supervisor charges when probing faulted
-    /// devices and re-shipping corrupted partials.
-    pub retry: RetryPolicy,
-    /// Optional straggler SLA: when a GPU's busy time exceeds this
-    /// multiple of the median, execution fails with
-    /// [`MsmError::Straggler`] instead of merely recording the skew.
-    pub straggler_sla: Option<f64>,
-}
-
-impl Default for DistMsmConfig {
-    fn default() -> Self {
-        Self {
-            window_size: None,
-            scatter: None,
-            scatter_cfg: ScatterConfig::default(),
-            kernel_opts: PaddOptimizations::all(),
-            bucket_reduce_on_cpu: true,
-            block_size: 256,
-            pipelined: true,
-            packed_coefficients: true,
-            signed_digits: false,
-            collective: CollectiveStrategy::HostGather,
-            fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            straggler_sla: None,
-        }
-    }
-}
-
-/// Wall-time breakdown of one MSM, in seconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseBreakdown {
-    /// Bucket-scatter across all GPUs (max over GPUs).
-    pub scatter_s: f64,
-    /// Bucket-sum across all GPUs (max over GPUs).
-    pub bucket_sum_s: f64,
-    /// Bucket-reduce (CPU or GPU).
-    pub bucket_reduce_s: f64,
-    /// Window-reduce on the CPU.
-    pub window_reduce_s: f64,
-    /// Communication: the device→host gather of bucket partials (CPU
-    /// reduce path) or the inter-GPU collective over window partials
-    /// (GPU reduce path), routed through the system's fabric.
-    pub transfer_s: f64,
-}
-
-/// The modelled seconds of one MSM before composition: per-GPU kernel
-/// time by phase plus the host-side and fabric terms.
-pub(crate) struct PhaseTimes<'a> {
-    pub scatter_per_gpu: &'a [f64],
-    pub sum_per_gpu: &'a [f64],
-    pub gpu_reduce_per_gpu: &'a [f64],
-    pub cpu_reduce_s: f64,
-    /// Host-side combines implied by the collective.
-    pub comm_host_s: f64,
-    pub window_reduce_s: f64,
-    pub transfer_s: f64,
-}
-
-/// [`compose_timing`]'s result.
-pub(crate) struct ComposedTiming {
-    /// Busy seconds per GPU (`scatter + sum + reduce`).
-    pub per_gpu_s: Vec<f64>,
-    pub phases: PhaseBreakdown,
-    /// Fault-free wall time (the engine adds supervisor recovery on top).
-    pub total_s: f64,
-}
-
-/// The one timing composition the functional engine and the analytic
-/// estimator share: per-GPU busy time → makespan → bucket-reduce term →
-/// total, with §3.2.3's pipelined CPU reduce leaving only the last
-/// window's reduce on the critical path.
-pub(crate) fn compose_timing(
-    config: &DistMsmConfig,
-    n_windows: u32,
-    t: &PhaseTimes<'_>,
-) -> ComposedTiming {
-    let max = |xs: &[f64]| xs.iter().copied().fold(0.0, f64::max);
-    let per_gpu_s: Vec<f64> = (0..t.scatter_per_gpu.len())
-        .map(|g| t.scatter_per_gpu[g] + t.sum_per_gpu[g] + t.gpu_reduce_per_gpu[g])
-        .collect();
-    let gpu_makespan = max(&per_gpu_s);
-    let bucket_reduce_s = if config.bucket_reduce_on_cpu {
-        t.cpu_reduce_s
-    } else {
-        max(t.gpu_reduce_per_gpu) + t.comm_host_s
-    };
-    let total_s = if config.bucket_reduce_on_cpu && config.pipelined {
-        let tail = t.cpu_reduce_s / f64::from(n_windows.max(1));
-        gpu_makespan.max(t.cpu_reduce_s) + t.transfer_s + tail + t.window_reduce_s
-    } else {
-        gpu_makespan + t.transfer_s + bucket_reduce_s + t.window_reduce_s
-    };
-    ComposedTiming {
-        per_gpu_s,
-        phases: PhaseBreakdown {
-            scatter_s: max(t.scatter_per_gpu),
-            bucket_sum_s: max(t.sum_per_gpu),
-            bucket_reduce_s,
-            window_reduce_s: t.window_reduce_s,
-            transfer_s: t.transfer_s,
-        },
-        total_s,
-    }
-}
-
-/// Result of one (simulated) MSM execution.
-#[derive(Clone, Debug)]
-pub struct MsmReport<C: Curve> {
-    /// The MSM value (bit-exact, verified against references in tests).
-    pub result: XyzzPoint<C>,
-    /// The window partials `W_0 .. W_{n_windows-1}` that
-    /// [`window_reduce`] folded into `result` (§3.1), as the host held
-    /// them after the CPU fold, the collective merge or the
-    /// survivors-only gather. Empty for reports merged by point range
-    /// rather than by window ([`crate::BestGpuBaseline`]).
-    pub window_partials: Vec<XyzzPoint<C>>,
-    /// Window size used.
-    pub window_size: u32,
-    /// Number of windows.
-    pub n_windows: u32,
-    /// Time per phase.
-    pub phases: PhaseBreakdown,
-    /// Estimated wall time in seconds.
-    pub total_s: f64,
-    /// Per-GPU busy time in seconds.
-    pub per_gpu_s: Vec<f64>,
-    /// All metered kernel launches (for breakdown harnesses).
-    pub launches: Vec<LaunchStats>,
-    /// The communication schedule behind `phases.transfer_s` (`None`
-    /// for reports composed without a fabric, e.g. merged baselines).
-    pub comm: Option<CommSchedule>,
-    /// What the supervisor saw and what recovery cost. `Some` whenever
-    /// execution ran supervised (a non-empty fault plan), even if every
-    /// fault was recovered; `None` on the unsupervised fast path.
-    pub recovery: Option<RecoveryReport>,
-}
-
-/// Errors an MSM execution can report.
-///
-/// Marked `#[non_exhaustive]`: fault taxonomies grow, and adding a
-/// variant must not be a breaking change for downstream matchers.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum MsmError {
-    /// Hierarchical scatter ran out of shared memory (paper: `s > 14`).
-    ScatterOverflow(SharedMemoryOverflow),
-    /// The instance was empty.
-    EmptyInstance,
-    /// The instance pairs `points` points with `scalars` scalars: an input
-    /// error that would recur identically, not a fault.
-    LengthMismatch {
-        /// Points in the instance.
-        points: usize,
-        /// Scalars in the instance.
-        scalars: usize,
-    },
-    /// The kernel code of a planned slice panicked on its host worker, so
-    /// the slice produced no outcome — the typed replacement for taking
-    /// the caller down with it.
-    SliceLost {
-        /// GPU the slice was planned on.
-        gpu: usize,
-        /// Window the slice belongs to.
-        window: u32,
-    },
-    /// Devices were lost and no survivor remained to re-plan onto.
-    DeviceLost {
-        /// Every device declared lost, in detection order.
-        devices: Vec<usize>,
-    },
-    /// The fabric is degraded beyond use (no GPU can reach the host).
-    LinkDown {
-        /// Human-readable description of the partition.
-        detail: String,
-    },
-    /// A GPU exceeded the configured straggler SLA.
-    Straggler {
-        /// The straggling device.
-        device: usize,
-        /// Its busy time as a multiple of the median GPU's.
-        slowdown: f64,
-    },
-    /// A transient fault persisted past the retry budget.
-    RetriesExhausted {
-        /// Device whose shipment kept failing.
-        device: usize,
-        /// Work-event index of the failing shipment.
-        event: u64,
-    },
-}
-
-impl core::fmt::Display for MsmError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::ScatterOverflow(e) => write!(f, "{e}"),
-            Self::EmptyInstance => write!(f, "MSM instance has no points"),
-            Self::LengthMismatch { points, scalars } => {
-                write!(f, "MSM instance pairs {points} points with {scalars} scalars")
-            }
-            Self::SliceLost { gpu, window } => {
-                write!(f, "slice of window {window} on GPU {gpu} was lost without recovery")
-            }
-            Self::DeviceLost { devices } => {
-                write!(f, "devices {devices:?} lost with no survivors to re-plan onto")
-            }
-            Self::LinkDown { detail } => write!(f, "interconnect down: {detail}"),
-            Self::Straggler { device, slowdown } => {
-                write!(f, "GPU {device} straggles at {slowdown:.2}x the median busy time")
-            }
-            Self::RetriesExhausted { device, event } => {
-                write!(f, "retry budget exhausted re-shipping event {event} of GPU {device}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MsmError {}
-
-impl MsmError {
-    /// True for errors the supervisor classifies as *faults* — conditions
-    /// a service-level retry (a later execution attempt) might clear —
-    /// as opposed to configuration or input errors that would recur
-    /// identically.
-    pub fn is_fault(&self) -> bool {
-        matches!(
-            self,
-            Self::SliceLost { .. }
-                | Self::DeviceLost { .. }
-                | Self::LinkDown { .. }
-                | Self::Straggler { .. }
-                | Self::RetriesExhausted { .. }
-        )
-    }
-
-    /// The devices this error implicates, as indices into the system the
-    /// failing engine ran on. Device-health consumers (the
-    /// `distmsm-service` circuit breakers) charge these devices with the
-    /// failure; an empty vector means the error names no specific device
-    /// (a total fabric partition, a config/input error) and the caller
-    /// decides how widely to spread the blame.
-    pub fn implicated_devices(&self) -> Vec<usize> {
-        match self {
-            Self::SliceLost { gpu, .. } => vec![*gpu],
-            Self::DeviceLost { devices } => devices.clone(),
-            Self::Straggler { device, .. } | Self::RetriesExhausted { device, .. } => {
-                vec![*device]
-            }
-            _ => Vec::new(),
-        }
-    }
 }
 
 /// How many `(n, curve)` shapes an engine remembers estimates for. A
@@ -533,402 +214,50 @@ impl DistMsm {
         attempt: u32,
     ) -> Result<MsmReport<C>, MsmError> {
         let launch = self.launch(instance)?;
-        let (s, n_windows, n_buckets) = (launch.s, launch.n_windows, launch.n_buckets);
-        let (model, gpu_threads) = (&launch.model, launch.gpu_threads);
-        let plan = &self.config.fault_plan;
-        let supervised = !plan.is_empty();
+        let (s, n_windows) = (launch.s, launch.n_windows);
+        let cpu_s = |ops| cpu_seconds_for_padds(ops, &launch.model, self.system.cpu.int_ops_per_sec);
 
         // Link faults damage a copy of the system; every route and
         // schedule below re-prices against the degraded fabric.
+        let link_faults = &self.config.fault_plan.link_faults;
         let degraded_sys;
-        let system: &MultiGpuSystem = if plan.link_faults.is_empty() {
+        let system = if link_faults.is_empty() {
             &self.system
         } else {
-            degraded_sys = self.system.degraded(&plan.link_faults);
+            degraded_sys = self.system.degraded(link_faults);
             &degraded_sys
         };
-        let n_gpus = system.n_gpus();
-        let reachable = system.ranks_reaching_host();
-        if reachable.is_empty() {
-            return Err(MsmError::LinkDown {
-                detail: "no GPU can reach the master host".into(),
-            });
-        }
-        let link_lost: Vec<usize> =
-            (0..n_gpus).filter(|g| !reachable.contains(g)).collect();
 
-        // Per-device work-event counters: one event per scheduled slice,
-        // in plan order — the deterministic coordinate fault plans key
-        // on, independent of host-thread scheduling.
-        let mut next_event = vec![0u64; n_gpus];
-        let mut assign = |sl: Slice| -> (Slice, u64) {
-            let e = next_event[sl.gpu];
-            next_event[sl.gpu] += 1;
-            (sl, e)
+        let mut sup = Supervisor::new(&self.config, attempt, n_windows, launch.n_buckets);
+        let (ran, primaries) = sup.run_rounds(self, &launch, system)?;
+        sup.self_check(&ran, &launch.model, self.system.cpu.int_ops_per_sec)?;
+        let (dev, launches) = self.device_times(&launch, &ran, primaries, &sup);
+        let Gathered { windows: window_partials, comm, cpu_padds, checkpoint_s, degraded } =
+            self.window_partials(&ran, n_windows, system, &sup);
+        let (result, wr_ops) = window_reduce(&window_partials, s);
+
+        let times = PhaseTimes {
+            scatter_per_gpu: &dev.scatter_per_gpu,
+            sum_per_gpu: &dev.sum_per_gpu,
+            gpu_reduce_per_gpu: &dev.gpu_reduce_per_gpu,
+            cpu_reduce_s: cpu_s(cpu_padds),
+            // host-side combines implied by the collective (e.g.
+            // host-gather reduces (g−1)·n_windows pairs on the CPU)
+            comm_host_s: cpu_s(comm.host_reduce_ops),
+            window_reduce_s: cpu_s(wr_ops),
+            transfer_s: comm.total_s,
         };
-        let jobs: Vec<(Slice, u64)> = plan_slices(n_windows, n_buckets, n_gpus)
-            .into_iter()
-            .map(&mut assign)
-            .collect();
-
-        let mut recovery = RecoveryReport {
-            n_windows,
-            n_buckets,
-            ..RecoveryReport::default()
-        };
-        let mut dead: Vec<usize> = link_lost.clone();
-        for &g in &link_lost {
-            recovery.faults.push(FaultObservation {
-                device: g,
-                event: 0,
-                kind: "link-down".into(),
-            });
-        }
-
-        // ---- primary execution: every job a live device can still run ---
-        let is_lost =
-            |dead: &[usize], sl: &Slice, e: u64| -> bool {
-                dead.contains(&sl.gpu)
-                    || plan
-                        .fail_stop_event(sl.gpu, attempt)
-                        .is_some_and(|at| e >= at)
-            };
-        let (live, lost): (Jobs, Jobs) =
-            jobs.iter().partition(|(sl, e)| !is_lost(&dead, sl, *e));
-        self.note_fail_stops(&lost, &mut dead, &mut recovery);
-        let workers = host_parallelism();
-        let done = self.run_slices(&launch, &live, workers)?;
-
-        // ---- supervisor: probe, declare lost, re-plan, recompute --------
-        let mut recovered: Vec<SliceOutcome<C>> = Vec::new();
-        let mut lost_slices: Vec<Slice> = lost.iter().map(|(sl, _)| *sl).collect();
-        let mut rounds = 0usize;
-        while !lost_slices.is_empty() {
-            // bounded probes of each newly lost device, charged as
-            // exponential backoff, before the supervisor declares it lost
-            for &g in &dead {
-                if !recovery.lost_gpus.contains(&g) {
-                    recovery.retries += self.config.retry.max_retries;
-                    recovery.backoff_s += self.config.retry.total_backoff();
-                    recovery.lost_gpus.push(g);
-                }
-            }
-            let survivors: Vec<usize> =
-                (0..n_gpus).filter(|g| !dead.contains(g)).collect();
-            if survivors.is_empty() || rounds > n_gpus {
-                return Err(MsmError::DeviceLost {
-                    devices: recovery.lost_gpus.clone(),
-                });
-            }
-            // checkpoint-time straggler detection steers the re-plan: a
-            // survivor already running slow would bottleneck the serial
-            // recovery phase, so prefer full-speed survivors whenever at
-            // least one remains (a straggler is still better than no
-            // device at all)
-            let full_speed: Vec<usize> = survivors
-                .iter()
-                .copied()
-                .filter(|&g| plan.straggler_from(g, attempt).is_none())
-                .collect();
-            let targets = if full_speed.is_empty() { &survivors } else { &full_speed };
-            let replanned = replan_slices(&lost_slices, targets);
-            recovery.replanned.extend(replanned.iter().copied());
-            let rejobs: Vec<(Slice, u64)> =
-                replanned.into_iter().map(&mut assign).collect();
-            // survivors may fail-stop mid-recovery (cascading faults):
-            // their recovery events are filtered exactly like primaries
-            let (rlive, rlost): (Jobs, Jobs) =
-                rejobs.iter().partition(|(sl, e)| !is_lost(&dead, sl, *e));
-            self.note_fail_stops(&rlost, &mut dead, &mut recovery);
-            // a re-planned slice lost to a cascading failure is
-            // superseded by the next round's re-plan: drop it from the
-            // log so `replanned` records only work that actually ran
-            recovery
-                .replanned
-                .retain(|s| !rlost.iter().any(|(lost, _)| lost == s));
-            recovered.extend(self.run_slices(&launch, &rlive, workers)?);
-            lost_slices = rlost.into_iter().map(|(sl, _)| sl).collect();
-            rounds += 1;
-        }
-        recovery.completed = done
-            .iter()
-            .chain(&recovered)
-            .map(|oc| oc.slice)
-            .collect();
-
-        // ---- compose per-GPU times --------------------------------------
-        // Straggler faults scale the affected device's kernel times from
-        // their trigger event on; recovery work is accounted separately
-        // as a serial recovery phase (recompute_s), not in the primary
-        // makespan.
-        let straggle = |g: usize, e: u64| -> f64 {
-            plan.straggler_from(g, attempt)
-                .map_or(1.0, |(at, slow)| if e >= at { slow } else { 1.0 })
-        };
-        let prepass = if self.config.packed_coefficients {
-            crate::scatter::scalar_prepass_seconds(
-                instance.len() as u64,
-                u64::from(C::SCALAR_BITS.div_ceil(8)),
-                self.system.devices[0].mem_bandwidth_gbps,
-                n_gpus,
-            )
-        } else {
-            0.0
-        };
-        let mut scatter_per_gpu = vec![prepass; n_gpus];
-        let mut sum_per_gpu = vec![0.0f64; n_gpus];
-        let mut rec_per_gpu = vec![0.0f64; n_gpus];
-        let mut launches = Vec::new();
-        for oc in &done {
-            let dev = &self.system.devices[oc.slice.gpu];
-            let f = straggle(oc.slice.gpu, oc.event);
-            scatter_per_gpu[oc.slice.gpu] +=
-                f * estimate_kernel_time(dev, &oc.scatter_stats, &self.cost_cfg).total();
-            sum_per_gpu[oc.slice.gpu] +=
-                f * estimate_kernel_time(dev, &oc.sum_stats, &self.cost_cfg).total();
-            launches.push(oc.scatter_stats.clone());
-            launches.push(oc.sum_stats.clone());
-        }
-        for oc in &recovered {
-            let dev = &self.system.devices[oc.slice.gpu];
-            let f = straggle(oc.slice.gpu, oc.event);
-            rec_per_gpu[oc.slice.gpu] += f
-                * (estimate_kernel_time(dev, &oc.scatter_stats, &self.cost_cfg).total()
-                    + estimate_kernel_time(dev, &oc.sum_stats, &self.cost_cfg).total());
-            launches.push(oc.scatter_stats.clone());
-            launches.push(oc.sum_stats.clone());
-        }
-
-        // ---- bucket-reduce ----------------------------------------------
-        // every slice arrives already reduced with its offset (by the
-        // worker that summed it); slices of one window compose additively
-        // and are merged below. On the CPU path the host holds every
-        // partial (gathered below); on the GPU path each GPU keeps its own
-        // window partials, merged by the configured collective.
-        let all_done: Vec<&SliceOutcome<C>> = done.iter().chain(&recovered).collect();
-        let primary_count = done.len();
-
-        // ---- RLC self-check against silent corruption -------------------
-        // Each device folds Σ rᵢ·wᵢ over the partials it computed; the
-        // host folds the same combination over what it received. Planned
-        // bit-flips corrupt the shipped copy (modelled as a sign flip);
-        // a mismatch pins the corrupted shipments, which are re-shipped
-        // under the retry budget.
-        if supervised {
-            let coeffs = rlc_coefficients(RLC_SEED, all_done.len());
-            let true_vals: Vec<XyzzPoint<C>> = all_done.iter().map(|oc| oc.contrib.0).collect();
-            let recv_vals: Vec<XyzzPoint<C>> = all_done
-                .iter()
-                .zip(&true_vals)
-                .map(|(oc, w)| {
-                    if plan.bit_flip_events(oc.slice.gpu, attempt).contains(&oc.event) {
-                        w.neg()
-                    } else {
-                        *w
-                    }
-                })
-                .collect();
-            let device_sum = rlc_fold(&true_vals, &coeffs);
-            let host_sum = rlc_fold(&recv_vals, &coeffs);
-            if device_sum != host_sum {
-                for (oc, (t, r)) in all_done.iter().zip(true_vals.iter().zip(&recv_vals)) {
-                    if t != r {
-                        if self.config.retry.max_retries == 0 {
-                            return Err(MsmError::RetriesExhausted {
-                                device: oc.slice.gpu,
-                                event: oc.event,
-                            });
-                        }
-                        recovery.retries += 1;
-                        recovery.backoff_s += self.config.retry.backoff_for(0);
-                        recovery.faults.push(FaultObservation {
-                            device: oc.slice.gpu,
-                            event: oc.event,
-                            kind: "bit-flip".into(),
-                        });
-                    }
-                }
-            }
-            // host side of the check: one 64-bit scalar-mul fold per
-            // received partial, every supervised run (the guard is paid
-            // whether or not corruption occurs)
-            recovery.self_check_s = cpu_seconds_for_padds(
-                RLC_OPS_PER_PARTIAL * all_done.len() as u64,
-                model,
-                self.system.cpu.int_ops_per_sec,
-            );
-        }
-
-        // the fold below uses the verified (re-shipped) partials
-        let mut window_results = vec![XyzzPoint::<C>::identity(); n_windows as usize];
-        let mut gpu_partials: Vec<Vec<XyzzPoint<C>>> =
-            vec![vec![XyzzPoint::identity(); n_windows as usize]; n_gpus];
-        let mut cpu_padds: u64 = 0;
-        let mut gpu_reduce_per_gpu = vec![0.0f64; n_gpus];
-        for (i, oc) in all_done.iter().enumerate() {
-            let (w, ops) = oc.contrib;
-            if self.config.bucket_reduce_on_cpu {
-                window_results[oc.slice.window as usize] =
-                    window_results[oc.slice.window as usize].padd(&w);
-                cpu_padds += ops + 1;
-            } else {
-                gpu_partials[oc.slice.gpu][oc.slice.window as usize] =
-                    gpu_partials[oc.slice.gpu][oc.slice.window as usize].padd(&w);
-                let stats = bucket_reduce_gpu_stats(
-                    u64::from(oc.slice.len()),
-                    s,
-                    gpu_threads,
-                    model,
-                    C::A_IS_ZERO,
-                    self.config.block_size,
-                );
-                let dev = &self.system.devices[oc.slice.gpu];
-                let t = straggle(oc.slice.gpu, oc.event)
-                    * estimate_kernel_time(dev, &stats, &self.cost_cfg).total();
-                if i < primary_count {
-                    gpu_reduce_per_gpu[oc.slice.gpu] += t;
-                } else {
-                    rec_per_gpu[oc.slice.gpu] += t;
-                }
-                launches.push(stats);
-            }
-        }
-        recovery.recompute_s = rec_per_gpu.iter().copied().fold(0.0, f64::max);
-
-        // ---- communication ------------------------------------------------
-        let point_bytes = CurveDesc::of::<C>().xyzz_bytes();
-        let comm = if self.config.bucket_reduce_on_cpu {
-            // every bucket partial crosses to the host before the CPU
-            // reduce; the gather covers the slices that completed,
-            // shipped by whoever computed them (the plan itself, in plan
-            // order, when nothing was lost)
-            crate::comm::bucket_gather_schedule(&recovery.completed, point_bytes, system)
-        } else if !recovery.lost_gpus.is_empty() {
-            // a lost rank cannot take part in ring/tree exchanges, so the
-            // collective degrades to a survivors-only host gather; the
-            // dead ranks' pre-fault partials reached the host through the
-            // window-level checkpoints charged below
-            recovery.degraded_collective = true;
-            let per: Vec<f64> = (0..n_gpus)
-                .map(|g| {
-                    if dead.contains(&g) {
-                        0.0
-                    } else {
-                        f64::from(n_windows) * point_bytes
-                    }
-                })
-                .collect();
-            let mut sched =
-                gather_to_host(&per, &system.fabric(), &CommConfig::default());
-            sched.host_reduce_ops = (n_gpus as u64 - 1) * u64::from(n_windows);
-            for (g, partial) in gpu_partials.iter().enumerate() {
-                for (w, p) in partial.iter().enumerate() {
-                    if g == 0 {
-                        window_results[w] = *p;
-                    } else {
-                        window_results[w] = window_results[w].padd(p);
-                    }
-                }
-            }
-            sched
-        } else {
-            // per-GPU window partials merge across the fabric with real
-            // PADDs; the host receives the reduced vector
-            let (merged, sched) = run_collective(
-                self.config.collective,
-                &gpu_partials,
-                |a, b| a.padd(b),
-                &system.fabric(),
-                &CommConfig::default(),
-                point_bytes,
-            );
-            window_results = merged;
-            sched
-        };
-        let transfer_s = comm.total_s;
-        // host-side combines implied by the collective (e.g. host-gather
-        // reduces (g−1)·n_windows pairs on the CPU)
-        let comm_host_s =
-            cpu_seconds_for_padds(comm.host_reduce_ops, model, self.system.cpu.int_ops_per_sec);
-
-        // window-level checkpoints: on the CPU-reduce path the gather
-        // above already lands every partial on the host (the checkpoint
-        // is free); the GPU-reduce path charges an extra partial gather
-        // over the clean fabric (checkpoints stream while links are up)
-        if supervised && !self.config.bucket_reduce_on_cpu {
-            recovery.checkpoint_s = self
-                .system
-                .gather_to_host_time(&vec![f64::from(n_windows) * point_bytes; n_gpus]);
-        }
-
-        // ---- window-reduce ------------------------------------------------
-        let (result, wr_ops) = window_reduce(&window_results, s);
-
-        // ---- timing composition -------------------------------------------
-        let cpu_reduce_s = cpu_seconds_for_padds(cpu_padds, model, self.system.cpu.int_ops_per_sec);
-        let window_reduce_s =
-            cpu_seconds_for_padds(wr_ops, model, self.system.cpu.int_ops_per_sec);
-
-        let ComposedTiming { per_gpu_s, phases, total_s: base_s } = compose_timing(
-            &self.config,
-            n_windows,
-            &PhaseTimes {
-                scatter_per_gpu: &scatter_per_gpu,
-                sum_per_gpu: &sum_per_gpu,
-                gpu_reduce_per_gpu: &gpu_reduce_per_gpu,
-                cpu_reduce_s,
-                comm_host_s,
-                window_reduce_s,
-                transfer_s,
-            },
-        );
-
-        // ---- straggler detection ------------------------------------------
-        // the supervisor watches per-GPU busy time against the median;
-        // skew beyond the detection ratio is recorded, and beyond the
-        // configured SLA it is an error
-        if supervised {
-            let mut busy: Vec<f64> = per_gpu_s
-                .iter()
-                .copied()
-                .filter(|&t| t > 0.0)
-                .collect();
-            busy.sort_by(f64::total_cmp);
-            if !busy.is_empty() {
-                let median = busy[busy.len() / 2];
-                if median > 0.0 {
-                    for (g, &t) in per_gpu_s.iter().enumerate() {
-                        let ratio = t / median;
-                        if ratio > STRAGGLER_DETECT_RATIO {
-                            recovery.stragglers.push((g, ratio));
-                            recovery.faults.push(FaultObservation {
-                                device: g,
-                                event: plan
-                                    .straggler_from(g, attempt)
-                                    .map_or(0, |(at, _)| at),
-                                kind: "straggler".into(),
-                            });
-                            if let Some(sla) = self.config.straggler_sla {
-                                if ratio > sla {
-                                    return Err(MsmError::Straggler {
-                                        device: g,
-                                        slowdown: ratio,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
+        let ComposedTiming { per_gpu_s, phases, total_s, at } =
+            compose_timing(&self.config, n_windows, &times);
+        sup.detect_stragglers(&per_gpu_s)?;
+        let recovery = sup.finish(dev.recompute_s(), checkpoint_s, degraded);
         // recovery runs as a serial phase after detection: probes back
         // off, survivors recompute, the self-check and checkpoints guard
-        let total_s = base_s + if supervised { recovery.recovery_s() } else { 0.0 };
+        let total_s = total_s + recovery.as_ref().map_or(0.0, RecoveryReport::recovery_s);
 
         let report = MsmReport {
             result,
-            window_partials: window_results,
+            window_partials,
             window_size: s,
             n_windows,
             phases,
@@ -936,546 +265,118 @@ impl DistMsm {
             per_gpu_s,
             launches,
             comm: Some(comm),
-            recovery: supervised.then_some(recovery),
+            recovery,
         };
         if distmsm_telemetry::session::active() {
-            self.emit_telemetry(
-                &report,
-                &done,
-                attempt,
-                &TelemetryPhases {
-                    scatter_per_gpu: &scatter_per_gpu,
-                    sum_per_gpu: &sum_per_gpu,
-                    gpu_reduce_per_gpu: &gpu_reduce_per_gpu,
-                    rec_per_gpu: &rec_per_gpu,
-                    prepass,
-                    cpu_reduce_s,
-                    comm_host_s,
-                    gpu_makespan: report.per_gpu_s.iter().copied().fold(0.0, f64::max),
-                },
-            );
+            self.emit_telemetry(&report, &ran[..primaries], &dev, &times, at, attempt);
         }
         Ok(report)
     }
 
-    /// Lays the just-composed report out on the telemetry session's
-    /// timeline, then advances the session clock by `total_s` so
-    /// sequential MSMs line up end to end.
-    ///
-    /// The layout mirrors the timing composition above exactly — each
-    /// phase category's aggregate over the emitted spans reproduces the
-    /// corresponding [`PhaseBreakdown`] field (the TEL-001 analyze rule
-    /// holds the trace to that) and the latest span ends at
-    /// `clock + total_s`. Called only while a session is active.
-    #[cold]
-    #[inline(never)]
-    #[allow(clippy::too_many_lines)] // one linear timeline layout pass
-    fn emit_telemetry<C: Curve>(
+    /// The host's window partials and what moving them there took. Every
+    /// slice arrives reduced with its offset (by the worker that summed
+    /// it), and slices of one window compose additively. On the CPU path
+    /// the host gathers every slice's partial and folds per window; on the
+    /// GPU path each GPU folds its own, and the configured collective
+    /// merges the per-GPU vectors.
+    fn window_partials<C: Curve>(
         &self,
-        report: &MsmReport<C>,
-        done: &[SliceOutcome<C>],
-        attempt: u32,
-        ph: &TelemetryPhases<'_>,
-    ) {
-        use distmsm_gpu_sim::telemetry::{device_span, fault_instant, kernel_span};
-        use distmsm_telemetry::{session, Instant, Lane, Span};
-        let t0 = session::clock_s();
-        let n_gpus = ph.scatter_per_gpu.len();
-        let plan = &self.config.fault_plan;
-        let straggle = |g: usize, e: u64| -> f64 {
-            plan.straggler_from(g, attempt)
-                .map_or(1.0, |(at, slow)| if e >= at { slow } else { 1.0 })
-        };
-        let kernel_s = |oc: &SliceOutcome<C>, stats: &LaunchStats| -> f64 {
-            straggle(oc.slice.gpu, oc.event)
-                * estimate_kernel_time(&self.system.devices[oc.slice.gpu], stats, &self.cost_cfg)
-                    .total()
-        };
-
-        // ---- device lanes: structural phase containers with kernel
-        // children carrying the attributed categories ----
-        for g in 0..n_gpus {
-            let sc_end = t0 + ph.scatter_per_gpu[g];
-            device_span(g, "scatter", "phase", t0, sc_end);
-            if ph.prepass > 0.0 {
-                device_span(g, "coeff-prepass", "scatter", t0, t0 + ph.prepass);
+        ran: &[SliceOutcome<C>],
+        n_windows: u32,
+        system: &MultiGpuSystem,
+        sup: &Supervisor<'_>,
+    ) -> Gathered<C> {
+        let n_gpus = system.n_gpus();
+        let point_bytes = CurveDesc::of::<C>().xyzz_bytes();
+        if self.config.bucket_reduce_on_cpu {
+            let mut windows = vec![XyzzPoint::<C>::identity(); n_windows as usize];
+            let mut cpu_padds = 0;
+            for oc in ran {
+                let w = &mut windows[oc.slice.window as usize];
+                *w = w.padd(&oc.contrib.0);
+                cpu_padds += oc.contrib.1 + 1;
             }
-            let mut cursor = t0 + ph.prepass;
-            for oc in done.iter().filter(|oc| oc.slice.gpu == g) {
-                let t = kernel_s(oc, &oc.scatter_stats);
-                kernel_span(
-                    g,
-                    &format!(
-                        "scatter:w{}[{},{})",
-                        oc.slice.window, oc.slice.bucket_lo, oc.slice.bucket_hi
-                    ),
-                    "scatter",
-                    cursor,
-                    cursor + t,
-                    &oc.scatter_stats,
-                );
-                cursor += t;
-            }
-            let su_end = sc_end + ph.sum_per_gpu[g];
-            device_span(g, "bucket-sum", "phase", sc_end, su_end);
-            let mut cursor = sc_end;
-            for oc in done.iter().filter(|oc| oc.slice.gpu == g) {
-                let t = kernel_s(oc, &oc.sum_stats);
-                kernel_span(
-                    g,
-                    &format!(
-                        "bucket-sum:w{}[{},{})",
-                        oc.slice.window, oc.slice.bucket_lo, oc.slice.bucket_hi
-                    ),
-                    "bucket-sum",
-                    cursor,
-                    cursor + t,
-                    &oc.sum_stats,
-                );
-                cursor += t;
-            }
+            // every bucket partial crosses to the host before the CPU
+            // reduce; the gather covers the slices that completed,
+            // shipped by whoever computed them (the plan itself, in plan
+            // order, when nothing was lost)
+            let comm = crate::comm::bucket_gather_schedule(sup.completed(), point_bytes, system);
+            return Gathered { windows, comm, cpu_padds, checkpoint_s: 0.0, degraded: false };
         }
 
-        // ---- fabric lane: the comm schedule's collective + steps ----
-        let pipelined_cpu = self.config.bucket_reduce_on_cpu && self.config.pipelined;
-        let fabric_t0 = t0
-            + if pipelined_cpu {
-                ph.gpu_makespan.max(ph.cpu_reduce_s)
-            } else {
-                ph.gpu_makespan
-            };
-        let transfer_s = report.phases.transfer_s;
-        if let Some(comm) = &report.comm {
-            distmsm_comms::schedule::telemetry::emit_schedule(comm, fabric_t0);
+        let mut gpu_partials = vec![vec![XyzzPoint::<C>::identity(); n_windows as usize]; n_gpus];
+        for oc in ran {
+            let p = &mut gpu_partials[oc.slice.gpu][oc.slice.window as usize];
+            *p = p.padd(&oc.contrib.0);
         }
-
-        // ---- host lane: bucket-reduce / pipeline tail / window-reduce ----
-        let wr_t0 = if self.config.bucket_reduce_on_cpu {
-            if self.config.pipelined {
-                // §3.2.3: the reduce streams behind the GPUs from t0;
-                // only the last window's tail follows the transfer
-                if ph.cpu_reduce_s > 0.0 {
-                    session::push_span(Span {
-                        name: "bucket-reduce(cpu,pipelined)".into(),
-                        cat: "bucket-reduce".into(),
-                        lane: Lane::Host,
-                        t0_s: t0,
-                        t1_s: t0 + ph.cpu_reduce_s,
-                        args: Vec::new(),
-                    });
-                }
-                let tail = ph.cpu_reduce_s / f64::from(report.n_windows.max(1));
-                if tail > 0.0 {
-                    session::push_span(Span {
-                        name: "pipeline-tail".into(),
-                        cat: "pipeline-tail".into(),
-                        lane: Lane::Host,
-                        t0_s: fabric_t0 + transfer_s,
-                        t1_s: fabric_t0 + transfer_s + tail,
-                        args: Vec::new(),
-                    });
-                }
-                fabric_t0 + transfer_s + tail
-            } else {
-                if ph.cpu_reduce_s > 0.0 {
-                    session::push_span(Span {
-                        name: "bucket-reduce(cpu)".into(),
-                        cat: "bucket-reduce".into(),
-                        lane: Lane::Host,
-                        t0_s: fabric_t0 + transfer_s,
-                        t1_s: fabric_t0 + transfer_s + ph.cpu_reduce_s,
-                        args: Vec::new(),
-                    });
-                }
-                fabric_t0 + transfer_s + ph.cpu_reduce_s
-            }
+        // window-level checkpoints: the CPU path's gather already lands
+        // every partial on the host (the checkpoint is free); here an
+        // extra partial gather is charged over the clean fabric
+        // (checkpoints stream while links are up)
+        let partials_bytes = f64::from(n_windows) * point_bytes;
+        let checkpoint_s = if sup.supervised() {
+            self.system.gather_to_host_time(&vec![partials_bytes; n_gpus])
         } else {
-            // GPU path: per-device reduce segments, then the host-side
-            // combine the collective implies
-            let gr_t0 = fabric_t0 + transfer_s;
-            let max_gr = ph.gpu_reduce_per_gpu.iter().copied().fold(0.0, f64::max);
-            for g in 0..n_gpus {
-                if ph.gpu_reduce_per_gpu[g] > 0.0 {
-                    device_span(
-                        g,
-                        "bucket-reduce(gpu)",
-                        "bucket-reduce",
-                        gr_t0,
-                        gr_t0 + ph.gpu_reduce_per_gpu[g],
-                    );
-                }
-            }
-            if ph.comm_host_s > 0.0 {
-                session::push_span(Span {
-                    name: "host-combine".into(),
-                    cat: "bucket-reduce".into(),
-                    lane: Lane::Host,
-                    t0_s: gr_t0 + max_gr,
-                    t1_s: gr_t0 + max_gr + ph.comm_host_s,
-                    args: Vec::new(),
-                });
-            }
-            gr_t0 + max_gr + ph.comm_host_s
+            0.0
         };
-        if report.phases.window_reduce_s > 0.0 {
-            session::push_span(Span {
-                name: "window-reduce".into(),
-                cat: "window-reduce".into(),
-                lane: Lane::Host,
-                t0_s: wr_t0,
-                t1_s: wr_t0 + report.phases.window_reduce_s,
-                args: Vec::new(),
-            });
+        if !sup.lost_any() {
+            // per-GPU window partials merge across the fabric with real
+            // PADDs; the host receives the reduced vector
+            let (windows, comm) = run_collective(
+                self.config.collective,
+                &gpu_partials,
+                |a, b| a.padd(b),
+                &system.fabric(),
+                &CommConfig::default(),
+                point_bytes,
+            );
+            return Gathered { windows, comm, cpu_padds: 0, checkpoint_s, degraded: false };
         }
-
-        // ---- supervisor + recovery tail ----
-        if let Some(rec) = &report.recovery {
-            let rec_t0 = t0 + report.total_s - rec.recovery_s();
-            for ev in plan.events.iter().filter(|e| e.attempt == attempt) {
-                fault_instant(ev, rec_t0);
-            }
-            for f in rec.faults.iter().filter(|f| f.kind == "link-down") {
-                session::push_instant(Instant {
-                    name: "fault:link-down".into(),
-                    cat: "fault".into(),
-                    lane: Lane::Device(f.device),
-                    t_s: t0,
-                    args: vec![("device".into(), f.device.to_string())],
-                });
-            }
-            if !rec.replanned.is_empty() {
-                session::push_instant(Instant {
-                    name: "re-plan".into(),
-                    cat: "supervisor".into(),
-                    lane: Lane::Supervisor,
-                    t_s: rec_t0,
-                    args: vec![
-                        ("slices".into(), rec.replanned.len().to_string()),
-                        ("lost_gpus".into(), format!("{:?}", rec.lost_gpus)),
-                    ],
-                });
-            }
-            if rec.degraded_collective {
-                session::push_instant(Instant {
-                    name: "route-degraded".into(),
-                    cat: "supervisor".into(),
-                    lane: Lane::Fabric,
-                    t_s: fabric_t0,
-                    args: vec![(
-                        "detail".into(),
-                        "collective degraded to survivors-only gather".into(),
-                    )],
-                });
-            }
-            if rec.backoff_s > 0.0 {
-                session::push_span(Span {
-                    name: "retry-backoff".into(),
-                    cat: "recovery".into(),
-                    lane: Lane::Supervisor,
-                    t0_s: rec_t0,
-                    t1_s: rec_t0 + rec.backoff_s,
-                    args: vec![("retries".into(), rec.retries.to_string())],
-                });
-            }
-            let recompute_t0 = rec_t0 + rec.backoff_s;
-            for g in 0..n_gpus {
-                if ph.rec_per_gpu[g] > 0.0 {
-                    device_span(
-                        g,
-                        "recompute",
-                        "recovery",
-                        recompute_t0,
-                        recompute_t0 + ph.rec_per_gpu[g],
-                    );
-                }
-            }
-            let check_t0 = recompute_t0 + rec.recompute_s;
-            if rec.self_check_s > 0.0 {
-                session::push_span(Span {
-                    name: "self-check(rlc)".into(),
-                    cat: "recovery".into(),
-                    lane: Lane::Host,
-                    t0_s: check_t0,
-                    t1_s: check_t0 + rec.self_check_s,
-                    args: Vec::new(),
-                });
-            }
-            if rec.checkpoint_s > 0.0 {
-                session::push_span(Span {
-                    name: "checkpoint".into(),
-                    cat: "recovery".into(),
-                    lane: Lane::Host,
-                    t0_s: check_t0 + rec.self_check_s,
-                    t1_s: check_t0 + rec.self_check_s + rec.checkpoint_s,
-                    args: Vec::new(),
-                });
-            }
-            // recovered slices run inside the recompute segments above and
-            // get no spans of their own (they would double-count)
-        }
-
-        session::advance_s(report.total_s);
-    }
-
-    /// Records fail-stop observations for devices that just lost jobs
-    /// and adds them to the dead set.
-    fn note_fail_stops(
-        &self,
-        lost: &[(Slice, u64)],
-        dead: &mut Vec<usize>,
-        recovery: &mut RecoveryReport,
-    ) {
-        for (sl, e) in lost {
-            if !dead.contains(&sl.gpu) {
-                dead.push(sl.gpu);
-                recovery.faults.push(FaultObservation {
-                    device: sl.gpu,
-                    event: *e,
-                    kind: "fail-stop".into(),
-                });
+        // a lost rank cannot take part in ring/tree exchanges, so the
+        // collective degrades to a survivors-only host gather; the dead
+        // ranks' pre-fault partials reached the host through the
+        // window-level checkpoints
+        let per: Vec<f64> = (0..n_gpus)
+            .map(|g| if sup.is_dead(g) { 0.0 } else { partials_bytes })
+            .collect();
+        let mut sched = gather_to_host(&per, &system.fabric(), &CommConfig::default());
+        sched.host_reduce_ops = (n_gpus as u64 - 1) * u64::from(n_windows);
+        let mut windows = vec![XyzzPoint::<C>::identity(); n_windows as usize];
+        for (g, partial) in gpu_partials.iter().enumerate() {
+            for (w, p) in windows.iter_mut().zip(partial) {
+                *w = if g == 0 { *p } else { w.padd(p) };
             }
         }
-    }
-
-    /// Chooses the scatter kind for one slice (DistMSM: hierarchical
-    /// whenever the slice fits in shared memory).
-    fn pick_scatter(&self, slice: &Slice) -> Result<ScatterKind, MsmError> {
-        let needed =
-            crate::scatter::hierarchical_shared_bytes(slice.len(), &self.config.scatter_cfg);
-        let fits = needed <= self.config.scatter_cfg.shared_mem_per_block;
-        match self.config.scatter {
-            Some(ScatterKind::Naive) => Ok(ScatterKind::Naive),
-            Some(ScatterKind::Hierarchical) if !fits => {
-                Err(MsmError::ScatterOverflow(SharedMemoryOverflow {
-                    needed,
-                    available: self.config.scatter_cfg.shared_mem_per_block,
-                }))
-            }
-            Some(ScatterKind::Hierarchical) => Ok(ScatterKind::Hierarchical),
-            None if fits => Ok(ScatterKind::Hierarchical),
-            None => Ok(ScatterKind::Naive),
-        }
-    }
-
-    /// What every slice of one execution of `instance` shares, behind the
-    /// entry checks: the window shape this engine's configuration gives
-    /// the instance, the signed-digit recoding (done once, up front, like
-    /// the packed coefficient pre-pass; same memory-bound cost class) and
-    /// the kernel model.
-    pub(crate) fn launch<'a, C: Curve>(
-        &self,
-        instance: &'a MsmInstance<C>,
-    ) -> Result<Launch<'a, C>, MsmError> {
-        if instance.points.len() != instance.scalars.len() {
-            return Err(MsmError::LengthMismatch {
-                points: instance.points.len(),
-                scalars: instance.scalars.len(),
-            });
-        }
-        if instance.is_empty() {
-            return Err(MsmError::EmptyInstance);
-        }
-        let model = EcKernelModel::new(C::Base::LIMBS32, self.config.kernel_opts);
-        let (s, n_windows, n_buckets) = self.shape_for(instance.len(), &CurveDesc::of::<C>());
-        let digits = self.config.signed_digits.then(|| {
-            instance
-                .scalars
-                .iter()
-                .map(|k| crate::signed::recode_signed(k, s, C::SCALAR_BITS))
-                .collect()
-        });
-        Ok(Launch {
-            instance,
-            s,
-            n_windows,
-            n_buckets,
-            digits,
-            gpu_threads: gpu_threads(&self.system, &self.config, &model),
-            model,
-        })
-    }
-
-    /// Functionally executes one slice: scatter, bucket-sum, and the
-    /// slice's bucket-reduce, so the bucket vector never leaves the worker.
-    fn run_one_slice<C: Curve>(
-        &self,
-        launch: &Launch<'_, C>,
-        scratch: &mut BatchAccumulator<C>,
-        slice: Slice,
-        event: u64,
-    ) -> Result<SliceOutcome<C>, MsmError> {
-        let Launch { instance, s, ref digits, gpu_threads, ref model, .. } = *launch;
-        let kind = self.pick_scatter(&slice)?;
-        let coeff_bytes = if self.config.packed_coefficients {
-            4.0
-        } else {
-            f64::from(C::SCALAR_BITS.div_ceil(8))
-        };
-        let scattered: ScatterOutcome = match (digits, kind) {
-            (Some(d), kind) => crate::scatter::scatter_signed_digits(
-                d,
-                &slice,
-                kind,
-                gpu_threads,
-                &self.config.scatter_cfg,
-                coeff_bytes,
-            )
-            .map_err(MsmError::ScatterOverflow)?,
-            (None, ScatterKind::Naive) => scatter_naive(
-                &instance.scalars,
-                s,
-                &slice,
-                gpu_threads,
-                coeff_bytes,
-            ),
-            (None, ScatterKind::Hierarchical) => scatter_hierarchical(
-                &instance.scalars,
-                s,
-                &slice,
-                &self.config.scatter_cfg,
-                coeff_bytes,
-            )
-            .map_err(MsmError::ScatterOverflow)?,
-        };
-        let tpb = threads_per_bucket(gpu_threads, u64::from(slice.len()));
-        let sum = bucket_sum_with(
-            scratch,
-            digits.is_some(),
-            &instance.points,
-            &scattered.buckets,
-            tpb,
-            model,
-            self.config.block_size,
-        );
-        Ok(SliceOutcome {
-            slice,
-            event,
-            scatter_stats: scattered.stats,
-            sum_stats: sum.stats,
-            contrib: bucket_reduce_serial(&sum.sums, slice.bucket_lo),
-        })
-    }
-
-    /// Functionally executes `jobs` (slice + work-event id) on at most
-    /// `workers` host threads, the calling thread among them. Each worker
-    /// claims the next unclaimed job until none is left, so the threads
-    /// finish within one slice of each other whatever the slices weigh.
-    /// Which worker ran a slice cannot show in its outcome: events were
-    /// assigned in plan order before any worker started, an outcome lands
-    /// in its job's slot, and a bucket sum does not depend on what its
-    /// worker's scratch summed before. A slice whose kernel code panics
-    /// leaves its slot empty and reports the typed
-    /// [`MsmError::SliceLost`] instead of taking the caller down.
-    pub(crate) fn run_slices<C: Curve>(
-        &self,
-        launch: &Launch<'_, C>,
-        jobs: &[(Slice, u64)],
-        workers: usize,
-    ) -> Result<Vec<SliceOutcome<C>>, MsmError> {
-        let slots: Vec<OnceLock<Result<SliceOutcome<C>, MsmError>>> =
-            jobs.iter().map(|_| OnceLock::new()).collect();
-        // a ticket counter: it publishes nothing but its own value (an
-        // outcome is published by its slot), so `Relaxed` suffices
-        let cursor = AtomicUsize::new(0);
-        let work = || {
-            // one bucket-sum scratch per worker, not per slice
-            let mut scratch = BatchAccumulator::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(slice, event)) = jobs.get(i) else { break };
-                // a panic may leave `scratch` mid-slice: harmless, the
-                // empty slot fails the whole call and every outcome with it
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    self.run_one_slice(launch, &mut scratch, slice, event)
-                }));
-                if let Ok(outcome) = ran {
-                    // each index is claimed once, so the slot is empty
-                    let _ = slots[i].set(outcome);
-                }
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..helper_count(workers, jobs.len()) {
-                scope.spawn(work);
-            }
-            work();
-        });
-        slots
-            .into_iter()
-            .zip(jobs)
-            .map(|(slot, (slice, _))| {
-                slot.into_inner().unwrap_or(Err(MsmError::SliceLost {
-                    gpu: slice.gpu,
-                    window: slice.window,
-                }))
-            })
-            .collect()
+        Gathered { windows, comm: sched, cpu_padds: 0, checkpoint_s, degraded: true }
     }
 }
 
-/// `std::thread::available_parallelism()`, read once per process: std
-/// re-reads the affinity mask and the cgroup quota files on every call.
-pub(crate) fn host_parallelism() -> usize {
-    static PARALLELISM: OnceLock<usize> = OnceLock::new();
-    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
-}
-
-/// Threads [`DistMsm::run_slices`] spawns beside its caller: none for one
-/// job or one worker.
-fn helper_count(workers: usize, jobs: usize) -> usize {
-    workers.min(jobs).saturating_sub(1)
-}
-
-/// Slices paired with their per-device work-event ids, as scheduled by
-/// the supervisor's fault-injection event counters.
-type Jobs = Vec<(Slice, u64)>;
-
-/// One completed slice: its plan coordinates, per-device work-event id,
-/// metered kernel stats, and its bucket-reduce — the slice's contribution
-/// to its window with the modelled PADD count. The bucket sums themselves
-/// are dropped on the worker.
-#[derive(Debug)]
-pub(crate) struct SliceOutcome<C: Curve> {
-    pub(crate) slice: Slice,
-    event: u64,
-    scatter_stats: LaunchStats,
-    sum_stats: LaunchStats,
-    pub(crate) contrib: (XyzzPoint<C>, u64),
-}
-
-/// The per-execution context [`DistMsm::launch`] builds and every slice
-/// of the execution reads.
-pub(crate) struct Launch<'a, C: Curve> {
-    instance: &'a MsmInstance<C>,
-    /// Window size.
-    pub(crate) s: u32,
-    /// Windows, counting the signed-digit carry window.
-    pub(crate) n_windows: u32,
-    /// Buckets per window.
-    pub(crate) n_buckets: u32,
-    digits: Option<Vec<Vec<i32>>>,
-    gpu_threads: u64,
-    model: EcKernelModel,
-}
-
-/// Per-phase timing internals `execute_attempt` hands to the telemetry
-/// emitter: everything the timeline layout needs that the public
-/// [`MsmReport`] does not carry.
-struct TelemetryPhases<'a> {
-    scatter_per_gpu: &'a [f64],
-    sum_per_gpu: &'a [f64],
-    gpu_reduce_per_gpu: &'a [f64],
-    rec_per_gpu: &'a [f64],
-    prepass: f64,
-    cpu_reduce_s: f64,
-    comm_host_s: f64,
-    gpu_makespan: f64,
+/// [`DistMsm::window_partials`]'s result: the host's window partials, the
+/// schedule that moved them there, the CPU fold's modelled PADD count, and
+/// the two recovery facts the gather settles for the supervisor.
+struct Gathered<C: Curve> {
+    windows: Vec<XyzzPoint<C>>,
+    comm: CommSchedule,
+    cpu_padds: u64,
+    /// Seconds checkpointing the per-GPU window partials (supervised GPU
+    /// path only; the CPU path's gather is the checkpoint).
+    checkpoint_s: f64,
+    /// A lost device forced the collective down to a survivors-only host
+    /// gather.
+    degraded: bool,
 }
 
 #[cfg(test)]
 mod tests {
+    use super::slices::helper_count;
     use super::*;
+    use crate::plan::plan_slices;
+    use crate::scatter::ScatterKind;
+    use crate::supervisor::FaultObservation;
     use distmsm_ec::curves::{Bls12381G1, Bn254G1, Mnt4753G1};
+    use distmsm_ec::FieldElement;
+    use distmsm_gpu_sim::FaultPlan;
+    use distmsm_kernel::EcKernelModel;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn check_correct<C: Curve>(n: usize, n_gpus: usize, seed: u64, cfg: DistMsmConfig) {
@@ -1558,7 +459,8 @@ mod tests {
 
     #[test]
     fn signed_digits_engine_is_correct() {
-        for (gpus, s) in [(1usize, None), (4, Some(9u32)), (8, Some(6))] {
+        let sweep = [(4, Some(4)), (2, Some(8)), (3, Some(11))];
+        for (gpus, s) in [(1usize, None), (4, Some(9u32)), (8, Some(6))].into_iter().chain(sweep) {
             let builder = DistMsmConfig::builder().signed_digits(true);
             let builder = match s {
                 Some(s) => builder.window_size(s),

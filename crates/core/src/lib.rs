@@ -14,7 +14,7 @@
 //! | §3.2.1 three-level hierarchical bucket scatter | [`scatter`] |
 //! | §3.2.2 multi-thread-per-bucket bucket-sum, flexible slicing | [`bucket_sum`], [`plan`] |
 //! | §3.2.3 CPU bucket-reduce | [`reduce`] |
-//! | Figure 1 end-to-end engine; §3.1 window partials ([`MsmReport::window_partials`]) | [`engine`] |
+//! | Figure 1 end-to-end engine; §3.1 window partials ([`MsmReport::window_partials`]) | [`engine`]: the stage sequence of `execute_attempt`, with submodules `report` (report and error types), `slices` (slice execution on host workers) and `timing` (one price per slice, the timing composition, the telemetry layout) |
 //! | resumable execution in checkpointed window batches | [`checkpoint`] |
 //! | §5 baselines ("BG", NO-OPT) | [`baseline`] |
 //! | paper-scale (2^22–2^28) timing | [`analytic`] |
@@ -22,11 +22,11 @@
 //! | cuZK-style sparse-matrix MSM (baseline #2) | [`cuzk`] |
 //! | multi-MSM pipelining (§3.2.3) | [`pipeline`] |
 //! | topology-routed gathers and collectives (multi-node scaling) | [`comm`] |
-//! | fault supervision, re-planning, verified recovery | [`supervisor`] + [`engine`] |
+//! | fault supervision: re-plan rounds, RLC self-check, straggler detection | [`supervisor`] |
 //!
 //! Cross-cutting surfaces: [`prelude`] (one-import user API), [`config`]
-//! (the validating [`DistMsmConfigBuilder`]), [`report`] (the unified
-//! [`Report`] trait over engine/recovery/comms timing artefacts).
+//! ([`DistMsmConfig`] and its validating [`DistMsmConfigBuilder`]),
+//! [`report`] (the byte-stable JSON layout of every golden artefact).
 //!
 //! ## Example
 //!
@@ -71,14 +71,13 @@ pub use checkpoint::{
     estimate_checkpoint_recovery, CheckpointConfig, CheckpointError, CheckpointRecoveryEstimate,
     WindowCheckpoint, WindowedMsmReport,
 };
-pub use config::{ConfigError, DistMsmConfigBuilder};
+pub use config::{ConfigError, DistMsmConfig, DistMsmConfigBuilder};
 pub use distmsm_comms::CollectiveStrategy;
-pub use engine::{partition_plan, window_shape, DistMsm, DistMsmConfig, MsmError, MsmReport, PhaseBreakdown};
+pub use engine::{partition_plan, window_shape, DistMsm, MsmError, MsmReport, PhaseBreakdown};
 pub use plan::{
     fleet_replace_ir, fleet_shard_ir, partition_ir, plan_slices_with_ir, replace_assignments,
     replan_ir, shard_points, shard_points_with_ir, window_merge_ir,
 };
-pub use report::{Phase, Report};
 pub use scatter::ScatterKind;
 pub use supervisor::{FaultObservation, RecoveryReport, RetryPolicy};
 pub use workload::WorkloadParams;

@@ -275,15 +275,6 @@ pub fn fleet_replace_ir() -> PlanIr {
     }
 }
 
-/// Number of GPUs cooperating on each window under a plan.
-pub fn gpus_per_window(slices: &[Slice], n_windows: u32) -> Vec<usize> {
-    let mut counts = vec![0usize; n_windows as usize];
-    for s in slices {
-        counts[s.window as usize] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,7 +315,8 @@ mod tests {
             .map(|g| slices.iter().filter(|s| s.gpu == g).map(Slice::len).sum())
             .collect();
         assert_eq!(per_gpu, vec![666, 666, 666]);
-        let gpw = gpus_per_window(&slices, 2);
+        let gpw: Vec<usize> =
+            (0..2).map(|w| slices.iter().filter(|s| s.window == w).count()).collect();
         assert_eq!(gpw, vec![2, 2]);
     }
 
@@ -332,8 +324,9 @@ mod tests {
     fn more_gpus_than_windows_splits_buckets() {
         let slices = plan_slices(4, 1 << 8, 16);
         coverage_ok(&slices, 4, 1 << 8);
-        let gpw = gpus_per_window(&slices, 4);
-        assert!(gpw.iter().all(|&g| g == 4));
+        for w in 0..4 {
+            assert_eq!(slices.iter().filter(|s| s.window == w).count(), 4);
+        }
         // each GPU gets a quarter window
         assert!(slices.iter().all(|s| s.len() == 64));
     }

@@ -1,12 +1,11 @@
 //! One-import surface for typical engine users:
 //! `use distmsm::prelude::*;` brings in the curves, the instance type,
-//! the engine with its configuration builder, the report trait, and the
+//! the engine with its configuration builder, its report, and the
 //! error/fault vocabulary — everything the quickstart example touches,
 //! nothing internal.
 
 pub use crate::config::{ConfigError, DistMsmConfigBuilder};
 pub use crate::engine::{DistMsm, DistMsmConfig, MsmError, MsmReport, PhaseBreakdown};
-pub use crate::report::{Phase, Report};
 pub use crate::scatter::ScatterKind;
 pub use crate::supervisor::{FaultObservation, RecoveryReport, RetryPolicy};
 pub use distmsm_comms::CollectiveStrategy;

@@ -9,7 +9,7 @@
 //! atomic contention during scatter, which is exactly the trade the
 //! hierarchical scatter of §3.2.1 absorbs.
 
-use distmsm_ec::{Affine, Curve, Scalar, XyzzPoint};
+use distmsm_ec::Scalar;
 
 /// Signed-window decomposition of one scalar.
 ///
@@ -40,47 +40,6 @@ pub fn recode_signed<S: Scalar>(k: &S, s: u32, lambda: u32) -> Vec<i32> {
     digits
 }
 
-/// Reference MSM over signed digits: buckets `1..=2^{s−1}` per window,
-/// negative digits contribute negated points. Used to validate the
-/// recoding end-to-end against plain Pippenger.
-pub fn signed_pippenger<C: Curve>(
-    points: &[Affine<C>],
-    scalars: &[C::Scalar],
-    s: u32,
-) -> XyzzPoint<C> {
-    assert_eq!(points.len(), scalars.len());
-    let n_windows = C::SCALAR_BITS.div_ceil(s) + 1;
-    let n_buckets = (1usize << (s - 1)) + 1;
-    let digits: Vec<Vec<i32>> = scalars
-        .iter()
-        .map(|k| recode_signed(k, s, C::SCALAR_BITS))
-        .collect();
-
-    let mut acc = XyzzPoint::<C>::identity();
-    for w in (0..n_windows as usize).rev() {
-        for _ in 0..s {
-            acc = acc.pdbl();
-        }
-        let mut buckets = vec![XyzzPoint::<C>::identity(); n_buckets];
-        for (p, d) in points.iter().zip(&digits) {
-            let digit = d[w];
-            match digit.cmp(&0) {
-                core::cmp::Ordering::Greater => buckets[digit as usize].pacc(p),
-                core::cmp::Ordering::Less => buckets[(-digit) as usize].pacc(&p.neg()),
-                core::cmp::Ordering::Equal => {}
-            }
-        }
-        let mut running = XyzzPoint::<C>::identity();
-        let mut sum = XyzzPoint::<C>::identity();
-        for b in buckets.iter().skip(1).rev() {
-            running = running.padd(b);
-            sum = sum.padd(&running);
-        }
-        acc = acc.padd(&sum);
-    }
-    acc
-}
-
 /// Bucket-count comparison: signed windows use `2^{s−1} + 1` buckets per
 /// window against `2^s` unsigned — the §3.2 bucket-reduce saving.
 pub fn signed_bucket_count(s: u32) -> u64 {
@@ -90,8 +49,6 @@ pub fn signed_bucket_count(s: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distmsm_ec::curves::Bn254G1;
-    use distmsm_ec::MsmInstance;
     use distmsm_ff::Uint;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -149,17 +106,6 @@ mod tests {
                     assert!(d.abs() <= half, "digit {d} exceeds ±{half} at s={s}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn signed_pippenger_matches_reference() {
-        let mut rng = StdRng::seed_from_u64(502);
-        let inst = MsmInstance::<Bn254G1>::random(100, &mut rng);
-        let expect = inst.reference_result();
-        for s in [4u32, 8, 11] {
-            let got = signed_pippenger::<Bn254G1>(&inst.points, &inst.scalars, s);
-            assert_eq!(got, expect, "s={s}");
         }
     }
 

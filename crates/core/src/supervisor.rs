@@ -2,8 +2,12 @@
 //! and the probabilistic self-check that guards against silent
 //! corruption.
 //!
-//! The supervisor state machine (DESIGN.md §10) lives in
-//! [`crate::engine`]; this module holds its vocabulary:
+//! The supervisor state machine (DESIGN.md §10) lives here, driven by
+//! [`DistMsm::execute_attempt`](crate::engine::DistMsm::execute_attempt):
+//! its rounds run the plan (round 0, the primary pass) and then re-plan
+//! whatever a round lost onto the survivors; the RLC self-check verifies
+//! the shipped partials; straggler detection reads the composed per-GPU
+//! busy times. Its vocabulary:
 //!
 //! * [`RetryPolicy`] — bounded retries with exponential backoff, charged
 //!   through the cost model like any other phase (a retry is simulated
@@ -20,9 +24,22 @@
 //!   the kernel of a random functional), at the cost of one 64-bit
 //!   scalar multiplication per partial instead of a full recompute.
 
-use crate::plan::Slice;
+use crate::config::DistMsmConfig;
+use crate::engine::{host_parallelism, DistMsm, Jobs, Launch, MsmError, SliceOutcome};
+use crate::plan::{plan_slices, replan_slices, Slice};
+use crate::reduce::cpu_seconds_for_padds;
 use distmsm_ec::{straus, Curve, Scalar, XyzzPoint};
 use distmsm_gpu_sim::fault::splitmix64;
+use distmsm_gpu_sim::{FaultPlan, MultiGpuSystem};
+use distmsm_kernel::EcKernelModel;
+
+/// Seed of the RLC self-check coefficient stream (device and host derive
+/// the same coefficients without communicating them).
+const RLC_SEED: u64 = 0x0005_e1fc_4ec4_u64;
+
+/// Per-GPU busy time above this multiple of the median flags the GPU as
+/// a straggler in the recovery report.
+const STRAGGLER_DETECT_RATIO: f64 = 1.25;
 
 /// Bounded-retry policy with exponential backoff. Backoff is *charged*:
 /// every retry adds simulated seconds to the recovery cost, so fault
@@ -214,6 +231,293 @@ pub fn rlc_fold<C: Curve>(points: &[XyzzPoint<C>], coeffs: &[u64]) -> XyzzPoint<
         .map(|(p, &c)| (*p, C::Scalar::from_u64(c)))
         .collect();
     straus(&terms)
+}
+
+/// One execution's supervisor: the configuration whose fault plan it
+/// watches on this attempt, the devices it has seen die, and the
+/// [`RecoveryReport`] it builds. Unsupervised (an empty plan) the rounds
+/// are the primary pass alone, and the self-check and straggler
+/// detection do nothing.
+pub(crate) struct Supervisor<'a> {
+    config: &'a DistMsmConfig,
+    attempt: u32,
+    /// Devices that answer no more: cut off from the host from the
+    /// start, or fail-stopped since.
+    dead: Vec<usize>,
+    recovery: RecoveryReport,
+}
+
+impl<'a> Supervisor<'a> {
+    /// A supervisor for attempt `attempt` of an `n_windows × n_buckets`
+    /// plan.
+    pub(crate) fn new(config: &'a DistMsmConfig, attempt: u32, n_windows: u32, n_buckets: u32) -> Self {
+        Self {
+            config,
+            attempt,
+            dead: Vec::new(),
+            recovery: RecoveryReport { n_windows, n_buckets, ..RecoveryReport::default() },
+        }
+    }
+
+    fn plan(&self) -> &'a FaultPlan {
+        &self.config.fault_plan
+    }
+
+    /// A non-empty fault plan turns supervision on.
+    pub(crate) fn supervised(&self) -> bool {
+        !self.plan().is_empty()
+    }
+
+    /// The factor on `gpu`'s kernel times at its work event `event`:
+    /// straggler faults scale a device's kernels from their trigger event
+    /// on.
+    pub(crate) fn straggle(&self, gpu: usize, event: u64) -> f64 {
+        self.plan()
+            .straggler_from(gpu, self.attempt)
+            .map_or(1.0, |(at, slow)| if event >= at { slow } else { 1.0 })
+    }
+
+    fn is_lost(&self, gpu: usize, event: u64) -> bool {
+        self.is_dead(gpu)
+            || self.plan().fail_stop_event(gpu, self.attempt).is_some_and(|at| event >= at)
+    }
+
+    /// True when `gpu` answers no more: it ships nothing to a gather.
+    pub(crate) fn is_dead(&self, gpu: usize) -> bool {
+        self.dead.contains(&gpu)
+    }
+
+    /// True once a device has been declared lost, so ring and tree
+    /// collectives can no longer run.
+    pub(crate) fn lost_any(&self) -> bool {
+        !self.recovery.lost_gpus.is_empty()
+    }
+
+    /// Every slice whose partial reached the final fold, in run order.
+    pub(crate) fn completed(&self) -> &[Slice] {
+        &self.recovery.completed
+    }
+
+    /// Runs the plan in rounds until a round loses nothing. Round 0 is the
+    /// primary pass over [`plan_slices`]; each later round re-plans the
+    /// slices the last one lost onto the survivors. Every round's jobs are
+    /// filtered alike, so a survivor may fail-stop mid-recovery (a
+    /// cascading fault). Returns every outcome in run order and how many
+    /// of them the primary pass produced.
+    pub(crate) fn run_rounds<C: Curve>(
+        &mut self,
+        engine: &DistMsm,
+        launch: &Launch<'_, C>,
+        system: &MultiGpuSystem,
+    ) -> Result<(Vec<SliceOutcome<C>>, usize), MsmError> {
+        let n_gpus = system.n_gpus();
+        let reachable = system.ranks_reaching_host();
+        if reachable.is_empty() {
+            return Err(MsmError::LinkDown {
+                detail: "no GPU can reach the master host".into(),
+            });
+        }
+        for g in (0..n_gpus).filter(|g| !reachable.contains(g)) {
+            self.dead.push(g);
+            self.recovery.faults.push(FaultObservation {
+                device: g,
+                event: 0,
+                kind: "link-down".into(),
+            });
+        }
+
+        // Per-device work-event counters: one event per scheduled slice,
+        // in plan order — the deterministic coordinate fault plans key
+        // on, independent of host-thread scheduling.
+        let mut next_event = vec![0u64; n_gpus];
+        let mut pending = plan_slices(launch.n_windows, launch.n_buckets, n_gpus);
+        let mut ran = Vec::new();
+        let mut primaries = 0;
+        for round in 0.. {
+            let jobs: Jobs = pending
+                .into_iter()
+                .map(|sl| {
+                    next_event[sl.gpu] += 1;
+                    (sl, next_event[sl.gpu] - 1)
+                })
+                .collect();
+            let (live, lost): (Jobs, Jobs) =
+                jobs.into_iter().partition(|&(sl, e)| !self.is_lost(sl.gpu, e));
+            self.note_fail_stops(&lost);
+            // a re-planned slice lost to a cascading failure is
+            // superseded by the next round's re-plan: drop it from the
+            // log so `replanned` records only work that actually ran
+            self.recovery
+                .replanned
+                .retain(|s| !lost.iter().any(|(lost, _)| lost == s));
+            ran.extend(engine.run_slices(launch, &live, host_parallelism())?);
+            if round == 0 {
+                primaries = ran.len();
+            }
+            if lost.is_empty() {
+                break;
+            }
+            let lost: Vec<Slice> = lost.into_iter().map(|(sl, _)| sl).collect();
+            pending = self.replan(&lost, n_gpus, round)?;
+        }
+        self.recovery.completed = ran.iter().map(|oc| oc.slice).collect();
+        Ok((ran, primaries))
+    }
+
+    /// Records fail-stop observations for devices that just lost jobs
+    /// and adds them to the dead set.
+    fn note_fail_stops(&mut self, lost: &[(Slice, u64)]) {
+        for &(sl, event) in lost {
+            if !self.dead.contains(&sl.gpu) {
+                self.dead.push(sl.gpu);
+                self.recovery.faults.push(FaultObservation {
+                    device: sl.gpu,
+                    event,
+                    kind: "fail-stop".into(),
+                });
+            }
+        }
+    }
+
+    /// Declares each newly dead device lost after its bounded probes, then
+    /// re-plans `lost` onto the survivors; `rounds` re-plans ran before
+    /// this one.
+    fn replan(&mut self, lost: &[Slice], n_gpus: usize, rounds: usize) -> Result<Vec<Slice>, MsmError> {
+        // bounded probes of each newly lost device, charged as
+        // exponential backoff, before the supervisor declares it lost
+        for &g in &self.dead {
+            if !self.recovery.lost_gpus.contains(&g) {
+                self.recovery.retries += self.config.retry.max_retries;
+                self.recovery.backoff_s += self.config.retry.total_backoff();
+                self.recovery.lost_gpus.push(g);
+            }
+        }
+        let survivors: Vec<usize> = (0..n_gpus).filter(|&g| !self.is_dead(g)).collect();
+        if survivors.is_empty() || rounds > n_gpus {
+            return Err(MsmError::DeviceLost {
+                devices: self.recovery.lost_gpus.clone(),
+            });
+        }
+        // checkpoint-time straggler detection steers the re-plan: a
+        // survivor already running slow would bottleneck the serial
+        // recovery phase, so prefer full-speed survivors whenever at
+        // least one remains (a straggler is still better than no
+        // device at all)
+        let full_speed: Vec<usize> = survivors
+            .iter()
+            .copied()
+            .filter(|&g| self.plan().straggler_from(g, self.attempt).is_none())
+            .collect();
+        let targets = if full_speed.is_empty() { &survivors } else { &full_speed };
+        let replanned = replan_slices(lost, targets);
+        self.recovery.replanned.extend(replanned.iter().copied());
+        Ok(replanned)
+    }
+
+    /// The RLC self-check against silent corruption. Each device folds
+    /// `Σ rᵢ·wᵢ` over the partials it computed; the host folds the same
+    /// combination over what it received. Planned bit-flips corrupt the
+    /// shipped copy (modelled as a sign flip); a mismatch pins the
+    /// corrupted shipments, which are re-shipped under the retry budget.
+    /// The host side of the check — one 64-bit scalar-mul fold per
+    /// received partial — is charged on every supervised run, corrupted
+    /// or not.
+    pub(crate) fn self_check<C: Curve>(
+        &mut self,
+        ran: &[SliceOutcome<C>],
+        model: &EcKernelModel,
+        cpu_int_ops_per_sec: f64,
+    ) -> Result<(), MsmError> {
+        if !self.supervised() {
+            return Ok(());
+        }
+        let coeffs = rlc_coefficients(RLC_SEED, ran.len());
+        let true_vals: Vec<XyzzPoint<C>> = ran.iter().map(|oc| oc.contrib.0).collect();
+        let recv_vals: Vec<XyzzPoint<C>> = ran
+            .iter()
+            .zip(&true_vals)
+            .map(|(oc, w)| {
+                if self.plan().bit_flip_events(oc.slice.gpu, self.attempt).contains(&oc.event) {
+                    w.neg()
+                } else {
+                    *w
+                }
+            })
+            .collect();
+        if rlc_fold(&true_vals, &coeffs) != rlc_fold(&recv_vals, &coeffs) {
+            for (oc, (t, r)) in ran.iter().zip(true_vals.iter().zip(&recv_vals)) {
+                if t != r {
+                    if self.config.retry.max_retries == 0 {
+                        return Err(MsmError::RetriesExhausted {
+                            device: oc.slice.gpu,
+                            event: oc.event,
+                        });
+                    }
+                    self.recovery.retries += 1;
+                    self.recovery.backoff_s += self.config.retry.backoff_for(0);
+                    self.recovery.faults.push(FaultObservation {
+                        device: oc.slice.gpu,
+                        event: oc.event,
+                        kind: "bit-flip".into(),
+                    });
+                }
+            }
+        }
+        self.recovery.self_check_s = cpu_seconds_for_padds(
+            RLC_OPS_PER_PARTIAL * ran.len() as u64,
+            model,
+            cpu_int_ops_per_sec,
+        );
+        Ok(())
+    }
+
+    /// Straggler detection over the composed per-GPU busy times: skew
+    /// beyond [`STRAGGLER_DETECT_RATIO`] × the median is recorded, and
+    /// beyond the configured SLA it is an error.
+    pub(crate) fn detect_stragglers(&mut self, per_gpu_s: &[f64]) -> Result<(), MsmError> {
+        if !self.supervised() {
+            return Ok(());
+        }
+        let mut busy: Vec<f64> = per_gpu_s.iter().copied().filter(|&t| t > 0.0).collect();
+        busy.sort_by(f64::total_cmp);
+        let Some(&median) = busy.get(busy.len() / 2) else {
+            return Ok(());
+        };
+        for (g, &t) in per_gpu_s.iter().enumerate() {
+            let ratio = t / median;
+            if ratio > STRAGGLER_DETECT_RATIO {
+                self.recovery.stragglers.push((g, ratio));
+                self.recovery.faults.push(FaultObservation {
+                    device: g,
+                    event: self.plan().straggler_from(g, self.attempt).map_or(0, |(at, _)| at),
+                    kind: "straggler".into(),
+                });
+                if self.config.straggler_sla.is_some_and(|sla| ratio > sla) {
+                    return Err(MsmError::Straggler {
+                        device: g,
+                        slowdown: ratio,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The recovery report, when the run was supervised, completed with
+    /// what the engine measured after the rounds: the survivors'
+    /// `recompute_s`, the window-partial `checkpoint_s`, and whether a
+    /// lost device forced the collective down to a host gather.
+    pub(crate) fn finish(
+        mut self,
+        recompute_s: f64,
+        checkpoint_s: f64,
+        degraded_collective: bool,
+    ) -> Option<RecoveryReport> {
+        self.recovery.recompute_s = recompute_s;
+        self.recovery.checkpoint_s = checkpoint_s;
+        self.recovery.degraded_collective = degraded_collective;
+        self.supervised().then_some(self.recovery)
+    }
 }
 
 #[cfg(test)]

@@ -114,15 +114,6 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
         Self::from_uint(&Uint::from_u64(v))
     }
 
-    /// Field element for a signed small integer (negative maps to `p - |v|`).
-    pub fn from_i64(v: i64) -> Self {
-        if v >= 0 {
-            Self::from_u64(v as u64)
-        } else {
-            -Self::from_u64(v.unsigned_abs())
-        }
-    }
-
     /// Converts back to the canonical integer in `[0, p)`.
     pub fn to_uint(&self) -> Uint<N> {
         mont_mul_cios(&self.repr, &Uint::ONE, &P::MODULUS, P::INV)
@@ -486,11 +477,6 @@ mod tests {
         }
         assert!(!acc8.is_one());
         assert!(Fr::root_of_unity(29).is_none());
-    }
-
-    #[test]
-    fn from_i64_negative() {
-        assert_eq!(F::from_i64(-5) + F::from_u64(5), F::ZERO);
     }
 
     #[test]

@@ -327,20 +327,6 @@ impl<const N: usize> Uint<N> {
         out
     }
 
-    /// Rebuilds a `Uint` from `2N` little-endian `u32` limbs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limbs.len() != 2N`.
-    pub fn from_u32_limbs(limbs: &[u32]) -> Self {
-        assert_eq!(limbs.len(), 2 * N, "expected {} u32 limbs", 2 * N);
-        let mut out = [0u64; N];
-        for (i, chunk) in limbs.chunks_exact(2).enumerate() {
-            out[i] = chunk[0] as u64 | ((chunk[1] as u64) << 32);
-        }
-        Self(out)
-    }
-
     /// Little-endian bytes of the value.
     pub fn to_le_bytes(&self) -> Vec<u8> {
         self.0.iter().flat_map(|l| l.to_le_bytes()).collect()
@@ -545,12 +531,6 @@ mod tests {
         assert!(b < a);
         assert!(a > b);
         assert_eq!(a.cmp(&a), core::cmp::Ordering::Equal);
-    }
-
-    #[test]
-    fn u32_limb_round_trip() {
-        let a = U4::from_hex("0xdeadbeefcafebabe1122334455667788aabbccdd");
-        assert_eq!(U4::from_u32_limbs(&a.to_u32_limbs()), a);
     }
 
     #[test]

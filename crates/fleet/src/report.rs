@@ -10,7 +10,6 @@ use std::collections::BTreeSet;
 
 use distmsm::report::JsonField::{Inline, Rows, Scalar};
 use distmsm::report::{json_num, json_pretty, json_str};
-use distmsm::{Phase, Report};
 use distmsm_service::ServiceReport;
 
 use crate::fleet::{FleetEvent, FleetEventKind};
@@ -195,26 +194,6 @@ impl FleetReport {
             self.horizon_s,
         ));
         out
-    }
-}
-
-impl Report for FleetReport {
-    fn kind(&self) -> &'static str {
-        "fleet"
-    }
-
-    fn total_s(&self) -> f64 {
-        self.horizon_s
-    }
-
-    /// Per-pod phases: the span each pod was live on the simulated
-    /// clock. Pods run concurrently, so phases deliberately do not sum
-    /// to [`Report::total_s`].
-    fn phase_breakdown(&self) -> Vec<Phase> {
-        self.pods
-            .iter()
-            .map(|p| Phase { name: format!("pod:{}", p.pod), seconds: p.horizon_s })
-            .collect()
     }
 }
 

@@ -129,13 +129,6 @@ impl DeviceSpec {
         (occupancy / SATURATION).clamp(0.0, 1.0)
     }
 
-    /// Tensor-core throughput expressed in int32-equivalent ops/s (the
-    /// paper's "8× the CUDA cores" for the A100: 624 int8 TOPS ≙ 156
-    /// int32 TOPS).
-    pub fn tensor_int32_equiv_ops(&self) -> f64 {
-        self.tensor_int8_tops * 1e12 / 4.0
-    }
-
     /// Whether the device has usable int8 tensor cores.
     pub fn has_tensor_cores(&self) -> bool {
         self.tensor_int8_tops > 0.0
@@ -179,19 +172,14 @@ mod tests {
     }
 
     #[test]
-    fn tensor_equivalence_is_8x_for_a100() {
-        let d = DeviceSpec::a100();
-        let ratio = d.tensor_int32_equiv_ops() / (d.cuda_int32_tops * 1e12);
-        assert!((ratio - 8.0).abs() < 1e-9);
-        assert!(!DeviceSpec::amd6900xt().has_tensor_cores());
-    }
-
-    #[test]
     fn rtx4090_int_advantage_matches_figure9() {
         let a = DeviceSpec::a100();
         let r = DeviceSpec::rtx4090();
         let ratio = r.cuda_int32_tops / a.cuda_int32_tops;
         assert!((ratio - 2.12).abs() < 0.02, "ratio={ratio}");
+        // Figure 9 runs the tensor-core PADD path only where there are tensor cores
+        assert!(a.has_tensor_cores());
+        assert!(!DeviceSpec::amd6900xt().has_tensor_cores());
     }
 
     #[test]

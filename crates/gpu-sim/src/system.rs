@@ -105,18 +105,6 @@ impl MultiGpuSystem {
         Self::homogeneous(DeviceSpec::a100(), n)
     }
 
-    /// An `n`-GPU PCIe-only RTX 4090 box (the paper's consumer-class
-    /// comparison point): no NVSwitch plane, peer traffic detours
-    /// through the PCIe hub at 32 GB/s.
-    pub fn rtx4090_box(n: usize) -> Self {
-        Self {
-            interconnect_gbps: 32.0,
-            peer_gbps: 32.0,
-            topology: Some(Topology::pcie_box(n.max(1))),
-            ..Self::homogeneous(DeviceSpec::rtx4090(), n)
-        }
-    }
-
     /// Number of GPUs.
     pub fn n_gpus(&self) -> usize {
         self.devices.len()
@@ -166,11 +154,6 @@ impl MultiGpuSystem {
             return 0.0;
         }
         path.alpha_s + bytes / (path.min_gbps() * 1e9)
-    }
-
-    /// Total hardware thread capacity across all devices.
-    pub fn total_threads(&self) -> u64 {
-        self.devices.iter().map(DeviceSpec::max_concurrent_threads).sum()
     }
 
     /// A copy of this system with `faults` applied to its topology:
@@ -269,7 +252,6 @@ mod tests {
         let sys = MultiGpuSystem::dgx_a100(8);
         assert_eq!(sys.n_gpus(), 8);
         assert_eq!(sys.cpu.cores, 128);
-        assert!(sys.total_threads() > 8 * (1 << 16));
     }
 
     #[test]
@@ -374,16 +356,5 @@ mod tests {
             .degraded(&[LinkFault::PeerPortDegraded { rank: 1, factor: 0.5 }]);
         assert_eq!(sys.peer_gbps, 300.0);
         assert_eq!(sys.ranks_reaching_host().len(), 4);
-    }
-
-    #[test]
-    fn rtx4090_box_shape() {
-        let sys = MultiGpuSystem::rtx4090_box(4);
-        assert_eq!(sys.n_gpus(), 4);
-        assert_eq!(sys.peer_gbps, 32.0);
-        assert!(sys.topology.is_some());
-        // peer traffic detours through the hub: slower than a DGX pair
-        let dgx = MultiGpuSystem::dgx_a100(4);
-        assert!(sys.peer_time(0, 1, 1e9) > dgx.peer_time(0, 1, 1e9));
     }
 }

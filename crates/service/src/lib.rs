@@ -24,8 +24,7 @@
 //! * **Graceful degradation** ([`service`]): when pressure crosses the
 //!   policy threshold, dispatch shrinks partitions (latency traded for
 //!   survival); the engine's degraded-collective path handles the
-//!   shrunk pool. Everything is accounted in a [`ServiceReport`]
-//!   implementing the workspace [`Report`](distmsm::Report) trait.
+//!   shrunk pool. Everything is accounted in a [`ServiceReport`].
 //! * **Deterministic chaos soak** ([`soak`], `crates/bench/src/bin/soak.rs`):
 //!   seeded Poisson-like arrival traces against randomized fault and
 //!   link-fault windows for thousands of simulated seconds, with the

@@ -1,11 +1,9 @@
 //! The service-level report: per-tenant admission/completion accounting
 //! with sojourn percentiles on the simulated clock, plus the pool-state
-//! timeline — implementing the workspace-wide [`Report`] trait so bench
-//! tables and JSON dumps consume it like any engine report.
+//! timeline, renderable as a table and as byte-stable JSON.
 
 use distmsm::report::JsonField::{Inline, Rows, Scalar};
 use distmsm::report::{json_num, json_pretty, json_str};
-use distmsm::{Phase, Report};
 
 use crate::breaker::{BreakerState, PoolTransition};
 
@@ -180,30 +178,6 @@ impl ServiceReport {
     }
 }
 
-impl Report for ServiceReport {
-    fn kind(&self) -> &'static str {
-        "service"
-    }
-
-    fn total_s(&self) -> f64 {
-        self.horizon_s
-    }
-
-    /// Per-tenant phases: the seconds each tenant's completed jobs spent
-    /// in the system (sojourn mass, approximated as `completed × p50`).
-    /// Phases deliberately do not sum to [`Report::total_s`] — tenants
-    /// overlap in time, like devices in an engine report.
-    fn phase_breakdown(&self) -> Vec<Phase> {
-        self.tenants
-            .iter()
-            .map(|t| Phase {
-                name: format!("tenant:{}", t.name),
-                seconds: t.completed as f64 * t.sojourn_p50_s,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,11 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn report_trait_and_renders() {
+    fn report_renders() {
         let r = report();
-        assert_eq!(r.kind(), "service");
-        assert_eq!(Report::total_s(&r), 100.0);
-        assert_eq!(r.phase_breakdown().len(), 2);
         let table = r.render();
         assert!(table.contains("tenant"), "{table}");
         assert!(table.contains("completion rate"), "{table}");

@@ -514,6 +514,7 @@ impl<C: Curve> ProverService<C> {
             },
         );
         svc.instant(
+            svc.clock_s,
             "recovery:restored",
             vec![
                 ("snapshot_epoch".into(), rec.snapshot_epoch.to_string()),
@@ -545,10 +546,45 @@ impl<C: Curve> ProverService<C> {
 
     /// Journals one state change and takes the service events it
     /// witnesses from the record itself ([`ServiceRecord::events`]), so
-    /// the event stream is a view over the journal by construction.
+    /// the event stream — and the `service`-lane instants traced from it
+    /// ([`Self::instant_of`]) — are views over the journal by
+    /// construction.
     fn record(&mut self, t_s: f64, rec: ServiceRecord) {
         self.wal.append(t_s, &rec);
-        self.events.extend(rec.events());
+        let events = rec.events();
+        if distmsm_telemetry::session::active() {
+            for ev in &events {
+                if let Some((name, args)) = self.instant_of(ev) {
+                    self.instant(ev.t_s, &name, args);
+                }
+            }
+        }
+        self.events.extend(events);
+    }
+
+    /// The `service`-lane telemetry instant a journaled event is traced
+    /// as: rejections, sheds, final failures and breaker transitions.
+    fn instant_of(&self, ev: &ServiceEvent) -> Option<(String, Vec<(String, String)>)> {
+        fn arg(key: &str, value: impl ToString) -> (String, String) {
+            (key.to_string(), value.to_string())
+        }
+        Some(match &ev.kind {
+            ServiceEventKind::Rejected { error } => {
+                let tenant = &self.config.tenants.get(ev.tenant?)?.name;
+                (format!("reject:{}", error.label()), vec![arg("job", ev.job?), arg("tenant", tenant)])
+            }
+            ServiceEventKind::Shed { reason } => {
+                (format!("shed:{}", reason.label()), vec![arg("job", ev.job?)])
+            }
+            ServiceEventKind::Failed { error } => {
+                ("job:failed".into(), vec![arg("job", ev.job?), arg("error", error)])
+            }
+            ServiceEventKind::Breaker { transition: t } => (
+                format!("breaker:{}", t.to.label()),
+                vec![arg("device", t.device), arg("from", t.from.label()), arg("cause", t.cause)],
+            ),
+            _ => return None,
+        })
     }
 
     /// Records an event that is itself the atomic unit of a state change
@@ -574,13 +610,13 @@ impl<C: Curve> ProverService<C> {
 
     /// Emits a telemetry instant on the `service` lane (no-op unless a
     /// session is active).
-    fn instant(&self, name: &str, args: Vec<(String, String)>) {
+    fn instant(&self, t_s: f64, name: &str, args: Vec<(String, String)>) {
         if distmsm_telemetry::session::active() {
             distmsm_telemetry::session::push_instant(distmsm_telemetry::Instant {
                 name: name.to_string(),
                 cat: "service".to_string(),
                 lane: distmsm_telemetry::Lane::Service,
-                t_s: self.clock_s,
+                t_s,
                 args,
             });
         }
@@ -588,14 +624,6 @@ impl<C: Curve> ProverService<C> {
 
     fn record_transitions(&mut self, transitions: Vec<PoolTransition>) {
         for t in transitions {
-            self.instant(
-                &format!("breaker:{}", t.to.label()),
-                vec![
-                    ("device".into(), t.device.to_string()),
-                    ("from".into(), t.from.label().into()),
-                    ("cause".into(), t.cause.into()),
-                ],
-            );
             self.record_event(None, None, ServiceEventKind::Breaker { transition: t });
         }
     }
@@ -804,7 +832,8 @@ impl<C: Curve> ProverService<C> {
         if self.partitioned_since_s.is_none() {
             self.clock_s = self.clock_s.max(now_s);
             self.partitioned_since_s = Some(now_s);
-            self.instant("partition:degraded", vec![("since_s".into(), format!("{now_s:.3}"))]);
+            let since = vec![("since_s".into(), format!("{now_s:.3}"))];
+            self.instant(self.clock_s, "partition:degraded", since);
         }
     }
 
@@ -812,7 +841,8 @@ impl<C: Curve> ProverService<C> {
     pub fn clear_partitioned(&mut self, now_s: f64) {
         if self.partitioned_since_s.take().is_some() {
             self.clock_s = self.clock_s.max(now_s);
-            self.instant("partition:healed", vec![("at_s".into(), format!("{now_s:.3}"))]);
+            let at = vec![("at_s".into(), format!("{now_s:.3}"))];
+            self.instant(self.clock_s, "partition:healed", at);
         }
     }
 
@@ -876,10 +906,6 @@ impl<C: Curve> ProverService<C> {
         };
 
         if let Some(error) = error {
-            self.instant(
-                &format!("reject:{}", error.label()),
-                vec![("job".into(), spec.id.to_string()), ("tenant".into(), tcfg.name.clone())],
-            );
             // Arrival + outcome ride one atomic journal record: a torn
             // write can lose the whole admission, never half of it.
             self.record(
@@ -1158,10 +1184,6 @@ impl<C: Curve> ProverService<C> {
                     });
                     self.push_pending(expire_s, PendingKind::Expire(id));
                 } else {
-                    self.instant(
-                        "job:failed",
-                        vec![("job".into(), id.to_string()), ("error".into(), error.to_string())],
-                    );
                     self.record_event(
                         Some(id),
                         Some(tenant),
@@ -1186,10 +1208,6 @@ impl<C: Curve> ProverService<C> {
                 } else {
                     ShedReason::Starvation
                 };
-                self.instant(
-                    &format!("shed:{}", reason.label()),
-                    vec![("job".into(), id.to_string())],
-                );
                 self.record_event(Some(id), Some(tenant), ServiceEventKind::Shed { reason });
                 return;
             }

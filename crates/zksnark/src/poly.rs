@@ -88,30 +88,6 @@ impl<P: FpParams<N>, const N: usize> Polynomial<P, N> {
     pub fn scale(&self, k: Fp<P, N>) -> Self {
         Self::from_coeffs(self.coeffs.iter().map(|&c| c * k).collect())
     }
-
-    /// Divides by the vanishing polynomial `Z(x) = x^d − 1`, returning
-    /// `(quotient, remainder)` by synthetic division.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0`.
-    pub fn divide_by_vanishing(&self, d: usize) -> (Self, Self) {
-        assert!(d > 0, "vanishing degree must be positive");
-        if self.coeffs.len() <= d {
-            return (Self::zero(), self.clone());
-        }
-        // x^d ≡ 1 (mod Z): fold coefficient i into i − d repeatedly
-        let mut rem = self.coeffs.clone();
-        let mut quot = vec![Fp::ZERO; self.coeffs.len() - d];
-        for i in (d..rem.len()).rev() {
-            let c = rem[i];
-            quot[i - d] += c;
-            rem[i - d] += c;
-            rem[i] = Fp::ZERO;
-        }
-        rem.truncate(d);
-        (Self::from_coeffs(quot), Self::from_coeffs(rem))
-    }
 }
 
 #[cfg(test)]
@@ -166,31 +142,6 @@ mod tests {
         for (j, &v) in values.iter().enumerate() {
             assert_eq!(p.evaluate(omega.pow(&[j as u64])), v);
         }
-    }
-
-    #[test]
-    fn vanishing_division_exact_and_with_remainder() {
-        let mut rng = StdRng::seed_from_u64(62);
-        let q = rand_poly(10, &mut rng);
-        let d = 8usize;
-        // multiple of Z: (x^8 − 1)·q
-        let mut z = vec![FrBn254::ZERO; d + 1];
-        z[0] = -FrBn254::ONE;
-        z[d] = FrBn254::ONE;
-        let zq = Poly::from_coeffs(z).mul(&q);
-        let (quot, rem) = zq.divide_by_vanishing(d);
-        assert_eq!(quot, q);
-        assert!(rem.is_zero());
-
-        // non-multiple: remainder reconstructs the original
-        let p = rand_poly(13, &mut rng);
-        let (quot, rem) = p.divide_by_vanishing(d);
-        let mut z = vec![FrBn254::ZERO; d + 1];
-        z[0] = -FrBn254::ONE;
-        z[d] = FrBn254::ONE;
-        let back = Poly::from_coeffs(z).mul(&quot).add(&rem);
-        assert_eq!(back, p);
-        assert!(rem.degree().is_none_or(|r| r < d));
     }
 
     #[test]

@@ -30,9 +30,15 @@ fn main() {
     println!();
     println!("window size          : {} ({} windows)", report.window_size, report.n_windows);
     println!("simulated wall time  : {:.3} ms", report.total_s * 1e3);
-    // every timing artefact answers through the same `Report` trait
-    for phase in report.phase_breakdown() {
-        println!("  {:<19}: {:.3} ms", phase.name, phase.seconds * 1e3);
+    let p = &report.phases;
+    for (phase, seconds) in [
+        ("scatter", p.scatter_s),
+        ("bucket-sum", p.bucket_sum_s),
+        ("bucket-reduce", p.bucket_reduce_s),
+        ("window-reduce", p.window_reduce_s),
+        ("transfer", p.transfer_s),
+    ] {
+        println!("  {phase:<19}: {:.3} ms", seconds * 1e3);
     }
 
     // 4. Paper-scale projection without functional execution.
