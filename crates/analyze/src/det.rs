@@ -49,7 +49,7 @@ pub const PANIC_CEILINGS: [(&str, usize); 12] = [
     ("bench", 19),
     ("comms", 3),
     ("core", 4),
-    ("ec", 7),
+    ("ec", 4),
     ("ff", 1),
     ("fleet", 19),
     ("journal", 7),

@@ -7,8 +7,9 @@
 //!
 //! Beyond the MSM substrate the crate provides:
 //!
-//! * [`pairing`] — the optimal ate pairing on BN254 (full `Fp⁶`/`Fp¹²`
-//!   tower, Miller loop, final exponentiation), enabling cryptographic
+//! * [`pairing`] — the optimal ate pairing on BN254 (Karatsuba
+//!   `Fp⁶`/`Fp¹²` tower, a multi-Miller loop on the twist with sparse
+//!   lines, an exact final exponentiation), enabling cryptographic
 //!   Groth16 verification;
 //! * [`batch`] — batched affine addition (the ZPrize "batch addition"
 //!   technique) with Montgomery-trick shared inversions;

@@ -352,15 +352,53 @@ mod tests {
         assert!(verify(&vk, &public, &proof), "honest proof must verify");
     }
 
+    /// `x = w³`: the same arity as [`demo_circuit`], another circuit.
+    fn cube_circuit(w: u64) -> ConstraintSystem<Bn254Fr, 4> {
+        let mut cs = ConstraintSystem::new();
+        let x_var = cs.alloc(Fr::from_u64(w * w * w));
+        cs.set_public(1);
+        let w_var = cs.alloc(Fr::from_u64(w));
+        let w2 = cs.mul(w_var, w_var);
+        let w3 = cs.mul(w2, w_var);
+        cs.enforce(
+            vec![(w3, Fr::ONE)],
+            vec![(ConstraintSystem::<Bn254Fr, 4>::one(), Fr::ONE)],
+            vec![(x_var, Fr::ONE)],
+        );
+        cs
+    }
+
+    /// The honest proof and every tampering of it, each with the verdict
+    /// the pairing equation must give.
     #[test]
-    fn wrong_public_input_rejected() {
+    fn verdict_table() {
         let mut rng = StdRng::seed_from_u64(801);
-        let (cs, _) = demo_circuit(49, 7);
+        let (cs, public) = demo_circuit(49, 7);
         let (pk, vk) = setup(&cs, &mut rng);
-        let sys = MultiGpuSystem::dgx_a100(1);
-        let proof = prove(&pk, &cs, &sys, &mut rng).expect("prove");
-        assert!(!verify(&vk, &[Fr::from_u64(50)], &proof));
-        assert!(!verify(&vk, &[], &proof), "arity mismatch rejected");
+        let proof = prove(&pk, &cs, &MultiGpuSystem::dgx_a100(1), &mut rng).expect("prove");
+        let (_, other_vk) = setup(&cube_circuit(3), &mut rng);
+        assert_eq!(other_vk.ic.len(), vk.ic.len(), "same arity, other circuit");
+        let tampered = |f: fn(&mut Groth16Proof)| {
+            let mut p = proof.clone();
+            f(&mut p);
+            p
+        };
+        let rows = [
+            ("honest", &vk, public.clone(), proof.clone(), true),
+            ("wrong public input", &vk, vec![Fr::from_u64(50)], proof.clone(), false),
+            ("arity mismatch", &vk, vec![], proof.clone(), false),
+            ("−A", &vk, public.clone(), tampered(|p| p.a = p.a.neg()), false),
+            ("−C", &vk, public.clone(), tampered(|p| p.c = p.c.neg()), false),
+            ("A and C swapped", &vk, public.clone(), tampered(|p| (p.a, p.c) = (p.c, p.a)), false),
+            ("−B", &vk, public.clone(), tampered(|p| p.b = p.b.neg()), false),
+            ("identity A", &vk, public.clone(), tampered(|p| p.a = G1::identity()), false),
+            ("identity B", &vk, public.clone(), tampered(|p| p.b = G2::identity()), false),
+            ("identity C", &vk, public.clone(), tampered(|p| p.c = G1::identity()), false),
+            ("another circuit's vk", &other_vk, public.clone(), proof.clone(), false),
+        ];
+        for (name, vk, inputs, proof, accept) in rows {
+            assert_eq!(verify(vk, &inputs, &proof), accept, "{name}");
+        }
     }
 
     #[test]
@@ -376,17 +414,6 @@ mod tests {
         assert_eq!(decoded, proof);
         assert!(verify(&vk, &public, &decoded));
         assert!(Groth16Proof::from_bytes(&bytes[..100]).is_none());
-    }
-
-    #[test]
-    fn tampered_proof_rejected() {
-        let mut rng = StdRng::seed_from_u64(802);
-        let (cs, public) = demo_circuit(121, 11);
-        let (pk, vk) = setup(&cs, &mut rng);
-        let sys = MultiGpuSystem::dgx_a100(1);
-        let mut proof = prove(&pk, &cs, &sys, &mut rng).expect("prove");
-        proof.a = proof.a.neg();
-        assert!(!verify(&vk, &public, &proof));
     }
 
     #[test]
@@ -625,9 +652,14 @@ proof 00b63f5ae30d3e21775ecb0929d9198f7ab1ebedc9735357dcc419477229a6c42f009ae0d7
 
     /// Every strict prefix of the frozen proof, the proof plus one
     /// trailing byte, and every single-bit flip of it decode to `None` or
-    /// to the one proof whose encoding is exactly those bytes.
+    /// to the one proof whose encoding is exactly those bytes, and the
+    /// verifier rejects every such proof without panicking.
     #[test]
     fn hostile_proof_bytes_decode_to_none_or_their_own_encoding() {
+        let mut rng = StdRng::seed_from_u64(2400);
+        let cs = synthetic_circuit::<Bn254Fr, 4, _>(64, &mut rng);
+        let (_, vk) = setup(&cs, &mut rng);
+        let public = &cs.assignment()[1..=cs.n_public()];
         let good: Vec<u8> = {
             let hex = FROZEN_64
                 .lines()
@@ -640,6 +672,7 @@ proof 00b63f5ae30d3e21775ecb0929d9198f7ab1ebedc9735357dcc419477229a6c42f009ae0d7
         };
         let proof = Groth16Proof::from_bytes(&good).expect("the frozen proof decodes");
         assert_eq!(proof.to_bytes(), good);
+        assert!(verify(&vk, public, &proof), "the frozen proof verifies");
         let prefixes = (0..good.len()).map(|n| good[..n].to_vec());
         let flips = (0..good.len() * 8).map(|bit| {
             let mut b = good.clone();
@@ -649,6 +682,7 @@ proof 00b63f5ae30d3e21775ecb0929d9198f7ab1ebedc9735357dcc419477229a6c42f009ae0d7
         for bytes in prefixes.chain([[&good[..], &[0]].concat()]).chain(flips) {
             if let Some(p) = Groth16Proof::from_bytes(&bytes) {
                 assert_eq!(hex(&p.to_bytes()), hex(&bytes), "a second spelling of {p:?}");
+                assert!(!verify(&vk, public, &p), "{} accepted", hex(&bytes));
             }
         }
     }

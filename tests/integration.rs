@@ -6,7 +6,9 @@ use distmsm::scatter::ScatterKind;
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
 use distmsm_ec::{Curve, MsmInstance, Scalar, XyzzPoint};
 use distmsm_ff::params::Bn254Fr;
+use distmsm_ff::Fp;
 use distmsm_gpu_sim::MultiGpuSystem;
+use distmsm_zksnark::groth16;
 use distmsm_zksnark::prover::Groth16Prover;
 use distmsm_zksnark::r1cs::synthetic_circuit;
 use rand::{rngs::StdRng, SeedableRng};
@@ -139,6 +141,20 @@ fn end_to_end_proof_pipeline() {
     assert!(prover.verify(&outcome));
     assert!(outcome.timing.msm_s > 0.0);
     assert!(outcome.timing.ntt_s > 0.0);
+}
+
+/// Setup, prove on the simulated engine, verify with the BN254 pairing;
+/// the same proof against a shifted public input is rejected.
+#[test]
+fn groth16_setup_prove_verify_round_trip() {
+    let mut rng = StdRng::seed_from_u64(1007);
+    let circuit = synthetic_circuit::<Bn254Fr, 4, _>(32, &mut rng);
+    let (pk, vk) = groth16::setup(&circuit, &mut rng);
+    let proof = groth16::prove(&pk, &circuit, &MultiGpuSystem::dgx_a100(2), &mut rng).expect("prove");
+    let mut public = circuit.assignment()[1..=circuit.n_public()].to_vec();
+    assert!(groth16::verify(&vk, &public, &proof), "honest proof rejected");
+    public[0] += Fp::ONE;
+    assert!(!groth16::verify(&vk, &public, &proof), "tampered input accepted");
 }
 
 #[test]
