@@ -19,9 +19,10 @@
 # The soak smokes replay seeded chaos scenarios through the
 # multi-tenant service and the multi-pod fleet coordinator (whole-pod
 # loss plus a byzantine pod caught by the 2G2T check), the journaling
-# crash soak, and the partition soak (heartbeat leases, epoch fencing,
-# anti-entropy rejoin) and diff their byte-stable reports against
-# goldens (BLESS=1 ./ci.sh regenerates).
+# crash soak (alone and with link partitions on its fleet), and the
+# partition soak (heartbeat leases, epoch fencing, anti-entropy rejoin)
+# and diff their byte-stable reports against goldens (BLESS=1 ./ci.sh
+# regenerates).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -70,22 +71,38 @@ cargo test -q --workspace
 
 # soak (seeded chaos, zero violations), fleet_soak (4 pods, 1024
 # tenants, byzantine + pod loss), crash_soak (journal kill points, torn
-# writes, ckpt resume), partition_soak (leases, fencing, anti-entropy
-# rejoin): each report JSON is byte-stable, so any drift from its golden
-# is a behaviour change. The first stdout line of every soak is its spec
-# as re-runnable flags; replaying exactly that line (no --smoke) must
+# writes, ckpt resume), crash_soak_partitioned (the same sweeps with
+# three link-partition windows on the fleet: every plane at once),
+# partition_soak (leases, fencing, anti-entropy rejoin): each report
+# JSON is byte-stable, so any drift from its golden is a behaviour
+# change. The first stdout line of every soak is its spec as
+# re-runnable flags; replaying exactly that line (no --smoke) must
 # reproduce the same golden, so a printed reproducer is a gate too.
-for bin in soak fleet_soak crash_soak partition_soak; do
-    echo "== $bin smoke + golden + reproducer replay =="
-    SMOKE_JSON="$(mktemp "/tmp/distmsm_ci_${bin}.XXXXXX.json")"
+# soak and fleet_soak run their smoke with the telemetry recorder on
+# (the trace must validate) and replay it with the recorder off, so
+# recording provably moves no byte of the simulated outcome.
+TRACE="$(mktemp /tmp/distmsm_ci_trace.XXXXXX.json)"
+for run in soak fleet_soak crash_soak crash_soak_partitioned partition_soak; do
+    echo "== $run smoke + golden + reproducer replay =="
+    bin="${run%_partitioned}"
+    FLAGS=()
+    case "$run" in
+        soak | fleet_soak) FLAGS=(--telemetry "$TRACE") ;;
+        crash_soak_partitioned) FLAGS=(--fleet-partition-windows 3) ;;
+    esac
+    SMOKE_JSON="$(mktemp "/tmp/distmsm_ci_${run}.XXXXXX.json")"
     SECONDS=0
-    OUT="$("target/release/$bin" --smoke --json "$SMOKE_JSON")" || { echo "$OUT"; exit 1; }
+    OUT="$("target/release/$bin" --smoke "${FLAGS[@]}" --json "$SMOKE_JSON")" || { echo "$OUT"; exit 1; }
     echo "$OUT"
+    if [[ "${FLAGS[0]:-}" == "--telemetry" ]]; then
+        grep -q '"producer":"distmsm_telemetry"' "$TRACE"
+        target/release/distmsm-analyze trace "$TRACE"
+    fi
     # CI's chaos budget, for the next anchor to see move (fleet_soak is
     # the unit cost of most of it)
-    echo "$bin smoke wall time: ${SECONDS} s"
+    echo "$run smoke wall time: ${SECONDS} s"
     REPRODUCER="${OUT%%$'\n'*}"
-    GOLDEN="crates/bench/golden/${bin}_smoke.json"
+    GOLDEN="crates/bench/golden/${run}_smoke.json"
     if [[ "${BLESS:-0}" == "1" ]]; then
         cp "$SMOKE_JSON" "$GOLDEN"
         echo "blessed $GOLDEN"
@@ -104,21 +121,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "== telemetry smoke runs (--telemetry + trace validation; soak and fleet_soak goldens with the recorder on) =="
-TRACE="$(mktemp /tmp/distmsm_ci_trace.XXXXXX.json)"
+echo "== telemetry smoke run (--telemetry + trace validation) =="
 target/release/fault_sweep --telemetry "$TRACE" > /dev/null
 grep -q '"producer":"distmsm_telemetry"' "$TRACE"
 target/release/distmsm-analyze trace "$TRACE"
-# recording must not move a byte of the simulated outcome
-SMOKE_JSON="$(mktemp /tmp/distmsm_ci_soak_traced.XXXXXX.json)"
-for bin in soak fleet_soak; do
-    SECONDS=0
-    "target/release/$bin" --smoke --telemetry "$TRACE" --json "$SMOKE_JSON" > /dev/null
-    diff -u "crates/bench/golden/${bin}_smoke.json" "$SMOKE_JSON"
-    target/release/distmsm-analyze trace "$TRACE"
-    echo "$bin traced smoke + trace check wall time: ${SECONDS} s"
-done
-rm -f "$TRACE" "$SMOKE_JSON"
+rm -f "$TRACE"
 
 echo "== distmsm-analyze check (scenario table: race + comm + fault + telemetry; lint + service + ckpt + partition + fleet) =="
 # both run in about a second: time them in ms, not the soaks' seconds

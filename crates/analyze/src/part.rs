@@ -37,54 +37,18 @@
 //! [`FleetState`]: distmsm_fleet::FleetState
 
 use crate::report::{Finding, Report, Severity};
-use distmsm_comms::PartitionSchedule;
-use distmsm_ec::curves::Bn254G1;
-use distmsm_fleet::soak::{build_fleet_chaos, build_fleet_jobs, fleet_config};
+use distmsm_fleet::soak::execute;
+use distmsm_fleet::{FleetRecord, FleetSoakSpec, FleetState, LEASED_FENCED_FLEET};
 use distmsm_journal::{decode_records, Fold, Wire};
-use distmsm_fleet::{FleetCoordinator, FleetRecord, FleetSoakSpec, FleetState};
 
-/// The seeded scenario the checker journals: a three-pod fleet with
-/// heartbeat leases under two randomized partition windows, long
-/// enough that at least one lease expires (fences) and heals
-/// (rejoins).
-pub const PART_SCENARIO: &str = "leased-fenced-fleet";
-
-/// Partition-window seed of [`PART_SCENARIO`].
-pub const PART_SEED: u64 = 41;
-
-/// Partition windows injected into [`PART_SCENARIO`].
-pub const PART_WINDOWS: usize = 2;
-
-/// Runs [`PART_SCENARIO`] and returns its decoded journal as
-/// `(journal epoch, record)` pairs plus the pod count.
-pub fn journal_scenario() -> (Vec<(u64, FleetRecord)>, usize) {
-    let spec = FleetSoakSpec {
-        arrival_seed: 2028,
-        fault_seed: 7,
-        n_jobs: 24,
-        n_tenants: 16,
-        n_pods: 3,
-        devices_per_pod: 3,
-        n_fault_windows: 0,
-        horizon_s: 300.0,
-        msm_size: 12,
-        byzantine_pod: None,
-        lost_pod: None,
-    };
-    let jobs = build_fleet_jobs(&spec);
-    let mut chaos = build_fleet_chaos(&spec);
-    chaos.partitions =
-        PartitionSchedule::random(PART_SEED, PART_WINDOWS, spec.n_pods, spec.horizon_s);
-    let mut coordinator: FleetCoordinator<Bn254G1> = FleetCoordinator::new(fleet_config(&spec));
-    let _ = coordinator.run(jobs, &chaos);
-    // the coordinator journal never compacts: epochs are 1, 2, …
-    let decoded = (1u64..)
-        .zip(
-            decode_records::<FleetRecord>(coordinator.durable())
-                .expect("the live coordinator journal is intact and decodes"),
-        )
-        .collect();
-    (decoded, spec.n_pods)
+/// Runs one fleet soak spec and returns its decoded coordinator journal
+/// as `(journal epoch, record)` pairs — the coordinator journal never
+/// compacts, so epochs are 1, 2, ….
+fn journal(spec: &FleetSoakSpec) -> Vec<(u64, FleetRecord)> {
+    let durable = execute(spec).3;
+    let records = decode_records::<FleetRecord>(&durable)
+        .expect("the live coordinator journal is intact and decodes");
+    (1u64..).zip(records).collect()
 }
 
 /// The independent fencing automaton PART-001 replays: per-pod epoch
@@ -502,36 +466,41 @@ pub fn check_fencing_mutants(scenario: &str) -> Report {
     report
 }
 
-/// Runs the partition-tolerance checker end to end: journal the seeded
-/// partitioned scenario, then probe fencing monotonicity (PART-001),
-/// rejoin idempotence (PART-002), no-completion-from-expired-lease
-/// (PART-003) and the fencing mutant corpus (PART-900).
+/// Runs the partition-tolerance checker end to end: journal the
+/// leased, fenced fleet ([`LEASED_FENCED_FLEET`]), then probe fencing
+/// monotonicity (PART-001), rejoin idempotence (PART-002),
+/// no-completion-from-expired-lease (PART-003) and the fencing mutant
+/// corpus (PART-900).
 pub fn check_part() -> Report {
+    const SCENARIO: &str = "leased-fenced-fleet";
+    let spec = LEASED_FENCED_FLEET;
     let mut report = Report::new();
-    let (records, n_pods) = journal_scenario();
+    let records = journal(&spec);
     report.push(Finding::new(
         "PART-000",
         Severity::Info,
-        PART_SCENARIO.to_owned(),
+        SCENARIO.to_owned(),
         format!(
-            "journaled {} record(s) from a {n_pods}-pod fleet under {PART_WINDOWS} partition \
-             window(s) (seed {PART_SEED})",
-            records.len()
+            "journaled {} record(s) from a {}-pod fleet under {} partition window(s) (seed {})",
+            records.len(),
+            spec.n_pods,
+            spec.n_partition_windows,
+            spec.partition_seed
         ),
     ));
     if records.is_empty() {
         report.push(Finding::new(
             "PART-000",
             Severity::Error,
-            PART_SCENARIO.to_owned(),
+            SCENARIO.to_owned(),
             "scenario journaled no records — the fleet WAL went silent".to_owned(),
         ));
         return report;
     }
-    report.extend(check_fencing_monotonicity(PART_SCENARIO, &records, n_pods));
-    report.extend(check_rejoin_idempotence(PART_SCENARIO, &records, n_pods));
-    report.extend(check_no_expired_acceptance(PART_SCENARIO, &records, n_pods));
-    report.extend(check_fencing_mutants(PART_SCENARIO));
+    report.extend(check_fencing_monotonicity(SCENARIO, &records, spec.n_pods));
+    report.extend(check_rejoin_idempotence(SCENARIO, &records, spec.n_pods));
+    report.extend(check_no_expired_acceptance(SCENARIO, &records, spec.n_pods));
+    report.extend(check_fencing_mutants(SCENARIO));
     report
 }
 
@@ -574,7 +543,7 @@ mod tests {
 
     #[test]
     fn zombie_acceptance_trips_the_expired_lease_rule() {
-        let (mut records, n_pods) = journal_scenario();
+        let (mut records, n_pods) = (journal(&LEASED_FENCED_FLEET), LEASED_FENCED_FLEET.n_pods);
         // Sabotage: append an acceptance on a pod frozen mid-fence.
         let fence_at = records
             .iter()
@@ -607,7 +576,7 @@ mod tests {
 
     #[test]
     fn epoch_regression_trips_the_monotonicity_rule() {
-        let (mut records, n_pods) = journal_scenario();
+        let (mut records, n_pods) = (journal(&LEASED_FENCED_FLEET), LEASED_FENCED_FLEET.n_pods);
         let fence_at = records
             .iter()
             .position(|(_, r)| matches!(r, FleetRecord::Fenced { .. }))

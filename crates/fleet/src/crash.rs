@@ -47,7 +47,7 @@ use distmsm_ec::{straus, Curve, MsmInstance};
 use distmsm_ff::Uint;
 use distmsm_gpu_sim::MultiGpuSystem;
 use distmsm_journal::{DurableState, Record};
-use distmsm_service::harness::{by_id, unique_from_trace, Flags, Run, Scenario, Violations};
+use distmsm_service::harness::{Flags, Run, Scenario};
 use distmsm_service::soak::{self as pod_soak, SoakSpec};
 use distmsm_service::wal as service_wal;
 use distmsm_service::{
@@ -55,7 +55,7 @@ use distmsm_service::{
 };
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::fleet::{FleetChaos, FleetConfig, FleetCoordinator, FleetEventKind, FleetOutcome};
+use crate::fleet::{FleetChaos, FleetConfig, FleetCoordinator, FleetOutcome};
 use crate::outsource::Challenge;
 use crate::soak::{self as fleet_soak, FleetSoakSpec};
 use crate::wal as fleet_wal;
@@ -133,6 +133,8 @@ impl Scenario for CrashSoakSpec {
                 msm_size: 24,
                 byzantine_pod: Some(3),
                 lost_pod: Some(1),
+                partition_seed: 41,
+                n_partition_windows: 0,
             },
             snapshot_every: 24,
             n_kill_points: 6,
@@ -459,31 +461,6 @@ fn truncate_at_time(durable: &DurableState, t_s: f64) -> DurableState {
     durable.truncate_records(keep)
 }
 
-fn fleet_terminal_before(
-    pre_fleet: &[crate::fleet::FleetEvent],
-    pre_pods: &[(usize, ServiceEvent)],
-) -> BTreeSet<u64> {
-    let mut terminal = BTreeSet::new();
-    for ev in pre_fleet {
-        if let (Some(id), FleetEventKind::Verified { .. }) = (ev.job, &ev.kind) {
-            terminal.insert(id);
-        }
-    }
-    for (_, ev) in pre_pods {
-        if let Some(id) = ev.job {
-            if matches!(
-                ev.kind,
-                ServiceEventKind::Failed { .. }
-                    | ServiceEventKind::Shed { .. }
-                    | ServiceEventKind::Rejected { .. }
-            ) {
-                terminal.insert(id);
-            }
-        }
-    }
-    terminal
-}
-
 /// One fleet reference run under crash injection: everything a
 /// restore needs, built once by [`fleet_sweep`].
 struct FleetCuts<'a> {
@@ -530,7 +507,6 @@ impl FleetCuts<'_> {
                 }
             }
         }
-        let terminal = fleet_terminal_before(&pre_fleet, &pre_pods);
 
         let restored =
             FleetCoordinator::restore(config.clone(), jobs, coordinator_cut, &pod_cuts, chaos);
@@ -543,39 +519,6 @@ impl FleetCuts<'_> {
         };
         let post = fleet.resume(chaos);
 
-        for ev in &post.events {
-            if let (Some(id), FleetEventKind::Verified { .. }) = (ev.job, &ev.kind) {
-                if terminal.contains(&id) {
-                    v.fail(
-                        "crash-no-resurrection",
-                        format!(
-                            "{what}: job {id} was fleet-terminal before the crash but was \
-                             verified again at t={:.3}",
-                            ev.t_s
-                        ),
-                    );
-                }
-            }
-        }
-        for (pod, ev) in &post.pod_events {
-            if let Some(id) = ev.job {
-                if service_terminal(&ev.kind) && terminal.contains(&id) {
-                    v.fail(
-                        "crash-no-resurrection",
-                        format!(
-                            "{what}: job {id} was fleet-terminal before the crash but pod \
-                             {pod} re-emitted {:?} at t={:.3}",
-                            ev.kind, ev.t_s
-                        ),
-                    );
-                }
-            }
-        }
-
-        let mut accepted_once = Violations::default();
-        let accepted = post.accepted.iter().map(|a| a.id);
-        unique_from_trace(&mut accepted_once, "crash-invariant", &by_id(jobs), accepted);
-        v.within(what, accepted_once);
         let merged = FleetOutcome {
             report: post.report.clone(),
             events: pre_fleet.into_iter().chain(post.events.iter().cloned()).collect(),
@@ -586,6 +529,8 @@ impl FleetCuts<'_> {
         run.n_events += merged.events.len() + merged.pod_events.len();
         let inner = fleet_soak::check_fleet_invariants(spec, jobs, &merged, config);
         v.nest("crash-invariant", what, inner);
+        let journal = fleet_soak::check_fleet_journal(fleet.durable(), config.n_pods);
+        v.nest("crash-invariant", what, journal);
 
         run.report.fleet_cuts += 1;
         run.report.reverified += info.reverified;
@@ -604,7 +549,9 @@ fn fleet_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
 
     let mut coordinator = FleetCoordinator::new(config.clone());
     let reference = coordinator.run(jobs.clone(), &chaos);
-    let baseline = fleet_soak::check_fleet_invariants(&spec.fleet, &jobs, &reference, &config);
+    let mut baseline = fleet_soak::check_fleet_invariants(&spec.fleet, &jobs, &reference, &config);
+    let journal = fleet_soak::check_fleet_journal(coordinator.durable(), config.n_pods);
+    baseline.within("coordinator journal", journal);
     run.violations.nest("crash-baseline", "fleet baseline", baseline);
 
     let coordinator_durable = coordinator.durable().clone();
@@ -845,6 +792,8 @@ mod tests {
                 msm_size: 16,
                 byzantine_pod: Some(2),
                 lost_pod: None,
+                partition_seed: 41,
+                n_partition_windows: 0,
             },
             snapshot_every: 8,
             n_kill_points: 3,

@@ -273,6 +273,10 @@ pub struct FleetCoordinator<C: Curve> {
     /// Consumed by rejoin's `fence_discard` pass and by the zombie
     /// guard in [`Self::check_completion`].
     stale_copies: Vec<BTreeMap<u64, u64>>,
+    /// Hand-offs waiting for a live pod, with their source pod: jobs
+    /// lifted off a pod while every other pod was quarantined, fenced,
+    /// degraded or partitioned.
+    homeless: Vec<(usize, StolenJob<C>)>,
 }
 
 impl<C: Curve> FleetCoordinator<C> {
@@ -291,6 +295,7 @@ impl<C: Curve> FleetCoordinator<C> {
             checker: DistMsm::new(MultiGpuSystem::dgx_a100(1)),
             membership: Membership::new(config.n_pods),
             stale_copies: vec![BTreeMap::new(); config.n_pods],
+            homeless: Vec::new(),
             config,
             pods,
             wal,
@@ -326,8 +331,7 @@ impl<C: Curve> FleetCoordinator<C> {
     ///
     /// Panics when the durable slices don't match `config.n_pods`, or
     /// when no pod is placeable (every one quarantined or fenced) and a
-    /// job has nowhere to go (the same unrecoverable state [`Self::run`]
-    /// panics on).
+    /// job has nowhere to go.
     pub fn restore(
         config: FleetConfig,
         jobs: &[JobSpec<C>],
@@ -349,7 +353,7 @@ impl<C: Curve> FleetCoordinator<C> {
         }
 
         let mut spec_lists: Vec<Vec<JobSpec<C>>> = vec![Vec::new(); n_pods];
-        let mut replacements: Vec<(u64, usize)> = Vec::new();
+        let mut replacements: Vec<(&JobSpec<C>, usize)> = Vec::new();
         let mut torn_steals: Vec<(JobSpec<C>, u32)> = Vec::new();
         for job in jobs {
             let knowing: Vec<usize> =
@@ -365,7 +369,7 @@ impl<C: Curve> FleetCoordinator<C> {
                         .filter(|&p| state.placeable(p))
                         .min_by_key(|&p| spec_lists[p].len())
                         .expect("no placeable pod: nowhere to re-place");
-                    replacements.push((job.id, t));
+                    replacements.push((job, t));
                     t
                 });
                 spec_lists[target].push(job.clone());
@@ -431,10 +435,13 @@ impl<C: Curve> FleetCoordinator<C> {
         }
 
         // Journal the restore-time re-placements (the fold must track
-        // the new ownership, exactly like a live placement).
-        for &(id, pod) in &replacements {
+        // the new ownership, exactly like a live placement). Like a
+        // live placement, one takes effect at the job's arrival when
+        // that is still ahead.
+        for &(job, pod) in &replacements {
             let epoch = fleet.wal.state().pod_epochs[pod];
-            fleet.record(now, FleetRecord::Placed { t_s: now, id, pod, epoch });
+            let t_s = now.max(job.arrival_s);
+            fleet.record(now, FleetRecord::Placed { t_s, id: job.id, pod, epoch });
         }
         let n_torn = torn_steals.len() as u64;
         for (spec, attempt) in torn_steals {
@@ -516,12 +523,14 @@ impl<C: Curve> FleetCoordinator<C> {
     /// verification of every completion, quarantine + re-placement on
     /// detection.
     ///
+    /// Work that must leave a pod while no other pod is live waits for
+    /// the next membership transition; if chaos quarantines *every*
+    /// pod it waits forever, and the run ends with those jobs
+    /// unterminated — a conservation finding, not a silent success.
+    ///
     /// # Panics
     ///
-    /// Panics when `chaos` does not cover every pod, or when chaos
-    /// quarantines *every* pod — with no healthy pod left there is
-    /// nowhere to re-place stranded work, an unrecoverable state the
-    /// fleet refuses to paper over.
+    /// Panics when `chaos` does not cover every pod.
     pub fn run(&mut self, jobs: Vec<JobSpec<C>>, chaos: &FleetChaos) -> FleetOutcome<C> {
         assert_eq!(chaos.pods.len(), self.config.n_pods, "chaos must cover every pod");
         self.place(jobs);
@@ -538,7 +547,7 @@ impl<C: Curve> FleetCoordinator<C> {
     ///
     /// # Panics
     ///
-    /// Panics in the same unrecoverable states as [`Self::run`].
+    /// Panics when `chaos` does not cover every pod.
     pub fn resume(&mut self, chaos: &FleetChaos) -> FleetOutcome<C> {
         assert_eq!(chaos.pods.len(), self.config.n_pods, "chaos must cover every pod");
         self.run_loop(chaos);
@@ -559,12 +568,22 @@ impl<C: Curve> FleetCoordinator<C> {
                 (Some((_, pod)), None) => pod,
                 (_, Some(tm)) => {
                     self.membership_step(tm, chaos);
+                    for (from, stolen) in std::mem::take(&mut self.homeless) {
+                        self.rehome(stolen, from, tm, chaos);
+                    }
                     continue;
                 }
                 (None, None) => break,
             };
             self.pods[pod].step(&chaos.pods[pod]);
             let now = self.pods[pod].clock_s();
+            // A degraded pod's refusal hands the job back: the client
+            // retries through the coordinator, which re-places it at
+            // once. The pod never admitted it, so no copy stays behind.
+            for spec in self.pods[pod].drain_refused() {
+                let stolen = StolenJob { spec, attempt: 0, effective_deadline_s: now };
+                self.rehome(stolen, pod, now, chaos);
+            }
             // Completions only travel while the pod→coordinator leg is
             // up and the pod is not behind a fence (a fenced pod's
             // results wait for anti-entropy rejoin). Undrained
@@ -620,18 +639,33 @@ impl<C: Curve> FleetCoordinator<C> {
     }
 
     /// Gives up on a fenced pod's orphans after the replace grace: each
-    /// job it still owns (and the fleet has not accepted) is re-placed
-    /// on a live pod with a fresh retry budget. The partitioned copy
-    /// cannot be cancelled — it is discarded by fencing whenever it
-    /// surfaces.
+    /// job the pod holds a live copy of — queued, in flight, or
+    /// completed with its result parked behind the partition — that the
+    /// fleet has not accepted is re-placed on a live pod with a fresh
+    /// retry budget. The partitioned copy cannot be cancelled; it is
+    /// discarded by fencing whenever it surfaces. A job the pod failed,
+    /// shed or refused at the door is fleet-terminal and never re-runs,
+    /// and one that has not arrived yet is left to its arrival (refused
+    /// there while the pod is degraded, and re-placed then).
+    /// The copies are read off the pod's journal fold: durable storage
+    /// outlives a NIC partition, as crash recovery already assumes.
     fn replace_orphans(&mut self, pod: usize, t_s: f64, chaos: &FleetChaos) {
         let accepted_ids: BTreeSet<u64> = self.accepted.iter().map(|a| a.id).collect();
+        let copies = &self.pods[pod].wal_state().jobs;
         let orphans: Vec<u64> = self
             .wal
             .state()
             .placed_on
             .iter()
             .filter(|&(id, &owner)| owner == pod && !accepted_ids.contains(id))
+            .filter(|&(id, _)| {
+                copies.get(id).is_some_and(|e| {
+                    matches!(
+                        e.phase,
+                        JobPhase::Queued { .. } | JobPhase::InFlight { .. } | JobPhase::Done
+                    )
+                })
+            })
             .map(|(&id, _)| id)
             .collect();
         for id in orphans {
@@ -800,13 +834,21 @@ impl<C: Curve> FleetCoordinator<C> {
         // Re-place the rejected job itself. The 2G2T rejection is a new
         // failure class, not a pod-local fault: the retry budget is NOT
         // charged, so the job re-enters with its old attempt count.
-        let to = self.least_loaded_live(now, chaos).expect("no healthy pod to re-place on");
         let stolen = StolenJob {
             spec,
             attempt: done.attempts.saturating_sub(1),
             effective_deadline_s: now,
         };
-        self.replace(stolen, pod, to, now, chaos);
+        self.rehome(stolen, pod, now, chaos);
+    }
+
+    /// Hands a job lifted off pod `from` to the least-loaded live pod,
+    /// or parks it until a membership transition leaves one live.
+    fn rehome(&mut self, stolen: StolenJob<C>, from: usize, now: f64, chaos: &FleetChaos) {
+        match self.least_loaded_live(now, chaos) {
+            Some(to) => self.replace(stolen, from, to, now, chaos),
+            None => self.homeless.push((from, stolen)),
+        }
     }
 
     /// Hands a job lifted off pod `from` to pod `to` and journals the
@@ -835,7 +877,10 @@ impl<C: Curve> FleetCoordinator<C> {
         }
         let healthy: Vec<usize> =
             (0..self.config.n_pods).filter(|&p| self.pod_live(p, now, chaos)).collect();
-        assert!(!healthy.is_empty(), "every pod quarantined: nowhere to re-place");
+        if healthy.is_empty() {
+            self.homeless.extend(stranded.into_iter().map(|stolen| (pod, stolen)));
+            return;
+        }
         let ranges = replace_assignments(stranded.len(), healthy.len());
         for (h, (lo, hi)) in ranges.into_iter().enumerate() {
             for stolen in stranded[lo..hi].iter().cloned() {

@@ -58,7 +58,7 @@ pub use fleet::{
 };
 pub use membership::{LeaseState, Membership, MembershipAction};
 pub use outsource::{Challenge, Corruption, OutsourcedResult, N_DECOYS};
-pub use partition::{PartitionReport, PartitionSoakSpec};
+pub use partition::{PartitionReport, PartitionSoakSpec, LEASED_FENCED_FLEET};
 pub use report::{FleetReport, PodStats};
 pub use shard::{execute_sharded, ShardExecution, ShardedMsmConfig, ShardedMsmReport};
 pub use wal::{

@@ -148,13 +148,15 @@ impl FleetReport {
         }
     }
 
-    /// `accepted / admitted` (1.0 when nothing was admitted) — the
-    /// fleet's verified completion rate.
+    /// `accepted / placed` (1.0 when nothing was placed) — the fleet's
+    /// verified completion rate. Not `/ admitted`: an arrival a
+    /// partitioned pod refuses is re-placed, never re-admitted, so
+    /// summed pod admissions undercount the demand.
     pub fn completion_rate(&self) -> f64 {
-        if self.admitted == 0 {
+        if self.placed == 0 {
             1.0
         } else {
-            self.accepted as f64 / self.admitted as f64
+            self.accepted as f64 / self.placed as f64
         }
     }
 

@@ -1,25 +1,29 @@
 //! The deterministic fleet soak: a seeded 1000+-tenant arrival trace
 //! placed across pods and replayed against per-pod chaos *plus* the
-//! pod-level fault classes that have no single-pod analogue — whole-pod
-//! loss and a byzantine pod — with fleet-scope invariants checked over
-//! the merged event streams. The ledger, the bit-exact check, the
-//! shrinker and the flag plumbing are `distmsm_service::harness`; this
-//! module is the scenario: its spec, its merged-timeline `match`, its
-//! pod-level invariants and its shrink candidates.
+//! fleet-level fault planes that have no single-pod analogue — whole-pod
+//! loss, a byzantine pod and coordinator↔pod link partitions — with
+//! fleet-scope invariants checked over the merged event streams and the
+//! coordinator's journal. The ledger, the bit-exact check, the shrinker
+//! and the flag plumbing are `distmsm_service::harness`; this module is
+//! the scenario: its spec, its merged-timeline `match` and its
+//! pod-level and journal invariants.
 //!
 //! Everything derives from the [`FleetSoakSpec`] alone, and generation
 //! is prefix-stable: shrinking a count replays a strict subset.
 
+use std::collections::BTreeMap;
+
 use distmsm_comms::PartitionSchedule;
 use distmsm_ec::curves::Bn254G1;
+use distmsm_journal::{decode_records, DurableState, Fold, Wire};
 use distmsm_service::harness::{
     arrival_trace, bit_exact, by_id, Flags, Ledger, LedgerIds, Run, Scenario, Violations,
 };
 use distmsm_service::breaker::FAULT_THRESHOLD;
 use distmsm_service::soak::MIN_COMPLETION_RATE;
 use distmsm_service::{
-    BreakerState, ChaosSchedule, JobSpec, ServiceConfig, ServiceEvent, ServiceEventKind,
-    TenantConfig,
+    AdmissionError, BreakerState, ChaosSchedule, JobSpec, ServiceConfig, ServiceEvent,
+    ServiceEventKind, TenantConfig,
 };
 
 use crate::fleet::{
@@ -28,6 +32,7 @@ use crate::fleet::{
 };
 use crate::outsource::Corruption;
 use crate::report::FleetReport;
+use crate::wal::{FleetRecord, FleetState};
 
 /// Everything that defines one fleet soak scenario. Two equal specs
 /// produce byte-identical runs.
@@ -58,6 +63,12 @@ pub struct FleetSoakSpec {
     /// whole-pod loss. Must end the run with its pool fully
     /// quarantined, its queue drained by the rest of the fleet.
     pub lost_pod: Option<usize>,
+    /// Seed of the coordinator↔pod link-partition windows.
+    pub partition_seed: u64,
+    /// Link-partition windows over the run (0: the plane is off and
+    /// draws nothing). Partitions fence pods and force anti-entropy
+    /// rejoins; every fleet run's journal is checked for both.
+    pub n_partition_windows: usize,
 }
 
 impl FleetSoakSpec {
@@ -79,6 +90,8 @@ impl FleetSoakSpec {
             msm_size: 32,
             byzantine_pod: Some(3),
             lost_pod: Some(1),
+            partition_seed: 41,
+            n_partition_windows: 0,
         }
     }
 
@@ -111,26 +124,30 @@ impl Scenario for FleetSoakSpec {
             msm_size: 64,
             byzantine_pod: Some(3),
             lost_pod: Some(1),
+            partition_seed: 41,
+            n_partition_windows: 0,
         }
     }
 
     fn flags(&mut self, f: &mut Flags<'_>) {
         f.field("arrival-seed", &mut self.arrival_seed);
         f.field("fault-seed", &mut self.fault_seed);
-        f.field("jobs", &mut self.n_jobs);
-        f.field("tenants", &mut self.n_tenants);
+        f.shrinking("jobs", &mut self.n_jobs, 1);
+        f.shrinking("tenants", &mut self.n_tenants, 1);
         f.field("pods", &mut self.n_pods);
         f.field("devices-per-pod", &mut self.devices_per_pod);
-        f.field("fault-windows", &mut self.n_fault_windows);
-        f.field("horizon", &mut self.horizon_s);
+        f.shrinking("fault-windows", &mut self.n_fault_windows, 0);
+        f.shrinking("horizon", &mut self.horizon_s, 1.0);
         f.field("msm-size", &mut self.msm_size);
         f.optional("byzantine-pod", &mut self.byzantine_pod);
         f.optional("lost-pod", &mut self.lost_pod);
+        f.field("partition-seed", &mut self.partition_seed);
+        f.shrinking("partition-windows", &mut self.n_partition_windows, 0);
     }
 
     fn run(&self) -> Run<FleetReport> {
-        let (jobs, config, outcome) = execute(self);
-        verdict(self, &jobs, &config, outcome)
+        let (jobs, config, outcome, journal) = execute(self);
+        verdict(self, &jobs, &config, outcome, &journal)
     }
 
     fn render(report: &FleetReport) -> String {
@@ -139,35 +156,6 @@ impl Scenario for FleetSoakSpec {
 
     fn golden_json(report: &FleetReport) -> String {
         report.to_detailed_json()
-    }
-
-    /// The pod-soak axes plus the pod-level fault classes (drop the
-    /// byzantine pod, drop the lost pod, shrink the tenant table).
-    fn shrink_candidates(&self) -> Vec<Self> {
-        let mut out = Vec::new();
-        if self.n_jobs > 1 {
-            out.push(Self { n_jobs: self.n_jobs / 2, ..*self });
-            out.push(Self { n_jobs: self.n_jobs - 1, ..*self });
-        }
-        if self.n_fault_windows > 0 {
-            out.push(Self { n_fault_windows: self.n_fault_windows / 2, ..*self });
-            out.push(Self { n_fault_windows: self.n_fault_windows - 1, ..*self });
-        }
-        if self.byzantine_pod.is_some() {
-            out.push(Self { byzantine_pod: None, ..*self });
-        }
-        if self.lost_pod.is_some() {
-            out.push(Self { lost_pod: None, ..*self });
-        }
-        if self.n_tenants > 1 {
-            out.push(Self { n_tenants: (self.n_tenants / 2).max(1), ..*self });
-        }
-        if self.horizon_s > 1.0 {
-            out.push(Self { horizon_s: self.horizon_s / 2.0, ..*self });
-        }
-        out.retain(|c| c != self);
-        out.dedup();
-        out
     }
 }
 
@@ -202,7 +190,8 @@ pub fn loss_time(spec: &FleetSoakSpec) -> f64 {
 }
 
 /// Builds the fleet chaos: per-pod randomized fault windows plus the
-/// spec's pod-level classes (whole-pod loss, byzantine pod).
+/// spec's fleet-level planes (whole-pod loss, byzantine pod, link
+/// partitions).
 pub fn build_fleet_chaos(spec: &FleetSoakSpec) -> FleetChaos {
     let mut chaos = FleetChaos {
         pods: (0..spec.n_pods)
@@ -217,7 +206,12 @@ pub fn build_fleet_chaos(spec: &FleetSoakSpec) -> FleetChaos {
             })
             .collect(),
         byzantine: Vec::new(),
-        partitions: PartitionSchedule::none(),
+        partitions: PartitionSchedule::random(
+            spec.partition_seed,
+            spec.n_partition_windows,
+            spec.n_pods,
+            spec.horizon_s,
+        ),
     };
     if let Some(pod) = spec.lost_pod {
         chaos.lose_pod(pod, loss_time(spec), spec.devices_per_pod);
@@ -234,28 +228,76 @@ pub fn build_fleet_chaos(spec: &FleetSoakSpec) -> FleetChaos {
 }
 
 /// Builds, places and executes one fleet scenario, unchecked: the
-/// arrival trace, the fleet configuration and everything the run
-/// produced.
+/// arrival trace, the fleet configuration, everything the run produced
+/// and the coordinator's durable journal.
 pub fn execute(
     spec: &FleetSoakSpec,
-) -> (Vec<JobSpec<Bn254G1>>, FleetConfig, FleetOutcome<Bn254G1>) {
+) -> (Vec<JobSpec<Bn254G1>>, FleetConfig, FleetOutcome<Bn254G1>, DurableState) {
     let jobs = build_fleet_jobs(spec);
     let config = fleet_config(spec);
-    let outcome =
-        FleetCoordinator::new(config.clone()).run(jobs.clone(), &build_fleet_chaos(spec));
-    (jobs, config, outcome)
+    let mut coordinator = FleetCoordinator::new(config.clone());
+    let outcome = coordinator.run(jobs.clone(), &build_fleet_chaos(spec));
+    (jobs, config, outcome, coordinator.durable().clone())
 }
 
-/// Checks one executed fleet scenario ([`check_fleet_invariants`]).
+/// Checks one executed fleet scenario: [`check_fleet_invariants`] over
+/// its streams and [`check_fleet_journal`] over its coordinator journal.
 pub fn verdict(
     spec: &FleetSoakSpec,
     jobs: &[JobSpec<Bn254G1>],
     config: &FleetConfig,
     outcome: FleetOutcome<Bn254G1>,
+    journal: &DurableState,
 ) -> Run<FleetReport> {
-    let violations = check_fleet_invariants(spec, jobs, &outcome, config);
+    let mut violations = check_fleet_invariants(spec, jobs, &outcome, config);
+    violations.within("coordinator journal", check_fleet_journal(journal, spec.n_pods));
     let n_events = outcome.events.len() + outcome.pod_events.len();
     Run { report: outcome.report, violations, n_events }
+}
+
+/// Checks a coordinator journal against the fencing rules:
+///
+/// * **partition-fencing-fold** — every record decodes and folds
+///   through [`FleetState`], whose fencing checks reject any hand-off
+///   or acceptance stamped with an expired epoch, any non-monotonic
+///   fence and any rejoin without a fence.
+/// * **partition-replay** — folding the same journal twice yields
+///   byte-identical states (recovery and anti-entropy rejoin are
+///   replayable).
+/// * **partition-rejoin** — no pod ends the run fenced: every window
+///   heals by the horizon, and the membership clock outlives lease and
+///   grace past the last heal.
+pub fn check_fleet_journal(journal: &DurableState, n_pods: usize) -> Violations {
+    let mut v = Violations::default();
+    let records = match decode_records::<FleetRecord>(journal) {
+        Ok(records) => records,
+        Err(err) => {
+            v.fail("partition-fencing-fold", format!("journal undecodable: {err:?}"));
+            return v;
+        }
+    };
+    // the coordinator journal never compacts: epochs are 1, 2, …
+    let fold = || -> Result<FleetState, String> {
+        let mut st = FleetState::new(&n_pods);
+        for (epoch, rec) in (1u64..).zip(&records) {
+            st.apply(epoch, rec, &n_pods)
+                .map_err(|err| format!("fold rejected journal epoch {epoch}: {err:?}"))?;
+        }
+        Ok(st)
+    };
+    match fold().and_then(|first| Ok((first, fold()?))) {
+        Err(detail) => v.fail("partition-fencing-fold", detail),
+        Ok((first, second)) => {
+            if first.to_bytes() != second.to_bytes() {
+                v.fail("partition-replay", "two folds of the same journal diverged".into());
+            }
+            for p in (0..n_pods).filter(|&p| first.fenced[p]) {
+                let detail = format!("pod {p} ended the run fenced (never rejoined)");
+                v.fail("partition-rejoin", detail);
+            }
+        }
+    }
+    v
 }
 
 /// One entry of the merged fleet timeline, ordered by time with
@@ -263,34 +305,50 @@ pub fn verdict(
 /// (a steal's queue-epoch reset precedes the dispatch it enables).
 enum Timeline<'a> {
     Fleet(&'a FleetEvent),
-    Pod(&'a ServiceEvent),
+    Pod(usize, &'a ServiceEvent),
 }
 
 impl Timeline<'_> {
     fn t_s(&self) -> f64 {
         match self {
             Timeline::Fleet(e) => e.t_s,
-            Timeline::Pod(e) => e.t_s,
+            Timeline::Pod(_, e) => e.t_s,
         }
     }
 
     fn fleet_first(&self) -> u8 {
         match self {
             Timeline::Fleet(_) => 0,
-            Timeline::Pod(_) => 1,
+            Timeline::Pod(..) => 1,
         }
     }
 }
 
-/// Checks the fleet invariants over the merged event streams:
+/// Checks the fleet invariants over the merged event streams. What is
+/// admitted or terminal at fleet scope is decided here, once, for every
+/// fleet run (cold, restored, partitioned):
+///
+/// * a job is **admitted** at the coordinator's first `Placed` (a
+///   restore's re-placement is a new queue epoch, not a second
+///   admission);
+/// * a new **queue epoch** opens at `Stolen`, `Replaced`, a later
+///   `Placed` and a pod's `Requeued`, and closes at a pod's
+///   `Dispatched`;
+/// * a job is **terminal** at `Verified`, or at its owner pod's
+///   `Failed`, `Shed` or door `Rejected` other than `PodPartitioned`
+///   (a degraded pod's refusal hands the job back to the coordinator).
+///
+/// Pod events count only on the job's current owner — the pod its last
+/// `Placed`, `Stolen` or `Replaced` names. A copy a fence left behind is
+/// the fencing epoch's to discard, whatever it does meanwhile.
 ///
 /// 1. **fleet-exactly-once** — every admitted job reaches exactly one
-///    fleet-terminal state: 2G2T-verified, failed, or shed. A pod-level
-///    `Completed` is *not* terminal until the coordinator verifies it —
-///    a byzantine completion is rejected and the job lives on.
+///    fleet-terminal state. A pod-level `Completed` is *not* terminal
+///    until the coordinator verifies it — a byzantine completion is
+///    rejected and the job lives on.
 /// 2. **fleet-conservation** — at every prefix of the merged timeline,
-///    `admitted ≥ verified + failed + shed`, and the gap drains to zero
-///    by the end of the run.
+///    `admitted ≥ terminated`, and the gap drains to zero by the end of
+///    the run.
 /// 3. **fleet-bit-exact** — every verified-accepted result equals the
 ///    fault-free single-GPU reference for its instance.
 /// 4. **fleet-starvation-bound** — no job waits in a queue longer than
@@ -300,8 +358,9 @@ impl Timeline<'_> {
 ///    2G2T check and ends the run fleet-quarantined.
 /// 6. **pod-loss** — the lost pod's pool ends fully breaker-open, and
 ///    no job is left queued behind it.
-/// 7. **fleet-completion-floor** — `accepted / admitted` stays at or
-///    above the shed-policy floor despite pod-level failures.
+/// 7. **fleet-completion-floor** — `accepted / placed` stays at or
+///    above the shed-policy floor despite pod-level failures and
+///    partitions.
 pub fn check_fleet_invariants(
     spec: &FleetSoakSpec,
     jobs: &[JobSpec<Bn254G1>],
@@ -315,35 +374,47 @@ pub fn check_fleet_invariants(
         .events
         .iter()
         .map(Timeline::Fleet)
-        .chain(outcome.pod_events.iter().map(|(_, e)| Timeline::Pod(e)))
+        .chain(outcome.pod_events.iter().map(|(p, e)| Timeline::Pod(*p, e)))
         .collect();
     timeline.sort_by(|a, b| {
         a.t_s().total_cmp(&b.t_s()).then(a.fleet_first().cmp(&b.fleet_first()))
     });
 
-    // 1, 2, 4: the shared ledger. A pod-level `Completed` is not
-    // terminal; `Verified` is, and it leaves no queue epoch open.
+    // 1, 2, 4: the shared ledger, fed as documented above.
     let mut ledger = Ledger::new(LedgerIds::FLEET, &by_id);
+    let mut owner: BTreeMap<u64, usize> = BTreeMap::new();
     for entry in &timeline {
         let v = &mut violations;
         match entry {
-            Timeline::Fleet(e) => match &e.kind {
-                // The job re-enters a queue under a fresh epoch.
-                FleetEventKind::Stolen { .. } | FleetEventKind::Replaced { .. } => {
+            Timeline::Fleet(e) => match (&e.kind, e.job) {
+                (FleetEventKind::Placed { pod }, Some(id)) => match owner.insert(id, *pod) {
+                    None => ledger.admit(e.job, e.t_s),
+                    Some(_) => ledger.requeue(e.job, e.t_s),
+                },
+                (
+                    FleetEventKind::Stolen { to, .. } | FleetEventKind::Replaced { to, .. },
+                    Some(id),
+                ) => {
+                    owner.insert(id, *to);
                     ledger.requeue(e.job, e.t_s);
                 }
-                FleetEventKind::Verified { .. } => ledger.terminate(v, e.job, e.t_s, false),
+                (FleetEventKind::Verified { .. }, _) => ledger.terminate(v, e.job, e.t_s, false),
                 _ => {}
             },
-            Timeline::Pod(e) => match &e.kind {
-                ServiceEventKind::Admitted { .. } => ledger.admit(e.job, e.t_s),
-                ServiceEventKind::Requeued { .. } => ledger.requeue(e.job, e.t_s),
-                ServiceEventKind::Dispatched { .. } => ledger.dispatch(v, e.job, e.t_s),
-                ServiceEventKind::Failed { .. } | ServiceEventKind::Shed { .. } => {
-                    ledger.terminate(v, e.job, e.t_s, true);
+            Timeline::Pod(pod, e) if e.job.and_then(|id| owner.get(&id)) == Some(pod) => {
+                match &e.kind {
+                    ServiceEventKind::Requeued { .. } => ledger.requeue(e.job, e.t_s),
+                    ServiceEventKind::Dispatched { .. } => ledger.dispatch(v, e.job, e.t_s),
+                    ServiceEventKind::Rejected {
+                        error: AdmissionError::PodPartitioned { .. },
+                    } => {}
+                    ServiceEventKind::Failed { .. }
+                    | ServiceEventKind::Shed { .. }
+                    | ServiceEventKind::Rejected { .. } => ledger.terminate(v, e.job, e.t_s, true),
+                    _ => {}
                 }
-                _ => {}
-            },
+            }
+            Timeline::Pod(..) => {}
         }
         ledger.check_prefix(v, entry.t_s());
     }
@@ -424,7 +495,8 @@ pub fn check_fleet_invariants(
         }
     }
 
-    // 7: the fleet-scope completion floor.
+    // 7: the fleet-scope completion floor (over `placed`: a degraded
+    // pod's refusal is re-placed, never re-admitted).
     if outcome.report.completion_rate() < MIN_COMPLETION_RATE {
         violations.fail(
             "fleet-completion-floor",
@@ -441,6 +513,7 @@ pub fn check_fleet_invariants(
 #[cfg(test)]
 mod tests {
     use distmsm_service::harness::shrink;
+    use distmsm_service::ShedReason;
 
     use super::*;
 
@@ -457,6 +530,8 @@ mod tests {
             msm_size: 16,
             byzantine_pod: Some(1),
             lost_pod: None,
+            partition_seed: 41,
+            n_partition_windows: 0,
         }
     }
 
@@ -465,7 +540,7 @@ mod tests {
     /// verified jobs appear to vanish, breaking fleet conservation and
     /// exactly-once termination.
     fn run_dropping_accepted(spec: &FleetSoakSpec) -> Run<FleetReport> {
-        let (jobs, config, mut outcome) = execute(spec);
+        let (jobs, config, mut outcome, journal) = execute(spec);
         let mut kept = 0u64;
         outcome.events.retain(|e| {
             if matches!(e.kind, FleetEventKind::Verified { .. }) {
@@ -475,7 +550,7 @@ mod tests {
                 true
             }
         });
-        verdict(spec, &jobs, &config, outcome)
+        verdict(spec, &jobs, &config, outcome, &journal)
     }
 
     #[test]
@@ -527,6 +602,48 @@ mod tests {
         );
         let replay = run_dropping_accepted(&min);
         assert!(!replay.violations.is_empty(), "reproducer must replay: {}", min.cli());
+    }
+
+    #[test]
+    fn partitioned_sabotage_reaches_the_fleet_ledger() {
+        let spec = crate::partition::LEASED_FENCED_FLEET;
+        let clean = spec.run();
+        assert!(clean.violations.is_empty(), "{:?}", clean.violations);
+        let out = run_dropping_accepted(&spec);
+        assert!(
+            out.violations.iter().any(|v| v.invariant == "fleet-conservation"),
+            "dropped verifications on a partitioned run must break fleet conservation: {:?}",
+            out.violations
+        );
+    }
+
+    /// A copy a fence left behind may still be shed on its partitioned
+    /// pod after the job moved on: only the owner's events count, so
+    /// that shed is no second terminal state — but the same shed on the
+    /// owner is.
+    #[test]
+    fn only_the_owner_pod_terminates_a_job() {
+        let spec = tiny();
+        let (jobs, config, mut outcome, _) = execute(&spec);
+        let verified = outcome
+            .events
+            .iter()
+            .find_map(|e| match e.kind {
+                FleetEventKind::Verified { pod } => Some((e.job, e.t_s, pod)),
+                _ => None,
+            })
+            .expect("the tiny fleet verifies jobs");
+        let (job, t_s, owner) = verified;
+        let shed_on = |pod: usize| {
+            let kind = ServiceEventKind::Shed { reason: ShedReason::Starvation };
+            (pod, ServiceEvent { t_s: t_s - 1e-6, job, tenant: None, kind })
+        };
+        outcome.pod_events.push(shed_on((owner + 1) % spec.n_pods));
+        let stale = check_fleet_invariants(&spec, &jobs, &outcome, &config);
+        assert!(stale.is_empty(), "a non-owner's shed is not a terminal: {stale:?}");
+        outcome.pod_events.push(shed_on(owner));
+        let twice = check_fleet_invariants(&spec, &jobs, &outcome, &config);
+        assert!(twice.iter().any(|v| v.invariant == "fleet-exactly-once"), "{twice:?}");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use std::collections::BTreeSet;
 
-use distmsm_comms::PartitionSchedule;
 use distmsm_ec::curves::Bn254G1;
 use distmsm_fleet::soak::{build_fleet_chaos, build_fleet_jobs, fleet_config};
 use distmsm_fleet::{
@@ -78,14 +77,11 @@ fn fleet_soak_events_and_counters_are_journal_views() {
 fn partition_soak_events_and_counters_are_journal_views() {
     let smoke = <PartitionSoakSpec as Scenario>::smoke();
     for i in 0..smoke.n_seeds {
-        let seed = smoke.partition_seed.wrapping_add(i as u64);
+        let partition_seed = smoke.fleet.partition_seed.wrapping_add(i as u64);
         for lost_pod in [None, smoke.fleet.lost_pod] {
-            let spec = FleetSoakSpec { lost_pod, ..smoke.fleet };
-            let mut chaos = build_fleet_chaos(&spec);
-            chaos.partitions =
-                PartitionSchedule::random(seed, smoke.n_windows, spec.n_pods, spec.horizon_s);
-            let what = format!("partition seed {seed} lost {lost_pod:?}");
-            check_fleet(fleet_config(&spec), &spec, &chaos, &what);
+            let spec = FleetSoakSpec { partition_seed, lost_pod, ..smoke.fleet };
+            let what = format!("partition seed {partition_seed} lost {lost_pod:?}");
+            check_fleet(fleet_config(&spec), &spec, &build_fleet_chaos(&spec), &what);
         }
     }
 }

@@ -27,7 +27,7 @@ fn lease_instants(timeline: &Timeline) -> Vec<&str> {
 #[test]
 fn leases_take_no_action_without_partitions() {
     session::begin();
-    let (_, _, outcome) = execute(&FleetSoakSpec::smoke());
+    let (_, _, outcome, _) = execute(&FleetSoakSpec::smoke());
     let timeline = session::end();
     let lease_records: Vec<_> = outcome
         .events

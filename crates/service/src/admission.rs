@@ -93,34 +93,26 @@ impl core::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// One tenant of the service: a named bounded queue with a dispatch
-/// weight.
+/// Maximum number of queued (admitted, not yet dispatched) jobs per
+/// tenant; an arrival past it is refused with
+/// [`AdmissionError::QueueFull`].
+pub const QUEUE_CAPACITY: usize = 8;
+
+/// One tenant of the service: a named bounded queue of
+/// [`QUEUE_CAPACITY`] jobs with a dispatch weight.
 #[derive(Clone, Debug)]
 pub struct TenantConfig {
     /// Display name (stable across runs; keys the per-tenant report).
     pub name: String,
-    /// Maximum number of queued (admitted, not yet dispatched) jobs.
-    pub queue_capacity: usize,
     /// Dispatch tie-break weight: among jobs with equal effective
     /// deadlines, higher-weight tenants go first.
     pub weight: f64,
 }
 
 impl TenantConfig {
-    /// A tenant with the given name, an 8-job queue and weight 1.
+    /// A tenant with the given name and weight 1.
     pub fn new(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            queue_capacity: 8,
-            weight: 1.0,
-        }
-    }
-
-    /// Sets the queue capacity.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap;
-        self
+        Self { name: name.to_string(), weight: 1.0 }
     }
 
     /// Sets the dispatch weight.

@@ -1,13 +1,14 @@
 //! The one soak harness under every soak in the workspace (`soak`,
 //! `fleet_soak`, `crash_soak`, `partition_soak`): the shared vocabulary
 //! ([`Violation`], [`Violations`], [`Run`]), the exactly-once /
-//! conservation / starvation-bound [`Ledger`], the bit-exact and
-//! from-the-trace checks, the seeded arrival-trace generator, and the
-//! [`Scenario`] trait with its two generic consumers — [`shrink`] here
-//! and `distmsm_bench::soak_main`.
+//! conservation / starvation-bound [`Ledger`], the bit-exact check, the
+//! seeded arrival-trace generator, and the [`Scenario`] trait with its
+//! two generic consumers — [`shrink`] here and
+//! `distmsm_bench::soak_main`.
 //!
-//! A new scenario costs its spec, its event `match` feeding the ledger,
-//! and its shrink candidates (DESIGN.md §20).
+//! A new scenario costs its spec (whose field listing also yields its
+//! CLI and its shrink candidates) and its event `match` feeding the
+//! ledger (DESIGN.md §20).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
@@ -318,24 +319,6 @@ pub fn bit_exact<'r>(
     }
 }
 
-/// Checks that accepted job ids are unique and come from the trace.
-pub fn unique_from_trace(
-    v: &mut Violations,
-    invariant: &'static str,
-    by_id: &ById<'_>,
-    accepted: impl Iterator<Item = u64>,
-) {
-    let mut seen = BTreeSet::new();
-    for id in accepted {
-        if !seen.insert(id) {
-            v.fail(invariant, format!("job {id} accepted more than once"));
-        }
-        if !by_id.contains_key(&id) {
-            v.fail(invariant, format!("accepted job {id} is not in the arrival trace"));
-        }
-    }
-}
-
 /// Extracts the value of `--flag value` or `--flag=value`.
 ///
 /// # Panics
@@ -359,15 +342,41 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// One walk over a spec's fields, either rendering them as CLI flags or
-/// overriding them from an argument list — a spec lists each field once
-/// in [`Scenario::flags`] and gets [`Scenario::cli`] and its inverse
-/// [`Scenario::from_args`] from the same listing.
+/// One walk over a spec's fields: rendering them as CLI flags,
+/// overriding them from an argument list, or shrinking one of them — a
+/// spec lists each field once in [`Scenario::flags`] and gets
+/// [`Scenario::cli`], its inverse [`Scenario::from_args`] and
+/// [`Scenario::shrink_candidates`] from the same listing.
 pub struct Flags<'a> {
-    /// `Some` when parsing, `None` when rendering into `out`.
-    args: Option<&'a [String]>,
+    walk: Walk<'a>,
     prefix: String,
     out: Vec<String>,
+}
+
+enum Walk<'a> {
+    Render,
+    Parse(&'a [String]),
+    /// Apply the `skip`-th smaller value the walk meets, then stop.
+    Shrink { skip: usize, applied: bool },
+}
+
+/// A field value the shrinker can reduce: its smaller candidates, in
+/// the order they are tried (halving first, the cheapest big step).
+pub trait Shrink: Copy + PartialOrd {
+    /// Strictly smaller values of `self` (called only above the floor).
+    fn smaller(self) -> Vec<Self>;
+}
+
+impl Shrink for usize {
+    fn smaller(self) -> Vec<Self> {
+        vec![self / 2, self - 1]
+    }
+}
+
+impl Shrink for f64 {
+    fn smaller(self) -> Vec<Self> {
+        vec![self / 2.0]
+    }
 }
 
 /// Parses `--flag`'s value when present.
@@ -381,33 +390,63 @@ fn parsed<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
 }
 
 impl<'a> Flags<'a> {
-    fn new(args: Option<&'a [String]>) -> Self {
-        Self { args, prefix: String::new(), out: Vec::new() }
+    fn new(walk: Walk<'a>) -> Self {
+        Self { walk, prefix: String::new(), out: Vec::new() }
+    }
+
+    /// In a shrink walk, offers the candidates `smaller` for one field:
+    /// applies the one the walk is looking for, if it is among them.
+    fn offer<T: Copy>(&mut self, value: &mut T, smaller: &[T]) {
+        if let Walk::Shrink { skip, applied: applied @ false } = &mut self.walk {
+            match smaller.get(*skip) {
+                Some(&v) => {
+                    *value = v;
+                    *applied = true;
+                }
+                None => *skip -= smaller.len(),
+            }
+        }
     }
 
     /// A required field: `--<name> <value>`.
     pub fn field<T: FromStr + Display>(&mut self, name: &str, value: &mut T) {
         let flag = format!("--{}{name}", self.prefix);
-        match self.args {
-            None => self.out.push(format!("{flag} {value}")),
-            Some(args) => {
+        match &mut self.walk {
+            Walk::Render => self.out.push(format!("{flag} {value}")),
+            Walk::Parse(args) => {
                 if let Some(v) = parsed(args, &flag) {
                     *value = v;
                 }
             }
+            Walk::Shrink { .. } => {}
         }
+    }
+
+    /// A required field the shrinker may reduce while it is above
+    /// `floor` (below it the scenario is meaningless or cannot run).
+    pub fn shrinking<T>(&mut self, name: &str, value: &mut T, floor: T)
+    where
+        T: FromStr + Display + Shrink,
+    {
+        let mut smaller = if *value > floor { value.smaller() } else { Vec::new() };
+        smaller.dedup();
+        self.offer(value, &smaller);
+        self.field(name, value);
     }
 
     /// An optional field: `--<name> <value>` sets it, `--no-<name>`
     /// clears it (and is what a `None` renders as, so a reproducer
-    /// never inherits the base spec's value).
+    /// never inherits the base spec's value). The shrinker clears it.
     pub fn optional(&mut self, name: &str, value: &mut Option<usize>) {
         let flag = format!("--{}{name}", self.prefix);
         let no_flag = format!("--no-{}{name}", self.prefix);
-        match self.args {
-            None => self.out.push(value.map_or(no_flag, |v| format!("{flag} {v}"))),
-            Some(args) if has_flag(args, &no_flag) => *value = None,
-            Some(args) => *value = parsed(args, &flag).or(*value),
+        let cleared: &[Option<usize>] = if value.is_some() { &[None] } else { &[] };
+        self.offer(value, cleared);
+        match &mut self.walk {
+            Walk::Render => self.out.push(value.map_or(no_flag, |v| format!("{flag} {v}"))),
+            Walk::Parse(args) if has_flag(args, &no_flag) => *value = None,
+            Walk::Parse(args) => *value = parsed(args, &flag).or(*value),
+            Walk::Shrink { .. } => {}
         }
     }
 
@@ -443,16 +482,31 @@ pub trait Scenario: Clone + PartialEq {
     /// The byte-stable JSON a golden file pins.
     fn golden_json(report: &Self::Report) -> String;
 
-    /// Strictly smaller specs to try in one shrink round.
+    /// Strictly smaller specs to try in one shrink round: each one
+    /// changes one field [`Scenario::flags`] marks as shrinking (a
+    /// [`Flags::shrinking`] value halved or decremented, an
+    /// [`Flags::optional`] cleared), in listing order.
     fn shrink_candidates(&self) -> Vec<Self> {
-        Vec::new()
+        let mut out = Vec::new();
+        for skip in 0.. {
+            let mut candidate = self.clone();
+            let mut f = Flags::new(Walk::Shrink { skip, applied: false });
+            candidate.flags(&mut f);
+            if !matches!(f.walk, Walk::Shrink { applied: true, .. }) {
+                break;
+            }
+            if candidate != *self && !out.contains(&candidate) {
+                out.push(candidate);
+            }
+        }
+        out
     }
 
     /// The spec as the binary's flags — the single rendering of a spec.
     /// Every field is emitted, so the line replays the same run from
     /// either base.
     fn cli(&self) -> String {
-        let mut f = Flags::new(None);
+        let mut f = Flags::new(Walk::Render);
         self.clone().flags(&mut f);
         f.out.join(" ")
     }
@@ -462,7 +516,7 @@ pub trait Scenario: Clone + PartialEq {
     /// one field.
     fn from_args(args: &[String]) -> Self {
         let mut spec = if has_flag(args, "--smoke") { Self::smoke() } else { Self::full() };
-        spec.flags(&mut Flags::new(Some(args)));
+        spec.flags(&mut Flags::new(Walk::Parse(args)));
         spec
     }
 }
@@ -511,8 +565,8 @@ mod tests {
     /// `a ≥ 5` and `b-odd` while `b` is odd.
     #[derive(Clone, Debug, PartialEq)]
     struct Toy {
-        a: u32,
-        b: u32,
+        a: usize,
+        b: usize,
         probe: Option<usize>,
     }
 
@@ -529,8 +583,8 @@ mod tests {
         }
 
         fn flags(&mut self, f: &mut Flags<'_>) {
-            f.field("a", &mut self.a);
-            f.field("b", &mut self.b);
+            f.shrinking("a", &mut self.a, 0);
+            f.shrinking("b", &mut self.b, 0);
             f.optional("probe", &mut self.probe);
         }
 
@@ -551,14 +605,6 @@ mod tests {
 
         fn golden_json(_: &()) -> String {
             "{}".into()
-        }
-
-        fn shrink_candidates(&self) -> Vec<Self> {
-            let mut out = vec![Self { a: self.a / 2, ..self.clone() }];
-            out.extend((self.a > 0).then(|| Self { a: self.a - 1, ..self.clone() }));
-            out.extend((self.b > 0).then(|| Self { b: self.b - 1, ..self.clone() }));
-            out.retain(|c| c != self);
-            out
         }
     }
 
@@ -604,12 +650,30 @@ mod tests {
     }
 
     #[test]
+    fn shrink_candidates_come_from_the_flag_listing() {
+        let toy = Toy { a: 8, b: 1, probe: Some(2) };
+        let got = toy.shrink_candidates();
+        let want = [
+            Toy { a: 4, ..toy.clone() },
+            Toy { a: 7, ..toy.clone() },
+            Toy { b: 0, ..toy.clone() },
+            Toy { probe: None, ..toy.clone() },
+        ];
+        assert_eq!(got, want, "halve then decrement each shrinking field, then clear the optional");
+        let floor = Toy { a: 0, b: 0, probe: None };
+        assert!(floor.shrink_candidates().is_empty(), "nothing is above its floor");
+        let outer = Outer { inner: Toy { a: 1, b: 0, probe: None }, scale: 0.5 };
+        let nested = outer.shrink_candidates();
+        assert_eq!(nested, [Outer { inner: Toy { a: 0, b: 0, probe: None }, scale: 0.5 }]);
+    }
+
+    #[test]
     fn shrink_keeps_only_candidates_violating_the_same_invariant() {
         // a=4 still violates `b-odd`, but the target is `a-big`: the
         // shrinker must stop at the smallest `a` that is still big,
         // and only then shrink `b` under the same target.
         let (min, run) = shrink(&Toy::smoke(), Toy::run, 100).expect("smoke violates");
-        assert_eq!(min, Toy { a: 5, b: 0, probe: Some(2) });
+        assert_eq!(min, Toy { a: 5, b: 0, probe: None });
         assert_eq!(ids(&run.violations), ["a-big"]);
     }
 

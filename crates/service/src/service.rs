@@ -17,7 +17,7 @@ use distmsm_gpu_sim::MultiGpuSystem;
 
 use distmsm_journal::{DurableState, JournalError};
 
-use crate::admission::{AdmissionError, TenantConfig};
+use crate::admission::{AdmissionError, TenantConfig, QUEUE_CAPACITY};
 use crate::breaker::{CircuitBreaker, PoolTransition};
 use crate::chaos::ChaosSchedule;
 use crate::job::{JobClass, JobSpec, ShedReason};
@@ -314,6 +314,9 @@ pub struct ProverService<C: Curve> {
     /// journaled locally and reconciled at rejoin — but sheds new
     /// arrivals with [`AdmissionError::PodPartitioned`].
     partitioned_since_s: Option<f64>,
+    /// Arrivals refused in degraded mode since the last
+    /// [`Self::drain_refused`]: the fleet's to re-place.
+    refused: Vec<JobSpec<C>>,
 }
 
 impl<C: Curve> ProverService<C> {
@@ -352,6 +355,7 @@ impl<C: Curve> ProverService<C> {
             arrivals: Vec::new(),
             wal,
             partitioned_since_s: None,
+            refused: Vec::new(),
         }
     }
 
@@ -650,13 +654,9 @@ impl<C: Curve> ProverService<C> {
 
     /// Total queued jobs over total queue capacity, in `[0, 1]`.
     fn pressure(&self) -> f64 {
-        let queued = self.total_queued();
-        let capacity: usize = self.config.tenants.iter().map(|t| t.queue_capacity).sum();
-        if capacity == 0 {
-            1.0
-        } else {
-            (queued as f64 / capacity as f64).min(1.0)
-        }
+        // `new` refuses an empty tenant table, so the capacity is > 0
+        let capacity = self.config.tenants.len() * QUEUE_CAPACITY;
+        (self.total_queued() as f64 / capacity as f64).min(1.0)
     }
 
     /// Runs the service to completion over a set of stamped jobs under a
@@ -746,6 +746,13 @@ impl<C: Curve> ProverService<C> {
     /// full completion list.
     pub fn drain_completed(&mut self) -> Vec<CompletedJob<C>> {
         std::mem::take(&mut self.completed)
+    }
+
+    /// Takes the arrivals refused with [`AdmissionError::PodPartitioned`]
+    /// since the last drain — jobs this pod never admitted, which the
+    /// fleet re-places elsewhere.
+    pub fn drain_refused(&mut self) -> Vec<JobSpec<C>> {
+        std::mem::take(&mut self.refused)
     }
 
     /// Jobs currently waiting across all tenant queues.
@@ -891,8 +898,8 @@ impl<C: Curve> ProverService<C> {
             Some(AdmissionError::MalformedInput { detail: violation.to_string() })
         } else if spec.class == JobClass::Batch && pressure >= SHED_PRESSURE {
             Some(AdmissionError::Shedding { tenant: tcfg.name.clone(), pressure })
-        } else if self.queues[tenant].len() >= tcfg.queue_capacity {
-            Some(AdmissionError::QueueFull { tenant: tcfg.name.clone(), capacity: tcfg.queue_capacity })
+        } else if self.queues[tenant].len() >= QUEUE_CAPACITY {
+            Some(AdmissionError::QueueFull { tenant: tcfg.name.clone(), capacity: QUEUE_CAPACITY })
         } else if let Some(deadline) = spec.deadline_s {
             let needed_s = self.admission_engine.estimate_seconds(spec.instance.len(), &self.curve);
             let available_s = deadline - self.clock_s;
@@ -906,6 +913,7 @@ impl<C: Curve> ProverService<C> {
         };
 
         if let Some(error) = error {
+            let refused = matches!(error, AdmissionError::PodPartitioned { .. });
             // Arrival + outcome ride one atomic journal record: a torn
             // write can lose the whole admission, never half of it.
             self.record(
@@ -918,6 +926,9 @@ impl<C: Curve> ProverService<C> {
                     outcome: AdmissionOutcome::Rejected { error },
                 },
             );
+            if refused {
+                self.refused.push(spec);
+            }
             return;
         }
 

@@ -91,10 +91,10 @@ impl Scenario for SoakSpec {
     fn flags(&mut self, f: &mut Flags<'_>) {
         f.field("arrival-seed", &mut self.arrival_seed);
         f.field("fault-seed", &mut self.fault_seed);
-        f.field("jobs", &mut self.n_jobs);
-        f.field("fault-windows", &mut self.n_fault_windows);
-        f.field("link-windows", &mut self.n_link_windows);
-        f.field("horizon", &mut self.horizon_s);
+        f.shrinking("jobs", &mut self.n_jobs, 1);
+        f.shrinking("fault-windows", &mut self.n_fault_windows, 0);
+        f.shrinking("link-windows", &mut self.n_link_windows, 0);
+        f.shrinking("horizon", &mut self.horizon_s, 1.0);
         f.field("devices", &mut self.n_devices);
         f.field("msm-size", &mut self.msm_size);
         f.optional("always-faulty", &mut self.always_faulty);
@@ -111,33 +111,6 @@ impl Scenario for SoakSpec {
 
     fn golden_json(report: &ServiceReport) -> String {
         report.to_detailed_json()
-    }
-
-    /// The cheapest reductions, one axis each: halve the trace, halve
-    /// the chaos, drop the probe device, halve the horizon.
-    fn shrink_candidates(&self) -> Vec<Self> {
-        let mut out = Vec::new();
-        if self.n_jobs > 1 {
-            out.push(Self { n_jobs: self.n_jobs / 2, ..*self });
-            out.push(Self { n_jobs: self.n_jobs - 1, ..*self });
-        }
-        if self.n_fault_windows > 0 {
-            out.push(Self { n_fault_windows: self.n_fault_windows / 2, ..*self });
-            out.push(Self { n_fault_windows: self.n_fault_windows - 1, ..*self });
-        }
-        if self.n_link_windows > 0 {
-            out.push(Self { n_link_windows: self.n_link_windows / 2, ..*self });
-            out.push(Self { n_link_windows: self.n_link_windows - 1, ..*self });
-        }
-        if self.always_faulty.is_some() {
-            out.push(Self { always_faulty: None, ..*self });
-        }
-        if self.horizon_s > 1.0 {
-            out.push(Self { horizon_s: self.horizon_s / 2.0, ..*self });
-        }
-        out.retain(|c| c != self);
-        out.dedup();
-        out
     }
 }
 

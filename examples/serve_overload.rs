@@ -36,8 +36,8 @@ fn main() {
         n_devices: 3,
         gpus_per_job: 2,
         tenants: vec![
-            TenantConfig::new("alice").with_weight(2.0).with_queue_capacity(6),
-            TenantConfig::new("bob").with_queue_capacity(4),
+            TenantConfig::new("alice").with_weight(2.0),
+            TenantConfig::new("bob"),
         ],
         ..ServiceConfig::default()
     };
