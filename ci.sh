@@ -67,7 +67,10 @@ if [[ -n "$SUMS" ]]; then
 fi
 
 echo "== cargo test -q --workspace =="
+# debug build: `ff` and `ec` are compiled at opt-level 3 (root Cargo.toml)
+SECONDS=0
 cargo test -q --workspace
+echo "cargo test --workspace wall time: ${SECONDS} s"
 
 # soak (seeded chaos, zero violations), fleet_soak (4 pods, 1024
 # tenants, byzantine + pod loss), crash_soak (journal kill points, torn

@@ -28,11 +28,11 @@
 //! soak and pinned in `BENCH_msm.json`'s `ckpt_rows`).
 
 use crate::analytic::CurveDesc;
-use crate::engine::{host_parallelism, DistMsm, MsmError};
+use crate::engine::{DistMsm, MsmError};
 use crate::plan::plan_slices;
 use crate::reduce::window_reduce;
 use distmsm_ec::serialize::{point_from_uncompressed, point_to_uncompressed, CanonicalBytes};
-use distmsm_ec::{Affine, Curve, MsmInstance, XyzzPoint};
+use distmsm_ec::{host_parallelism, Affine, Curve, MsmInstance, XyzzPoint};
 
 /// Modeled fixed latency of one durable checkpoint append, seconds.
 pub const CHECKPOINT_LATENCY_S: f64 = 100e-6;
@@ -228,7 +228,9 @@ impl DistMsm {
     where
         F: FnMut(&WindowCheckpoint<C>),
     {
-        let launch = self.launch(instance).map_err(CheckpointError::Engine)?;
+        let launch = self
+            .launch(&instance.points, &instance.scalars)
+            .map_err(CheckpointError::Engine)?;
         if cfg.interval == 0 {
             return Err(CheckpointError::ZeroInterval);
         }

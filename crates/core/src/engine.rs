@@ -22,7 +22,7 @@ mod timing;
 
 pub use crate::config::DistMsmConfig;
 pub use report::{MsmError, MsmReport, PhaseBreakdown};
-pub(crate) use slices::{gpu_threads, host_parallelism, Jobs, Launch, SliceOutcome};
+pub(crate) use slices::{gpu_threads, Jobs, Launch, SliceOutcome};
 pub(crate) use timing::{compose_timing, PhaseTimes};
 
 use crate::analytic::{CurveDesc, MsmEstimate};
@@ -30,7 +30,7 @@ use crate::plan::Slice;
 use crate::reduce::{cpu_seconds_for_padds, window_reduce};
 use crate::supervisor::{RecoveryReport, Supervisor};
 use distmsm_comms::{gather_to_host, run_collective, CommConfig, CommSchedule};
-use distmsm_ec::{Curve, MsmInstance, XyzzPoint};
+use distmsm_ec::{Affine, Curve, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::{CostModelConfig, MultiGpuSystem};
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -213,7 +213,23 @@ impl DistMsm {
         instance: &MsmInstance<C>,
         attempt: u32,
     ) -> Result<MsmReport<C>, MsmError> {
-        let launch = self.launch(instance)?;
+        self.execute_borrowed(&instance.points, &instance.scalars, attempt)
+    }
+
+    /// [`Self::execute_attempt`] over bases and scalars the caller already
+    /// holds: nothing is copied, so a prover runs its proving key's
+    /// queries in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::execute`].
+    pub fn execute_borrowed<C: Curve>(
+        &self,
+        points: &[Affine<C>],
+        scalars: &[C::Scalar],
+        attempt: u32,
+    ) -> Result<MsmReport<C>, MsmError> {
+        let launch = self.launch(points, scalars)?;
         let (s, n_windows) = (launch.s, launch.n_windows);
         let cpu_s = |ops| cpu_seconds_for_padds(ops, &launch.model, self.system.cpu.int_ops_per_sec);
 
@@ -647,7 +663,8 @@ mod tests {
         let model = EcKernelModel::new(C::Base::LIMBS32, engine.config.kernel_opts);
         let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, signed);
         let launch = Launch {
-            instance: inst,
+            points: &inst.points,
+            scalars: &inst.scalars,
             s,
             n_windows,
             n_buckets,

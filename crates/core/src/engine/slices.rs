@@ -13,7 +13,7 @@ use crate::scatter::{
     scatter_hierarchical, scatter_naive, ScatterKind, ScatterOutcome, SharedMemoryOverflow,
 };
 use distmsm_ec::batch::BatchAccumulator;
-use distmsm_ec::{Curve, FieldElement, MsmInstance, XyzzPoint};
+use distmsm_ec::{Affine, Curve, FieldElement, XyzzPoint};
 use distmsm_gpu_sim::{LaunchStats, MultiGpuSystem};
 use distmsm_kernel::EcKernelModel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,13 +35,6 @@ pub(crate) fn gpu_threads(
         config.block_size,
     );
     (u64::from(resident) * u64::from(d.sm_count)).max(1)
-}
-
-/// `std::thread::available_parallelism()`, read once per process: std
-/// re-reads the affinity mask and the cgroup quota files on every call.
-pub(crate) fn host_parallelism() -> usize {
-    static PARALLELISM: OnceLock<usize> = OnceLock::new();
-    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
 }
 
 /// Threads [`DistMsm::run_slices`] spawns beside its caller: none for one
@@ -70,7 +63,9 @@ pub(crate) struct SliceOutcome<C: Curve> {
 /// The per-execution context [`DistMsm::launch`] builds and every slice
 /// of the execution reads.
 pub(crate) struct Launch<'a, C: Curve> {
-    pub(crate) instance: &'a MsmInstance<C>,
+    /// The bases and scalars, borrowed from the caller for the execution.
+    pub(crate) points: &'a [Affine<C>],
+    pub(crate) scalars: &'a [C::Scalar],
     /// Window size.
     pub(crate) s: u32,
     /// Windows, counting the signed-digit carry window.
@@ -83,35 +78,36 @@ pub(crate) struct Launch<'a, C: Curve> {
 }
 
 impl DistMsm {
-    /// What every slice of one execution of `instance` shares, behind the
-    /// entry checks: the window shape this engine's configuration gives
-    /// the instance, the signed-digit recoding (done once, up front, like
-    /// the packed coefficient pre-pass; same memory-bound cost class) and
-    /// the kernel model.
+    /// What every slice of one execution over `points` and `scalars`
+    /// shares, behind the entry checks: the window shape this engine's
+    /// configuration gives the input, the signed-digit recoding (done
+    /// once, up front, like the packed coefficient pre-pass; same
+    /// memory-bound cost class) and the kernel model.
     pub(crate) fn launch<'a, C: Curve>(
         &self,
-        instance: &'a MsmInstance<C>,
+        points: &'a [Affine<C>],
+        scalars: &'a [C::Scalar],
     ) -> Result<Launch<'a, C>, MsmError> {
-        if instance.points.len() != instance.scalars.len() {
+        if points.len() != scalars.len() {
             return Err(MsmError::LengthMismatch {
-                points: instance.points.len(),
-                scalars: instance.scalars.len(),
+                points: points.len(),
+                scalars: scalars.len(),
             });
         }
-        if instance.is_empty() {
+        if points.is_empty() {
             return Err(MsmError::EmptyInstance);
         }
         let model = EcKernelModel::new(C::Base::LIMBS32, self.config.kernel_opts);
-        let (s, n_windows, n_buckets) = self.shape_for(instance.len(), &CurveDesc::of::<C>());
+        let (s, n_windows, n_buckets) = self.shape_for(points.len(), &CurveDesc::of::<C>());
         let digits = self.config.signed_digits.then(|| {
-            instance
-                .scalars
+            scalars
                 .iter()
                 .map(|k| crate::signed::recode_signed(k, s, C::SCALAR_BITS))
                 .collect()
         });
         Ok(Launch {
-            instance,
+            points,
+            scalars,
             s,
             n_windows,
             n_buckets,
@@ -150,7 +146,7 @@ impl DistMsm {
         slice: Slice,
         event: u64,
     ) -> Result<SliceOutcome<C>, MsmError> {
-        let Launch { instance, s, ref digits, gpu_threads, ref model, .. } = *launch;
+        let Launch { points, scalars, s, ref digits, gpu_threads, ref model, .. } = *launch;
         let kind = self.pick_scatter(&slice)?;
         let coeff_bytes = if self.config.packed_coefficients {
             4.0
@@ -168,14 +164,14 @@ impl DistMsm {
             )
             .map_err(MsmError::ScatterOverflow)?,
             (None, ScatterKind::Naive) => scatter_naive(
-                &instance.scalars,
+                scalars,
                 s,
                 &slice,
                 gpu_threads,
                 coeff_bytes,
             ),
             (None, ScatterKind::Hierarchical) => scatter_hierarchical(
-                &instance.scalars,
+                scalars,
                 s,
                 &slice,
                 &self.config.scatter_cfg,
@@ -187,7 +183,7 @@ impl DistMsm {
         let sum = bucket_sum_with(
             scratch,
             digits.is_some(),
-            &instance.points,
+            points,
             &scattered.buckets,
             tpb,
             model,

@@ -165,7 +165,7 @@ impl DistMsm {
         };
         let prepass = if self.config.packed_coefficients {
             crate::scatter::scalar_prepass_seconds(
-                launch.instance.len() as u64,
+                launch.points.len() as u64,
                 u64::from(C::SCALAR_BITS.div_ceil(8)),
                 self.system.devices[0].mem_bandwidth_gbps,
                 n_gpus,

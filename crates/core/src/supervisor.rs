@@ -25,10 +25,10 @@
 //!   scalar multiplication per partial instead of a full recompute.
 
 use crate::config::DistMsmConfig;
-use crate::engine::{host_parallelism, DistMsm, Jobs, Launch, MsmError, SliceOutcome};
+use crate::engine::{DistMsm, Jobs, Launch, MsmError, SliceOutcome};
 use crate::plan::{plan_slices, replan_slices, Slice};
 use crate::reduce::cpu_seconds_for_padds;
-use distmsm_ec::{straus, Curve, Scalar, XyzzPoint};
+use distmsm_ec::{host_parallelism, straus, Curve, Scalar, XyzzPoint};
 use distmsm_gpu_sim::fault::splitmix64;
 use distmsm_gpu_sim::{FaultPlan, MultiGpuSystem};
 use distmsm_kernel::EcKernelModel;

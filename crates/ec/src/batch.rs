@@ -26,7 +26,7 @@ use crate::traits::FieldElement;
 /// 1024 → −27 % / +4 %, 2048 → −30 % / +20 %, 4096 → −32 % / +40 %.
 /// 1024 is the last size before memory grows faster than time shrinks,
 /// and keeps the 25 %-bounded `peak_rss_mb` far from its bound.
-const GROUP_POINTS: usize = 1024;
+pub(crate) const GROUP_POINTS: usize = 1024;
 
 /// Fewest pairs for which a round's shared inversion pays for itself.
 ///
@@ -129,13 +129,27 @@ fn add_with_inverse<C: Curve>(a: &Affine<C>, b: &Affine<C>, inv: &C::Base) -> Af
 /// Exceptional cases (identity operands, doubling, cancellation) are
 /// handled inside the batch.
 pub fn batch_add_pairs<C: Curve>(pairs: &[(Affine<C>, Affine<C>)]) -> Vec<Affine<C>> {
-    let mut denoms: Vec<C::Base> = pairs.iter().map(|(a, b)| pair_denominator(a, b)).collect();
-    batch_inverse(&mut denoms);
-    pairs
-        .iter()
-        .zip(&denoms)
-        .map(|((a, b), inv)| add_with_inverse(a, b, inv))
-        .collect()
+    let mut out = vec![Affine::identity(); pairs.len()];
+    let pairs = pairs.iter().map(|(a, b)| (a, b));
+    batch_add_pairs_into(pairs, &mut out, &mut Vec::new(), &mut Vec::new());
+    out
+}
+
+/// [`batch_add_pairs`] into `out`, on caller scratch (`denoms` and
+/// `prefix` are overwritten), for callers that fill a pre-sized output
+/// block by block.
+pub(crate) fn batch_add_pairs_into<'a, C: Curve>(
+    pairs: impl Iterator<Item = (&'a Affine<C>, &'a Affine<C>)> + Clone,
+    out: &mut [Affine<C>],
+    denoms: &mut Vec<C::Base>,
+    prefix: &mut Vec<C::Base>,
+) {
+    denoms.clear();
+    denoms.extend(pairs.clone().map(|(a, b)| pair_denominator(a, b)));
+    batch_inverse_with(denoms, prefix);
+    for (o, ((a, b), inv)) in out.iter_mut().zip(pairs.zip(denoms.iter())) {
+        *o = add_with_inverse(a, b, inv);
+    }
 }
 
 /// Sums runs of affine points into XYZZ accumulators through at most
@@ -187,14 +201,16 @@ impl<C: Curve> BatchAccumulator<C> {
     }
 
     /// Sizes the scratch for a job of `points` points, exactly: room for
-    /// `min(points, GROUP_POINTS)` points and one denominator and one
-    /// running product per pair of them. Never shrinks.
+    /// `min(points, GROUP_POINTS)` points, as many runs, and one
+    /// denominator and one running product per pair of them, so that
+    /// `add` and `flush` allocate nothing. Never shrinks.
     pub fn reserve(&mut self, points: usize) {
         fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
             v.reserve_exact(total.saturating_sub(v.len()));
         }
         let group = points.min(GROUP_POINTS);
         reserve_total(&mut self.points, group);
+        reserve_total(&mut self.runs, group);
         reserve_total(&mut self.denoms, group / 2);
         reserve_total(&mut self.prefix, group / 2);
     }

@@ -330,8 +330,21 @@ impl<C: Curve> XyzzPoint<C> {
     /// trick) — how the *precomputation* tables and sampled MSM inputs are
     /// normalised without per-point inversions.
     pub fn batch_to_affine(points: &[Self]) -> Vec<Affine<C>> {
+        let mut out = vec![Affine::identity(); points.len()];
+        Self::batch_to_affine_into(points, &mut out, &mut Vec::with_capacity(points.len()));
+        out
+    }
+
+    /// [`Self::batch_to_affine`] into `out` (as long as `points`), on
+    /// caller scratch: `prefix` is overwritten with the running products.
+    pub(crate) fn batch_to_affine_into(
+        points: &[Self],
+        out: &mut [Affine<C>],
+        prefix: &mut Vec<C::Base>,
+    ) {
+        debug_assert_eq!(out.len(), points.len());
         // prefix products of the ZZ·ZZZ pairs, skipping identities
-        let mut prefix = Vec::with_capacity(points.len());
+        prefix.clear();
         let mut acc = C::Base::one();
         for p in points {
             prefix.push(acc);
@@ -340,9 +353,9 @@ impl<C: Curve> XyzzPoint<C> {
             }
         }
         let mut inv = acc.inverse().unwrap_or_else(C::Base::zero);
-        let mut out = vec![Affine::identity(); points.len()];
         for (i, p) in points.iter().enumerate().rev() {
             if p.is_identity() {
+                out[i] = Affine::identity();
                 continue;
             }
             // inv_zz_zzz = (ZZ_i · ZZZ_i)⁻¹
@@ -356,7 +369,6 @@ impl<C: Curve> XyzzPoint<C> {
                 infinity: false,
             };
         }
-        out
     }
 }
 

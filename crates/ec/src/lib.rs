@@ -15,6 +15,8 @@
 //!   technique) with Montgomery-trick shared inversions;
 //! * [`fixed_base`] — windowed table of one base's multiples, for the
 //!   many same-base products of a trusted setup;
+//! * [`par`] — the one host-parallelism figure every parallel loop of the
+//!   workspace sizes itself by;
 //! * [`straus()`] — interleaved-wNAF multi-scalar multiplication, for the
 //!   short linear combinations computed off the engine;
 //! * [`serialize`] — canonical field/point wire formats, compressed and
@@ -43,6 +45,7 @@ pub mod curve;
 pub mod curves;
 pub mod fixed_base;
 pub mod pairing;
+pub mod par;
 pub mod sample;
 pub mod serialize;
 pub mod traits;
@@ -50,6 +53,7 @@ pub mod validate;
 
 pub use curve::{straus, Affine, Curve, XyzzPoint};
 pub use fixed_base::FixedBaseTable;
+pub use par::host_parallelism;
 pub use sample::MsmInstance;
 pub use traits::{FieldElement, Scalar, SqrtField};
 pub use validate::{validate_msm_inputs, validate_point, InputViolation};

@@ -2,25 +2,73 @@
 //!
 //! The paper's evaluation feeds MSMs with `N` curve points and `N` random
 //! λ-bit scalars. Points here are generated as consecutive multiples of
-//! the generator (cheap: one PACC each, then one batched inversion), or —
-//! for curves whose base field supports square roots — by solving the
-//! curve equation at incrementing x-coordinates.
+//! the generator (cheap: a PACC chain for the first block, then one
+//! shared-inversion batched add per point of every later block, spread
+//! over the host's cores), or — for curves whose base field supports
+//! square roots — by solving the curve equation at incrementing
+//! x-coordinates.
 
+use crate::batch::{batch_add_pairs_into, GROUP_POINTS};
 use crate::curve::{Affine, Curve, XyzzPoint};
+use crate::par::{fill_in_parts, host_parallelism};
 use crate::traits::SqrtField;
 use rand::Rng;
 
-/// Returns `[G, 2G, …, nG]` as affine points using one PACC per point and
-/// a single batched inversion.
+/// Returns `[G, 2G, …, nG]` as canonical affine points.
+///
+/// The first block of `GROUP_POINTS` (1024) multiples is a PACC chain
+/// with one batched inversion; so are the block offsets `(r·1024)·G`.
+/// Every later block is `offset + [G, …, 1024G]`: one batched affine add
+/// per point (6 multiplies against PACC's 10) and one inversion per
+/// block. Blocks are split across [`host_parallelism`] threads, and the
+/// only `n`-sized buffer is the output itself.
 pub fn generator_multiples<C: Curve>(n: usize) -> Vec<Affine<C>> {
-    let g = C::generator();
+    generator_multiples_on(n, host_parallelism())
+}
+
+/// `[P, 2P, …, count·P]` in affine form: one PACC each, one inversion.
+fn chain<C: Curve>(p: &Affine<C>, count: usize) -> Vec<Affine<C>> {
     let mut acc = XyzzPoint::<C>::identity();
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..n {
-        acc.pacc(&g);
-        points.push(acc);
+    let multiples: Vec<_> = (0..count)
+        .map(|_| {
+            acc.pacc(p);
+            acc
+        })
+        .collect();
+    XyzzPoint::batch_to_affine(&multiples)
+}
+
+/// [`generator_multiples`] on at most `workers` threads.
+fn generator_multiples_on<C: Curve>(n: usize, workers: usize) -> Vec<Affine<C>> {
+    let first = chain(&C::generator(), n.min(GROUP_POINTS));
+    if n <= GROUP_POINTS {
+        return first;
     }
-    XyzzPoint::batch_to_affine(&points)
+    // offsets[r − 1] = (r·GROUP_POINTS)·G starts block r
+    let offsets = chain(&first[GROUP_POINTS - 1], n.div_ceil(GROUP_POINTS) - 1);
+    let scratch = || {
+        let denoms = Vec::with_capacity(GROUP_POINTS);
+        (denoms, Vec::with_capacity(GROUP_POINTS))
+    };
+    fill_in_parts(
+        n,
+        Affine::identity(),
+        GROUP_POINTS,
+        workers,
+        scratch,
+        |(denoms, prefix), start, part| {
+            for (i, block) in part.chunks_mut(GROUP_POINTS).enumerate() {
+                let r = start / GROUP_POINTS + i;
+                let bases = &first[..block.len()];
+                if r == 0 {
+                    block.copy_from_slice(bases);
+                } else {
+                    let pairs = bases.iter().map(|b| (&offsets[r - 1], b));
+                    batch_add_pairs_into(pairs, block, denoms, prefix);
+                }
+            }
+        },
+    )
 }
 
 /// Samples `n` distinct curve points by scanning x-coordinates from
@@ -110,7 +158,7 @@ impl<C: Curve> MsmInstance<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curves::{Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
+    use crate::curves::{Bls12377G1, Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
     use crate::traits::Scalar;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -123,6 +171,27 @@ mod tests {
             let expect = Bn254G1::generator().scalar_mul(&Scalar::from_u64(i as u64 + 1));
             assert_eq!(expect.to_affine(), *p);
         }
+    }
+
+    /// Block-batched multiples on 1, 2, 3 and 8 workers equal one PACC
+    /// chain, at every length that moves a block boundary.
+    fn multiples_equal_the_chain<C: Curve>() {
+        let expect = chain(&C::generator(), 3073);
+        for workers in [1, 2, 3, 8] {
+            for n in [0, 1, 1023, 1024, 1025, 2049, 3073] {
+                let got = generator_multiples_on::<C>(n, workers);
+                assert!(got == expect[..n], "n {n} workers {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn multiples_equal_the_chain_on_every_group() {
+        multiples_equal_the_chain::<Bn254G1>();
+        multiples_equal_the_chain::<Bn254G2>();
+        multiples_equal_the_chain::<Bls12377G1>();
+        multiples_equal_the_chain::<Bls12381G1>();
+        multiples_equal_the_chain::<Mnt4753G1>();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! e(A, B) = e(α, β) · e(Σ aᵢ·ICᵢ, γ) · e(C, δ).
 //! ```
 
-use crate::qap::qap_witness;
+use crate::qap::qap_quotient;
 use crate::r1cs::ConstraintSystem;
 use distmsm::engine::{DistMsm, MsmError};
 use distmsm_ec::batch::batch_inverse;
@@ -19,8 +19,8 @@ use distmsm_ec::curve::{Affine, Curve, XyzzPoint};
 use distmsm_ec::curves::{Bn254G1, Bn254G2};
 use distmsm_ec::fixed_base::FixedBaseTable;
 use distmsm_ec::pairing::pairing_product_is_one;
+use distmsm_ec::straus;
 use distmsm_ec::validate::in_prime_subgroup;
-use distmsm_ec::{straus, MsmInstance};
 use distmsm_ff::params::Bn254Fr;
 use distmsm_ff::Fp;
 use distmsm_gpu_sim::MultiGpuSystem;
@@ -173,28 +173,33 @@ pub fn setup<R: Rng + ?Sized>(
     let delta_inv = delta.inverse().expect("nonzero");
     let n_pub = cs.n_public() + 1; // constant-1 wire counts as public
 
-    let combined = |i: usize| -> Fr { beta * u[i] + alpha * v[i] + w[i] };
-    // every product below has one of two bases: one table each. The G2
-    // table is built in the room the G1 table, `u` and `w` give back, so
-    // the setup's peak is the keys themselves.
-    let g1 = FixedBaseTable::new(&Bn254G1::generator());
-    let a_query = g1.mul_many(u.iter().map(Fr::to_uint));
-    let b_g1_query = g1.mul_many(v.iter().map(Fr::to_uint));
-    let ic = g1.mul_many((0..n_pub).map(|i| (combined(i) * gamma_inv).to_uint()));
-    let l_query = g1.mul_many((n_pub..m).map(|i| (combined(i) * delta_inv).to_uint()));
-    // h query: τ^i · Z(τ)/δ for i in 0..d−1
-    let h_query = g1.mul_many(
-        successors(Some(z_tau * delta_inv), |&t| Some(t * tau))
-            .take(d - 1)
-            .map(|t| t.to_uint()),
-    );
-    let [alpha_g1, beta_g1, delta_g1] =
-        [alpha, beta, delta].map(|k| g1.mul(&k.to_uint()).to_affine());
-    drop((g1, u, w));
+    // every product below has one of two bases: one table each. Each
+    // query's scalars live beside its output and one accumulator per
+    // worker, so the largest query, G2's, runs first, before any G1 key
+    // exists, and `u`, `v` and `w` go as soon as their last query is
+    // done: the setup's peak is the keys themselves.
+    fn uints(fs: impl IntoIterator<Item = Fr>) -> Vec<<Bn254G1 as Curve>::Scalar> {
+        fs.into_iter().map(|f| f.to_uint()).collect()
+    }
     let g2 = FixedBaseTable::new(&Bn254G2::generator());
-    let b_g2_query = g2.mul_many(v.iter().map(Fr::to_uint));
+    let b_g2_query = g2.mul_many(&uints(v.iter().copied()));
     let [beta_g2, gamma_g2, delta_g2] =
         [beta, gamma, delta].map(|k| g2.mul(&k.to_uint()).to_affine());
+    drop(g2);
+    let g1 = FixedBaseTable::new(&Bn254G1::generator());
+    let combined = |i: usize| -> Fr { beta * u[i] + alpha * v[i] + w[i] };
+    let ic = g1.mul_many(&uints((0..n_pub).map(|i| combined(i) * gamma_inv)));
+    let l_query = g1.mul_many(&uints((n_pub..m).map(|i| combined(i) * delta_inv)));
+    let a_query = g1.mul_many(&uints(u.iter().copied()));
+    drop((u, w));
+    let b_g1_query = g1.mul_many(&uints(v.iter().copied()));
+    drop(v);
+    // h query: τ^i · Z(τ)/δ for i in 0..d−1
+    let h_query = g1.mul_many(&uints(
+        successors(Some(z_tau * delta_inv), |&t| Some(t * tau)).take(d - 1),
+    ));
+    let [alpha_g1, beta_g1, delta_g1] =
+        [alpha, beta, delta].map(|k| g1.mul(&k.to_uint()).to_affine());
 
     let pk = ProvingKey {
         alpha_g1,
@@ -241,10 +246,7 @@ pub fn prove<R: Rng + ?Sized>(
 
     let msm_g1 = |points: &[G1], scalars: &[<Bn254G1 as Curve>::Scalar]| {
         engine
-            .execute(&MsmInstance::<Bn254G1> {
-                points: points.to_vec(),
-                scalars: scalars.to_vec(),
-            })
+            .execute_borrowed(points, scalars, 0)
             .map(|r| r.result)
     };
 
@@ -258,10 +260,7 @@ pub fn prove<R: Rng + ?Sized>(
 
     // B = β + Σ zᵢ vᵢ(τ) + sδ (in G2, with a G1 copy for C)
     let b_g2 = engine
-        .execute(&MsmInstance::<Bn254G2> {
-            points: pk.b_g2_query.clone(),
-            scalars: z.clone(),
-        })?
+        .execute_borrowed(&pk.b_g2_query, &z, 0)?
         .result
         .padd(&pk.beta_g2.to_xyzz())
         .padd(&straus(&[(pk.delta_g2.to_xyzz(), s.to_uint())]));
@@ -270,17 +269,14 @@ pub fn prove<R: Rng + ?Sized>(
         .padd(&straus(&[(pk.delta_g1.to_xyzz(), s.to_uint())]));
 
     // C = Σ_priv zᵢ Lᵢ + h(τ)Z(τ)/δ + sA + rB − rsδ
-    let qap = qap_witness(cs);
-    let h_scalars: Vec<_> = qap
-        .h
+    let h_scalars: Vec<_> = qap_quotient(cs)
         .iter()
         .take(pk.h_query.len())
         .map(Fp::to_uint)
         .collect();
-    let priv_scalars: Vec<_> = z[pk.n_public..].to_vec();
     let mut c_acc = XyzzPoint::<Bn254G1>::identity();
     if !pk.l_query.is_empty() {
-        c_acc = c_acc.padd(&msm_g1(&pk.l_query, &priv_scalars)?);
+        c_acc = c_acc.padd(&msm_g1(&pk.l_query, &z[pk.n_public..])?);
     }
     if !pk.h_query.is_empty() {
         c_acc = c_acc.padd(&msm_g1(&pk.h_query[..h_scalars.len()], &h_scalars)?);

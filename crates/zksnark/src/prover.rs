@@ -13,7 +13,7 @@ use crate::r1cs::ConstraintSystem;
 use distmsm::engine::{DistMsm, DistMsmConfig, MsmError, MsmReport};
 use distmsm_ec::curves::{Bn254G1, Bn254G2};
 use distmsm_ec::sample::generator_multiples;
-use distmsm_ec::{Curve, MsmInstance, XyzzPoint};
+use distmsm_ec::{Affine, Curve, XyzzPoint};
 use distmsm_ff::params::Bn254Fr;
 use distmsm_ff::Fp;
 use distmsm_gpu_sim::MultiGpuSystem;
@@ -107,13 +107,14 @@ impl Groth16Prover {
     fn msm_with_retry<C: Curve>(
         &self,
         name: &str,
-        inst: &MsmInstance<C>,
+        points: &[Affine<C>],
+        scalars: &[C::Scalar],
         retries: &mut u32,
     ) -> Result<MsmReport<C>, MsmError> {
         let t0 = distmsm_telemetry::session::clock_s();
         let mut attempt = 0u32;
         let rep = loop {
-            match self.msm.execute_attempt(inst, attempt) {
+            match self.msm.execute_borrowed(points, scalars, attempt) {
                 Err(e) if e.is_fault() && attempt < self.retry_budget => {
                     attempt += 1;
                     *retries += 1;
@@ -153,38 +154,11 @@ impl Groth16Prover {
             qap.h.iter().map(Fp::to_uint).collect();
 
         let mut msm_retries = 0u32;
-        let a_msm = self.msm_with_retry(
-            "msm:a(G1)",
-            &MsmInstance::<Bn254G1> {
-                points: g1_bases[..m].to_vec(),
-                scalars: z.clone(),
-            },
-            &mut msm_retries,
-        )?;
-        let b_msm = self.msm_with_retry(
-            "msm:b(G2)",
-            &MsmInstance::<Bn254G2> {
-                points: g2_bases,
-                scalars: z.clone(),
-            },
-            &mut msm_retries,
-        )?;
-        let c_base = self.msm_with_retry(
-            "msm:c(G1)",
-            &MsmInstance::<Bn254G1> {
-                points: g1_bases[..m].to_vec(),
-                scalars: z,
-            },
-            &mut msm_retries,
-        )?;
-        let h_msm = self.msm_with_retry(
-            "msm:h(G1)",
-            &MsmInstance::<Bn254G1> {
-                points: g1_bases[..d].to_vec(),
-                scalars: h_scalars,
-            },
-            &mut msm_retries,
-        )?;
+        let a_msm = self.msm_with_retry("msm:a(G1)", &g1_bases[..m], &z, &mut msm_retries)?;
+        let b_msm = self.msm_with_retry("msm:b(G2)", &g2_bases, &z, &mut msm_retries)?;
+        let c_base = self.msm_with_retry("msm:c(G1)", &g1_bases[..m], &z, &mut msm_retries)?;
+        let h_msm =
+            self.msm_with_retry("msm:h(G1)", &g1_bases[..d], &h_scalars, &mut msm_retries)?;
 
         let proof = Proof {
             a: a_msm.result,

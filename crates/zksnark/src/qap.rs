@@ -36,53 +36,8 @@ pub struct QapWitness<P: FpParams<N>, const N: usize> {
 pub fn qap_witness<P: FpParams<N>, const N: usize>(
     cs: &ConstraintSystem<P, N>,
 ) -> QapWitness<P, N> {
-    let d = cs.n_constraints().next_power_of_two().max(2);
-    let log_d = d.trailing_zeros();
-    let domain = NttDomain::<P, N>::new(log_d).expect("two-adicity too small for circuit");
-
-    let mut az = vec![Fp::ZERO; d];
-    let mut bz = vec![Fp::ZERO; d];
-    let mut cz = vec![Fp::ZERO; d];
-    for (k, c) in cs.constraints().iter().enumerate() {
-        az[k] = cs.eval_lc(&c.a);
-        bz[k] = cs.eval_lc(&c.b);
-        cz[k] = cs.eval_lc(&c.c);
-    }
-
-    // interpolate to coefficients (3 inverse NTTs)
-    let mut a_poly = az.clone();
-    let mut b_poly = bz.clone();
-    let mut c_poly = cz.clone();
-    domain.inverse(&mut a_poly);
-    domain.inverse(&mut b_poly);
-    domain.inverse(&mut c_poly);
-
-    // evaluate on the coset g·H where Z(x) = x^d − 1 is invertible
-    let g = multiplicative_shift::<P, N>();
-    let mut a_cos = a_poly;
-    let mut b_cos = b_poly;
-    let mut c_cos = c_poly;
-    domain.coset_forward(&mut a_cos, g);
-    domain.coset_forward(&mut b_cos, g);
-    domain.coset_forward(&mut c_cos, g);
-
-    // h|coset = (az·bz − cz)/Z, with Z constant on the coset
-    let z_inv = domain
-        .vanishing_on_coset(g)
-        .inverse()
-        .expect("Z nonzero off the domain");
-    let mut h = Vec::with_capacity(d);
-    for i in 0..d {
-        h.push((a_cos[i] * b_cos[i] - c_cos[i]) * z_inv);
-    }
-    domain.coset_inverse(&mut h, g);
-    // h has degree d − 2 for a satisfied system; the top coefficient must
-    // vanish (this is the quotient-exactness check).
-    debug_assert!(
-        h.last().is_none_or(Fp::is_zero),
-        "system unsatisfied: (az·bz − cz) is not divisible by Z"
-    );
-
+    let (domain, [az, bz, cz]) = evaluations(cs);
+    let h = quotient(&domain, [az.clone(), bz.clone(), cz.clone()]);
     QapWitness {
         az,
         bz,
@@ -91,6 +46,69 @@ pub fn qap_witness<P: FpParams<N>, const N: usize>(
         domain,
         ntt_count: 3 + 3 + 1, // 3 iNTT + 3 coset NTT + 1 coset iNTT
     }
+}
+
+/// [`QapWitness::h`] alone — all a Groth16 proof reads of the QAP — with
+/// three size-`d` vectors live where [`qap_witness`] holds seven.
+///
+/// # Panics
+///
+/// As [`qap_witness`].
+pub fn qap_quotient<P: FpParams<N>, const N: usize>(
+    cs: &ConstraintSystem<P, N>,
+) -> Vec<Fp<P, N>> {
+    let (domain, evaluations) = evaluations(cs);
+    quotient(&domain, evaluations)
+}
+
+/// The constraint domain and `az`, `bz`, `cz` on it, zero padded.
+fn evaluations<P: FpParams<N>, const N: usize>(
+    cs: &ConstraintSystem<P, N>,
+) -> (NttDomain<P, N>, [Vec<Fp<P, N>>; 3]) {
+    let d = cs.n_constraints().next_power_of_two().max(2);
+    let log_d = d.trailing_zeros();
+    let domain = NttDomain::<P, N>::new(log_d).expect("two-adicity too small for circuit");
+    let mut evaluations = [(); 3].map(|_| vec![Fp::ZERO; d]);
+    for (k, c) in cs.constraints().iter().enumerate() {
+        for (e, lc) in evaluations.iter_mut().zip([&c.a, &c.b, &c.c]) {
+            e[k] = cs.eval_lc(lc);
+        }
+    }
+    (domain, evaluations)
+}
+
+/// The coefficients of `h = (az·bz − cz)/Z`, computed in place in the
+/// three evaluation vectors (7 NTTs).
+fn quotient<P: FpParams<N>, const N: usize>(
+    domain: &NttDomain<P, N>,
+    [mut a, mut b, mut c]: [Vec<Fp<P, N>>; 3],
+) -> Vec<Fp<P, N>> {
+    // interpolate to coefficients, then evaluate on the coset g·H where
+    // Z(x) = x^d − 1 is invertible
+    let g = multiplicative_shift::<P, N>();
+    for v in [&mut a, &mut b, &mut c] {
+        domain.inverse(v);
+        domain.coset_forward(v, g);
+    }
+
+    // h|coset = (az·bz − cz)/Z, with Z constant on the coset
+    let z_inv = domain
+        .vanishing_on_coset(g)
+        .inverse()
+        .expect("Z nonzero off the domain");
+    for ((a, b), c) in a.iter_mut().zip(&b).zip(&c) {
+        *a = (*a * *b - *c) * z_inv;
+    }
+    drop((b, c));
+    let mut h = a;
+    domain.coset_inverse(&mut h, g);
+    // h has degree d − 2 for a satisfied system; the top coefficient must
+    // vanish (this is the quotient-exactness check).
+    debug_assert!(
+        h.last().is_none_or(Fp::is_zero),
+        "system unsatisfied: (az·bz − cz) is not divisible by Z"
+    );
+    h
 }
 
 /// A coset shift: any element outside the 2^s-torsion; the field's small
@@ -159,6 +177,13 @@ mod tests {
         w.h[0] += distmsm_ff::Fp::ONE;
         let tau = distmsm_ff::Fp::random(&mut rng);
         assert!(!check_qap_identity(&w, tau));
+    }
+
+    #[test]
+    fn quotient_alone_equals_the_witness_quotient() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let cs = synthetic_circuit::<Bn254Fr, 4, _>(100, &mut rng);
+        assert_eq!(qap_quotient(&cs), qap_witness(&cs).h);
     }
 
     #[test]

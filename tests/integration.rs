@@ -4,7 +4,9 @@ use distmsm::baseline::BestGpuBaseline;
 use distmsm::engine::{DistMsm, DistMsmConfig};
 use distmsm::scatter::ScatterKind;
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
-use distmsm_ec::{Curve, MsmInstance, Scalar, XyzzPoint};
+use distmsm_ec::sample::generator_multiples;
+use distmsm_ec::validate::order_minus_one;
+use distmsm_ec::{Curve, FixedBaseTable, MsmInstance, Scalar, XyzzPoint};
 use distmsm_ff::params::Bn254Fr;
 use distmsm_ff::Fp;
 use distmsm_gpu_sim::MultiGpuSystem;
@@ -166,4 +168,49 @@ fn single_point_msm() {
         engine.execute(&inst).unwrap().result,
         inst.points[0].scalar_mul(&inst.scalars[0])
     );
+}
+
+/// Both point generators on the host's own worker count: block-batched
+/// generator multiples equal a PACC chain past two block boundaries, and
+/// chunked fixed-base products (0, 1, r − 1 and identities at chunk
+/// boundaries and inside chunks among them) equal their
+/// per-product PACC chains past two chunk boundaries, on G1 and G2.
+#[test]
+fn point_generators_match_their_pacc_chains() {
+    fn check<C: Curve>(n_multiples: usize, n_products: usize, seed: u64) {
+        let g = C::generator();
+        let mut acc = XyzzPoint::<C>::identity();
+        let chain: Vec<_> = (0..n_multiples)
+            .map(|_| {
+                acc.pacc(&g);
+                acc.to_affine()
+            })
+            .collect();
+        assert!(generator_multiples::<C>(n_multiples) == chain);
+
+        let table = FixedBaseTable::new(&g);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ks: Vec<_> = (0..n_products)
+            .map(|_| C::random_scalar(&mut rng))
+            .collect();
+        // zeros are identity products: every fifth, and either side of
+        // the first chunk's end (a chunk is 256 products)
+        for k in ks.iter_mut().step_by(5) {
+            *k = C::Scalar::zero();
+        }
+        ks[254..=256].fill(C::Scalar::zero());
+        ks[..3].copy_from_slice(&[
+            C::Scalar::zero(),
+            C::Scalar::from_u64(1),
+            order_minus_one::<C>(),
+        ]);
+        let products = table.mul_many(&ks);
+        assert_eq!(products.len(), n_products);
+        for (k, p) in ks.iter().zip(&products) {
+            assert_eq!(*p, table.mul(k).to_affine());
+        }
+        assert_eq!(products[2], g.neg());
+    }
+    check::<Bn254G1>(2 * 1024 + 1, 2 * 256 + 3, 1008);
+    check::<Bn254G2>(1024 + 1, 256 + 3, 1009);
 }
