@@ -30,6 +30,13 @@ echo "== cargo build --release --workspace =="
 # one feature resolution: every later step runs the binaries built here
 cargo build --release --workspace
 
+echo "== cargo test --release -p distmsm-ff -p distmsm-ec (the arithmetic the benchmark measures) =="
+# the optimised build, debug_asserts compiled out: the code every host
+# timing runs, checked against its oracles
+SECONDS=0
+cargo test --release -q -p distmsm-ff -p distmsm-ec
+echo "cargo test --release ff + ec wall time: ${SECONDS} s"
+
 echo "== one build: no cargo feature may creep back =="
 if grep -rn 'cfg(.*feature' crates --include='*.rs' ||
     grep -n '^\[features\]\|optional = true' crates/*/Cargo.toml; then

@@ -56,7 +56,7 @@ pub const PANIC_CEILINGS: [(&str, usize); 12] = [
     ("kernel", 2),
     ("service", 3),
     ("telemetry", 5),
-    ("zksnark", 10),
+    ("zksnark", 8),
 ];
 
 /// Trigger tokens are assembled at runtime so this file's own string

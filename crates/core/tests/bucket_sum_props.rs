@@ -90,13 +90,18 @@ fn bucket(style: u32, len: usize, signed: bool, rng: &mut StdRng) -> Vec<u32> {
 
 /// Bucket-length lists around the kernel's two constants: a 1024-point
 /// group (boundaries inside, at the end of, and one past a bucket) and a
-/// 128-pair round (one bucket of 255–258 points is 127–129 pairs).
+/// 64-pair round (one bucket of 127–130 points is 63–65 pairs, and one of
+/// 255–258 points halves to 127–129 points in its first round).
 fn length_lists(rng: &mut StdRng) -> Vec<Vec<usize>> {
     let mut lists: Vec<Vec<usize>> = vec![
         vec![],
         vec![0, 0, 0],
         vec![1],
         vec![0, 1, 0, 2, 1],
+        vec![127],
+        vec![128],
+        vec![129],
+        vec![130],
         vec![255],
         vec![256],
         vec![257],

@@ -25,21 +25,26 @@ use crate::traits::FieldElement;
 /// `peak_rss_mb`, medians of 3 and 5 runs): 512 → −22 % / +3 %,
 /// 1024 → −27 % / +4 %, 2048 → −30 % / +20 %, 4096 → −32 % / +40 %.
 /// 1024 is the last size before memory grows faster than time shrinks,
-/// and keeps the 25 %-bounded `peak_rss_mb` far from its bound.
+/// and keeps the 25 %-bounded `peak_rss_mb` far from its bound. Those
+/// figures were taken with a 520-multiply inversion; at today's ≈ 170 (see
+/// `MIN_ROUND_PAIRS`) a full round's inversion is ≈ 6 % of its ≈ 512
+/// adds, so a larger group would buy even less.
 pub(crate) const GROUP_POINTS: usize = 1024;
 
 /// Fewest pairs for which a round's shared inversion pays for itself.
 ///
 /// A batched add spends 6 field multiplies where PACC spends 10, and a
-/// BN254 base-field inversion costs ≈ 520 multiplies
-/// (`ff.fp_inverse_us.l4` 10.9 µs over `ff.mont_mul_cios_ns.l4` 21 ns), so
-/// a round breaks even at 520 / 4 = 130 pairs. The optimum is flat: 32,
-/// 64, 128 and 256 measured within 2 % of each other on all three MSM
-/// workloads, because a full scratch almost always offers several hundred
-/// pairs and the cut-over only decides the last few rounds of a slice.
-/// Below it everything goes to PACC, which is why a slice of a few dozen
-/// points never inverts at all.
-const MIN_ROUND_PAIRS: usize = 128;
+/// BN254 base-field inversion (a binary extended Euclid) costs ≈ 170
+/// multiplies (`ff.fp_inverse_us.l4` ≈ 3.7 µs over
+/// `ff.mont_mul_cios_ns.l4` ≈ 22 ns), so a round breaks even at
+/// 170 / 4 ≈ 43 pairs; 64 is the first power of two past it. Measured on
+/// all three MSM workloads, 32 and 64 are within the run-to-run spread of
+/// each other and 128 reads slower on `groth16_4k` and
+/// `msm_bls381_sliced`: a full scratch almost always offers several
+/// hundred pairs, and the cut-over only decides the last few rounds of a
+/// slice. Below it everything goes to PACC, which is why a slice of a few
+/// dozen points never inverts at all.
+const MIN_ROUND_PAIRS: usize = 64;
 
 /// Inverts every nonzero element in place with a single field inversion
 /// (zeros are left untouched). Returns the number of inverted elements.
@@ -163,7 +168,7 @@ pub(crate) fn batch_add_pairs_into<'a, C: Curve>(
 /// is down to one point is folded into its accumulator and leaves the
 /// scratch; the room is refilled with new points, so rounds stay full
 /// while earlier runs keep halving beside later ones. Whenever a round
-/// would have fewer than `MIN_ROUND_PAIRS` (128) pairs, every queued point is
+/// would have fewer than `MIN_ROUND_PAIRS` (64) pairs, every queued point is
 /// folded with [`XyzzPoint::pacc`] instead — so a job too small for a
 /// single round is a plain PACC chain in input order.
 ///
@@ -302,7 +307,8 @@ impl<C: Curve> BatchAccumulator<C> {
 }
 
 /// Sums a set of affine points on a [`BatchAccumulator`]: batched rounds
-/// while they pay, a PACC fold for the rest.
+/// while they pay (`MIN_ROUND_PAIRS` = 64 pairs or more, so a set of
+/// fewer than 128 points is a plain PACC chain), a PACC fold for the rest.
 pub fn sum_affine_batched<C: Curve>(points: &[Affine<C>]) -> XyzzPoint<C> {
     let mut sum = [XyzzPoint::identity()];
     let mut acc = BatchAccumulator::new();

@@ -124,7 +124,7 @@ impl<P: FpParams<N>, const N: usize> FieldElement for Fp2<P, N> {
 /// Scalar representation: a fixed-width integer sliced into Pippenger
 /// windows.
 pub trait Scalar:
-    'static + Copy + Clone + core::fmt::Debug + Send + Sync + PartialEq + Eq + Default
+    'static + Copy + Clone + core::fmt::Debug + Send + Sync + Eq + Ord + Default
 {
     /// Extracts `width ≤ 64` bits starting at `lo` (zero past the end).
     fn window(&self, lo: u32, width: u32) -> u64;

@@ -91,9 +91,10 @@ pub fn in_prime_subgroup<C: Curve>(p: &Affine<C>) -> bool {
     p.scalar_mul(&order_minus_one::<C>()) == p.neg().to_xyzz()
 }
 
-/// Is `s` the canonical (`< r`) encoding of its residue class?
+/// Is `s` the canonical (`< r`) encoding of its residue class? One
+/// comparison with `r − 1`, whatever `s` holds.
 pub fn scalar_is_canonical<C: Curve>(s: &C::Scalar) -> bool {
-    C::field_to_scalar(&C::scalar_to_field(s)) == *s
+    *s <= order_minus_one::<C>()
 }
 
 /// Validates one point: on-curve, then in-subgroup.

@@ -6,9 +6,10 @@
 //! at the API boundary ([`Fp::from_uint`] / [`Fp::to_uint`]).
 
 use crate::mont::{
-    add_mod, compute_r, compute_r2, mont_inv64, mont_mul_cios, mont_mul_sos, sub_mod, two_adicity,
+    add_mod, carry_free, compute_r, compute_r2, mont_inv64, mont_mul_cios, mont_mul_sos,
+    mont_reduce_sos, sub_mod, two_adicity,
 };
-use crate::uint::Uint;
+use crate::uint::{mac, Uint};
 use core::marker::PhantomData;
 use rand::Rng;
 
@@ -23,8 +24,21 @@ use rand::Rng;
 pub trait FpParams<const N: usize>:
     'static + Sized + Copy + Clone + Send + Sync + core::fmt::Debug + PartialEq + Eq
 {
-    /// The prime modulus. Must be odd and leave at least one spare bit in
-    /// the top limb.
+    /// The prime modulus. Must be odd and leave the top bit of its top
+    /// limb clear ([`crate::mont::carry_free`]): every constructor of
+    /// [`Fp`] refuses to compile otherwise.
+    ///
+    /// ```compile_fail
+    /// use distmsm_ff::{Fp, FpParams, Uint};
+    ///
+    /// #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    /// struct NoHeadroom;
+    /// impl FpParams<1> for NoHeadroom {
+    ///     const MODULUS: Uint<1> = Uint([0xffff_ffff_ffff_ffc5]); // 2^64 − 59
+    ///     const NAME: &'static str = "no headroom";
+    /// }
+    /// let _ = Fp::<NoHeadroom, 1>::ONE;
+    /// ```
     const MODULUS: Uint<N>;
     /// Human-readable field name (used in diagnostics and reports).
     const NAME: &'static str;
@@ -61,6 +75,13 @@ pub struct Fp<P: FpParams<N>, const N: usize> {
 }
 
 impl<P: FpParams<N>, const N: usize> Fp<P, N> {
+    /// The compile-time form of the precondition on [`FpParams::MODULUS`]
+    /// that [`mont_mul_cios`] relies on.
+    const CARRY_FREE: () = assert!(
+        carry_free(&P::MODULUS),
+        "the modulus must leave the top bit of its top limb clear"
+    );
+
     /// The additive identity.
     pub const ZERO: Self = Self::from_mont(Uint::ZERO);
 
@@ -87,6 +108,7 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
     /// directly.
     #[inline]
     pub const fn from_mont(repr: Uint<N>) -> Self {
+        let () = Self::CARRY_FREE;
         Self {
             repr,
             _params: PhantomData,
@@ -99,14 +121,12 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
         &self.repr
     }
 
-    /// Converts a canonical integer into the field, reducing if necessary.
+    /// Converts an integer into the field, reducing it modulo `p`.
+    ///
+    /// One product by `R²` for any `v < 2^(64N)`: [`mont_mul_cios`] takes a
+    /// full-width first operand.
     pub fn from_uint(v: &Uint<N>) -> Self {
-        let mut v = *v;
-        while !v.lt(&P::MODULUS) {
-            let (d, _) = v.borrowing_sub(&P::MODULUS);
-            v = d;
-        }
-        Self::from_mont(mont_mul_cios(&v, &P::R2, &P::MODULUS, P::INV))
+        Self::from_mont(mont_mul_cios(v, &P::R2, &P::MODULUS, P::INV))
     }
 
     /// Converts a small integer into the field.
@@ -137,10 +157,12 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
         Self::from_mont(add_mod(&self.repr, &self.repr, &P::MODULUS))
     }
 
-    /// Squares the element.
+    /// Squares the element: each cross product once, doubled, plus the
+    /// diagonal ([`Uint::widening_square`]), then one reduction.
     #[inline]
     pub fn square(&self) -> Self {
-        *self * *self
+        let (lo, hi) = self.repr.widening_square();
+        Self::from_mont(mont_reduce_sos(&lo, &hi, &P::MODULUS, P::INV))
     }
 
     /// Montgomery multiplication via the SOS method (paper Algorithm 2),
@@ -168,14 +190,43 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
 
     /// Multiplicative inverse, or `None` for zero.
     ///
-    /// Uses Fermat's little theorem (`a^(p-2)`), which is branch-free and
-    /// correct for any prime modulus.
+    /// A binary extended Euclid on the limbs: `(u, v)` starts at
+    /// `(aR, p)` and the cofactors `(b, c)` at `(R², 0)`, keeping
+    /// `b·aR ≡ u·R²` and `c·aR ≡ v·R²`; each step strips the factors of 2
+    /// from `u` or `v` (halving its cofactor modulo `p`) and subtracts the
+    /// smaller from the larger. When `u = 1`, `b = a⁻¹R`, the Montgomery
+    /// form of the inverse.
+    ///
+    /// **Variable-time**: the steps taken depend on `a`. Public values
+    /// (curve points, proof elements, pairing values, NTT constants) and
+    /// secrets blinded by an independent random factor may reach it; a
+    /// bare secret must not (DESIGN.md §26, "What is and is not
+    /// variable-time").
     pub fn inverse(&self) -> Option<Self> {
         if self.is_zero() {
             return None;
         }
-        let (pm2, _) = P::MODULUS.borrowing_sub(&Uint::from_u64(2));
-        Some(self.pow(&pm2.0))
+        let p = &P::MODULUS;
+        let (mut u, mut v) = (self.repr, *p);
+        let (mut b, mut c) = (P::R2, Uint::ZERO);
+        loop {
+            strip_twos(&mut u, &mut b, p, P::INV);
+            if u == Uint::ONE {
+                return Some(Self::from_mont(b));
+            }
+            strip_twos(&mut v, &mut c, p, P::INV);
+            if v == Uint::ONE {
+                return Some(Self::from_mont(c));
+            }
+            // both odd and distinct: the difference is even and nonzero
+            if v.lt(&u) {
+                u = u.borrowing_sub(&v).0;
+                b = sub_mod(&b, &c, p);
+            } else {
+                v = v.borrowing_sub(&u).0;
+                c = sub_mod(&c, &b, p);
+            }
+        }
     }
 
     /// Legendre symbol: `1` for a nonzero square, `-1` for a non-square,
@@ -283,6 +334,32 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
         let (pm1, _) = P::MODULUS.borrowing_sub(&Uint::ONE);
         let e = pm1.shr(log_n);
         Some(g.pow(&e.0))
+    }
+}
+
+/// Divides `x` by its largest power-of-two factor `2^k` (`x ≠ 0`) and
+/// `cofactor` by `2^k` modulo `p`, up to 63 bits at a time: adding
+/// `q·p` with `q = −cofactor·p⁻¹ mod 2^s` clears the low `s` bits, and
+/// `(cofactor + q·p) / 2^s < p` needs no reduction.
+fn strip_twos<const N: usize>(x: &mut Uint<N>, cofactor: &mut Uint<N>, p: &Uint<N>, inv: u64) {
+    loop {
+        let s = x.0[0].trailing_zeros().min(63);
+        if s == 0 {
+            return;
+        }
+        *x = x.shr(s);
+        let q = cofactor.0[0].wrapping_mul(inv) & ((1u64 << s) - 1);
+        let mut carry = 0u64;
+        for (limb, &p_j) in cofactor.0.iter_mut().zip(&p.0) {
+            let (v, c) = mac(*limb, q, p_j, carry);
+            *limb = v;
+            carry = c;
+        }
+        // shift the N + 1 limbs (cofactor, carry) right by s
+        for j in 0..N {
+            let next = if j + 1 < N { cofactor.0[j + 1] } else { carry };
+            cofactor.0[j] = (cofactor.0[j] >> s) | (next << (64 - s));
+        }
     }
 }
 

@@ -6,6 +6,8 @@
 //! (`q ≡ 3 mod 4`), the only field this reproduction instantiates it for.
 
 use crate::fp::{Fp, FpParams};
+use crate::mont::mont_reduce_sos;
+use crate::uint::{sbb, Uint};
 use rand::Rng;
 
 /// An element `c0 + c1·u` of the quadratic extension of `Fp`.
@@ -167,13 +169,46 @@ impl<P: FpParams<N>, const N: usize> core::ops::Sub for Fp2<P, N> {
 
 impl<P: FpParams<N>, const N: usize> core::ops::Mul for Fp2<P, N> {
     type Output = Self;
+    /// `(a0 + a1 u)(b0 + b1 u) = (a0b0 − a1b1) + (a0b1 + a1b0) u`, reduced
+    /// lazily: three schoolbook products, both coordinates formed at double
+    /// width, then two Montgomery reductions instead of three.
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
-        // Karatsuba: (a0 + a1 u)(b0 + b1 u) = a0b0 - a1b1 + ((a0+a1)(b0+b1) - a0b0 - a1b1) u
-        let v0 = self.c0 * rhs.c0;
-        let v1 = self.c1 * rhs.c1;
-        let mixed = (self.c0 + self.c1) * (rhs.c0 + rhs.c1);
-        Self::new(v0 - v1, mixed - v0 - v1)
+        let m = &P::MODULUS;
+        let (a0, a1) = (self.c0.mont_repr(), self.c1.mont_repr());
+        let (b0, b1) = (rhs.c0.mont_repr(), rhs.c1.mont_repr());
+        let v0 = a0.widening_mul(b0);
+        let v1 = a1.widening_mul(b1);
+        // a0 + a1 < 2p fits in N limbs: the modulus leaves a spare bit
+        let (a_sum, _) = a0.carrying_add(a1);
+        let (b_sum, _) = b0.carrying_add(b1);
+        // c1 = (a0 + a1)(b0 + b1) − a0b0 − a1b1 = a0b1 + a1b0 < 2p² < p·2^(64N)
+        let (c1, _) = wide_sub(wide_sub(a_sum.widening_mul(&b_sum), v0).0, v1);
+        // c0 = a0b0 − a1b1 ∈ (−p², p²); a negative one plus p·2^(64N) is in
+        // [0, p·2^(64N)): add p to the high half, dropping the wrap's carry
+        // (through a select: the sign is random, a branch would mispredict)
+        let (mut c0, negative) = wide_sub(v0, v1);
+        c0.1 = c0.1.carrying_add(&Uint::select(negative, m, &Uint::ZERO)).0;
+        let reduce =
+            |(lo, hi): (Uint<N>, Uint<N>)| Fp::from_mont(mont_reduce_sos(&lo, &hi, m, P::INV));
+        Self::new(reduce(c0), reduce(c1))
     }
+}
+
+/// `a − b` on double-width `(lo, hi)` values, and whether it borrowed.
+#[inline]
+fn wide_sub<const N: usize>(
+    a: (Uint<N>, Uint<N>),
+    b: (Uint<N>, Uint<N>),
+) -> ((Uint<N>, Uint<N>), bool) {
+    let ((mut lo, mut hi), mut borrow) = (a, 0u64);
+    for (x, y) in lo.0.iter_mut().zip(&b.0 .0) {
+        (*x, borrow) = sbb(*x, *y, borrow);
+    }
+    for (x, y) in hi.0.iter_mut().zip(&b.1 .0) {
+        (*x, borrow) = sbb(*x, *y, borrow);
+    }
+    ((lo, hi), borrow != 0)
 }
 
 impl<P: FpParams<N>, const N: usize> core::ops::Neg for Fp2<P, N> {

@@ -41,25 +41,18 @@ pub const fn double_mod<const N: usize>(a: &Uint<N>, m: &Uint<N>) -> Uint<N> {
 }
 
 /// Adds `a + b mod m`, assuming both inputs `< m`.
-pub const fn add_mod<const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>) -> Uint<N> {
+#[inline]
+pub fn add_mod<const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>) -> Uint<N> {
     let (s, carry) = a.carrying_add(b);
     let (r, borrow) = s.borrowing_sub(m);
-    if carry || !borrow {
-        r
-    } else {
-        s
-    }
+    Uint::select(carry || !borrow, &r, &s)
 }
 
 /// Subtracts `a - b mod m`, assuming both inputs `< m`.
-pub const fn sub_mod<const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>) -> Uint<N> {
+#[inline]
+pub fn sub_mod<const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>) -> Uint<N> {
     let (d, borrow) = a.borrowing_sub(b);
-    if borrow {
-        let (r, _) = d.carrying_add(m);
-        r
-    } else {
-        d
-    }
+    d.carrying_add(&Uint::select(borrow, m, &Uint::ZERO)).0
 }
 
 /// Computes `2^k mod m` by repeated doubling.
@@ -98,29 +91,70 @@ pub const fn two_adicity<const N: usize>(m: &Uint<N>) -> u32 {
     0
 }
 
-/// CIOS Montgomery multiplication: returns `a · b · R⁻¹ mod m`.
+/// Is the carry-free CIOS schedule of [`mont_mul_cios`] valid for `m`?
 ///
-/// Requires the modulus to leave at least one spare bit in the top limb
-/// (all four curves' fields do — see Table 1 of the paper), which lets the
-/// running value fit in `N + 1` limbs.
+/// It is when `m` leaves the top bit of its top limb clear: every field in
+/// [`crate::params`] does, and [`crate::Fp`] checks it at compile time.
+/// (The usual statement asks for a top limb below `2^63 − 1`; the bound
+/// in [`mont_mul_cios`] needs only `m < 2^(64N − 1)`.)
+pub const fn carry_free<const N: usize>(m: &Uint<N>) -> bool {
+    m.0[N - 1] >> 63 == 0
+}
+
+/// CIOS Montgomery multiplication: returns `a · b · R⁻¹ mod m`, canonical,
+/// for `b < m` and any `a` (full width included).
+///
+/// The "no-carry" schedule: requires [`carry_free`]`(m)`. Step `i` sets
+/// `t = (t + a[i]·b + q·m) / 2^64`, which stays below `b + m < 2^(64N)`,
+/// so the scratch is `N` limbs, the two carry chains of a step (`a[i]·b`
+/// and `q·m`) meet in its top limb without a carry out of it, and one
+/// conditional subtraction ends it.
 #[inline]
 pub fn mont_mul_cios<const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>, inv: u64) -> Uint<N> {
-    let mut t = [0u64; 64];
-    debug_assert!(N < 64);
-    let mut t_extra = 0u64; // t[N]
+    let mut t = [0u64; N];
     for i in 0..N {
-        // t += a[i] * b
-        let mut carry = 0u64;
-        for (j, tj) in t.iter_mut().enumerate().take(N) {
-            let (v, c) = mac(*tj, a.0[i], b.0[j], carry);
-            *tj = v;
-            carry = c;
+        // t = (t + a[i]·b + q·m) / 2^64, one limb of each chain at a time
+        let (t0, mut carry_ab) = mac(t[0], a.0[i], b.0[0], 0);
+        let q = t0.wrapping_mul(inv);
+        let (_, mut carry_qm) = mac(t0, q, m.0[0], 0);
+        for j in 1..N {
+            let (v, c) = mac(t[j], a.0[i], b.0[j], carry_ab);
+            carry_ab = c;
+            (t[j - 1], carry_qm) = mac(v, q, m.0[j], carry_qm);
         }
-        let (v, c) = adc(t_extra, carry, 0);
-        t_extra = v;
-        debug_assert_eq!(c, 0, "modulus must leave a spare top bit");
+        // the top limb of both chains: below 2^64 because t < b + m < 2^(64N)
+        t[N - 1] = carry_ab + carry_qm;
+    }
+    subtract_once(Uint(t), false, m)
+}
 
-        // reduce one limb: t = (t + q_i * m) / 2^64
+/// `r − m` if `overflow` (a carry out of the top limb) or `r ≥ m`, else
+/// `r`: the final step of every Montgomery product here.
+#[inline]
+fn subtract_once<const N: usize>(r: Uint<N>, overflow: bool, m: &Uint<N>) -> Uint<N> {
+    let (sub, borrow) = r.borrowing_sub(m);
+    Uint::select(overflow || !borrow, &sub, &r)
+}
+
+/// SOS (Separated Operand Scanning) Montgomery reduction of a double-width
+/// value `(lo, hi)`, mirroring the paper's Algorithm 2 at 64-bit limb width.
+///
+/// Returns `(hi·2^(64N) + lo) · R⁻¹ mod m` for any input below
+/// `m · 2^(64N)` (any `hi < m`). It is the one double-width reduction:
+/// [`mont_mul_sos`], `Fp::square` and the lazy `Fp2` product all end in
+/// it. The scratch is an `N`-limb window that slides up one limb per
+/// step, taking in `hi[i]` at its top.
+#[inline]
+pub fn mont_reduce_sos<const N: usize>(
+    lo: &Uint<N>,
+    hi: &Uint<N>,
+    m: &Uint<N>,
+    inv: u64,
+) -> Uint<N> {
+    let mut t = lo.0;
+    let mut carry_hi = 0u64;
+    for i in 0..N {
+        // m_i = C[i] · n′0 mod 2^64; C += m_i · m << (64 i)  (paper lines 3–4)
         let q = t[0].wrapping_mul(inv);
         let (_, mut carry) = mac(t[0], q, m.0[0], 0);
         for j in 1..N {
@@ -128,66 +162,11 @@ pub fn mont_mul_cios<const N: usize>(a: &Uint<N>, b: &Uint<N>, m: &Uint<N>, inv:
             t[j - 1] = v;
             carry = c;
         }
-        let (v, c) = adc(t_extra, carry, 0);
+        let (v, c) = adc(hi.0[i], carry, carry_hi);
         t[N - 1] = v;
-        t_extra = c;
+        carry_hi = c;
     }
-    let mut out = [0u64; N];
-    out.copy_from_slice(&t[..N]);
-    let r = Uint(out);
-    // final conditional subtraction
-    let (sub, borrow) = r.borrowing_sub(m);
-    if t_extra != 0 || !borrow {
-        sub
-    } else {
-        r
-    }
-}
-
-/// SOS (Separated Operand Scanning) Montgomery reduction of a double-width
-/// value `(lo, hi)`, mirroring the paper's Algorithm 2 at 64-bit limb width.
-///
-/// Returns `(hi·2^(64N) + lo) · R⁻¹ mod m`.
-pub fn mont_reduce_sos<const N: usize>(
-    lo: &Uint<N>,
-    hi: &Uint<N>,
-    m: &Uint<N>,
-    inv: u64,
-) -> Uint<N> {
-    // Working buffer C[0 .. 2N] plus one carry limb.
-    let mut c = [0u64; 129];
-    debug_assert!(2 * N < 129);
-    c[..N].copy_from_slice(&lo.0);
-    c[N..2 * N].copy_from_slice(&hi.0);
-    for i in 0..N {
-        // m_i = C[i] * n'0 mod 2^64  (paper line 3, with 64-bit limbs)
-        let q = c[i].wrapping_mul(inv);
-        // C += q * m << (64 i)      (paper line 4)
-        let mut carry = 0u64;
-        for j in 0..N {
-            let (v, cr) = mac(c[i + j], q, m.0[j], carry);
-            c[i + j] = v;
-            carry = cr;
-        }
-        // propagate the carry through the upper limbs
-        let mut k = i + N;
-        while carry != 0 {
-            let (v, cr) = adc(c[k], carry, 0);
-            c[k] = v;
-            carry = cr;
-            k += 1;
-        }
-    }
-    let mut out = [0u64; N];
-    out.copy_from_slice(&c[N..2 * N]);
-    let r = Uint(out);
-    let overflow = c[2 * N] != 0;
-    let (sub, borrow) = r.borrowing_sub(m);
-    if overflow || !borrow {
-        sub
-    } else {
-        r
-    }
+    subtract_once(Uint(t), carry_hi != 0, m)
 }
 
 /// SOS Montgomery multiplication: widening multiply then [`mont_reduce_sos`].
@@ -215,15 +194,12 @@ impl<const N: usize> MontCtx<N> {
     ///
     /// # Panics
     ///
-    /// Panics if `m` is even or `≤ 1`, or if its top bit is set (every
-    /// supported modulus leaves headroom in the top limb).
+    /// Panics if `m` is even or `≤ 1`, or if its top bit is set
+    /// ([`carry_free`]; every supported modulus leaves that headroom).
     pub fn new(modulus: Uint<N>) -> Self {
         assert!(modulus.0[0] & 1 == 1, "modulus must be odd");
         assert!(!modulus.is_zero() && modulus != Uint::ONE, "modulus must exceed 1");
-        assert!(
-            modulus.num_bits() < 64 * N as u32,
-            "modulus must leave a spare top bit"
-        );
+        assert!(carry_free(&modulus), "modulus must leave a spare top bit");
         let inv = mont_inv64(modulus.0[0]);
         Self {
             modulus,

@@ -18,8 +18,9 @@ pub const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
 /// out (0 or 1).
 #[inline(always)]
 pub const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
-    let t = (a as u128).wrapping_sub(b as u128 + borrow as u128);
-    (t as u64, ((t >> 64) as u64) & 1)
+    let (d, b1) = a.overflowing_sub(b);
+    let (d, b2) = d.overflowing_sub(borrow);
+    (d, (b1 | b2) as u64)
 }
 
 /// Multiply-accumulate: returns `(a + b * c + carry) mod 2^64` and the high
@@ -222,31 +223,74 @@ impl<const N: usize> Uint<N> {
 
     /// Schoolbook widening multiplication; returns `(lo, hi)` so that the
     /// full product is `hi · 2^(64N) + lo`.
+    ///
+    /// Row `i` adds `self[i] · rhs` into an `N`-limb window over limbs
+    /// `i .. i+N` of the product, whose bottom limb is then final.
+    #[inline]
     pub const fn widening_mul(&self, rhs: &Self) -> (Self, Self) {
-        let mut wide = [0u64; 64]; // large enough for any N we instantiate
-        assert!(2 * N <= 64, "Uint::widening_mul supports up to 32 limbs");
+        let mut lo = [0u64; N];
+        let mut t = [0u64; N];
         let mut i = 0;
         while i < N {
-            let mut carry = 0u64;
-            let mut j = 0;
+            let (v, mut carry) = mac(t[0], self.0[i], rhs.0[0], 0);
+            lo[i] = v;
+            let mut j = 1;
             while j < N {
-                let (v, c) = mac(wide[i + j], self.0[i], rhs.0[j], carry);
-                wide[i + j] = v;
+                let (v, c) = mac(t[j], self.0[i], rhs.0[j], carry);
+                t[j - 1] = v;
                 carry = c;
                 j += 1;
             }
-            wide[i + N] = carry;
+            t[N - 1] = carry;
             i += 1;
         }
-        let mut lo = [0u64; N];
-        let mut hi = [0u64; N];
-        let mut k = 0;
-        while k < N {
-            lo[k] = wide[k];
-            hi[k] = wide[k + N];
-            k += 1;
+        (Self(lo), Self(t))
+    }
+
+    /// `self²` as `(lo, hi)`, like [`Uint::widening_mul`] with itself but
+    /// with each cross product `self[i]·self[j]` (`i < j`) computed once,
+    /// then doubled and the diagonal `self[i]²` added in one pass.
+    #[inline]
+    pub fn widening_square(&self) -> (Self, Self) {
+        let a = &self.0;
+        let mut wide = ([0u64; N], [0u64; N]);
+        // limb k of the double-width value
+        fn limb<const N: usize>(wide: &mut ([u64; N], [u64; N]), k: usize) -> &mut u64 {
+            if k < N {
+                &mut wide.0[k]
+            } else {
+                &mut wide.1[k - N]
+            }
         }
-        (Self(lo), Self(hi))
+        for i in 0..N {
+            let mut carry = 0u64;
+            for j in i + 1..N {
+                let slot = limb(&mut wide, i + j);
+                (*slot, carry) = mac(*slot, a[i], a[j], carry);
+            }
+            *limb(&mut wide, i + N) = carry;
+        }
+        // the cross sum is below 2^(128N − 1), so doubling loses no bit
+        let (mut top, mut carry) = (0u64, 0u64);
+        for (i, &a_i) in a.iter().enumerate() {
+            let (d_lo, d_hi) = mac(0, a_i, a_i, 0);
+            for (k, d) in [(2 * i, d_lo), (2 * i + 1, d_hi)] {
+                let slot = limb(&mut wide, k);
+                let doubled = (*slot << 1) | top;
+                top = *slot >> 63;
+                (*slot, carry) = adc(doubled, d, carry);
+            }
+        }
+        (Self(wide.0), Self(wide.1))
+    }
+
+    /// `a` if `choice`, else `b`, without a branch. The modular add and
+    /// subtract and the last step of a Montgomery product choose on a bit
+    /// that follows the data, not a pattern, so a branch there is often
+    /// mispredicted (DESIGN.md §29).
+    #[inline(always)]
+    pub fn select(choice: bool, a: &Self, b: &Self) -> Self {
+        core::hint::select_unpredictable(choice, *a, *b)
     }
 
     /// Left shift by one bit; returns the result and the bit shifted out.

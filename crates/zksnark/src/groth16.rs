@@ -140,12 +140,19 @@ pub fn setup<R: Rng + ?Sized>(
     assert!(!z_tau.is_zero(), "τ landed on the domain (re-run setup)");
     let omega = domain.generator();
     let d_inv = Fr::from_u64(d as u64).inverse().expect("d < r");
-    // τ is off the domain, so no denominator is zero
+    // Every secret denominator of the setup shares one inversion: the d
+    // Lagrange denominators τ − ω^j (nonzero: τ is off the domain), then
+    // γα and δ. The one element inverted is their product α·γ·δ·Z(τ),
+    // uniform whatever τ, γ and δ are because α is, so the variable-time
+    // inverse sees no bare secret (DESIGN.md §26); γ⁻¹ = α·(γα)⁻¹.
     let mut lagrange: Vec<Fr> = successors(Some(Fr::ONE), |&w_j| Some(w_j * omega))
         .take(d)
         .map(|w_j| tau - w_j)
+        .chain([gamma * alpha, delta])
         .collect();
     batch_inverse(&mut lagrange);
+    let (gamma_inv, delta_inv) = (alpha * lagrange[d], lagrange[d + 1]);
+    lagrange.truncate(d);
     let mut scale = z_tau * d_inv; // ω^j · Z(τ)/d
     for l_j in &mut lagrange {
         *l_j *= scale;
@@ -169,8 +176,6 @@ pub fn setup<R: Rng + ?Sized>(
     }
     drop(lagrange);
 
-    let gamma_inv = gamma.inverse().expect("nonzero");
-    let delta_inv = delta.inverse().expect("nonzero");
     let n_pub = cs.n_public() + 1; // constant-1 wire counts as public
 
     // every product below has one of two bases: one table each. Each

@@ -4,6 +4,7 @@
 //! Table 4 analysis). Radix-2 in-place Cooley–Tukey with bit-reversal,
 //! plus the coset evaluation needed by the QAP division.
 
+use core::iter::successors;
 use distmsm_ff::{Fp, FpParams};
 
 /// Precomputed NTT domain of size `2^log_n`.
@@ -72,18 +73,20 @@ impl<P: FpParams<N>, const N: usize> NttDomain<P, N> {
                 data.swap(i, j);
             }
         }
-        // butterflies
+        // butterflies: stage `len` twiddles by root^(n/len)^k = root^(k·n/len),
+        // every (n/len)-th power of root, built once per transform
+        let twiddles: Vec<Fp<P, N>> = successors(Some(Fp::<P, N>::ONE), |&w| Some(w * root))
+            .take(n / 2)
+            .collect();
         let mut len = 2usize;
         while len <= n {
-            let stride_root = root.pow(&[(n / len) as u64]);
+            let stride = n / len;
             for start in (0..n).step_by(len) {
-                let mut w = Fp::<P, N>::ONE;
                 for k in 0..len / 2 {
                     let u = data[start + k];
-                    let v = data[start + k + len / 2] * w;
+                    let v = data[start + k + len / 2] * twiddles[k * stride];
                     data[start + k] = u + v;
                     data[start + k + len / 2] = u - v;
-                    w *= stride_root;
                 }
             }
             len <<= 1;

@@ -214,3 +214,56 @@ fn point_generators_match_their_pacc_chains() {
     check::<Bn254G1>(2 * 1024 + 1, 2 * 256 + 3, 1008);
     check::<Bn254G2>(1024 + 1, 256 + 3, 1009);
 }
+
+#[test]
+fn field_primitives_match_their_oracles() {
+    use distmsm_ec::validate::scalar_is_canonical;
+    use distmsm_ff::params::{Bls12381Fq, Bn254Fq, Mnt4753Fq, Mnt4753Fr};
+    use distmsm_ff::{Fp2, FpParams, Uint};
+
+    fn check<P: FpParams<N>, const N: usize>(seed: u64) {
+        let p = P::MODULUS;
+        let p_minus = |k: u64| p.borrowing_sub(&Uint::from_u64(k)).0;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges = [Uint::ZERO, Uint::ONE, p_minus(1), P::R].map(Fp::<P, N>::from_mont);
+        let random = (0..8).map(|_| Fp::<P, N>::random(&mut rng));
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(x.square(), x * x, "{}", P::NAME);
+            // the Fermat ladder a^(p−2) is the inverse's oracle
+            let fermat = (!x.is_zero()).then(|| x.pow(&p_minus(2).0));
+            assert_eq!(x.inverse(), fermat, "{}", P::NAME);
+        }
+        // full-width integers reduce like repeated subtraction
+        let mut v = Uint([u64::MAX; N]);
+        let want = Fp::<P, N>::from_uint(&v);
+        while !v.lt(&p) {
+            v = v.borrowing_sub(&p).0;
+        }
+        assert_eq!(want.to_uint(), v, "{}", P::NAME);
+    }
+    check::<Bn254Fq, 4>(1);
+    check::<Bn254Fr, 4>(2);
+    check::<Bls12381Fq, 6>(3);
+    check::<Mnt4753Fq, 12>(4);
+
+    // the lazy Fp² product against Karatsuba over Fp
+    type F2 = Fp2<Bn254Fq, 4>;
+    let mut rng = StdRng::seed_from_u64(5);
+    let minus_one = -Fp::ONE;
+    let edges = [F2::ZERO, F2::ONE, F2::new(minus_one, minus_one), F2::new(minus_one, Fp::ONE)];
+    let xs: Vec<F2> = edges.into_iter().chain((0..8).map(|_| F2::random(&mut rng))).collect();
+    for &a in &xs {
+        for &b in &xs {
+            let (v0, v1) = (a.c0 * b.c0, a.c1 * b.c1);
+            let mixed = (a.c0 + a.c1) * (b.c0 + b.c1);
+            assert_eq!(a * b, F2::new(v0 - v1, mixed - v0 - v1));
+        }
+    }
+
+    // a full-width job scalar is rejected by one comparison
+    let r = Mnt4753Fr::MODULUS;
+    let r_minus_1 = r.borrowing_sub(&Uint::ONE).0;
+    assert!(scalar_is_canonical::<Mnt4753G1>(&r_minus_1));
+    assert!(!scalar_is_canonical::<Mnt4753G1>(&r));
+    assert!(!scalar_is_canonical::<Mnt4753G1>(&Uint([u64::MAX; 12])));
+}
