@@ -9,20 +9,20 @@
 # on) and runs the simulated-GPU race detector, the comm-schedule
 # checker on each report's own schedule, the result and recovery
 # checks, and the telemetry checker on that one capture; then the kernel
-# resource linter and the service, crash-consistency, partition and
-# fleet checkers (crates/analyze). It fails on any warning- or
-# error-level finding. The verify step runs the static plan verifier:
-# symbolic write-set disjointness/coverage proofs, the same
-# comm-schedule checker over every collective the planner emits on every
-# topology preset, the mutant corpus and the workspace determinism lint
-# — no execution, all N/window/GPU shapes.
+# resource linter and the fleet plan checker (crates/analyze). It fails
+# on any warning- or error-level finding. The verify step runs the
+# static plan verifier: symbolic write-set disjointness/coverage proofs,
+# the same comm-schedule checker over every collective the planner emits
+# on every topology preset, the mutant corpus and the workspace
+# determinism lint — no execution, all N/window/GPU shapes.
 # The soak smokes replay seeded chaos scenarios through the
 # multi-tenant service and the multi-pod fleet coordinator (whole-pod
 # loss plus a byzantine pod caught by the 2G2T check), the journaling
 # crash soak (alone and with link partitions on its fleet), and the
 # partition soak (heartbeat leases, epoch fencing, anti-entropy rejoin)
 # and diff their byte-stable reports against goldens (BLESS=1 ./ci.sh
-# regenerates).
+# regenerates). Every service, crash and partition property has one
+# checker, the soak's own verdict, run here on the soak's own traffic.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -88,16 +88,19 @@ echo "cargo test --workspace wall time: ${SECONDS} s"
 # change. The first stdout line of every soak is its spec as
 # re-runnable flags; replaying exactly that line (no --smoke) must
 # reproduce the same golden, so a printed reproducer is a gate too.
-# soak and fleet_soak run their smoke with the telemetry recorder on
-# (the trace must validate) and replay it with the recorder off, so
-# recording provably moves no byte of the simulated outcome.
+# soak, fleet_soak and crash_soak run their smoke with the telemetry
+# recorder on (the trace must validate) and replay it with the recorder
+# off, so recording provably moves no byte of the simulated outcome.
+# None of the three schedules a partition window, so no lease may act:
+# their journals hold no lease record (`partition-inert`) and their
+# traces no lease instant.
 TRACE="$(mktemp /tmp/distmsm_ci_trace.XXXXXX.json)"
 for run in soak fleet_soak crash_soak crash_soak_partitioned partition_soak; do
     echo "== $run smoke + golden + reproducer replay =="
     bin="${run%_partitioned}"
     FLAGS=()
     case "$run" in
-        soak | fleet_soak) FLAGS=(--telemetry "$TRACE") ;;
+        soak | fleet_soak | crash_soak) FLAGS=(--telemetry "$TRACE") ;;
         crash_soak_partitioned) FLAGS=(--fleet-partition-windows 3) ;;
     esac
     SMOKE_JSON="$(mktemp "/tmp/distmsm_ci_${run}.XXXXXX.json")"
@@ -107,6 +110,10 @@ for run in soak fleet_soak crash_soak crash_soak_partitioned partition_soak; do
     if [[ "${FLAGS[0]:-}" == "--telemetry" ]]; then
         grep -q '"producer":"distmsm_telemetry"' "$TRACE"
         target/release/distmsm-analyze trace "$TRACE"
+        if grep -oE '"name":"fleet\.(partition:[a-z]+|fenced|rejoined|discarded)"' "$TRACE" | sort -u | grep .; then
+            echo "FAIL: $run schedules no partition window but traced the lease actions above" >&2
+            exit 1
+        fi
     fi
     # CI's chaos budget, for the next anchor to see move (fleet_soak is
     # the unit cost of most of it)
@@ -137,7 +144,7 @@ grep -q '"producer":"distmsm_telemetry"' "$TRACE"
 target/release/distmsm-analyze trace "$TRACE"
 rm -f "$TRACE"
 
-echo "== distmsm-analyze check (scenario table: race + comm + fault + telemetry; lint + service + ckpt + partition + fleet) =="
+echo "== distmsm-analyze check (scenario table: race + comm + fault + telemetry; lint + fleet) =="
 # both run in about a second: time them in ms, not the soaks' seconds
 T0="$(date +%s%N)"
 target/release/distmsm-analyze check
@@ -206,7 +213,7 @@ echo "== repo benchmark: harness tests + 2-second traced smokes of all four work
 # cargo re-resolves the committed benchmark/Cargo.lock in place; restore
 # it so CI leaves the tree clean. Delete these lines with the
 # benchmark-archetype follow-up that commits the refreshed lock
-# (ROADMAP item 5).
+# (ROADMAP item 9(a)).
 LOCK_KEEP="$(mktemp /tmp/distmsm_ci_bench_lock.XXXXXX)"
 cp benchmark/Cargo.lock "$LOCK_KEEP"
 trap 'cp "$LOCK_KEEP" benchmark/Cargo.lock; rm -f "$LOCK_KEEP"' EXIT

@@ -1,8 +1,10 @@
 //! Fleet-invariant checker: grounds the cross-pod shard plans against
-//! their symbolic IRs, replays the 2G2T verified-outsourcing check, and
-//! re-runs a seeded byzantine sharded MSM end to end.
+//! their symbolic IRs and re-runs a seeded byzantine sharded MSM end to
+//! end.
 //!
-//! Rule families (`FLT`), mirroring `SVC`/`FAULT` in structure:
+//! Rule families (`FLT`), mirroring `FAULT` in structure (the 2G2T
+//! check's soundness over every corruption class and all five groups
+//! is `fleet/tests/outsource_props.rs`):
 //!
 //! * **FLT-001 — shard-plan grounding.** The concrete
 //!   [`distmsm::shard_points`] / [`distmsm::replace_assignments`]
@@ -10,10 +12,6 @@
 //!   `fleet-shard` / `fleet-replace` [`PlanIr`]s that the static
 //!   verifier proves disjoint and covering. A divergence means the
 //!   proof is about a different plan than the one the fleet executes.
-//! * **FLT-002 — 2G2T soundness replay.** Over seeded instances (no
-//!   engine, reference MSM only): every honest result pair must be
-//!   accepted, and every corruption class — bit flip, swapped shard,
-//!   zeroed partial — must be detected by the blinded-twin check.
 //! * **FLT-003 — byzantine shard replay.** A small sharded MSM with a
 //!   seeded byzantine pod runs end to end: the corruption must be
 //!   detected, the pod quarantined, its shard re-placed, and the final
@@ -29,7 +27,7 @@ use crate::report::{Finding, Report, Severity};
 use crate::verify::verify_plan;
 use distmsm_ec::curves::Bn254G1;
 use distmsm_ec::MsmInstance;
-use distmsm_fleet::{execute_sharded, Challenge, Corruption, OutsourcedResult, ShardedMsmConfig};
+use distmsm_fleet::{execute_sharded, Corruption, ShardedMsmConfig};
 use distmsm_kernel::ir::{IndexExpr, PlanIr, Poly, Region, RegionFamily, Sym, SymBound};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -109,73 +107,6 @@ pub fn check_fleet_grounding() -> Report {
             "shard and re-placement planners grounded against their symbolic \
              IRs for {checked} shapes"
         ),
-    ));
-    report
-}
-
-// ---------------------------------------------------------------------------
-// FLT-002: 2G2T soundness replay
-// ---------------------------------------------------------------------------
-
-/// Replays the 2G2T blinded-twin check over seeded instances: honest
-/// pairs accepted, every corruption class detected (FLT-002). Engine
-/// free — results come from the serial reference MSM.
-pub fn check_outsourcing_soundness() -> Report {
-    let mut report = Report::new();
-    let mut checked = 0usize;
-    for seed in [11u64, 202, 4096] {
-        for n in [1usize, 7, 24] {
-            let loc = format!("2g2t/seed{seed}/n{n}");
-            let mut rng = StdRng::seed_from_u64(seed);
-            let instance = MsmInstance::<Bn254G1>::random(n, &mut rng);
-            let challenge = Challenge::<Bn254G1>::generate(seed ^ 0xf1ee7, n);
-            let honest = OutsourcedResult {
-                r1: instance.reference_result(),
-                r2: challenge.twin_instance(&instance).reference_result(),
-            };
-            if !challenge.verify(&instance.points, &honest.r1, &honest.r2) {
-                report.push(Finding::new(
-                    "FLT-002",
-                    Severity::Error,
-                    loc.clone(),
-                    "honest result pair rejected — the check is unsound for \
-                     honest pods"
-                        .to_owned(),
-                ));
-                continue;
-            }
-            // Swap source: a pair that is valid for a *different* job.
-            let other =
-                MsmInstance::<Bn254G1>::random(n, &mut StdRng::seed_from_u64(seed ^ 0xdead));
-            let other_challenge = Challenge::<Bn254G1>::generate(seed ^ 0xbeef, n);
-            let swap = OutsourcedResult {
-                r1: other.reference_result(),
-                r2: other_challenge.twin_instance(&other).reference_result(),
-            };
-            for class in Corruption::ALL {
-                let bad = honest.corrupted(class, &swap);
-                if challenge.verify(&instance.points, &bad.r1, &bad.r2) {
-                    report.push(Finding::new(
-                        "FLT-002",
-                        Severity::Error,
-                        loc.clone(),
-                        format!(
-                            "{} corruption passed the blinded-twin check — a \
-                             byzantine pod would go undetected",
-                            class.label()
-                        ),
-                    ));
-                } else {
-                    checked += 1;
-                }
-            }
-        }
-    }
-    report.push(Finding::new(
-        "FLT-002",
-        Severity::Info,
-        "2g2t".to_owned(),
-        format!("{checked} seeded corruption(s) detected, honest pairs accepted"),
     ));
     report
 }
@@ -289,12 +220,11 @@ pub fn check_fleet_mutant() -> Report {
     report
 }
 
-/// Runs every fleet rule family: shard-plan grounding, 2G2T soundness,
-/// the byzantine sharded-MSM replay and the fleet mutant.
+/// Runs every fleet rule family: shard-plan grounding, the byzantine
+/// sharded-MSM replay and the fleet mutant.
 pub fn check_fleet() -> Report {
     let mut report = Report::new();
     report.extend(check_fleet_grounding());
-    report.extend(check_outsourcing_soundness());
     report.extend(check_byzantine_shard_replay());
     report.extend(check_fleet_mutant());
     report
@@ -307,12 +237,6 @@ mod tests {
     #[test]
     fn fleet_grounding_is_clean() {
         let r = check_fleet_grounding();
-        assert_eq!(r.actionable(), 0, "{}", r.render_text());
-    }
-
-    #[test]
-    fn outsourcing_soundness_replay_is_clean() {
-        let r = check_outsourcing_soundness();
         assert_eq!(r.actionable(), 0, "{}", r.render_text());
     }
 

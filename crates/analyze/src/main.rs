@@ -12,11 +12,8 @@
 //! on the report's schedule (`COMM-00x`), the result against the
 //! reference value and the recovery account (`FAULT-00x`), and the
 //! timeline against the engine report (`TEL-00x`). It then runs the
-//! static linter over every kernel preset × device, the service checker
-//! (`SVC-00x`), the crash-consistency checker over the journaled service
-//! WAL (`CKPT-00x`/`CKPT-900`), the partition-tolerance checker over the
-//! fenced fleet journal (`PART-00x`/`PART-900`) and the fleet checker
-//! (`FLT-00x`). `verify` runs the static plan verifier instead: symbolic
+//! static linter over every kernel preset × device and the fleet
+//! checker (`FLT-00x`). `verify` runs the static plan verifier instead: symbolic
 //! write-set proofs (`VRF-001`/`VRF-002`), the same comm-schedule checker
 //! over every planned collective on the topology presets (`VRF-003`,
 //! widened by `--all-presets`), the built-in mutant corpus (`VRF-900`)
@@ -26,12 +23,9 @@
 //! machine consumption) and exit with status 1 when any warning or error
 //! is found.
 
-use distmsm_analyze::ckpt::check_ckpt;
 use distmsm_analyze::fleet::check_fleet;
 use distmsm_analyze::harness::check_scenarios;
 use distmsm_analyze::lint::lint_presets;
-use distmsm_analyze::part::check_part;
-use distmsm_analyze::svc::check_svc;
 use distmsm_analyze::tel::check_trace_file;
 use distmsm_analyze::verify::check_verify;
 use distmsm_analyze::{RaceConfig, Report};
@@ -67,9 +61,6 @@ fn main() -> ExitCode {
             let mut report = Report::new();
             report.extend(check_scenarios(&RaceConfig::default()));
             report.extend(lint_presets());
-            report.extend(check_svc());
-            report.extend(check_ckpt());
-            report.extend(check_part());
             report.extend(check_fleet());
             report
         }

@@ -113,29 +113,6 @@ impl Report {
         out
     }
 
-    /// One `*-900` corpus verdict from an explicit check: `Ok` means
-    /// the named seeded corruption was caught (info); `Err` means it
-    /// survived `defence` — the recovery path or fold that must refuse
-    /// it — and the rule has lost its teeth (error).
-    pub fn mutant(
-        &mut self,
-        rule: &'static str,
-        defence: &str,
-        scenario: &str,
-        name: &str,
-        result: Result<(), String>,
-    ) {
-        self.push(match result {
-            Ok(()) => Finding::new(rule, Severity::Info, scenario, format!("mutant `{name}` caught")),
-            Err(detail) => Finding::new(
-                rule,
-                Severity::Error,
-                scenario,
-                format!("mutant `{name}` SURVIVED {defence}: {detail}"),
-            ),
-        });
-    }
-
     /// One `*-900` corpus verdict from a verifier run over a seeded
     /// mutant: its first error names the rejecting rule (info); no
     /// error at all is `survived_msg` (error).
@@ -205,31 +182,17 @@ mod tests {
         assert_eq!(r.actionable(), 1);
     }
 
-    /// The workspace writer's output must satisfy the workspace's own
-    /// reader, whatever a tenant is called and whatever a float holds.
+    /// The findings writer's output must satisfy the workspace's own
+    /// reader, whatever a location or message holds.
     #[test]
-    fn writer_output_with_hostile_names_and_non_finite_floats_parses() {
-        use distmsm_ec::curves::Bn254G1;
-        use distmsm_service::{ChaosSchedule, ProverService, ServiceConfig, TenantConfig};
-
-        let config = ServiceConfig {
-            tenants: vec![TenantConfig::new("a\"b\\c")],
-            ..ServiceConfig::default()
-        };
-        let mut report =
-            ProverService::<Bn254G1>::new(config).run(Vec::new(), &ChaosSchedule::none()).report;
-        report.horizon_s = f64::NAN;
-        report.tenants[0].sojourn_p99_s = f64::INFINITY;
-        let doc = distmsm_telemetry::parse_json(&report.to_detailed_json())
-            .expect("the detailed report is a JSON document");
-        let tenant = &doc.get("tenants").and_then(|t| t.as_arr()).expect("tenants array")[0];
-        assert_eq!(tenant.get("name").and_then(|n| n.as_str()), Some("a\"b\\c"));
-        assert_eq!(tenant.get("sojourn_p99_s").and_then(|n| n.as_num()), Some(0.0));
-        assert_eq!(doc.get("horizon_s").and_then(|n| n.as_num()), Some(0.0));
-
+    fn writer_output_with_hostile_names_parses() {
         let mut findings = Report::new();
-        findings.mutant("X-900", "the \"fold\"", "s\\1", "m", Err("tab\there".into()));
+        let (location, message) = ("s\\1", "the \"fold\": tab\there");
+        findings.push(Finding::new("X-900", Severity::Error, location, message));
         let doc = distmsm_telemetry::parse_json(&findings.render_json()).expect("parses");
         assert_eq!(doc.get("errors").and_then(|n| n.as_num()), Some(1.0));
+        let finding = &doc.get("findings").and_then(|f| f.as_arr()).expect("findings array")[0];
+        assert_eq!(finding.get("location").and_then(|l| l.as_str()), Some(location));
+        assert_eq!(finding.get("message").and_then(|m| m.as_str()), Some(message));
     }
 }

@@ -6,7 +6,9 @@
 //! 1. **Service kill points** — a reference pod soak runs to
 //!    completion, then its durable journal is truncated at evenly
 //!    spread record boundaries *and* mid-record (torn writes). Each
-//!    prefix restores via [`ProverService::restore`], drives to
+//!    prefix's snapshot-plus-tail recovery must equal its full replay
+//!    with the snapshots stripped, byte for byte; the prefix then
+//!    restores via [`ProverService::restore`], drives to
 //!    completion, and the merged pre/post event stream must satisfy
 //!    every PR-5 soak invariant: exactly-once, conservation, bit-exact
 //!    results, starvation bounds, no open-breaker dispatch. Jobs that
@@ -46,10 +48,10 @@ use distmsm_ec::serialize::point_to_uncompressed;
 use distmsm_ec::{straus, Curve, MsmInstance};
 use distmsm_ff::Uint;
 use distmsm_gpu_sim::MultiGpuSystem;
-use distmsm_journal::{DurableState, Record};
+use distmsm_journal::{DurableState, Record, Wire};
 use distmsm_service::harness::{Flags, Run, Scenario};
 use distmsm_service::soak::{self as pod_soak, SoakSpec};
-use distmsm_service::wal as service_wal;
+use distmsm_service::wal::{self as service_wal, ServiceShape};
 use distmsm_service::{
     ChaosSchedule, JobSpec, ProverService, ServiceConfig, ServiceEvent, ServiceEventKind,
 };
@@ -96,7 +98,7 @@ pub struct CrashSoakSpec {
     pub ckpt_seed: u64,
 }
 
-/// Invariant ids: `"crash-baseline"`, `"crash-decode"`,
+/// Invariant ids: `"crash-baseline"`, `"crash-decode"`, `"crash-replay"`,
 /// `"crash-restore"`, `"crash-no-resurrection"`, `"crash-invariant"`,
 /// `"crash-recovery-cost"`, `"crash-determinism"`, `"crash-torn"`,
 /// `"crash-ckpt"`, `"crash-ckpt-detect"`; every detail names its kill
@@ -330,6 +332,28 @@ fn note_recovery(
     }
 }
 
+/// The snapshot oracle: recovering a durable prefix from its newest
+/// snapshot plus the record tail must give the byte-identical
+/// [`ServiceState`](service_wal::ServiceState) that a full replay with
+/// the snapshots stripped gives. The service WAL never compacts, so the
+/// full replay has every record.
+fn check_replay(cut: &DurableState, shape: &ServiceShape) -> Result<(), String> {
+    let mut stripped = cut.clone();
+    stripped.set_snapshot_bytes(Vec::new());
+    let recover = |d: &DurableState| service_wal::recover_state(d, shape);
+    let (via_snapshot, via_replay) = match (recover(cut), recover(&stripped)) {
+        (Ok(a), Ok(b)) => (a, b),
+        (Err(err), _) | (_, Err(err)) => return Err(format!("recovery failed: {err:?}")),
+    };
+    if via_snapshot.state.to_bytes() == via_replay.state.to_bytes() {
+        return Ok(());
+    }
+    Err(format!(
+        "snapshot at epoch {} plus a {}-record tail diverges from the full replay",
+        via_snapshot.snapshot_epoch, via_snapshot.replayed_records
+    ))
+}
+
 /// Restores one truncated service journal, drives it to completion and
 /// checks the merged stream. Returns `None` when decode or restore
 /// itself failed (already reported).
@@ -354,6 +378,9 @@ fn service_restore_check(
         .filter(|ev| service_terminal(&ev.kind))
         .filter_map(|ev| ev.job)
         .collect();
+    if let Err(detail) = check_replay(cut, &config.shape()) {
+        v.fail("crash-replay", format!("{what}: {detail}"));
+    }
 
     let (mut svc, info) = match ProverService::restore(config.clone(), jobs, cut) {
         Ok(pair) => pair,
@@ -529,7 +556,7 @@ impl FleetCuts<'_> {
         run.n_events += merged.events.len() + merged.pod_events.len();
         let inner = fleet_soak::check_fleet_invariants(spec, jobs, &merged, config);
         v.nest("crash-invariant", what, inner);
-        let journal = fleet_soak::check_fleet_journal(fleet.durable(), config.n_pods);
+        let journal = fleet_soak::check_fleet_journal(fleet.durable(), spec);
         v.nest("crash-invariant", what, journal);
 
         run.report.fleet_cuts += 1;
@@ -550,7 +577,7 @@ fn fleet_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
     let mut coordinator = FleetCoordinator::new(config.clone());
     let reference = coordinator.run(jobs.clone(), &chaos);
     let mut baseline = fleet_soak::check_fleet_invariants(&spec.fleet, &jobs, &reference, &config);
-    let journal = fleet_soak::check_fleet_journal(coordinator.durable(), config.n_pods);
+    let journal = fleet_soak::check_fleet_journal(coordinator.durable(), &spec.fleet);
     baseline.within("coordinator journal", journal);
     run.violations.nest("crash-baseline", "fleet baseline", baseline);
 
@@ -820,6 +847,35 @@ mod tests {
         assert!(first.report.ckpt_resumes > 0);
         let second = spec.run();
         assert_eq!(first.report, second.report, "crash soak must be deterministic");
+    }
+
+    /// A snapshot that claims a different history than the records
+    /// behind it is a `crash-replay` violation at the kill point.
+    #[test]
+    fn replay_divergence_is_flagged() {
+        let spec = tiny();
+        let jobs = pod_soak::build_jobs(&spec.service);
+        let chaos = pod_soak::build_chaos(&spec.service);
+        let mut config = pod_soak::service_config(&spec.service);
+        config.snapshot_every = spec.snapshot_every;
+        let mut svc: ProverService<Bn254G1> = ProverService::new(config.clone());
+        svc.begin(jobs.clone());
+        while svc.step(&chaos) {}
+        let _ = svc.finish();
+        let cut = svc.durable().truncate_records(svc.durable().journal.n_records() / 2);
+        assert_eq!(check_replay(&cut, &config.shape()), Ok(()));
+
+        let honest = service_wal::recover_state(&cut, &config.shape()).expect("cut recovers");
+        let mut lying = honest.state;
+        lying.clock_s += 1.0e3;
+        let mut sabotaged = cut.clone();
+        let last_epoch = sabotaged.journal.n_records() as u64;
+        sabotaged.install_snapshot(last_epoch, lying.clock_s, &lying.to_bytes());
+        let mut run = Run::default();
+        service_restore_check(&config, &jobs, &chaos, &sabotaged, "lying snapshot", &mut run);
+        let replay: Vec<_> =
+            run.violations.iter().filter(|v| v.invariant == "crash-replay").collect();
+        assert_eq!(replay.len(), 1, "{:?}", run.violations);
     }
 
     #[test]

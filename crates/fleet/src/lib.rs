@@ -32,7 +32,9 @@
 //! `crates/bench/src/bin/fleet_soak.rs`) drives 1000+ tenants across
 //! four pods through whole-pod loss and a seeded byzantine pod, and
 //! checks fleet-scope invariants (exactly-once, conservation, bit-exact
-//! results, quarantine, completion floor) over the merged event streams.
+//! results, quarantine, completion floor) over the merged event streams
+//! and the fencing rules over the coordinator journal. These soak
+//! verdicts are the one checker of each property.
 //!
 //! [`Topology::fleet`]: distmsm_comms::Topology::fleet
 
@@ -58,7 +60,7 @@ pub use fleet::{
 };
 pub use membership::{LeaseState, Membership, MembershipAction};
 pub use outsource::{Challenge, Corruption, OutsourcedResult, N_DECOYS};
-pub use partition::{PartitionReport, PartitionSoakSpec, LEASED_FENCED_FLEET};
+pub use partition::{PartitionReport, PartitionSoakSpec};
 pub use report::{FleetReport, PodStats};
 pub use shard::{execute_sharded, ShardExecution, ShardedMsmConfig, ShardedMsmReport};
 pub use wal::{

@@ -26,25 +26,6 @@ use distmsm_service::harness::{Flags, Run, Scenario};
 use crate::fleet::{FleetEventKind, FleetOutcome};
 use crate::soak::{self as fleet_soak, FleetSoakSpec};
 
-/// The smallest leased, fenced fleet whose two partition windows still
-/// fence and rejoin: three pods, no other chaos. The analyzer's PART
-/// rules journal it.
-pub const LEASED_FENCED_FLEET: FleetSoakSpec = FleetSoakSpec {
-    arrival_seed: 2028,
-    fault_seed: 7,
-    n_jobs: 24,
-    n_tenants: 16,
-    n_pods: 3,
-    devices_per_pod: 3,
-    n_fault_windows: 0,
-    horizon_s: 300.0,
-    msm_size: 12,
-    byzantine_pod: None,
-    lost_pod: None,
-    partition_seed: 41,
-    n_partition_windows: 2,
-};
-
 /// Everything that defines one partition soak. Two equal specs produce
 /// byte-identical runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -275,12 +256,30 @@ fn signature(outcome: &FleetOutcome<Bn254G1>) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use distmsm_journal::{decode_records, Fold, Wire};
     use proptest::prelude::*;
 
     use super::*;
     use crate::wal::{FleetRecord, FleetState};
+
+    /// The smallest leased, fenced fleet whose two partition windows
+    /// still fence and rejoin: three pods, no other chaos.
+    pub(crate) const LEASED_FENCED_FLEET: FleetSoakSpec = FleetSoakSpec {
+        arrival_seed: 2028,
+        fault_seed: 7,
+        n_jobs: 24,
+        n_tenants: 16,
+        n_pods: 3,
+        devices_per_pod: 3,
+        n_fault_windows: 0,
+        horizon_s: 300.0,
+        msm_size: 12,
+        byzantine_pod: None,
+        lost_pod: None,
+        partition_seed: 41,
+        n_partition_windows: 2,
+    };
 
     fn tiny() -> PartitionSoakSpec {
         PartitionSoakSpec { fleet: LEASED_FENCED_FLEET, n_seeds: 2 }
@@ -301,6 +300,15 @@ mod tests {
         let second = spec.run();
         assert_eq!(first.report, second.report, "partition soak must be deterministic");
         assert_eq!(first.report.to_json(), second.report.to_json());
+    }
+
+    /// A sweep whose windows never fence or rejoin exercised nothing.
+    #[test]
+    fn a_sweep_that_never_fences_fails_coverage() {
+        let fleet = FleetSoakSpec { n_partition_windows: 0, ..LEASED_FENCED_FLEET };
+        let out = PartitionSoakSpec { fleet, n_seeds: 1 }.run();
+        let found: Vec<_> = out.violations.iter().map(|v| v.invariant).collect();
+        assert_eq!(found, ["partition-coverage"]);
     }
 
     #[test]

@@ -250,7 +250,7 @@ pub fn verdict(
     journal: &DurableState,
 ) -> Run<FleetReport> {
     let mut violations = check_fleet_invariants(spec, jobs, &outcome, config);
-    violations.within("coordinator journal", check_fleet_journal(journal, spec.n_pods));
+    violations.within("coordinator journal", check_fleet_journal(journal, spec));
     let n_events = outcome.events.len() + outcome.pod_events.len();
     Run { report: outcome.report, violations, n_events }
 }
@@ -261,13 +261,21 @@ pub fn verdict(
 ///   through [`FleetState`], whose fencing checks reject any hand-off
 ///   or acceptance stamped with an expired epoch, any non-monotonic
 ///   fence and any rejoin without a fence.
+/// * **partition-fencing-model** — the same records replay through a
+///   second fencing automaton written apart from the fold (per-pod
+///   epoch and fence flag only), which must see no violation and end in
+///   the fold's epochs and fence flags. One bug cannot pass both.
 /// * **partition-replay** — folding the same journal twice yields
 ///   byte-identical states (recovery and anti-entropy rejoin are
 ///   replayable).
 /// * **partition-rejoin** — no pod ends the run fenced: every window
 ///   heals by the horizon, and the membership clock outlives lease and
 ///   grace past the last heal.
-pub fn check_fleet_journal(journal: &DurableState, n_pods: usize) -> Violations {
+/// * **partition-inert** — with no partition window scheduled no lease
+///   lapses, so the journal holds no `Fenced`, `Rejoined` or
+///   `Discarded` record.
+pub fn check_fleet_journal(journal: &DurableState, spec: &FleetSoakSpec) -> Violations {
+    let n_pods = spec.n_pods;
     let mut v = Violations::default();
     let records = match decode_records::<FleetRecord>(journal) {
         Ok(records) => records,
@@ -277,6 +285,22 @@ pub fn check_fleet_journal(journal: &DurableState, n_pods: usize) -> Violations 
         }
     };
     // the coordinator journal never compacts: epochs are 1, 2, …
+    let mut model = EpochModel::new(n_pods);
+    for (epoch, rec) in (1u64..).zip(&records) {
+        if let Err(detail) = model.step(rec) {
+            v.fail("partition-fencing-model", format!("journal epoch {epoch}: {detail}"));
+        }
+        let lease_record = matches!(
+            rec,
+            FleetRecord::Fenced { .. }
+                | FleetRecord::Rejoined { .. }
+                | FleetRecord::Discarded { .. }
+        );
+        if lease_record && spec.n_partition_windows == 0 {
+            let detail = format!("journal epoch {epoch}: {rec:?} with no partition window");
+            v.fail("partition-inert", detail);
+        }
+    }
     let fold = || -> Result<FleetState, String> {
         let mut st = FleetState::new(&n_pods);
         for (epoch, rec) in (1u64..).zip(&records) {
@@ -291,6 +315,13 @@ pub fn check_fleet_journal(journal: &DurableState, n_pods: usize) -> Violations 
             if first.to_bytes() != second.to_bytes() {
                 v.fail("partition-replay", "two folds of the same journal diverged".into());
             }
+            if (&model.epochs, &model.fenced) != (&first.pod_epochs, &first.fenced) {
+                let detail = format!(
+                    "the model ends at epochs {:?}, fenced {:?}; the fold at {:?}, fenced {:?}",
+                    model.epochs, model.fenced, first.pod_epochs, first.fenced
+                );
+                v.fail("partition-fencing-model", detail);
+            }
             for p in (0..n_pods).filter(|&p| first.fenced[p]) {
                 let detail = format!("pod {p} ended the run fenced (never rejoined)");
                 v.fail("partition-rejoin", detail);
@@ -298,6 +329,73 @@ pub fn check_fleet_journal(journal: &DurableState, n_pods: usize) -> Violations 
         }
     }
     v
+}
+
+/// The fencing rules written a second time, apart from [`FleetState`]:
+/// per-pod epoch and fence flag only. A fence advances its pod's epoch
+/// by exactly one; a placement, hand-off or acceptance must carry the
+/// live epoch of a pod that is not fenced; a rejoin must follow a fence
+/// and carry its epoch; a discard must carry an older epoch.
+struct EpochModel {
+    epochs: Vec<u64>,
+    fenced: Vec<bool>,
+}
+
+impl EpochModel {
+    fn new(n_pods: usize) -> Self {
+        Self { epochs: vec![1; n_pods], fenced: vec![false; n_pods] }
+    }
+
+    /// Advances over one record, or names the first rule it breaks (the
+    /// state still advances past a fence or rejoin, so later records
+    /// are judged against what the journal claims).
+    fn step(&mut self, rec: &FleetRecord) -> Result<(), String> {
+        let (pod, stamp, what) = match rec {
+            FleetRecord::Placed { pod, epoch, .. } => (*pod, *epoch, "placement"),
+            FleetRecord::Stolen { to, epoch, .. } | FleetRecord::Replaced { to, epoch, .. } => {
+                (*to, *epoch, "hand-off")
+            }
+            FleetRecord::Accepted { pod, epoch, .. } => (*pod, *epoch, "acceptance"),
+            FleetRecord::Fenced { pod, epoch, .. } => (*pod, *epoch, "fence"),
+            FleetRecord::Rejoined { pod, epoch, .. } => (*pod, *epoch, "rejoin"),
+            FleetRecord::Discarded { pod, epoch, .. } => (*pod, *epoch, "discard"),
+            FleetRecord::Detected { .. } | FleetRecord::Quarantined { .. } => return Ok(()),
+        };
+        let (Some(&live), Some(&fenced)) = (self.epochs.get(pod), self.fenced.get(pod)) else {
+            return Err(format!("{what} names pod {pod} outside the fleet"));
+        };
+        match rec {
+            FleetRecord::Fenced { .. } => {
+                self.epochs[pod] = stamp.max(live);
+                self.fenced[pod] = true;
+                if fenced {
+                    return Err(format!("pod {pod} fenced twice"));
+                }
+                if stamp != live + 1 {
+                    return Err(format!("fence moves pod {pod} from epoch {live} to {stamp}"));
+                }
+            }
+            FleetRecord::Rejoined { .. } => {
+                self.fenced[pod] = false;
+                if !fenced {
+                    return Err(format!("pod {pod} rejoined without a fence"));
+                }
+                if stamp != live {
+                    return Err(format!("rejoin stamped {stamp}, pod {pod} is at epoch {live}"));
+                }
+            }
+            FleetRecord::Discarded { .. } if stamp >= live => {
+                return Err(format!("discard stamped {stamp}, not below pod {pod}'s epoch {live}"));
+            }
+            FleetRecord::Discarded { .. } => {}
+            _ if fenced => return Err(format!("{what} on pod {pod} while it is fenced")),
+            _ if stamp != live => {
+                return Err(format!("{what} stamped {stamp}, pod {pod} is at epoch {live}"));
+            }
+            _ => {}
+        }
+        Ok(())
+    }
 }
 
 /// One entry of the merged fleet timeline, ordered by time with
@@ -606,7 +704,7 @@ mod tests {
 
     #[test]
     fn partitioned_sabotage_reaches_the_fleet_ledger() {
-        let spec = crate::partition::LEASED_FENCED_FLEET;
+        let spec = crate::partition::tests::LEASED_FENCED_FLEET;
         let clean = spec.run();
         assert!(clean.violations.is_empty(), "{:?}", clean.violations);
         let out = run_dropping_accepted(&spec);
@@ -644,6 +742,81 @@ mod tests {
         outcome.pod_events.push(shed_on(owner));
         let twice = check_fleet_invariants(&spec, &jobs, &outcome, &config);
         assert!(twice.iter().any(|v| v.invariant == "fleet-exactly-once"), "{twice:?}");
+    }
+
+    /// `spec`'s coordinator journal, re-journaled after `edit` rewrote
+    /// its decoded records.
+    fn edited_journal(
+        spec: &FleetSoakSpec,
+        edit: impl FnOnce(&mut Vec<FleetRecord>),
+    ) -> DurableState {
+        let mut records =
+            decode_records::<FleetRecord>(&execute(spec).3).expect("the live journal decodes");
+        edit(&mut records);
+        let mut journal = DurableState::new();
+        for rec in &records {
+            journal.append(0.0, &rec.to_bytes());
+        }
+        journal
+    }
+
+    fn journal_findings(journal: &DurableState, spec: &FleetSoakSpec) -> Vec<&'static str> {
+        check_fleet_journal(journal, spec).iter().map(|v| v.invariant).collect()
+    }
+
+    #[test]
+    fn epoch_regression_trips_the_fencing_model() {
+        let spec = crate::partition::tests::LEASED_FENCED_FLEET;
+        assert_eq!(journal_findings(&edited_journal(&spec, |_| {}), &spec), [] as [&str; 0]);
+        // The first fence claims the epoch its pod already had.
+        let journal = edited_journal(&spec, |records| {
+            let epoch = records
+                .iter_mut()
+                .find_map(|r| match r {
+                    FleetRecord::Fenced { epoch, .. } => Some(epoch),
+                    _ => None,
+                })
+                .expect("the scenario fences");
+            *epoch -= 1;
+        });
+        let found = journal_findings(&journal, &spec);
+        assert!(found.contains(&"partition-fencing-model"), "{found:?}");
+    }
+
+    #[test]
+    fn zombie_acceptance_trips_the_fencing_model() {
+        let spec = crate::partition::tests::LEASED_FENCED_FLEET;
+        // A completion lands on a pod right after its fence, stamped
+        // with the epoch the fence expired.
+        let journal = edited_journal(&spec, |records| {
+            let at = records
+                .iter()
+                .position(|r| matches!(r, FleetRecord::Fenced { .. }))
+                .expect("the scenario fences");
+            let FleetRecord::Fenced { t_s, pod, epoch } = records[at] else { unreachable!() };
+            let (id, tenant, attempts, result, epoch) = (999_999, 0, 1, Vec::new(), epoch - 1);
+            let zombie = FleetRecord::Accepted { t_s, id, tenant, pod, attempts, epoch, result };
+            records.insert(at + 1, zombie);
+        });
+        let found = journal_findings(&journal, &spec);
+        assert!(found.contains(&"partition-fencing-model"), "{found:?}");
+    }
+
+    /// Lease records need a partition window, and a fence needs its
+    /// rejoin by the end of the run.
+    #[test]
+    fn lease_records_are_checked_against_the_partition_plane() {
+        let spec = tiny();
+        let partitioned = FleetSoakSpec { n_partition_windows: 1, ..spec };
+        let fence = FleetRecord::Fenced { t_s: 1e6, pod: 0, epoch: 2 };
+        let healed = edited_journal(&spec, |records| {
+            records.push(fence.clone());
+            records.push(FleetRecord::Rejoined { t_s: 1e6, pod: 0, epoch: 2 });
+        });
+        assert_eq!(journal_findings(&healed, &spec), ["partition-inert", "partition-inert"]);
+        assert_eq!(journal_findings(&healed, &partitioned), [] as [&str; 0]);
+        let unhealed = edited_journal(&spec, |records| records.push(fence));
+        assert_eq!(journal_findings(&unhealed, &partitioned), ["partition-rejoin"]);
     }
 
     #[test]

@@ -270,7 +270,8 @@ pub struct FleetState {
     /// Accepted results in acceptance order.
     pub accepted: Vec<AcceptedEntry>,
     /// Per-pod fencing epoch (starts at 1; each fence advances it by
-    /// exactly one — the monotonicity PART-001 replays).
+    /// exactly one — the monotonicity `check_fleet_journal`'s epoch
+    /// model replays independently).
     pub pod_epochs: Vec<u64>,
     /// Per-pod fence flag: `true` between a [`FleetRecord::Fenced`] and
     /// the matching [`FleetRecord::Rejoined`].
@@ -675,14 +676,18 @@ mod tests {
         st.apply(1, &FleetRecord::Placed { t_s: 0.5, id: 7, pod: 1, epoch: 1 }, &2).unwrap();
         st.apply(2, &FleetRecord::Placed { t_s: 0.5, id: 8, pod: 0, epoch: 1 }, &2).unwrap();
         st.apply(3, &FleetRecord::Fenced { t_s: 10.0, pod: 1, epoch: 2 }, &2).unwrap();
-        let cases: Vec<(FleetRecord, &str)> = vec![
+        let mut rejoined = st.clone();
+        rejoined.apply(4, &FleetRecord::Rejoined { t_s: 20.0, pod: 1, epoch: 2 }, &2).unwrap();
+        let cases: Vec<(&FleetState, FleetRecord, &str)> = vec![
             // Steal ONTO the fenced pod: dead on arrival.
             (
+                &st,
                 FleetRecord::Stolen { t_s: 11.0, id: 8, from: 0, to: 1, epoch: 2 },
                 "hand-off on fenced pod 1",
             ),
             // Acceptance from the fenced pod (expired lease): refused.
             (
+                &st,
                 FleetRecord::Accepted {
                     t_s: 11.0,
                     id: 7,
@@ -696,32 +701,52 @@ mod tests {
             ),
             // Stale stamp on a live pod: the zombie hand-off class.
             (
+                &st,
                 FleetRecord::Placed { t_s: 11.0, id: 9, pod: 0, epoch: 0 },
                 "placement stamped epoch 0 but pod 0 is at epoch 1",
             ),
             // Fence must advance by exactly one.
             (
+                &st,
                 FleetRecord::Fenced { t_s: 11.0, pod: 0, epoch: 5 },
                 "fence advances pod 0 to epoch 5, expected 2",
             ),
             // Rejoin without a fence = a lease renewed after expiry.
             (
+                &st,
                 FleetRecord::Rejoined { t_s: 11.0, pod: 0, epoch: 1 },
                 "pod 0 rejoined without a fence",
             ),
             // A move whose `from` is not the owner (double-absorb).
             (
+                &st,
                 FleetRecord::Stolen { t_s: 11.0, id: 8, from: 1, to: 0, epoch: 1 },
                 "job 8 moved from pod 1 but pod 0 owns it",
             ),
             // Discard must stamp a strictly older epoch.
             (
+                &st,
                 FleetRecord::Discarded { t_s: 11.0, id: 7, pod: 1, epoch: 2 },
                 "discard of job 7 stamped epoch 2, not below pod 1's epoch 2",
             ),
+            // A completion stamped before the fence, surfacing after the
+            // rejoin: the stale-epoch acceptance.
+            (
+                &rejoined,
+                FleetRecord::Accepted {
+                    t_s: 21.0,
+                    id: 7,
+                    tenant: 0,
+                    pod: 1,
+                    attempts: 1,
+                    epoch: 1,
+                    result: vec![1],
+                },
+                "acceptance stamped epoch 1 but pod 1 is at epoch 2",
+            ),
         ];
-        for (rec, want) in cases {
-            match st.clone().apply(4, &rec, &2) {
+        for (state, rec, want) in cases {
+            match state.clone().apply(5, &rec, &2) {
                 Err(JournalError::BadPayload { detail, .. }) => {
                     assert!(
                         detail.starts_with(want),

@@ -288,15 +288,13 @@ struct Scan {
     torn_tail_bytes: usize,
 }
 
-/// Scans frames from `bytes`. `check_crc` is only disabled by the
-/// seeded CKPT-900 mutant (see [`recover_unchecked`]); real readers
-/// always verify. A torn tail is returned, not raised — callers decide
-/// whether it is tolerable.
-fn scan_frames(bytes: &[u8], check_crc: bool) -> Result<Scan, JournalError> {
+/// Scans frames from `bytes`, verifying every frame's CRC. A torn tail
+/// is returned, not raised — callers decide whether it is tolerable.
+fn scan_frames(bytes: &[u8]) -> Result<Scan, JournalError> {
     let mut records = Vec::new();
     let mut walk = frames(bytes);
     for f in walk.by_ref() {
-        if check_crc && frame_crc(f.stamp, f.payload) != f.crc {
+        if frame_crc(f.stamp, f.payload) != f.crc {
             return Err(JournalError::CrcMismatch {
                 epoch: f.epoch,
                 offset: f.offset,
@@ -364,7 +362,7 @@ impl Journal {
     /// Strict full decode: torn tails, CRC mismatches and epoch defects
     /// are all errors. Used by integrity checks, not crash recovery.
     pub fn replay(&self) -> Result<Vec<Record>, JournalError> {
-        let scan = scan_frames(&self.bytes, true)?;
+        let scan = scan_frames(&self.bytes)?;
         if scan.torn_tail_bytes > 0 {
             return Err(JournalError::TornTail {
                 offset: scan.clean_len,
@@ -438,7 +436,7 @@ impl DurableState {
     /// Drops the journal prefix covered by the newest snapshot — what
     /// bounds replay length.
     pub fn compact(&mut self) {
-        if let Ok(scan) = scan_frames(&self.snap_bytes, true) {
+        if let Ok(scan) = scan_frames(&self.snap_bytes) {
             if let Some(last) = scan.records.last() {
                 self.journal.compact_below(last.epoch + 1);
             }
@@ -501,22 +499,9 @@ impl DurableState {
     /// log) are dropped and reported; any other defect is a typed
     /// error.
     pub fn recover(&self) -> Result<Recovered, JournalError> {
-        self.recover_impl(true)
-    }
-
-    /// The seeded CKPT-900 mutant: a recovery that skips CRC
-    /// validation, accepting bit-flipped frames. Exists so the analyze
-    /// mutant corpus can prove the CRC check is load-bearing; never
-    /// call it from production paths.
-    #[doc(hidden)]
-    pub fn recover_unchecked(&self) -> Result<Recovered, JournalError> {
-        self.recover_impl(false)
-    }
-
-    fn recover_impl(&self, check_crc: bool) -> Result<Recovered, JournalError> {
         // Snapshot log: tolerate a torn tail, require strictly
         // increasing epochs among the intact frames.
-        let snap_scan = scan_frames(&self.snap_bytes, check_crc)?;
+        let snap_scan = scan_frames(&self.snap_bytes)?;
         let mut snapshot: Option<Snapshot> = None;
         for r in &snap_scan.records {
             if let Some(prev) = &snapshot {
@@ -531,7 +516,7 @@ impl DurableState {
                 Some(Snapshot { epoch: r.epoch, t_s: r.t_s, payload: r.payload.clone() });
         }
 
-        let scan = scan_frames(&self.journal.bytes, check_crc)?;
+        let scan = scan_frames(&self.journal.bytes)?;
         check_epochs(&scan.records, self.journal.first_epoch)?;
         let snap_epoch = snapshot.as_ref().map_or(0, |s| s.epoch);
         // The snapshot must dovetail with the retained records: a
@@ -641,8 +626,6 @@ mod tests {
             Err(JournalError::CrcMismatch { epoch: 2, frame_index: 1, .. })
         ));
         assert!(matches!(torn.journal.replay(), Err(JournalError::CrcMismatch { .. })));
-        // The mutant reader accepts it — proving the CRC is load-bearing.
-        assert!(torn.recover_unchecked().is_ok());
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl DevicePool {
 
     /// The devices a dispatch at `now_s` may use: `(closed, half_open)`,
     /// both restricted to idle devices. Open-breaker devices are never
-    /// returned — that is the SVC-002 invariant.
+    /// returned — the soak's `open-dispatch` invariant.
     pub fn allocatable(&self, now_s: f64) -> (Vec<usize>, Vec<usize>) {
         let mut closed = Vec::new();
         let mut half_open = Vec::new();

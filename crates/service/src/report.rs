@@ -245,4 +245,28 @@ mod tests {
         assert!(json.contains("\"fault-threshold\""), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
+
+    /// The workspace writer's output must satisfy the workspace's own
+    /// reader, whatever a tenant is called and whatever a float holds.
+    #[test]
+    fn writer_output_with_hostile_names_and_non_finite_floats_parses() {
+        use distmsm_ec::curves::Bn254G1;
+
+        use crate::{ChaosSchedule, ProverService, ServiceConfig, TenantConfig};
+
+        let config = ServiceConfig {
+            tenants: vec![TenantConfig::new("a\"b\\c")],
+            ..ServiceConfig::default()
+        };
+        let mut report =
+            ProverService::<Bn254G1>::new(config).run(Vec::new(), &ChaosSchedule::none()).report;
+        report.horizon_s = f64::NAN;
+        report.tenants[0].sojourn_p99_s = f64::INFINITY;
+        let doc = distmsm_telemetry::parse_json(&report.to_detailed_json())
+            .expect("the detailed report is a JSON document");
+        let tenant = &doc.get("tenants").and_then(|t| t.as_arr()).expect("tenants array")[0];
+        assert_eq!(tenant.get("name").and_then(|n| n.as_str()), Some("a\"b\\c"));
+        assert_eq!(tenant.get("sojourn_p99_s").and_then(|n| n.as_num()), Some(0.0));
+        assert_eq!(doc.get("horizon_s").and_then(|n| n.as_num()), Some(0.0));
+    }
 }

@@ -94,8 +94,8 @@ impl ServiceConfig {
 }
 
 /// What happened, when, to which job — the service's replayable event
-/// stream. Every invariant the soak and the `SVC-00x` analyzer rules
-/// check is a property of this stream.
+/// stream. Every invariant `soak::check_invariants` checks is a
+/// property of this stream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServiceEventKind {
     /// A job arrived at the door.
@@ -606,8 +606,7 @@ impl<C: Curve> ProverService<C> {
         self.wal.durable()
     }
 
-    /// The WAL's shadow fold of everything journaled so far (the
-    /// `CKPT-001` rule compares this against a from-scratch replay).
+    /// The WAL's shadow fold of everything journaled so far.
     pub fn wal_state(&self) -> &ServiceState {
         self.wal.state()
     }

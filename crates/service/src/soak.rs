@@ -206,7 +206,7 @@ pub fn verdict(
 ///    class bound (each queue epoch measured separately; a shed closes
 ///    its epoch, a completion or failure left the queue at dispatch).
 /// 5. **open-dispatch** — no dispatch names a device whose breaker was
-///    open at dispatch time (the SVC-002 property).
+///    open at dispatch time: the health gate is enforced, not advisory.
 pub fn check_invariants(
     jobs: &[JobSpec<Bn254G1>],
     events: &[ServiceEvent],
@@ -331,6 +331,27 @@ mod tests {
         // The reproducer is printable and re-runnable.
         let replay = run_dropping_completions(&min);
         assert!(!replay.violations.is_empty(), "reproducer must replay: {}", min.cli());
+    }
+
+    /// A dispatch onto a device whose latest breaker transition opened
+    /// it breaks the health gate.
+    #[test]
+    fn forged_open_dispatch_is_flagged() {
+        use crate::breaker::PoolTransition;
+
+        let (jobs, ServiceOutcome { mut events, completed, .. }) = execute(&tiny());
+        let at = events
+            .iter()
+            .position(|e| matches!(e.kind, ServiceEventKind::Dispatched { .. }))
+            .expect("the tiny soak dispatches");
+        let ServiceEventKind::Dispatched { devices, .. } = &events[at].kind else { unreachable!() };
+        let (device, t_s) = (devices[0], events[at].t_s);
+        let (from, to) = (BreakerState::Closed, BreakerState::Open);
+        let transition = PoolTransition { device, t_s, from, to, cause: "forged" };
+        let kind = ServiceEventKind::Breaker { transition };
+        events.insert(at, ServiceEvent { t_s, job: None, tenant: None, kind });
+        let v = check_invariants(&jobs, &events, &completed);
+        assert!(v.iter().any(|v| v.invariant == "open-dispatch"), "{v:?}");
     }
 
     #[test]

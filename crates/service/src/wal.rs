@@ -23,7 +23,8 @@
 //!   folding every appended record through its [`Fold::apply`] — the
 //!   same function recovery uses. A snapshot is just the encoded
 //!   shadow state, so *snapshot ≡ replay* holds by construction (the
-//!   `CKPT-001` analyzer rule grounds this equivalence on real logs).
+//!   crash soak's `crash-replay` invariant checks it at every kill
+//!   point).
 //! * **Replay-only counters.** Everything the fold tracks (job phases,
 //!   tenant counters, breaker spells, completed results) is derivable
 //!   from the record stream alone; volatile details that are *not*
@@ -555,7 +556,7 @@ impl Fold for ServiceState {
 
 /// The snapshot payload, hand-laid-out for its leading version byte.
 /// Deterministic and canonical: equal states encode to equal bytes
-/// (`CKPT-001` compares these) and no other bytes decode to them — the
+/// (`crash-replay` compares these) and no other bytes decode to them — the
 /// job table must arrive in strictly ascending id order.
 impl Wire for ServiceState {
     fn put(&self, w: &mut ByteWriter) {
