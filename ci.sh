@@ -23,6 +23,8 @@
 # and diff their byte-stable reports against goldens (BLESS=1 ./ci.sh
 # regenerates). Every service, crash and partition property has one
 # checker, the soak's own verdict, run here on the soak's own traffic.
+# Each journaled layer keeps one history, its journal: the gate below
+# allows one append per layer and no event or acceptance list beside it.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -44,15 +46,17 @@ if grep -rn 'cfg(.*feature' crates --include='*.rs' ||
     exit 1
 fi
 
-echo "== one record per decision: each journaled layer appends and pushes events in one place =="
-# the coordinator's and the service's events are derived from their
-# journal records inside one private `record`; a second append or a
-# hand-written event beside one is the parallel bookkeeping this deleted
+echo "== one record per decision, one history per layer: the journal =="
+# the coordinator and the service journal every decision in one private
+# `record`, and their outcomes' events and accepted results are decoded
+# from the journal; a second append, or an event or acceptance kept
+# beside the journal, is a second history that can drift from the one
+# a restore replays
 for layer in crates/fleet/src/fleet.rs crates/service/src/service.rs; do
     APPENDS="$({ grep -o 'wal\.append(' "$layer" || true; } | wc -l)"
-    PUSHES="$({ grep -oE 'events\.(push|extend)\(' "$layer" || true; } | wc -l)"
-    if [[ "$APPENDS" -ne 1 || "$PUSHES" -ne 1 ]]; then
-        echo "FAIL: $layer has $APPENDS 'wal.append(' and $PUSHES 'events.push(/extend('; route every decision through its one record()" >&2
+    COPIES="$({ grep -oE '(events\.(push|extend)|accepted\.push)\(' "$layer" || true; } | wc -l)"
+    if [[ "$APPENDS" -ne 1 || "$COPIES" -ne 0 ]]; then
+        echo "FAIL: $layer has $APPENDS 'wal.append(' and $COPIES 'events.push(/extend(' or 'accepted.push('; journal every decision through its one record() and read history off the journal" >&2
         exit 1
     fi
 done

@@ -31,12 +31,9 @@
 //!   and bit-flip rows must re-plan with exact coverage and no orphaned
 //!   work (`FAULT-002`).
 //!
-//! * A **fleet-invariant checker** ([`fleet`]): grounds the cross-pod
-//!   shard and quarantine re-placement planners against their symbolic
-//!   IRs (`FLT-001`), re-runs a byzantine sharded MSM end to end —
-//!   detection, quarantine, bit-exact re-placement — (`FLT-003`), and
-//!   validates the fleet proofs against a seeded overlapping-shard
-//!   mutant (`FLT-900`).
+//! * A **fleet-plan checker** ([`fleet`]): grounds the cross-pod shard
+//!   and quarantine re-placement planners against their symbolic IRs
+//!   (`FLT-001`).
 //!
 //! * A **telemetry checker** ([`tel`]): verifies that the span timeline
 //!   each engine row emitted into its live `distmsm-telemetry` session
@@ -89,9 +86,7 @@ pub mod verify;
 pub use comm::check_schedule;
 pub use det::{lint_source, lint_workspace};
 pub use fault::check_recovery_report;
-pub use fleet::{
-    check_byzantine_shard_replay, check_fleet, check_fleet_grounding, check_fleet_mutant,
-};
+pub use fleet::check_fleet;
 pub use tel::check_trace_file;
 pub use race::{check_trace, check_traces, RaceConfig};
 pub use report::{Finding, Report, Severity};

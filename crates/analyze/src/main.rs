@@ -12,8 +12,8 @@
 //! on the report's schedule (`COMM-00x`), the result against the
 //! reference value and the recovery account (`FAULT-00x`), and the
 //! timeline against the engine report (`TEL-00x`). It then runs the
-//! static linter over every kernel preset × device and the fleet
-//! checker (`FLT-00x`). `verify` runs the static plan verifier instead: symbolic
+//! static linter over every kernel preset × device and the fleet plan
+//! grounding (`FLT-001`). `verify` runs the static plan verifier instead: symbolic
 //! write-set proofs (`VRF-001`/`VRF-002`), the same comm-schedule checker
 //! over every planned collective on the topology presets (`VRF-003`,
 //! widened by `--all-presets`), the built-in mutant corpus (`VRF-900`)

@@ -31,9 +31,10 @@
 //!   is the info line counting the schedules proven.
 //! * **VRF-900 — mutant corpus.** The verifier verifies itself: a
 //!   built-in corpus of seeded defects (overlapping tiles, off-by-one
-//!   coverage gap, unbounded slot bands, swapped collective steps, a
-//!   same-step rendezvous cycle, a duplicated port flow, seeded
-//!   hash-iteration source) must each be **rejected** with a precise
+//!   coverage gap, unbounded slot bands, overlapping fleet shards,
+//!   swapped collective steps, a same-step rendezvous cycle, a
+//!   duplicated port flow, seeded hash-iteration source, a seeded panic
+//!   site) must each be **rejected** with a precise
 //!   diagnostic. A mutant that passes turns into a VRF-900 error — a
 //!   verifier that stops rejecting has lost its teeth.
 //!
@@ -658,10 +659,30 @@ pub fn mutant_plans() -> Vec<(&'static str, PlanIr)> {
         bounds: vec![SymBound::at_least("NB", 1), SymBound::at_least("S", 1)],
         assumptions: Vec::new(),
     };
+    // `fleet-shard` with every quota tile's upper bound widened from
+    // ⌊N·(p+1)/P⌋ to ⌊N·(p+2)/P⌋: each shard spills into its successor.
+    let (n, parts, p) = (Poly::var("N"), Poly::var("P"), Poly::var("p"));
+    let overlapping_shards = PlanIr {
+        name: "mutant-overlapping-shards".into(),
+        space: (IndexExpr::con(0), IndexExpr::Poly(n.clone())),
+        cover: false,
+        families: vec![RegionFamily {
+            writer: "pod",
+            param: "p",
+            count: IndexExpr::Poly(parts.clone()),
+            region: Region::Interval {
+                lo: IndexExpr::floor_div(&n.mul(&p), &parts),
+                hi: IndexExpr::floor_div(&n.mul(&p.add(&Poly::con(2))), &parts),
+            },
+        }],
+        bounds: vec![SymBound::at_least("N", 1), SymBound::at_least("P", 1)],
+        assumptions: Vec::new(),
+    };
     vec![
         ("overlapping-tiles", overlapping),
         ("coverage-gap", gapped),
         ("unbounded-slot-bands", unbounded_bands),
+        ("overlapping-shards", overlapping_shards),
     ]
 }
 
@@ -895,7 +916,7 @@ mod tests {
     fn mutant_corpus_meta_check_is_green() {
         let r = check_mutants();
         assert_eq!(r.count(Severity::Error), 0, "{}", r.render_text());
-        // One verdict per mutant: 3 plans + 3 schedules + 1 det + 1 panic.
-        assert_eq!(r.findings.len(), 8);
+        // One verdict per mutant: 4 plans + 3 schedules + 1 det + 1 panic.
+        assert_eq!(r.findings.len(), 9);
     }
 }

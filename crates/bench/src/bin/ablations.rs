@@ -1,6 +1,6 @@
 //! Ablation studies of the adopted optimisations the paper references
-//! (§2.3.1 precomputation, §6 signed digits / pipelining, ZPrize batch
-//! affine addition) — each implemented functionally in this repository.
+//! (§6 signed digits and pipelining, ZPrize batch affine addition) —
+//! each implemented functionally in this repository.
 fn main() {
     let report = distmsm_bench::runners::run_ablations();
     println!("{report}");

@@ -4,8 +4,9 @@
 //! their durable journals — record-boundary kills, mid-record torn
 //! writes, fleet-wide time cuts, and checkpointed giant-MSM resume
 //! points — restoring each prefix and checking the crash-consistency
-//! invariants over the merged pre/post event streams: exactly-once
-//! termination, no resurrection of terminal jobs, bit-exact results,
+//! invariants over the restored outcome, whose streams start with the
+//! durable history: exactly-once termination, no resurrection of
+//! terminal jobs, bit-exact results,
 //! 2G2T re-verification of restored shard partials, and modelled
 //! recovery strictly cheaper than restart-from-scratch.
 //!
@@ -14,7 +15,7 @@
 //! crash_soak --smoke          # bounded CI scenario (~seconds)
 //! crash_soak --json out.json  # also write the byte-stable CrashReport JSON
 //! crash_soak --snapshot-every 8 --kill-points 12 ...   # explicit spec
-//! crash_soak --telemetry t.json   # (telemetry builds) Chrome-trace export
+//! crash_soak --telemetry t.json   # Chrome-trace export
 //! ```
 //!
 //! The first stdout line is the full spec as re-runnable flags (nested

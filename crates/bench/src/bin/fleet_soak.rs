@@ -14,7 +14,7 @@
 //! fleet_soak --smoke          # bounded CI scenario (4 pods × 4 GPUs, 1200 jobs, 1024 tenants)
 //! fleet_soak --json out.json  # also write the byte-stable FleetReport JSON
 //! fleet_soak --arrival-seed 11 --fault-seed 3 --jobs 120 ...   # explicit spec
-//! fleet_soak --telemetry t.json   # (telemetry builds) Chrome-trace export
+//! fleet_soak --telemetry t.json   # Chrome-trace export
 //! ```
 //!
 //! Exits non-zero when any invariant is violated.

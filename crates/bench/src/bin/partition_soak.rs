@@ -12,7 +12,7 @@
 //! partition_soak --smoke          # bounded CI scenario (~seconds)
 //! partition_soak --json out.json  # also write the byte-stable PartitionReport JSON
 //! partition_soak --seeds 3 --windows 4 ...   # explicit spec
-//! partition_soak --telemetry t.json   # (telemetry builds) Chrome-trace export
+//! partition_soak --telemetry t.json   # Chrome-trace export
 //! ```
 //!
 //! The first stdout line is the full spec as re-runnable flags (the

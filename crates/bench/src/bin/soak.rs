@@ -13,7 +13,7 @@
 //! soak --smoke          # bounded CI scenario (~seconds)
 //! soak --json out.json  # also write the byte-stable ServiceReport JSON
 //! soak --arrival-seed 11 --fault-seed 3 --jobs 120 ...   # explicit spec
-//! soak --telemetry t.json   # (telemetry builds) Chrome-trace export
+//! soak --telemetry t.json   # Chrome-trace export
 //! ```
 //!
 //! Exits non-zero when any invariant is violated.

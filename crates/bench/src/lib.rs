@@ -17,9 +17,13 @@
 //! | `fig11` | Figure 11 — hierarchical vs naive bucket scatter |
 //! | `fig12` | Figure 12 — PADD-kernel optimisation waterfall |
 //! | `fault_sweep` | fault rate × GPU count sweep with verified recovery |
+//! | `ablations` | signed digits, batch-affine accumulation, pipelining |
+//! | `soak` | seeded chaos soak of the multi-tenant prover service |
+//! | `fleet_soak` | soak of the multi-pod fleet: pod loss, byzantine pod |
+//! | `crash_soak` | kill-point sweeps over the journaled service and fleet |
+//! | `partition_soak` | link partitions over the leased, fenced fleet |
 //!
-//! Criterion microbenchmarks of the substrate itself (field multiply,
-//! point ops, MSM, NTT, scatter) live under `benches/`.
+//! The four soak binaries share one `main`, [`soak_main`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -9,9 +9,10 @@
 //!    prefix's snapshot-plus-tail recovery must equal its full replay
 //!    with the snapshots stripped, byte for byte; the prefix then
 //!    restores via [`ProverService::restore`], drives to
-//!    completion, and the merged pre/post event stream must satisfy
-//!    every PR-5 soak invariant: exactly-once, conservation, bit-exact
-//!    results, starvation bounds, no open-breaker dispatch. Jobs that
+//!    completion, and its event stream — the journal decoded, so the
+//!    durable prefix comes first — must satisfy every PR-5 soak
+//!    invariant: exactly-once, conservation, bit-exact results,
+//!    starvation bounds, no open-breaker dispatch. Jobs that
 //!    were terminal before the crash must never emit another event
 //!    (no resurrection), and modelled recovery cost must beat
 //!    restart-from-scratch whenever enough history exists
@@ -22,10 +23,10 @@
 //!    [`FleetCoordinator::restore`] reconciles the layers (torn steals
 //!    re-absorbed, durable-but-unaccepted completions re-verified via
 //!    the 2G2T blinded-twin check), [`FleetCoordinator::resume`] runs
-//!    the tail, and the merged streams must satisfy every fleet soak
-//!    invariant — including byzantine detection and pod-loss handling
-//!    across the restart. One extra cut tears the coordinator journal
-//!    mid-record.
+//!    the tail, and its outcome, which spans the whole run, must
+//!    satisfy every fleet soak invariant — including byzantine
+//!    detection and pod-loss handling across the restart. One extra cut
+//!    tears the coordinator journal mid-record.
 //! 3. **Checkpointed shards** — a supervised windowed MSM and its
 //!    blinded twin journal a [`WindowCheckpoint`] every `interval`
 //!    windows. For every checkpoint count the pair resumes from the
@@ -53,14 +54,13 @@ use distmsm_service::harness::{Flags, Run, Scenario};
 use distmsm_service::soak::{self as pod_soak, SoakSpec};
 use distmsm_service::wal::{self as service_wal, ServiceShape};
 use distmsm_service::{
-    ChaosSchedule, JobSpec, ProverService, ServiceConfig, ServiceEvent, ServiceEventKind,
+    ChaosSchedule, JobSpec, ProverService, ServiceConfig, ServiceEventKind,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::fleet::{FleetChaos, FleetConfig, FleetCoordinator, FleetOutcome};
+use crate::fleet::{FleetChaos, FleetConfig, FleetCoordinator};
 use crate::outsource::Challenge;
 use crate::soak::{self as fleet_soak, FleetSoakSpec};
-use crate::wal as fleet_wal;
 
 /// Simulated-seconds of lost pod history above which recovery must be
 /// strictly cheaper than recomputing from scratch, per journaled layer.
@@ -298,7 +298,7 @@ fn service_terminal(kind: &ServiceEventKind) -> bool {
 
 /// What one service restore reported back to the sweep.
 struct RestoreStats {
-    /// Debug rendering of the post-restore event stream (the
+    /// Debug rendering of the events after the durable prefix (the
     /// determinism probe compares two restores of the same prefix).
     signature: String,
     recovery_cost_s: f64,
@@ -355,8 +355,9 @@ fn check_replay(cut: &DurableState, shape: &ServiceShape) -> Result<(), String> 
 }
 
 /// Restores one truncated service journal, drives it to completion and
-/// checks the merged stream. Returns `None` when decode or restore
-/// itself failed (already reported).
+/// checks its outcome, whose stream starts with the cut's events.
+/// Returns `None` when decode or restore itself failed (already
+/// reported).
 fn service_restore_check(
     config: &ServiceConfig,
     jobs: &[JobSpec<Bn254G1>],
@@ -366,21 +367,21 @@ fn service_restore_check(
     run: &mut Run<CrashReport>,
 ) -> Option<RestoreStats> {
     let v = &mut run.violations;
-    let before = match service_wal::decode_events(cut) {
+    if let Err(detail) = check_replay(cut, &config.shape()) {
+        v.fail("crash-replay", format!("{what}: {detail}"));
+    }
+    let durable = match service_wal::decode_events(cut) {
         Ok(events) => events,
         Err(err) => {
             v.fail("crash-decode", format!("{what}: durable prefix failed to decode: {err:?}"));
             return None;
         }
     };
-    let terminal: BTreeSet<u64> = before
+    let terminal: BTreeSet<u64> = durable
         .iter()
         .filter(|ev| service_terminal(&ev.kind))
         .filter_map(|ev| ev.job)
         .collect();
-    if let Err(detail) = check_replay(cut, &config.shape()) {
-        v.fail("crash-replay", format!("{what}: {detail}"));
-    }
 
     let (mut svc, info) = match ProverService::restore(config.clone(), jobs, cut) {
         Ok(pair) => pair,
@@ -391,8 +392,13 @@ fn service_restore_check(
     };
     while svc.step(chaos) {}
     let outcome = svc.finish();
+    let Some(post) = outcome.events.strip_prefix(durable.as_slice()) else {
+        let detail = format!("{what}: the restored stream does not start with the cut's events");
+        v.fail("crash-restore", detail);
+        return None;
+    };
 
-    for ev in &outcome.events {
+    for ev in post {
         if let Some(id) = ev.job.filter(|id| terminal.contains(id)) {
             v.fail(
                 "crash-no-resurrection",
@@ -405,11 +411,9 @@ fn service_restore_check(
         }
     }
 
-    let signature = format!("{:?}", outcome.events);
-    let mut merged = before;
-    merged.extend(outcome.events.iter().cloned());
-    run.n_events += merged.len();
-    let inner = pod_soak::check_invariants(jobs, &merged, &outcome.completed);
+    let signature = format!("{post:?}");
+    run.n_events += outcome.events.len();
+    let inner = pod_soak::check_invariants(jobs, &outcome.events, &outcome.completed);
     v.nest("crash-invariant", what, inner);
 
     Some(RestoreStats {
@@ -502,8 +506,9 @@ struct FleetCuts<'a> {
 impl FleetCuts<'_> {
     /// Restores one fleet-wide cut — the given coordinator prefix plus
     /// every pod journal cut at `t_s` — resumes it and checks the
-    /// merged streams. Returns the coordinator's torn-tail byte count
-    /// so the torn cut can assert it was actually torn.
+    /// outcome, which spans the whole run. Returns the coordinator's
+    /// torn-tail byte count so the torn cut can assert it was actually
+    /// torn.
     fn restore_check(
         &self,
         coordinator_cut: &DurableState,
@@ -515,26 +520,6 @@ impl FleetCuts<'_> {
         let v = &mut run.violations;
         let pod_cuts: Vec<DurableState> =
             pod_durables.iter().map(|d| truncate_at_time(d, t_s)).collect();
-        let pre_fleet = match fleet_wal::decode_fleet_events(coordinator_cut) {
-            Ok(events) => events,
-            Err(err) => {
-                let detail = format!("{what}: coordinator prefix failed to decode: {err:?}");
-                v.fail("crash-decode", detail);
-                return None;
-            }
-        };
-        let mut pre_pods: Vec<(usize, ServiceEvent)> = Vec::new();
-        for (pod, cut) in pod_cuts.iter().enumerate() {
-            match service_wal::decode_events(cut) {
-                Ok(events) => pre_pods.extend(events.into_iter().map(|e| (pod, e))),
-                Err(err) => {
-                    let detail = format!("{what}: pod {pod} prefix failed to decode: {err:?}");
-                    v.fail("crash-decode", detail);
-                    return None;
-                }
-            }
-        }
-
         let restored =
             FleetCoordinator::restore(config.clone(), jobs, coordinator_cut, &pod_cuts, chaos);
         let (mut fleet, info) = match restored {
@@ -544,19 +529,11 @@ impl FleetCuts<'_> {
                 return None;
             }
         };
-        let post = fleet.resume(chaos);
-
-        let merged = FleetOutcome {
-            report: post.report.clone(),
-            events: pre_fleet.into_iter().chain(post.events.iter().cloned()).collect(),
-            pod_events: pre_pods.into_iter().chain(post.pod_events.iter().cloned()).collect(),
-            pod_reports: post.pod_reports.clone(),
-            accepted: post.accepted.clone(),
-        };
-        run.n_events += merged.events.len() + merged.pod_events.len();
-        let inner = fleet_soak::check_fleet_invariants(spec, jobs, &merged, config);
+        let outcome = fleet.resume(chaos);
+        run.n_events += outcome.events.len() + outcome.pod_events.len();
+        let inner = fleet_soak::check_fleet_invariants(spec, jobs, &outcome, config);
         v.nest("crash-invariant", what, inner);
-        let journal = fleet_soak::check_fleet_journal(fleet.durable(), spec);
+        let journal = fleet_soak::check_fleet_journal(fleet.durable(), spec, &outcome.report);
         v.nest("crash-invariant", what, journal);
 
         run.report.fleet_cuts += 1;
@@ -577,7 +554,8 @@ fn fleet_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
     let mut coordinator = FleetCoordinator::new(config.clone());
     let reference = coordinator.run(jobs.clone(), &chaos);
     let mut baseline = fleet_soak::check_fleet_invariants(&spec.fleet, &jobs, &reference, &config);
-    let journal = fleet_soak::check_fleet_journal(coordinator.durable(), &spec.fleet);
+    let journal =
+        fleet_soak::check_fleet_journal(coordinator.durable(), &spec.fleet, &reference.report);
     baseline.within("coordinator journal", journal);
     run.violations.nest("crash-baseline", "fleet baseline", baseline);
 
@@ -850,7 +828,10 @@ mod tests {
     }
 
     /// A snapshot that claims a different history than the records
-    /// behind it is a `crash-replay` violation at the kill point.
+    /// behind it is a `crash-replay` violation at the kill point. One at
+    /// the cut's last record diverges from the full replay; one that
+    /// claims records past the cut is refused by recovery, so the cut
+    /// does not decode either.
     #[test]
     fn replay_divergence_is_flagged() {
         let spec = tiny();
@@ -868,14 +849,18 @@ mod tests {
         let honest = service_wal::recover_state(&cut, &config.shape()).expect("cut recovers");
         let mut lying = honest.state;
         lying.clock_s += 1.0e3;
-        let mut sabotaged = cut.clone();
-        let last_epoch = sabotaged.journal.n_records() as u64;
-        sabotaged.install_snapshot(last_epoch, lying.clock_s, &lying.to_bytes());
-        let mut run = Run::default();
-        service_restore_check(&config, &jobs, &chaos, &sabotaged, "lying snapshot", &mut run);
-        let replay: Vec<_> =
-            run.violations.iter().filter(|v| v.invariant == "crash-replay").collect();
-        assert_eq!(replay.len(), 1, "{:?}", run.violations);
+        let cut_epoch = cut.reopen().expect("cut reopens").journal.next_epoch() - 1;
+        let past_cut = svc.durable().journal.n_records() as u64;
+        for (epoch, refused) in [(cut_epoch, false), (past_cut, true)] {
+            let mut sabotaged = cut.clone();
+            sabotaged.install_snapshot(epoch, lying.clock_s, &lying.to_bytes());
+            let mut run = Run::default();
+            service_restore_check(&config, &jobs, &chaos, &sabotaged, "lying snapshot", &mut run);
+            let count = |id| run.violations.iter().filter(|v| v.invariant == id).count();
+            assert_eq!(count("crash-replay"), 1, "epoch {epoch}: {:?}", run.violations);
+            let decoded = count("crash-decode") == 0;
+            assert_eq!(decoded, !refused, "epoch {epoch}: {:?}", run.violations);
+        }
     }
 
     #[test]

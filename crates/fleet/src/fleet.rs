@@ -199,18 +199,22 @@ pub struct AcceptedJob<C: Curve> {
     pub attempts: u32,
 }
 
-/// Everything a fleet run produced, replayable and checkable.
+/// Everything a fleet run produced, replayable and checkable. Every
+/// stream is read off a journal that never compacts, so after a restore
+/// it starts with the durable pre-crash history.
 #[derive(Debug)]
 pub struct FleetOutcome<C: Curve> {
     /// Aggregated fleet report (byte-stable JSON, renderable).
     pub report: FleetReport,
-    /// Coordinator decisions in order.
+    /// Coordinator decisions in order: the coordinator journal decoded.
     pub events: Vec<FleetEvent>,
-    /// Merged pod event streams, tagged with the pod index.
+    /// Merged pod event streams (each pod's journal decoded), tagged
+    /// with the pod index.
     pub pod_events: Vec<(usize, ServiceEvent)>,
     /// Per-pod service reports.
     pub pod_reports: Vec<ServiceReport>,
-    /// Jobs whose results passed the outsourcing check.
+    /// Jobs whose results passed the outsourcing check, in acceptance
+    /// order: the fold's accepted results decoded.
     pub accepted: Vec<AcceptedJob<C>>,
 }
 
@@ -248,19 +252,14 @@ pub struct FleetRecoveryInfo {
 
 /// The global placement layer over `n_pods` untrusted pods.
 ///
-/// Ownership, quarantine flags and the detection count live only in the
-/// WAL's fold ([`Self::wal_state`]); every decision goes through one
-/// `record`, which journals it and derives the coordinator event and its
-/// telemetry instant from the record.
+/// Ownership, quarantine flags, the detection count and the accepted
+/// results live only in the WAL's fold ([`Self::wal_state`]); every
+/// decision goes through one `record`, which journals it and traces its
+/// telemetry instant. The journal is the one history: the outcome's
+/// events and accepted results are decoded from it.
 pub struct FleetCoordinator<C: Curve> {
     config: FleetConfig,
     pods: Vec<ProverService<C>>,
-    events: Vec<FleetEvent>,
-    /// Durable pre-crash coordinator events, seeded by [`Self::restore`]
-    /// so the final report accounts the full history (the outcome's
-    /// `events` stay post-restore only, mirroring the pods).
-    prior_events: Vec<FleetEvent>,
-    accepted: Vec<AcceptedJob<C>>,
     specs: BTreeMap<u64, JobSpec<C>>,
     last_good: Option<OutsourcedResult<C>>,
     checker: DistMsm,
@@ -287,9 +286,6 @@ impl<C: Curve> FleetCoordinator<C> {
             (0..config.n_pods).map(|_| ProverService::new(config.pod.clone())).collect();
         let wal = FleetWal::new(config.n_pods, config.pod.snapshot_every);
         Self {
-            events: Vec::new(),
-            prior_events: Vec::new(),
-            accepted: Vec::new(),
             specs: BTreeMap::new(),
             last_good: None,
             checker: DistMsm::new(MultiGpuSystem::dgx_a100(1)),
@@ -320,12 +316,15 @@ impl<C: Curve> FleetCoordinator<C> {
     ///   durable are untrusted: each re-runs the blinded-twin check
     ///   before use, accepting on a pass and falling back to
     ///   re-execution on a healthy pod otherwise.
+    /// * Every journal continues from its durable prefix, so the outcome
+    ///   of [`Self::resume`] starts with the pre-crash history.
     ///
     /// # Errors
     ///
     /// Any corrupt durable state in any journal — CRC mismatch,
-    /// missing/duplicate epoch, stale snapshot, undecodable payload —
-    /// is a typed [`JournalError`]; torn tails alone are tolerated.
+    /// missing/duplicate epoch, stale snapshot, undecodable payload
+    /// (also one a snapshot covers) — is a typed [`JournalError`]; torn
+    /// tails alone are tolerated.
     ///
     /// # Panics
     ///
@@ -365,10 +364,7 @@ impl<C: Curve> FleetCoordinator<C> {
                 // itself was lost.
                 let owner = state.placed_on.get(&job.id).copied().filter(|&p| state.placeable(p));
                 let target = owner.unwrap_or_else(|| {
-                    let t = (0..n_pods)
-                        .filter(|&p| state.placeable(p))
-                        .min_by_key(|&p| spec_lists[p].len())
-                        .expect("no placeable pod: nowhere to re-place");
+                    let t = least_loaded_placeable(state, n_pods, |p| spec_lists[p].len());
                     replacements.push((job, t));
                     t
                 });
@@ -407,22 +403,11 @@ impl<C: Curve> FleetCoordinator<C> {
             pod_infos.push(info);
         }
 
-        for a in &state.accepted {
-            let affine = point_from_uncompressed::<C>(&a.result).ok_or_else(|| {
-                JournalError::BadPayload {
-                    epoch: state.last_epoch,
-                    detail: format!("accepted job {} carries an undecodable result point", a.id),
-                }
-            })?;
-            fleet.accepted.push(AcceptedJob {
-                id: a.id,
-                tenant: a.tenant,
-                pod: a.pod,
-                result: affine.to_xyzz(),
-                attempts: a.attempts,
-            });
-        }
-        fleet.prior_events = fleet_wal::decode_fleet_events(coordinator)?;
+        // The journal is untrusted and the outcome is read off it: a
+        // record or an accepted result that does not decode is refused
+        // here, before anything runs.
+        fleet_wal::decode_fleet_events(coordinator)?;
+        decode_accepted::<C>(state)?;
         fleet.specs = jobs.iter().map(|j| (j.id, j.clone())).collect();
         let snapshot_every = fleet.config.pod.snapshot_every;
         fleet.wal = FleetWal::resume(coordinator.reopen()?, rec.state, n_pods, snapshot_every);
@@ -448,10 +433,7 @@ impl<C: Curve> FleetCoordinator<C> {
             // Same placeable test as above: the fold refuses a hand-off
             // onto a fenced pod.
             let state = fleet.wal.state();
-            let to = (0..n_pods)
-                .filter(|&p| state.placeable(p))
-                .min_by_key(|&p| fleet.pods[p].queued_jobs())
-                .expect("no placeable pod: nowhere to re-place");
+            let to = least_loaded_placeable(state, n_pods, |p| fleet.pods[p].queued_jobs());
             let from = state.placed_on.get(&spec.id).copied().unwrap_or(to);
             let stolen = StolenJob { spec, attempt, effective_deadline_s: now };
             fleet.replace(stolen, from, to, now, chaos);
@@ -461,7 +443,9 @@ impl<C: Curve> FleetCoordinator<C> {
         // untrusted restored partials: re-run the 2G2T check before
         // use. Completions already accepted, or already rejected and
         // re-placed (the job is live on some pod), are skipped.
-        let accepted_ids: BTreeSet<u64> = fleet.accepted.iter().map(|a| a.id).collect();
+        let accepted = &fleet.wal.state().accepted;
+        let accepted_ids: BTreeSet<u64> = accepted.iter().map(|a| a.id).collect();
+        let accepted_before = accepted.len();
         let live_ids: BTreeSet<u64> = folds
             .iter()
             .flat_map(|f| {
@@ -480,7 +464,6 @@ impl<C: Curve> FleetCoordinator<C> {
                 drained.push((p, done));
             }
         }
-        let accepted_before = fleet.accepted.len();
         let mut reverified = 0u64;
         for (p, done) in drained {
             if accepted_ids.contains(&done.id) || live_ids.contains(&done.id) {
@@ -489,7 +472,7 @@ impl<C: Curve> FleetCoordinator<C> {
             reverified += 1;
             fleet.check_completion(p, done, chaos);
         }
-        let reaccepted = (fleet.accepted.len() - accepted_before) as u64;
+        let reaccepted = (fleet.wal.state().accepted.len() - accepted_before) as u64;
         fleet.instant(
             now,
             "fleet.recovery:restored",
@@ -540,10 +523,9 @@ impl<C: Curve> FleetCoordinator<C> {
 
     /// Drains a restored fleet to quiescence: the [`Self::run`] loop
     /// without the placement phase (ownership came back from the
-    /// journals). The returned outcome holds post-restore events only;
-    /// the pre-crash prefix is decodable from the durable journals via
-    /// [`crate::wal::decode_fleet_events`] and
-    /// [`distmsm_service::decode_events`].
+    /// journals). The returned outcome is the whole run: its streams and
+    /// accepted results are decoded from journals that continue the
+    /// durable prefixes, so they start with the pre-crash history.
     ///
     /// # Panics
     ///
@@ -650,7 +632,7 @@ impl<C: Curve> FleetCoordinator<C> {
     /// The copies are read off the pod's journal fold: durable storage
     /// outlives a NIC partition, as crash recovery already assumes.
     fn replace_orphans(&mut self, pod: usize, t_s: f64, chaos: &FleetChaos) {
-        let accepted_ids: BTreeSet<u64> = self.accepted.iter().map(|a| a.id).collect();
+        let accepted_ids: BTreeSet<u64> = self.wal.state().accepted.iter().map(|a| a.id).collect();
         let copies = &self.pods[pod].wal_state().jobs;
         let orphans: Vec<u64> = self
             .wal
@@ -753,7 +735,7 @@ impl<C: Curve> FleetCoordinator<C> {
         // by assuming connectivity. A hand-off from an expired lease is
         // rejected *on arrival*, whatever the network did meanwhile.
         let st = self.wal.state();
-        let already = self.accepted.iter().any(|a| a.id == done.id);
+        let already = st.accepted.iter().any(|a| a.id == done.id);
         let owned = st.placed_on.get(&done.id) == Some(&pod);
         let fresh = st.placed_epoch.get(&done.id).copied() == Some(st.pod_epochs[pod]);
         if already || !owned || !fresh {
@@ -810,13 +792,6 @@ impl<C: Curve> FleetCoordinator<C> {
                 },
             );
             self.last_good = Some(pair);
-            self.accepted.push(AcceptedJob {
-                id: done.id,
-                tenant: done.tenant,
-                pod,
-                result: pair.r1,
-                attempts: done.attempts,
-            });
             return;
         }
         // Invariant: 2G2T has no false positives — for a bit-exact
@@ -955,25 +930,25 @@ impl<C: Curve> FleetCoordinator<C> {
             .min_by_key(|&p| (self.pods[p].queued_jobs(), p))
     }
 
+    /// Reads the outcome off the journals. None of them compacts, so
+    /// each decoded stream is the full history, a restored fleet's
+    /// durable past included.
     fn finish(&mut self) -> FleetOutcome<C> {
-        let mut by_pod = Vec::new();
-        let mut pod_reports = Vec::new();
-        for (i, pod) in self.pods.iter_mut().enumerate() {
-            let outcome = pod.finish();
-            by_pod.extend(outcome.events.into_iter().map(|e| (i, e)));
-            pod_reports.push(outcome.report);
-        }
-        let events = std::mem::take(&mut self.events);
-        let accepted = std::mem::take(&mut self.accepted);
-        // The report spans the full history: the durable pre-crash
-        // events a restore seeded (empty on a cold start) plus this
-        // run's — matching the pods, whose restored reports also count
-        // their durable past. The outcome's `events` stay post-restore.
-        let mut full_history = std::mem::take(&mut self.prior_events);
-        full_history.extend(events.iter().cloned());
+        let mut pod_reports = Vec::with_capacity(self.pods.len());
+        let pod_events = (0..self.pods.len())
+            .flat_map(|i| {
+                let outcome = self.pods[i].finish();
+                pod_reports.push(outcome.report);
+                outcome.events.into_iter().map(move |e| (i, e))
+            })
+            .collect();
+        let state = self.wal.state();
+        let (events, accepted) = fleet_wal::decode_fleet_events(self.wal.durable())
+            .and_then(|events| Ok((events, decode_accepted(state)?)))
+            .expect("the coordinator decodes its own journal");
         let n_tenants = self.config.pod.tenants.len();
-        let report = FleetReport::build(&pod_reports, &full_history, self.wal.state(), n_tenants);
-        FleetOutcome { report, events, pod_events: by_pod, pod_reports, accepted }
+        let report = FleetReport::build(&pod_reports, &events, state, n_tenants);
+        FleetOutcome { report, events, pod_events, pod_reports, accepted }
     }
 
     /// The coordinator's durable journal + snapshot bytes — what a
@@ -994,18 +969,16 @@ impl<C: Curve> FleetCoordinator<C> {
     }
 
     /// Journals one coordinator decision. Everything else the decision
-    /// produces is read off the record: the WAL folds it, the
-    /// coordinator event is [`FleetRecord::event`], and the `fleet`-lane
+    /// produces is read off the record: the WAL folds it, the outcome
+    /// decodes its event ([`FleetRecord::event`]), and the `fleet`-lane
     /// instant named after the record kind is emitted at the event's
     /// time while a session is active.
     fn record(&mut self, t_s: f64, rec: FleetRecord) {
         self.wal.append(t_s, &rec);
-        let event = rec.event();
         if distmsm_telemetry::session::active() {
             let (name, args) = instant_of(&rec);
-            self.instant(event.t_s, name, args);
+            self.instant(rec.event().t_s, name, args);
         }
-        self.events.push(event);
     }
 
     /// Emits a telemetry instant on the `fleet` lane (no-op unless a
@@ -1021,6 +994,42 @@ impl<C: Curve> FleetCoordinator<C> {
             });
         }
     }
+}
+
+/// The placeable pod (neither quarantined nor fenced in `state`) with
+/// the smallest `load`, ties to the lowest id.
+///
+/// # Panics
+///
+/// Panics when no pod is placeable: a restored job has nowhere to go.
+fn least_loaded_placeable(
+    state: &FleetState,
+    n_pods: usize,
+    load: impl Fn(usize) -> usize,
+) -> usize {
+    (0..n_pods)
+        .filter(|&p| state.placeable(p))
+        .min_by_key(|&p| load(p))
+        .expect("no placeable pod: nowhere to re-place")
+}
+
+/// The fold's accepted results, decoded back to curve points.
+///
+/// # Errors
+///
+/// A result that does not decode is a typed [`JournalError::BadPayload`].
+fn decode_accepted<C: Curve>(state: &FleetState) -> Result<Vec<AcceptedJob<C>>, JournalError> {
+    let decode = |a: &fleet_wal::AcceptedEntry| {
+        let affine = point_from_uncompressed::<C>(&a.result).ok_or_else(|| {
+            JournalError::BadPayload {
+                epoch: state.last_epoch,
+                detail: format!("accepted job {} carries an undecodable result point", a.id),
+            }
+        })?;
+        let result = affine.to_xyzz();
+        Ok(AcceptedJob { id: a.id, tenant: a.tenant, pod: a.pod, result, attempts: a.attempts })
+    };
+    state.accepted.iter().map(decode).collect()
 }
 
 /// The `fleet`-lane telemetry instant a coordinator record is traced

@@ -11,7 +11,7 @@
 //! Everything derives from the [`FleetSoakSpec`] alone, and generation
 //! is prefix-stable: shrinking a count replays a strict subset.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use distmsm_comms::PartitionSchedule;
 use distmsm_ec::curves::Bn254G1;
@@ -241,7 +241,8 @@ pub fn execute(
 }
 
 /// Checks one executed fleet scenario: [`check_fleet_invariants`] over
-/// its streams and [`check_fleet_journal`] over its coordinator journal.
+/// its streams and [`check_fleet_journal`] over its coordinator journal
+/// and report.
 pub fn verdict(
     spec: &FleetSoakSpec,
     jobs: &[JobSpec<Bn254G1>],
@@ -250,7 +251,7 @@ pub fn verdict(
     journal: &DurableState,
 ) -> Run<FleetReport> {
     let mut violations = check_fleet_invariants(spec, jobs, &outcome, config);
-    violations.within("coordinator journal", check_fleet_journal(journal, spec));
+    violations.within("coordinator journal", check_fleet_journal(journal, spec, &outcome.report));
     let n_events = outcome.events.len() + outcome.pod_events.len();
     Run { report: outcome.report, violations, n_events }
 }
@@ -274,7 +275,14 @@ pub fn verdict(
 /// * **partition-inert** — with no partition window scheduled no lease
 ///   lapses, so the journal holds no `Fenced`, `Rejoined` or
 ///   `Discarded` record.
-pub fn check_fleet_journal(journal: &DurableState, spec: &FleetSoakSpec) -> Violations {
+/// * **fleet-report-replay** — `report`'s quarantined pods, detection
+///   count and tenants served equal the from-scratch fold's: the report
+///   is a view over the journal.
+pub fn check_fleet_journal(
+    journal: &DurableState,
+    spec: &FleetSoakSpec,
+    report: &FleetReport,
+) -> Violations {
     let n_pods = spec.n_pods;
     let mut v = Violations::default();
     let records = match decode_records::<FleetRecord>(journal) {
@@ -325,6 +333,17 @@ pub fn check_fleet_journal(journal: &DurableState, spec: &FleetSoakSpec) -> Viol
             for p in (0..n_pods).filter(|&p| first.fenced[p]) {
                 let detail = format!("pod {p} ended the run fenced (never rejoined)");
                 v.fail("partition-rejoin", detail);
+            }
+            let quarantined: Vec<usize> = (0..n_pods).filter(|&p| first.quarantined[p]).collect();
+            let served: BTreeSet<usize> = first.accepted.iter().map(|a| a.tenant).collect();
+            let folded = (&quarantined, first.detections, served.len());
+            let reported = (&report.quarantined_pods, report.detections, report.tenants_served);
+            if reported != folded {
+                let detail = format!(
+                    "the report's (quarantined pods, detections, tenants served) are \
+                     {reported:?}; the journal folds to {folded:?}"
+                );
+                v.fail("fleet-report-replay", detail);
             }
         }
     }
@@ -745,23 +764,44 @@ mod tests {
     }
 
     /// `spec`'s coordinator journal, re-journaled after `edit` rewrote
-    /// its decoded records.
+    /// its decoded records, and the run's report.
     fn edited_journal(
         spec: &FleetSoakSpec,
         edit: impl FnOnce(&mut Vec<FleetRecord>),
-    ) -> DurableState {
+    ) -> (DurableState, FleetReport) {
+        let (_, _, outcome, durable) = execute(spec);
         let mut records =
-            decode_records::<FleetRecord>(&execute(spec).3).expect("the live journal decodes");
+            decode_records::<FleetRecord>(&durable).expect("the live journal decodes");
         edit(&mut records);
         let mut journal = DurableState::new();
         for rec in &records {
             journal.append(0.0, &rec.to_bytes());
         }
-        journal
+        (journal, outcome.report)
     }
 
-    fn journal_findings(journal: &DurableState, spec: &FleetSoakSpec) -> Vec<&'static str> {
-        check_fleet_journal(journal, spec).iter().map(|v| v.invariant).collect()
+    fn journal_findings(
+        (journal, report): &(DurableState, FleetReport),
+        spec: &FleetSoakSpec,
+    ) -> Vec<&'static str> {
+        check_fleet_journal(journal, spec, report).iter().map(|v| v.invariant).collect()
+    }
+
+    /// A report whose quarantine flags, detections or tenants served
+    /// differ from the journal's fold is flagged.
+    #[test]
+    fn a_report_that_drifts_from_the_journal_is_flagged() {
+        let spec = tiny();
+        let (journal, report) = edited_journal(&spec, |_| {});
+        let findings = |report: FleetReport| journal_findings(&(journal.clone(), report), &spec);
+        assert_eq!(findings(report.clone()), [] as [&str; 0]);
+        for drift in [
+            FleetReport { detections: report.detections + 1, ..report.clone() },
+            FleetReport { quarantined_pods: Vec::new(), ..report.clone() },
+            FleetReport { tenants_served: report.tenants_served + 1, ..report.clone() },
+        ] {
+            assert_eq!(findings(drift), ["fleet-report-replay"]);
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * **Replay-only counters.** Everything the fold tracks (ownership,
 //!   quarantine flags, detections, accepted results) derives from the
 //!   record stream alone; volatile coordinator state (`last_good`, the
-//!   event buffer) is legitimately rebuilt differently after a crash.
+//!   lease table) is legitimately rebuilt differently after a crash.
+//!   The coordinator keeps no history beside the journal: its outcome
+//!   stream is [`decode_fleet_events`], its accepted results the fold's.
 //!
 //! The placement prefix is journaled at frame time `0.0` — the
 //! coordinator persists its whole placement plan before the run starts
@@ -182,8 +184,9 @@ pub enum FleetRecord {
 }
 
 impl FleetRecord {
-    /// The coordinator event this record witnesses — the one source of
-    /// both the live outcome stream and [`decode_fleet_events`].
+    /// The coordinator event this record witnesses — what
+    /// [`decode_fleet_events`], and so every fleet outcome stream, is
+    /// made of.
     pub fn event(&self) -> FleetEvent {
         match self {
             FleetRecord::Placed { t_s, id, pod, .. } => {
@@ -567,9 +570,8 @@ pub fn recover_fleet_state(
 }
 
 /// Decodes the full coordinator event stream a durable journal
-/// witnesses — the pre-crash half of the merged fleet timeline the
-/// crash soak checks. Torn tail dropped, full history replayed
-/// (the coordinator WAL never compacts).
+/// witnesses — a fleet outcome's `events`. Torn tail dropped, full
+/// history replayed (the coordinator WAL never compacts).
 pub fn decode_fleet_events(durable: &DurableState) -> Result<Vec<FleetEvent>, JournalError> {
     Ok(decode_records::<FleetRecord>(durable)?.iter().map(FleetRecord::event).collect())
 }

@@ -26,8 +26,9 @@
 //!   signature of a crash mid-append) is silently dropped and reported
 //!   as [`Recovered::torn_tail_bytes`]; every defect *before* the tail —
 //!   a CRC mismatch on a complete frame, a duplicated or missing epoch,
-//!   a stale snapshot — is still a hard error, because those can only
-//!   come from corruption or a buggy writer, never from a crash.
+//!   a stale snapshot, a snapshot ahead of the last record — is still a
+//!   hard error, because those can only come from corruption or a buggy
+//!   writer, never from a crash.
 //!
 //! Snapshots live in their own framed log ([`DurableState`]); a
 //! snapshot's epoch is the epoch of the last record folded into it, so
@@ -156,6 +157,16 @@ pub enum JournalError {
         /// First epoch the journal can still supply.
         journal_epoch: u64,
     },
+    /// A snapshot that claims records the journal does not hold: stable
+    /// storage writes a snapshot after the records it folds, so it
+    /// cannot outlive them. Appending after it would leave an epoch gap
+    /// no replay can cross.
+    SnapshotAhead {
+        /// Epoch claimed by the snapshot.
+        snapshot_epoch: u64,
+        /// Epoch of the journal's last complete record.
+        last_epoch: u64,
+    },
     /// A structurally intact payload that fails semantic decoding in
     /// the owning layer (unknown tag, short field, non-canonical point
     /// bytes).
@@ -188,6 +199,10 @@ impl core::fmt::Display for JournalError {
             JournalError::StaleSnapshot { snapshot_epoch, journal_epoch } => write!(
                 f,
                 "stale snapshot: epoch {snapshot_epoch} but journal starts at {journal_epoch}"
+            ),
+            JournalError::SnapshotAhead { snapshot_epoch, last_epoch } => write!(
+                f,
+                "snapshot at epoch {snapshot_epoch} is ahead of the last record, epoch {last_epoch}"
             ),
             JournalError::BadPayload { epoch, detail } => {
                 write!(f, "undecodable payload in record epoch {epoch}: {detail}")
@@ -531,6 +546,9 @@ impl DurableState {
             self.journal.first_epoch.saturating_sub(1),
             |r| r.epoch,
         );
+        if snap_epoch > last_epoch {
+            return Err(JournalError::SnapshotAhead { snapshot_epoch: snap_epoch, last_epoch });
+        }
         let records: Vec<Record> =
             scan.records.into_iter().filter(|r| r.epoch > snap_epoch).collect();
         Ok(Recovered {
@@ -538,7 +556,7 @@ impl DurableState {
             records,
             torn_tail_bytes: scan.torn_tail_bytes,
             torn_snapshot_bytes: snap_scan.torn_tail_bytes,
-            next_epoch: last_epoch.max(snap_epoch) + 1,
+            next_epoch: last_epoch + 1,
         })
     }
 
@@ -673,6 +691,14 @@ mod tests {
             gap.recover(),
             Err(JournalError::StaleSnapshot { snapshot_epoch: 2, journal_epoch: 5 })
         ));
+
+        // A snapshot past the last record would make the next append
+        // skip epochs; recovery and reopening refuse it.
+        let mut ahead = sample(6);
+        ahead.install_snapshot(9, 4.0, b"state@9");
+        let refused = JournalError::SnapshotAhead { snapshot_epoch: 9, last_epoch: 6 };
+        assert_eq!(ahead.recover().err(), Some(refused.clone()));
+        assert_eq!(ahead.reopen().err(), Some(refused));
     }
 
     #[test]

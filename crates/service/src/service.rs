@@ -201,7 +201,8 @@ pub struct CompletedJob<C: Curve> {
 pub struct ServiceOutcome<C: Curve> {
     /// Aggregated per-tenant and pool statistics.
     pub report: ServiceReport,
-    /// The full replayable event stream, in emission order.
+    /// The full replayable event stream, in record order: the journal
+    /// decoded, so after a restore it starts with the durable past.
     pub events: Vec<ServiceEvent>,
     /// Verified results of every completed job.
     pub completed: Vec<CompletedJob<C>>,
@@ -289,15 +290,16 @@ pub struct ProverService<C: Curve> {
     heap: std::collections::BinaryHeap<Reverse<Pending>>,
     seq: u64,
     clock_s: f64,
-    /// The events the journaled records witness, in record order — only
-    /// [`Self::record`] adds to it.
-    events: Vec<ServiceEvent>,
+    /// Completions not yet drained: the fleet's hand-off queue.
     completed: Vec<CompletedJob<C>>,
     /// Round-robin placement cursor: the device id the next dispatch
     /// starts filling from, so traffic spreads across the pool instead
     /// of pinning the lowest ids.
     rr_cursor: usize,
     curve: CurveDesc,
+    /// The validated engine configuration every dispatch runs, with the
+    /// dispatch's fault plan swapped in.
+    engine_config: distmsm::DistMsmConfig,
     /// Fault-free engine on a normal-size partition, used to price
     /// deadline feasibility at admission.
     admission_engine: DistMsm,
@@ -333,11 +335,13 @@ impl<C: Curve> ProverService<C> {
         let pool = DevicePool::new(config.n_devices);
         let queues = config.tenants.iter().map(|_| VecDeque::new()).collect();
         let k = config.gpus_per_job.min(config.n_devices);
-        let admission_engine = DistMsm::with_config(
-            MultiGpuSystem::dgx_a100(k),
-            Self::engine_config(&config, distmsm_gpu_sim::FaultPlan::none())
-                .expect("service engine config is valid"),
-        );
+        let engine_config = distmsm::DistMsmConfig::builder()
+            .window_size(config.window_size)
+            .straggler_sla(STRAGGLER_SLA)
+            .build()
+            .expect("service engine config is valid");
+        let admission_engine =
+            DistMsm::with_config(MultiGpuSystem::dgx_a100(k), engine_config.clone());
         let wal = ServiceWal::new(config.shape(), config.snapshot_every);
         Self {
             config,
@@ -347,27 +351,16 @@ impl<C: Curve> ProverService<C> {
             heap: std::collections::BinaryHeap::new(),
             seq: 0,
             clock_s: 0.0,
-            events: Vec::new(),
             completed: Vec::new(),
             rr_cursor: 0,
             curve: CurveDesc::of::<C>(),
+            engine_config,
             admission_engine,
             arrivals: Vec::new(),
             wal,
             partitioned_since_s: None,
             refused: Vec::new(),
         }
-    }
-
-    fn engine_config(
-        config: &ServiceConfig,
-        plan: distmsm_gpu_sim::FaultPlan,
-    ) -> Result<distmsm::DistMsmConfig, distmsm::ConfigError> {
-        distmsm::DistMsmConfig::builder()
-            .window_size(config.window_size)
-            .fault_plan(plan)
-            .straggler_sla(STRAGGLER_SLA)
-            .build()
     }
 
     /// The pool (breaker states) as of now.
@@ -397,13 +390,18 @@ impl<C: Curve> ProverService<C> {
     ///   admission decided afresh.
     /// * Breakers restore from transition records; completed results
     ///   decode back bit-exactly from their canonical bytes.
+    /// * The journal continues from the durable prefix, so the outcome
+    ///   [`Self::finish`] builds starts with the pre-crash history: its
+    ///   events and its report's pool timeline as well as its tenant
+    ///   counters.
     ///
     /// # Errors
     ///
     /// Any corrupt durable state — CRC mismatch, missing/duplicate
-    /// epoch, stale snapshot, undecodable payload, or a live job whose
-    /// spec is missing from `jobs` — is a typed [`JournalError`]; a
-    /// torn tail alone is tolerated and dropped.
+    /// epoch, stale snapshot, undecodable payload (also one a snapshot
+    /// covers), or a live job whose spec is missing from `jobs` — is a
+    /// typed [`JournalError`]; a torn tail alone is tolerated and
+    /// dropped.
     ///
     /// # Panics
     ///
@@ -416,6 +414,9 @@ impl<C: Curve> ProverService<C> {
     ) -> Result<(Self, RecoveryInfo), JournalError> {
         let shape = config.shape();
         let rec = wal::recover_state(durable, &shape)?;
+        // The outcome is read off this journal: a record the snapshot
+        // covers must decode too, or the restore is refused here.
+        wal::decode_events(durable)?;
         let snapshot_every = config.snapshot_every;
         let mut svc = Self::new(config);
         let state = rec.state;
@@ -548,22 +549,20 @@ impl<C: Curve> ProverService<C> {
         self.heap.push(Reverse(Pending { t_s, seq, kind }));
     }
 
-    /// Journals one state change and takes the service events it
-    /// witnesses from the record itself ([`ServiceRecord::events`]), so
-    /// the event stream — and the `service`-lane instants traced from it
-    /// ([`Self::instant_of`]) — are views over the journal by
-    /// construction.
+    /// Journals one state change. The journal is the service's one
+    /// history: the outcome's event stream is decoded from it
+    /// ([`Self::finish`]), and the `service`-lane instants are traced
+    /// from the events the record witnesses ([`ServiceRecord::events`],
+    /// [`Self::instant_of`]).
     fn record(&mut self, t_s: f64, rec: ServiceRecord) {
         self.wal.append(t_s, &rec);
-        let events = rec.events();
         if distmsm_telemetry::session::active() {
-            for ev in &events {
+            for ev in &rec.events() {
                 if let Some((name, args)) = self.instant_of(ev) {
                     self.instant(ev.t_s, &name, args);
                 }
             }
         }
-        self.events.extend(events);
     }
 
     /// The `service`-lane telemetry instant a journaled event is traced
@@ -727,10 +726,17 @@ impl<C: Curve> ProverService<C> {
         true
     }
 
-    /// Builds the outcome after stepping has drained: report plus the
-    /// event stream and completed-job results accumulated so far.
+    /// Builds the outcome after stepping has drained: the report, the
+    /// event stream decoded from the journal (never compacted, so the
+    /// whole history, including a restored service's durable past) and
+    /// the completed-job results not yet drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the service's own journal does not decode.
     pub fn finish(&mut self) -> ServiceOutcome<C> {
-        let events = std::mem::take(&mut self.events);
+        let events =
+            wal::decode_events(self.durable()).expect("the service decodes its own journal");
         ServiceOutcome {
             report: self.build_report(&events),
             events,
@@ -1063,11 +1069,9 @@ impl<C: Curve> ProverService<C> {
     ) {
         let attempt = job.attempt;
         let plan = chaos.fault_plan_for(&devices, self.clock_s, attempt);
-        let system = MultiGpuSystem::dgx_a100(devices.len());
-        let engine = DistMsm::with_config(
-            system,
-            Self::engine_config(&self.config, plan).expect("service engine config is valid"),
-        );
+        let mut config = self.engine_config.clone();
+        config.fault_plan = plan;
+        let engine = DistMsm::with_config(MultiGpuSystem::dgx_a100(devices.len()), config);
         let outcome = engine.execute_attempt(&job.spec.instance, attempt);
         let duration_s = match &outcome {
             Ok(report) => report.total_s,
@@ -1227,8 +1231,8 @@ impl<C: Curve> ProverService<C> {
     /// The per-tenant figures are read off the WAL's shadow fold: the
     /// journal already counts every arrival, outcome and sojourn (and
     /// carries them across a restore), so the report is a view over it.
-    /// The pool timeline is the `Breaker` events of `events`, the stream
-    /// since construction or restore.
+    /// The pool timeline is the `Breaker` events of `events`, the decoded
+    /// journal, so it too spans a restore.
     fn build_report(&self, events: &[ServiceEvent]) -> ServiceReport {
         let tenants = self
             .config
@@ -1415,6 +1419,28 @@ mod tests {
         assert!(!service.is_partitioned());
         let out = service.run(vec![job(9, 0, JobClass::Interactive, 11.0)], &ChaosSchedule::none());
         assert_eq!(out.report.completed(), 1);
+    }
+
+    /// The outcome is the journal decoded, so a restore refuses a
+    /// journal whose records do not all decode, even one a snapshot
+    /// covers and recovery therefore never replays.
+    #[test]
+    fn restore_refuses_an_undecodable_record_under_a_snapshot() {
+        use distmsm_journal::Wire;
+        let config = ServiceConfig::default();
+        let mut service = ProverService::<Bn254G1>::new(config.clone());
+        service.run(vec![job(0, 0, JobClass::Interactive, 0.0)], &ChaosSchedule::none());
+        let records = service.durable().journal.replay().expect("the live journal is intact");
+        let mut forged = DurableState::new();
+        forged.append(records[0].t_s, &[0xee]); // no record has this tag
+        for r in &records[1..] {
+            forged.append(r.t_s, &r.payload);
+        }
+        let state = service.wal_state();
+        forged.install_snapshot(records.len() as u64, state.clock_s, &state.to_bytes());
+        assert!(wal::recover_state(&forged, &config.shape()).is_ok(), "the snapshot covers it");
+        let restored = ProverService::<Bn254G1>::restore(config, &[], &forged).err();
+        assert!(matches!(restored, Some(JournalError::BadPayload { epoch: 1, .. })), "{restored:?}");
     }
 
     #[test]

@@ -193,9 +193,9 @@ pub enum ServiceRecord {
 }
 
 impl ServiceRecord {
-    /// The service events this record witnesses — the one source of
-    /// both the live event stream the soak invariants are checked over
-    /// and the one [`decode_events`] recovers from a journal prefix.
+    /// The service events this record witnesses — what
+    /// [`decode_events`], and so every service outcome stream the soak
+    /// invariants are checked over, is made of.
     pub fn events(&self) -> Vec<ServiceEvent> {
         match self {
             Self::Admission { t_s, id, tenant, class, outcome } => {
@@ -630,12 +630,11 @@ pub fn recover_state(
     recover(durable, shape)
 }
 
-/// Decodes the full event stream a durable journal witnesses — the
-/// pre-crash half of the merged stream the crash soak checks service
-/// invariants over. A torn tail is dropped first; the whole journal is
-/// then replayed from its first record, snapshot ignored (the service
-/// WAL never compacts, so the full history is present — snapshots
-/// bound recovery *replay* cost, not journal storage).
+/// Decodes the full event stream a durable journal witnesses — a
+/// service outcome's `events`. A torn tail is dropped first; the whole
+/// journal is then replayed from its first record, snapshot ignored
+/// (the service WAL never compacts, so the full history is present —
+/// snapshots bound recovery *replay* cost, not journal storage).
 pub fn decode_events(durable: &DurableState) -> Result<Vec<ServiceEvent>, JournalError> {
     Ok(decode_records::<ServiceRecord>(durable)?.iter().flat_map(ServiceRecord::events).collect())
 }
