@@ -24,13 +24,18 @@
 # regenerates). Every service, crash and partition property has one
 # checker, the soak's own verdict, run here on the soak's own traffic.
 # Each journaled layer keeps one history, its journal: the gate below
-# allows one append per layer and no event or acceptance list beside it.
+# allows one append per layer, no event or acceptance list beside it,
+# and no compaction in the journal crate. Every stanza prints its wall
+# time, and the last line before `CI OK` the total.
 set -euo pipefail
 cd "$(dirname "$0")"
+CI_T0="$(date +%s)"
 
 echo "== cargo build --release --workspace =="
 # one feature resolution: every later step runs the binaries built here
+SECONDS=0
 cargo build --release --workspace
+echo "cargo build --release wall time: ${SECONDS} s"
 
 echo "== cargo test --release -p distmsm-ff -p distmsm-ec (the arithmetic the benchmark measures) =="
 # the optimised build, debug_asserts compiled out: the code every host
@@ -60,6 +65,12 @@ for layer in crates/fleet/src/fleet.rs crates/service/src/service.rs; do
         exit 1
     fi
 done
+# the outcomes decode every record from epoch 1, so a journal that drops
+# a prefix would drop history
+if grep -rn 'fn compact' crates/journal/src; then
+    echo "FAIL: the journal defines compaction above; it is each layer's one history and never compacts" >&2
+    exit 1
+fi
 
 echo "== one kernel per linear combination: no padd(&…scalar_mul( sum in library code =="
 # a sum of scalar multiples off the engine is one `distmsm_ec::straus`
@@ -137,16 +148,22 @@ for run in soak fleet_soak crash_soak crash_soak_partitioned partition_soak; do
 done
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+SECONDS=0
 cargo clippy --workspace --all-targets -- -D warnings
+echo "cargo clippy wall time: ${SECONDS} s"
 
 echo "== cargo doc --no-deps =="
+SECONDS=0
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+echo "cargo doc wall time: ${SECONDS} s"
 
 echo "== telemetry smoke run (--telemetry + trace validation) =="
+SECONDS=0
 target/release/fault_sweep --telemetry "$TRACE" > /dev/null
 grep -q '"producer":"distmsm_telemetry"' "$TRACE"
 target/release/distmsm-analyze trace "$TRACE"
 rm -f "$TRACE"
+echo "fault_sweep telemetry smoke wall time: ${SECONDS} s"
 
 echo "== distmsm-analyze check (scenario table: race + comm + fault + telemetry; lint + fleet) =="
 # both run in about a second: time them in ms, not the soaks' seconds
@@ -192,7 +209,9 @@ echo "== fig9 scaling smoke vs the committed BENCH_msm.json trajectory artefact 
 # written beside the tree, not over it: only the `git` stamp may differ
 # from the committed rows (BLESS=1 re-baselines after a model change)
 BENCH_JSON="$(mktemp /tmp/distmsm_ci_bench_msm.XXXXXX.json)"
+SECONDS=0
 target/release/fig9_scaling --smoke --bench-json "$BENCH_JSON"
+echo "fig9 smoke wall time: ${SECONDS} s"
 grep -q '"bench": "fig9_scaling"' "$BENCH_JSON"
 grep -q '"pods": 4' "$BENCH_JSON"
 grep -q '"ckpt_rows"' "$BENCH_JSON"
@@ -221,7 +240,9 @@ echo "== repo benchmark: harness tests + 2-second traced smokes of all four work
 LOCK_KEEP="$(mktemp /tmp/distmsm_ci_bench_lock.XXXXXX)"
 cp benchmark/Cargo.lock "$LOCK_KEEP"
 trap 'cp "$LOCK_KEEP" benchmark/Cargo.lock; rm -f "$LOCK_KEEP"' EXIT
+SECONDS=0
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+echo "benchmark harness tests wall time: ${SECONDS} s"
 for workload in msm_bls381_sliced msm_bn254_64k groth16_4k fleet_serve; do
     SECONDS=0
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
@@ -230,4 +251,5 @@ for workload in msm_bls381_sliced msm_bn254_64k groth16_4k fleet_serve; do
     echo "$workload smoke wall time: ${SECONDS} s"
 done
 
+echo "ci.sh total wall time: $(($(date +%s) - CI_T0)) s"
 echo "CI OK"

@@ -759,7 +759,8 @@ pub fn run_ablations() -> String {
     use distmsm_ec::batch::{batched_muls_per_point, sum_affine_batched};
     use distmsm_ec::sample::generator_multiples;
 
-    let mut out = String::from("Ablations: adopted techniques (§2.3.1, §6, ZPrize)\n\n");
+    let mut out =
+        String::from("Ablations: signed digits, batch-affine accumulation and §3.2.3 pipelining\n\n");
 
     // ---- signed digits ---------------------------------------------------
     let mut rng = StdRng::seed_from_u64(300);

@@ -849,7 +849,7 @@ mod tests {
         let honest = service_wal::recover_state(&cut, &config.shape()).expect("cut recovers");
         let mut lying = honest.state;
         lying.clock_s += 1.0e3;
-        let cut_epoch = cut.reopen().expect("cut reopens").journal.next_epoch() - 1;
+        let cut_epoch = cut.journal.n_records() as u64;
         let past_cut = svc.durable().journal.n_records() as u64;
         for (epoch, refused) in [(cut_epoch, false), (past_cut, true)] {
             let mut sabotaged = cut.clone();

@@ -21,11 +21,11 @@ use distmsm_ec::serialize::{point_from_uncompressed, point_to_uncompressed};
 use distmsm_ec::{Curve, XyzzPoint};
 use distmsm_gpu_sim::fault::splitmix64;
 use distmsm_gpu_sim::{FaultKind, MultiGpuSystem};
-use distmsm_journal::{DurableState, JournalError};
+use distmsm_journal::{decode_records, DurableState, JournalError};
 use distmsm_service::wal as service_wal;
 use distmsm_service::{
     ChaosSchedule, CompletedJob, DeviceFaultWindow, JobPhase, JobSpec, ProverService,
-    RecoveryInfo, ServiceConfig, ServiceEvent, ServiceReport, StolenJob,
+    ServiceConfig, ServiceEvent, ServiceReport, StolenJob,
 };
 
 use crate::membership::{Membership, MembershipAction};
@@ -109,81 +109,6 @@ impl FleetChaos {
     }
 }
 
-/// What happened at fleet scope (pod-level events carry their own
-/// [`ServiceEvent`] streams; these are the coordinator's decisions).
-#[derive(Clone, Debug, PartialEq)]
-pub enum FleetEventKind {
-    /// Initial placement on a pod.
-    Placed {
-        /// Chosen pod.
-        pod: usize,
-    },
-    /// An idle pod stole the earliest-deadline queued job.
-    Stolen {
-        /// Victim pod.
-        from: usize,
-        /// Thief pod.
-        to: usize,
-    },
-    /// The 2G2T check accepted a returned result pair.
-    Verified {
-        /// Pod that returned the pair.
-        pod: usize,
-    },
-    /// The 2G2T check rejected a returned result pair.
-    ByzantineDetected {
-        /// The lying pod.
-        pod: usize,
-        /// Corruption class that was seeded (label form).
-        corruption: &'static str,
-    },
-    /// The pod was quarantined fleet-wide.
-    Quarantined {
-        /// The quarantined pod.
-        pod: usize,
-    },
-    /// A job was re-placed off a quarantined or fenced pod.
-    Replaced {
-        /// Quarantined or fenced source pod.
-        from: usize,
-        /// Healthy destination pod.
-        to: usize,
-    },
-    /// A pod's heartbeat lease expired without renewal; its fencing
-    /// epoch advanced.
-    Fenced {
-        /// The fenced pod.
-        pod: usize,
-        /// The pod's new epoch.
-        epoch: u64,
-    },
-    /// A fenced pod re-acquired its lease and passed anti-entropy
-    /// rejoin.
-    Rejoined {
-        /// The rejoining pod.
-        pod: usize,
-        /// The pod's current epoch.
-        epoch: u64,
-    },
-    /// A stale job copy from a fenced epoch was discarded (the fleet
-    /// had re-placed or already accepted the job).
-    Discarded {
-        /// Pod whose stale copy was dropped.
-        pod: usize,
-    },
-}
-
-/// One coordinator decision on the simulated clock.
-#[derive(Clone, Debug)]
-pub struct FleetEvent {
-    /// Simulated time.
-    pub t_s: f64,
-    /// Job the event concerns (`None` for pod-level events).
-    pub job: Option<u64>,
-    /// What happened.
-    pub kind: FleetEventKind,
-}
-
 /// A job whose result passed the 2G2T check.
 #[derive(Clone, Debug)]
 pub struct AcceptedJob<C: Curve> {
@@ -206,8 +131,9 @@ pub struct AcceptedJob<C: Curve> {
 pub struct FleetOutcome<C: Curve> {
     /// Aggregated fleet report (byte-stable JSON, renderable).
     pub report: FleetReport,
-    /// Coordinator decisions in order: the coordinator journal decoded.
-    pub events: Vec<FleetEvent>,
+    /// Coordinator decisions in order: the coordinator journal's
+    /// records, decoded.
+    pub events: Vec<FleetRecord>,
     /// Merged pod event streams (each pod's journal decoded), tagged
     /// with the pod index.
     pub pod_events: Vec<(usize, ServiceEvent)>,
@@ -223,15 +149,8 @@ pub struct FleetOutcome<C: Curve> {
 /// the lost history from scratch.
 #[derive(Clone, Debug)]
 pub struct FleetRecoveryInfo {
-    /// Epoch of the coordinator snapshot recovery started from (0 =
-    /// none).
-    pub coordinator_snapshot_epoch: u64,
-    /// Coordinator journal records replayed on top of the snapshot.
-    pub coordinator_replayed: u64,
     /// Torn frame bytes dropped from the coordinator journal tail.
     pub coordinator_torn_tail_bytes: usize,
-    /// Per-pod service recovery accounting.
-    pub pods: Vec<RecoveryInfo>,
     /// Durable pod completions whose acceptance was not durable: each
     /// was re-run through the 2G2T check before use.
     pub reverified: u64,
@@ -343,6 +262,7 @@ impl<C: Curve> FleetCoordinator<C> {
         assert_eq!(chaos.pods.len(), n_pods, "chaos must cover every pod");
         let mut fleet = Self::new(config);
         let rec = fleet_wal::recover_fleet_state(coordinator, n_pods)?;
+        let coordinator_cost_s = service_wal::recovery_cost_s(&rec);
         let state = &rec.state;
 
         // Pod folds first: the durable truth about which pod owns what.
@@ -406,7 +326,7 @@ impl<C: Curve> FleetCoordinator<C> {
         // The journal is untrusted and the outcome is read off it: a
         // record or an accepted result that does not decode is refused
         // here, before anything runs.
-        fleet_wal::decode_fleet_events(coordinator)?;
+        decode_records::<FleetRecord>(coordinator)?;
         decode_accepted::<C>(state)?;
         fleet.specs = jobs.iter().map(|j| (j.id, j.clone())).collect();
         let snapshot_every = fleet.config.pod.snapshot_every;
@@ -483,20 +403,14 @@ impl<C: Curve> FleetCoordinator<C> {
             ],
         );
 
-        let coordinator_cost = service_wal::RECOVERY_BASE_S
-            + rec.snapshot_payload_bytes as f64 * service_wal::SNAPSHOT_BYTE_S
-            + rec.replayed_records as f64 * service_wal::REPLAY_RECORD_S;
         let info = FleetRecoveryInfo {
-            coordinator_snapshot_epoch: rec.snapshot_epoch,
-            coordinator_replayed: rec.replayed_records,
             coordinator_torn_tail_bytes: rec.torn_tail_bytes,
             reverified,
             reaccepted,
             replaced_jobs: replacements.len() as u64 + n_torn,
-            recovery_cost_s: coordinator_cost
+            recovery_cost_s: coordinator_cost_s
                 + pod_infos.iter().map(|i| i.recovery_cost_s).sum::<f64>(),
             scratch_cost_s: pod_infos.iter().map(|i| i.scratch_cost_s).fold(0.0, f64::max),
-            pods: pod_infos,
         };
         Ok((fleet, info))
     }
@@ -943,7 +857,7 @@ impl<C: Curve> FleetCoordinator<C> {
             })
             .collect();
         let state = self.wal.state();
-        let (events, accepted) = fleet_wal::decode_fleet_events(self.wal.durable())
+        let (events, accepted) = decode_records::<FleetRecord>(self.wal.durable())
             .and_then(|events| Ok((events, decode_accepted(state)?)))
             .expect("the coordinator decodes its own journal");
         let n_tenants = self.config.pod.tenants.len();
@@ -970,14 +884,14 @@ impl<C: Curve> FleetCoordinator<C> {
 
     /// Journals one coordinator decision. Everything else the decision
     /// produces is read off the record: the WAL folds it, the outcome
-    /// decodes its event ([`FleetRecord::event`]), and the `fleet`-lane
-    /// instant named after the record kind is emitted at the event's
-    /// time while a session is active.
+    /// decodes it as one of its events, and the `fleet`-lane instant
+    /// named after the record kind is emitted at the decision's time
+    /// ([`FleetRecord::t_s`]) while a session is active.
     fn record(&mut self, t_s: f64, rec: FleetRecord) {
         self.wal.append(t_s, &rec);
         if distmsm_telemetry::session::active() {
             let (name, args) = instant_of(&rec);
-            self.instant(rec.event().t_s, name, args);
+            self.instant(rec.t_s(), name, args);
         }
     }
 

@@ -55,15 +55,12 @@ pub mod wal;
 pub use crash::{CrashReport, CrashSoakSpec, RECOVERY_WIN_MIN_SCRATCH_S};
 pub use estimate::{estimate_fleet_msm, FleetMsmEstimate};
 pub use fleet::{
-    AcceptedJob, FleetChaos, FleetConfig, FleetCoordinator, FleetEvent, FleetEventKind,
-    FleetOutcome, FleetRecoveryInfo,
+    AcceptedJob, FleetChaos, FleetConfig, FleetCoordinator, FleetOutcome, FleetRecoveryInfo,
 };
 pub use membership::{LeaseState, Membership, MembershipAction};
 pub use outsource::{Challenge, Corruption, OutsourcedResult, N_DECOYS};
 pub use partition::{PartitionReport, PartitionSoakSpec};
 pub use report::{FleetReport, PodStats};
 pub use shard::{execute_sharded, ShardExecution, ShardedMsmConfig, ShardedMsmReport};
-pub use wal::{
-    decode_fleet_events, recover_fleet_state, AcceptedEntry, FleetRecord, FleetState, FleetWal,
-};
+pub use wal::{recover_fleet_state, AcceptedEntry, FleetRecord, FleetState, FleetWal};
 pub use soak::FleetSoakSpec;

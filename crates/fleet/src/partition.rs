@@ -23,8 +23,9 @@ use distmsm::report::{json_pretty, JsonField::Scalar};
 use distmsm_ec::curves::Bn254G1;
 use distmsm_service::harness::{Flags, Run, Scenario};
 
-use crate::fleet::{FleetEventKind, FleetOutcome};
+use crate::fleet::FleetOutcome;
 use crate::soak::{self as fleet_soak, FleetSoakSpec};
+use crate::wal::FleetRecord;
 
 /// Everything that defines one partition soak. Two equal specs produce
 /// byte-identical runs.
@@ -111,11 +112,11 @@ impl Scenario for PartitionSoakSpec {
             report.scenarios += 1;
             report.windows += spec.n_partition_windows;
             for e in &outcome.events {
-                match e.kind {
-                    FleetEventKind::Fenced { .. } => report.fences += 1,
-                    FleetEventKind::Rejoined { .. } => report.rejoins += 1,
-                    FleetEventKind::Discarded { .. } => report.discards += 1,
-                    FleetEventKind::Replaced { .. } => report.replaced += 1,
+                match e {
+                    FleetRecord::Fenced { .. } => report.fences += 1,
+                    FleetRecord::Rejoined { .. } => report.rejoins += 1,
+                    FleetRecord::Discarded { .. } => report.discards += 1,
+                    FleetRecord::Replaced { .. } => report.replaced += 1,
                     _ => {}
                 }
             }

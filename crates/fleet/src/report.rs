@@ -12,8 +12,7 @@ use distmsm::report::JsonField::{Inline, Rows, Scalar};
 use distmsm::report::{json_num, json_pretty, json_str};
 use distmsm_service::ServiceReport;
 
-use crate::fleet::{FleetEvent, FleetEventKind};
-use crate::wal::FleetState;
+use crate::wal::{FleetRecord, FleetState};
 
 /// Rollup of one pod's service report plus its fleet-level traffic.
 #[derive(Clone, Debug)]
@@ -76,12 +75,12 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Aggregates pod reports and the coordinator event stream; the
+    /// Aggregates pod reports and the coordinator's decoded records; the
     /// quarantine flags, the detection count and the tenants served are
     /// read off the coordinator's journal fold.
     pub fn build(
         pod_reports: &[ServiceReport],
-        events: &[FleetEvent],
+        events: &[FleetRecord],
         state: &FleetState,
         n_tenants: usize,
     ) -> Self {
@@ -106,28 +105,28 @@ impl FleetReport {
             .collect();
         let (mut placed, mut accepted, mut steals, mut replaced) = (0u64, 0u64, 0u64, 0u64);
         for e in events {
-            match e.kind {
-                FleetEventKind::Placed { pod } => {
+            match *e {
+                FleetRecord::Placed { pod, .. } => {
                     placed += 1;
                     pods[pod].placed += 1;
                 }
-                FleetEventKind::Stolen { from, to } => {
+                FleetRecord::Stolen { from, to, .. } => {
                     steals += 1;
                     pods[from].stolen_out += 1;
                     pods[to].stolen_in += 1;
                 }
-                FleetEventKind::Verified { pod } => {
+                FleetRecord::Accepted { pod, .. } => {
                     accepted += 1;
                     pods[pod].accepted += 1;
                 }
-                FleetEventKind::ByzantineDetected { pod, .. } => {
+                FleetRecord::Detected { pod, .. } => {
                     pods[pod].detections += 1;
                 }
-                FleetEventKind::Replaced { .. } => replaced += 1,
-                FleetEventKind::Quarantined { .. }
-                | FleetEventKind::Fenced { .. }
-                | FleetEventKind::Rejoined { .. }
-                | FleetEventKind::Discarded { .. } => {}
+                FleetRecord::Replaced { .. } => replaced += 1,
+                FleetRecord::Quarantined { .. }
+                | FleetRecord::Fenced { .. }
+                | FleetRecord::Rejoined { .. }
+                | FleetRecord::Discarded { .. } => {}
             }
         }
         let served: BTreeSet<usize> = state.accepted.iter().map(|a| a.tenant).collect();

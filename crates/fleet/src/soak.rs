@@ -26,10 +26,7 @@ use distmsm_service::{
     ServiceEventKind, TenantConfig,
 };
 
-use crate::fleet::{
-    ByzantineWindow, FleetChaos, FleetConfig, FleetCoordinator, FleetEvent, FleetEventKind,
-    FleetOutcome,
-};
+use crate::fleet::{ByzantineWindow, FleetChaos, FleetConfig, FleetCoordinator, FleetOutcome};
 use crate::outsource::Corruption;
 use crate::report::FleetReport;
 use crate::wal::{FleetRecord, FleetState};
@@ -421,14 +418,14 @@ impl EpochModel {
 /// coordinator decisions sorted *before* pod events at equal stamps
 /// (a steal's queue-epoch reset precedes the dispatch it enables).
 enum Timeline<'a> {
-    Fleet(&'a FleetEvent),
+    Fleet(&'a FleetRecord),
     Pod(usize, &'a ServiceEvent),
 }
 
 impl Timeline<'_> {
     fn t_s(&self) -> f64 {
         match self {
-            Timeline::Fleet(e) => e.t_s,
+            Timeline::Fleet(e) => e.t_s(),
             Timeline::Pod(_, e) => e.t_s,
         }
     }
@@ -451,7 +448,7 @@ impl Timeline<'_> {
 /// * a new **queue epoch** opens at `Stolen`, `Replaced`, a later
 ///   `Placed` and a pod's `Requeued`, and closes at a pod's
 ///   `Dispatched`;
-/// * a job is **terminal** at `Verified`, or at its owner pod's
+/// * a job is **terminal** at `Accepted`, or at its owner pod's
 ///   `Failed`, `Shed` or door `Rejected` other than `PodPartitioned`
 ///   (a degraded pod's refusal hands the job back to the coordinator).
 ///
@@ -503,19 +500,17 @@ pub fn check_fleet_invariants(
     for entry in &timeline {
         let v = &mut violations;
         match entry {
-            Timeline::Fleet(e) => match (&e.kind, e.job) {
-                (FleetEventKind::Placed { pod }, Some(id)) => match owner.insert(id, *pod) {
-                    None => ledger.admit(e.job, e.t_s),
-                    Some(_) => ledger.requeue(e.job, e.t_s),
+            Timeline::Fleet(e) => match **e {
+                FleetRecord::Placed { t_s, id, pod, .. } => match owner.insert(id, pod) {
+                    None => ledger.admit(Some(id), t_s),
+                    Some(_) => ledger.requeue(Some(id), t_s),
                 },
-                (
-                    FleetEventKind::Stolen { to, .. } | FleetEventKind::Replaced { to, .. },
-                    Some(id),
-                ) => {
-                    owner.insert(id, *to);
-                    ledger.requeue(e.job, e.t_s);
+                FleetRecord::Stolen { t_s, id, to, .. }
+                | FleetRecord::Replaced { t_s, id, to, .. } => {
+                    owner.insert(id, to);
+                    ledger.requeue(Some(id), t_s);
                 }
-                (FleetEventKind::Verified { .. }, _) => ledger.terminate(v, e.job, e.t_s, false),
+                FleetRecord::Accepted { t_s, id, .. } => ledger.terminate(v, Some(id), t_s, false),
                 _ => {}
             },
             Timeline::Pod(pod, e) if e.job.and_then(|id| owner.get(&id)) == Some(pod) => {
@@ -546,7 +541,7 @@ pub fn check_fleet_invariants(
         let detected = outcome
             .events
             .iter()
-            .any(|e| matches!(e.kind, FleetEventKind::ByzantineDetected { pod: p, .. } if p == pod));
+            .any(|e| matches!(*e, FleetRecord::Detected { pod: p, .. } if p == pod));
         if !detected {
             violations.fail(
                 "quarantined-pod",
@@ -653,14 +648,14 @@ mod tests {
     }
 
     /// Test-only corruption of the coordinator's event stream: drops
-    /// every third `Verified` fleet event before the invariant check —
+    /// every third `Accepted` record before the invariant check —
     /// verified jobs appear to vanish, breaking fleet conservation and
     /// exactly-once termination.
     fn run_dropping_accepted(spec: &FleetSoakSpec) -> Run<FleetReport> {
         let (jobs, config, mut outcome, journal) = execute(spec);
         let mut kept = 0u64;
         outcome.events.retain(|e| {
-            if matches!(e.kind, FleetEventKind::Verified { .. }) {
+            if matches!(e, FleetRecord::Accepted { .. }) {
                 kept += 1;
                 !kept.is_multiple_of(3)
             } else {
@@ -745,8 +740,8 @@ mod tests {
         let verified = outcome
             .events
             .iter()
-            .find_map(|e| match e.kind {
-                FleetEventKind::Verified { pod } => Some((e.job, e.t_s, pod)),
+            .find_map(|e| match *e {
+                FleetRecord::Accepted { t_s, id, pod, .. } => Some((Some(id), t_s, pod)),
                 _ => None,
             })
             .expect("the tiny fleet verifies jobs");

@@ -9,7 +9,7 @@
 //!
 //! * **Atomic compound records.** A 2G2T acceptance and the accepted
 //!   result bytes ride one [`FleetRecord::Accepted`] record, so no
-//!   torn write can strand a `Verified` event without the value it
+//!   torn write can strand an acceptance without the value it
 //!   verified.
 //! * **A shadow fold.** [`FleetWal`] (a [`distmsm_journal::Journaled`])
 //!   folds every append through [`FleetState`]'s [`Fold::apply`] — the
@@ -19,8 +19,9 @@
 //!   quarantine flags, detections, accepted results) derives from the
 //!   record stream alone; volatile coordinator state (`last_good`, the
 //!   lease table) is legitimately rebuilt differently after a crash.
-//!   The coordinator keeps no history beside the journal: its outcome
-//!   stream is [`decode_fleet_events`], its accepted results the fold's.
+//!   The coordinator keeps no history beside the journal: its outcome's
+//!   events are its records, decoded, and its accepted results the
+//!   fold's.
 //!
 //! The placement prefix is journaled at frame time `0.0` — the
 //! coordinator persists its whole placement plan before the run starts
@@ -31,11 +32,8 @@ use std::collections::BTreeMap;
 
 use distmsm_journal::wire::{get_seq, put_seq, Blob, ByteReader, ByteWriter, Labels};
 use distmsm_journal::{
-    decode_records, recover, wire, DurableState, Fold, JournalError, Journaled, Recovery, Wire,
-    WireError,
+    recover, wire, DurableState, Fold, JournalError, Journaled, Recovery, Wire, WireError,
 };
-
-use crate::fleet::{FleetEvent, FleetEventKind};
 
 // ---------------------------------------------------------------------
 // the wire format: every tag and field order, declared once
@@ -63,9 +61,11 @@ wire! { struct AcceptedEntry { id, tenant, pod, attempts, result: Blob } }
 // records
 // ---------------------------------------------------------------------
 
-/// One durable coordinator decision. Each record reconstructs exactly
-/// one [`FleetEvent`]; the [`Accepted`](Self::Accepted) compound record
-/// additionally carries the verified result's canonical point bytes.
+/// One durable coordinator decision, and the one vocabulary of it: the
+/// journal holds it, the fold applies it, a fleet outcome's events are
+/// the decoded records and its telemetry instant is named after its
+/// kind. The [`Accepted`](Self::Accepted) compound record also carries
+/// the verified result's canonical point bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FleetRecord {
     /// Initial (or post-crash re-) placement of a job on a pod.
@@ -184,54 +184,18 @@ pub enum FleetRecord {
 }
 
 impl FleetRecord {
-    /// The coordinator event this record witnesses — what
-    /// [`decode_fleet_events`], and so every fleet outcome stream, is
-    /// made of.
-    pub fn event(&self) -> FleetEvent {
+    /// The decision's time (a placement's is the job's arrival).
+    pub fn t_s(&self) -> f64 {
         match self {
-            FleetRecord::Placed { t_s, id, pod, .. } => {
-                FleetEvent { t_s: *t_s, job: Some(*id), kind: FleetEventKind::Placed { pod: *pod } }
-            }
-            FleetRecord::Stolen { t_s, id, from, to, .. } => FleetEvent {
-                t_s: *t_s,
-                job: Some(*id),
-                kind: FleetEventKind::Stolen { from: *from, to: *to },
-            },
-            FleetRecord::Accepted { t_s, id, pod, .. } => FleetEvent {
-                t_s: *t_s,
-                job: Some(*id),
-                kind: FleetEventKind::Verified { pod: *pod },
-            },
-            FleetRecord::Detected { t_s, id, pod, corruption } => FleetEvent {
-                t_s: *t_s,
-                job: Some(*id),
-                kind: FleetEventKind::ByzantineDetected { pod: *pod, corruption },
-            },
-            FleetRecord::Quarantined { t_s, pod } => FleetEvent {
-                t_s: *t_s,
-                job: None,
-                kind: FleetEventKind::Quarantined { pod: *pod },
-            },
-            FleetRecord::Replaced { t_s, id, from, to, .. } => FleetEvent {
-                t_s: *t_s,
-                job: Some(*id),
-                kind: FleetEventKind::Replaced { from: *from, to: *to },
-            },
-            FleetRecord::Fenced { t_s, pod, epoch } => FleetEvent {
-                t_s: *t_s,
-                job: None,
-                kind: FleetEventKind::Fenced { pod: *pod, epoch: *epoch },
-            },
-            FleetRecord::Rejoined { t_s, pod, epoch } => FleetEvent {
-                t_s: *t_s,
-                job: None,
-                kind: FleetEventKind::Rejoined { pod: *pod, epoch: *epoch },
-            },
-            FleetRecord::Discarded { t_s, id, pod, .. } => FleetEvent {
-                t_s: *t_s,
-                job: Some(*id),
-                kind: FleetEventKind::Discarded { pod: *pod },
-            },
+            FleetRecord::Placed { t_s, .. }
+            | FleetRecord::Stolen { t_s, .. }
+            | FleetRecord::Accepted { t_s, .. }
+            | FleetRecord::Detected { t_s, .. }
+            | FleetRecord::Quarantined { t_s, .. }
+            | FleetRecord::Replaced { t_s, .. }
+            | FleetRecord::Fenced { t_s, .. }
+            | FleetRecord::Rejoined { t_s, .. }
+            | FleetRecord::Discarded { t_s, .. } => *t_s,
         }
     }
 }
@@ -569,13 +533,6 @@ pub fn recover_fleet_state(
     recover(durable, &n_pods)
 }
 
-/// Decodes the full coordinator event stream a durable journal
-/// witnesses — a fleet outcome's `events`. Torn tail dropped, full
-/// history replayed (the coordinator WAL never compacts).
-pub fn decode_fleet_events(durable: &DurableState) -> Result<Vec<FleetEvent>, JournalError> {
-    Ok(decode_records::<FleetRecord>(durable)?.iter().map(FleetRecord::event).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,26 +721,15 @@ mod tests {
     fn wal_snapshot_equals_fold_and_recovery_replays_it() {
         let mut wal = FleetWal::new(2, 3);
         for rec in sample_records() {
-            let t = match rec {
-                FleetRecord::Placed { .. } => 0.0,
-                FleetRecord::Stolen { t_s, .. }
-                | FleetRecord::Accepted { t_s, .. }
-                | FleetRecord::Detected { t_s, .. }
-                | FleetRecord::Quarantined { t_s, .. }
-                | FleetRecord::Replaced { t_s, .. }
-                | FleetRecord::Fenced { t_s, .. }
-                | FleetRecord::Rejoined { t_s, .. }
-                | FleetRecord::Discarded { t_s, .. } => t_s,
-            };
+            let t = if matches!(rec, FleetRecord::Placed { .. }) { 0.0 } else { rec.t_s() };
             wal.append(t, &rec);
         }
         let rec = recover_fleet_state(wal.durable(), 2).unwrap();
         assert_eq!(&rec.state, wal.state(), "replay equals the shadow fold");
         assert_eq!(rec.snapshot_epoch, 6, "cadence-3 snapshot at epoch 6");
         assert_eq!(rec.replayed_records, 1);
-        let events = decode_fleet_events(wal.durable()).unwrap();
-        assert_eq!(events.len(), 7);
-        assert!(matches!(events[3].kind, FleetEventKind::Verified { pod: 0 }));
+        let records = distmsm_journal::decode_records::<FleetRecord>(wal.durable()).unwrap();
+        assert_eq!(records, sample_records());
 
         // A record-boundary cut recovers the exact prefix fold.
         let cut = wal.durable().truncate_records(4);

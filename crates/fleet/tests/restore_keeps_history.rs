@@ -7,8 +7,8 @@
 
 use distmsm_ec::curves::Bn254G1;
 use distmsm_fleet::soak::{build_fleet_chaos, build_fleet_jobs, fleet_config};
-use distmsm_fleet::{decode_fleet_events, FleetCoordinator, FleetSoakSpec};
-use distmsm_journal::DurableState;
+use distmsm_fleet::{FleetCoordinator, FleetRecord, FleetSoakSpec};
+use distmsm_journal::{decode_records, DurableState};
 use distmsm_service::soak::{build_chaos, build_jobs, service_config};
 use distmsm_service::{decode_events, ProverService, ServiceEvent, ServiceEventKind, SoakSpec};
 
@@ -83,7 +83,7 @@ fn a_restored_fleet_reports_its_durable_past() {
     let mut reference = FleetCoordinator::<Bn254G1>::new(config.clone());
     let full = reference.run(jobs.clone(), &chaos);
     // Halfway through the coordinator's decisions.
-    let t_s = full.events.last().expect("the fleet decided").t_s / 2.0;
+    let t_s = full.events.last().expect("the fleet decided").t_s() / 2.0;
     let coordinator = cut_at(reference.durable(), t_s);
     let pods: Vec<DurableState> =
         (0..config.n_pods).map(|p| cut_at(reference.pod_durable(p), t_s)).collect();
@@ -93,13 +93,10 @@ fn a_restored_fleet_reports_its_durable_past() {
             .expect("the cut restores");
     let outcome = fleet.resume(&chaos);
 
-    let durable = decode_fleet_events(&coordinator).expect("the coordinator cut decodes");
+    let durable = decode_records::<FleetRecord>(&coordinator).expect("the coordinator cut decodes");
     assert!(durable.len() > jobs.len(), "the cut keeps decisions past the placement plan");
     assert!(outcome.events.len() > durable.len(), "the restored fleet ran on");
-    for (i, (a, b)) in durable.iter().zip(&outcome.events).enumerate() {
-        let (a, b) = ((a.t_s.to_bits(), a.job, &a.kind), (b.t_s.to_bits(), b.job, &b.kind));
-        assert_eq!(a, b, "coordinator event {i}");
-    }
+    assert_eq!(outcome.events[..durable.len()], durable[..], "the stream starts with the cut's");
     for (pod, cut) in pods.iter().enumerate() {
         let durable = decode_events(cut).expect("the pod cut decodes");
         let stream: Vec<ServiceEvent> =

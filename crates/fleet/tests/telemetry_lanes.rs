@@ -5,7 +5,8 @@
 
 use distmsm_ec::curves::Bn254G1;
 use distmsm_fleet::soak::{build_fleet_chaos, build_fleet_jobs, fleet_config};
-use distmsm_fleet::{decode_fleet_events, FleetCoordinator, FleetEventKind, FleetSoakSpec};
+use distmsm_fleet::{FleetCoordinator, FleetRecord, FleetSoakSpec};
+use distmsm_journal::decode_records;
 use distmsm_service::harness::Scenario;
 use distmsm_telemetry::{parse_json, session, to_chrome_trace, validate_chrome_trace, Lane};
 
@@ -23,17 +24,17 @@ const RECORD_INSTANTS: [&str; 9] = [
 ];
 
 /// The `fleet`-lane instant each coordinator record kind is traced as.
-fn record_instant(kind: &FleetEventKind) -> &'static str {
-    match kind {
-        FleetEventKind::Placed { .. } => "fleet.placed",
-        FleetEventKind::Stolen { .. } => "fleet.stolen",
-        FleetEventKind::Verified { .. } => "fleet.verified",
-        FleetEventKind::ByzantineDetected { .. } => "fleet.byzantine-detected",
-        FleetEventKind::Quarantined { .. } => "fleet.quarantined",
-        FleetEventKind::Replaced { .. } => "fleet.replaced",
-        FleetEventKind::Fenced { .. } => "fleet.fenced",
-        FleetEventKind::Rejoined { .. } => "fleet.rejoined",
-        FleetEventKind::Discarded { .. } => "fleet.discarded",
+fn record_instant(rec: &FleetRecord) -> &'static str {
+    match rec {
+        FleetRecord::Placed { .. } => "fleet.placed",
+        FleetRecord::Stolen { .. } => "fleet.stolen",
+        FleetRecord::Accepted { .. } => "fleet.verified",
+        FleetRecord::Detected { .. } => "fleet.byzantine-detected",
+        FleetRecord::Quarantined { .. } => "fleet.quarantined",
+        FleetRecord::Replaced { .. } => "fleet.replaced",
+        FleetRecord::Fenced { .. } => "fleet.fenced",
+        FleetRecord::Rejoined { .. } => "fleet.rejoined",
+        FleetRecord::Discarded { .. } => "fleet.discarded",
     }
 }
 
@@ -75,9 +76,10 @@ fn recording_a_fleet_soak_changes_nothing_and_fills_every_lane() {
         "no device-lane kernel span"
     );
 
-    let journal = decode_fleet_events(coordinator.durable()).expect("coordinator journal decodes");
+    let journal =
+        decode_records::<FleetRecord>(coordinator.durable()).expect("coordinator journal decodes");
     let want: Vec<(&str, u64)> =
-        journal.iter().map(|e| (record_instant(&e.kind), e.t_s.to_bits())).collect();
+        journal.iter().map(|r| (record_instant(r), r.t_s().to_bits())).collect();
     let traced: Vec<(&str, u64)> = timeline
         .instants
         .iter()

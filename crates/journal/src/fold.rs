@@ -151,9 +151,9 @@ pub fn recover<S: Fold>(durable: &DurableState, ctx: &S::Ctx) -> Result<Recovery
 }
 
 /// Decodes every record a durable journal holds, snapshots ignored —
-/// the full history a crash soak checks invariants over. A torn tail
-/// is dropped first; the rest is replayed strictly from the first
-/// retained record (a log that never compacts holds them all).
+/// the layer's full history: its outcome's events, and what a crash
+/// soak checks invariants over. A torn tail is dropped first; the rest
+/// is replayed strictly from epoch 1 (the journal never compacts).
 pub fn decode_records<R: Wire>(durable: &DurableState) -> Result<Vec<R>, JournalError> {
     durable.reopen()?.journal.replay()?.iter().map(decode_record).collect()
 }

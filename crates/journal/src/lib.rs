@@ -32,9 +32,10 @@
 //!
 //! Snapshots live in their own framed log ([`DurableState`]); a
 //! snapshot's epoch is the epoch of the last record folded into it, so
-//! recovery selects the newest intact snapshot and replays only the
-//! records after it. [`DurableState::compact`] drops the journal prefix
-//! a snapshot covers, which is what makes replay *bounded*.
+//! recovery selects the newest intact snapshot and returns only the
+//! records after it, which is what makes replay *bounded*. The journal
+//! itself never compacts: it is its layer's one history, and the
+//! layer's outcome is decoded from every record it holds.
 //!
 //! On top of the byte log sit the two things every journaling layer
 //! would otherwise write for itself: the declare-once payload codec
@@ -148,13 +149,12 @@ pub enum JournalError {
         /// Epoch actually found.
         found: u64,
     },
-    /// A snapshot too old for the (compacted) journal: records between
-    /// the snapshot's epoch and the journal's first retained record are
-    /// gone, or a later snapshot frame regresses to an older epoch.
+    /// A later snapshot frame regresses to an epoch at or below an
+    /// earlier one's.
     StaleSnapshot {
-        /// Epoch claimed by the snapshot.
+        /// Epoch claimed by the regressing snapshot.
         snapshot_epoch: u64,
-        /// First epoch the journal can still supply.
+        /// Least epoch it had to claim: one past the earlier snapshot's.
         journal_epoch: u64,
     },
     /// A snapshot that claims records the journal does not hold: stable
@@ -198,7 +198,7 @@ impl core::fmt::Display for JournalError {
             }
             JournalError::StaleSnapshot { snapshot_epoch, journal_epoch } => write!(
                 f,
-                "stale snapshot: epoch {snapshot_epoch} but journal starts at {journal_epoch}"
+                "stale snapshot: epoch {snapshot_epoch} regresses (expected at least {journal_epoch})"
             ),
             JournalError::SnapshotAhead { snapshot_epoch, last_epoch } => write!(
                 f,
@@ -220,13 +220,13 @@ impl From<WireError> for JournalError {
 }
 
 /// The append-only record log. Appends assign strictly consecutive
-/// epochs; the byte representation is the durable artefact that crash
-/// injection truncates and recovery re-reads.
+/// epochs from 1; the byte representation is the durable artefact that
+/// crash injection truncates and recovery re-reads.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Journal {
     bytes: Vec<u8>,
-    next_epoch: u64,
-    first_epoch: u64,
+    /// Epoch of the last record (0 = empty).
+    last_epoch: u64,
 }
 
 fn push_frame(bytes: &mut Vec<u8>, epoch: u64, t_s: f64, payload: &[u8]) {
@@ -321,9 +321,9 @@ fn scan_frames(bytes: &[u8]) -> Result<Scan, JournalError> {
     Ok(Scan { records, clean_len: walk.off, torn_tail_bytes: bytes.len() - walk.off })
 }
 
-/// Checks record epochs are strictly consecutive starting at `first`.
-fn check_epochs(records: &[Record], first: u64) -> Result<(), JournalError> {
-    for (expected, r) in (first..).zip(records.iter()) {
+/// Checks record epochs are strictly consecutive starting at 1.
+fn check_epochs(records: &[Record]) -> Result<(), JournalError> {
+    for (expected, r) in (1u64..).zip(records.iter()) {
         if r.epoch == expected.wrapping_sub(1) {
             return Err(JournalError::DuplicateRecord { epoch: r.epoch });
         }
@@ -337,15 +337,14 @@ fn check_epochs(records: &[Record], first: u64) -> Result<(), JournalError> {
 impl Journal {
     /// An empty journal; the first append gets epoch 1.
     pub fn new() -> Self {
-        Self { bytes: Vec::new(), next_epoch: 1, first_epoch: 1 }
+        Self::default()
     }
 
     /// Appends a record at simulated time `t_s`, returning its epoch.
     pub fn append(&mut self, t_s: f64, payload: &[u8]) -> u64 {
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        push_frame(&mut self.bytes, epoch, t_s, payload);
-        epoch
+        self.last_epoch += 1;
+        push_frame(&mut self.bytes, self.last_epoch, t_s, payload);
+        self.last_epoch
     }
 
     /// The raw byte log.
@@ -353,23 +352,13 @@ impl Journal {
         &self.bytes
     }
 
-    /// Epoch of the next record to be appended.
-    pub fn next_epoch(&self) -> u64 {
-        self.next_epoch
-    }
-
-    /// Epoch of the first retained record (> 1 after [`Journal::compact_below`]).
-    pub fn first_epoch(&self) -> u64 {
-        self.first_epoch
-    }
-
-    /// Number of retained records.
+    /// Number of records appended (a cut copy: complete frames kept).
     pub fn n_records(&self) -> usize {
-        (self.next_epoch - self.first_epoch) as usize
+        self.last_epoch as usize
     }
 
-    /// Byte spans `(offset, len)` of the retained complete frames, in
-    /// order — the menu of record-boundary kill points.
+    /// Byte spans `(offset, len)` of the complete frames, in order —
+    /// the menu of record-boundary kill points.
     pub fn frame_spans(&self) -> Vec<(usize, usize)> {
         frames(&self.bytes).map(|f| (f.offset, f.len())).collect()
     }
@@ -385,21 +374,8 @@ impl Journal {
                 frame_index: scan.records.len(),
             });
         }
-        check_epochs(&scan.records, self.first_epoch)?;
+        check_epochs(&scan.records)?;
         Ok(scan.records)
-    }
-
-    /// Drops retained frames with epoch < `epoch` (they are covered by
-    /// a snapshot). No-op if already compacted past it.
-    pub fn compact_below(&mut self, epoch: u64) {
-        if epoch <= self.first_epoch {
-            return;
-        }
-        let drop_n = (epoch.min(self.next_epoch) - self.first_epoch) as usize;
-        let spans = self.frame_spans();
-        let cut = spans.iter().take(drop_n).map(|(_, l)| l).sum::<usize>();
-        self.bytes.drain(..cut);
-        self.first_epoch = epoch.min(self.next_epoch);
     }
 }
 
@@ -448,16 +424,6 @@ impl DurableState {
         push_frame(&mut self.snap_bytes, epoch, t_s, payload);
     }
 
-    /// Drops the journal prefix covered by the newest snapshot — what
-    /// bounds replay length.
-    pub fn compact(&mut self) {
-        if let Ok(scan) = scan_frames(&self.snap_bytes) {
-            if let Some(last) = scan.records.last() {
-                self.journal.compact_below(last.epoch + 1);
-            }
-        }
-    }
-
     /// The raw snapshot log (test surgery).
     pub fn snapshot_bytes(&self) -> &[u8] {
         &self.snap_bytes
@@ -485,28 +451,20 @@ impl DurableState {
     }
 
     /// Crash injection mid-record (a torn write): a copy whose journal
-    /// byte log is cut at `nbytes`. Snapshots newer than the last
-    /// complete retained record are dropped too — a snapshot cannot
-    /// outlive the records it summarises on real stable storage, where
-    /// the snapshot is written *after* its covering records.
+    /// byte log is cut at `nbytes` and counts only the complete frames
+    /// it kept. Snapshots newer than the last complete retained record
+    /// are dropped too — a snapshot cannot outlive the records it
+    /// summarises on real stable storage, where the snapshot is written
+    /// *after* its covering records.
     pub fn truncate_bytes(&self, nbytes: usize) -> DurableState {
-        let cut = nbytes.min(self.journal.bytes.len());
-        let journal = Journal {
-            bytes: self.journal.bytes[..cut].to_vec(),
-            // next_epoch is re-derived on recovery; keep a consistent
-            // upper bound for direct inspection.
-            next_epoch: self.journal.next_epoch,
-            first_epoch: self.journal.first_epoch,
-        };
-        let last_epoch = frames(&journal.bytes)
-            .last()
-            .map_or(journal.first_epoch.saturating_sub(1), |f| f.epoch);
+        let bytes = self.journal.bytes[..nbytes.min(self.journal.bytes.len())].to_vec();
+        let last_epoch = frames(&bytes).last().map_or(0, |f| f.epoch);
         let keep = frames(&self.snap_bytes)
             .take_while(|f| f.epoch <= last_epoch)
             .last()
             .map_or(0, |f| f.offset + f.len());
         let snap_bytes = self.snap_bytes[..keep].to_vec();
-        DurableState { journal, snap_bytes }
+        DurableState { journal: Journal { bytes, last_epoch }, snap_bytes }
     }
 
     /// Crash-tolerant recovery: newest intact snapshot + the strictly
@@ -532,20 +490,9 @@ impl DurableState {
         }
 
         let scan = scan_frames(&self.journal.bytes)?;
-        check_epochs(&scan.records, self.journal.first_epoch)?;
+        check_epochs(&scan.records)?;
         let snap_epoch = snapshot.as_ref().map_or(0, |s| s.epoch);
-        // The snapshot must dovetail with the retained records: a
-        // snapshot older than the compaction point leaves a replay gap.
-        if snap_epoch + 1 < self.journal.first_epoch {
-            return Err(JournalError::StaleSnapshot {
-                snapshot_epoch: snap_epoch,
-                journal_epoch: self.journal.first_epoch,
-            });
-        }
-        let last_epoch = scan.records.last().map_or(
-            self.journal.first_epoch.saturating_sub(1),
-            |r| r.epoch,
-        );
+        let last_epoch = scan.records.last().map_or(0, |r| r.epoch);
         if snap_epoch > last_epoch {
             return Err(JournalError::SnapshotAhead { snapshot_epoch: snap_epoch, last_epoch });
         }
@@ -570,8 +517,7 @@ impl DurableState {
         Ok(DurableState {
             journal: Journal {
                 bytes: self.journal.bytes[..clean].to_vec(),
-                next_epoch: rec.next_epoch,
-                first_epoch: self.journal.first_epoch,
+                last_epoch: rec.next_epoch - 1,
             },
             snap_bytes: self.snap_bytes[..snap_clean].to_vec(),
         })
@@ -683,15 +629,6 @@ mod tests {
         stale.install_snapshot(3, 3.0, b"state@3");
         assert!(matches!(stale.recover(), Err(JournalError::StaleSnapshot { .. })));
 
-        // Compaction past the snapshot leaves a replay gap.
-        let mut gap = sample(6);
-        gap.install_snapshot(2, 1.0, b"state@2");
-        gap.journal.compact_below(5);
-        assert!(matches!(
-            gap.recover(),
-            Err(JournalError::StaleSnapshot { snapshot_epoch: 2, journal_epoch: 5 })
-        ));
-
         // A snapshot past the last record would make the next append
         // skip epochs; recovery and reopening refuse it.
         let mut ahead = sample(6);
@@ -699,18 +636,6 @@ mod tests {
         let refused = JournalError::SnapshotAhead { snapshot_epoch: 9, last_epoch: 6 };
         assert_eq!(ahead.recover().err(), Some(refused.clone()));
         assert_eq!(ahead.reopen().err(), Some(refused));
-    }
-
-    #[test]
-    fn compact_bounds_replay() {
-        let mut d = sample(10);
-        d.install_snapshot(7, 3.0, b"state@7");
-        d.compact();
-        assert_eq!(d.journal.first_epoch(), 8);
-        assert_eq!(d.journal.n_records(), 3);
-        let rec = d.recover().expect("compacted recovery");
-        assert_eq!(rec.records.len(), 3);
-        assert_eq!(rec.snapshot.as_ref().map(|s| s.epoch), Some(7));
     }
 
     #[test]
@@ -748,5 +673,21 @@ mod tests {
             assert_eq!(rec.records.len(), k);
             assert_eq!(rec.torn_tail_bytes, 0);
         }
+    }
+
+    /// A cut copy counts the records it kept, not the uncut journal's:
+    /// at every record boundary, and mid-frame, where only the complete
+    /// frames before the tear count.
+    #[test]
+    fn a_cut_counts_only_its_complete_frames() {
+        let d = sample(5);
+        for (k, (off, len)) in d.journal.frame_spans().into_iter().enumerate() {
+            assert_eq!(d.truncate_records(k).journal.n_records(), k);
+            for torn in [off + 1, off + FRAME_HEADER_LEN, off + len - 1] {
+                assert_eq!(d.truncate_bytes(torn).journal.n_records(), k, "torn at byte {torn}");
+            }
+        }
+        assert_eq!(d.truncate_records(5).journal.n_records(), 5);
+        assert_eq!(d.truncate_records(9).journal.n_records(), 5);
     }
 }

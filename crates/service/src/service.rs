@@ -419,6 +419,11 @@ impl<C: Curve> ProverService<C> {
         wal::decode_events(durable)?;
         let snapshot_every = config.snapshot_every;
         let mut svc = Self::new(config);
+        let info = RecoveryInfo {
+            torn_tail_bytes: rec.torn_tail_bytes,
+            recovery_cost_s: wal::recovery_cost_s(&rec),
+            scratch_cost_s: rec.state.clock_s,
+        };
         let state = rec.state;
         svc.clock_s = state.clock_s;
         svc.pool = DevicePool::restore(
@@ -518,28 +523,6 @@ impl<C: Curve> ProverService<C> {
                 rearrived,
             },
         );
-        svc.instant(
-            svc.clock_s,
-            "recovery:restored",
-            vec![
-                ("snapshot_epoch".into(), rec.snapshot_epoch.to_string()),
-                ("replayed".into(), rec.replayed_records.to_string()),
-                ("requeued".into(), requeued.to_string()),
-                ("rearrived".into(), rearrived.to_string()),
-            ],
-        );
-
-        let info = RecoveryInfo {
-            snapshot_epoch: rec.snapshot_epoch,
-            replayed_records: rec.replayed_records,
-            torn_tail_bytes: rec.torn_tail_bytes,
-            requeued_jobs: requeued,
-            rearrived_jobs: rearrived,
-            recovery_cost_s: wal::RECOVERY_BASE_S
-                + rec.snapshot_payload_bytes as f64 * wal::SNAPSHOT_BYTE_S
-                + rec.replayed_records as f64 * wal::REPLAY_RECORD_S,
-            scratch_cost_s: state.clock_s,
-        };
         Ok((svc, info))
     }
 
@@ -566,7 +549,8 @@ impl<C: Curve> ProverService<C> {
     }
 
     /// The `service`-lane telemetry instant a journaled event is traced
-    /// as: rejections, sheds, final failures and breaker transitions.
+    /// as: rejections, sheds, final failures, breaker transitions and
+    /// the restore marker.
     fn instant_of(&self, ev: &ServiceEvent) -> Option<(String, Vec<(String, String)>)> {
         fn arg(key: &str, value: impl ToString) -> (String, String) {
             (key.to_string(), value.to_string())
@@ -585,6 +569,15 @@ impl<C: Curve> ProverService<C> {
             ServiceEventKind::Breaker { transition: t } => (
                 format!("breaker:{}", t.to.label()),
                 vec![arg("device", t.device), arg("from", t.from.label()), arg("cause", t.cause)],
+            ),
+            ServiceEventKind::Recovered { snapshot_epoch, replayed, requeued, rearrived } => (
+                "recovery:restored".into(),
+                vec![
+                    arg("snapshot_epoch", snapshot_epoch),
+                    arg("replayed", replayed),
+                    arg("requeued", requeued),
+                    arg("rearrived", rearrived),
+                ],
             ),
             _ => return None,
         })

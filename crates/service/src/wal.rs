@@ -639,22 +639,23 @@ pub fn decode_events(durable: &DurableState) -> Result<Vec<ServiceEvent>, Journa
     Ok(decode_records::<ServiceRecord>(durable)?.iter().flat_map(ServiceRecord::events).collect())
 }
 
+/// Modelled cost of one recovery: opening the durable state, decoding
+/// the snapshot it started from and replaying the records after it.
+pub fn recovery_cost_s<S>(rec: &Recovery<S>) -> f64 {
+    RECOVERY_BASE_S
+        + rec.snapshot_payload_bytes as f64 * SNAPSHOT_BYTE_S
+        + rec.replayed_records as f64 * REPLAY_RECORD_S
+}
+
 /// How a [`crate::service::ProverService::restore`] got back on its
-/// feet, including the modelled cost comparison against restarting from
-/// scratch.
+/// feet: the modelled cost comparison against restarting from scratch.
+/// What it replayed, requeued and re-seeded is its journaled
+/// [`ServiceEventKind::Recovered`] event.
 #[derive(Clone, Debug)]
 pub struct RecoveryInfo {
-    /// Epoch of the snapshot recovery started from (0 = none).
-    pub snapshot_epoch: u64,
-    /// Records replayed on top of the snapshot.
-    pub replayed_records: u64,
     /// Torn frame bytes dropped from the journal tail.
     pub torn_tail_bytes: usize,
-    /// In-flight or queued jobs put back on a queue.
-    pub requeued_jobs: u64,
-    /// Jobs whose arrival was not yet durable, re-seeded as arrivals.
-    pub rearrived_jobs: u64,
-    /// Modelled recovery cost: base + snapshot decode + bounded replay.
+    /// Modelled recovery cost ([`recovery_cost_s`]).
     pub recovery_cost_s: f64,
     /// Modelled cost of recomputing the lost history from scratch (the
     /// simulated clock at the crash).

@@ -1,37 +1,32 @@
-//! The service lane's `reject:*`, `shed:*`, `job:failed` and `breaker:*`
-//! telemetry instants are views over the journal: recorded under a
-//! telemetry session, a soak scenario emits exactly one such instant per
-//! decoded Rejected, Shed, Failed and Breaker event, in journal order, at
-//! the event's time (bit for bit) and with the arguments the event
-//! carries. Its own test binary: the session is process-global.
+//! The service lane's `reject:*`, `shed:*`, `job:failed`, `breaker:*`
+//! and `recovery:restored` telemetry instants are views over the
+//! journal: recorded under a telemetry session, a soak scenario (cold,
+//! or restored from a cut of its journal) emits exactly one such instant
+//! per decoded Rejected, Shed, Failed, Breaker and Recovered event, in
+//! journal order, at the event's time (bit for bit) and with the
+//! arguments the event carries. Its own test binary: the session is
+//! process-global.
 
 use distmsm_ec::curves::Bn254G1;
 use distmsm_ec::{Curve, FieldElement};
 use distmsm_service::soak::{build_chaos, build_jobs, service_config};
 use distmsm_service::{
-    decode_events, JobSpec, ProverService, Scenario, ServiceEventKind, SoakSpec,
+    decode_events, JobSpec, ProverService, Scenario, ServiceEvent, ServiceEventKind, SoakSpec,
 };
-use distmsm_telemetry::{session, Lane};
+use distmsm_telemetry::{session, Lane, Timeline};
 
 type Instant = (String, u64, Vec<(String, String)>);
+
+const PREFIXES: [&str; 5] = ["reject:", "shed:", "job:failed", "breaker:", "recovery:restored"];
 
 fn args(pairs: &[(&str, String)]) -> Vec<(String, String)> {
     pairs.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect()
 }
 
-/// Runs `jobs` on `spec`'s service and chaos under a session, checks the
-/// instants against the journal and returns the instant names.
-fn check(spec: &SoakSpec, jobs: Vec<JobSpec<Bn254G1>>) -> Vec<String> {
-    let config = service_config(spec);
-    let tenants: Vec<String> = config.tenants.iter().map(|t| t.name.clone()).collect();
-    let mut service = ProverService::new(config);
-    session::begin();
-    service.run(jobs, &build_chaos(spec));
-    let timeline = session::end();
-
-    let journal = decode_events(service.durable()).expect("service journal decodes");
+/// The instants `events` must be traced as, in order.
+fn expected(events: &[ServiceEvent], tenants: &[String]) -> Vec<Instant> {
     let job = |id: Option<u64>| id.map_or_else(String::new, |id| id.to_string());
-    let expected: Vec<Instant> = journal
+    events
         .iter()
         .filter_map(|e| {
             let (name, args) = match &e.kind {
@@ -53,26 +48,70 @@ fn check(spec: &SoakSpec, jobs: Vec<JobSpec<Bn254G1>>) -> Vec<String> {
                         ("cause", t.cause.to_owned()),
                     ]),
                 ),
+                ServiceEventKind::Recovered { snapshot_epoch, replayed, requeued, rearrived } => (
+                    "recovery:restored".to_owned(),
+                    args(&[
+                        ("snapshot_epoch", snapshot_epoch.to_string()),
+                        ("replayed", replayed.to_string()),
+                        ("requeued", requeued.to_string()),
+                        ("rearrived", rearrived.to_string()),
+                    ]),
+                ),
                 _ => return None,
             };
             Some((name, e.t_s.to_bits(), args))
         })
-        .collect();
+        .collect()
+}
+
+/// Checks the journal-view instants `timeline` traced against
+/// `expected` and returns their names.
+fn check(timeline: &Timeline, expected: &[Instant]) -> Vec<String> {
     let traced: Vec<Instant> = timeline
         .instants
         .iter()
         .filter(|i| i.lane == Lane::Service)
-        .filter(|i| {
-            ["reject:", "shed:", "job:failed", "breaker:"].iter().any(|p| i.name.starts_with(p))
-        })
+        .filter(|i| PREFIXES.iter().any(|p| i.name.starts_with(p)))
         .map(|i| (i.name.clone(), i.t_s.to_bits(), i.args.clone()))
         .collect();
-
     assert_eq!(traced.len(), expected.len(), "one instant per journaled event");
-    for (i, (got, want)) in traced.iter().zip(&expected).enumerate() {
+    for (i, (got, want)) in traced.iter().zip(expected).enumerate() {
         assert_eq!(got, want, "instant {i}");
     }
     traced.into_iter().map(|(name, ..)| name).collect()
+}
+
+fn tenants(spec: &SoakSpec) -> Vec<String> {
+    service_config(spec).tenants.iter().map(|t| t.name.clone()).collect()
+}
+
+/// Runs `jobs` on `spec`'s service and chaos under a session and checks
+/// the instants against the journal.
+fn check_cold(spec: &SoakSpec, jobs: Vec<JobSpec<Bn254G1>>) -> Vec<String> {
+    let mut service = ProverService::new(service_config(spec));
+    session::begin();
+    service.run(jobs, &build_chaos(spec));
+    let timeline = session::end();
+    let journal = decode_events(service.durable()).expect("service journal decodes");
+    check(&timeline, &expected(&journal, &tenants(spec)))
+}
+
+/// Runs `spec` untraced, restores it from the first half of its journal
+/// under a session and checks the instants of the restored run against
+/// the events it journaled after the cut.
+fn check_restored(spec: &SoakSpec) -> Vec<String> {
+    let (jobs, chaos, config) = (build_jobs(spec), build_chaos(spec), service_config(spec));
+    let mut reference = ProverService::<Bn254G1>::new(config.clone());
+    reference.run(jobs.clone(), &chaos);
+    let cut = reference.durable().truncate_records(reference.durable().journal.n_records() / 2);
+    let before = decode_events(&cut).expect("the cut decodes").len();
+
+    session::begin();
+    let (mut service, _) = ProverService::restore(config, &jobs, &cut).expect("the cut restores");
+    while service.step(&chaos) {}
+    let timeline = session::end();
+    let journal = decode_events(service.durable()).expect("service journal decodes");
+    check(&timeline, &expected(&journal[before..], &tenants(spec)))
 }
 
 #[test]
@@ -81,12 +120,17 @@ fn service_lane_instants_are_the_journal_decoded() {
     // trace also fails and sheds jobs, and an off-curve point in its
     // first job is rejected at the door
     let smoke = <SoakSpec as Scenario>::smoke();
-    let mut names = check(&smoke, build_jobs(&smoke));
+    let mut names = check_cold(&smoke, build_jobs(&smoke));
     let faulty = SoakSpec { n_devices: 1, always_faulty: Some(0), ..smoke };
     let mut jobs = build_jobs(&faulty);
     jobs[0].instance.points[0].y += <Bn254G1 as Curve>::Base::one();
-    names.extend(check(&faulty, jobs));
+    names.extend(check_cold(&faulty, jobs));
     for prefix in ["breaker:", "reject:", "shed:", "job:failed"] {
         assert!(names.iter().any(|n| n.starts_with(prefix)), "no {prefix}* instant exercised");
     }
+    assert!(!names.iter().any(|n| n == "recovery:restored"), "a cold run restores nothing");
+
+    // a restore journals one Recovered event and traces it once
+    let restored = check_restored(&smoke);
+    assert_eq!(restored.iter().filter(|n| *n == "recovery:restored").count(), 1, "{restored:?}");
 }
