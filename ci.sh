@@ -25,8 +25,10 @@
 # checker, the soak's own verdict, run here on the soak's own traffic.
 # Each journaled layer keeps one history, its journal: the gate below
 # allows one append per layer, no event or acceptance list beside it,
-# and no compaction in the journal crate. Every stanza prints its wall
-# time, and the last line before `CI OK` the total.
+# and no compaction in the journal crate. Every simulated system
+# carries one interconnect model, its topology: the gate below fails on
+# the flat two-scalar fabric. Every stanza prints its wall time, and
+# the last line before `CI OK` the total.
 set -euo pipefail
 cd "$(dirname "$0")"
 CI_T0="$(date +%s)"
@@ -69,6 +71,15 @@ done
 # a prefix would drop history
 if grep -rn 'fn compact' crates/journal/src; then
     echo "FAIL: the journal defines compaction above; it is each layer's one history and never compacts" >&2
+    exit 1
+fi
+
+echo "== one interconnect model: every system carries a topology =="
+# every transfer is priced by the topology's routes (DESIGN.md §9); a
+# flat two-scalar fabric or a system without a topology is a second
+# model that prices the same machine differently
+if grep -rnE 'Fabric::Flat|flat_pool|interconnect_gbps|Option<Topology>' crates/*/src src; then
+    echo "FAIL: a second interconnect model above; route every transfer through the system's Topology" >&2
     exit 1
 fi
 

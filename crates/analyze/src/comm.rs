@@ -271,20 +271,11 @@ fn find_cycle(n_nodes: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distmsm_comms::{
-        plan_collective, CollectiveStrategy, CommConfig, CommStep, Fabric, Topology,
-    };
+    use distmsm_comms::{plan_collective, CollectiveStrategy, CommConfig, CommStep, Topology};
 
     fn clean_plan(strategy: CollectiveStrategy) -> CommSchedule {
         let topo = Topology::dgx_pod(12);
-        plan_collective(
-            strategy,
-            12,
-            96,
-            96.0,
-            &Fabric::Topology(&topo),
-            &CommConfig::default(),
-        )
+        plan_collective(strategy, 12, 96, 96.0, &topo, &CommConfig::default())
     }
 
     #[test]

@@ -47,11 +47,11 @@ use std::path::{Path, PathBuf};
 pub const PANIC_CEILINGS: [(&str, usize); 12] = [
     ("analyze", 3),
     ("bench", 19),
-    ("comms", 3),
+    ("comms", 2),
     ("core", 4),
     ("ec", 4),
     ("ff", 1),
-    ("fleet", 17),
+    ("fleet", 16),
     ("journal", 7),
     ("kernel", 2),
     ("service", 3),

@@ -48,8 +48,8 @@ use crate::comm::check_schedule;
 use crate::report::{Finding, Report, Severity};
 use crate::symbolic::Ctx;
 use distmsm_comms::{
-    plan_collective, CollectiveStrategy, CommConfig, CommSchedule, CommStep, Endpoint, Fabric,
-    Flow, Topology,
+    plan_collective, CollectiveStrategy, CommConfig, CommSchedule, CommStep, Endpoint, Flow,
+    Topology,
 };
 use distmsm_kernel::ir::{self, IndexExpr, PlanIr, Poly, Region, RegionFamily, Sym, SymBound};
 use std::collections::BTreeMap;
@@ -581,10 +581,9 @@ pub fn check_collective_plans(all_presets: bool) -> Report {
     let mut proven = 0usize;
     for (name, topo) in &combos {
         let n = topo.n_gpus();
-        let fabric = Fabric::Topology(topo);
         for strat in CollectiveStrategy::ALL {
             for v in [96usize, 97] {
-                let sched = plan_collective(strat, n, v, 96.0, &fabric, &cfg);
+                let sched = plan_collective(strat, n, v, 96.0, topo, &cfg);
                 let loc = format!("{}/{name}/v{v}", strat.name());
                 let r = check_schedule(&loc, &sched);
                 if r.actionable() == 0 {
@@ -689,12 +688,10 @@ pub fn mutant_plans() -> Vec<(&'static str, PlanIr)> {
 /// Seeded schedule defects [`check_schedule`] must reject.
 pub fn mutant_schedules() -> Vec<(&'static str, CommSchedule)> {
     let topo = Topology::single_box(4);
-    let fabric = Fabric::Topology(&topo);
     let cfg = CommConfig::default();
     // M4: ring all-reduce with the first two steps swapped — the chunk
     // accumulation chain breaks, so later "fully reduced" claims lie.
-    let mut swapped =
-        plan_collective(CollectiveStrategy::RingAllReduce, 4, 96, 96.0, &fabric, &cfg);
+    let mut swapped = plan_collective(CollectiveStrategy::RingAllReduce, 4, 96, 96.0, &topo, &cfg);
     swapped.steps.swap(0, 1);
     // M5: a same-step rendezvous — each rank's send is satisfiable only
     // by the other's delivery in the same step.
@@ -720,7 +717,7 @@ pub fn mutant_schedules() -> Vec<(&'static str, CommSchedule)> {
         ],
     });
     // M6: a duplicated flow double-drives one rank's send port.
-    let mut dup = plan_collective(CollectiveStrategy::HostGather, 4, 96, 96.0, &fabric, &cfg);
+    let mut dup = plan_collective(CollectiveStrategy::HostGather, 4, 96, 96.0, &topo, &cfg);
     let extra = dup.steps[0].flows[0].clone();
     dup.steps[0].flows.push(extra);
     vec![

@@ -377,7 +377,7 @@ pub fn run_fig9_scaling() -> (String, Vec<(usize, f64, f64)>) {
     }
     out.push_str(&t.render());
     out.push_str(
-        "\nThe knee at the node boundary: past 8 GPUs every collective crosses the\nNIC/IB tier, so pod efficiency drops strictly below the single-box ideal\nat equal GPU count (the flat-pool model used to hide this).\n",
+        "\nThe knee at the node boundary: past 8 GPUs every collective crosses the\nNIC/IB tier, so pod efficiency drops strictly below the single-box ideal\nat equal GPU count.\n",
     );
     (out, rows)
 }
@@ -403,7 +403,6 @@ pub struct ScalingRow {
 /// byte-stable for a fixed source tree.
 pub fn fig9_scaling_rows() -> (&'static str, u64, Vec<ScalingRow>) {
     use distmsm::CollectiveStrategy;
-    use distmsm_comms::Topology;
     let n = 1u64 << 26;
     let curve = CurveDesc::BLS12_381;
     let strategy_cfg = |strat: CollectiveStrategy| DistMsmConfig::builder()
@@ -414,8 +413,7 @@ pub fn fig9_scaling_rows() -> (&'static str, u64, Vec<ScalingRow>) {
     let mut rows = Vec::new();
     for gpus in [8usize, 16, 32] {
         let pod = MultiGpuSystem::dgx_a100(gpus);
-        let mut one_box = MultiGpuSystem::flat_pool(gpus);
-        one_box.topology = Some(Topology::single_box(gpus));
+        let one_box = MultiGpuSystem::homogeneous(DeviceSpec::a100(), gpus);
         let time = |sys: &MultiGpuSystem, strat| {
             estimate_distmsm(n, &curve, sys, &strategy_cfg(strat)).total_s
         };

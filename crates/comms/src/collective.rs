@@ -8,7 +8,8 @@
 //! *emits the schedule* that moved it, so the same code path drives
 //! functional verification and analytic costing.
 
-use crate::schedule::{CommConfig, CommSchedule, CommStep, Endpoint, Fabric, Flow};
+use crate::schedule::{CommConfig, CommSchedule, CommStep, Endpoint, Flow};
+use crate::topology::Topology;
 
 /// How per-GPU partial vectors are combined and delivered to the host.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -78,7 +79,7 @@ pub fn run_collective<T: Clone>(
     strategy: CollectiveStrategy,
     partials: &[Vec<T>],
     op: impl Fn(&T, &T) -> T,
-    fabric: &Fabric<'_>,
+    topo: &Topology,
     cfg: &CommConfig,
     elem_bytes: f64,
 ) -> (Vec<T>, CommSchedule) {
@@ -215,7 +216,7 @@ pub fn run_collective<T: Clone>(
         }
     };
 
-    sched.finalize(fabric, cfg);
+    sched.finalize(topo, cfg);
     (result, sched)
 }
 
@@ -227,22 +228,18 @@ pub fn plan_collective(
     n_ranks: usize,
     vec_len: usize,
     elem_bytes: f64,
-    fabric: &Fabric<'_>,
+    topo: &Topology,
     cfg: &CommConfig,
 ) -> CommSchedule {
     let partials: Vec<Vec<()>> = vec![vec![(); vec_len]; n_ranks];
-    let (_, sched) = run_collective(strategy, &partials, |_, _| (), fabric, cfg, elem_bytes);
+    let (_, sched) = run_collective(strategy, &partials, |_, _| (), topo, cfg, elem_bytes);
     sched
 }
 
 /// Plans a plain device→host gather of per-rank payloads (no reduction):
 /// one step, one flow per rank with explicit byte counts. Used for the
 /// bucket-partial gather before a CPU-side bucket-reduce.
-pub fn gather_to_host(
-    per_rank_bytes: &[f64],
-    fabric: &Fabric<'_>,
-    cfg: &CommConfig,
-) -> CommSchedule {
+pub fn gather_to_host(per_rank_bytes: &[f64], topo: &Topology, cfg: &CommConfig) -> CommSchedule {
     let n = per_rank_bytes.len();
     let mut sched = CommSchedule::new("gather-to-host", n, n, 0.0);
     // Rank r is the sole contributor of "element" r; a rank with nothing
@@ -267,7 +264,7 @@ pub fn gather_to_host(
     if !step.flows.is_empty() {
         sched.steps.push(step);
     }
-    sched.finalize(fabric, cfg);
+    sched.finalize(topo, cfg);
     sched
 }
 
@@ -376,13 +373,6 @@ fn push_rank_to_host(sched: &mut CommSchedule, src: usize, lo: usize, hi: usize,
 mod tests {
     use super::*;
 
-    fn flat() -> Fabric<'static> {
-        Fabric::Flat {
-            host_gbps: 64.0,
-            peer_gbps: 600.0,
-        }
-    }
-
     fn serial_sum(partials: &[Vec<u64>]) -> Vec<u64> {
         let mut out = partials[0].clone();
         for p in &partials[1..] {
@@ -417,7 +407,7 @@ mod tests {
                         strat,
                         &partials,
                         |a, b| a.wrapping_add(*b),
-                        &flat(),
+                        &Topology::single_box(n),
                         &CommConfig::default(),
                         8.0,
                     );
@@ -435,16 +425,17 @@ mod tests {
     #[test]
     fn plan_matches_run_cost() {
         let partials = sample(6, 24);
+        let topo = Topology::single_box(6);
         for strat in CollectiveStrategy::ALL {
             let (_, ran) = run_collective(
                 strat,
                 &partials,
                 |a, b| a.wrapping_add(*b),
-                &flat(),
+                &topo,
                 &CommConfig::default(),
                 8.0,
             );
-            let planned = plan_collective(strat, 6, 24, 8.0, &flat(), &CommConfig::default());
+            let planned = plan_collective(strat, 6, 24, 8.0, &topo, &CommConfig::default());
             assert_eq!(planned.total_s, ran.total_s, "{}", strat.name());
             assert_eq!(planned.n_flows(), ran.n_flows());
             assert_eq!(planned.total_bytes(), ran.total_bytes());
@@ -455,12 +446,13 @@ mod tests {
     fn ring_moves_less_host_traffic_than_gather() {
         let n = 8;
         let v = 64;
+        let topo = Topology::single_box(n);
         let hg = plan_collective(
             CollectiveStrategy::HostGather,
             n,
             v,
             128.0,
-            &flat(),
+            &topo,
             &CommConfig::default(),
         );
         let rs = plan_collective(
@@ -468,7 +460,7 @@ mod tests {
             n,
             v,
             128.0,
-            &flat(),
+            &topo,
             &CommConfig::default(),
         );
         let host_bytes = |s: &CommSchedule| -> f64 {
@@ -488,20 +480,23 @@ mod tests {
 
     #[test]
     fn gather_to_host_bytes_and_cost() {
-        // Equal payloads over the shared flat host pipe serialize to
-        // exactly total / bw (the legacy `transfer_time` semantics).
+        // Three equal payloads share the box's one hub->host root port:
+        // each flow gets a third of its 64 GB/s, pays both 5 us PCIe hops
+        // and one payload of store-and-forward fill.
+        let topo = Topology::single_box(3);
         let per = [2e6, 2e6, 2e6];
-        let sched = gather_to_host(&per, &flat(), &CommConfig::default());
+        let sched = gather_to_host(&per, &topo, &CommConfig::default());
         assert_eq!(sched.n_flows(), 3);
         let total: f64 = per.iter().sum();
         assert!((sched.total_bytes() - total).abs() < 1e-9);
-        let expect = total / (64.0 * 1e9);
-        assert!((sched.total_s - expect).abs() < 1e-15);
+        let shared_rate = 64.0 / 3.0 * 1e9;
+        let expect = 10e-6 + (2e6 + 2e6) / shared_rate;
+        assert!((sched.total_s - expect).abs() < 1e-12 * expect);
         // Unequal payloads follow the convoy model: the largest flow
         // keeps its 1/n bandwidth share until the step ends.
-        let uneven = gather_to_host(&[1e6, 2e6, 3e6], &flat(), &CommConfig::default());
-        let convoy = 3.0 * 3e6 / (64.0 * 1e9);
-        assert!((uneven.total_s - convoy).abs() < 1e-15);
+        let uneven = gather_to_host(&[1e6, 2e6, 3e6], &topo, &CommConfig::default());
+        let convoy = 10e-6 + (3e6 + 3e6) / shared_rate;
+        assert!((uneven.total_s - convoy).abs() < 1e-12 * convoy);
     }
 
     #[test]
@@ -513,17 +508,14 @@ mod tests {
         for topo in presets() {
             let n = topo.n_gpus();
             for strat in CollectiveStrategy::ALL {
-                let plan = |t: &crate::Topology| {
-                    plan_collective(strat, n, 17, 192.0, &Fabric::Topology(t), &cfg)
-                };
+                let plan = |t: &Topology| plan_collective(strat, n, 17, 192.0, t, &cfg);
                 let first = plan(&cold(&topo));
                 assert_eq!(first, plan(&topo), "{} {}", topo.name, strat.name());
                 assert_eq!(first, plan(&topo), "{} {}", topo.name, strat.name());
                 assert!(first.link_loads.iter().all(|l| l.label.contains("<->")));
             }
             let per_rank: Vec<f64> = (0..n).map(|r| 4096.0 * (r % 3) as f64).collect();
-            let gather =
-                |t: &crate::Topology| gather_to_host(&per_rank, &Fabric::Topology(t), &cfg);
+            let gather = |t: &Topology| gather_to_host(&per_rank, t, &cfg);
             assert_eq!(gather(&cold(&topo)), gather(&topo), "{}", topo.name);
         }
     }
@@ -544,7 +536,7 @@ mod tests {
                 strat,
                 &partials,
                 |a, b| a.wrapping_add(*b),
-                &flat(),
+                &Topology::single_box(1),
                 &CommConfig::default(),
                 8.0,
             );

@@ -37,9 +37,6 @@ pub mod topology;
 pub use collective::{
     chunk_range, gather_to_host, plan_collective, run_collective, CollectiveStrategy,
 };
-pub use schedule::{
-    CommConfig, CommSchedule, CommStep, Endpoint, Fabric, Flow, LinkId, LinkLoad, PathCost,
-    PathLink,
-};
+pub use schedule::{CommConfig, CommSchedule, CommStep, Endpoint, Flow, LinkLoad};
 pub use partition::{PartitionDirection, PartitionSchedule, PartitionWindow};
 pub use topology::{Link, LinkRates, Node, NodeKind, Route, RouteError, Topology};

@@ -8,7 +8,7 @@
 //! multi-hop routes and per-link bandwidth division when several flows of
 //! the same step share a physical link.
 
-use crate::topology::{RouteError, Topology};
+use crate::topology::{Route, Topology};
 
 /// One endpoint of a flow: a GPU rank or the host (master host in
 /// multi-node topologies).
@@ -18,166 +18,6 @@ pub enum Endpoint {
     Rank(usize),
     /// The (master) host CPU.
     Host,
-}
-
-/// Identity of a physical link a flow crosses, used for contention
-/// metering. Flat fabrics have synthetic links; topology fabrics use the
-/// link's index in the graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LinkId {
-    /// Link `index` of a [`Topology`] graph.
-    Topo(usize),
-    /// The single shared host link of a flat fabric (legacy
-    /// `interconnect_gbps` semantics: all device→host traffic divides
-    /// one pipe).
-    FlatHost,
-    /// A dedicated peer link between two ranks of a flat fabric
-    /// (legacy `peer_gbps` semantics: full bisection). Stored with
-    /// `min ≤ max`.
-    FlatPeer(usize, usize),
-}
-
-/// One physical link on a resolved path, with its standalone bandwidth.
-/// Its human-readable label is [`Fabric::link_label`] of `id`: paths are
-/// resolved once per flow per step, labels only read in reports.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PathLink {
-    /// Link identity for contention accounting.
-    pub id: LinkId,
-    /// Uncontended bandwidth of this link in GB/s.
-    pub gbps: f64,
-}
-
-/// A resolved source→destination path through the fabric.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PathCost {
-    /// Total one-way latency across all hops, in seconds.
-    pub alpha_s: f64,
-    /// Links crossed, in order.
-    pub links: Vec<PathLink>,
-}
-
-impl PathCost {
-    /// Number of hops (links) on the path.
-    pub fn hops(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Bottleneck bandwidth in GB/s ignoring contention
-    /// (`f64::INFINITY` for an empty self-path).
-    pub fn min_gbps(&self) -> f64 {
-        self.links
-            .iter()
-            .map(|l| l.gbps)
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// The interconnect a schedule is costed against.
-///
-/// `Flat` reproduces the legacy two-scalar model bit-for-bit: one shared
-/// host pipe (`host_gbps`, zero latency) and a dedicated full-bisection
-/// peer link per rank pair (`peer_gbps`). `Topology` routes every flow
-/// through the graph with real per-hop latency and shared-link
-/// contention.
-#[derive(Clone, Copy, Debug)]
-pub enum Fabric<'a> {
-    /// Legacy flat scalars (`MultiGpuSystem::{interconnect,peer}_gbps`).
-    Flat {
-        /// Device↔host bandwidth in GB/s, shared by all ranks.
-        host_gbps: f64,
-        /// Per-pair peer bandwidth in GB/s, full bisection.
-        peer_gbps: f64,
-    },
-    /// An explicit interconnect topology graph.
-    Topology(&'a Topology),
-}
-
-impl Fabric<'_> {
-    /// Resolves the path between two endpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a topology fabric has no route between the endpoints
-    /// (disconnected graph or out-of-range rank) — schedules are only
-    /// built against fabrics where all routes exist. Use
-    /// [`Self::try_path`] against a faulted fabric.
-    pub fn path(&self, src: Endpoint, dst: Endpoint) -> PathCost {
-        self.try_path(src, dst)
-            .expect("fabric endpoints must be connected")
-    }
-
-    /// Resolves the path between two endpoints, or reports the
-    /// disconnection — the expected outcome on a fabric carrying link
-    /// faults.
-    pub fn try_path(&self, src: Endpoint, dst: Endpoint) -> Result<PathCost, RouteError> {
-        if src == dst {
-            return Ok(PathCost {
-                alpha_s: 0.0,
-                links: Vec::new(),
-            });
-        }
-        match *self {
-            Fabric::Flat {
-                host_gbps,
-                peer_gbps,
-            } => {
-                let (id, gbps) = match (src, dst) {
-                    (Endpoint::Rank(a), Endpoint::Rank(b)) => {
-                        (LinkId::FlatPeer(a.min(b), a.max(b)), peer_gbps)
-                    }
-                    _ => (LinkId::FlatHost, host_gbps),
-                };
-                Ok(PathCost {
-                    alpha_s: 0.0,
-                    links: vec![PathLink { id, gbps }],
-                })
-            }
-            Fabric::Topology(topo) => {
-                let route = match (src, dst) {
-                    (Endpoint::Rank(a), Endpoint::Rank(b)) => topo.try_gpu_route(a, b)?,
-                    (Endpoint::Rank(a), Endpoint::Host) => topo.try_gpu_to_host_route(a)?,
-                    (Endpoint::Host, Endpoint::Rank(b)) => {
-                        let mut r = topo.try_gpu_to_host_route(b)?;
-                        r.nodes.reverse();
-                        r.links.reverse();
-                        r
-                    }
-                    (Endpoint::Host, Endpoint::Host) => unreachable!("src == dst handled above"),
-                };
-                let links = route
-                    .links
-                    .iter()
-                    .map(|&li| PathLink {
-                        id: LinkId::Topo(li),
-                        gbps: topo.links()[li].bandwidth_gbps,
-                    })
-                    .collect();
-                Ok(PathCost {
-                    alpha_s: route.alpha_s,
-                    links,
-                })
-            }
-        }
-    }
-
-    /// Human-readable label of a link this fabric's paths cross
-    /// (`"box0/gpu0<->box0/nvswitch"`, `"flat-host"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` names a topology link and the fabric is flat, or
-    /// the index is out of range: ids come from this fabric's own paths.
-    pub fn link_label(&self, id: LinkId) -> String {
-        match (id, self) {
-            (LinkId::Topo(li), Fabric::Topology(topo)) => topo.link_label(li),
-            (LinkId::Topo(_), Fabric::Flat { .. }) => {
-                panic!("a flat fabric has no topology links")
-            }
-            (LinkId::FlatPeer(lo, hi), _) => format!("flat-peer gpu{lo}<->gpu{hi}"),
-            (LinkId::FlatHost, _) => "flat-host".to_string(),
-        }
-    }
 }
 
 /// One point-to-point transfer within a step.
@@ -228,8 +68,8 @@ impl Default for CommConfig {
 /// Aggregate traffic over one physical link across the whole schedule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkLoad {
-    /// Link identity.
-    pub link: LinkId,
+    /// Link index in the [`Topology`] the schedule was costed on.
+    pub link: usize,
     /// Human-readable label.
     pub label: String,
     /// Uncontended bandwidth in GB/s.
@@ -304,70 +144,63 @@ impl CommSchedule {
         self.steps.iter().map(|s| s.flows.len()).sum()
     }
 
-    /// Costs the schedule against `fabric`, filling `total_s` and
+    /// Costs the schedule against `topo`, filling `total_s` and
     /// `link_loads`.
     ///
     /// Within a step, each link's bandwidth is divided evenly among the
-    /// flows crossing it; a flow's effective rate is its path's most
+    /// flows crossing it; a flow's effective rate is its route's most
     /// contended link. A flow's completion time is
     /// `α + (bytes + (hops − 1) · min(chunk, bytes)) / rate` — the extra
     /// term is the store-and-forward pipeline fill on multi-hop routes —
     /// and a step completes when its slowest flow does.
-    pub fn finalize(&mut self, fabric: &Fabric<'_>, cfg: &CommConfig) {
+    pub fn finalize(&mut self, topo: &Topology, cfg: &CommConfig) {
         let mut total_s = 0.0;
         let mut per_step_s: Vec<f64> = Vec::with_capacity(self.steps.len());
         let mut loads: Vec<LinkLoad> = Vec::new();
+        let gbps = |link: usize| topo.links()[link].bandwidth_gbps;
         for step in &self.steps {
-            let paths: Vec<PathCost> = step
-                .flows
-                .iter()
-                .map(|f| fabric.path(f.src, f.dst))
-                .collect();
+            let routes: Vec<Route> = step.flows.iter().map(|f| topo.path(f.src, f.dst)).collect();
             // Per-link concurrent flow counts for this step.
-            let mut counts: Vec<(LinkId, usize)> = Vec::new();
-            for path in &paths {
-                for link in &path.links {
-                    match counts.iter_mut().find(|(id, _)| *id == link.id) {
+            let mut counts: Vec<(usize, usize)> = Vec::new();
+            for route in &routes {
+                for &link in &route.links {
+                    match counts.iter_mut().find(|(id, _)| *id == link) {
                         Some((_, c)) => *c += 1,
-                        None => counts.push((link.id, 1)),
+                        None => counts.push((link, 1)),
                     }
                 }
             }
+            let shared = |link: usize| {
+                counts
+                    .iter()
+                    .find(|(id, _)| *id == link)
+                    .map_or(1, |(_, c)| *c)
+            };
             let mut step_s = 0.0_f64;
-            for (flow, path) in step.flows.iter().zip(&paths) {
-                if path.links.is_empty() {
+            for (flow, route) in step.flows.iter().zip(&routes) {
+                if route.links.is_empty() {
                     continue; // self-transfer: free
                 }
-                let rate_gbps = path
+                let rate_gbps = route
                     .links
                     .iter()
-                    .map(|l| {
-                        let shared = counts
-                            .iter()
-                            .find(|(id, _)| *id == l.id)
-                            .map_or(1, |(_, c)| *c);
-                        l.gbps / shared as f64
-                    })
+                    .map(|&l| gbps(l) / shared(l) as f64)
                     .fold(f64::INFINITY, f64::min);
-                let fill = (path.hops() - 1) as f64 * cfg.chunk_bytes.min(flow.bytes);
-                let flow_s = path.alpha_s + (flow.bytes + fill) / (rate_gbps * 1e9);
+                let fill = (route.hops() - 1) as f64 * cfg.chunk_bytes.min(flow.bytes);
+                let flow_s = route.alpha_s + (flow.bytes + fill) / (rate_gbps * 1e9);
                 step_s = step_s.max(flow_s);
-                for link in &path.links {
-                    let shared = counts
-                        .iter()
-                        .find(|(id, _)| *id == link.id)
-                        .map_or(1, |(_, c)| *c);
-                    match loads.iter_mut().find(|l| l.link == link.id) {
+                for &link in &route.links {
+                    match loads.iter_mut().find(|l| l.link == link) {
                         Some(l) => {
                             l.bytes += flow.bytes;
-                            l.peak_flows = l.peak_flows.max(shared);
+                            l.peak_flows = l.peak_flows.max(shared(link));
                         }
                         None => loads.push(LinkLoad {
-                            link: link.id,
-                            label: fabric.link_label(link.id),
-                            gbps: link.gbps,
+                            link,
+                            label: topo.link_label(link),
+                            gbps: gbps(link),
                             bytes: flow.bytes,
-                            peak_flows: shared,
+                            peak_flows: shared(link),
                         }),
                     }
                 }
@@ -467,68 +300,11 @@ pub mod telemetry {
 mod tests {
     use super::*;
 
-    fn flat() -> Fabric<'static> {
-        Fabric::Flat {
-            host_gbps: 64.0,
-            peer_gbps: 600.0,
-        }
-    }
-
-    #[test]
-    fn flat_host_gather_matches_legacy_serialized_pipe() {
-        // n flows of B bytes over the shared host link must cost exactly
-        // n·B / host_gbps — the legacy `transfer_time(total_bytes)`.
-        let n = 4;
-        let bytes = 1e6;
-        let mut sched = CommSchedule::new("host-gather", n, n, bytes);
-        let mut step = CommStep::default();
-        for r in 0..n {
-            step.flows.push(Flow {
-                src: Endpoint::Rank(r),
-                dst: Endpoint::Host,
-                lo: r,
-                hi: r + 1,
-                bytes,
-                reduced: true,
-            });
-        }
-        sched.steps.push(step);
-        sched.finalize(&flat(), &CommConfig::default());
-        let expect = n as f64 * bytes / (64.0 * 1e9);
-        assert!((sched.total_s - expect).abs() < 1e-15 * expect.max(1.0));
-        assert_eq!(sched.link_loads.len(), 1);
-        assert_eq!(sched.link_loads[0].peak_flows, n);
-    }
-
-    #[test]
-    fn flat_peer_links_are_full_bisection() {
-        // Two disjoint peer flows don't contend with each other.
-        let bytes = 1e9;
-        let mut sched = CommSchedule::new("ring", 4, 4, bytes);
-        let mut step = CommStep::default();
-        for (a, b) in [(0, 1), (2, 3)] {
-            step.flows.push(Flow {
-                src: Endpoint::Rank(a),
-                dst: Endpoint::Rank(b),
-                lo: 0,
-                hi: 4,
-                bytes,
-                reduced: false,
-            });
-        }
-        sched.steps.push(step);
-        sched.finalize(&flat(), &CommConfig::default());
-        let expect = bytes / (600.0 * 1e9);
-        assert!((sched.total_s - expect).abs() < 1e-15);
-        assert_eq!(sched.link_loads.len(), 2);
-    }
-
     #[test]
     fn topology_contention_halves_shared_link() {
         // Two GPUs pushing to the host through the shared hub→host root
         // port take twice as long as one.
         let topo = Topology::single_box(4);
-        let fab = Fabric::Topology(&topo);
         let cfg = CommConfig::default();
         let bytes = 1e9;
         let flow = |r: usize| Flow {
@@ -543,12 +319,12 @@ mod tests {
         one.steps.push(CommStep {
             flows: vec![flow(0)],
         });
-        one.finalize(&fab, &cfg);
+        one.finalize(&topo, &cfg);
         let mut two = CommSchedule::new("g", 4, 1, bytes);
         two.steps.push(CommStep {
             flows: vec![flow(0), flow(1)],
         });
-        two.finalize(&fab, &cfg);
+        two.finalize(&topo, &cfg);
         assert!(two.total_s > 1.9 * one.total_s);
         assert!(two.total_s < 2.1 * one.total_s);
     }
@@ -556,7 +332,6 @@ mod tests {
     #[test]
     fn multi_hop_pays_pipeline_fill_and_alpha() {
         let topo = Topology::single_box(2);
-        let fab = Fabric::Topology(&topo);
         let cfg = CommConfig::default();
         let bytes = 256.0 * 1024.0 * 1024.0;
         let mut sched = CommSchedule::new("p", 2, 1, bytes);
@@ -570,11 +345,11 @@ mod tests {
                 reduced: false,
             }],
         });
-        sched.finalize(&fab, &cfg);
-        let path = fab.path(Endpoint::Rank(0), Endpoint::Rank(1));
-        assert_eq!(path.hops(), 2);
+        sched.finalize(&topo, &cfg);
+        assert_eq!(topo.path(Endpoint::Rank(0), Endpoint::Rank(1)).hops(), 2);
         let naive = bytes / (600.0 * 1e9);
-        // strictly more than flat-rate (α + one chunk of fill), but close
+        // strictly more than the bare bandwidth term (α + one chunk of
+        // fill), but close
         assert!(sched.total_s > naive);
         assert!(sched.total_s < naive * 1.2);
     }
@@ -592,7 +367,7 @@ mod tests {
                 reduced: false,
             }],
         });
-        sched.finalize(&flat(), &CommConfig::default());
+        sched.finalize(&Topology::single_box(2), &CommConfig::default());
         assert_eq!(sched.total_s, 0.0);
     }
 }

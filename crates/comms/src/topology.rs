@@ -2,9 +2,9 @@
 //! by links with bandwidth and latency.
 //!
 //! The paper's 16- and 32-GPU configurations span multiple DGX boxes, so
-//! the flat two-scalar interconnect model (`interconnect_gbps` /
-//! `peer_gbps`) cannot reproduce the node-boundary knee of its scaling
-//! curves. This module models the interconnect as an explicit graph:
+//! the shape of their scaling curves depends on where the node
+//! boundaries fall. This module models the interconnect as an explicit
+//! graph, the one model every transfer is priced by:
 //!
 //! * **nodes** — GPUs, NVSwitch-class peer switches, PCIe hubs/root
 //!   complexes, host CPUs and InfiniBand NICs/switches;
@@ -20,6 +20,7 @@
 //! NVSwitch-backed DGX-A100 box, a PCIe-only RTX4090-class box, and a
 //! multi-node DGX pod whose boxes are joined over InfiniBand.
 
+use crate::schedule::Endpoint;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -111,6 +112,16 @@ pub struct Route {
 }
 
 impl Route {
+    /// The free route from `node` to itself.
+    fn empty(node: usize) -> Self {
+        Self {
+            nodes: vec![node],
+            links: Vec::new(),
+            alpha_s: 0.0,
+            min_gbps: f64::INFINITY,
+        }
+    }
+
     /// Number of store-and-forward hops (= number of links).
     pub fn hops(&self) -> usize {
         self.links.len()
@@ -306,12 +317,7 @@ impl Topology {
     /// flow per step.
     pub fn route(&self, from: usize, to: usize) -> Option<Route> {
         if from == to {
-            return Some(Route {
-                nodes: vec![from],
-                links: Vec::new(),
-                alpha_s: 0.0,
-                min_gbps: f64::INFINITY,
-            });
+            return Some(Route::empty(from));
         }
         if let Some(hit) = self.routes.lock().get(&(from, to)) {
             return hit.clone();
@@ -434,6 +440,28 @@ impl Topology {
         })
     }
 
+    /// Route between two flow endpoints; the host is the master host,
+    /// and a host-to-GPU route is the GPU's host route reversed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the endpoints are disconnected, like
+    /// [`Self::gpu_route`] and [`Self::gpu_to_host_route`]: schedules
+    /// are only costed on topologies where every route they use exists.
+    pub fn path(&self, src: Endpoint, dst: Endpoint) -> Route {
+        match (src, dst) {
+            (Endpoint::Rank(a), Endpoint::Rank(b)) => self.gpu_route(a, b),
+            (Endpoint::Rank(a), Endpoint::Host) => self.gpu_to_host_route(a),
+            (Endpoint::Host, Endpoint::Rank(b)) => {
+                let mut r = self.gpu_to_host_route(b);
+                r.nodes.reverse();
+                r.links.reverse();
+                r
+            }
+            (Endpoint::Host, Endpoint::Host) => Route::empty(self.master_host()),
+        }
+    }
+
     // ---- presets --------------------------------------------------------
 
     /// A single NVSwitch-backed DGX-A100-class box with `n` GPUs
@@ -442,7 +470,7 @@ impl Topology {
     /// Wiring per GPU: a 600 GB/s NVLink port into the box NVSwitch and a
     /// 64 GB/s PCIe link into the box PCIe hub; the hub reaches the host
     /// over one shared 64 GB/s root port (so a full-box host gather is
-    /// root-port-bound, matching the flat model's single host pipe).
+    /// root-port-bound).
     pub fn single_box(n: usize) -> Self {
         assert!(n >= 1, "a box needs at least one GPU");
         let mut t = Self::new(format!("dgx-a100-box-{n}"));

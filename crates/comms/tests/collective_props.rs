@@ -1,11 +1,9 @@
 //! Property tests: every collective strategy is bit-identical to the
-//! serial PADD reduction on random MSM partials, on every curve and
-//! every fabric, plus golden tests pinning the preset topologies'
-//! routed bandwidths.
+//! serial PADD reduction on random MSM partials, on every curve and on
+//! a PCIe-only box, an NVSwitch box and a multi-box pod, plus golden
+//! tests pinning the preset topologies' routed bandwidths.
 
-use distmsm_comms::{
-    plan_collective, run_collective, CollectiveStrategy, CommConfig, Fabric, Topology,
-};
+use distmsm_comms::{plan_collective, run_collective, CollectiveStrategy, CommConfig, Topology};
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Mnt4753G1};
 use distmsm_ec::{Curve, XyzzPoint};
 use proptest::prelude::*;
@@ -43,22 +41,12 @@ fn serial_padd<C: Curve>(partials: &[Vec<XyzzPoint<C>>]) -> Vec<XyzzPoint<C>> {
 fn check_all_strategies<C: Curve>(n_ranks: usize, vec_len: usize, seed: u64) {
     let partials = random_partials::<C>(n_ranks, vec_len, seed);
     let want = serial_padd(&partials);
-    let pod = Topology::dgx_pod(12);
-    let boxed = Topology::single_box(n_ranks.max(1));
-    let fabrics: Vec<Fabric<'_>> = vec![
-        Fabric::Flat {
-            host_gbps: 64.0,
-            peer_gbps: 600.0,
-        },
-        Fabric::Topology(&boxed),
-        Fabric::Topology(&pod),
+    let fabrics = [
+        Topology::pcie_box(n_ranks),
+        Topology::single_box(n_ranks),
+        Topology::dgx_pod(12),
     ];
     for fabric in &fabrics {
-        if let Fabric::Topology(t) = fabric {
-            if t.n_gpus() < n_ranks {
-                continue;
-            }
-        }
         for strat in CollectiveStrategy::ALL {
             let (got, sched) = run_collective(
                 strat,
@@ -158,22 +146,8 @@ fn analytic_plan_shows_cross_node_knee() {
     let single = Topology::single_box(16);
     let pod = Topology::dgx_pod(16);
     for strat in CollectiveStrategy::ALL {
-        let a = plan_collective(
-            strat,
-            16,
-            64,
-            128.0,
-            &Fabric::Topology(&single),
-            &CommConfig::default(),
-        );
-        let b = plan_collective(
-            strat,
-            16,
-            64,
-            128.0,
-            &Fabric::Topology(&pod),
-            &CommConfig::default(),
-        );
+        let a = plan_collective(strat, 16, 64, 128.0, &single, &CommConfig::default());
+        let b = plan_collective(strat, 16, 64, 128.0, &pod, &CommConfig::default());
         assert!(
             b.total_s > a.total_s,
             "{}: pod {} <= box {}",

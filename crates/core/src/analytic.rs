@@ -312,13 +312,11 @@ pub fn estimate_best_gpu(
     kernel_opts: distmsm_kernel::PaddOptimizations,
 ) -> MsmEstimate {
     let g = system.n_gpus() as u64;
+    // each slice runs on one GPU in a box of its own, as in
+    // `BestGpuBaseline::execute`
     let single = MultiGpuSystem {
-        devices: vec![system.devices[0].clone()],
         cpu: system.cpu.clone(),
-        interconnect_gbps: system.interconnect_gbps,
-        peer_gbps: system.peer_gbps,
-        // one GPU sees no inter-GPU fabric; the flat host pipe suffices
-        topology: None,
+        ..MultiGpuSystem::homogeneous(system.devices[0].clone(), 1)
     };
     // Baselines tune their window size empirically for their own design
     // (large windows, naive scatter, on-GPU reduce), so pick the s that
@@ -361,6 +359,20 @@ mod tests {
         let small = estimate_distmsm(1 << 20, &CurveDesc::BN254, &sys, &cfg);
         let large = estimate_distmsm(1 << 24, &CurveDesc::BN254, &sys, &cfg);
         assert!(large.total_s > 4.0 * small.total_s, "{} vs {}", large.total_s, small.total_s);
+    }
+
+    #[test]
+    fn one_machine_has_one_price() {
+        // Fig 9's A100 row and Table 3's 1-GPU cell price the same box
+        let fig9 = MultiGpuSystem::homogeneous(distmsm_gpu_sim::DeviceSpec::a100(), 1);
+        let table3 = MultiGpuSystem::dgx_a100(1);
+        let cfg = DistMsmConfig::default();
+        let price = |sys: &MultiGpuSystem| {
+            estimate_distmsm(1 << 24, &CurveDesc::BLS12_381, sys, &cfg)
+                .total_s
+                .to_bits()
+        };
+        assert_eq!(price(&fig9), price(&table3));
     }
 
     #[test]

@@ -87,14 +87,11 @@ impl BestGpuBaseline {
         }
         let g = self.system.n_gpus();
         let n = instance.len();
+        // each sub-MSM runs on one GPU in a box of its own; the merge
+        // below crosses the real fabric
         let single_gpu = MultiGpuSystem {
-            devices: vec![self.system.devices[0].clone()],
             cpu: self.system.cpu.clone(),
-            interconnect_gbps: self.system.interconnect_gbps,
-            peer_gbps: self.system.peer_gbps,
-            // each sub-MSM runs on one GPU; the merge below crosses the
-            // real fabric
-            topology: None,
+            ..MultiGpuSystem::homogeneous(self.system.devices[0].clone(), 1)
         };
         // the single-GPU optimum: what these implementations were tuned
         // for — chosen by minimising the baseline's own cost estimate,
@@ -157,7 +154,7 @@ impl BestGpuBaseline {
             CollectiveStrategy::HostGather,
             &partials,
             |a, b| a.padd(b),
-            &self.system.fabric(),
+            self.system.fabric(),
             &CommConfig::default(),
             point_bytes,
         );

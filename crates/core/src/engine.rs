@@ -342,7 +342,7 @@ impl DistMsm {
                 self.config.collective,
                 &gpu_partials,
                 |a, b| a.padd(b),
-                &system.fabric(),
+                system.fabric(),
                 &CommConfig::default(),
                 point_bytes,
             );
@@ -355,7 +355,7 @@ impl DistMsm {
         let per: Vec<f64> = (0..n_gpus)
             .map(|g| if sup.is_dead(g) { 0.0 } else { partials_bytes })
             .collect();
-        let mut sched = gather_to_host(&per, &system.fabric(), &CommConfig::default());
+        let mut sched = gather_to_host(&per, system.fabric(), &CommConfig::default());
         sched.host_reduce_ops = (n_gpus as u64 - 1) * u64::from(n_windows);
         let mut windows = vec![XyzzPoint::<C>::identity(); n_windows as usize];
         for (g, partial) in gpu_partials.iter().enumerate() {

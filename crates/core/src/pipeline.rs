@@ -148,17 +148,21 @@ mod tests {
     #[test]
     fn batch_comm_rides_the_topology() {
         // The pod topology makes the batch's fabric time strictly larger
-        // than the flat-pool lie at the same GPU count.
+        // than one (hypothetical) box of the same GPU count.
         let b = batch(96, 2, 953);
         let cfg = DistMsmConfig {
             window_size: Some(8),
             ..DistMsmConfig::default()
         };
         let pod = execute_batch(&MultiGpuSystem::dgx_a100(16), &cfg, &b).unwrap();
-        let flat = execute_batch(&MultiGpuSystem::flat_pool(16), &cfg, &b).unwrap();
+        let one_box = MultiGpuSystem {
+            topology: distmsm_comms::Topology::single_box(16),
+            ..MultiGpuSystem::dgx_a100(16)
+        };
+        let boxed = execute_batch(&one_box, &cfg, &b).unwrap();
         assert!(pod.comm_s > 0.0);
-        assert!(flat.comm_s > 0.0);
-        assert!(pod.comm_s > flat.comm_s, "pod {} vs flat {}", pod.comm_s, flat.comm_s);
+        assert!(boxed.comm_s > 0.0);
+        assert!(pod.comm_s > boxed.comm_s, "pod {} vs box {}", pod.comm_s, boxed.comm_s);
     }
 
     #[test]

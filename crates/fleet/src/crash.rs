@@ -533,7 +533,7 @@ impl FleetCuts<'_> {
         run.n_events += outcome.events.len() + outcome.pod_events.len();
         let inner = fleet_soak::check_fleet_invariants(spec, jobs, &outcome, config);
         v.nest("crash-invariant", what, inner);
-        let journal = fleet_soak::check_fleet_journal(fleet.durable(), spec, &outcome.report);
+        let journal = fleet_soak::check_fleet_journal(&outcome.events, spec, &outcome.report);
         v.nest("crash-invariant", what, journal);
 
         run.report.fleet_cuts += 1;
@@ -555,7 +555,7 @@ fn fleet_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
     let reference = coordinator.run(jobs.clone(), &chaos);
     let mut baseline = fleet_soak::check_fleet_invariants(&spec.fleet, &jobs, &reference, &config);
     let journal =
-        fleet_soak::check_fleet_journal(coordinator.durable(), &spec.fleet, &reference.report);
+        fleet_soak::check_fleet_journal(&reference.events, &spec.fleet, &reference.report);
     baseline.within("coordinator journal", journal);
     run.violations.nest("crash-baseline", "fleet baseline", baseline);
 

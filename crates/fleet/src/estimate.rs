@@ -5,7 +5,7 @@
 use distmsm::{
     estimate_distmsm, shard_points, window_shape, CollectiveStrategy, CurveDesc, DistMsmConfig,
 };
-use distmsm_comms::{plan_collective, CommConfig, Fabric, Topology};
+use distmsm_comms::{plan_collective, CommConfig, Topology};
 use distmsm_gpu_sim::MultiGpuSystem;
 
 /// Analytic estimate for one `(n, curve, n_pods)` fleet configuration.
@@ -51,14 +51,7 @@ pub fn estimate_fleet_msm(
     let (strategy, reduce_s) = CollectiveStrategy::ALL
         .iter()
         .map(|&s| {
-            let sched = plan_collective(
-                s,
-                n_pods,
-                w,
-                elem_bytes,
-                &Fabric::Topology(&topo),
-                &CommConfig::default(),
-            );
+            let sched = plan_collective(s, n_pods, w, elem_bytes, &topo, &CommConfig::default());
             (s, sched.total_s)
         })
         .min_by(|a, b| a.1.total_cmp(&b.1))

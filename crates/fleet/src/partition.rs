@@ -106,7 +106,7 @@ impl Scenario for PartitionSoakSpec {
             ..Default::default()
         };
         for (i, spec) in self.scenarios().into_iter().enumerate() {
-            let (jobs, config, outcome, journal) = fleet_soak::execute(&spec);
+            let (jobs, config, outcome) = fleet_soak::execute(&spec);
             let first_run = (i == 0).then(|| signature(&outcome));
             let report = &mut run.report;
             report.scenarios += 1;
@@ -124,7 +124,7 @@ impl Scenario for PartitionSoakSpec {
             report.admitted += outcome.report.admitted;
             let rate_millis = (outcome.report.completion_rate() * 1000.0).round() as u64;
             report.min_completion_millis = report.min_completion_millis.min(rate_millis);
-            let checked = fleet_soak::verdict(&spec, &jobs, &config, outcome, &journal);
+            let checked = fleet_soak::verdict(&spec, &jobs, &config, outcome);
             run.n_events += checked.n_events;
             let name = scenario_name(&spec);
             run.violations.within(&name, checked.violations);
@@ -258,7 +258,7 @@ fn signature(outcome: &FleetOutcome<Bn254G1>) -> String {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use distmsm_journal::{decode_records, Fold, Wire};
+    use distmsm_journal::{Fold, Wire};
     use proptest::prelude::*;
 
     use super::*;
@@ -335,13 +335,13 @@ pub(crate) mod tests {
             lost_pod: Some(1),
             ..LEASED_FENCED_FLEET
         };
-        let (jobs, config, outcome, journal) = fleet_soak::execute(&spec);
+        let (jobs, config, outcome) = fleet_soak::execute(&spec);
         for (pod, e) in &outcome.pod_events {
             if let distmsm_service::ServiceEventKind::Completed { sojourn_s, .. } = e.kind {
                 assert!(sojourn_s >= 0.0, "pod {pod} served job {:?} before it arrived", e.job);
             }
         }
-        let run = fleet_soak::verdict(&spec, &jobs, &config, outcome, &journal);
+        let run = fleet_soak::verdict(&spec, &jobs, &config, outcome);
         assert!(run.violations.is_empty(), "{:#?}", run.violations);
         assert!(run.report.failed > 0, "the lost pod must fail some jobs");
     }
@@ -384,9 +384,7 @@ pub(crate) mod tests {
         fn prefix_replay_twice_is_deterministic(cut in 1usize..40) {
             static RECORDS: std::sync::OnceLock<Vec<FleetRecord>> = std::sync::OnceLock::new();
             let spec = LEASED_FENCED_FLEET;
-            let records = RECORDS.get_or_init(|| {
-                decode_records(&fleet_soak::execute(&spec).3).expect("live journal decodes")
-            });
+            let records = RECORDS.get_or_init(|| fleet_soak::execute(&spec).2.events);
             let keep = cut.min(records.len());
             let fold = |_: ()| {
                 let mut st = FleetState::new(&spec.n_pods);

@@ -17,7 +17,7 @@
 
 use distmsm::reduce::window_reduce;
 use distmsm::{shard_points_with_ir, CollectiveStrategy, CurveDesc, DistMsm, DistMsmConfig};
-use distmsm_comms::{run_collective, CommConfig, CommSchedule, Fabric, Topology};
+use distmsm_comms::{run_collective, CommConfig, CommSchedule, Topology};
 use distmsm_ec::{Curve, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::MultiGpuSystem;
 
@@ -195,7 +195,7 @@ pub fn execute_sharded<C: Curve>(
         cfg.strategy,
         &vectors,
         |a: &XyzzPoint<C>, b| a.padd(b),
-        &Fabric::Topology(&topo),
+        &topo,
         &CommConfig::default(),
         CurveDesc::of::<C>().xyzz_bytes(),
     );

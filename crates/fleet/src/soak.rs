@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use distmsm_comms::PartitionSchedule;
 use distmsm_ec::curves::Bn254G1;
-use distmsm_journal::{decode_records, DurableState, Fold, Wire};
+use distmsm_journal::{Fold, Wire};
 use distmsm_service::harness::{
     arrival_trace, bit_exact, by_id, Flags, Ledger, LedgerIds, Run, Scenario, Violations,
 };
@@ -143,8 +143,8 @@ impl Scenario for FleetSoakSpec {
     }
 
     fn run(&self) -> Run<FleetReport> {
-        let (jobs, config, outcome, journal) = execute(self);
-        verdict(self, &jobs, &config, outcome, &journal)
+        let (jobs, config, outcome) = execute(self);
+        verdict(self, &jobs, &config, outcome)
     }
 
     fn render(report: &FleetReport) -> String {
@@ -225,38 +225,37 @@ pub fn build_fleet_chaos(spec: &FleetSoakSpec) -> FleetChaos {
 }
 
 /// Builds, places and executes one fleet scenario, unchecked: the
-/// arrival trace, the fleet configuration, everything the run produced
-/// and the coordinator's durable journal.
-pub fn execute(
-    spec: &FleetSoakSpec,
-) -> (Vec<JobSpec<Bn254G1>>, FleetConfig, FleetOutcome<Bn254G1>, DurableState) {
+/// arrival trace, the fleet configuration and everything the run
+/// produced (its events are the coordinator journal's records).
+pub fn execute(spec: &FleetSoakSpec) -> (Vec<JobSpec<Bn254G1>>, FleetConfig, FleetOutcome<Bn254G1>) {
     let jobs = build_fleet_jobs(spec);
     let config = fleet_config(spec);
     let mut coordinator = FleetCoordinator::new(config.clone());
     let outcome = coordinator.run(jobs.clone(), &build_fleet_chaos(spec));
-    (jobs, config, outcome, coordinator.durable().clone())
+    (jobs, config, outcome)
 }
 
 /// Checks one executed fleet scenario: [`check_fleet_invariants`] over
-/// its streams and [`check_fleet_journal`] over its coordinator journal
+/// its streams and [`check_fleet_journal`] over its coordinator records
 /// and report.
 pub fn verdict(
     spec: &FleetSoakSpec,
     jobs: &[JobSpec<Bn254G1>],
     config: &FleetConfig,
     outcome: FleetOutcome<Bn254G1>,
-    journal: &DurableState,
 ) -> Run<FleetReport> {
     let mut violations = check_fleet_invariants(spec, jobs, &outcome, config);
-    violations.within("coordinator journal", check_fleet_journal(journal, spec, &outcome.report));
+    let journal = check_fleet_journal(&outcome.events, spec, &outcome.report);
+    violations.within("coordinator journal", journal);
     let n_events = outcome.events.len() + outcome.pod_events.len();
     Run { report: outcome.report, violations, n_events }
 }
 
-/// Checks a coordinator journal against the fencing rules:
+/// Checks a coordinator journal's records (a [`FleetOutcome::events`],
+/// which `finish` decodes from the journal) against the fencing rules:
 ///
-/// * **partition-fencing-fold** — every record decodes and folds
-///   through [`FleetState`], whose fencing checks reject any hand-off
+/// * **partition-fencing-fold** — every record folds through
+///   [`FleetState`], whose fencing checks reject any hand-off
 ///   or acceptance stamped with an expired epoch, any non-monotonic
 ///   fence and any rejoin without a fence.
 /// * **partition-fencing-model** — the same records replay through a
@@ -276,22 +275,15 @@ pub fn verdict(
 ///   count and tenants served equal the from-scratch fold's: the report
 ///   is a view over the journal.
 pub fn check_fleet_journal(
-    journal: &DurableState,
+    records: &[FleetRecord],
     spec: &FleetSoakSpec,
     report: &FleetReport,
 ) -> Violations {
     let n_pods = spec.n_pods;
     let mut v = Violations::default();
-    let records = match decode_records::<FleetRecord>(journal) {
-        Ok(records) => records,
-        Err(err) => {
-            v.fail("partition-fencing-fold", format!("journal undecodable: {err:?}"));
-            return v;
-        }
-    };
     // the coordinator journal never compacts: epochs are 1, 2, …
     let mut model = EpochModel::new(n_pods);
-    for (epoch, rec) in (1u64..).zip(&records) {
+    for (epoch, rec) in (1u64..).zip(records) {
         if let Err(detail) = model.step(rec) {
             v.fail("partition-fencing-model", format!("journal epoch {epoch}: {detail}"));
         }
@@ -308,7 +300,7 @@ pub fn check_fleet_journal(
     }
     let fold = || -> Result<FleetState, String> {
         let mut st = FleetState::new(&n_pods);
-        for (epoch, rec) in (1u64..).zip(&records) {
+        for (epoch, rec) in (1u64..).zip(records) {
             st.apply(epoch, rec, &n_pods)
                 .map_err(|err| format!("fold rejected journal epoch {epoch}: {err:?}"))?;
         }
@@ -652,7 +644,7 @@ mod tests {
     /// verified jobs appear to vanish, breaking fleet conservation and
     /// exactly-once termination.
     fn run_dropping_accepted(spec: &FleetSoakSpec) -> Run<FleetReport> {
-        let (jobs, config, mut outcome, journal) = execute(spec);
+        let (jobs, config, mut outcome) = execute(spec);
         let mut kept = 0u64;
         outcome.events.retain(|e| {
             if matches!(e, FleetRecord::Accepted { .. }) {
@@ -662,7 +654,7 @@ mod tests {
                 true
             }
         });
-        verdict(spec, &jobs, &config, outcome, &journal)
+        verdict(spec, &jobs, &config, outcome)
     }
 
     #[test]
@@ -736,7 +728,7 @@ mod tests {
     #[test]
     fn only_the_owner_pod_terminates_a_job() {
         let spec = tiny();
-        let (jobs, config, mut outcome, _) = execute(&spec);
+        let (jobs, config, mut outcome) = execute(&spec);
         let verified = outcome
             .events
             .iter()
@@ -758,28 +750,22 @@ mod tests {
         assert!(twice.iter().any(|v| v.invariant == "fleet-exactly-once"), "{twice:?}");
     }
 
-    /// `spec`'s coordinator journal, re-journaled after `edit` rewrote
-    /// its decoded records, and the run's report.
+    /// `spec`'s coordinator records after `edit` rewrote them, and the
+    /// run's report.
     fn edited_journal(
         spec: &FleetSoakSpec,
         edit: impl FnOnce(&mut Vec<FleetRecord>),
-    ) -> (DurableState, FleetReport) {
-        let (_, _, outcome, durable) = execute(spec);
-        let mut records =
-            decode_records::<FleetRecord>(&durable).expect("the live journal decodes");
-        edit(&mut records);
-        let mut journal = DurableState::new();
-        for rec in &records {
-            journal.append(0.0, &rec.to_bytes());
-        }
-        (journal, outcome.report)
+    ) -> (Vec<FleetRecord>, FleetReport) {
+        let (_, _, mut outcome) = execute(spec);
+        edit(&mut outcome.events);
+        (outcome.events, outcome.report)
     }
 
     fn journal_findings(
-        (journal, report): &(DurableState, FleetReport),
+        (records, report): &(Vec<FleetRecord>, FleetReport),
         spec: &FleetSoakSpec,
     ) -> Vec<&'static str> {
-        check_fleet_journal(journal, spec, report).iter().map(|v| v.invariant).collect()
+        check_fleet_journal(records, spec, report).iter().map(|v| v.invariant).collect()
     }
 
     /// A report whose quarantine flags, detections or tenants served

@@ -81,7 +81,8 @@ pub struct FaultEvent {
 
 /// A planned interconnect fault, applied to the system's topology before
 /// execution starts (link flaps are modelled as already-down links: the
-/// router sees the degraded graph for the whole MSM).
+/// router sees the degraded graph for the whole MSM). Every system
+/// carries a topology, so every variant re-routes or re-prices.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinkFault {
     /// GPU `rank`'s NVLink/peer-switch port is down. Peer traffic must

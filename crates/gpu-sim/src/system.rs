@@ -1,15 +1,9 @@
 //! Multi-GPU system composition: device sets, the host CPU, and the
-//! interconnect used to gather per-GPU partial results.
-//!
-//! Two interconnect models coexist: the legacy *flat* scalars
-//! (`interconnect_gbps` / `peer_gbps`) and an optional explicit
-//! [`Topology`] graph. When a topology is present, transfer helpers and
-//! the comms collectives route through it (so multi-node systems show
-//! the cross-node knee); when absent, the flat formulas are preserved
-//! bit-for-bit for reproducibility of older tables.
+//! interconnect [`Topology`] every gather, collective and peer transfer
+//! is routed through (so multi-node systems show the cross-node knee).
 
 use crate::device::DeviceSpec;
-use distmsm_comms::{gather_to_host, CommConfig, Fabric, Topology};
+use distmsm_comms::{gather_to_host, CommConfig, Topology};
 
 /// Host CPU description.
 ///
@@ -53,56 +47,35 @@ pub struct MultiGpuSystem {
     pub devices: Vec<DeviceSpec>,
     /// The host CPU that runs *bucket-reduce* and *window-reduce*.
     pub cpu: CpuSpec,
-    /// Host↔device interconnect bandwidth in GB/s (PCIe class). Used by
-    /// the legacy flat transfer model when [`Self::topology`] is `None`.
-    pub interconnect_gbps: f64,
-    /// GPU↔GPU peer bandwidth in GB/s (NVLink class on a DGX). Used by
-    /// the legacy flat transfer model when [`Self::topology`] is `None`.
-    pub peer_gbps: f64,
-    /// Explicit interconnect topology. `Some` routes every gather and
-    /// collective through the graph (node boundaries, NIC bottlenecks,
-    /// link contention); `None` keeps the flat two-scalar model.
-    pub topology: Option<Topology>,
+    /// The interconnect graph: node boundaries, NIC bottlenecks and
+    /// link contention price every transfer.
+    pub topology: Topology,
 }
 
 impl MultiGpuSystem {
-    /// `n` identical devices with the default DGX host and the flat
-    /// interconnect model.
+    /// `n` identical devices with the default DGX host, in one box: an
+    /// NVSwitch peer plane and a shared 64 GB/s PCIe root port to the
+    /// host ([`Topology::single_box`]).
     pub fn homogeneous(spec: DeviceSpec, n: usize) -> Self {
         Self {
             devices: vec![spec; n],
             cpu: CpuSpec::dual_rome_7742(),
-            interconnect_gbps: 64.0,
-            peer_gbps: 600.0,
-            topology: None,
+            topology: Topology::single_box(n.max(1)),
         }
     }
 
-    /// An `n`-GPU Nvidia DGX-A100 deployment (the paper's testbed),
-    /// wired with an explicit topology: one NVSwitch box for `n ≤ 8`,
-    /// and for `n > 8` — as in the paper's 16- and 32-GPU runs — a
-    /// multi-box pod whose boxes meet over an InfiniBand fabric, so
-    /// cross-node traffic pays the NIC bottleneck instead of pretending
-    /// to ride box-local NVLink.
+    /// An `n`-GPU Nvidia DGX-A100 deployment (the paper's testbed): one
+    /// NVSwitch box for `n ≤ 8`, and for `n > 8` — as in the paper's 16-
+    /// and 32-GPU runs — a multi-box pod whose boxes meet over an
+    /// InfiniBand fabric, so cross-node traffic pays the NIC bottleneck
+    /// instead of pretending to ride box-local NVLink.
     pub fn dgx_a100(n: usize) -> Self {
-        let topo = if n > 8 {
-            Topology::dgx_pod(n)
+        let sys = Self::homogeneous(DeviceSpec::a100(), n);
+        if n > 8 {
+            Self { topology: Topology::dgx_pod(n), ..sys }
         } else {
-            Topology::single_box(n.max(1))
-        };
-        Self {
-            topology: Some(topo),
-            ..Self::homogeneous(DeviceSpec::a100(), n)
+            sys
         }
-    }
-
-    /// The old `dgx_a100` behaviour: one flat pool where every GPU pair
-    /// gets full NVLink bandwidth and the host is a single shared pipe,
-    /// regardless of `n`. Physically wrong for n > 8 (it is how the
-    /// pre-topology tables were produced — kept for their
-    /// reproducibility), harmless for n ≤ 8.
-    pub fn flat_pool(n: usize) -> Self {
-        Self::homogeneous(DeviceSpec::a100(), n)
     }
 
     /// Number of GPUs.
@@ -110,88 +83,51 @@ impl MultiGpuSystem {
         self.devices.len()
     }
 
-    /// The fabric collectives and gathers are costed against: the
-    /// explicit topology when present, the flat scalars otherwise.
-    pub fn fabric(&self) -> Fabric<'_> {
-        match &self.topology {
-            Some(t) => Fabric::Topology(t),
-            None => Fabric::Flat {
-                host_gbps: self.interconnect_gbps,
-                peer_gbps: self.peer_gbps,
-            },
-        }
-    }
-
-    /// Seconds to move `bytes` across the host interconnect under the
-    /// flat model (one shared pipe, no latency). Topology-aware call
-    /// sites should use [`Self::gather_to_host_time`] or the comms
-    /// collectives instead.
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
-        bytes / (self.interconnect_gbps * 1e9)
-    }
-
-    /// Seconds to move `bytes` between GPUs over the peer links under
-    /// the flat model.
-    pub fn peer_transfer_time(&self, bytes: f64) -> f64 {
-        bytes / (self.peer_gbps * 1e9)
+    /// The fabric collectives and gathers are costed against.
+    pub fn fabric(&self) -> &Topology {
+        &self.topology
     }
 
     /// Seconds to gather `per_gpu_bytes[r]` from every GPU `r` to the
-    /// host, routed through [`Self::fabric`]. On a flat fabric with
-    /// equal payloads this reduces exactly to
-    /// `transfer_time(total_bytes)`; on a topology it meters root-port
-    /// and NIC contention.
+    /// host, routed through [`Self::fabric`]: root-port and NIC
+    /// contention included.
     pub fn gather_to_host_time(&self, per_gpu_bytes: &[f64]) -> f64 {
-        gather_to_host(per_gpu_bytes, &self.fabric(), &CommConfig::default()).total_s
+        gather_to_host(per_gpu_bytes, &self.topology, &CommConfig::default()).total_s
     }
 
     /// Seconds to move `bytes` from GPU `a` to GPU `b` through the
-    /// fabric (uncontended).
+    /// fabric (uncontended); a GPU's transfer to itself is free.
     pub fn peer_time(&self, a: usize, b: usize, bytes: f64) -> f64 {
-        use distmsm_comms::Endpoint;
-        let path = self.fabric().path(Endpoint::Rank(a), Endpoint::Rank(b));
-        if path.links.is_empty() {
+        let route = self.topology.gpu_route(a, b);
+        if route.links.is_empty() {
             return 0.0;
         }
-        path.alpha_s + bytes / (path.min_gbps() * 1e9)
+        route.alpha_s + bytes / (route.min_gbps * 1e9)
     }
 
     /// A copy of this system with `faults` applied to its topology:
     /// peer/host ports of the named ranks go down or degrade, so every
     /// route and schedule built against the copy re-prices around the
-    /// damage. On a flat (no-topology) system peer-port faults scale the
-    /// shared `peer_gbps` scalar and host-port faults have no
-    /// representable effect (the flat model has a single anonymous host
-    /// pipe) — explicit topologies are where link faults bite.
+    /// damage. A fault naming a rank outside the system changes nothing.
     pub fn degraded(&self, faults: &[crate::fault::LinkFault]) -> Self {
         use crate::fault::LinkFault;
         let mut sys = self.clone();
-        match &mut sys.topology {
-            Some(topo) => {
-                for f in faults {
-                    match *f {
-                        LinkFault::PeerPortDown { rank } => {
-                            if let Some(l) = peer_port(topo, rank) {
-                                topo.set_link_down(l);
-                            }
-                        }
-                        LinkFault::PeerPortDegraded { rank, factor } => {
-                            if let Some(l) = peer_port(topo, rank) {
-                                topo.degrade_link(l, factor);
-                            }
-                        }
-                        LinkFault::HostPortDown { rank } => {
-                            if let Some(l) = host_port(topo, rank) {
-                                topo.set_link_down(l);
-                            }
-                        }
+        let topo = &mut sys.topology;
+        for f in faults {
+            match *f {
+                LinkFault::PeerPortDown { rank } => {
+                    if let Some(l) = peer_port(topo, rank) {
+                        topo.set_link_down(l);
                     }
                 }
-            }
-            None => {
-                for f in faults {
-                    if let LinkFault::PeerPortDegraded { factor, .. } = *f {
-                        sys.peer_gbps *= factor;
+                LinkFault::PeerPortDegraded { rank, factor } => {
+                    if let Some(l) = peer_port(topo, rank) {
+                        topo.degrade_link(l, factor);
+                    }
+                }
+                LinkFault::HostPortDown { rank } => {
+                    if let Some(l) = host_port(topo, rank) {
+                        topo.set_link_down(l);
                     }
                 }
             }
@@ -200,14 +136,11 @@ impl MultiGpuSystem {
     }
 
     /// GPU ranks that can still reach the master host over the (possibly
-    /// degraded) fabric. On a flat fabric every rank always can.
+    /// degraded) fabric.
     pub fn ranks_reaching_host(&self) -> Vec<usize> {
-        match &self.topology {
-            Some(topo) => (0..self.n_gpus())
-                .filter(|&r| topo.try_gpu_to_host_route(r).is_ok())
-                .collect(),
-            None => (0..self.n_gpus()).collect(),
-        }
+        (0..self.n_gpus())
+            .filter(|&r| self.topology.try_gpu_to_host_route(r).is_ok())
+            .collect()
     }
 }
 
@@ -252,6 +185,10 @@ mod tests {
         let sys = MultiGpuSystem::dgx_a100(8);
         assert_eq!(sys.n_gpus(), 8);
         assert_eq!(sys.cpu.cores, 128);
+        assert_eq!(sys.topology, Topology::single_box(8));
+        let pod = MultiGpuSystem::dgx_a100(16);
+        assert!(pod.topology.name.contains("pod"));
+        assert_eq!(pod.topology.n_gpus(), 16);
     }
 
     #[test]
@@ -265,37 +202,11 @@ mod tests {
 
     #[test]
     fn transfer_time_linear() {
+        // past one 4 MiB chunk of fill, each extra 64 GB through the
+        // 64 GB/s root port costs one more second
         let sys = MultiGpuSystem::dgx_a100(1);
-        let t = sys.transfer_time(64e9);
+        let t = sys.gather_to_host_time(&[128e9]) - sys.gather_to_host_time(&[64e9]);
         assert!((t - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dgx_is_topology_wired_and_flat_pool_is_not() {
-        let multi = MultiGpuSystem::dgx_a100(16);
-        let topo = multi.topology.as_ref().expect("dgx gets a topology");
-        assert_eq!(topo.n_gpus(), 16);
-        assert!(topo.name.contains("pod"));
-        let flat = MultiGpuSystem::flat_pool(16);
-        assert!(flat.topology.is_none());
-        assert_eq!(flat.n_gpus(), 16);
-    }
-
-    #[test]
-    fn flat_gather_matches_legacy_transfer_time() {
-        let sys = MultiGpuSystem::flat_pool(4);
-        let per = vec![1e8; 4];
-        let gathered = sys.gather_to_host_time(&per);
-        let legacy = sys.transfer_time(4e8);
-        assert!((gathered - legacy).abs() < 1e-12 * legacy);
-    }
-
-    #[test]
-    fn pod_gather_slower_than_flat_pool_at_equal_gpus() {
-        let pod = MultiGpuSystem::dgx_a100(32);
-        let flat = MultiGpuSystem::flat_pool(32);
-        let per = vec![1e8; 32];
-        assert!(pod.gather_to_host_time(&per) > flat.gather_to_host_time(&per));
     }
 
     #[test]
@@ -342,19 +253,10 @@ mod tests {
             .collect();
         let sys = MultiGpuSystem::dgx_a100(n).degraded(&faults);
         assert!(sys.ranks_reaching_host().is_empty());
-        let topo = sys.topology.as_ref().expect("dgx gets a topology");
+        let topo = &sys.topology;
         for r in 0..n {
             assert!(topo.try_gpu_to_host_route(r).is_err(), "rank {r}");
         }
         assert!(topo.try_gpu_route(0, 1).is_err());
-    }
-
-    #[test]
-    fn flat_system_degrades_peer_scalar() {
-        use crate::fault::LinkFault;
-        let sys = MultiGpuSystem::flat_pool(4)
-            .degraded(&[LinkFault::PeerPortDegraded { rank: 1, factor: 0.5 }]);
-        assert_eq!(sys.peer_gbps, 300.0);
-        assert_eq!(sys.ranks_reaching_host().len(), 4);
     }
 }

@@ -224,14 +224,10 @@ pub fn ntt_time_multi_gpu(d: u64, count: u32, system: &MultiGpuSystem) -> f64 {
     // One all-to-all transpose per transform over the peer fabric. The
     // widest-spread pair prices the per-byte cost: on a multi-node pod
     // that pair crosses the NIC, so the transpose slows at node
-    // boundaries instead of pretending to ride box-local NVLink.
-    let bytes = d as f64 * 32.0 * (g - 1.0).max(1.0) / g;
-    let transpose = if system.n_gpus() > 1 {
-        f64::from(count) * system.peer_time(0, system.n_gpus() - 1, bytes)
-    } else {
-        f64::from(count) * system.peer_transfer_time(bytes)
-    };
-    compute + transpose
+    // boundaries instead of pretending to ride box-local NVLink. One GPU
+    // has nobody to transpose to: its route to itself is free.
+    let bytes = d as f64 * 32.0 * (g - 1.0) / g;
+    compute + f64::from(count) * system.peer_time(0, system.n_gpus() - 1, bytes)
 }
 
 /// CPU time model for the "others" stage: matrix-vector evaluation over
@@ -332,6 +328,16 @@ mod tests {
             &distmsm::DistMsmConfig::default(),
         );
         assert!(msm.total_s > ntt, "msm {} vs ntt {ntt}", msm.total_s);
+    }
+
+    #[test]
+    fn one_gpu_ntt_projection_pays_no_transpose() {
+        let sys = MultiGpuSystem::dgx_a100(1);
+        let d = 1u64 << 20;
+        assert_eq!(
+            ntt_time_multi_gpu(d, 7, &sys),
+            ntt_time_single_gpu(d, 7, &sys)
+        );
     }
 
     #[test]
