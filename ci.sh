@@ -27,7 +27,9 @@
 # allows one append per layer, no event or acceptance list beside it,
 # and no compaction in the journal crate. Every simulated system
 # carries one interconnect model, its topology: the gate below fails on
-# the flat two-scalar fabric. Every stanza prints its wall time, and
+# the flat two-scalar fabric. A pod's result is accepted through one
+# 2G2T scheme, twin bases: the gate below fails on the decoy
+# challenge's names. Every stanza prints its wall time, and
 # the last line before `CI OK` the total.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -80,6 +82,17 @@ echo "== one interconnect model: every system carries a topology =="
 # model that prices the same machine differently
 if grep -rnE 'Fabric::Flat|flat_pool|interconnect_gbps|Option<Topology>' crates/*/src src; then
     echo "FAIL: a second interconnect model above; route every transfer through the system's Topology" >&2
+    exit 1
+fi
+
+echo "== one 2G2T scheme: twin bases, no decoy challenge =="
+# every pod result is accepted by one TwinKey's predicate (DESIGN.md
+# §14); the decoy challenge sent `y = α·x` over the job's own points, so
+# a pod read α off its query and shifted both results past the check. A
+# second scheme beside the key, or what is left of that one, is a second
+# predicate with its own soundness argument to keep
+if grep -rnE 'N_DECOYS|twin_instance|decoys|fn blind' crates/*/src; then
+    echo "FAIL: the decoy challenge above; check pod results against the twin key's bases" >&2
     exit 1
 fi
 

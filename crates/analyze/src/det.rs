@@ -51,7 +51,7 @@ pub const PANIC_CEILINGS: [(&str, usize); 12] = [
     ("core", 4),
     ("ec", 4),
     ("ff", 1),
-    ("fleet", 16),
+    ("fleet", 15),
     ("journal", 7),
     ("kernel", 2),
     ("service", 3),

@@ -15,8 +15,8 @@
 //! (a bit-flipped coordinate fails [`point_from_uncompressed`]), but a
 //! *valid-looking* wrong checkpoint (e.g. two partials swapped) can only
 //! be caught downstream — the fleet layer resumes both the real and the
-//! blinded-twin streams and re-runs the `R2 = α·R1 + V` check on the
-//! finished pair before the result is used, falling back to a scratch
+//! twin-query streams and re-runs the `S2 = k·S1 + ⟨x, ρ⟩·G` check on
+//! the finished pair before the result is used, falling back to a scratch
 //! recompute on rejection (`distmsm-fleet`'s crash soak exercises
 //! exactly this).
 //!
@@ -208,8 +208,8 @@ impl DistMsm {
     ///
     /// `resume` is validated (window size, range, point validity is the
     /// caller's decode step) but **not trusted**: callers in the 2G2T
-    /// outsourcing model must re-verify the finished result against a
-    /// blinded twin before use.
+    /// outsourcing model must re-verify the finished result against its
+    /// twin before use.
     ///
     /// # Errors
     ///

@@ -22,19 +22,19 @@
 //!    journal keeps the longest prefix stamped at or before the cut.
 //!    [`FleetCoordinator::restore`] reconciles the layers (torn steals
 //!    re-absorbed, durable-but-unaccepted completions re-verified via
-//!    the 2G2T blinded-twin check), [`FleetCoordinator::resume`] runs
+//!    the 2G2T twin check), [`FleetCoordinator::resume`] runs
 //!    the tail, and its outcome, which spans the whole run, must
 //!    satisfy every fleet soak invariant — including byzantine
 //!    detection and pod-loss handling across the restart. One extra cut
 //!    tears the coordinator journal mid-record.
-//! 3. **Checkpointed shards** — a supervised windowed MSM and its
-//!    blinded twin journal a [`WindowCheckpoint`] every `interval`
-//!    windows. For every checkpoint count the pair resumes from the
-//!    last durable boundary and the finished pair must still satisfy
-//!    `R2 = α·R1 + V` bit-exactly. A torn checkpoint tail falls back
-//!    to the previous boundary; a corrupted-but-decodable checkpoint
-//!    must be *caught* by the 2G2T check, after which the scratch
-//!    fallback must verify.
+//! 3. **Checkpointed shards** — a supervised windowed MSM and its twin
+//!    query (the twin bases `T[..n]` with the same scalars) journal a
+//!    [`WindowCheckpoint`] every `interval` windows. For every
+//!    checkpoint count the pair resumes from the last durable boundary
+//!    and the finished pair must still satisfy `S2 = k·S1 + ⟨x, ρ⟩·G`
+//!    bit-exactly. A torn checkpoint tail falls back to the previous
+//!    boundary; a corrupted-but-decodable checkpoint must be *caught* by
+//!    the 2G2T check, after which the scratch fallback must verify.
 //!
 //! Everything runs on the simulated clock; two equal specs produce
 //! byte-identical reports.
@@ -46,8 +46,7 @@ use distmsm::report::{json_pretty, JsonField::Scalar};
 use distmsm::DistMsm;
 use distmsm_ec::curves::Bn254G1;
 use distmsm_ec::serialize::point_to_uncompressed;
-use distmsm_ec::{straus, Curve, MsmInstance};
-use distmsm_ff::Uint;
+use distmsm_ec::MsmInstance;
 use distmsm_gpu_sim::MultiGpuSystem;
 use distmsm_journal::{DurableState, Record, Wire};
 use distmsm_service::harness::{Flags, Run, Scenario};
@@ -59,7 +58,7 @@ use distmsm_service::{
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::fleet::{FleetChaos, FleetConfig, FleetCoordinator};
-use crate::outsource::Challenge;
+use crate::outsource::{OutsourcedResult, TwinKey};
 use crate::soak::{self as fleet_soak, FleetSoakSpec};
 
 /// Simulated-seconds of lost pod history above which recovery must be
@@ -621,13 +620,13 @@ fn ckpt_at(records: &[Record], k: usize) -> Result<Option<Ckpt>, String> {
         .map_err(|e| format!("checkpoint {k} undecodable: {e:?}"))
 }
 
-/// The checkpointed giant-MSM shard and its blinded twin.
+/// The checkpointed giant-MSM shard and its twin query.
 struct Shard {
     engine: DistMsm,
     cfg: CheckpointConfig,
     instance: MsmInstance<Bn254G1>,
     twin: MsmInstance<Bn254G1>,
-    challenge: Challenge<Bn254G1>,
+    key: TwinKey<Bn254G1>,
 }
 
 impl Shard {
@@ -649,7 +648,8 @@ impl Shard {
             .engine
             .execute_windowed(&self.twin, &self.cfg, twin, |c| sink(1, c))
             .map_err(|e| format!("twin run failed: {e:?}"))?;
-        if !self.challenge.verify(&self.instance.points, &real.result, &twin.result) {
+        let pair = OutsourcedResult { r1: real.result, r2: twin.result };
+        if !self.key.verify(0, &self.instance, &pair) {
             return Err("the pair failed the 2G2T check".into());
         }
         Ok((real, twin))
@@ -662,13 +662,16 @@ impl Shard {
 fn ckpt_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(spec.ckpt_seed ^ 0xc4ec_0000_0000_0001);
     let instance: MsmInstance<Bn254G1> = MsmInstance::random(spec.ckpt_msm_size, &mut rng);
-    let challenge: Challenge<Bn254G1> = Challenge::generate(spec.ckpt_seed, spec.ckpt_msm_size);
+    let key = TwinKey::generate(spec.ckpt_seed, spec.ckpt_msm_size);
+    let twin = key
+        .twin_query(0, &instance)
+        .ok_or("the shard's points are not the twin key's bases")?;
     let shard = Shard {
         engine: DistMsm::new(MultiGpuSystem::dgx_a100(1)),
         cfg: CheckpointConfig { interval: spec.ckpt_interval },
-        twin: challenge.twin_instance(&instance),
+        twin,
         instance,
-        challenge,
+        key,
     };
 
     let mut journals = [DurableState::new(), DurableState::new()];
@@ -745,11 +748,7 @@ fn ckpt_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) -> Result<(), St
     // so the 2G2T check must *fail*, and the scratch fallback must
     // then verify.
     let mut bad = ckpt_at(&real_records, n_ckpts)?.expect("n_ckpts ≥ 1 names a stored checkpoint");
-    let alpha = Bn254G1::field_to_scalar(&shard.challenge.alpha);
-    bad.partials[0] = straus(&[
-        (bad.partials[0], Uint::ONE),
-        (shard.instance.points[0].to_xyzz(), alpha),
-    ]);
+    bad.partials[0] = bad.partials[0].padd(&shard.instance.points[0].to_xyzz());
     let what = "shard resume from corrupted checkpoint";
     let twin_resume = ckpt_at(&twin_records, n_ckpts)?;
     match shard.resume_pair(Some(bad), twin_resume.clone(), |_, _| {}) {

@@ -42,7 +42,7 @@ pub fn estimate_fleet_msm(
         .max()
         .unwrap_or(0) as u64;
     let pod = estimate_distmsm(largest, curve, &system, cfg);
-    // Outsourcing check: each pod also executes the blinded twin.
+    // Outsourcing check: each pod also executes its twin query.
     let compute_s = 2.0 * pod.total_s;
 
     let w = window_shape(curve.scalar_bits, pod.window_size, false).0 as usize;

@@ -7,20 +7,20 @@
 //! with the globally earliest pending event, so cross-pod interactions
 //! (steals, re-placements) can never be stamped in another pod's past.
 //!
-//! Pods are *untrusted*: every completion is checked against its
-//! blinded twin ([`crate::outsource`]) before acceptance. A detection
-//! quarantines the pod fleet-wide — no further placements or steals —
-//! and re-places its stranded queue across the healthy pods with the
-//! verifier-proved [`distmsm::replace_assignments`] quota plan.
+//! Pods are *untrusted*: every completion is checked against its twin
+//! over the coordinator's twin bases ([`crate::outsource`]) before
+//! acceptance. A detection quarantines the pod fleet-wide — no further
+//! placements or steals — and re-places its stranded queue across the
+//! healthy pods with the verifier-proved
+//! [`distmsm::replace_assignments`] quota plan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use distmsm::{replace_assignments, DistMsm};
+use distmsm::replace_assignments;
 use distmsm_comms::PartitionSchedule;
 use distmsm_ec::serialize::{point_from_uncompressed, point_to_uncompressed};
-use distmsm_ec::{Curve, XyzzPoint};
-use distmsm_gpu_sim::fault::splitmix64;
-use distmsm_gpu_sim::{FaultKind, MultiGpuSystem};
+use distmsm_ec::{straus, Curve, XyzzPoint};
+use distmsm_gpu_sim::FaultKind;
 use distmsm_journal::{decode_records, DurableState, JournalError};
 use distmsm_service::wal as service_wal;
 use distmsm_service::{
@@ -29,7 +29,7 @@ use distmsm_service::{
 };
 
 use crate::membership::{Membership, MembershipAction};
-use crate::outsource::{Challenge, Corruption, OutsourcedResult};
+use crate::outsource::{Corruption, OutsourcedResult, TwinKey};
 use crate::report::FleetReport;
 use crate::wal::{self as fleet_wal, FleetRecord, FleetState, FleetWal};
 
@@ -43,7 +43,7 @@ pub struct FleetConfig {
     /// Per-pod service configuration (shared tenant table; `n_devices`
     /// is the per-pod device count).
     pub pod: ServiceConfig,
-    /// Seed for the per-job 2G2T challenges.
+    /// Seed of the coordinator's 2G2T twin key.
     pub check_seed: u64,
 }
 
@@ -181,7 +181,9 @@ pub struct FleetCoordinator<C: Curve> {
     pods: Vec<ProverService<C>>,
     specs: BTreeMap<u64, JobSpec<C>>,
     last_good: Option<OutsourcedResult<C>>,
-    checker: DistMsm,
+    /// The 2G2T secret of the jobs' base set, derived from `check_seed`
+    /// and grown over the largest job at placement (and at restore).
+    key: TwinKey<C>,
     wal: FleetWal,
     /// One heartbeat lease per pod. Without partition windows no lease
     /// lapses, so every fencing check below passes.
@@ -207,7 +209,7 @@ impl<C: Curve> FleetCoordinator<C> {
         Self {
             specs: BTreeMap::new(),
             last_good: None,
-            checker: DistMsm::new(MultiGpuSystem::dgx_a100(1)),
+            key: TwinKey::generate(config.check_seed, 0),
             membership: Membership::new(config.n_pods),
             stale_copies: vec![BTreeMap::new(); config.n_pods],
             homeless: Vec::new(),
@@ -232,9 +234,11 @@ impl<C: Curve> FleetCoordinator<C> {
     ///   fenced in the recovered fold) with its retry budget intact
     ///   (a `Replaced` record is journaled, never a re-admission).
     /// * Durable pod completions whose 2G2T acceptance was *not*
-    ///   durable are untrusted: each re-runs the blinded-twin check
-    ///   before use, accepting on a pass and falling back to
-    ///   re-execution on a healthy pod otherwise.
+    ///   durable are untrusted: each re-runs the twin check before use,
+    ///   accepting on a pass and falling back to re-execution on a
+    ///   healthy pod otherwise. The twin key is not journaled: it is
+    ///   re-derived from `config.check_seed`, and jobs off its base set
+    ///   are refused as [`Self::run`] refuses them.
     /// * Every journal continues from its durable prefix, so the outcome
     ///   of [`Self::resume`] starts with the pre-crash history.
     ///
@@ -261,6 +265,8 @@ impl<C: Curve> FleetCoordinator<C> {
         assert_eq!(pod_durables.len(), n_pods, "one durable state per pod");
         assert_eq!(chaos.pods.len(), n_pods, "chaos must cover every pod");
         let mut fleet = Self::new(config);
+        fleet.key.extend_to(largest(jobs));
+        let jobs: Vec<&JobSpec<C>> = jobs.iter().filter(|job| fleet.covered(job)).collect();
         let rec = fleet_wal::recover_fleet_state(coordinator, n_pods)?;
         let coordinator_cost_s = service_wal::recovery_cost_s(&rec);
         let state = &rec.state;
@@ -274,7 +280,7 @@ impl<C: Curve> FleetCoordinator<C> {
         let mut spec_lists: Vec<Vec<JobSpec<C>>> = vec![Vec::new(); n_pods];
         let mut replacements: Vec<(&JobSpec<C>, usize)> = Vec::new();
         let mut torn_steals: Vec<(JobSpec<C>, u32)> = Vec::new();
-        for job in jobs {
+        for &job in &jobs {
             let knowing: Vec<usize> =
                 (0..n_pods).filter(|&p| folds[p].jobs.contains_key(&job.id)).collect();
             if knowing.is_empty() {
@@ -328,7 +334,7 @@ impl<C: Curve> FleetCoordinator<C> {
         // here, before anything runs.
         decode_records::<FleetRecord>(coordinator)?;
         decode_accepted::<C>(state)?;
-        fleet.specs = jobs.iter().map(|j| (j.id, j.clone())).collect();
+        fleet.specs = jobs.iter().map(|&j| (j.id, j.clone())).collect();
         let snapshot_every = fleet.config.pod.snapshot_every;
         fleet.wal = FleetWal::resume(coordinator.reopen()?, rec.state, n_pods, snapshot_every);
 
@@ -419,6 +425,11 @@ impl<C: Curve> FleetCoordinator<C> {
     /// pod interleaving in global time order, work stealing, 2G2T
     /// verification of every completion, quarantine + re-placement on
     /// detection.
+    ///
+    /// A job whose points are not a prefix of the twin key's base set
+    /// (the generator multiples) has no twin query, so it can never be
+    /// accepted: it is refused before placement, with a `fleet.refused`
+    /// instant, and never runs.
     ///
     /// Work that must leave a pod while no other pod is live waits for
     /// the next membership transition; if chaos quarantines *every*
@@ -587,9 +598,9 @@ impl<C: Curve> FleetCoordinator<C> {
     /// coordinator missed (its PR 8 service WAL journaled every
     /// completion before it parked). The coordinator diffs it against
     /// its own accepted set: a completion for a job the pod still owns
-    /// is re-verified through the 2G2T blinded-twin check before
-    /// acceptance; one for a job the fleet re-placed or already
-    /// accepted is discarded by fencing epoch. Stale *queued* copies of
+    /// is re-verified through the 2G2T twin check before acceptance;
+    /// one for a job the fleet re-placed or already accepted is
+    /// discarded by fencing epoch. Stale *queued* copies of
     /// re-placed jobs are dropped from the pod's queues the same way.
     fn rejoin_pod(&mut self, pod: usize, t_s: f64, chaos: &FleetChaos) {
         let epoch = self.wal.state().pod_epochs[pod];
@@ -618,6 +629,8 @@ impl<C: Curve> FleetCoordinator<C> {
     /// order each go to the pod with the smallest accumulated analytic
     /// load estimate (ties to the lowest pod id).
     fn place(&mut self, mut jobs: Vec<JobSpec<C>>) {
+        self.key.extend_to(largest(&jobs));
+        jobs.retain(|job| self.covered(job));
         jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         let mut est_load = vec![0.0f64; self.config.n_pods];
         let mut per_pod: Vec<Vec<JobSpec<C>>> = vec![Vec::new(); self.config.n_pods];
@@ -638,6 +651,18 @@ impl<C: Curve> FleetCoordinator<C> {
         for (pod, batch) in per_pod.into_iter().enumerate() {
             self.pods[pod].begin(batch);
         }
+    }
+
+    /// Is `job` on the twin key's base set? A job that is not has no twin
+    /// query and could never be accepted: it is refused before placement
+    /// (a `fleet.refused` instant) and never runs.
+    fn covered(&self, job: &JobSpec<C>) -> bool {
+        let covered = self.key.covers(0, &job.instance.points);
+        if !covered {
+            let args = vec![("job".into(), job.id.to_string())];
+            self.instant(job.arrival_s, "fleet.refused", args);
+        }
+        covered
     }
 
     /// Runs the 2G2T check on one completion; accepts, detects, or
@@ -664,21 +689,16 @@ impl<C: Curve> FleetCoordinator<C> {
         // placement (or at restore from the durable fold), so a pod can
         // only complete ids the coordinator knows.
         let spec = self.specs.get(&done.id).expect("completion for unknown job").clone();
-        let n = spec.instance.len();
-        let challenge =
-            Challenge::<C>::generate(self.config.check_seed ^ mix(done.id), n);
-        // The pod "returns" (R1, R2): R1 is the service result, R2 the
-        // blinded twin it also executed. An honest pod's R2 is bit-exact
-        // regardless of which engine shape ran it.
-        let twin = challenge.twin_instance(&spec.instance);
-        // Invariant: the checker engine runs with no fault plan, and a
-        // fault-free simulated execution cannot fail.
-        let honest_r2 = self
-            .checker
-            .execute(&twin)
-            .expect("fault-free twin execution")
-            .result;
-        let pair = OutsourcedResult { r1: done.result, r2: honest_r2 };
+        // The pod "returns" (S1, S2): S1 is the service result, S2 the
+        // twin it also executed over the twin bases. The coordinator
+        // stands in for that execution with `straus` over (T, x) alone —
+        // never from S1, k or ρ — so a wrong engine S1 still fails the
+        // check; an honest pod's S2 is the same group element whatever
+        // computed it. Placement refused every job off the key's bases.
+        let Some(twin) = self.key.twin_query(0, &spec.instance) else { return };
+        let terms: Vec<_> =
+            twin.points.iter().zip(&twin.scalars).map(|(t, x)| (t.to_xyzz(), *x)).collect();
+        let pair = OutsourcedResult { r1: done.result, r2: straus(&terms) };
         let pair = match chaos.byzantine_class(pod, now) {
             Some(class) => {
                 let swap = self.last_good.unwrap_or(OutsourcedResult {
@@ -689,7 +709,7 @@ impl<C: Curve> FleetCoordinator<C> {
             }
             None => pair,
         };
-        if challenge.verify(&spec.instance.points, &pair.r1, &pair.r2) {
+        if self.key.verify(0, &spec.instance, &pair) {
             // Acceptance and the accepted value ride one atomic record,
             // stamped with the accepting pod's live fencing epoch.
             let epoch = self.wal.state().pod_epochs[pod];
@@ -708,10 +728,10 @@ impl<C: Curve> FleetCoordinator<C> {
             self.last_good = Some(pair);
             return;
         }
-        // Invariant: 2G2T has no false positives — for a bit-exact
-        // honest result the blinded-twin identity r2 = α·r1 + V holds
-        // algebraically, so a rejection implies the chaos schedule
-        // marked this pod byzantine at `now`.
+        // Invariant: 2G2T has no false positives — for an honest pair
+        // the twin identity S2 = k·S1 + ⟨x, ρ⟩·G holds algebraically, so
+        // a rejection implies the chaos schedule marked this pod
+        // byzantine at `now`.
         let class = chaos
             .byzantine_class(pod, now)
             .expect("2G2T check rejected an honest pod result");
@@ -977,8 +997,7 @@ fn instant_of(rec: &FleetRecord) -> (&'static str, Vec<(String, String)>) {
     }
 }
 
-/// Deterministic 64-bit mix of a job id into a challenge seed.
-fn mix(id: u64) -> u64 {
-    let mut state = id ^ 0x6a09_e667_f3bc_c908;
-    splitmix64(&mut state)
+/// The most points any of `jobs` has: the twin key covers that many.
+fn largest<C: Curve>(jobs: &[JobSpec<C>]) -> usize {
+    jobs.iter().map(|job| job.instance.len()).max().unwrap_or(0)
 }

@@ -19,14 +19,14 @@
 //!   queued job from overloaded ones, so EDF order is preserved
 //!   *globally*, not just per pod.
 //! * **Verified outsourcing** ([`outsource`]): remote pods are
-//!   untrusted. Following the 2G2T "blinded twin query" idea, the
-//!   coordinator sends each job twice — once verbatim, once with the
-//!   scalars blinded by a secret `α` plus secret decoy offsets — and
-//!   accepts only if the two returned points satisfy
-//!   `R2 = α·R1 + V` for the secret decoy point `V`. A byzantine pod
-//!   (bit-flip, swapped shard, zeroed partial) is *detected* — a new
-//!   failure class on top of PR 3's fail-stop recovery — then
-//!   quarantined, and its work re-placed on healthy pods.
+//!   untrusted. Following 2G2T's twin query, the coordinator holds one
+//!   secret key per base set — `k`, `ρ` and the twin bases
+//!   `Tᵢ = k·Pᵢ + ρᵢ·G` — sends each job's scalars over both `P` and
+//!   `T`, and accepts only if the two returned points satisfy
+//!   `S2 = k·S1 + ⟨x, ρ⟩·G`. A byzantine pod (bit-flip, swapped shard,
+//!   zeroed partial, adaptive shift) is *detected* — a failure class on
+//!   top of the engine's fail-stop recovery — then quarantined, and its work
+//!   re-placed on healthy pods.
 //!
 //! The deterministic fleet soak ([`soak`],
 //! `crates/bench/src/bin/fleet_soak.rs`) drives 1000+ tenants across
@@ -58,7 +58,7 @@ pub use fleet::{
     AcceptedJob, FleetChaos, FleetConfig, FleetCoordinator, FleetOutcome, FleetRecoveryInfo,
 };
 pub use membership::{LeaseState, Membership, MembershipAction};
-pub use outsource::{Challenge, Corruption, OutsourcedResult, N_DECOYS};
+pub use outsource::{Corruption, OutsourcedResult, TwinKey};
 pub use partition::{PartitionReport, PartitionSoakSpec};
 pub use report::{FleetReport, PodStats};
 pub use shard::{execute_sharded, ShardExecution, ShardedMsmConfig, ShardedMsmReport};

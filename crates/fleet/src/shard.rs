@@ -21,7 +21,7 @@ use distmsm_comms::{run_collective, CommConfig, CommSchedule, Topology};
 use distmsm_ec::{Curve, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::MultiGpuSystem;
 
-use crate::outsource::{Challenge, Corruption, OutsourcedResult};
+use crate::outsource::{Corruption, OutsourcedResult, TwinKey};
 
 /// Configuration for a sharded fleet MSM.
 #[derive(Clone, Debug)]
@@ -35,7 +35,7 @@ pub struct ShardedMsmConfig {
     pub window_size: u32,
     /// Collective strategy for the cross-pod reduce tree.
     pub strategy: CollectiveStrategy,
-    /// Seed for the per-shard 2G2T challenges.
+    /// Seed of the 2G2T twin key over the instance's points.
     pub challenge_seed: u64,
     /// Optional seeded byzantine pod: `(pod, corruption class)`. The
     /// pod's returned pair is corrupted; the check must detect it.
@@ -87,15 +87,17 @@ pub struct ShardedMsmReport<C: Curve> {
 
 /// Executes one `N`-point MSM sharded across `cfg.n_pods` pods.
 ///
-/// Per shard: the pod runs the full engine on its sub-instance (R1, whose
-/// report carries the shard's window-partial vector) and on the blinded
-/// twin (R2). The coordinator 2G2T-checks `(R1, R2)`; on
-/// rejection the pod is quarantined and the shard re-executed on the
-/// first healthy pod. Surviving window-partial vectors are reduced
-/// element-wise over the fleet NIC topology and Horner-folded on the
-/// host.
+/// Per shard `[lo, hi)`: the pod runs the full engine on its
+/// sub-instance (S1, whose report carries the shard's window-partial
+/// vector) and on its twin query, the twin bases `T[lo..hi]` with the
+/// same scalars (S2). The coordinator 2G2T-checks `(S1, S2)` against one
+/// twin key over the instance's points; on rejection the pod is
+/// quarantined and the shard re-executed on the first healthy pod.
+/// Surviving window-partial vectors are reduced element-wise over the
+/// fleet NIC topology and Horner-folded on the host.
 ///
-/// Panics if the instance is empty or if every pod is quarantined.
+/// Panics if the instance is empty, if its points are not the generator
+/// multiples the twin key is over, or if every pod is quarantined.
 pub fn execute_sharded<C: Curve>(
     instance: &MsmInstance<C>,
     cfg: &ShardedMsmConfig,
@@ -104,6 +106,10 @@ pub fn execute_sharded<C: Curve>(
     assert!(n > 0, "cannot shard an empty MSM");
     assert!(cfg.n_pods > 0, "need at least one pod");
     let (ranges, _ir, _env) = shard_points_with_ir(n, cfg.n_pods);
+    let key = TwinKey::<C>::generate(cfg.challenge_seed, n);
+    let Some(twin) = key.twin_query(0, instance) else {
+        panic!("the twin key is over generator multiples: the instance's points are not");
+    };
     let s = cfg.window_size;
     // Pods are identical, so one engine (one topology, one set of route
     // and plan memos) stands for whichever pod runs a shard.
@@ -114,24 +120,21 @@ pub fn execute_sharded<C: Curve>(
             .build()
             .expect("static pod engine config is valid"),
     );
-    let subs: Vec<MsmInstance<C>> = ranges
-        .iter()
-        .map(|&(lo, hi)| MsmInstance {
-            points: instance.points[lo..hi].to_vec(),
-            scalars: instance.scalars[lo..hi].to_vec(),
-        })
-        .collect();
+    // (shard, twin query): the instance's and the twin's points [lo, hi)
+    let slice = |of: &MsmInstance<C>, lo: usize, hi: usize| MsmInstance {
+        points: of.points[lo..hi].to_vec(),
+        scalars: of.scalars[lo..hi].to_vec(),
+    };
+    let subs: Vec<(MsmInstance<C>, MsmInstance<C>)> =
+        ranges.iter().map(|&(lo, hi)| (slice(instance, lo, hi), slice(&twin, lo, hi))).collect();
 
-    // Phase 1: every pod executes its shard + blinded twin.
+    // Phase 1: every pod executes its shard + its twin query.
     let mut shards = Vec::with_capacity(cfg.n_pods);
     let mut vectors: Vec<Vec<XyzzPoint<C>>> = Vec::with_capacity(cfg.n_pods);
     let mut pairs: Vec<OutsourcedResult<C>> = Vec::with_capacity(cfg.n_pods);
-    let mut challenges: Vec<Challenge<C>> = Vec::with_capacity(cfg.n_pods);
     let mut compute_s = 0.0f64;
     for (pod, &(lo, hi)) in ranges.iter().enumerate() {
-        let challenge =
-            Challenge::<C>::generate(cfg.challenge_seed ^ (pod as u64).wrapping_mul(0x9e37), hi - lo);
-        let (pair, vector, pod_s) = run_pod_shard(&subs[pod], &challenge, &engine);
+        let (pair, vector, pod_s) = run_pod_shard(&subs[pod], &engine);
         // Byzantine model: the seeded pod lies about its pair (and its
         // reduce-tree vector, so a missed detection would surface as a
         // bit-exactness violation downstream).
@@ -151,18 +154,17 @@ pub fn execute_sharded<C: Curve>(
         shards.push(ShardExecution { pod, range: (lo, hi), detected: None, replaced_to: None });
         vectors.push(vector);
         pairs.push(pair);
-        challenges.push(challenge);
     }
 
     // Phase 2: 2G2T check each returned pair; quarantine + re-place.
     let mut quarantined = Vec::new();
     for pod in 0..cfg.n_pods {
-        let (lo, hi) = shards[pod].range;
-        if challenges[pod].verify(&instance.points[lo..hi], &pairs[pod].r1, &pairs[pod].r2) {
+        let lo = shards[pod].range.0;
+        if key.verify(lo, &subs[pod].0, &pairs[pod]) {
             continue;
         }
         // Invariant: 2G2T has no false positives — an honest shard's
-        // blinded twin satisfies r2 = α·r1 + V exactly, so a rejection
+        // twin satisfies S2 = k·S1 + ⟨x, ρ⟩·G exactly, so a rejection
         // implies the config seeded a byzantine pod.
         let class = cfg
             .byzantine_pod
@@ -174,15 +176,8 @@ pub fn execute_sharded<C: Curve>(
             .find(|p| !quarantined.contains(p))
             .expect("every pod quarantined: no healthy pod left to re-place on");
         // Re-execute the stranded shard on the healthy pod, re-verify.
-        let rechallenge = Challenge::<C>::generate(
-            cfg.challenge_seed ^ 0x5e81_aced ^ ((pod as u64) << 32),
-            hi - lo,
-        );
-        let (pair, vector, pod_s) = run_pod_shard(&subs[pod], &rechallenge, &engine);
-        assert!(
-            rechallenge.verify(&instance.points[lo..hi], &pair.r1, &pair.r2),
-            "re-placed shard failed its own 2G2T check"
-        );
+        let (pair, vector, pod_s) = run_pod_shard(&subs[pod], &engine);
+        assert!(key.verify(lo, &subs[pod].0, &pair), "re-placed shard failed its own 2G2T check");
         compute_s = compute_s.max(pod_s);
         shards[pod].replaced_to = Some(healthy);
         vectors[pod] = vector;
@@ -205,17 +200,16 @@ pub fn execute_sharded<C: Curve>(
     ShardedMsmReport { result, shards, quarantined, schedule, compute_s, reduce_s }
 }
 
-/// One pod's honest work: the engine's result on the shard (R1) with the
-/// window partials it was folded from, its result on the blinded twin
-/// (R2), and the modeled pod wall-clock.
+/// One pod's honest work on a shard and its twin query: the engine's
+/// result on the shard (S1) with the window partials it was folded from,
+/// its result on the twin query (S2), and the modeled pod wall-clock of
+/// both.
 fn run_pod_shard<C: Curve>(
-    sub: &MsmInstance<C>,
-    challenge: &Challenge<C>,
+    (sub, twin): &(MsmInstance<C>, MsmInstance<C>),
     engine: &DistMsm,
 ) -> (OutsourcedResult<C>, Vec<XyzzPoint<C>>, f64) {
     let report = engine.execute(sub).expect("fault-free pod shard execution");
-    let twin_report =
-        engine.execute(&challenge.twin_instance(sub)).expect("fault-free twin execution");
+    let twin_report = engine.execute(twin).expect("fault-free twin execution");
     // the cross-pod collective reduces the vectors element by element
     assert_eq!(report.window_partials.len(), report.n_windows as usize);
     (

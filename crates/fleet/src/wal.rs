@@ -40,7 +40,8 @@ use distmsm_journal::{
 // ---------------------------------------------------------------------
 
 /// The 2G2T corruption class labels, by wire tag.
-const CORRUPTIONS: Labels = Labels(&["bit-flip", "swapped-shard", "zero-partial"]);
+const CORRUPTIONS: Labels =
+    Labels(&["bit-flip", "swapped-shard", "zero-partial", "adaptive-shift"]);
 
 // Version-free: the record tag is the first payload byte; the journal
 // frame carries epoch/time/CRC.

@@ -1,126 +1,378 @@
-//! Property-based tests of the 2G2T blinded-twin outsourcing check,
-//! across all four paper curves (plus G2): every honest pod result is
-//! accepted, every seeded corruption class — bit flip, swapped shard,
-//! zeroed partial — is detected, and every verdict is the one the
-//! double-and-add predicate gives.
+//! Property-based tests of the 2G2T twin-base outsourcing check, across
+//! all four paper curves plus G2: every honest pod result is accepted,
+//! every corruption class — bit flip, swapped shard, zeroed partial and
+//! the adaptive shift that reads its multiplier off the query — is
+//! rejected, on shards down to one point and on every sub-range of one
+//! key; and the fleet detects and quarantines an adaptive pod end to end.
 
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
-use distmsm_ec::{Affine, Curve, MsmInstance, XyzzPoint};
-use distmsm_fleet::{Challenge, Corruption, OutsourcedResult};
+use distmsm_ec::{Curve, FieldElement, MsmInstance, XyzzPoint};
+use distmsm_fleet::soak::{
+    build_fleet_chaos, build_fleet_jobs, check_fleet_invariants, fleet_config,
+};
+use distmsm_fleet::{
+    Corruption, FleetCoordinator, FleetRecord, FleetSoakSpec, OutsourcedResult, TwinKey,
+};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-/// An honest pod's answer: the reference MSM of the instance and of its
-/// blinded twin.
+/// An honest pod's answer for `instance` at `[lo, lo + n)` of the key's
+/// base set: the double-and-add reference MSM of the instance and of its
+/// twin query.
 fn honest_pair<C: Curve>(
+    key: &TwinKey<C>,
+    lo: usize,
     instance: &MsmInstance<C>,
-    challenge: &Challenge<C>,
 ) -> OutsourcedResult<C> {
+    let twin = key
+        .twin_query(lo, instance)
+        .expect("the instance is on the key's bases");
     OutsourcedResult {
         r1: instance.reference_result(),
-        r2: challenge.twin_instance(instance).reference_result(),
+        r2: twin.reference_result(),
     }
 }
 
-/// Accept every honest result; detect every corruption class.
+/// `n` generator multiples from `lo + 1` on, the points at `[lo, lo + n)`
+/// of a twin key, with random scalars.
+fn shard<C: Curve>(lo: usize, n: usize, rng: &mut StdRng) -> MsmInstance<C> {
+    let points = MsmInstance::<C>::random(lo + n, rng).points.split_off(lo);
+    MsmInstance {
+        points,
+        scalars: (0..n).map(|_| C::random_scalar(rng)).collect(),
+    }
+}
+
+/// The adaptive pod's estimate of the twin's secret multiplier: the most
+/// common ratio `yᵢ / xᵢ` of the twin query's scalars to the real ones.
+/// Against the decoy challenge this was the blinding factor; on twin
+/// bases the two queries carry the same scalars, so it is 1.
+fn estimate_lambda<C: Curve>(x: &[C::Scalar], y: &[C::Scalar]) -> C::ScalarField {
+    let ratios: Vec<C::ScalarField> = x
+        .iter()
+        .zip(y)
+        .filter_map(|(x, y)| {
+            C::scalar_to_field(x)
+                .inverse()
+                .map(|inv| C::scalar_to_field(y) * inv)
+        })
+        .collect();
+    let count = |r: &C::ScalarField| ratios.iter().filter(|s| *s == r).count();
+    ratios
+        .iter()
+        .copied()
+        .max_by_key(count)
+        .unwrap_or_else(C::ScalarField::one)
+}
+
+/// `(S1 + D, S2 + λ·D)`.
+fn shifted<C: Curve>(
+    pair: &OutsourcedResult<C>,
+    d: &XyzzPoint<C>,
+    lambda: &C::ScalarField,
+) -> OutsourcedResult<C> {
+    OutsourcedResult {
+        r1: pair.r1.padd(d),
+        r2: pair.r2.padd(&d.scalar_mul(&C::field_to_scalar(lambda))),
+    }
+}
+
+/// Accept every honest result; reject every corruption class, with the
+/// swapped pair a valid answer for another job on the same key.
 fn check_curve<C: Curve>(seed: u64, n: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let instance = MsmInstance::<C>::random(n, &mut rng);
-    let challenge = Challenge::<C>::generate(seed ^ 0x2624, n);
-    let honest = honest_pair(&instance, &challenge);
+    let key = TwinKey::<C>::generate(seed ^ 0x2624, n);
+    let instance = shard::<C>(0, n, &mut rng);
+    let honest = honest_pair(&key, 0, &instance);
     assert!(
-        challenge.verify(&instance.points, &honest.r1, &honest.r2),
+        key.verify(0, &instance, &honest),
         "honest pod result rejected (seed={seed}, n={n})"
     );
 
-    // The swapped-shard source is a *valid* pair for a different job:
-    // it satisfies its own challenge, but must not satisfy this one.
-    let other = MsmInstance::<C>::random(n, &mut StdRng::seed_from_u64(seed ^ 0xdead));
-    let other_challenge = Challenge::<C>::generate(seed ^ 0xbeef, n);
-    let swap = honest_pair(&other, &other_challenge);
+    let other = shard::<C>(0, n, &mut rng);
+    let swap = honest_pair(&key, 0, &other);
     assert!(
-        other_challenge.verify(&other.points, &swap.r1, &swap.r2),
-        "swap source must be valid under its own challenge"
+        key.verify(0, &other, &swap),
+        "swap source must be valid for its own job"
     );
 
     for class in Corruption::ALL {
         let corrupted = honest.corrupted(class, &swap);
         assert!(
-            !challenge.verify(&instance.points, &corrupted.r1, &corrupted.r2),
+            !key.verify(0, &instance, &corrupted),
             "{} corruption went undetected (seed={seed}, n={n})",
             class.label()
         );
     }
 }
 
-/// The right-hand side before the check ran on `straus`: `α·R1` and each
-/// `βⱼ·Pⱼ` by double-and-add.
-fn double_and_add_rhs<C: Curve>(
-    challenge: &Challenge<C>,
-    points: &[Affine<C>],
-    r1: &XyzzPoint<C>,
-) -> XyzzPoint<C> {
-    let mut rhs = r1.scalar_mul(&C::field_to_scalar(&challenge.alpha));
-    for (p, beta) in &challenge.decoys {
-        rhs = rhs.padd(&points[*p].scalar_mul(&C::field_to_scalar(beta)));
-    }
-    rhs
-}
-
-/// `Challenge::verify` gives the double-and-add predicate's verdict on
-/// honest, corrupted, random and degenerate pairs of `n`-point shards.
-fn verdicts_match_double_and_add<C: Curve>(seed: u64, sizes: &[usize]) {
+/// The adaptive shift on `n`-point jobs: the pod reads `λ` off its query
+/// and returns `(S1 + D, S2 + λ·D)` for a random `D`, as
+/// [`Corruption::AdaptiveShift`] does with `D = G`; no `λ` it could
+/// guess, read or draw at random passes.
+fn adaptive_shift_is_rejected<C: Curve>(sizes: &[usize]) {
+    let mut accepted = Vec::new();
     for &n in sizes {
-        let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
-        let instance = MsmInstance::<C>::random(n, &mut rng);
-        let challenge = Challenge::<C>::generate(seed ^ 0x2929 ^ n as u64, n);
-        let honest = honest_pair(&instance, &challenge);
-        let other = MsmInstance::<C>::random(n, &mut rng);
-        let swap = honest_pair(&other, &Challenge::<C>::generate(seed ^ 0xbeef, n));
-
-        let rhs = |r1: &XyzzPoint<C>| double_and_add_rhs(&challenge, &instance.points, r1);
-        let mut random = || C::generator().scalar_mul(&C::random_scalar(&mut rng));
-        let (a, b) = (random(), random());
-        let id = XyzzPoint::identity();
-        // (R1, R2, the double-and-add right-hand side for R1)
-        let [rhs_a, rhs_id] = [a, id].map(|r1| rhs(&r1));
-        let mut cases = vec![
-            (honest.r1, honest.r2, rhs(&honest.r1)),
-            (a, rhs_a, rhs_a),
-            (a, b, rhs_a),
-            (a, id, rhs_a),
-            (a, a, rhs_a),
-            (a, a.neg(), rhs_a),
-            (id, rhs_id, rhs_id),
-            (id, id, rhs_id),
-            (id, a, rhs_id),
-        ];
-        cases.extend(Corruption::ALL.map(|class| {
-            let bad = honest.corrupted(class, &swap);
-            (bad.r1, bad.r2, rhs(&bad.r1))
-        }));
-        for (i, (r1, r2, rhs)) in cases.iter().enumerate() {
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ ((n as u64) << 8));
+            let key = TwinKey::<C>::generate(seed ^ 0xada9, n);
+            let instance = shard::<C>(0, n, &mut rng);
+            let twin = key.twin_query(0, &instance).expect("on the key's bases");
+            let honest = honest_pair(&key, 0, &instance);
+            let lambda = estimate_lambda::<C>(&instance.scalars, &twin.scalars);
             assert_eq!(
-                challenge.verify(&instance.points, r1, r2),
-                rhs == r2,
-                "case {i} on {} with {n} points",
-                C::NAME
+                lambda,
+                C::ScalarField::one(),
+                "the twin query's scalars are the job's"
             );
+
+            let g = C::generator().to_xyzz();
+            let class = honest.corrupted(Corruption::AdaptiveShift, &honest);
+            let by_hand = shifted(&honest, &g, &lambda);
+            assert!(class.r1 == by_hand.r1 && class.r2 == by_hand.r2);
+
+            let d = C::generator().scalar_mul(&C::random_scalar(&mut rng));
+            let candidates = [
+                lambda,
+                C::ScalarField::random(&mut rng),
+                C::ScalarField::zero(),
+            ];
+            let forgeries = std::iter::once(class)
+                .chain(candidates.iter().map(|lambda| shifted(&honest, &d, lambda)));
+            for (i, forged) in forgeries.enumerate() {
+                if key.verify(0, &instance, &forged) {
+                    accepted.push(format!("{} n={n} seed={seed} forgery {i}", C::NAME));
+                }
+            }
+            assert!(key.verify(0, &instance, &honest));
         }
-        assert!(challenge.verify(&instance.points, &honest.r1, &honest.r2));
     }
+    assert!(accepted.is_empty(), "adaptive shift accepted: {accepted:?}");
 }
 
-/// Shards with fewer points than `N_DECOYS` on every curve, and 24-point
-/// ones on the three 4-limb G1 curves (the debug build's budget).
 #[test]
-fn verdicts_match_double_and_add_on_every_curve() {
-    let all = [1, 2, 3, 4, 24];
-    verdicts_match_double_and_add::<Bn254G1>(2910, &all);
-    verdicts_match_double_and_add::<Bls12377G1>(2911, &all);
-    verdicts_match_double_and_add::<Bls12381G1>(2912, &all);
-    verdicts_match_double_and_add::<Mnt4753G1>(2913, &[1, 4]);
-    verdicts_match_double_and_add::<Bn254G2>(2914, &[1, 2, 3, 4]);
+fn adaptive_shift_is_rejected_on_bn254() {
+    adaptive_shift_is_rejected::<Bn254G1>(&[9, 16, 64]);
+}
+
+#[test]
+fn adaptive_shift_is_rejected_on_bls12377() {
+    adaptive_shift_is_rejected::<Bls12377G1>(&[9, 16, 64]);
+}
+
+#[test]
+fn adaptive_shift_is_rejected_on_bls12381() {
+    adaptive_shift_is_rejected::<Bls12381G1>(&[9, 16, 64]);
+}
+
+#[test]
+fn adaptive_shift_is_rejected_on_mnt4753() {
+    adaptive_shift_is_rejected::<Mnt4753G1>(&[9, 16]);
+}
+
+#[test]
+fn adaptive_shift_is_rejected_on_bn254_g2() {
+    adaptive_shift_is_rejected::<Bn254G2>(&[9, 16, 64]);
+}
+
+/// One key over 24 bases. Honest pairs over every `[lo, hi)` sub-range
+/// (every prefix among them) are accepted; shards of 1–4 points at every
+/// position, and the whole 24, reject every corruption class, the swap
+/// source being another job's valid pair over the same range. Counts
+/// false accepts and false rejects, and both must be zero.
+fn tiny_shards_and_sub_ranges<C: Curve>(seed: u64) {
+    const N: usize = 24;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let key = TwinKey::<C>::generate(seed ^ 0x5b5b, N);
+    let job = shard::<C>(0, N, &mut rng);
+    let other = shard::<C>(0, N, &mut rng);
+    // xᵢ·Pᵢ and xᵢ·Tᵢ by double-and-add, once per index: a sub-range's
+    // honest pair is their sum over the range
+    let terms = |inst: &MsmInstance<C>| -> Vec<OutsourcedResult<C>> {
+        let twin = key.twin_query(0, inst).expect("on the key's bases");
+        (0..N)
+            .map(|i| OutsourcedResult {
+                r1: inst.points[i].scalar_mul(&inst.scalars[i]),
+                r2: twin.points[i].scalar_mul(&inst.scalars[i]),
+            })
+            .collect()
+    };
+    let (job_terms, other_terms) = (terms(&job), terms(&other));
+    let sum = |terms: &[OutsourcedResult<C>]| OutsourcedResult {
+        r1: terms.iter().map(|t| t.r1).sum(),
+        r2: terms.iter().map(|t| t.r2).sum(),
+    };
+    let range = |inst: &MsmInstance<C>, lo: usize, hi: usize| MsmInstance {
+        points: inst.points[lo..hi].to_vec(),
+        scalars: inst.scalars[lo..hi].to_vec(),
+    };
+
+    let (mut false_rejects, mut false_accepts, mut honest_checked) = (0, 0, 0);
+    for lo in 0..N {
+        for hi in lo + 1..=N {
+            let sub = range(&job, lo, hi);
+            let honest = sum(&job_terms[lo..hi]);
+            honest_checked += 1;
+            false_rejects += usize::from(!key.verify(lo, &sub, &honest));
+            if hi - lo > 4 && hi - lo < N {
+                continue;
+            }
+            let swap = sum(&other_terms[lo..hi]);
+            for class in Corruption::ALL {
+                false_accepts += usize::from(key.verify(lo, &sub, &honest.corrupted(class, &swap)));
+            }
+        }
+    }
+    assert_eq!(honest_checked, N * (N + 1) / 2);
+    assert_eq!(
+        (false_accepts, false_rejects),
+        (0, 0),
+        "{}: false accepts, false rejects",
+        C::NAME
+    );
+}
+
+#[test]
+fn tiny_shards_and_sub_ranges_on_bn254() {
+    tiny_shards_and_sub_ranges::<Bn254G1>(2910);
+}
+
+#[test]
+fn tiny_shards_and_sub_ranges_on_bls12377() {
+    tiny_shards_and_sub_ranges::<Bls12377G1>(2911);
+}
+
+#[test]
+fn tiny_shards_and_sub_ranges_on_bls12381() {
+    tiny_shards_and_sub_ranges::<Bls12381G1>(2912);
+}
+
+#[test]
+fn tiny_shards_and_sub_ranges_on_mnt4753() {
+    tiny_shards_and_sub_ranges::<Mnt4753G1>(2913);
+}
+
+#[test]
+fn tiny_shards_and_sub_ranges_on_bn254_g2() {
+    tiny_shards_and_sub_ranges::<Bn254G2>(2914);
+}
+
+/// Points the key does not cover are never accepted: another base set,
+/// the right bases at the wrong offset, and a range past the key's end.
+#[test]
+fn points_off_the_key_are_never_accepted() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let key = TwinKey::<Bn254G1>::generate(77, 8);
+    let job = shard::<Bn254G1>(0, 8, &mut rng);
+    let honest = honest_pair(&key, 0, &job);
+    assert!(key.verify(0, &job, &honest));
+    let doubled = MsmInstance {
+        points: job
+            .points
+            .iter()
+            .map(|p| p.to_xyzz().pdbl().to_affine())
+            .collect(),
+        scalars: job.scalars.clone(),
+    };
+    assert!(key.twin_query(0, &doubled).is_none());
+    assert!(!key.verify(0, &doubled, &honest));
+    assert!(!key.verify(1, &job, &honest));
+    assert!(key.twin_query(1, &job).is_none());
+    let past_the_end = shard::<Bn254G1>(4, 8, &mut rng);
+    assert!(key.twin_query(4, &past_the_end).is_none());
+    assert!(!key.verify(4, &past_the_end, &honest));
+}
+
+/// A short fleet run whose byzantine pod is set to the adaptive shift by
+/// its chaos schedule: the pod is detected under that class and
+/// quarantined, and every fleet invariant holds.
+#[test]
+fn an_adaptive_pod_is_detected_and_quarantined_by_the_fleet() {
+    let spec = FleetSoakSpec {
+        arrival_seed: 5,
+        fault_seed: 9,
+        n_jobs: 24,
+        n_tenants: 8,
+        n_pods: 3,
+        devices_per_pod: 2,
+        n_fault_windows: 0,
+        horizon_s: 30.0,
+        msm_size: 16,
+        byzantine_pod: Some(1),
+        lost_pod: None,
+        partition_seed: 41,
+        n_partition_windows: 0,
+    };
+    let jobs = build_fleet_jobs(&spec);
+    let config = fleet_config(&spec);
+    let mut chaos = build_fleet_chaos(&spec);
+    assert_eq!(chaos.byzantine.len(), 1);
+    chaos.byzantine[0].class = Corruption::AdaptiveShift;
+    let outcome = FleetCoordinator::new(config.clone()).run(jobs.clone(), &chaos);
+
+    let detections: Vec<_> = outcome
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            FleetRecord::Detected {
+                pod, corruption, ..
+            } => Some((pod, corruption)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !detections.is_empty(),
+        "the adaptive pod was never detected"
+    );
+    assert!(
+        detections.iter().all(|&d| d == (1, "adaptive-shift")),
+        "{detections:?}"
+    );
+    assert_eq!(outcome.report.quarantined_pods, vec![1]);
+    let violations = check_fleet_invariants(&spec, &jobs, &outcome, &config);
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
+/// A job off the key's base set is refused before placement: the run
+/// neither panics nor accepts it, and every other job is accepted.
+#[test]
+fn a_job_off_the_key_is_refused_and_the_rest_are_served() {
+    let spec = FleetSoakSpec {
+        arrival_seed: 6,
+        fault_seed: 9,
+        n_jobs: 6,
+        n_tenants: 2,
+        n_pods: 2,
+        devices_per_pod: 2,
+        n_fault_windows: 0,
+        horizon_s: 10.0,
+        msm_size: 8,
+        byzantine_pod: None,
+        lost_pod: None,
+        partition_seed: 41,
+        n_partition_windows: 0,
+    };
+    let mut jobs = build_fleet_jobs(&spec);
+    let foreign = &mut jobs[2].instance;
+    foreign.points = foreign
+        .points
+        .iter()
+        .map(|p| p.to_xyzz().pdbl().to_affine())
+        .collect();
+    let chaos = build_fleet_chaos(&spec);
+    let outcome = FleetCoordinator::new(fleet_config(&spec)).run(jobs.clone(), &chaos);
+    let accepted: Vec<u64> = outcome.accepted.iter().map(|a| a.id).collect();
+    assert!(!accepted.contains(&2));
+    let placed = |id| {
+        outcome
+            .events
+            .iter()
+            .any(|e| matches!(*e, FleetRecord::Placed { id: i, .. } if i == id))
+    };
+    assert!(!placed(2), "the foreign job was placed");
+    for id in [0, 1, 3, 4, 5] {
+        assert!(accepted.contains(&id) && placed(id), "job {id}");
+    }
 }
 
 proptest! {
@@ -152,25 +404,23 @@ proptest! {
     }
 
     #[test]
-    fn blinding_is_deterministic(seed in 0u64..1_000_000, n in 1usize..24) {
-        let a = Challenge::<Bn254G1>::generate(seed, n);
-        let b = Challenge::<Bn254G1>::generate(seed, n);
+    fn the_key_is_deterministic(seed in 0u64..1_000_000, n in 1usize..24) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let instance = MsmInstance::<Bn254G1>::random(n, &mut rng);
-        prop_assert_eq!(a.blind(&instance.scalars), b.blind(&instance.scalars));
+        let instance = shard::<Bn254G1>(0, n, &mut rng);
+        let a = TwinKey::<Bn254G1>::generate(seed, n).twin_query(0, &instance);
+        let b = TwinKey::<Bn254G1>::generate(seed, n).twin_query(0, &instance);
+        prop_assert_eq!(a.map(|q| q.points), b.map(|q| q.points));
     }
 
     #[test]
-    fn scaling_attack_is_defeated_by_decoys(seed in 0u64..1_000_000, n in 1usize..24, c in 2u64..64) {
-        // (c·R1, c·R2) passes `R2 = α·R1` but not `R2 = α·R1 + V` with
-        // a nonzero secret decoy point V — the hole decoys close.
+    fn scaling_attack_is_rejected(seed in 0u64..1_000_000, n in 1usize..24, c in 2u64..64) {
+        // (c·S1, c·S2) passes only if (c − 1)·⟨x, ρ⟩ = 0
         let mut rng = StdRng::seed_from_u64(seed);
-        let instance = MsmInstance::<Bn254G1>::random(n, &mut rng);
-        let challenge = Challenge::<Bn254G1>::generate(seed ^ 0x5ca1e, n);
-        let honest = honest_pair(&instance, &challenge);
-        let k = <Bn254G1 as Curve>::Scalar::from_u64(c);
-        let scaled_r1 = honest.r1.scalar_mul(&k);
-        let scaled_r2 = honest.r2.scalar_mul(&k);
-        prop_assert!(!challenge.verify(&instance.points, &scaled_r1, &scaled_r2));
+        let key = TwinKey::<Bn254G1>::generate(seed ^ 0x5ca1e, n);
+        let instance = shard::<Bn254G1>(0, n, &mut rng);
+        let honest = honest_pair(&key, 0, &instance);
+        let c = <Bn254G1 as Curve>::Scalar::from_u64(c);
+        let scaled = OutsourcedResult { r1: honest.r1.scalar_mul(&c), r2: honest.r2.scalar_mul(&c) };
+        prop_assert!(!key.verify(0, &instance, &scaled));
     }
 }
