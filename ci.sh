@@ -29,7 +29,9 @@
 # carries one interconnect model, its topology: the gate below fails on
 # the flat two-scalar fabric. A pod's result is accepted through one
 # 2G2T scheme, twin bases: the gate below fails on the decoy
-# challenge's names. Every stanza prints its wall time, and
+# challenge's names, and on a per-completion `straus` in the
+# coordinator, whose twin bases' tables the key holds. Every stanza
+# prints its wall time, and
 # the last line before `CI OK` the total.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -93,6 +95,16 @@ echo "== one 2G2T scheme: twin bases, no decoy challenge =="
 # predicate with its own soundness argument to keep
 if grep -rnE 'N_DECOYS|twin_instance|decoys|fn blind' crates/*/src; then
     echo "FAIL: the decoy challenge above; check pod results against the twin key's bases" >&2
+    exit 1
+fi
+
+echo "== fixed twin bases, fixed tables: the coordinator evaluates the key's twin tables =="
+# the stand-in for a pod's S2 runs on every completion over bases fixed
+# per TwinKey (DESIGN.md §14); a `straus(` call in the coordinator
+# rebuilds and normalises an odd-multiple table per completion that the
+# key already holds
+if grep -n 'straus(' crates/fleet/src/fleet.rs; then
+    echo "FAIL: crates/fleet/src/fleet.rs calls straus above; evaluate the key's tables (TwinKey::twin_msm)" >&2
     exit 1
 fi
 

@@ -19,6 +19,7 @@ use distmsm::workload::WorkloadParams;
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Mnt4753G1};
 use distmsm_ec::{Curve, MsmInstance};
 use distmsm::supervisor::RetryPolicy;
+use distmsm_comms::Topology;
 use distmsm_gpu_sim::{estimate_kernel_time, CostModelConfig, DeviceSpec, FaultPlan, MultiGpuSystem};
 use distmsm_kernel::{EcKernelModel, PaddOptimizations};
 use distmsm_zksnark::prover::Groth16Prover;
@@ -267,8 +268,14 @@ pub fn run_fig9() -> (String, Vec<(&'static str, f64)>) {
         .single_gpu_factor;
     let mut t = Table::new(["device", "Bellperson sim", "DistMSM sim", "speedup"]);
     let mut results = Vec::new();
-    for dev in [DeviceSpec::a100(), DeviceSpec::rtx4090(), DeviceSpec::amd6900xt()] {
-        let sys = MultiGpuSystem::homogeneous(dev.clone(), 1);
+    // the A100 sits in its DGX box; the consumer cards in a PCIe host
+    // with no peer plane
+    for (dev, topology) in [
+        (DeviceSpec::a100(), Topology::single_box(1)),
+        (DeviceSpec::rtx4090(), Topology::pcie_box(1)),
+        (DeviceSpec::amd6900xt(), Topology::pcie_box(1)),
+    ] {
+        let sys = MultiGpuSystem { topology, ..MultiGpuSystem::homogeneous(dev.clone(), 1) };
         // DistMSM disables the tensor-core path on devices without TC
         let opts = if dev.has_tensor_cores() {
             PaddOptimizations::all()

@@ -419,6 +419,9 @@ impl<'a> Supervisor<'a> {
     /// combination over what it received. Planned bit-flips corrupt the
     /// shipped copy (modelled as a sign flip); a mismatch pins the
     /// corrupted shipments, which are re-shipped under the retry budget.
+    /// The two folds are compared as one: by linearity they are equal
+    /// iff `Σ rᵢ·(wᵢ − w′ᵢ)` is the identity, and an unflipped partial's
+    /// difference is the identity, which the fold skips.
     /// The host side of the check — one 64-bit scalar-mul fold per
     /// received partial — is charged on every supervised run, corrupted
     /// or not.
@@ -444,7 +447,9 @@ impl<'a> Supervisor<'a> {
                 }
             })
             .collect();
-        if rlc_fold(&true_vals, &coeffs) != rlc_fold(&recv_vals, &coeffs) {
+        let diffs: Vec<XyzzPoint<C>> =
+            true_vals.iter().zip(&recv_vals).map(|(t, r)| t.padd(&r.neg())).collect();
+        if !rlc_fold(&diffs, &coeffs).is_identity() {
             for (oc, (t, r)) in ran.iter().zip(true_vals.iter().zip(&recv_vals)) {
                 if t != r {
                     if self.config.retry.max_retries == 0 {

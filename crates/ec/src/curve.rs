@@ -425,80 +425,145 @@ impl<C: Curve> From<Affine<C>> for XyzzPoint<C> {
 /// widths 3 / 4 / 5 cost 676 / 595 / 602 on a 254-bit scalar (the 2G2T
 /// check) and 201 / 215 / 286 on a 64-bit one (the RLC fold): 4 is within
 /// 1 % and 5 % of the best width on the two shapes, the only width close
-/// on both (DESIGN.md §26).
+/// on both (DESIGN.md §26). A table kept across calls pays its build
+/// once, so its owner picks a wider `W` for [`StrausTable`].
 const NAF_WIDTH: u32 = 4;
 
-/// Table entries per base: the odd multiples `1·P, 3·P, 5·P, 7·P`.
-const ODD_MULTIPLES: usize = 1 << (NAF_WIDTH - 2);
+/// Table entries normalised per field inversion by [`StrausTable::extend`]:
+/// every `straus` call of up to 64 terms is one batch, and a width-8
+/// table's XYZZ scratch is 256 points, not one per entry of the table.
+const NORMALISE_BATCH: usize = 256;
 
 /// `Σ kᵢ·Pᵢ` by Straus's interleaved method, for the short linear
 /// combinations computed off the engine (the 2G2T check, the RLC
 /// self-check, Groth16's blinding and public-input sums).
 ///
-/// Each scalar is recoded into width-4 NAF digits; each base gets a table
-/// of its odd multiples, and all tables are normalised together with one
-/// [`XyzzPoint::batch_to_affine`] (a single field inversion). One doubling
-/// chain is shared by every term, and each non-zero digit is one mixed
-/// addition. Identity bases and zero scalars are skipped; no terms give
+/// Builds a width-4 [`StrausTable`] over the terms' bases and evaluates
+/// it once. Identity bases and zero scalars are skipped; no terms give
 /// the identity. [`XyzzPoint::scalar_mul`] stays double-and-add: it and
 /// `MsmInstance::reference_result` are the references this is tested
 /// against.
 pub fn straus<C: Curve>(terms: &[(XyzzPoint<C>, C::Scalar)]) -> XyzzPoint<C> {
-    let terms: Vec<_> = terms
+    let (bases, scalars): (Vec<_>, Vec<_>) = terms
         .iter()
         .filter(|(p, k)| !p.is_identity() && k.num_bits() > 0)
-        .collect();
-    let mut odd = Vec::with_capacity(terms.len() * ODD_MULTIPLES);
-    for (p, _) in &terms {
-        let twice = p.pdbl();
-        let mut m = *p;
-        for _ in 0..ODD_MULTIPLES {
-            odd.push(m);
-            m = m.padd(&twice);
-        }
-    }
-    let tables = XyzzPoint::batch_to_affine(&odd);
-    let digits: Vec<Vec<i8>> = terms.iter().map(|(_, k)| wnaf(k)).collect();
-    let len = digits.iter().map(Vec::len).max().unwrap_or(0);
-
-    let mut acc = XyzzPoint::identity();
-    for i in (0..len).rev() {
-        acc = acc.pdbl();
-        for (d, table) in digits.iter().zip(tables.chunks_exact(ODD_MULTIPLES)) {
-            match d.get(i).copied().unwrap_or(0) {
-                0 => {}
-                d if d > 0 => acc.pacc(&table[d as usize / 2]),
-                d => acc.pacc(&table[d.unsigned_abs() as usize / 2].neg()),
-            }
-        }
-    }
-    acc
+        .copied()
+        .unzip();
+    StrausTable::<C, NAF_WIDTH>::new(&bases).msm(0, &scalars)
 }
 
-/// Width-[`NAF_WIDTH`] NAF digits of `k`, least significant first, with
+/// The odd multiples `1·P, 3·P, …, (2^{W−1} − 1)·P` of each of a list of
+/// bases, in affine form, and the interleaved-wNAF evaluation of
+/// `Σ kᵢ·Pᵢ` over them — the two halves of [`straus`]. An owner whose
+/// bases do not change between combinations (the fleet's 2G2T twin
+/// bases) keeps one table and pays its build once.
+///
+/// `W` is the NAF digit width, in `2..=8`: a `λ`-bit scalar costs
+/// `≈ λ/(W + 1)` PACCs, and each base holds `2^{W−2}` affine points.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StrausTable<C: Curve, const W: u32> {
+    /// `2^{W−2}` entries per base, in base order.
+    odd: Vec<Affine<C>>,
+}
+
+impl<C: Curve, const W: u32> StrausTable<C, W> {
+    /// Table entries per base.
+    const ODD_MULTIPLES: usize = {
+        assert!(W >= 2 && W <= 8, "a NAF width in 2..=8: digits are i8");
+        1 << (W - 2)
+    };
+
+    /// The table of `bases`.
+    pub fn new(bases: &[XyzzPoint<C>]) -> Self {
+        let mut table = Self { odd: Vec::new() };
+        table.extend(bases);
+        table
+    }
+
+    /// Appends the tables of `bases` after the ones already held: the
+    /// table of `a` extended by `b` is the table of `a ++ b`. Entries are
+    /// normalised in batches of up to 256 (`NORMALISE_BATCH`, one field
+    /// inversion each), so a wide table's XYZZ scratch stays bounded;
+    /// affine coordinates are canonical, so the batching does not show
+    /// in the table.
+    pub fn extend(&mut self, bases: &[XyzzPoint<C>]) {
+        let per_batch = (NORMALISE_BATCH / Self::ODD_MULTIPLES).max(1);
+        let mut odd = Vec::with_capacity(bases.len().min(per_batch) * Self::ODD_MULTIPLES);
+        let mut prefix = Vec::with_capacity(odd.capacity());
+        for batch in bases.chunks(per_batch) {
+            odd.clear();
+            for p in batch {
+                let twice = p.pdbl();
+                let mut m = *p;
+                for _ in 0..Self::ODD_MULTIPLES {
+                    odd.push(m);
+                    m = m.padd(&twice);
+                }
+            }
+            let from = self.odd.len();
+            self.odd.resize(from + odd.len(), Affine::identity());
+            XyzzPoint::batch_to_affine_into(&odd, &mut self.odd[from..], &mut prefix);
+        }
+    }
+
+    /// `Σ scalars[i]·P_{lo + i}`: one doubling chain shared by every term,
+    /// and one mixed addition per nonzero digit. Zero scalars are
+    /// skipped; an identity base adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `[lo, lo + scalars.len())` runs past the table's
+    /// bases.
+    pub fn msm(&self, lo: usize, scalars: &[C::Scalar]) -> XyzzPoint<C> {
+        let odd = &self.odd[lo * Self::ODD_MULTIPLES..(lo + scalars.len()) * Self::ODD_MULTIPLES];
+        let terms: Vec<(Vec<i8>, &[Affine<C>])> = scalars
+            .iter()
+            .zip(odd.chunks_exact(Self::ODD_MULTIPLES))
+            .filter(|(k, _)| k.num_bits() > 0)
+            .map(|(k, table)| (wnaf::<_, W>(k), table))
+            .collect();
+        let len = terms.iter().map(|(d, _)| d.len()).max().unwrap_or(0);
+
+        let mut acc = XyzzPoint::identity();
+        for i in (0..len).rev() {
+            acc = acc.pdbl();
+            for (d, table) in &terms {
+                match d.get(i).copied().unwrap_or(0) {
+                    0 => {}
+                    d if d > 0 => acc.pacc(&table[d as usize / 2]),
+                    d => acc.pacc(&table[d.unsigned_abs() as usize / 2].neg()),
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// Width-`W` NAF digits of `k`, least significant first, with
 /// `Σ dᵢ·2^i = k`: `num_bits(k) + 1` digits, since a negative digit can
-/// carry one position past the top bit.
-fn wnaf<S: Scalar>(k: &S) -> Vec<i8> {
+/// carry one position past the top bit. Every nonzero digit is odd and
+/// under `2^{W−1}` in magnitude, so it fits an `i8` for `W ≤ 8`.
+fn wnaf<S: Scalar, const W: u32>(k: &S) -> Vec<i8> {
     let bits = k.num_bits();
     let mut digits = vec![0i8; bits as usize + 1];
     let mut carry = 0;
     let mut pos = 0;
     // invariant: the digits still to come sum to ⌊k / 2^pos⌋ + carry
     while pos < bits || carry != 0 {
-        let window = carry + k.window(pos, NAF_WIDTH);
+        let window = carry + k.window(pos, W);
         if window % 2 == 0 {
             pos += 1;
             continue;
         }
-        let digit = if window < 1 << (NAF_WIDTH - 1) {
+        let digit = if window < 1 << (W - 1) {
             carry = 0;
-            window as i8
+            window as i64
         } else {
             carry = 1;
-            window as i8 - (1 << NAF_WIDTH)
+            window as i64 - (1 << W)
         };
-        digits[pos as usize] = digit;
-        pos += NAF_WIDTH;
+        digits[pos as usize] = digit as i8;
+        pos += W;
     }
     digits
 }
@@ -512,22 +577,33 @@ mod tests {
         digits.iter().rev().fold(0, |acc, &d| 2 * acc + i128::from(d))
     }
 
-    #[test]
-    fn wnaf_digits_are_odd_sparse_and_sum_to_the_scalar() {
+    /// Width-`W` digits of small, extreme and rotated 64-bit scalars.
+    fn wnaf_digits_are_odd_sparse_and_sum_to_the_scalar_at<const W: u32>() {
         let samples = (0..4096u64)
             .chain([u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1])
             .chain((0..64).map(|s| 0x9e37_79b9_7f4a_7c15u64.rotate_left(s)));
         for k in samples {
-            let digits = wnaf(&Uint::<1>::from_u64(k));
-            assert_eq!(value(&digits), i128::from(k), "k = {k}");
+            let digits = wnaf::<_, W>(&Uint::<1>::from_u64(k));
+            assert_eq!(value(&digits), i128::from(k), "k = {k}, W = {W}");
             assert_eq!(digits.len(), 64 - k.leading_zeros() as usize + 1);
             let nonzero: Vec<usize> = (0..digits.len()).filter(|&i| digits[i] != 0).collect();
             for &i in &nonzero {
-                assert!(digits[i] % 2 != 0 && digits[i].unsigned_abs() < 1 << (NAF_WIDTH - 1));
+                assert!(digits[i] % 2 != 0 && digits[i].unsigned_abs() < 1 << (W - 1));
             }
             for pair in nonzero.windows(2) {
-                assert!(pair[1] - pair[0] >= NAF_WIDTH as usize, "k = {k}: {digits:?}");
+                assert!(pair[1] - pair[0] >= W as usize, "k = {k}, W = {W}: {digits:?}");
             }
         }
+    }
+
+    #[test]
+    fn wnaf_digits_are_odd_sparse_and_sum_to_the_scalar() {
+        wnaf_digits_are_odd_sparse_and_sum_to_the_scalar_at::<2>();
+        wnaf_digits_are_odd_sparse_and_sum_to_the_scalar_at::<3>();
+        wnaf_digits_are_odd_sparse_and_sum_to_the_scalar_at::<NAF_WIDTH>();
+        wnaf_digits_are_odd_sparse_and_sum_to_the_scalar_at::<5>();
+        wnaf_digits_are_odd_sparse_and_sum_to_the_scalar_at::<6>();
+        wnaf_digits_are_odd_sparse_and_sum_to_the_scalar_at::<7>();
+        wnaf_digits_are_odd_sparse_and_sum_to_the_scalar_at::<8>();
     }
 }

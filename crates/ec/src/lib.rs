@@ -18,7 +18,9 @@
 //! * [`par`] — the one host-parallelism figure every parallel loop of the
 //!   workspace sizes itself by;
 //! * [`straus()`] — interleaved-wNAF multi-scalar multiplication, for the
-//!   short linear combinations computed off the engine;
+//!   short linear combinations computed off the engine, and
+//!   [`StrausTable`], its odd-multiple table kept by an owner of fixed
+//!   bases;
 //! * [`serialize`] — canonical field/point wire formats, compressed and
 //!   uncompressed.
 //!
@@ -51,7 +53,7 @@ pub mod serialize;
 pub mod traits;
 pub mod validate;
 
-pub use curve::{straus, Affine, Curve, XyzzPoint};
+pub use curve::{straus, Affine, Curve, StrausTable, XyzzPoint};
 pub use fixed_base::FixedBaseTable;
 pub use par::host_parallelism;
 pub use sample::MsmInstance;

@@ -2,12 +2,15 @@
 //!
 //! These exercise exactly the exceptional paths (identity, doubling,
 //! inverse pairs) that a GPU PADD kernel must branch around, and hold the
-//! multi-scalar kernel `straus` to the double-and-add oracle.
+//! multi-scalar kernel `straus`, and its table at every width, to the
+//! double-and-add oracle.
 
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
 use distmsm_ec::sample::generator_multiples;
 use distmsm_ec::validate::order_minus_one;
-use distmsm_ec::{straus, Affine, Curve, FieldElement, MsmInstance, Scalar, XyzzPoint};
+use distmsm_ec::{
+    straus, Affine, Curve, FieldElement, MsmInstance, Scalar, StrausTable, XyzzPoint,
+};
 use distmsm_ff::Uint;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -348,4 +351,84 @@ fn edge_cases_match_the_reference_on_every_curve() {
     edge_cases::<Bls12377G1, 4>();
     edge_cases::<Bls12381G1, 4>();
     edge_cases::<Mnt4753G1, 12>();
+}
+
+/// The scalars where wNAF recoding turns: 0, 1, `2^k − 1`, `2^k` and
+/// `2^k + 1` at and around every window width and limb edge and at the
+/// group order's top bit, `r − 1`, and the all-ones scalar, whose top
+/// digit carries one position past its top bit.
+fn recoding_edges<const N: usize>(r_minus_1: Uint<N>) -> Vec<Uint<N>> {
+    let top = r_minus_1.num_bits();
+    let mut ks: Vec<u32> = (1..=9)
+        .chain([63, 64, 65, 127, 128, top - 1, top, 64 * N as u32 - 1])
+        .collect();
+    ks.retain(|&k| k < 64 * N as u32);
+    let mut edges = vec![Uint::ZERO, Uint::ONE, r_minus_1, Uint::MAX];
+    for k in ks {
+        let mut limbs = [0u64; N];
+        limbs[k as usize / 64] = 1 << (k % 64);
+        let pow = Uint(limbs);
+        edges.extend([
+            pow.borrowing_sub(&Uint::ONE).0,
+            pow,
+            pow.carrying_add(&Uint::ONE).0,
+        ]);
+    }
+    edges
+}
+
+/// A width-`W` table's evaluation against double-and-add: each edge
+/// scalar alone, and all of them at once over a table of several bases
+/// read from an offset.
+fn table_at_width<C: Curve<Scalar = Uint<N>>, const N: usize, const W: u32>(
+    bases: &[XyzzPoint<C>],
+    edges: &[Uint<N>],
+    oracle: &[XyzzPoint<C>],
+) {
+    let table = StrausTable::<C, W>::new(bases);
+    for (k, want) in edges.iter().zip(oracle) {
+        assert_eq!(table.msm(0, &[*k]), *want, "{} W = {W}: k = {k:?}", C::NAME);
+    }
+    let lo = 1;
+    let scalars: Vec<Uint<N>> = (0..bases.len() - lo)
+        .map(|i| edges[(i * 7 + W as usize) % edges.len()])
+        .collect();
+    let want: XyzzPoint<C> = scalars
+        .iter()
+        .zip(&bases[lo..])
+        .map(|(k, p)| p.scalar_mul(k))
+        .sum();
+    assert_eq!(
+        table.msm(lo, &scalars),
+        want,
+        "{} W = {W}: offset sum",
+        C::NAME
+    );
+}
+
+/// Widths 2 through 8 on the recoding edges, bases unnormalised.
+fn table_widths<C: Curve<Scalar = Uint<N>>, const N: usize>() {
+    let mut rng = StdRng::seed_from_u64(2907);
+    let edges = recoding_edges::<N>(order_minus_one::<C>());
+    let bases: Vec<XyzzPoint<C>> = generator_multiples::<C>(6)
+        .iter()
+        .map(|p| rescaled(p, C::Base::random(&mut rng)))
+        .collect();
+    let oracle: Vec<XyzzPoint<C>> = edges.iter().map(|k| bases[0].scalar_mul(k)).collect();
+    table_at_width::<C, N, 2>(&bases, &edges, &oracle);
+    table_at_width::<C, N, 3>(&bases, &edges, &oracle);
+    table_at_width::<C, N, 4>(&bases, &edges, &oracle);
+    table_at_width::<C, N, 5>(&bases, &edges, &oracle);
+    table_at_width::<C, N, 6>(&bases, &edges, &oracle);
+    table_at_width::<C, N, 7>(&bases, &edges, &oracle);
+    table_at_width::<C, N, 8>(&bases, &edges, &oracle);
+}
+
+#[test]
+fn table_widths_match_double_and_add_on_recoding_edges() {
+    table_widths::<Bn254G1, 4>();
+    table_widths::<Bn254G2, 4>();
+    table_widths::<Bls12377G1, 4>();
+    table_widths::<Bls12381G1, 4>();
+    table_widths::<Mnt4753G1, 12>();
 }

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use distmsm::replace_assignments;
 use distmsm_comms::PartitionSchedule;
 use distmsm_ec::serialize::{point_from_uncompressed, point_to_uncompressed};
-use distmsm_ec::{straus, Curve, XyzzPoint};
+use distmsm_ec::{Curve, XyzzPoint};
 use distmsm_gpu_sim::FaultKind;
 use distmsm_journal::{decode_records, DurableState, JournalError};
 use distmsm_service::wal as service_wal;
@@ -209,7 +209,7 @@ impl<C: Curve> FleetCoordinator<C> {
         Self {
             specs: BTreeMap::new(),
             last_good: None,
-            key: TwinKey::generate(config.check_seed, 0),
+            key: TwinKey::generate(config.check_seed, 0).with_tables(),
             membership: Membership::new(config.n_pods),
             stale_copies: vec![BTreeMap::new(); config.n_pods],
             homeless: Vec::new(),
@@ -688,17 +688,16 @@ impl<C: Curve> FleetCoordinator<C> {
         // Invariant: every dispatchable job's spec was recorded at
         // placement (or at restore from the durable fold), so a pod can
         // only complete ids the coordinator knows.
-        let spec = self.specs.get(&done.id).expect("completion for unknown job").clone();
+        let instance = &self.specs.get(&done.id).expect("completion for unknown job").instance;
         // The pod "returns" (S1, S2): S1 is the service result, S2 the
         // twin it also executed over the twin bases. The coordinator
-        // stands in for that execution with `straus` over (T, x) alone —
-        // never from S1, k or ρ — so a wrong engine S1 still fails the
-        // check; an honest pod's S2 is the same group element whatever
-        // computed it. Placement refused every job off the key's bases.
-        let Some(twin) = self.key.twin_query(0, &spec.instance) else { return };
-        let terms: Vec<_> =
-            twin.points.iter().zip(&twin.scalars).map(|(t, x)| (t.to_xyzz(), *x)).collect();
-        let pair = OutsourcedResult { r1: done.result, r2: straus(&terms) };
+        // stands in for that execution off the key's twin tables, over
+        // (T, x) alone — never from S1, k or ρ — so a wrong engine S1
+        // still fails the check; an honest pod's S2 is the same group
+        // element whatever computed it. Placement refused every job off
+        // the key's bases.
+        let Some(r2) = self.key.twin_msm(0, instance) else { return };
+        let pair = OutsourcedResult { r1: done.result, r2 };
         let pair = match chaos.byzantine_class(pod, now) {
             Some(class) => {
                 let swap = self.last_good.unwrap_or(OutsourcedResult {
@@ -709,7 +708,7 @@ impl<C: Curve> FleetCoordinator<C> {
             }
             None => pair,
         };
-        if self.key.verify(0, &spec.instance, &pair) {
+        if self.key.verify(0, instance, &pair) {
             // Acceptance and the accepted value ride one atomic record,
             // stamped with the accepting pod's live fencing epoch.
             let epoch = self.wal.state().pod_epochs[pod];
@@ -736,6 +735,7 @@ impl<C: Curve> FleetCoordinator<C> {
             .byzantine_class(pod, now)
             .expect("2G2T check rejected an honest pod result");
         let corruption = class.label();
+        let spec = self.specs[&done.id].clone();
         self.record(now, FleetRecord::Detected { t_s: now, id: done.id, pod, corruption });
         if !self.wal.state().quarantined[pod] {
             self.quarantine(pod, now, chaos);

@@ -6,7 +6,7 @@
 //! key; and the fleet detects and quarantines an adaptive pod end to end.
 
 use distmsm_ec::curves::{Bls12377G1, Bls12381G1, Bn254G1, Bn254G2, Mnt4753G1};
-use distmsm_ec::{Curve, FieldElement, MsmInstance, XyzzPoint};
+use distmsm_ec::{straus, Curve, FieldElement, MsmInstance, XyzzPoint};
 use distmsm_fleet::soak::{
     build_fleet_chaos, build_fleet_jobs, check_fleet_invariants, fleet_config,
 };
@@ -179,11 +179,17 @@ fn adaptive_shift_is_rejected_on_bn254_g2() {
 /// (every prefix among them) are accepted; shards of 1–4 points at every
 /// position, and the whole 24, reject every corruption class, the swap
 /// source being another job's valid pair over the same range. Counts
-/// false accepts and false rejects, and both must be zero.
+/// false accepts and false rejects, and both must be zero. On every
+/// sub-range the key's table-based twin MSM is `straus` over its twin
+/// query, and a key grown to 24 in uneven steps gives it bit for bit.
 fn tiny_shards_and_sub_ranges<C: Curve>(seed: u64) {
     const N: usize = 24;
     let mut rng = StdRng::seed_from_u64(seed);
-    let key = TwinKey::<C>::generate(seed ^ 0x5b5b, N);
+    let key = TwinKey::<C>::generate(seed ^ 0x5b5b, N).with_tables();
+    let mut grown = TwinKey::<C>::generate(seed ^ 0x5b5b, 0).with_tables();
+    for n in [5, 9, N] {
+        grown.extend_to(n);
+    }
     let job = shard::<C>(0, N, &mut rng);
     let other = shard::<C>(0, N, &mut rng);
     // xᵢ·Pᵢ and xᵢ·Tᵢ by double-and-add, once per index: a sub-range's
@@ -211,6 +217,22 @@ fn tiny_shards_and_sub_ranges<C: Curve>(seed: u64) {
     for lo in 0..N {
         for hi in lo + 1..=N {
             let sub = range(&job, lo, hi);
+            let twin = key.twin_query(lo, &sub).expect("on the key's bases");
+            let terms: Vec<_> = twin
+                .points
+                .iter()
+                .zip(&twin.scalars)
+                .map(|(t, x)| (t.to_xyzz(), *x))
+                .collect();
+            let s2 = key.twin_msm(lo, &sub).expect("the key holds tables");
+            let from_grown = grown.twin_msm(lo, &sub).expect("the key holds tables");
+            assert_eq!(s2, straus(&terms), "{} [{lo}, {hi})", C::NAME);
+            assert_eq!(
+                (s2.x, s2.y, s2.zz, s2.zzz),
+                (from_grown.x, from_grown.y, from_grown.zz, from_grown.zzz),
+                "{} [{lo}, {hi}): grown key",
+                C::NAME
+            );
             let honest = sum(&job_terms[lo..hi]);
             honest_checked += 1;
             false_rejects += usize::from(!key.verify(lo, &sub, &honest));
@@ -258,7 +280,8 @@ fn tiny_shards_and_sub_ranges_on_bn254_g2() {
 }
 
 /// Points the key does not cover are never accepted: another base set,
-/// the right bases at the wrong offset, and a range past the key's end.
+/// the right bases at the wrong offset, and a range past the key's end;
+/// none of them has a stand-in twin.
 #[test]
 fn points_off_the_key_are_never_accepted() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -281,6 +304,14 @@ fn points_off_the_key_are_never_accepted() {
     let past_the_end = shard::<Bn254G1>(4, 8, &mut rng);
     assert!(key.twin_query(4, &past_the_end).is_none());
     assert!(!key.verify(4, &past_the_end, &honest));
+    // the stand-in twin: none off the key, and none from a key without
+    // tables
+    let tabled = key.clone().with_tables();
+    assert!(key.twin_msm(0, &job).is_none());
+    assert!(tabled.twin_msm(0, &job) == Some(honest.r2));
+    for (lo, inst) in [(0, &doubled), (1, &job), (4, &past_the_end)] {
+        assert!(tabled.twin_msm(lo, inst).is_none());
+    }
 }
 
 /// A short fleet run whose byzantine pod is set to the adaptive shift by
