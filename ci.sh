@@ -25,7 +25,8 @@
 # checker, the soak's own verdict, run here on the soak's own traffic.
 # Each journaled layer keeps one history, its journal: the gate below
 # allows one append per layer, no event or acceptance list beside it,
-# and no compaction in the journal crate. Every simulated system
+# no compaction in the journal crate and no snapshot anywhere (a restore
+# replays the whole journal). Every simulated system
 # carries one interconnect model, its topology: the gate below fails on
 # the flat two-scalar fabric. A pod's result is accepted through one
 # 2G2T scheme, twin bases: the gate below fails on the decoy
@@ -75,6 +76,13 @@ done
 # a prefix would drop history
 if grep -rn 'fn compact' crates/journal/src; then
     echo "FAIL: the journal defines compaction above; it is each layer's one history and never compacts" >&2
+    exit 1
+fi
+# a layer restores by replaying its whole journal: a snapshot log, its
+# cadence knob, its pricing or a fold-state shape check is a second
+# recovery path whose state can drift from the replay
+if grep -rnE 'install_snapshot|snapshot_every|SNAPSHOT_BYTE_S|fn fits' crates/*/src; then
+    echo "FAIL: a journal snapshot above; recover a layer by replaying its journal" >&2
     exit 1
 fi
 

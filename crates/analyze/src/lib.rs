@@ -56,7 +56,7 @@
 //!   float-ordering hazards and wall-clock leaks (`DET-001/002/003`).
 //!
 //! The service, crash and partition properties — the job ledger,
-//! open-breaker dispatch, snapshot-versus-replay recovery, epoch
+//! open-breaker dispatch, journal-replay recovery, epoch
 //! fencing — are not re-derived here. Each has one checker, the soak
 //! verdict in `distmsm-service` / `distmsm-fleet`, run on the soaks'
 //! own traffic (DESIGN.md §20).

@@ -14,7 +14,7 @@
 //! crash_soak                  # full scenario (PR-5/PR-7 soak specs, dense kill grid)
 //! crash_soak --smoke          # bounded CI scenario (~seconds)
 //! crash_soak --json out.json  # also write the byte-stable CrashReport JSON
-//! crash_soak --snapshot-every 8 --kill-points 12 ...   # explicit spec
+//! crash_soak --kill-points 12 --torn-points 6 ...      # explicit spec
 //! crash_soak --telemetry t.json   # Chrome-trace export
 //! ```
 //!

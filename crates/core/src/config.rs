@@ -9,7 +9,8 @@
 //! setters; [`DistMsmConfigBuilder::build`] validates the combination
 //! before the engine ever sees it, turning what used to be
 //! mid-execution panics or silent nonsense (a 40-bit window, a
-//! 7-thread block) into typed [`ConfigError`]s at construction time.
+//! sub-unit straggler SLA) into typed [`ConfigError`]s at construction
+//! time.
 
 use crate::scatter::{ScatterConfig, ScatterKind};
 use crate::supervisor::RetryPolicy;
@@ -37,7 +38,8 @@ pub struct DistMsmConfig {
     pub kernel_opts: PaddOptimizations,
     /// Run bucket-reduce on the CPU (§3.2.3) instead of the GPU.
     pub bucket_reduce_on_cpu: bool,
-    /// Thread-block size of the bucket-sum kernel.
+    /// Thread-block size of the bucket-sum kernel: always
+    /// [`BLOCK_SIZE`], which no builder setter changes.
     pub block_size: u32,
     /// Model the CPU reduce as pipelined with GPU work (§3.2.3).
     pub pipelined: bool,
@@ -79,7 +81,7 @@ impl Default for DistMsmConfig {
             scatter_cfg: ScatterConfig::default(),
             kernel_opts: PaddOptimizations::all(),
             bucket_reduce_on_cpu: true,
-            block_size: 256,
+            block_size: BLOCK_SIZE,
             pipelined: true,
             packed_coefficients: true,
             signed_digits: false,
@@ -90,6 +92,10 @@ impl Default for DistMsmConfig {
         }
     }
 }
+
+/// Thread-block size of the bucket-sum kernel, a whole number of
+/// 32-thread warps.
+pub const BLOCK_SIZE: u32 = 256;
 
 /// Largest window size the planner accepts: bucket indices are `u32`
 /// and `2^31` buckets already exceeds any simulated device's memory.
@@ -106,11 +112,6 @@ pub enum ConfigError {
         got: u32,
         /// True when the bound that failed was the signed-digit minimum.
         signed_digits: bool,
-    },
-    /// `block_size` zero or not a multiple of the 32-thread warp.
-    BlockSize {
-        /// The rejected value.
-        got: u32,
     },
     /// `straggler_sla` at or below 1.0 — every device runs at 1.0× the
     /// median, so such an SLA would flag all of them.
@@ -135,9 +136,6 @@ impl core::fmt::Display for ConfigError {
                 } else {
                     write!(f, "window_size {got} outside 1..={MAX_WINDOW_SIZE}")
                 }
-            }
-            Self::BlockSize { got } => {
-                write!(f, "block_size {got} must be a positive multiple of the 32-thread warp")
             }
             Self::StragglerSla { got } => {
                 write!(f, "straggler_sla {got} must exceed 1.0 (the median itself)")
@@ -211,12 +209,6 @@ impl DistMsmConfigBuilder {
         self
     }
 
-    /// Thread-block size of the bucket-sum kernel.
-    pub fn block_size(mut self, threads: u32) -> Self {
-        self.cfg.block_size = threads;
-        self
-    }
-
     /// Models the CPU reduce as pipelined with GPU work (§3.2.3).
     pub fn pipelined(mut self, on: bool) -> Self {
         self.cfg.pipelined = on;
@@ -285,11 +277,6 @@ impl DistMsmConfigBuilder {
                 });
             }
         }
-        if cfg.block_size == 0 || !cfg.block_size.is_multiple_of(32) {
-            return Err(ConfigError::BlockSize {
-                got: cfg.block_size,
-            });
-        }
         if let Some(sla) = cfg.straggler_sla {
             if sla.is_nan() || sla <= 1.0 {
                 return Err(ConfigError::StragglerSla { got: sla });
@@ -357,7 +344,6 @@ mod tests {
             .window_size(8)
             .scatter(ScatterKind::Naive)
             .bucket_reduce_on_cpu(false)
-            .block_size(128)
             .pipelined(false)
             .packed_coefficients(false)
             .signed_digits(true)
@@ -368,7 +354,6 @@ mod tests {
         assert_eq!(cfg.window_size, Some(8));
         assert_eq!(cfg.scatter, Some(ScatterKind::Naive));
         assert!(!cfg.bucket_reduce_on_cpu);
-        assert_eq!(cfg.block_size, 128);
         assert!(!cfg.pipelined);
         assert!(!cfg.packed_coefficients);
         assert!(cfg.signed_digits);
@@ -414,20 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn block_size_must_be_warp_multiple() {
-        for bad in [0u32, 7, 33, 100] {
-            assert!(
-                matches!(
-                    DistMsmConfig::builder().block_size(bad).build(),
-                    Err(ConfigError::BlockSize { .. })
-                ),
-                "{bad} must be rejected"
-            );
-        }
-        assert!(DistMsmConfig::builder().block_size(32).build().is_ok());
-    }
-
-    #[test]
     fn straggler_sla_must_exceed_median() {
         assert!(matches!(
             DistMsmConfig::builder().straggler_sla(1.0).build(),
@@ -466,7 +437,7 @@ mod tests {
 
     #[test]
     fn errors_display_the_offending_value() {
-        let err = DistMsmConfig::builder().block_size(7).build().unwrap_err();
-        assert!(err.to_string().contains('7'), "{err}");
+        let err = DistMsmConfig::builder().window_size(40).build().unwrap_err();
+        assert!(err.to_string().contains("40"), "{err}");
     }
 }

@@ -71,7 +71,7 @@ pub use checkpoint::{
     estimate_checkpoint_recovery, CheckpointConfig, CheckpointError, CheckpointRecoveryEstimate,
     WindowCheckpoint, WindowedMsmReport,
 };
-pub use config::{ConfigError, DistMsmConfig, DistMsmConfigBuilder};
+pub use config::{ConfigError, DistMsmConfig, DistMsmConfigBuilder, BLOCK_SIZE};
 pub use distmsm_comms::CollectiveStrategy;
 pub use engine::{partition_plan, window_shape, DistMsm, MsmError, MsmReport, PhaseBreakdown};
 pub use plan::{

@@ -6,13 +6,11 @@
 //! 1. **Service kill points** — a reference pod soak runs to
 //!    completion, then its durable journal is truncated at evenly
 //!    spread record boundaries *and* mid-record (torn writes). Each
-//!    prefix's snapshot-plus-tail recovery must equal its full replay
-//!    with the snapshots stripped, byte for byte; the prefix then
-//!    restores via [`ProverService::restore`], drives to
-//!    completion, and its event stream — the journal decoded, so the
-//!    durable prefix comes first — must satisfy every PR-5 soak
-//!    invariant: exactly-once, conservation, bit-exact results,
-//!    starvation bounds, no open-breaker dispatch. Jobs that
+//!    prefix restores via [`ProverService::restore`] (one replay of the
+//!    whole prefix), drives to completion, and its event stream — the
+//!    journal decoded, so the durable prefix comes first — must satisfy
+//!    every pod soak invariant: exactly-once, conservation, bit-exact
+//!    results, starvation bounds, no open-breaker dispatch. Jobs that
 //!    were terminal before the crash must never emit another event
 //!    (no resurrection), and modelled recovery cost must beat
 //!    restart-from-scratch whenever enough history exists
@@ -26,7 +24,9 @@
 //!    the tail, and its outcome, which spans the whole run, must
 //!    satisfy every fleet soak invariant — including byzantine
 //!    detection and pod-loss handling across the restart. One extra cut
-//!    tears the coordinator journal mid-record.
+//!    tears the coordinator journal mid-record, keeping every pod record
+//!    stamped at the last complete coordinator record's instant — so
+//!    pods may hold hand-offs the coordinator lost.
 //! 3. **Checkpointed shards** — a supervised windowed MSM and its twin
 //!    query (the twin bases `T[..n]` with the same scalars) journal a
 //!    [`WindowCheckpoint`] every `interval` windows. For every
@@ -48,10 +48,10 @@ use distmsm_ec::curves::Bn254G1;
 use distmsm_ec::serialize::point_to_uncompressed;
 use distmsm_ec::MsmInstance;
 use distmsm_gpu_sim::MultiGpuSystem;
-use distmsm_journal::{DurableState, Record, Wire};
+use distmsm_journal::{DurableState, Record};
 use distmsm_service::harness::{Flags, Run, Scenario};
 use distmsm_service::soak::{self as pod_soak, SoakSpec};
-use distmsm_service::wal::{self as service_wal, ServiceShape};
+use distmsm_service::wal as service_wal;
 use distmsm_service::{
     ChaosSchedule, JobSpec, ProverService, ServiceConfig, ServiceEventKind,
 };
@@ -64,12 +64,15 @@ use crate::soak::{self as fleet_soak, FleetSoakSpec};
 /// Simulated-seconds of lost pod history above which recovery must be
 /// strictly cheaper than recomputing from scratch, per journaled layer.
 ///
-/// With the crash soak's snapshot cadence (≤ 64 records between
-/// snapshots) a single layer's recovery cost is bounded by
-/// `RECOVERY_BASE_S + 64·REPLAY_RECORD_S` plus the snapshot decode —
-/// well under 50 ms — so any crash that loses more simulated history
-/// than this must favour recovery. The fleet threshold scales by
-/// `n_pods + 1` (one journal per pod plus the coordinator).
+/// Recovery replays a layer's whole journal: `n` records cost
+/// `RECOVERY_BASE_S + n·REPLAY_RECORD_S` (5 ms + 0.2 ms each), while
+/// scratch costs the simulated clock `c` at the crash. Past this
+/// threshold the fixed 5 ms is at most a tenth of the lost history,
+/// and recovery wins whenever `n < (c − 5 ms)/0.2 ms` — at `c ≥ 0.05 s`,
+/// whenever the layer journaled under 4,500 records per simulated
+/// second, orders of magnitude above what a pod or a coordinator
+/// journals. The fleet threshold scales by `n_pods + 1` (one journal
+/// per pod plus the coordinator).
 pub const RECOVERY_WIN_MIN_SCRATCH_S: f64 = 0.05;
 
 /// Everything that defines one crash soak. Two equal specs produce
@@ -80,8 +83,6 @@ pub struct CrashSoakSpec {
     pub service: SoakSpec,
     /// The fleet scenario whose journals get the time-cut sweep.
     pub fleet: FleetSoakSpec,
-    /// Snapshot cadence (records between installs) for every journal.
-    pub snapshot_every: u64,
     /// Record-boundary kill points swept over the service journal.
     pub n_kill_points: usize,
     /// Mid-record (torn-write) kill points swept over the service
@@ -97,7 +98,7 @@ pub struct CrashSoakSpec {
     pub ckpt_seed: u64,
 }
 
-/// Invariant ids: `"crash-baseline"`, `"crash-decode"`, `"crash-replay"`,
+/// Invariant ids: `"crash-baseline"`, `"crash-decode"`,
 /// `"crash-restore"`, `"crash-no-resurrection"`, `"crash-invariant"`,
 /// `"crash-recovery-cost"`, `"crash-determinism"`, `"crash-torn"`,
 /// `"crash-ckpt"`, `"crash-ckpt-detect"`; every detail names its kill
@@ -137,7 +138,6 @@ impl Scenario for CrashSoakSpec {
                 partition_seed: 41,
                 n_partition_windows: 0,
             },
-            snapshot_every: 24,
             n_kill_points: 6,
             n_torn_points: 3,
             n_fleet_cuts: 4,
@@ -153,7 +153,6 @@ impl Scenario for CrashSoakSpec {
         Self {
             service: SoakSpec::smoke(),
             fleet: FleetSoakSpec::smoke(),
-            snapshot_every: 32,
             n_kill_points: 12,
             n_torn_points: 6,
             n_fleet_cuts: 8,
@@ -166,7 +165,6 @@ impl Scenario for CrashSoakSpec {
     fn flags(&mut self, f: &mut Flags<'_>) {
         f.nested("service", &mut self.service);
         f.nested("fleet", &mut self.fleet);
-        f.field("snapshot-every", &mut self.snapshot_every);
         f.field("kill-points", &mut self.n_kill_points);
         f.field("torn-points", &mut self.n_torn_points);
         f.field("fleet-cuts", &mut self.n_fleet_cuts);
@@ -331,28 +329,6 @@ fn note_recovery(
     }
 }
 
-/// The snapshot oracle: recovering a durable prefix from its newest
-/// snapshot plus the record tail must give the byte-identical
-/// [`ServiceState`](service_wal::ServiceState) that a full replay with
-/// the snapshots stripped gives. The service WAL never compacts, so the
-/// full replay has every record.
-fn check_replay(cut: &DurableState, shape: &ServiceShape) -> Result<(), String> {
-    let mut stripped = cut.clone();
-    stripped.set_snapshot_bytes(Vec::new());
-    let recover = |d: &DurableState| service_wal::recover_state(d, shape);
-    let (via_snapshot, via_replay) = match (recover(cut), recover(&stripped)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(err), _) | (_, Err(err)) => return Err(format!("recovery failed: {err:?}")),
-    };
-    if via_snapshot.state.to_bytes() == via_replay.state.to_bytes() {
-        return Ok(());
-    }
-    Err(format!(
-        "snapshot at epoch {} plus a {}-record tail diverges from the full replay",
-        via_snapshot.snapshot_epoch, via_snapshot.replayed_records
-    ))
-}
-
 /// Restores one truncated service journal, drives it to completion and
 /// checks its outcome, whose stream starts with the cut's events.
 /// Returns `None` when decode or restore itself failed (already
@@ -366,9 +342,6 @@ fn service_restore_check(
     run: &mut Run<CrashReport>,
 ) -> Option<RestoreStats> {
     let v = &mut run.violations;
-    if let Err(detail) = check_replay(cut, &config.shape()) {
-        v.fail("crash-replay", format!("{what}: {detail}"));
-    }
     let durable = match service_wal::decode_events(cut) {
         Ok(events) => events,
         Err(err) => {
@@ -426,8 +399,7 @@ fn service_restore_check(
 fn service_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
     let jobs = pod_soak::build_jobs(&spec.service);
     let chaos = pod_soak::build_chaos(&spec.service);
-    let mut config = pod_soak::service_config(&spec.service);
-    config.snapshot_every = spec.snapshot_every;
+    let config = pod_soak::service_config(&spec.service);
 
     let mut svc: ProverService<Bn254G1> = ProverService::new(config.clone());
     svc.begin(jobs.clone());
@@ -547,8 +519,7 @@ impl FleetCuts<'_> {
 fn fleet_sweep(spec: &CrashSoakSpec, run: &mut Run<CrashReport>) {
     let jobs = fleet_soak::build_fleet_jobs(&spec.fleet);
     let chaos = fleet_soak::build_fleet_chaos(&spec.fleet);
-    let mut config = fleet_soak::fleet_config(&spec.fleet);
-    config.pod.snapshot_every = spec.snapshot_every;
+    let config = fleet_soak::fleet_config(&spec.fleet);
 
     let mut coordinator = FleetCoordinator::new(config.clone());
     let reference = coordinator.run(jobs.clone(), &chaos);
@@ -799,7 +770,6 @@ mod tests {
                 partition_seed: 41,
                 n_partition_windows: 0,
             },
-            snapshot_every: 8,
             n_kill_points: 3,
             n_torn_points: 2,
             n_fleet_cuts: 2,
@@ -826,45 +796,33 @@ mod tests {
         assert_eq!(first.report, second.report, "crash soak must be deterministic");
     }
 
-    /// A snapshot that claims a different history than the records
-    /// behind it is a `crash-replay` violation at the kill point. One at
-    /// the cut's last record diverges from the full replay; one that
-    /// claims records past the cut is refused by recovery, so the cut
-    /// does not decode either.
+    /// A cut holding a CRC-valid record that does not decode is a
+    /// `crash-decode` violation at its kill point, and is never
+    /// restored.
     #[test]
-    fn replay_divergence_is_flagged() {
+    fn an_undecodable_cut_is_flagged() {
         let spec = tiny();
         let jobs = pod_soak::build_jobs(&spec.service);
         let chaos = pod_soak::build_chaos(&spec.service);
-        let mut config = pod_soak::service_config(&spec.service);
-        config.snapshot_every = spec.snapshot_every;
+        let config = pod_soak::service_config(&spec.service);
         let mut svc: ProverService<Bn254G1> = ProverService::new(config.clone());
         svc.begin(jobs.clone());
         while svc.step(&chaos) {}
-        let _ = svc.finish();
-        let cut = svc.durable().truncate_records(svc.durable().journal.n_records() / 2);
-        assert_eq!(check_replay(&cut, &config.shape()), Ok(()));
-
-        let honest = service_wal::recover_state(&cut, &config.shape()).expect("cut recovers");
-        let mut lying = honest.state;
-        lying.clock_s += 1.0e3;
-        let cut_epoch = cut.journal.n_records() as u64;
-        let past_cut = svc.durable().journal.n_records() as u64;
-        for (epoch, refused) in [(cut_epoch, false), (past_cut, true)] {
-            let mut sabotaged = cut.clone();
-            sabotaged.install_snapshot(epoch, lying.clock_s, &lying.to_bytes());
-            let mut run = Run::default();
-            service_restore_check(&config, &jobs, &chaos, &sabotaged, "lying snapshot", &mut run);
-            let count = |id| run.violations.iter().filter(|v| v.invariant == id).count();
-            assert_eq!(count("crash-replay"), 1, "epoch {epoch}: {:?}", run.violations);
-            let decoded = count("crash-decode") == 0;
-            assert_eq!(decoded, !refused, "epoch {epoch}: {:?}", run.violations);
+        let records = svc.durable().journal.replay().expect("the live journal is intact");
+        let mut forged = DurableState::new();
+        for (i, r) in records.iter().take(records.len() / 2).enumerate() {
+            forged.append(r.t_s, if i == 3 { &[0xee] } else { &r.payload });
         }
+        let mut run = Run::default();
+        let stats = service_restore_check(&config, &jobs, &chaos, &forged, "forged", &mut run);
+        assert!(stats.is_none());
+        let ids: Vec<&str> = run.violations.iter().map(|v| v.invariant).collect();
+        assert_eq!(ids, ["crash-decode"], "{:?}", run.violations);
     }
 
     #[test]
     fn cli_round_trips_through_from_args_with_nested_specs() {
-        let perturbed = CrashSoakSpec { snapshot_every: 5, ..tiny() };
+        let perturbed = CrashSoakSpec { n_fleet_cuts: 5, ..tiny() };
         for spec in [CrashSoakSpec::smoke(), CrashSoakSpec::full(), perturbed] {
             let cli = spec.cli();
             assert!(cli.contains("--service-jobs") && cli.contains("--fleet-pods"), "{cli}");

@@ -25,7 +25,7 @@ use distmsm_journal::{decode_records, DurableState, JournalError};
 use distmsm_service::wal as service_wal;
 use distmsm_service::{
     ChaosSchedule, CompletedJob, DeviceFaultWindow, JobPhase, JobSpec, ProverService,
-    ServiceConfig, ServiceEvent, ServiceReport, StolenJob,
+    ServiceConfig, ServiceEvent, ServiceReport, ServiceState, StolenJob,
 };
 
 use crate::membership::{Membership, MembershipAction};
@@ -157,12 +157,13 @@ pub struct FleetRecoveryInfo {
     /// Of the re-verified completions, how many passed and were
     /// accepted at restore (the rest fell back to re-execution).
     pub reaccepted: u64,
-    /// Jobs whose ownership was torn by the cut (a steal's hand-off
-    /// survived but not its absorption, or the owner was quarantined)
-    /// and were re-placed afresh at restore.
+    /// Jobs whose ownership was torn by the cut and re-placed at
+    /// restore: a steal's hand-off survived but not its absorption, the
+    /// owner was quarantined, or a pod holds the job under a hand-off
+    /// the coordinator's journal lost.
     pub replaced_jobs: u64,
-    /// Modelled total recovery cost: coordinator + every pod
-    /// (snapshot decode + bounded replay each).
+    /// Modelled total recovery cost: coordinator + every pod (one
+    /// replay of its whole journal each).
     pub recovery_cost_s: f64,
     /// Modelled cost of recomputing from scratch — the maximum pod
     /// clock at the crash.
@@ -205,7 +206,7 @@ impl<C: Curve> FleetCoordinator<C> {
         assert!(config.n_pods > 0, "a fleet needs at least one pod");
         let pods =
             (0..config.n_pods).map(|_| ProverService::new(config.pod.clone())).collect();
-        let wal = FleetWal::new(config.n_pods, config.pod.snapshot_every);
+        let wal = FleetWal::new(config.n_pods);
         Self {
             specs: BTreeMap::new(),
             last_good: None,
@@ -239,15 +240,21 @@ impl<C: Curve> FleetCoordinator<C> {
     ///   healthy pod otherwise. The twin key is not journaled: it is
     ///   re-derived from `config.check_seed`, and jobs off its base set
     ///   are refused as [`Self::run`] refuses them.
+    /// * A pod writes a hand-off (its victim's tombstone, its thief's
+    ///   absorption) before the coordinator journals it, so a cut can
+    ///   keep a job on a pod the coordinator's fold does not name as
+    ///   owner. The pods' durable copies win: ownership moves to the pod
+    ///   holding the job (live, else completed) with a journaled
+    ///   `Replaced`, before any completion is re-verified.
     /// * Every journal continues from its durable prefix, so the outcome
     ///   of [`Self::resume`] starts with the pre-crash history.
     ///
     /// # Errors
     ///
     /// Any corrupt durable state in any journal — CRC mismatch,
-    /// missing/duplicate epoch, stale snapshot, undecodable payload
-    /// (also one a snapshot covers) — is a typed [`JournalError`]; torn
-    /// tails alone are tolerated.
+    /// missing/duplicate epoch, an undecodable payload or a record its
+    /// fold refuses — is a typed [`JournalError`]; torn tails alone are
+    /// tolerated.
     ///
     /// # Panics
     ///
@@ -272,10 +279,14 @@ impl<C: Curve> FleetCoordinator<C> {
         let state = &rec.state;
 
         // Pod folds first: the durable truth about which pod owns what.
-        let mut folds = Vec::with_capacity(n_pods);
-        for durable in pod_durables {
-            folds.push(service_wal::recover_state(durable, &fleet.config.pod.shape())?.state);
-        }
+        // Each pod journal is decoded here, once; its service restores
+        // from this fold.
+        let shape = fleet.config.pod.shape();
+        let recovered = pod_durables
+            .iter()
+            .map(|durable| service_wal::recover_state(durable, &shape))
+            .collect::<Result<Vec<_>, _>>()?;
+        let folds: Vec<&ServiceState> = recovered.iter().map(|r| &r.state).collect();
 
         let mut spec_lists: Vec<Vec<JobSpec<C>>> = vec![Vec::new(); n_pods];
         let mut replacements: Vec<(&JobSpec<C>, usize)> = Vec::new();
@@ -321,22 +332,35 @@ impl<C: Curve> FleetCoordinator<C> {
             }
         }
 
+        // Where the pods durably hold each job: a live copy (queued or
+        // in flight) first, else a completed one.
+        let mut live_copies: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        let mut done_copies: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (p, fold) in folds.iter().enumerate() {
+            for (&id, e) in &fold.jobs {
+                let copies = match e.phase {
+                    JobPhase::Queued { .. } | JobPhase::InFlight { .. } => &mut live_copies,
+                    JobPhase::Done => &mut done_copies,
+                    _ => continue,
+                };
+                copies.entry(id).or_default().push(p);
+            }
+        }
+
         let mut pod_infos = Vec::with_capacity(n_pods);
-        for (p, durable) in pod_durables.iter().enumerate() {
-            let (svc, info) =
-                ProverService::restore(fleet.config.pod.clone(), &spec_lists[p], durable)?;
+        for (p, (durable, rec)) in pod_durables.iter().zip(recovered).enumerate() {
+            let config = fleet.config.pod.clone();
+            let (svc, info) = ProverService::restore_recovered(config, &spec_lists[p], durable, rec)?;
             fleet.pods[p] = svc;
             pod_infos.push(info);
         }
 
-        // The journal is untrusted and the outcome is read off it: a
-        // record or an accepted result that does not decode is refused
-        // here, before anything runs.
-        decode_records::<FleetRecord>(coordinator)?;
+        // The outcome is read off the journal: an accepted result that
+        // does not decode is refused here, before anything runs (every
+        // record already decoded in the recovery above).
         decode_accepted::<C>(state)?;
         fleet.specs = jobs.iter().map(|&j| (j.id, j.clone())).collect();
-        let snapshot_every = fleet.config.pod.snapshot_every;
-        fleet.wal = FleetWal::resume(coordinator.reopen()?, rec.state, n_pods, snapshot_every);
+        fleet.wal = FleetWal::resume(coordinator.reopen()?, rec.state, n_pods);
 
         // The lease table is volatile: pods the durable fold has fenced
         // take the rejoin path, not a second fence.
@@ -353,6 +377,26 @@ impl<C: Curve> FleetCoordinator<C> {
             let epoch = fleet.wal.state().pod_epochs[pod];
             let t_s = now.max(job.arrival_s);
             fleet.record(now, FleetRecord::Placed { t_s, id: job.id, pod, epoch });
+        }
+        // Hand-offs the pods made durable but the coordinator's journal
+        // lost: ownership follows the pod holding the job. The lost
+        // record came after every record the fold holds, so its
+        // decision time is stamped no earlier than the fold's clock.
+        let mut reconciled = 0u64;
+        for &job in &jobs {
+            let state = fleet.wal.state();
+            let holders = live_copies.get(&job.id).or_else(|| done_copies.get(&job.id));
+            let (Some(&from), Some(holders)) = (state.placed_on.get(&job.id), holders) else {
+                continue;
+            };
+            let to = holders[0];
+            let accepted = state.accepted.iter().any(|a| a.id == job.id);
+            if accepted || holders.contains(&from) || !state.placeable(to) {
+                continue;
+            }
+            let (t_s, epoch) = (state.clock_s, state.pod_epochs[to]);
+            fleet.record(now, FleetRecord::Replaced { t_s, id: job.id, from, to, epoch });
+            reconciled += 1;
         }
         let n_torn = torn_steals.len() as u64;
         for (spec, attempt) in torn_steals {
@@ -372,18 +416,6 @@ impl<C: Curve> FleetCoordinator<C> {
         let accepted = &fleet.wal.state().accepted;
         let accepted_ids: BTreeSet<u64> = accepted.iter().map(|a| a.id).collect();
         let accepted_before = accepted.len();
-        let live_ids: BTreeSet<u64> = folds
-            .iter()
-            .flat_map(|f| {
-                f.jobs.iter().filter_map(|(id, e)| {
-                    matches!(
-                        e.phase,
-                        JobPhase::Queued { .. } | JobPhase::InFlight { .. }
-                    )
-                    .then_some(*id)
-                })
-            })
-            .collect();
         let mut drained: Vec<(usize, CompletedJob<C>)> = Vec::new();
         for p in 0..n_pods {
             for done in fleet.pods[p].drain_completed() {
@@ -392,7 +424,7 @@ impl<C: Curve> FleetCoordinator<C> {
         }
         let mut reverified = 0u64;
         for (p, done) in drained {
-            if accepted_ids.contains(&done.id) || live_ids.contains(&done.id) {
+            if accepted_ids.contains(&done.id) || live_copies.contains_key(&done.id) {
                 continue;
             }
             reverified += 1;
@@ -413,7 +445,7 @@ impl<C: Curve> FleetCoordinator<C> {
             coordinator_torn_tail_bytes: rec.torn_tail_bytes,
             reverified,
             reaccepted,
-            replaced_jobs: replacements.len() as u64 + n_torn,
+            replaced_jobs: replacements.len() as u64 + n_torn + reconciled,
             recovery_cost_s: coordinator_cost_s
                 + pod_infos.iter().map(|i| i.recovery_cost_s).sum::<f64>(),
             scratch_cost_s: pod_infos.iter().map(|i| i.scratch_cost_s).fold(0.0, f64::max),
@@ -885,7 +917,7 @@ impl<C: Curve> FleetCoordinator<C> {
         FleetOutcome { report, events, pod_events, pod_reports, accepted }
     }
 
-    /// The coordinator's durable journal + snapshot bytes — what a
+    /// The coordinator's durable journal bytes — what a
     /// simulated crash preserves and [`Self::restore`] rebuilds from.
     pub fn durable(&self) -> &DurableState {
         self.wal.durable()

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use distmsm_comms::PartitionSchedule;
 use distmsm_ec::curves::Bn254G1;
-use distmsm_journal::{Fold, Wire};
+use distmsm_journal::Fold;
 use distmsm_service::harness::{
     arrival_trace, bit_exact, by_id, Flags, Ledger, LedgerIds, Run, Scenario, Violations,
 };
@@ -317,7 +317,7 @@ pub fn check_fleet_journal(
     match fold().and_then(|first| Ok((first, fold()?))) {
         Err(detail) => v.fail("partition-fencing-fold", detail),
         Ok((first, second)) => {
-            if first.to_bytes() != second.to_bytes() {
+            if first != second {
                 v.fail("partition-replay", "two folds of the same journal diverged".into());
             }
             if (&model.epochs, &model.fenced) != (&first.pod_epochs, &first.fenced) {

@@ -13,8 +13,8 @@
 //!   verified.
 //! * **A shadow fold.** [`FleetWal`] (a [`distmsm_journal::Journaled`])
 //!   folds every append through [`FleetState`]'s [`Fold::apply`] — the
-//!   same function recovery replays — so a snapshot (the encoded
-//!   shadow) equals a from-scratch replay by construction.
+//!   same function recovery replays over the whole journal — so a
+//!   restore rebuilds exactly the coordinator state at the cut.
 //! * **Replay-only counters.** Everything the fold tracks (ownership,
 //!   quarantine flags, detections, accepted results) derives from the
 //!   record stream alone; volatile coordinator state (`last_good`, the
@@ -30,10 +30,8 @@
 
 use std::collections::BTreeMap;
 
-use distmsm_journal::wire::{get_seq, put_seq, Blob, ByteReader, ByteWriter, Labels};
-use distmsm_journal::{
-    recover, wire, DurableState, Fold, JournalError, Journaled, Recovery, Wire, WireError,
-};
+use distmsm_journal::wire::{Blob, Labels};
+use distmsm_journal::{recover, wire, DurableState, Fold, JournalError, Journaled, Recovery};
 
 // ---------------------------------------------------------------------
 // the wire format: every tag and field order, declared once
@@ -56,7 +54,6 @@ wire! { enum FleetRecord {
     7 => Rejoined { t_s, pod, epoch },
     8 => Discarded { t_s, id, pod, epoch },
 } }
-wire! { struct AcceptedEntry { id, tenant, pod, attempts, result: Blob } }
 
 // ---------------------------------------------------------------------
 // records
@@ -311,13 +308,6 @@ impl Fold for FleetState {
         }
     }
 
-    fn fits(&self, n_pods: &usize) -> Result<(), String> {
-        if self.quarantined.len() == *n_pods {
-            return Ok(());
-        }
-        Err(format!("snapshot covers {} pods, the config has {n_pods}", self.quarantined.len()))
-    }
-
     /// Folds one record in. Semantic garbage — out-of-range pods, moves
     /// of unplaced jobs, double acceptance, double quarantine, stale or
     /// future fencing stamps, acceptance across an expired lease — is a
@@ -460,62 +450,6 @@ impl Fold for FleetState {
     }
 }
 
-/// The snapshot payload, hand-laid-out: a version byte (2; version 1
-/// predates fencing epochs and is refused — stale snapshots cannot
-/// silently resurrect a pre-fencing fleet), three per-pod vectors under
-/// one shared length, and the two placement maps zipped into one list.
-/// Canonical: the placement list must arrive in strictly ascending id
-/// order, so no other bytes decode to an equal state.
-impl Wire for FleetState {
-    fn put(&self, w: &mut ByteWriter) {
-        w.u8(2).f64(self.clock_s).u64(self.last_epoch).usize(self.quarantined.len());
-        put_seq(&self.quarantined, w);
-        put_seq(&self.pod_epochs, w);
-        put_seq(&self.fenced, w);
-        w.u64(self.detections).usize(self.placed_on.len());
-        for (&id, &pod) in &self.placed_on {
-            w.u64(id).usize(pod).u64(self.placed_epoch.get(&id).copied().unwrap_or(0));
-        }
-        self.accepted.put(w);
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let offset = r.offset();
-        if r.u8()? != 2 {
-            return Err(WireError { offset });
-        }
-        let clock_s = r.f64()?;
-        let last_epoch = r.u64()?;
-        let n_pods = r.usize()?;
-        let quarantined = get_seq(r, n_pods)?;
-        let pod_epochs = get_seq(r, n_pods)?;
-        let fenced = get_seq(r, n_pods)?;
-        let detections = r.u64()?;
-        let mut placed_on = BTreeMap::new();
-        let mut placed_epoch = BTreeMap::new();
-        for _ in 0..r.usize()? {
-            let offset = r.offset();
-            let id = r.u64()?;
-            if placed_on.last_key_value().is_some_and(|(&last, _)| id <= last) {
-                return Err(WireError { offset });
-            }
-            placed_on.insert(id, r.usize()?);
-            placed_epoch.insert(id, r.u64()?);
-        }
-        Ok(Self {
-            clock_s,
-            last_epoch,
-            quarantined,
-            detections,
-            placed_on,
-            accepted: Wire::get(r)?,
-            pod_epochs,
-            fenced,
-            placed_epoch,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
 // the live WAL and recovery: the journal crate's generic kernel
 // ---------------------------------------------------------------------
@@ -524,9 +458,10 @@ impl Wire for FleetState {
 /// shadow [`FleetState`] every append folds through.
 pub type FleetWal = Journaled<FleetState>;
 
-/// Recovers a [`FleetState`] from durable coordinator bytes: newest
-/// intact snapshot plus bounded replay. A torn tail is dropped; any
-/// complete-but-corrupt frame or shape mismatch is a typed error.
+/// Recovers a [`FleetState`] from durable coordinator bytes: every
+/// record decoded and folded, once. A torn tail is dropped; any
+/// complete-but-corrupt frame, undecodable payload or record the fold
+/// refuses is a typed error.
 pub fn recover_fleet_state(
     durable: &DurableState,
     n_pods: usize,
@@ -559,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_tracks_ownership_detections_and_snapshot_roundtrips() {
+    fn fold_tracks_ownership_and_detections() {
         let mut st = FleetState::new(&2);
         for (i, rec) in sample_records().iter().enumerate() {
             st.apply(i as u64 + 1, rec, &2).unwrap();
@@ -571,8 +506,6 @@ mod tests {
         assert_eq!(st.accepted.len(), 1);
         assert_eq!(st.accepted[0].result, vec![1, 2, 3, 4]);
         assert_eq!(st.clock_s, 2.5);
-        let bytes = st.to_bytes();
-        assert_eq!(FleetState::from_bytes(&bytes).unwrap(), st);
     }
 
     #[test]
@@ -622,8 +555,6 @@ mod tests {
         assert_eq!(st.fenced, vec![false, false]);
         assert_eq!(st.placed_epoch[&9], 2, "rejoin re-stamps jobs the pod still owns");
         assert_eq!(st.placed_epoch[&7], 1, "job 7 left pod 1 and keeps its own stamp");
-        let bytes = st.to_bytes();
-        assert_eq!(FleetState::from_bytes(&bytes).unwrap(), st);
     }
 
     /// Golden pin of the fenced-steal rejection path: every hand-off
@@ -719,26 +650,23 @@ mod tests {
     }
 
     #[test]
-    fn wal_snapshot_equals_fold_and_recovery_replays_it() {
-        let mut wal = FleetWal::new(2, 3);
+    fn every_record_cut_recovers_the_live_shadow_fold() {
+        let mut wal = FleetWal::new(2);
+        let mut shadows = vec![wal.state().clone()];
         for rec in sample_records() {
             let t = if matches!(rec, FleetRecord::Placed { .. }) { 0.0 } else { rec.t_s() };
             wal.append(t, &rec);
+            shadows.push(wal.state().clone());
         }
-        let rec = recover_fleet_state(wal.durable(), 2).unwrap();
-        assert_eq!(&rec.state, wal.state(), "replay equals the shadow fold");
-        assert_eq!(rec.snapshot_epoch, 6, "cadence-3 snapshot at epoch 6");
-        assert_eq!(rec.replayed_records, 1);
         let records = distmsm_journal::decode_records::<FleetRecord>(wal.durable()).unwrap();
         assert_eq!(records, sample_records());
 
-        // A record-boundary cut recovers the exact prefix fold.
-        let cut = wal.durable().truncate_records(4);
-        let rec4 = recover_fleet_state(&cut, 2).unwrap();
-        let mut expect = FleetState::new(&2);
-        for (i, r) in sample_records().iter().take(4).enumerate() {
-            expect.apply(i as u64 + 1, r, &2).unwrap();
+        // A crash after any k appends recovers the live shadow fold as
+        // it stood after the k-th, from all k records.
+        for (k, shadow) in shadows.iter().enumerate() {
+            let rec = recover_fleet_state(&wal.durable().truncate_records(k), 2).unwrap();
+            assert_eq!(&rec.state, shadow, "cut after {k} appends");
+            assert_eq!(rec.replayed_records, k as u64);
         }
-        assert_eq!(rec4.state, expect);
     }
 }

@@ -8,7 +8,7 @@
 use distmsm_ec::curves::Bn254G1;
 use distmsm_fleet::soak::{build_fleet_chaos, build_fleet_jobs, fleet_config};
 use distmsm_fleet::{FleetCoordinator, FleetRecord, FleetSoakSpec};
-use distmsm_journal::{decode_records, DurableState};
+use distmsm_journal::{decode_records, DurableState, JournalError};
 use distmsm_service::soak::{build_chaos, build_jobs, service_config};
 use distmsm_service::{decode_events, ProverService, ServiceEvent, ServiceEventKind, SoakSpec};
 
@@ -103,5 +103,56 @@ fn a_restored_fleet_reports_its_durable_past() {
             outcome.pod_events.iter().filter(|(p, _)| *p == pod).map(|(_, e)| e.clone()).collect();
         assert!(!durable.is_empty(), "pod {pod} journaled before the cut");
         assert_eq!(stream[..durable.len()], durable[..], "pod {pod}");
+    }
+}
+
+/// The outcome is the journal decoded, so a restore refuses a
+/// coordinator or pod journal holding a CRC-valid record that does not
+/// decode, at any epoch, and names that epoch.
+#[test]
+fn a_fleet_restore_refuses_an_undecodable_record_at_any_epoch() {
+    let spec = FleetSoakSpec {
+        arrival_seed: 2027,
+        fault_seed: 17,
+        n_jobs: 6,
+        n_tenants: 4,
+        n_pods: 2,
+        devices_per_pod: 2,
+        n_fault_windows: 0,
+        horizon_s: 30.0,
+        msm_size: 8,
+        byzantine_pod: None,
+        lost_pod: None,
+        partition_seed: 41,
+        n_partition_windows: 0,
+    };
+    let (jobs, chaos, config) =
+        (build_fleet_jobs(&spec), build_fleet_chaos(&spec), fleet_config(&spec));
+    let mut reference = FleetCoordinator::<Bn254G1>::new(config.clone());
+    reference.run(jobs.clone(), &chaos);
+    let coordinator = reference.durable().clone();
+    let pods: Vec<DurableState> =
+        (0..config.n_pods).map(|p| reference.pod_durable(p).clone()).collect();
+    // Every record kept, but record `bad` replaced by a tag no record has.
+    let forge = |durable: &DurableState, bad: usize| {
+        let mut forged = DurableState::new();
+        for (i, r) in durable.journal.replay().expect("intact").iter().enumerate() {
+            forged.append(r.t_s, if i == bad { &[0xee] } else { &r.payload });
+        }
+        forged
+    };
+    let refused_at = |coordinator: &DurableState, pods: &[DurableState], epoch: usize| {
+        let restored = FleetCoordinator::restore(config.clone(), &jobs, coordinator, pods, &chaos);
+        match restored.err() {
+            Some(JournalError::BadPayload { epoch: e, .. }) => assert_eq!(e, epoch as u64),
+            other => panic!("record {epoch}: expected BadPayload, got {other:?}"),
+        }
+    };
+    for bad in 0..coordinator.journal.n_records() {
+        refused_at(&forge(&coordinator, bad), &pods, bad + 1);
+    }
+    for bad in 0..pods[1].journal.n_records() {
+        let forged = [pods[0].clone(), forge(&pods[1], bad)];
+        refused_at(&coordinator, &forged, bad + 1);
     }
 }

@@ -36,7 +36,7 @@ fn a_torn_steal_is_never_reabsorbed_onto_a_fenced_pod() {
 
     // Coordinator: j1 → pod 1, j2 → pod 2, j3 → pod 1, then pod 0's
     // lease lapses. Pod 0 owns nothing, so it has the shortest queue.
-    let mut coordinator = FleetWal::new(3, 0);
+    let mut coordinator = FleetWal::new(3);
     for (id, pod) in [(1, 1), (2, 2), (3, 1)] {
         coordinator.append(0.0, &FleetRecord::Placed { t_s: 0.0, id, pod, epoch: 1 });
     }
@@ -45,7 +45,7 @@ fn a_torn_steal_is_never_reabsorbed_onto_a_fenced_pod() {
     // Pod 1 admitted j1 and j3 and handed j1 off; no pod journaled the
     // absorption. Pod 2 admitted j2.
     let mut pods: Vec<ServiceWal> =
-        (0..3).map(|_| ServiceWal::new(config.pod.shape(), 0)).collect();
+        (0..3).map(|_| ServiceWal::new(config.pod.shape())).collect();
     admit(&mut pods[1], 1, 1);
     admit(&mut pods[1], 3, 2);
     pods[1].append(1.0, &ServiceRecord::StolenOut { t_s: 1.0, id: 1, attempt: 0 });

@@ -1,10 +1,10 @@
 //! Frozen wire vectors, round-trip and hostile-byte tests for the
-//! coordinator journal codec. The hex strings were produced by the
-//! hand-written PR 8/9 codec and pin every byte on the wire: a change
-//! that moves one of them is a format break, not a refactor.
+//! coordinator journal codec. The hex strings pin every byte on the
+//! wire: a change that moves one of them is a format break, not a
+//! refactor.
 
 use distmsm_journal::Wire;
-use distmsm_fleet::{AcceptedEntry, FleetRecord, FleetState};
+use distmsm_fleet::FleetRecord;
 use proptest::prelude::*;
 
 fn hex(bytes: &[u8]) -> String {
@@ -48,42 +48,12 @@ fn record_vectors() -> Vec<(FleetRecord, &'static str)> {
     ]
 }
 
-/// A v2 snapshot: three parallel per-pod vectors under one length, two
-/// placement maps zipped into one list, one accepted result.
-fn state_vector() -> (FleetState, &'static str) {
-    let state = FleetState {
-        clock_s: 16.0,
-        last_epoch: 9,
-        quarantined: vec![true, false, false],
-        detections: 1,
-        placed_on: [(7, 1), (8, 0), (11, 2)].into_iter().collect(),
-        accepted: vec![AcceptedEntry {
-            id: 8,
-            tenant: 3,
-            pod: 0,
-            attempts: 1,
-            result: vec![1, 2, 3, 4],
-        }],
-        pod_epochs: vec![1, 2, 1],
-        fenced: vec![false, true, false],
-        placed_epoch: [(7, 2), (8, 1), (11, 1)].into_iter().collect(),
-    };
-    (state, "02000000000000304009000000000000000300000000000000010000010000000000000002000000000000000100000000000000000100010000000000000003000000000000000700000000000000010000000000000002000000000000000800000000000000000000000000000001000000000000000b00000000000000020000000000000001000000000000000100000000000000080000000000000003000000000000000000000000000000010000000400000001020304")
-}
-
 #[test]
 fn frozen_record_vectors() {
     for (rec, want) in record_vectors() {
         assert_eq!(hex(&rec.to_bytes()), want, "bytes out: {rec:?}");
         assert_eq!(FleetRecord::from_bytes(&unhex(want)).expect("decodes"), rec, "value in");
     }
-}
-
-#[test]
-fn frozen_v2_state_vector() {
-    let (state, want) = state_vector();
-    assert_eq!(hex(&state.to_bytes()), want);
-    assert_eq!(FleetState::from_bytes(&unhex(want)).expect("decodes"), state);
 }
 
 /// A decoder fed arbitrary bytes must return a typed error or a value
@@ -118,13 +88,6 @@ fn hostile_record_bytes_never_panic() {
     for (_, good) in record_vectors() {
         hostile::<FleetRecord>(&unhex(good));
     }
-}
-
-/// Includes the duplicate / out-of-order job-id mutations the PR 8
-/// decoder accepted (silently collapsing two placements into one).
-#[test]
-fn hostile_snapshot_bytes_never_panic() {
-    hostile::<FleetState>(&unhex(state_vector().1));
 }
 
 /// A deterministic pseudo-random record: every variant and corruption

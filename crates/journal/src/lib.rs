@@ -2,8 +2,8 @@
 //!
 //! The durability substrate for the service/fleet control plane: an
 //! **in-memory byte log** of CRC-framed, epoch-stamped records on the
-//! simulated clock, plus a snapshot store so recovery is *snapshot +
-//! bounded replay* instead of full-history replay.
+//! simulated clock. Recovery replays the whole log: a layer's state is
+//! the fold of every record it ever journaled.
 //!
 //! Every record is framed as
 //!
@@ -25,17 +25,13 @@
 //!   (truncated header or short payload at the very end of the log, the
 //!   signature of a crash mid-append) is silently dropped and reported
 //!   as [`Recovered::torn_tail_bytes`]; every defect *before* the tail —
-//!   a CRC mismatch on a complete frame, a duplicated or missing epoch,
-//!   a stale snapshot, a snapshot ahead of the last record — is still a
-//!   hard error, because those can only come from corruption or a buggy
-//!   writer, never from a crash.
+//!   a CRC mismatch on a complete frame, a duplicated or missing epoch —
+//!   is still a hard error, because those can only come from corruption
+//!   or a buggy writer, never from a crash.
 //!
-//! Snapshots live in their own framed log ([`DurableState`]); a
-//! snapshot's epoch is the epoch of the last record folded into it, so
-//! recovery selects the newest intact snapshot and returns only the
-//! records after it, which is what makes replay *bounded*. The journal
-//! itself never compacts: it is its layer's one history, and the
-//! layer's outcome is decoded from every record it holds.
+//! The journal never compacts and keeps no snapshots: it is its layer's
+//! one history, recovery folds every record it holds, and the layer's
+//! outcome is decoded from the same records.
 //!
 //! On top of the byte log sit the two things every journaling layer
 //! would otherwise write for itself: the declare-once payload codec
@@ -95,18 +91,6 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
-/// A decoded snapshot: the fold of all records with epoch ≤ `epoch`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Snapshot {
-    /// Epoch of the last record folded into this snapshot (0 = the
-    /// initial state, before any record).
-    pub epoch: u64,
-    /// Simulated-clock timestamp of the snapshot.
-    pub t_s: f64,
-    /// Opaque encoded state.
-    pub payload: Vec<u8>,
-}
-
 /// Typed journal defects. Never a panic, never a silent divergence:
 /// every corruption class the soaks inject maps onto exactly one of
 /// these.
@@ -149,29 +133,11 @@ pub enum JournalError {
         /// Epoch actually found.
         found: u64,
     },
-    /// A later snapshot frame regresses to an epoch at or below an
-    /// earlier one's.
-    StaleSnapshot {
-        /// Epoch claimed by the regressing snapshot.
-        snapshot_epoch: u64,
-        /// Least epoch it had to claim: one past the earlier snapshot's.
-        journal_epoch: u64,
-    },
-    /// A snapshot that claims records the journal does not hold: stable
-    /// storage writes a snapshot after the records it folds, so it
-    /// cannot outlive them. Appending after it would leave an epoch gap
-    /// no replay can cross.
-    SnapshotAhead {
-        /// Epoch claimed by the snapshot.
-        snapshot_epoch: u64,
-        /// Epoch of the journal's last complete record.
-        last_epoch: u64,
-    },
     /// A structurally intact payload that fails semantic decoding in
     /// the owning layer (unknown tag, short field, non-canonical point
     /// bytes).
     BadPayload {
-        /// Epoch of the offending record (0 for snapshots).
+        /// Epoch of the offending record.
         epoch: u64,
         /// What failed to decode.
         detail: String,
@@ -196,14 +162,6 @@ impl core::fmt::Display for JournalError {
             JournalError::MissingRecord { expected, found } => {
                 write!(f, "missing record: expected epoch {expected}, found {found}")
             }
-            JournalError::StaleSnapshot { snapshot_epoch, journal_epoch } => write!(
-                f,
-                "stale snapshot: epoch {snapshot_epoch} regresses (expected at least {journal_epoch})"
-            ),
-            JournalError::SnapshotAhead { snapshot_epoch, last_epoch } => write!(
-                f,
-                "snapshot at epoch {snapshot_epoch} is ahead of the last record, epoch {last_epoch}"
-            ),
             JournalError::BadPayload { epoch, detail } => {
                 write!(f, "undecodable payload in record epoch {epoch}: {detail}")
             }
@@ -382,57 +340,33 @@ impl Journal {
 /// What a tolerant recovery read yields.
 #[derive(Clone, Debug)]
 pub struct Recovered {
-    /// Newest intact snapshot, if any was ever installed and survived.
-    pub snapshot: Option<Snapshot>,
-    /// Complete, CRC-valid records with epoch greater than the
-    /// snapshot's, strictly consecutive.
+    /// Every complete, CRC-valid record, strictly consecutive from
+    /// epoch 1.
     pub records: Vec<Record>,
     /// Bytes of torn journal tail that were dropped (0 on a clean log).
     pub torn_tail_bytes: usize,
-    /// Bytes of torn snapshot-log tail that were dropped.
-    pub torn_snapshot_bytes: usize,
     /// Epoch the continued journal must assign next.
     pub next_epoch: u64,
 }
 
-/// The durable half of a journaling component: the record journal plus
-/// the framed snapshot log. Cloning it models "what the stable store
-/// held at the instant of the crash".
+/// The durable half of a journaling component: its record journal.
+/// Cloning it models "what the stable store held at the instant of the
+/// crash".
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DurableState {
     /// The record journal.
     pub journal: Journal,
-    snap_bytes: Vec<u8>,
 }
 
 impl DurableState {
-    /// Empty durable state: no snapshot (epoch-0 initial state), no
-    /// records.
+    /// Empty durable state: no records.
     pub fn new() -> Self {
-        Self { journal: Journal::new(), snap_bytes: Vec::new() }
+        Self::default()
     }
 
     /// Appends a record, returning its epoch.
     pub fn append(&mut self, t_s: f64, payload: &[u8]) -> u64 {
         self.journal.append(t_s, payload)
-    }
-
-    /// Installs a snapshot covering all records with epoch ≤ `epoch`.
-    /// Earlier snapshots are retained (recovery falls back to them if
-    /// the newest is torn).
-    pub fn install_snapshot(&mut self, epoch: u64, t_s: f64, payload: &[u8]) {
-        push_frame(&mut self.snap_bytes, epoch, t_s, payload);
-    }
-
-    /// The raw snapshot log (test surgery).
-    pub fn snapshot_bytes(&self) -> &[u8] {
-        &self.snap_bytes
-    }
-
-    /// Replaces the snapshot log wholesale (test surgery: torn or stale
-    /// snapshot injection).
-    pub fn set_snapshot_bytes(&mut self, bytes: Vec<u8>) {
-        self.snap_bytes = bytes;
     }
 
     /// Mutable access to the raw journal byte log — corruption
@@ -442,8 +376,7 @@ impl DurableState {
     }
 
     /// Crash injection at a record boundary: a copy whose journal keeps
-    /// only the first `k` records (and only the snapshots covering
-    /// them).
+    /// only the first `k` records.
     pub fn truncate_records(&self, k: usize) -> DurableState {
         let spans = self.journal.frame_spans();
         let keep = spans.iter().take(k).map(|(_, l)| l).sum::<usize>();
@@ -452,59 +385,21 @@ impl DurableState {
 
     /// Crash injection mid-record (a torn write): a copy whose journal
     /// byte log is cut at `nbytes` and counts only the complete frames
-    /// it kept. Snapshots newer than the last complete retained record
-    /// are dropped too — a snapshot cannot outlive the records it
-    /// summarises on real stable storage, where the snapshot is written
-    /// *after* its covering records.
+    /// it kept.
     pub fn truncate_bytes(&self, nbytes: usize) -> DurableState {
         let bytes = self.journal.bytes[..nbytes.min(self.journal.bytes.len())].to_vec();
         let last_epoch = frames(&bytes).last().map_or(0, |f| f.epoch);
-        let keep = frames(&self.snap_bytes)
-            .take_while(|f| f.epoch <= last_epoch)
-            .last()
-            .map_or(0, |f| f.offset + f.len());
-        let snap_bytes = self.snap_bytes[..keep].to_vec();
-        DurableState { journal: Journal { bytes, last_epoch }, snap_bytes }
+        DurableState { journal: Journal { bytes, last_epoch } }
     }
 
-    /// Crash-tolerant recovery: newest intact snapshot + the strictly
-    /// consecutive records after it. Torn *tails* (journal or snapshot
-    /// log) are dropped and reported; any other defect is a typed
-    /// error.
+    /// Crash-tolerant recovery: every strictly consecutive record from
+    /// epoch 1. A torn *tail* is dropped and reported; any other defect
+    /// is a typed error.
     pub fn recover(&self) -> Result<Recovered, JournalError> {
-        // Snapshot log: tolerate a torn tail, require strictly
-        // increasing epochs among the intact frames.
-        let snap_scan = scan_frames(&self.snap_bytes)?;
-        let mut snapshot: Option<Snapshot> = None;
-        for r in &snap_scan.records {
-            if let Some(prev) = &snapshot {
-                if r.epoch <= prev.epoch {
-                    return Err(JournalError::StaleSnapshot {
-                        snapshot_epoch: r.epoch,
-                        journal_epoch: prev.epoch + 1,
-                    });
-                }
-            }
-            snapshot =
-                Some(Snapshot { epoch: r.epoch, t_s: r.t_s, payload: r.payload.clone() });
-        }
-
         let scan = scan_frames(&self.journal.bytes)?;
         check_epochs(&scan.records)?;
-        let snap_epoch = snapshot.as_ref().map_or(0, |s| s.epoch);
-        let last_epoch = scan.records.last().map_or(0, |r| r.epoch);
-        if snap_epoch > last_epoch {
-            return Err(JournalError::SnapshotAhead { snapshot_epoch: snap_epoch, last_epoch });
-        }
-        let records: Vec<Record> =
-            scan.records.into_iter().filter(|r| r.epoch > snap_epoch).collect();
-        Ok(Recovered {
-            snapshot,
-            records,
-            torn_tail_bytes: scan.torn_tail_bytes,
-            torn_snapshot_bytes: snap_scan.torn_tail_bytes,
-            next_epoch: last_epoch + 1,
-        })
+        let next_epoch = scan.records.len() as u64 + 1;
+        Ok(Recovered { records: scan.records, torn_tail_bytes: scan.torn_tail_bytes, next_epoch })
     }
 
     /// Rebuilds an appendable [`DurableState`] from recovered state:
@@ -513,14 +408,8 @@ impl DurableState {
     pub fn reopen(&self) -> Result<DurableState, JournalError> {
         let rec = self.recover()?;
         let clean = self.journal.bytes.len() - rec.torn_tail_bytes;
-        let snap_clean = self.snap_bytes.len() - rec.torn_snapshot_bytes;
-        Ok(DurableState {
-            journal: Journal {
-                bytes: self.journal.bytes[..clean].to_vec(),
-                last_epoch: rec.next_epoch - 1,
-            },
-            snap_bytes: self.snap_bytes[..snap_clean].to_vec(),
-        })
+        let bytes = self.journal.bytes[..clean].to_vec();
+        Ok(DurableState { journal: Journal { bytes, last_epoch: rec.next_epoch - 1 } })
     }
 }
 
@@ -612,43 +501,6 @@ mod tests {
             gap.recover(),
             Err(JournalError::MissingRecord { expected: 2, found: 3 })
         ));
-    }
-
-    #[test]
-    fn snapshot_selection_and_stale_rejection() {
-        let mut d = sample(6);
-        d.install_snapshot(2, 1.0, b"state@2");
-        d.install_snapshot(4, 2.0, b"state@4");
-        let rec = d.recover().expect("clean recovery");
-        assert_eq!(rec.snapshot.as_ref().map(|s| s.epoch), Some(4));
-        assert_eq!(rec.records.iter().map(|r| r.epoch).collect::<Vec<_>>(), vec![5, 6]);
-        assert_eq!(rec.next_epoch, 7);
-
-        // Regressing snapshot epoch is stale.
-        let mut stale = d.clone();
-        stale.install_snapshot(3, 3.0, b"state@3");
-        assert!(matches!(stale.recover(), Err(JournalError::StaleSnapshot { .. })));
-
-        // A snapshot past the last record would make the next append
-        // skip epochs; recovery and reopening refuse it.
-        let mut ahead = sample(6);
-        ahead.install_snapshot(9, 4.0, b"state@9");
-        let refused = JournalError::SnapshotAhead { snapshot_epoch: 9, last_epoch: 6 };
-        assert_eq!(ahead.recover().err(), Some(refused.clone()));
-        assert_eq!(ahead.reopen().err(), Some(refused));
-    }
-
-    #[test]
-    fn torn_snapshot_falls_back_to_previous() {
-        let mut d = sample(6);
-        d.install_snapshot(2, 1.0, b"state@2");
-        d.install_snapshot(5, 2.0, b"state@5");
-        let cut = d.snap_bytes.len() - 3;
-        d.snap_bytes.truncate(cut);
-        let rec = d.recover().expect("torn snapshot tail falls back");
-        assert_eq!(rec.snapshot.as_ref().map(|s| s.epoch), Some(2));
-        assert_eq!(rec.records.len(), 4);
-        assert!(rec.torn_snapshot_bytes > 0);
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! The declare-once little-endian byte codec of journal payloads.
 //!
 //! The journal itself treats payloads as opaque; the service and fleet
-//! layers give their record and snapshot types a [`Wire`] impl so every
-//! payload has one canonical byte form (byte-comparable snapshots) and
-//! decoding failures surface as typed [`WireError`]s instead of panics.
-//! Primitives, `String`, `Option<T>` and `Vec<T>` are implemented here
-//! once; a tagged enum or a plain struct lists its tags and field order
-//! once through [`wire!`](crate::wire!), which generates both
-//! directions. Only layouts the macro cannot say (a version byte,
-//! parallel vectors under one length) are hand-written `impl Wire`s
-//! over the same primitives.
+//! layers give their record types a [`Wire`] impl so every payload has
+//! one canonical byte form and decoding failures surface as typed
+//! [`WireError`]s instead of panics. Primitives, `String`, `Option<T>`
+//! and `Vec<T>` are implemented here once; a tagged enum or a plain
+//! struct lists its tags and field order once through
+//! [`wire!`](crate::wire!), which generates both directions.
 
 /// A decode failure: the reader ran past the end of the buffer or met a
 /// malformed length/UTF-8 field.
@@ -246,29 +243,18 @@ impl<T: Wire> Wire for Option<T> {
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, w: &mut ByteWriter) {
         w.usize(self.len());
-        put_seq(self, w);
+        for item in self {
+            item.put(w);
+        }
     }
     fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let n = r.usize()?;
-        get_seq(r, n)
+        let mut items = Vec::with_capacity(n.min(SEQ_CAPACITY_CAP));
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
     }
-}
-
-/// Appends `items` back to back with no count — for layouts where
-/// several sequences share one length written elsewhere.
-pub fn put_seq<T: Wire>(items: &[T], w: &mut ByteWriter) {
-    for item in items {
-        item.put(w);
-    }
-}
-
-/// Reads `n` values back to back; `n` is untrusted.
-pub fn get_seq<T: Wire>(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<T>, WireError> {
-    let mut items = Vec::with_capacity(n.min(SEQ_CAPACITY_CAP));
-    for _ in 0..n {
-        items.push(T::get(r)?);
-    }
-    Ok(items)
 }
 
 /// Field codec for opaque byte strings (`u32` length, then the bytes)

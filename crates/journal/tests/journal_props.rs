@@ -1,24 +1,20 @@
 //! Property tests for the journal: recovery of any crash prefix is
 //! deterministic and idempotent — replaying a prefix twice yields
-//! exactly the same records and snapshot as replaying it once.
+//! exactly the same records as replaying it once.
 
 use distmsm_journal::{DurableState, JournalError, Record};
 use proptest::prelude::*;
 
 /// Builds a durable state with `n` records of pseudo-random payload
-/// lengths derived from `seed`, snapshotting every `every` records
-/// (0 = never).
-fn build(seed: u64, n: usize, every: usize) -> DurableState {
+/// lengths derived from `seed`.
+fn build(seed: u64, n: usize) -> DurableState {
     let mut d = DurableState::new();
     let mut s = seed;
     for i in 0..n {
         s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let len = (s >> 33) as usize % 48;
         let payload: Vec<u8> = (0..len).map(|j| (s as u8).wrapping_add(j as u8)).collect();
-        let epoch = d.append(i as f64 * 0.25, &payload);
-        if every > 0 && (epoch as usize).is_multiple_of(every) {
-            d.install_snapshot(epoch, i as f64 * 0.25, format!("snap@{epoch}").as_bytes());
-        }
+        d.append(i as f64 * 0.25, &payload);
     }
     d
 }
@@ -36,10 +32,9 @@ proptest! {
     fn prefix_replay_is_idempotent(
         seed in any::<u64>(),
         n in 1usize..40,
-        every in 0usize..7,
         frac in 0.0f64..1.0,
     ) {
-        let d = build(seed, n, every);
+        let d = build(seed, n);
         let cut = (d.journal.bytes().len() as f64 * frac) as usize;
         let crashed = d.truncate_bytes(cut);
         let once = crashed.recover().expect("crash prefixes always recover");
@@ -47,35 +42,24 @@ proptest! {
         let twice = reopened.recover().expect("reopened state recovers");
         prop_assert_eq!(record_epochs(&once.records), record_epochs(&twice.records));
         prop_assert_eq!(&once.records, &twice.records);
-        prop_assert_eq!(
-            once.snapshot.as_ref().map(|s| (s.epoch, s.payload.clone())),
-            twice.snapshot.as_ref().map(|s| (s.epoch, s.payload.clone()))
-        );
         prop_assert_eq!(once.next_epoch, twice.next_epoch);
         // The reopened log is clean: no torn tail remains.
         prop_assert_eq!(twice.torn_tail_bytes, 0);
-        prop_assert_eq!(twice.torn_snapshot_bytes, 0);
     }
 
     /// Record-boundary truncation keeps exactly the first `k` records,
-    /// and snapshot + tail replay always dovetails: the first replayed
-    /// record is exactly snapshot_epoch + 1.
+    /// epochs 1 through `k`.
     #[test]
     fn record_cut_recovers_exact_prefix(
         seed in any::<u64>(),
         n in 1usize..40,
-        every in 1usize..7,
         k in 0usize..40,
     ) {
-        let d = build(seed, n, every);
+        let d = build(seed, n);
         let k = k.min(n);
         let crashed = d.truncate_records(k);
         let rec = crashed.recover().expect("record cuts recover");
-        let snap_epoch = rec.snapshot.as_ref().map_or(0, |s| s.epoch);
-        prop_assert_eq!(snap_epoch as usize + rec.records.len(), k);
-        if let Some(first) = rec.records.first() {
-            prop_assert_eq!(first.epoch, snap_epoch + 1);
-        }
+        prop_assert_eq!(record_epochs(&rec.records), (1..=k as u64).collect::<Vec<_>>());
         prop_assert_eq!(rec.next_epoch, k as u64 + 1);
     }
 
@@ -89,7 +73,7 @@ proptest! {
         victim in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let d = build(seed, n, 0);
+        let d = build(seed, n);
         prop_assert!(d.journal.replay().is_ok());
         let spans = d.journal.frame_spans();
         let (off, len) = spans[(victim as usize) % spans.len()];

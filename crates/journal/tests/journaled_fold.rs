@@ -1,7 +1,7 @@
 //! The journaled-state-machine kernel on its own: a toy [`Fold`]
-//! proves `Journaled` append / snapshot cadence / `recover` without the
-//! service or fleet layers, and a frozen framed journal pins the frame
-//! and primitive byte layout (the hex was produced by the PR 8 journal
+//! proves `Journaled` append / `recover` / `resume` without the service
+//! or fleet layers, and a frozen framed journal pins the frame and
+//! primitive byte layout (the hex was produced by an earlier journal
 //! from hand-laid payload bytes).
 
 use distmsm_journal::wire::{Blob, ByteReader, ByteWriter, Labels};
@@ -26,8 +26,8 @@ enum Op {
 
 wire! { enum Op { 0 => Add { n }, 1 => Label(text) } }
 
-/// The toy state: a running sum and the labels seen, at most
-/// `ctx` of them (the "shape" a snapshot must fit).
+/// The toy state: a running sum and the labels seen, at most `ctx` of
+/// them (a label past the table is a record the fold refuses).
 #[derive(Clone, Debug, PartialEq)]
 struct Tally {
     last_epoch: u64,
@@ -35,22 +35,12 @@ struct Tally {
     labels: Vec<String>,
 }
 
-wire! { struct Tally { last_epoch, sum, labels } }
-
 impl Fold for Tally {
     type Record = Op;
     type Ctx = usize;
 
     fn new(_: &usize) -> Self {
         Self { last_epoch: 0, sum: 0, labels: Vec::new() }
-    }
-
-    fn fits(&self, max_labels: &usize) -> Result<(), String> {
-        if self.labels.len() <= *max_labels {
-            Ok(())
-        } else {
-            Err(format!("{} labels, room for {max_labels}", self.labels.len()))
-        }
     }
 
     fn apply(&mut self, epoch: u64, rec: &Op, max_labels: &usize) -> Result<(), JournalError> {
@@ -69,15 +59,13 @@ impl Fold for Tally {
 const JOURNAL_HEX: &str = "090000000100000000000000000000000000e03ff7ea69ba000500000000000000\
     060000000200000000000000000000000000f03f4a12b0eb010100000061\
     090000000300000000000000000000000000f83f59ee1f7c000700000000000000";
-const SNAPSHOT_HEX: &str = "1d0000000200000000000000000000000000f03fe37e082f\
-    0200000000000000050000000000000001000000000000000100000061";
 
 fn strip(s: &str) -> String {
     s.split_whitespace().collect()
 }
 
 fn sample() -> Journaled<Tally> {
-    let mut log = Journaled::<Tally>::new(4, 2);
+    let mut log = Journaled::<Tally>::new(4);
     assert_eq!(log.append(0.5, &Op::Add { n: 5 }), 1);
     assert_eq!(log.append(1.0, &Op::Label("a".into())), 2);
     assert_eq!(log.append(1.5, &Op::Add { n: 7 }), 3);
@@ -85,37 +73,49 @@ fn sample() -> Journaled<Tally> {
 }
 
 #[test]
-fn framed_journal_with_a_snapshot_is_frozen() {
+fn framed_journal_is_frozen() {
     let log = sample();
     assert_eq!(hex(log.durable().journal.bytes()), strip(JOURNAL_HEX));
-    // Cadence 2: exactly one snapshot, at epoch 2, of the shadow fold
-    // as it stood then.
-    assert_eq!(hex(log.durable().snapshot_bytes()), strip(SNAPSHOT_HEX));
     assert_eq!(log.state(), &Tally { last_epoch: 3, sum: 12, labels: vec!["a".into()] });
 }
 
 /// Rebuilds durable state from raw (possibly hostile) bytes.
-fn durable_from(journal: &[u8], snapshots: &[u8]) -> DurableState {
+fn durable_from(journal: &[u8]) -> DurableState {
     let mut d = DurableState::new();
     *d.journal_bytes_mut() = journal.to_vec();
-    d.set_snapshot_bytes(snapshots.to_vec());
     d
 }
 
 #[test]
-fn recover_is_snapshot_plus_bounded_replay_and_equals_the_shadow_fold() {
+fn recover_folds_every_record_and_equals_the_shadow_fold() {
     let log = sample();
-    let frozen = durable_from(&unhex(&strip(JOURNAL_HEX)), &unhex(&strip(SNAPSHOT_HEX)));
+    let frozen = durable_from(&unhex(&strip(JOURNAL_HEX)));
     for durable in [log.durable(), &frozen] {
         let rec = recover::<Tally>(durable, &4).expect("clean log recovers");
         assert_eq!(&rec.state, log.state());
-        assert_eq!((rec.snapshot_epoch, rec.replayed_records), (2, 1));
-        assert_eq!(rec.snapshot_payload_bytes, 29);
-        assert_eq!(rec.torn_tail_bytes, 0);
+        assert_eq!((rec.replayed_records, rec.torn_tail_bytes), (3, 0));
         assert_eq!(
             decode_records::<Op>(durable).expect("history decodes"),
             vec![Op::Add { n: 5 }, Op::Label("a".into()), Op::Add { n: 7 }]
         );
+    }
+}
+
+/// A crash after any `k` appends recovers exactly the shadow fold the
+/// live log held after its `k`-th append.
+#[test]
+fn every_record_cut_recovers_the_shadow_fold_after_that_many_appends() {
+    let ops = (0..12u64).map(|n| if n % 4 == 3 { Op::Label(format!("l{n}")) } else { Op::Add { n } });
+    let mut log = Journaled::<Tally>::new(4);
+    let mut shadows = vec![log.state().clone()];
+    for (i, op) in ops.enumerate() {
+        log.append(i as f64, &op);
+        shadows.push(log.state().clone());
+    }
+    for (k, shadow) in shadows.iter().enumerate() {
+        let rec = recover::<Tally>(&log.durable().truncate_records(k), &4).expect("a cut recovers");
+        assert_eq!(&rec.state, shadow, "cut after {k} appends");
+        assert_eq!(rec.replayed_records, k as u64);
     }
 }
 
@@ -126,47 +126,25 @@ fn torn_tail_is_dropped_and_resume_continues_the_epochs() {
     let torn = log.durable().truncate_bytes(full - 4);
     let rec = recover::<Tally>(&torn, &4).expect("a torn tail is tolerated");
     assert_eq!(rec.state, Tally { last_epoch: 2, sum: 5, labels: vec!["a".into()] });
-    assert_eq!((rec.snapshot_epoch, rec.replayed_records), (2, 0));
+    assert_eq!(rec.replayed_records, 2);
     assert_eq!(rec.torn_tail_bytes, 33 - 4);
 
-    let mut resumed =
-        Journaled::resume(torn.reopen().expect("reopens"), rec.state, 4, 2);
+    let mut resumed = Journaled::resume(torn.reopen().expect("reopens"), rec.state, 4);
     assert_eq!(resumed.append(2.0, &Op::Add { n: 1 }), 3, "epoch 3 is reassigned");
     assert_eq!(resumed.append(2.5, &Op::Add { n: 1 }), 4);
     let again = recover::<Tally>(resumed.durable(), &4).expect("recovers");
     assert_eq!(&again.state, resumed.state());
-    assert_eq!((again.snapshot_epoch, again.replayed_records), (4, 0), "cadence kept");
+    assert_eq!(again.replayed_records, 4);
 }
 
 #[test]
-fn snapshot_cadence_zero_never_snapshots() {
-    let mut log = Journaled::<Tally>::new(4, 0);
-    for n in 0..10 {
-        log.append(f64::from(n), &Op::Add { n: 1 });
+fn bad_payloads_are_refused_with_the_epoch() {
+    // The sample's second record is a label; a deployment with room
+    // for none refuses it at its own epoch.
+    match recover::<Tally>(sample().durable(), &0) {
+        Err(JournalError::BadPayload { epoch: 2, detail }) => assert_eq!(detail, "label table full"),
+        other => panic!("expected the fold's refusal, got {other:?}"),
     }
-    assert!(log.durable().snapshot_bytes().is_empty());
-    let rec = recover::<Tally>(log.durable(), &4).expect("recovers");
-    assert_eq!((rec.snapshot_epoch, rec.replayed_records, rec.state.sum), (0, 10, 10));
-}
-
-#[test]
-fn wrong_shape_snapshot_and_bad_payloads_are_refused_with_the_epoch() {
-    let log = sample();
-    // The snapshot holds one label; a deployment with room for none
-    // must not restore it.
-    match recover::<Tally>(log.durable(), &0) {
-        Err(JournalError::BadPayload { epoch: 2, detail }) => {
-            assert_eq!(detail, "1 labels, room for 0");
-        }
-        other => panic!("expected a shape refusal, got {other:?}"),
-    }
-    // An undecodable snapshot payload names the snapshot's epoch.
-    let mut bad_snap = log.durable().clone();
-    bad_snap.install_snapshot(3, 1.5, &[0xff]);
-    assert!(matches!(
-        recover::<Tally>(&bad_snap, &4),
-        Err(JournalError::BadPayload { epoch: 3, ref detail }) if detail.starts_with("snapshot: ")
-    ));
     // An undecodable record (unknown tag) names the record's epoch; so
     // does a record the fold refuses.
     let mut bad_rec = DurableState::new();
@@ -191,12 +169,9 @@ fn wrong_shape_snapshot_and_bad_payloads_are_refused_with_the_epoch() {
 #[test]
 fn hostile_journal_bytes_never_panic() {
     let journal = unhex(&strip(JOURNAL_HEX));
-    let snapshots = unhex(&strip(SNAPSHOT_HEX));
     let prefixes: Vec<Tally> = [0usize, 33, 63, 96]
         .iter()
-        .map(|&cut| {
-            recover::<Tally>(&durable_from(&journal[..cut], &[]), &4).expect("frame cut").state
-        })
+        .map(|&cut| recover::<Tally>(&durable_from(&journal[..cut]), &4).expect("frame cut").state)
         .collect();
     let check = |d: DurableState| {
         if let Ok(rec) = recover::<Tally>(&d, &4) {
@@ -204,23 +179,13 @@ fn hostile_journal_bytes_never_panic() {
         }
     };
     for cut in 0..journal.len() {
-        check(durable_from(&journal[..cut], &snapshots));
-    }
-    for cut in 0..snapshots.len() {
-        check(durable_from(&journal, &snapshots[..cut]));
+        check(durable_from(&journal[..cut]));
     }
     for i in 0..journal.len() {
         for flip in [0x01u8, 0x80, 0xff] {
             let mut bad = journal.clone();
             bad[i] ^= flip;
-            check(durable_from(&bad, &snapshots));
-        }
-    }
-    for i in 0..snapshots.len() {
-        for flip in [0x01u8, 0x80, 0xff] {
-            let mut bad = snapshots.clone();
-            bad[i] ^= flip;
-            check(durable_from(&journal, &bad));
+            check(durable_from(&bad));
         }
     }
 }

@@ -15,7 +15,7 @@ use distmsm::CurveDesc;
 use distmsm_ec::{Curve, XyzzPoint};
 use distmsm_gpu_sim::MultiGpuSystem;
 
-use distmsm_journal::{DurableState, JournalError};
+use distmsm_journal::{DurableState, JournalError, Recovery};
 
 use crate::admission::{AdmissionError, TenantConfig, QUEUE_CAPACITY};
 use crate::breaker::{CircuitBreaker, PoolTransition};
@@ -64,10 +64,6 @@ pub struct ServiceConfig {
     pub tenants: Vec<TenantConfig>,
     /// Pippenger window size every dispatch uses.
     pub window_size: u32,
-    /// Install a journal snapshot every this many records (0 disables
-    /// snapshotting; recovery then replays the whole journal). The
-    /// journal itself is always on.
-    pub snapshot_every: u64,
 }
 
 impl Default for ServiceConfig {
@@ -80,14 +76,13 @@ impl Default for ServiceConfig {
                 TenantConfig::new("bob"),
             ],
             window_size: 8,
-            snapshot_every: 0,
         }
     }
 }
 
 impl ServiceConfig {
     /// What the journal fold needs of this configuration: the table
-    /// sizes a snapshot must match.
+    /// sizes of its initial state.
     pub fn shape(&self) -> ServiceShape {
         ServiceShape { n_tenants: self.tenants.len(), n_devices: self.n_devices }
     }
@@ -151,12 +146,10 @@ pub enum ServiceEventKind {
         /// The transition.
         transition: PoolTransition,
     },
-    /// The service restarted from durable state (journal + snapshot).
-    /// Emitted once, first thing after a [`ProverService::restore`].
+    /// The service restarted from its durable journal. Emitted once,
+    /// first thing after a [`ProverService::restore`].
     Recovered {
-        /// Epoch of the snapshot recovery started from (0 = none).
-        snapshot_epoch: u64,
-        /// Journal records replayed on top of the snapshot.
+        /// Journal records replayed: every record the journal held.
         replayed: u64,
         /// Queued or in-flight jobs put back on a queue.
         requeued: u64,
@@ -342,7 +335,7 @@ impl<C: Curve> ProverService<C> {
             .expect("service engine config is valid");
         let admission_engine =
             DistMsm::with_config(MultiGpuSystem::dgx_a100(k), engine_config.clone());
-        let wal = ServiceWal::new(config.shape(), config.snapshot_every);
+        let wal = ServiceWal::new(config.shape());
         Self {
             config,
             pool,
@@ -368,15 +361,15 @@ impl<C: Curve> ProverService<C> {
         &self.pool
     }
 
-    /// Rebuilds a service from durable state after a crash: newest
-    /// intact snapshot + bounded journal replay, then re-queue what was
-    /// live and re-seed what was never durably admitted.
+    /// Rebuilds a service from durable state after a crash: one replay
+    /// of the whole journal, then re-queue what was live and re-seed
+    /// what was never durably admitted.
     ///
     /// `jobs` is the full arrival trace (plus any fleet-absorbed specs)
     /// — the journal stores job *state*, not instances, so every
     /// non-terminal journaled job must have its spec here. `config`
-    /// must match the crashed service's (tenant table and device count
-    /// are validated against the snapshot shape).
+    /// must match the crashed service's: its tenant table and device
+    /// count size the fold the journal replays into.
     ///
     /// Semantics, checked end to end by the crash soak:
     ///
@@ -398,10 +391,9 @@ impl<C: Curve> ProverService<C> {
     /// # Errors
     ///
     /// Any corrupt durable state — CRC mismatch, missing/duplicate
-    /// epoch, stale snapshot, undecodable payload (also one a snapshot
-    /// covers), or a live job whose spec is missing from `jobs` — is a
-    /// typed [`JournalError`]; a torn tail alone is tolerated and
-    /// dropped.
+    /// epoch, an undecodable payload or a record the fold refuses, or a
+    /// live job whose spec is missing from `jobs` — is a typed
+    /// [`JournalError`]; a torn tail alone is tolerated and dropped.
     ///
     /// # Panics
     ///
@@ -412,12 +404,29 @@ impl<C: Curve> ProverService<C> {
         jobs: &[JobSpec<C>],
         durable: &DurableState,
     ) -> Result<(Self, RecoveryInfo), JournalError> {
+        let rec = wal::recover_state(durable, &config.shape())?;
+        Self::restore_recovered(config, jobs, durable, rec)
+    }
+
+    /// [`Self::restore`] from `rec`, the fold [`wal::recover_state`]
+    /// already replayed off `durable` — for a caller that reads the
+    /// fold before restoring (a fleet routes job specs by it), so the
+    /// journal is decoded once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::restore`], past the replay itself.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::restore`].
+    pub fn restore_recovered(
+        config: ServiceConfig,
+        jobs: &[JobSpec<C>],
+        durable: &DurableState,
+        rec: Recovery<ServiceState>,
+    ) -> Result<(Self, RecoveryInfo), JournalError> {
         let shape = config.shape();
-        let rec = wal::recover_state(durable, &shape)?;
-        // The outcome is read off this journal: a record the snapshot
-        // covers must decode too, or the restore is refused here.
-        wal::decode_events(durable)?;
-        let snapshot_every = config.snapshot_every;
         let mut svc = Self::new(config);
         let info = RecoveryInfo {
             torn_tail_bytes: rec.torn_tail_bytes,
@@ -449,7 +458,7 @@ impl<C: Curve> ProverService<C> {
         }
 
         // Continue the journal from the reopened (torn-tail-free) log.
-        svc.wal = ServiceWal::resume(durable.reopen()?, state.clone(), shape, snapshot_every);
+        svc.wal = ServiceWal::resume(durable.reopen()?, state.clone(), shape);
 
         let spec_by_id: BTreeMap<u64, &JobSpec<C>> = jobs.iter().map(|j| (j.id, j)).collect();
         let live_spec = |id: u64| {
@@ -517,7 +526,6 @@ impl<C: Curve> ProverService<C> {
             None,
             None,
             ServiceEventKind::Recovered {
-                snapshot_epoch: rec.snapshot_epoch,
                 replayed: rec.replayed_records,
                 requeued,
                 rearrived,
@@ -570,10 +578,9 @@ impl<C: Curve> ProverService<C> {
                 format!("breaker:{}", t.to.label()),
                 vec![arg("device", t.device), arg("from", t.from.label()), arg("cause", t.cause)],
             ),
-            ServiceEventKind::Recovered { snapshot_epoch, replayed, requeued, rearrived } => (
+            ServiceEventKind::Recovered { replayed, requeued, rearrived } => (
                 "recovery:restored".into(),
                 vec![
-                    arg("snapshot_epoch", snapshot_epoch),
                     arg("replayed", replayed),
                     arg("requeued", requeued),
                     arg("rearrived", rearrived),
@@ -592,7 +599,7 @@ impl<C: Curve> ProverService<C> {
         self.record(self.clock_s, ServiceRecord::Event(event));
     }
 
-    /// The durable journal + snapshot bytes — what a simulated crash
+    /// The durable journal bytes — what a simulated crash
     /// preserves and [`Self::restore`] rebuilds from.
     pub fn durable(&self) -> &DurableState {
         self.wal.durable()
@@ -1415,25 +1422,27 @@ mod tests {
     }
 
     /// The outcome is the journal decoded, so a restore refuses a
-    /// journal whose records do not all decode, even one a snapshot
-    /// covers and recovery therefore never replays.
+    /// journal with a CRC-valid record that does not decode, at any
+    /// epoch, and names that epoch.
     #[test]
-    fn restore_refuses_an_undecodable_record_under_a_snapshot() {
-        use distmsm_journal::Wire;
+    fn restore_refuses_an_undecodable_record_at_any_epoch() {
         let config = ServiceConfig::default();
         let mut service = ProverService::<Bn254G1>::new(config.clone());
         service.run(vec![job(0, 0, JobClass::Interactive, 0.0)], &ChaosSchedule::none());
         let records = service.durable().journal.replay().expect("the live journal is intact");
-        let mut forged = DurableState::new();
-        forged.append(records[0].t_s, &[0xee]); // no record has this tag
-        for r in &records[1..] {
-            forged.append(r.t_s, &r.payload);
+        for bad in 0..records.len() {
+            let mut forged = DurableState::new();
+            for (i, r) in records.iter().enumerate() {
+                // no record has tag 0xee
+                forged.append(r.t_s, if i == bad { &[0xee] } else { &r.payload });
+            }
+            let restored = ProverService::<Bn254G1>::restore(config.clone(), &[], &forged).err();
+            let epoch = bad as u64 + 1;
+            assert!(
+                matches!(restored, Some(JournalError::BadPayload { epoch: e, .. }) if e == epoch),
+                "record {epoch}: {restored:?}"
+            );
         }
-        let state = service.wal_state();
-        forged.install_snapshot(records.len() as u64, state.clock_s, &state.to_bytes());
-        assert!(wal::recover_state(&forged, &config.shape()).is_ok(), "the snapshot covers it");
-        let restored = ProverService::<Bn254G1>::restore(config, &[], &forged).err();
-        assert!(matches!(restored, Some(JournalError::BadPayload { epoch: 1, .. })), "{restored:?}");
     }
 
     #[test]

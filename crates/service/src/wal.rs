@@ -21,10 +21,9 @@
 //! * **A shadow fold.** The live [`ServiceWal`] (a
 //!   [`distmsm_journal::Journaled`]) maintains a [`ServiceState`] by
 //!   folding every appended record through its [`Fold::apply`] — the
-//!   same function recovery uses. A snapshot is just the encoded
-//!   shadow state, so *snapshot ≡ replay* holds by construction (the
-//!   crash soak's `crash-replay` invariant checks it at every kill
-//!   point).
+//!   same function recovery replays over the whole journal, so a
+//!   restore rebuilds exactly the state the live service held at the
+//!   cut.
 //! * **Replay-only counters.** Everything the fold tracks (job phases,
 //!   tenant counters, breaker spells, completed results) is derivable
 //!   from the record stream alone; volatile details that are *not*
@@ -33,17 +32,14 @@
 //!
 //! Recovery invariants the crash soak checks end to end: every job
 //! terminates exactly once across the crash, shed/completed jobs are
-//! never resurrected, results stay bit-exact, and recovery cost
-//! (snapshot decode + bounded replay) is strictly below re-running the
-//! lost history once the journal is long enough.
+//! never resurrected, results stay bit-exact, and recovery cost (one
+//! replay of the journal) is strictly below re-running the lost history
+//! once the journal is long enough.
 
 use std::collections::BTreeMap;
 
-use distmsm_journal::wire::{Blob, ByteReader, ByteWriter, Labels};
-use distmsm_journal::{
-    decode_records, recover, wire, DurableState, Fold, JournalError, Journaled, Recovery, Wire,
-    WireError,
-};
+use distmsm_journal::wire::{Blob, Labels};
+use distmsm_journal::{decode_records, recover, wire, DurableState, Fold, JournalError, Journaled, Recovery};
 
 use crate::admission::AdmissionError;
 use crate::breaker::{probation_for, BreakerState, PoolTransition};
@@ -52,10 +48,8 @@ use crate::service::{ServiceEvent, ServiceEventKind};
 
 /// Modelled fixed cost of opening the durable state on recovery.
 pub const RECOVERY_BASE_S: f64 = 5e-3;
-/// Modelled cost of folding one replayed journal record.
+/// Modelled cost of decoding and folding one replayed journal record.
 pub const REPLAY_RECORD_S: f64 = 2e-4;
-/// Modelled cost per snapshot byte decoded on recovery.
-pub const SNAPSHOT_BYTE_S: f64 = 1e-8;
 
 // ---------------------------------------------------------------------
 // the wire format: every tag and field order, declared once
@@ -86,7 +80,7 @@ wire! { enum ServiceEventKind {
     6 => Failed { error },
     7 => Shed { reason },
     8 => Breaker { transition },
-    9 => Recovered { snapshot_epoch, replayed, requeued, rearrived },
+    9 => Recovered { replayed, requeued, rearrived },
 } }
 wire! { struct ServiceEvent { t_s, job, tenant, kind } }
 wire! { enum AdmissionOutcome { 0 => Admitted { queue_len }, 1 => Rejected { error } } }
@@ -97,21 +91,6 @@ wire! { enum ServiceRecord {
     3 => Absorbed { t_s, id, tenant, attempt },
     4 => StolenOut { t_s, id, attempt },
 } }
-wire! { enum JobPhase {
-    0 => Queued { attempt, since_s },
-    1 => InFlight { attempt },
-    2 => Done,
-    3 => Rejected,
-    4 => Failed,
-    5 => Shed,
-    6 => StolenAway { attempt },
-} }
-wire! { struct JobEntry { tenant, phase } }
-wire! { struct TenantCounters {
-    arrivals, admitted, rejected, completed, failed, shed, deadline_missed, sojourns_s,
-} }
-wire! { struct BreakerRestore { state, open_spells, open_until_s } }
-wire! { struct CompletedEntry { id, tenant, attempts, used_readmitted, result: Blob } }
 
 // ---------------------------------------------------------------------
 // records
@@ -335,8 +314,8 @@ pub struct CompletedEntry {
 /// pod needs that is not re-derivable from its static inputs.
 ///
 /// `ServiceState` is both the recovery target *and* the shadow state
-/// the live [`ServiceWal`] maintains — snapshots are its [`Wire`]
-/// encoding, so snapshot-and-replay agree by construction.
+/// the live [`ServiceWal`] maintains, so a replay and the live service
+/// agree by construction.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceState {
     /// High-water simulated time over applied records.
@@ -389,20 +368,6 @@ impl Fold for ServiceState {
             breakers: vec![BreakerRestore::default(); shape.n_devices],
             completed: Vec::new(),
         }
-    }
-
-    fn fits(&self, shape: &ServiceShape) -> Result<(), String> {
-        if self.tenants.len() == shape.n_tenants && self.breakers.len() == shape.n_devices {
-            return Ok(());
-        }
-        Err(format!(
-            "snapshot shape ({} tenants, {} devices) does not match the config \
-             ({} tenants, {} devices)",
-            self.tenants.len(),
-            self.breakers.len(),
-            shape.n_tenants,
-            shape.n_devices
-        ))
     }
 
     /// Folds one record into the state. Errors are typed, never panics:
@@ -554,56 +519,12 @@ impl Fold for ServiceState {
     }
 }
 
-/// The snapshot payload, hand-laid-out for its leading version byte.
-/// Deterministic and canonical: equal states encode to equal bytes
-/// (`crash-replay` compares these) and no other bytes decode to them — the
-/// job table must arrive in strictly ascending id order.
-impl Wire for ServiceState {
-    fn put(&self, w: &mut ByteWriter) {
-        w.u8(1); // version
-        w.f64(self.clock_s).u64(self.last_epoch).usize(self.jobs.len());
-        for (id, entry) in &self.jobs {
-            w.u64(*id);
-            entry.put(w);
-        }
-        self.tenants.put(w);
-        self.breakers.put(w);
-        self.completed.put(w);
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let offset = r.offset();
-        if r.u8()? != 1 {
-            return Err(WireError { offset });
-        }
-        let clock_s = r.f64()?;
-        let last_epoch = r.u64()?;
-        let mut jobs = BTreeMap::new();
-        for _ in 0..r.usize()? {
-            let offset = r.offset();
-            let id = r.u64()?;
-            if jobs.last_key_value().is_some_and(|(&last, _)| id <= last) {
-                return Err(WireError { offset });
-            }
-            jobs.insert(id, JobEntry::get(r)?);
-        }
-        Ok(Self {
-            clock_s,
-            last_epoch,
-            jobs,
-            tenants: Wire::get(r)?,
-            breakers: Wire::get(r)?,
-            completed: Wire::get(r)?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
 // the live WAL and recovery: the journal crate's generic kernel
 // ---------------------------------------------------------------------
 
 /// What the fold needs beyond the record stream: the pod's table sizes
-/// (the snapshot-shape check).
+/// (the initial state's tenant and breaker tables).
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceShape {
     /// Rows of the tenant table.
@@ -615,14 +536,13 @@ pub struct ServiceShape {
 /// The service's live write-ahead log: a durable journal plus the
 /// shadow [`ServiceState`] every append folds through. Journaling is
 /// always on (it advances no simulated time; the service's events are
-/// read off the records it appends); periodic snapshots are opt-in via
-/// [`crate::service::ServiceConfig::snapshot_every`].
+/// read off the records it appends).
 pub type ServiceWal = Journaled<ServiceState>;
 
-/// Recovers a [`ServiceState`] from durable bytes: newest intact
-/// snapshot plus a bounded replay of the records after it. A torn tail
-/// is tolerated (dropped); any complete-but-corrupt frame, stale
-/// snapshot or undecodable payload is a typed [`JournalError`].
+/// Recovers a [`ServiceState`] from durable bytes: every record decoded
+/// and folded, once. A torn tail is tolerated (dropped); any
+/// complete-but-corrupt frame or undecodable payload is a typed
+/// [`JournalError`].
 pub fn recover_state(
     durable: &DurableState,
     shape: &ServiceShape,
@@ -632,19 +552,16 @@ pub fn recover_state(
 
 /// Decodes the full event stream a durable journal witnesses — a
 /// service outcome's `events`. A torn tail is dropped first; the whole
-/// journal is then replayed from its first record, snapshot ignored
-/// (the service WAL never compacts, so the full history is present —
-/// snapshots bound recovery *replay* cost, not journal storage).
+/// journal is then replayed from its first record (the service WAL
+/// never compacts, so the full history is present).
 pub fn decode_events(durable: &DurableState) -> Result<Vec<ServiceEvent>, JournalError> {
     Ok(decode_records::<ServiceRecord>(durable)?.iter().flat_map(ServiceRecord::events).collect())
 }
 
-/// Modelled cost of one recovery: opening the durable state, decoding
-/// the snapshot it started from and replaying the records after it.
+/// Modelled cost of one recovery: opening the durable state, then
+/// decoding and folding every record it holds.
 pub fn recovery_cost_s<S>(rec: &Recovery<S>) -> f64 {
-    RECOVERY_BASE_S
-        + rec.snapshot_payload_bytes as f64 * SNAPSHOT_BYTE_S
-        + rec.replayed_records as f64 * REPLAY_RECORD_S
+    RECOVERY_BASE_S + rec.replayed_records as f64 * REPLAY_RECORD_S
 }
 
 /// How a [`crate::service::ProverService::restore`] got back on its
@@ -753,12 +670,6 @@ mod tests {
         assert_eq!(st.completed.len(), 1);
         assert_eq!(st.last_epoch, 6);
         assert_eq!(st.clock_s, 6.0);
-
-        // Canonical encoding roundtrips byte-exactly.
-        let bytes = st.to_bytes();
-        let decoded = ServiceState::from_bytes(&bytes).expect("snapshot roundtrips");
-        assert_eq!(decoded, st);
-        assert_eq!(decoded.to_bytes(), bytes);
     }
 
     #[test]
@@ -802,9 +713,10 @@ mod tests {
     }
 
     #[test]
-    fn wal_snapshot_equals_fold_and_recovery_replays_it() {
+    fn every_record_cut_recovers_the_live_shadow_fold() {
         let shape = ServiceShape { n_tenants: 2, n_devices: 2 };
-        let mut wal = ServiceWal::new(shape, 2);
+        let mut wal = ServiceWal::new(shape);
+        let mut shadows = vec![wal.state().clone()];
         let recs = vec![
             ServiceRecord::Admission {
                 t_s: 0.1,
@@ -844,26 +756,19 @@ mod tests {
                 ServiceRecord::Absorbed { t_s, .. } | ServiceRecord::StolenOut { t_s, .. } => *t_s,
             };
             wal.append(t, r);
+            shadows.push(wal.state().clone());
         }
-        // Recovery = snapshot (epoch 4) + 0 replayed records here.
-        let rec = recover_state(wal.durable(), &shape).expect("clean log recovers");
-        assert_eq!(&rec.state, wal.state(), "snapshot + replay equals the live shadow fold");
-        assert_eq!(rec.snapshot_epoch, 4);
-        assert_eq!(rec.replayed_records, 0);
-
-        // Truncating between records replays the un-snapshotted suffix
-        // and still agrees with an incremental fold.
-        let crashed = wal.durable().truncate_records(3);
-        let rec3 = recover_state(&crashed, &shape).expect("prefix recovers");
-        assert_eq!(rec3.snapshot_epoch, 2);
-        assert_eq!(rec3.replayed_records, 1);
-        let mut byhand = ServiceState::new(&shape);
-        for (i, r) in recs[..3].iter().enumerate() {
-            byhand.apply(i as u64 + 1, r, &shape).unwrap();
+        // A crash after any k appends recovers the live shadow fold as
+        // it stood after the k-th, from all k records.
+        for (k, shadow) in shadows.iter().enumerate() {
+            let rec = recover_state(&wal.durable().truncate_records(k), &shape)
+                .expect("a record cut recovers");
+            assert_eq!(&rec.state, shadow, "cut after {k} appends");
+            assert_eq!(rec.replayed_records, k as u64);
         }
-        assert_eq!(rec3.state, byhand);
 
         // The decoded event stream is the Admission/Completed expansion.
+        let crashed = wal.durable().truncate_records(3);
         let events = decode_events(&crashed).expect("events decode");
         assert_eq!(events.len(), 5, "2 admissions × 2 events + 1 dispatch");
         assert!(matches!(events[0].kind, ServiceEventKind::Arrival { .. }));

@@ -48,10 +48,9 @@ fn expected(events: &[ServiceEvent], tenants: &[String]) -> Vec<Instant> {
                         ("cause", t.cause.to_owned()),
                     ]),
                 ),
-                ServiceEventKind::Recovered { snapshot_epoch, replayed, requeued, rearrived } => (
+                ServiceEventKind::Recovered { replayed, requeued, rearrived } => (
                     "recovery:restored".to_owned(),
                     args(&[
-                        ("snapshot_epoch", snapshot_epoch.to_string()),
                         ("replayed", replayed.to_string()),
                         ("requeued", requeued.to_string()),
                         ("rearrived", rearrived.to_string()),

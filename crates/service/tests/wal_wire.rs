@@ -1,13 +1,11 @@
 //! Frozen wire vectors, round-trip and hostile-byte tests for the
-//! service journal codec. The hex strings were produced by the
-//! hand-written PR 8/9 codec and pin every byte on the wire: a change
-//! that moves one of them is a format break, not a refactor.
+//! service journal codec. The hex strings pin every byte on the wire: a
+//! change that moves one of them is a format break, not a refactor.
 
 use distmsm_journal::Wire;
 use distmsm_service::{
-    AdmissionError, AdmissionOutcome, BreakerRestore, BreakerState, CompletedEntry, JobClass,
-    JobEntry, JobPhase, PoolTransition, ServiceEvent, ServiceEventKind, ServiceRecord,
-    ServiceState, ShedReason, TenantCounters,
+    AdmissionError, AdmissionOutcome, BreakerState, JobClass, PoolTransition, ServiceEvent,
+    ServiceEventKind, ServiceRecord, ShedReason,
 };
 use proptest::prelude::*;
 
@@ -110,14 +108,9 @@ fn record_vectors() -> Vec<(ServiceRecord, &'static str)> {
                 3.5,
                 None,
                 None,
-                ServiceEventKind::Recovered {
-                    snapshot_epoch: 4,
-                    replayed: 2,
-                    requeued: 1,
-                    rearrived: 0,
-                },
+                ServiceEventKind::Recovered { replayed: 2, requeued: 1, rearrived: 0 },
             )),
-            "010000000000000c400000090400000000000000020000000000000001000000000000000000000000000000",
+            "010000000000000c40000009020000000000000001000000000000000000000000000000",
         ),
         (
             ServiceRecord::Completed {
@@ -137,67 +130,12 @@ fn record_vectors() -> Vec<(ServiceRecord, &'static str)> {
     ]
 }
 
-/// A snapshot covering every `JobPhase` arm and every `BreakerState`.
-fn state_vector() -> (ServiceState, &'static str) {
-    let phases = [
-        JobPhase::Queued { attempt: 1, since_s: 0.25 },
-        JobPhase::InFlight { attempt: 2 },
-        JobPhase::Done,
-        JobPhase::Rejected,
-        JobPhase::Failed,
-        JobPhase::Shed,
-        JobPhase::StolenAway { attempt: 3 },
-    ];
-    let state = ServiceState {
-        clock_s: 6.5,
-        last_epoch: 12,
-        jobs: phases
-            .iter()
-            .enumerate()
-            .map(|(i, &phase)| (10 + i as u64, JobEntry { tenant: i % 2, phase }))
-            .collect(),
-        tenants: vec![
-            TenantCounters {
-                arrivals: 5,
-                admitted: 4,
-                rejected: 1,
-                completed: 2,
-                failed: 1,
-                shed: 1,
-                deadline_missed: 1,
-                sojourns_s: vec![0.5, 1.75],
-            },
-            TenantCounters::default(),
-        ],
-        breakers: vec![
-            BreakerRestore::default(),
-            BreakerRestore { state: BreakerState::Open, open_spells: 2, open_until_s: 9.0 },
-            BreakerRestore { state: BreakerState::HalfOpen, open_spells: 1, open_until_s: 4.0 },
-        ],
-        completed: vec![CompletedEntry {
-            id: 12,
-            tenant: 0,
-            attempts: 2,
-            used_readmitted: true,
-            result: vec![9, 8, 7],
-        }],
-    };
-    (state, "010000000000001a400c0000000000000007000000000000000a0000000000000000000000000000000001000000000000000000d03f0b00000000000000010000000000000001020000000c000000000000000000000000000000020d000000000000000100000000000000030e000000000000000000000000000000040f00000000000000010000000000000005100000000000000000000000000000000603000000020000000000000005000000000000000400000000000000010000000000000002000000000000000100000000000000010000000000000001000000000000000200000000000000000000000000e03f000000000000fc3f00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000030000000000000000000000000000000000000000010200000000000000000022400201000000000000000000104001000000000000000c000000000000000000000000000000020000000103000000090807")
-}
-
 #[test]
 fn frozen_record_vectors() {
     for (rec, want) in record_vectors() {
         assert_eq!(hex(&rec.to_bytes()), want, "bytes out: {rec:?}");
         assert_eq!(ServiceRecord::from_bytes(&unhex(want)).expect("decodes"), rec, "value in");
     }
-}
-
-#[test]
-fn frozen_state_vector() {
-    let (state, want) = state_vector();
-    assert_eq!(hex(&state.to_bytes()), want);
-    assert_eq!(ServiceState::from_bytes(&unhex(want)).expect("decodes"), state);
 }
 
 /// A decoder fed arbitrary bytes must return a typed error or a value
@@ -232,13 +170,6 @@ fn hostile_record_bytes_never_panic() {
     for (_, good) in record_vectors() {
         hostile::<ServiceRecord>(&unhex(good));
     }
-}
-
-/// Includes the duplicate / out-of-order job-id mutations the PR 8
-/// decoder accepted (silently collapsing two jobs into one).
-#[test]
-fn hostile_snapshot_bytes_never_panic() {
-    hostile::<ServiceState>(&unhex(state_vector().1));
 }
 
 /// A deterministic pseudo-random record: every variant and nested arm
@@ -294,7 +225,6 @@ fn arbitrary_record(seed: u64) -> ServiceRecord {
             },
         },
         _ => ServiceEventKind::Recovered {
-            snapshot_epoch: next(),
             replayed: next(),
             requeued: next(),
             rearrived: next(),
